@@ -12,7 +12,9 @@
 
 CSV output carries no header unless ``--header`` is given, so files for
 different n concatenate cleanly.  Exit codes: 0 all good, 1 invariant
-failure, 2 usage error, 3 I/O error.
+failure, 2 usage error, 3 I/O error.  The library raises ``ValueError`` for
+arguments outside a function's domain (``segment --n 0``) and
+``ChipfireError`` for failed invariants, so the two map to exit 2 and 1.
 """
 
 from __future__ import annotations
@@ -382,6 +384,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ChipfireError as exc:
         sys.stderr.write(f"chipfire: {exc}\n")
         return EXIT_INVARIANT
+    except ValueError as exc:
+        sys.stderr.write(f"chipfire: {exc}\n")
+        return EXIT_USAGE
     except OSError as exc:
         sys.stderr.write(f"chipfire: {exc}\n")
         return EXIT_IO

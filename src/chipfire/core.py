@@ -17,18 +17,44 @@ table obeys a purely local recurrence between consecutive rows:
 Each row therefore follows from the previous one alone, and the whole table
 streams in memory proportional to the widest row.  Rows store only their
 nonzero span; they are palindromic because the game is symmetric in x and y.
+
+The recurrence is the same shift-and-add for every entry, so the kernel steps
+a whole row at once.  A row is held as one Python int with fixed-width
+lanes: entry ``k`` (increasing y) occupies bits ``k*W .. k*W + W - 1``.
+The lane width ``W`` is the bit length of the largest entry plus one spare
+bit, rounded up to a multiple of 64; for ``2**n`` chips that is 64 bits
+when ``n <= 62`` and 128 bits up to ``MAX_EXPONENT``.  Entries never grow
+down the table (each is at most the sum of two halves of its parents), so
+the width chosen for the first row holds for every later one, and the top
+bit of every lane stays clear.  One step is
+
+    halves = (packed >> 1) & low_mask      # v // 2 in every lane
+    child  = halves + (halves << W)        # F(x-1, y) // 2 + F(x, y-1) // 2
+
+where ``low_mask`` clears the top bit of each lane, the bit that the shift
+brings in from the lane above.  Two halves sum to at most the largest
+parent entry, so no carry crosses a lane boundary.  The child is trimmed to
+its nonzero span by its lowest set bit and its ``bit_length``.
+``Row.values`` is unpacked with ``int.to_bytes``: 64-bit lanes are read in
+one pass through ``memoryview.cast("Q")``, wider lanes by slicing the bytes.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 #: Exponent cap for the initial chip count.  Every table entry is at most
-#: 2**n and difference-table entries reach -(2**n), so this keeps all values
-#: within a signed 128-bit width, the contract assumed by the binary cache.
+#: 2**n, which needs n + 1 bits; a kernel lane holds that plus one spare bit,
+#: so n + 2 <= 128 keeps every lane within two 64-bit words.  Difference
+#: entries reach -(2**n), which also fits the binary cache's signed 128-bit
+#: slots.
 MAX_EXPONENT = 126
+
+# memoryview.cast("Q") reads native byte order; the lanes are little-endian.
+_NATIVE_QWORDS = sys.byteorder == "little"
 
 
 class ChipfireError(Exception):
@@ -125,25 +151,44 @@ def initial_row(n: int) -> Row:
     return Row(index=0, y_min=0, values=(1 << n,))
 
 
-def _child_values(values: Sequence[int]) -> list[int]:
-    # Entry j of the raw child row collects the half-contributions of the
-    # parents at offsets j-1 and j; offsets outside the span contribute 0.
-    halves = [v >> 1 for v in values]
-    raw = [halves[0]]
-    raw += [a + b for a, b in zip(halves, halves[1:])]
-    raw.append(halves[-1])
-    return raw
+def _lane_bits(top: int) -> int:
+    """Lane width for entries up to ``top``: its bits plus one, in 64-bit steps."""
+    return 64 * ((top.bit_length() + 64) // 64)
 
 
-def _trim(raw: list[int]) -> tuple[int, list[int]]:
-    lo = 0
-    n = len(raw)
-    while lo < n and raw[lo] == 0:
-        lo += 1
-    hi = n
-    while hi > lo and raw[hi - 1] == 0:
-        hi -= 1
-    return lo, raw[lo:hi]
+def _low_mask(lane: int, lanes: int) -> int:
+    """Every bit of ``lanes`` lanes except the top bit of each lane."""
+    return int.from_bytes((b"\xff" * (lane // 8 - 1) + b"\x7f") * lanes, "little")
+
+
+def _pack(values: Sequence[int], lane: int) -> int:
+    size = lane // 8
+    return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
+
+
+def _unpack(packed: int, width: int, lane: int) -> tuple[int, ...]:
+    size = lane // 8
+    raw = packed.to_bytes(width * size, "little")
+    if size == 8 and _NATIVE_QWORDS:
+        return tuple(memoryview(raw).cast("Q").tolist())
+    return tuple(
+        int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)
+    )
+
+
+def _step(packed: int, lane: int, mask: int) -> tuple[int, int, int]:
+    """One kernel step: ``(child, lanes trimmed on the left, child width)``.
+
+    ``mask`` is a :func:`_low_mask` covering at least the lanes of ``packed``.
+    An all-zero child comes back as ``(0, 0, 0)``.
+    """
+    halves = (packed >> 1) & mask
+    child = halves + (halves << lane)
+    if not child:
+        return 0, 0, 0
+    lo = ((child & -child).bit_length() - 1) // lane
+    child >>= lo * lane
+    return child, lo, -(-child.bit_length() // lane)
 
 
 def next_row(r: Row) -> Row:
@@ -156,13 +201,15 @@ def next_row(r: Row) -> Row:
     """
     if r.is_empty:
         return Row(index=r.index + 1, y_min=0, values=())
-    raw = _child_values(r.values)
-    lo, vals = _trim(raw)
-    if not vals:
+    lane = _lane_bits(max(r.values))
+    packed = _pack(r.values, lane)
+    child, lo, width = _step(packed, lane, _low_mask(lane, r.width))
+    if not child:
         return Row(index=r.index + 1, y_min=0, values=())
+    vals = _unpack(child, width, lane)
     if 0 in vals:
         raise ValueError("child row support is not contiguous")
-    return Row(index=r.index + 1, y_min=r.y_min + lo, values=tuple(vals))
+    return Row(index=r.index + 1, y_min=r.y_min + lo, values=vals)
 
 
 def row_bound(n: int) -> int:
@@ -187,9 +234,9 @@ class ConfigStream(Iterator[Row]):
     cap the stream is still guarded by :func:`row_bound`, which no correct
     run can exceed.
 
-    The stream holds only the current row, so memory stays proportional to
-    the widest row.  Instances are single-consumer; create one stream per
-    traversal.
+    The stream holds only the current row, packed into lanes as described
+    in the module docstring, so memory stays proportional to the widest row.
+    Instances are single-consumer; create one stream per traversal.
     """
 
     def __init__(self, n: int, row_cap: int | None = None):
@@ -200,7 +247,11 @@ class ConfigStream(Iterator[Row]):
         self.row_cap = row_cap
         self.current_row: Row | None = None
         self.rows_emitted = 0
-        self._vals: list[int] | None = [1 << n]
+        self._lane = _lane_bits(1 << n)
+        self._packed = 1 << n
+        self._width = 1
+        self._mask = _low_mask(self._lane, 1)
+        self._mask_lanes = 1
         self._y_min = 0
         self._index = 0
         self._bound = row_bound(n)
@@ -209,9 +260,8 @@ class ConfigStream(Iterator[Row]):
         return self
 
     def __next__(self) -> Row:
-        vals = self._vals
-        if not vals:
-            self._vals = None
+        packed = self._packed
+        if not packed:
             raise StopIteration
         if self.row_cap is not None and self.rows_emitted >= self.row_cap:
             raise RowCapExceededError(
@@ -222,10 +272,13 @@ class ConfigStream(Iterator[Row]):
                 f"row {self._index} exceeds the termination bound {self._bound} "
                 f"for n={self.n}; this indicates a bug"
             )
-        row = Row(index=self._index, y_min=self._y_min, values=tuple(vals))
-        raw = _child_values(vals)
-        lo, child = _trim(raw)
-        self._vals = child
+        lane, width = self._lane, self._width
+        row = Row(index=self._index, y_min=self._y_min, values=_unpack(packed, width, lane))
+        if width > self._mask_lanes:
+            # Rows widen by at most one lane per step; doubling keeps rebuilds rare.
+            self._mask_lanes = 2 * width
+            self._mask = _low_mask(lane, self._mask_lanes)
+        self._packed, lo, self._width = _step(packed, lane, self._mask)
         self._y_min += lo
         self._index += 1
         self.current_row = row

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from operator import add, sub
 from typing import Iterator, NamedTuple
 
 from .core import Row, intermediate_configuration
@@ -47,9 +48,9 @@ class DiffRow:
             raise ValueError(f"y_min must be nonnegative, got {self.y_min}")
         if self.y_min + len(v) - 1 > self.index:
             raise ValueError("span leaves the quadrant")
-        mirrored = [-x for x in v]
-        mirrored.reverse()
-        if list(v) != mirrored:
+        # Each entry of the first half (the middle one included) must cancel
+        # its mirror; a nonzero middle entry fails as twice itself.
+        if any(map(add, v[: (len(v) + 1) // 2], reversed(v))):
             raise ValueError("difference row must be antisymmetric")
 
     @property
@@ -68,10 +69,11 @@ def diff_row(prev: Row) -> DiffRow:
     if prev.is_empty:
         return DiffRow(index=prev.index + 1, y_min=0, values=())
     v = prev.values
-    out = [v[0]]
-    out += [b - a for a, b in zip(v, v[1:])]
-    out.append(-v[-1])
-    return DiffRow(index=prev.index + 1, y_min=prev.y_min, values=tuple(out))
+    return DiffRow(
+        index=prev.index + 1,
+        y_min=prev.y_min,
+        values=(v[0], *map(sub, v[1:], v), -v[-1]),
+    )
 
 
 def diff_table(n: int) -> Iterator[DiffRow]:
@@ -81,10 +83,15 @@ def diff_table(n: int) -> Iterator[DiffRow]:
 
 
 def row_max_abs(d: DiffRow) -> int:
-    """Largest absolute entry; by antisymmetry, the maximum of the left half."""
+    """Largest absolute entry.
+
+    Every ``DiffRow`` is antisymmetric (checked on construction), so each
+    negative entry is mirrored by its absolute value and the plain maximum
+    is exact.
+    """
     if d.is_empty:
         return 0
-    return max(map(abs, d.values))
+    return max(d.values)
 
 
 def unimodal_check(d: DiffRow) -> bool:

@@ -216,6 +216,23 @@ class TestUsageErrors:
             main(argv)
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["segment", "--n", "0"],
+            ["render", "--kind", "row-profiles", "--n", "0", "--out", "f.svg"],
+            ["sequences", "total-firings", "--upto", "-1"],
+        ],
+    )
+    def test_out_of_domain_values_exit_two(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("chipfire: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "f.svg").exists()
+
     def test_out_to_unwritable_path_is_io_error(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "table", "--n", "2", "--out", str(tmp_path / "no" / "file.csv")

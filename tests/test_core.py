@@ -14,6 +14,39 @@ from chipfire import (
     next_row,
     row_bound,
 )
+from chipfire.core import _lane_bits
+from chipfire.structure import pascal_row
+
+
+def reference_child(y_min, values):
+    """The recurrence entry by entry on plain lists: ``(y_min, values)`` of
+    the child row, trimmed to its nonzero span (``(0, ())`` if all zero).
+
+    Entry j of the raw child collects the half-contributions of the parents
+    at offsets j-1 and j; offsets outside the span contribute 0.
+    """
+    if not values:
+        return 0, ()
+    halves = [v >> 1 for v in values]
+    raw = [halves[0]] + [a + b for a, b in zip(halves, halves[1:])] + [halves[-1]]
+    lo, hi = 0, len(raw)
+    while lo < hi and raw[lo] == 0:
+        lo += 1
+    while hi > lo and raw[hi - 1] == 0:
+        hi -= 1
+    if lo == hi:
+        return 0, ()
+    return y_min + lo, tuple(raw[lo:hi])
+
+
+def reference_table(n):
+    """``(index, y_min, values)`` of every nonzero row, via ``reference_child``."""
+    out = []
+    y_min, values = 0, (1 << n,)
+    while values:
+        out.append((len(out), y_min, values))
+        y_min, values = reference_child(y_min, values)
+    return out
 
 
 class TestRow:
@@ -93,6 +126,36 @@ class TestNextRow:
         with pytest.raises(ValueError):
             next_row(Row(index=3, y_min=0, values=(8, 1, 1, 8)))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (2**64 + 3, 2**65 + 7, 2**64 + 3),  # 128-bit lanes
+            (2**130 + 1, 2**131 + 5, 2**131 + 5, 2**130 + 1),  # 192-bit lanes
+            (2**64 - 1, 2**64 - 1),  # 64 bits are full: the spare bit needs 128
+        ],
+    )
+    def test_entries_beyond_64_bits(self, values):
+        r = Row(index=9, y_min=2, values=values)
+        y_min, expected = reference_child(r.y_min, r.values)
+        assert next_row(r) == Row(index=10, y_min=y_min, values=expected)
+
+
+class TestLaneWidth:
+    @pytest.mark.parametrize(
+        "n,bits", [(0, 64), (62, 64), (63, 128), (126, 128), (127, 192)]
+    )
+    def test_rule(self, n, bits):
+        # Bits of 2**n plus one spare, rounded up to a multiple of 64.
+        assert _lane_bits(1 << n) == bits
+
+    @pytest.mark.parametrize("n", [62, 63, MAX_EXPONENT])
+    def test_top_triangle_matches_pascal(self, n):
+        # Rows 0..n are scaled binomial rows; n = 62 and 63 straddle the
+        # switch from 64- to 128-bit lanes, and MAX_EXPONENT fills 128 bits.
+        stream = intermediate_configuration(n)
+        for i in range(n + 1):
+            assert next(stream) == pascal_row(n, i)
+
 
 @st.composite
 def monotone_rows(draw):
@@ -129,6 +192,14 @@ class TestRecurrenceProperties:
         child = next_row(r)
         assert child.values == child.values[::-1]
 
+    @given(monotone_rows(), st.sampled_from([0, 1, 62, 64, 130]))
+    def test_matches_reference_kernel(self, r, shift):
+        # (v << shift) + v keeps the row palindromic and monotone while
+        # pushing its entries into wider lanes.
+        r = Row(index=r.index, y_min=r.y_min, values=[(v << shift) + v for v in r.values])
+        y_min, expected = reference_child(r.y_min, r.values)
+        assert next_row(r) == Row(index=r.index + 1, y_min=y_min, values=expected)
+
 
 class TestConfigStream:
     def test_single_chip(self):
@@ -137,6 +208,11 @@ class TestConfigStream:
     def test_n4_matches_worked_table(self):
         rows = list(intermediate_configuration(4))
         assert [(r.index, r.y_min, r.values) for r in rows] == list(golden.EXAMPLE_TABLE_N4)
+
+    @pytest.mark.parametrize("n", range(0, 17))
+    def test_matches_reference_kernel(self, n):
+        rows = [(r.index, r.y_min, r.values) for r in intermediate_configuration(n)]
+        assert rows == reference_table(n)
 
     def test_n9_row_count(self):
         assert sum(1 for _ in intermediate_configuration(9)) == 92

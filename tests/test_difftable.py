@@ -25,6 +25,27 @@ def antisym(left, index=None):
     return DiffRow(index=index, y_min=0, values=values)
 
 
+def _mirror(left, middle):
+    return left + middle + [-x for x in reversed(left)]
+
+
+antisymmetric_lists = st.builds(
+    _mirror,
+    st.lists(st.integers(min_value=-9, max_value=9), max_size=5),
+    st.sampled_from([[], [0]]),
+)
+
+
+def perturbed(values):
+    """``values`` with one entry (often the middle one) changed by a nonzero delta."""
+    if not values:
+        return st.just([1])
+    return st.tuples(
+        st.sampled_from([len(values) // 2, 0, len(values) - 1]),
+        st.integers(min_value=-3, max_value=3).filter(bool),
+    ).map(lambda kd: values[: kd[0]] + [values[kd[0]] + kd[1]] + values[kd[0] + 1 :])
+
+
 class TestDiffRow:
     def test_root_row(self):
         assert diff_row(Row(index=0, y_min=0, values=(16,))) == DiffRow(
@@ -45,6 +66,29 @@ class TestDiffRow:
     def test_rejects_asymmetric_values(self):
         with pytest.raises(ValueError):
             DiffRow(index=2, y_min=0, values=(3, -2))
+
+    @pytest.mark.parametrize("values", [(3, 1, -3), (1,), (-2,), (5, 0, 0, 5)])
+    def test_rejects_nonzero_middle_and_sign_slips(self, values):
+        with pytest.raises(ValueError):
+            DiffRow(index=len(values), y_min=0, values=values)
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(min_value=-3, max_value=3), max_size=9),
+            antisymmetric_lists,
+            antisymmetric_lists.flatmap(perturbed),
+        )
+    )
+    def test_accepts_exactly_the_antisymmetric(self, values):
+        v = tuple(values)
+        expected = v == tuple(-x for x in reversed(v))
+        try:
+            DiffRow(index=max(len(v), 1), y_min=0, values=v)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected
 
     def test_left_half(self):
         assert antisym([4, 4], index=3).left_half() == (4, 4)
@@ -104,6 +148,11 @@ class TestRowMaxAbs:
     def test_prefix_formula(self, n):
         got = [row_max_abs(d) for d in diff_table(n)][:5]
         assert got == list(golden.diff_max_prefix(n))
+
+    @pytest.mark.parametrize("n", range(0, 13))
+    def test_equals_largest_absolute_entry(self, n):
+        for d in diff_table(n):
+            assert row_max_abs(d) == max(map(abs, d.values))
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_nonincreasing_from_row_two(self, n):
