@@ -5,8 +5,8 @@ The package computes the arrival table of the game that starts with
 distribution, firing counts, row structure, and difference tables from it,
 and cross-validates everything against a brute-force simulator at small n.
 
-Submodules ``cache``, ``render``, and ``cli`` (the on-disk row cache, SVG
-figures, and the command-line front end) are imported on demand.
+Submodules ``render`` and ``cli`` (SVG figures and the command-line front
+end) are imported on demand.
 """
 
 from .core import (
@@ -28,6 +28,7 @@ from .stable import (
     StableConfig,
     StableRow,
     distance_distribution,
+    firing_routes,
     second_raw_moment,
     stable_configuration,
     stable_row,
@@ -93,6 +94,7 @@ __all__ = [
     "stable_row",
     "stable_configuration",
     "distance_distribution",
+    "firing_routes",
     "second_raw_moment",
     "total_firings_via_moment",
     "total_firings_via_sum",

@@ -213,12 +213,7 @@ def _check_bottom_minimal_rows(n: int, rows: Sequence[Row]) -> CheckResult:
 # stable-configuration checks
 
 
-def _stable_config(n: int, rows: Sequence[Row]) -> stable.StableConfig:
-    return stable.StableConfig(n=n, rows=tuple(stable.stable_row(r) for r in rows))
-
-
-def _check_distance_distribution(n: int, rows: Sequence[Row]) -> CheckResult:
-    config = _stable_config(n, rows)
+def _check_distance_distribution(n: int, config: stable.StableConfig) -> CheckResult:
     if config.chip_count != 1 << n:
         return _result("distance-distribution", n, False, f"{config.chip_count} chips, expected {1 << n}")
     if n >= 1 and any(x == y for x, y in config.marked_points()):
@@ -234,9 +229,7 @@ def _check_distance_distribution(n: int, rows: Sequence[Row]) -> CheckResult:
 
 
 def _check_firing_count_identity(n: int, rows: Sequence[Row]) -> CheckResult:
-    via_sum = sum(v >> 1 for r in rows for v in r.values)
-    d = stable.distance_distribution(_stable_config(n, rows))
-    mu2 = stable.second_raw_moment(d)
+    via_sum, mu2 = stable.firing_routes(rows)
     if mu2 & 1:
         return _result("firing-count-identity", n, False, f"odd second moment {mu2}")
     return _result(
@@ -245,10 +238,9 @@ def _check_firing_count_identity(n: int, rows: Sequence[Row]) -> CheckResult:
     )
 
 
-def _check_last_stable_row(n: int, rows: Sequence[Row]) -> CheckResult:
+def _check_last_stable_row(n: int, rows: Sequence[Row], config: stable.StableConfig) -> CheckResult:
     if n < 1:
         return _skip("last-stable-row", n, "needs n >= 1")
-    config = _stable_config(n, rows)
     last = config.last_marked_row()
     ok = last.index == rows[-1].index and last.pattern() == "11"
     return _result(
@@ -412,6 +404,7 @@ def run_checks(
     """
     rows = list(intermediate_configuration(n))
     diffs = [difftable.diff_row(r) for r in rows]
+    config = stable.StableConfig(n=n, rows=tuple(map(stable.stable_row, rows)))
 
     results = [
         _check_row_symmetry(n, rows),
@@ -428,9 +421,9 @@ def run_checks(
         _check_row_bound(n, rows),
         _check_last_row_pair(n, rows),
         _check_bottom_minimal_rows(n, rows),
-        _check_distance_distribution(n, rows),
+        _check_distance_distribution(n, config),
         _check_firing_count_identity(n, rows),
-        _check_last_stable_row(n, rows),
+        _check_last_stable_row(n, rows, config),
         _check_diff_antisymmetry(n, diffs),
         _check_diff_max_nonincreasing(n, diffs),
         _check_diff_unimodality(n, diffs),

@@ -22,11 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
-from . import cache, checks, difftable, render, sequences, stable, structure
-from .core import MAX_EXPONENT, ChipfireError, Row
+from . import checks, difftable, render, sequences, stable, structure
+from .core import MAX_EXPONENT, ChipfireError, Row, intermediate_configuration
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -72,11 +72,16 @@ def _positive(text: str) -> int:
 # serialization
 
 
-def rows_to_csv(rows: Sequence[Row], header: bool = False) -> str:
-    lines = ["index,y_min,values"] if header else []
+def _csv_lines(rows: Iterable[Row | difftable.DiffRow], header: bool) -> Iterator[str]:
+    if header:
+        yield "index,y_min,values\n"
     for r in rows:
-        lines.append(f"{r.index},{r.y_min},{' '.join(map(str, r.values))}")
-    return "\n".join(lines) + "\n"
+        yield f"{r.index},{r.y_min},{' '.join(map(str, r.values))}\n"
+
+
+def rows_to_csv(rows: Iterable[Row | difftable.DiffRow], header: bool = False) -> str:
+    """Arrival or difference rows as ``index,y_min,values`` lines."""
+    return "".join(_csv_lines(rows, header))
 
 
 def rows_from_csv(text: str) -> list[Row]:
@@ -97,18 +102,13 @@ def rows_from_csv(text: str) -> list[Row]:
     return out
 
 
-def _diff_rows_to_csv(diffs: Sequence[difftable.DiffRow], header: bool) -> str:
-    lines = ["index,y_min,values"] if header else []
-    for d in diffs:
-        lines.append(f"{d.index},{d.y_min},{' '.join(map(str, d.values))}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks to ``out`` (stdout when None) as they arrive."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
 
 
 def _json(payload) -> str:
@@ -119,36 +119,30 @@ def _json(payload) -> str:
 # commands
 
 
-def _cmd_table(args) -> int:
-    rows = cache.load_or_compute(args.n, args.cache_dir)
-    if args.max_rows is not None:
-        rows = rows[: args.max_rows]
+def _emit_rows(args, rows: Iterable[Row | difftable.DiffRow]) -> int:
+    # CSV streams row by row; JSON puts row_count before the rows, so it
+    # lists them first.
     if args.format == "csv":
-        _emit(rows_to_csv(rows, header=args.header), args.out)
+        _emit(_csv_lines(rows, args.header), args.out)
     else:
-        payload = {
-            "n": args.n,
-            "row_count": len(rows),
-            "rows": [
-                {"index": r.index, "y_min": r.y_min, "values": list(r.values)}
-                for r in rows
-            ],
-        }
-        _emit(_json(payload), args.out)
+        listed = [
+            {"index": r.index, "y_min": r.y_min, "values": list(r.values)}
+            for r in rows
+        ]
+        _emit([_json({"n": args.n, "row_count": len(listed), "rows": listed})], args.out)
     return EXIT_OK
 
 
-def _stable_config(args) -> stable.StableConfig:
-    rows = cache.load_or_compute(args.n, args.cache_dir)
-    return stable.StableConfig(n=args.n, rows=tuple(stable.stable_row(r) for r in rows))
+def _cmd_table(args) -> int:
+    return _emit_rows(args, islice(intermediate_configuration(args.n), args.max_rows))
 
 
 def _cmd_stable(args) -> int:
-    config = _stable_config(args)
+    config = stable.stable_configuration(args.n)
     if args.format == "csv":
         lines = ["index,y_min,bits"] if args.header else []
         lines.extend(f"{r.index},{r.y_min},{r.pattern()}" for r in config.rows)
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         payload = {
             "n": config.n,
@@ -158,27 +152,24 @@ def _cmd_stable(args) -> int:
                 for r in config.rows
             ],
         }
-        _emit(_json(payload), args.out)
+        _emit([_json(payload)], args.out)
     return EXIT_OK
 
 
 def _cmd_distance(args) -> int:
-    d = stable.distance_distribution(_stable_config(args))
+    d = stable.distance_distribution(stable.stable_configuration(args.n))
     if args.format == "csv":
         lines = ["offset,count"] if args.header else []
         lines.extend(f"{i},{d.count(i)}" for i in d.offsets())
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         payload = {"n": d.n, "half_width": d.half_width, "counts": list(d.counts)}
-        _emit(_json(payload), args.out)
+        _emit([_json(payload)], args.out)
     return EXIT_OK
 
 
 def _cmd_firings(args) -> int:
-    rows = cache.load_or_compute(args.n, args.cache_dir)
-    via_sum = sum(v >> 1 for r in rows for v in r.values)
-    config = stable.StableConfig(n=args.n, rows=tuple(stable.stable_row(r) for r in rows))
-    mu2 = stable.second_raw_moment(stable.distance_distribution(config))
+    via_sum, mu2 = stable.firing_routes(intermediate_configuration(args.n))
     if mu2 != 2 * via_sum:
         raise ChipfireError(
             f"firing-count routes disagree for n={args.n}: "
@@ -187,28 +178,14 @@ def _cmd_firings(args) -> int:
     if args.format == "csv":
         lines = ["n,total_firings"] if args.header else []
         lines.append(f"{args.n},{via_sum}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
-        _emit(_json({"n": args.n, "total_firings": via_sum}), args.out)
+        _emit([_json({"n": args.n, "total_firings": via_sum})], args.out)
     return EXIT_OK
 
 
 def _cmd_diff(args) -> int:
-    rows = cache.load_or_compute(args.n, args.cache_dir)
-    diffs = [difftable.diff_row(r) for r in rows]
-    if args.format == "csv":
-        _emit(_diff_rows_to_csv(diffs, args.header), args.out)
-    else:
-        payload = {
-            "n": args.n,
-            "row_count": len(diffs),
-            "rows": [
-                {"index": d.index, "y_min": d.y_min, "values": list(d.values)}
-                for d in diffs
-            ],
-        }
-        _emit(_json(payload), args.out)
-    return EXIT_OK
+    return _emit_rows(args, map(difftable.diff_row, intermediate_configuration(args.n)))
 
 
 def _cmd_segment(args) -> int:
@@ -224,7 +201,7 @@ def _cmd_segment(args) -> int:
         lines.append(
             f"{seg.n},{','.join(spans)},{seg.longest_length},{seg.first_longest_row}"
         )
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         payload = {
             "n": seg.n,
@@ -232,7 +209,7 @@ def _cmd_segment(args) -> int:
             "longest_length": seg.longest_length,
             "first_longest_row": seg.first_longest_row,
         }
-        _emit(_json(payload), args.out)
+        _emit([_json(payload)], args.out)
     return EXIT_OK
 
 
@@ -246,9 +223,9 @@ def _cmd_sequences(args) -> int:
     if args.format == "csv":
         lines = ["index,value"] if args.header else []
         lines.extend(f"{offset + k},{v}" for k, v in enumerate(values))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
-        _emit(_json({"id": args.id, "offset": offset, "values": values}), args.out)
+        _emit([_json({"id": args.id, "offset": offset, "values": values})], args.out)
     return EXIT_OK
 
 
@@ -268,7 +245,7 @@ def _cmd_verify(args) -> int:
             lines.append(_format_check(result))
     failed = checks.failures(all_results)
     lines.append(f"summary: {len(all_results)} checks, {len(failed)} failures")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
@@ -314,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_table_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--n", type=_exponent, required=True)
-        p.add_argument("--cache-dir", default=None,
-                       help=f"row cache directory (or ${cache.ENV_CACHE_DIR})")
         add_output_flags(p)
 
     p_table = sub.add_parser("table", help="arrival table rows")

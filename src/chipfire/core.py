@@ -48,9 +48,7 @@ from typing import Iterator, Sequence
 
 #: Exponent cap for the initial chip count.  Every table entry is at most
 #: 2**n, which needs n + 1 bits; a kernel lane holds that plus one spare bit,
-#: so n + 2 <= 128 keeps every lane within two 64-bit words.  Difference
-#: entries reach -(2**n), which also fits the binary cache's signed 128-bit
-#: slots.
+#: so n + 2 <= 128 keeps every lane within two 64-bit words.
 MAX_EXPONENT = 126
 
 # memoryview.cast("Q") reads native byte order; the lanes are little-endian.

@@ -10,6 +10,7 @@ vertical axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,8 @@ class RenderSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown figure kind {self.kind!r}; choose from {KINDS}")
+        if not all(map(math.isfinite, (self.width, self.height, self.dot_radius))):
+            raise ValueError("figure dimensions and dot radius must be finite")
         if self.width <= 0 or self.height <= 0:
             raise ValueError("figure dimensions must be positive")
         if self.dot_radius <= 0:

@@ -12,7 +12,7 @@ d - 1 and one at d + 1, adding exactly 2 to the moment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import ChipfireError, Row, intermediate_configuration
 
@@ -164,13 +164,31 @@ def second_raw_moment(d: DistanceDistribution) -> int:
     return sum((k - m) ** 2 * c for k, c in enumerate(d.counts))
 
 
+def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
+    """Both firing-count routes over one pass of ``rows``.
+
+    Returns ``(sum of F // 2, second raw moment)``: each point fires
+    ``F // 2`` times, and the moment sums ``(y - x)**2`` over the chips that
+    stay (the odd entries), counting every firing twice.  On a correct
+    table the moment is exactly twice the sum.
+    """
+    via_sum = mu2 = 0
+    for r in rows:
+        i = r.index
+        for y, v in enumerate(r.values, r.y_min):
+            via_sum += v >> 1
+            if v & 1:
+                mu2 += (2 * y - i) ** 2
+    return via_sum, mu2
+
+
 def total_firings_via_moment(n: int) -> int:
     """Total firings to stabilize ``2**n`` chips, via the moment identity.
 
     Every firing adds exactly 2 to the second raw moment of the chip
     distribution, which starts at 0, so the total is half the final moment.
     """
-    mu2 = second_raw_moment(distance_distribution(stable_configuration(n)))
+    mu2 = firing_routes(intermediate_configuration(n))[1]
     if mu2 & 1:
         raise ParityError(f"second raw moment {mu2} is odd for n={n}")
     return mu2 >> 1
@@ -178,4 +196,4 @@ def total_firings_via_moment(n: int) -> int:
 
 def total_firings_via_sum(n: int) -> int:
     """Total firings via direct summation: each point fires ``F // 2`` times."""
-    return sum(v >> 1 for row in intermediate_configuration(n) for v in row.values)
+    return firing_routes(intermediate_configuration(n))[0]

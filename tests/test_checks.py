@@ -1,5 +1,6 @@
 import pytest
 
+from chipfire import Row, checks
 from chipfire.checks import (
     CheckResult,
     conjecture_report,
@@ -95,3 +96,45 @@ class TestMinimalDescent:
 
     def test_longer_span(self):
         assert minimal_descent_check(max_j=128).passed
+
+
+class TestRerouteMutations:
+    """Each check fed from the shared stable routes fails on a corrupted table."""
+
+    N = 6
+
+    def _run_on(self, monkeypatch, rows, name):
+        monkeypatch.setattr(checks, "intermediate_configuration", lambda n: iter(rows))
+        (result,) = run_checks(self.N, properties=[name])
+        return result
+
+    def _mirrored_pair(self, table, delta):
+        # Add delta to one entry off the center and to its mirror, so the
+        # row stays palindromic and positive.
+        rows = list(table(self.N))
+        i = next(k for k, r in enumerate(rows) if r.width >= 3)
+        v = list(rows[i].values)
+        v[0] += delta
+        v[-1] += delta
+        rows[i] = Row(index=rows[i].index, y_min=rows[i].y_min, values=tuple(v))
+        return rows
+
+    def test_firing_count_identity(self, monkeypatch, table):
+        rows = self._mirrored_pair(table, 2)
+        result = self._run_on(monkeypatch, rows, "firing-count-identity")
+        assert result.name == "firing-count-identity"
+        assert not result.passed
+
+    def test_distance_distribution(self, monkeypatch, table):
+        rows = self._mirrored_pair(table, 1)
+        result = self._run_on(monkeypatch, rows, "distance-distribution")
+        assert result.name == "distance-distribution"
+        assert not result.passed
+
+    def test_last_stable_row(self, monkeypatch, table):
+        rows = list(table(self.N))
+        last = rows[-1]
+        rows[-1] = Row(index=last.index, y_min=last.y_min, values=(2, 2))
+        result = self._run_on(monkeypatch, rows, "last-stable-row")
+        assert result.name == "last-stable-row"
+        assert not result.passed

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chipfire
 import golden
-from chipfire.cache import cache_get, cache_path
+from chipfire import stable
 from chipfire.cli import main, rows_from_csv, rows_to_csv
 
 
@@ -37,6 +42,25 @@ class TestRowCsv:
     def test_max_rows(self, capsys):
         rc, out, _ = run(capsys, "table", "--n", "9", "--max-rows", "3")
         assert len(out.splitlines()) == 3
+
+    def test_max_rows_stops_the_stream(self):
+        # The full n = 126 table could never be listed; the CSV path must
+        # stop after the requested rows.
+        env = dict(os.environ, PYTHONPATH=str(Path(chipfire.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", "table", "--n", "126", "--max-rows", "3"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0
+        assert len(proc.stdout.splitlines()) == 3
+        assert proc.stdout.startswith(f"0,0,{2**126}\n")
+
+    def test_cache_variable_is_ignored(self, capsys, tmp_path, monkeypatch, table):
+        monkeypatch.setenv("CHIPFIRE_CACHE", str(tmp_path / "cache"))
+        rc, out, _ = run(capsys, "table", "--n", "6")
+        assert rc == 0
+        assert rows_from_csv(out) == table(6)
+        assert not (tmp_path / "cache").exists()
 
     def test_json_embeds_row_count(self, capsys):
         rc, out, _ = run(capsys, "table", "--n", "9", "--format", "json")
@@ -80,12 +104,29 @@ class TestFiringsDiffSegment:
         rc, out, _ = run(capsys, "firings", "--n", "7", "--format", "json")
         assert json.loads(out) == {"n": 7, "total_firings": 1359}
 
+    def test_firings_routes_disagree(self, capsys, monkeypatch):
+        monkeypatch.setattr(stable, "firing_routes", lambda rows: (52, 105))
+        rc, out, err = run(capsys, "firings", "--n", "4")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("chipfire: ")
+        assert err.count("\n") == 1
+
     def test_diff_csv(self, capsys):
         rc, out, _ = run(capsys, "diff", "--n", "4")
         lines = out.splitlines()
         assert lines[0] == "1,0,16 -16"
         assert lines[1] == "2,0,8 0 -8"
         assert len(lines) == 10
+
+    def test_diff_json_matches_csv(self, capsys):
+        _, csv_out, _ = run(capsys, "diff", "--n", "6", "--header")
+        rc, out, _ = run(capsys, "diff", "--n", "6", "--format", "json")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["n"] == 6
+        assert payload["row_count"] == len(payload["rows"]) == len(csv_out.splitlines()) - 1
+        assert payload["rows"][0] == {"index": 1, "y_min": 0, "values": [64, -64]}
 
     def test_segment_json(self, capsys):
         rc, out, _ = run(capsys, "segment", "--n", "9", "--format", "json")
@@ -179,26 +220,6 @@ class TestRenderCommand:
         assert err
 
 
-class TestCacheWiring:
-    def test_cache_dir_flag(self, capsys, tmp_path, table):
-        rc, out, _ = run(capsys, "table", "--n", "9", "--cache-dir", str(tmp_path))
-        assert rc == 0
-        assert cache_get(tmp_path, 9) == table(9)
-
-    def test_corrupt_cache_recovers(self, capsys, tmp_path, table):
-        run(capsys, "table", "--n", "9", "--cache-dir", str(tmp_path))
-        cache_path(tmp_path, 9).write_bytes(b"junk")
-        rc, out, _ = run(capsys, "table", "--n", "9", "--cache-dir", str(tmp_path))
-        assert rc == 0
-        assert rows_from_csv(out) == table(9)
-
-    def test_env_variable(self, capsys, tmp_path, monkeypatch, table):
-        monkeypatch.setenv("CHIPFIRE_CACHE", str(tmp_path))
-        rc, _, _ = run(capsys, "diff", "--n", "6")
-        assert rc == 0
-        assert cache_get(tmp_path, 6) == table(6)
-
-
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -209,6 +230,7 @@ class TestUsageErrors:
             ["table"],
             ["render", "--kind", "mystery", "--n", "2", "--out", "x.svg"],
             ["nonsense"],
+            ["table", "--n", "2", "--cache-dir", "x"],
         ],
     )
     def test_exit_code_two(self, argv):
@@ -222,6 +244,10 @@ class TestUsageErrors:
             ["segment", "--n", "0"],
             ["render", "--kind", "row-profiles", "--n", "0", "--out", "f.svg"],
             ["sequences", "total-firings", "--upto", "-1"],
+            ["render", "--kind", "stable-dots", "--n", "2", "--out", "f.svg",
+             "--dot-radius", "nan"],
+            ["render", "--kind", "stable-dots", "--n", "2", "--out", "f.svg",
+             "--dot-radius", "inf"],
         ],
     )
     def test_out_of_domain_values_exit_two(self, capsys, tmp_path, monkeypatch, argv):

@@ -88,6 +88,8 @@ class TestSpecAndOutput:
             dict(kind="stable-dots", n=3, width=0),
             dict(kind="stable-dots", n=3, height=-5),
             dict(kind="stable-dots", n=3, dot_radius=0),
+            dict(kind="stable-dots", n=3, dot_radius=float("nan")),
+            dict(kind="stable-dots", n=3, dot_radius=float("inf")),
         ],
     )
     def test_invalid_specs(self, kwargs):
