@@ -9,12 +9,31 @@ proven property.
 Checks that are vacuous for a given n (most need n >= 1, some n > 2)
 report a pass with a "skipped" note rather than disappearing, so runs over
 a range of n always print the same schedule.
+
+Every table check is a fold over a single stream of the table:
+:func:`run_checks` reads ``intermediate_configuration(n)`` once and hands
+each row to every check, so a run holds memory proportional to the widest
+row rather than to the table.  A fold is a generator.  It is started with
+``send(None)``, then sent one :class:`_Step` per arrival row (the row, its
+difference row, its stable row), then ``None`` at the end of the table.
+It returns ``(passed, detail)``; a skip, or a first failure that settles
+the verdict, returns early.  Between rows a fold keeps O(1) rows of state:
+the previous one or two rows or difference rows, the previous diagonal
+centre, running chip, firing and moment sums, the current run of widths
+stepping down by 1 with its non-minimal rows, the distance counts, the last
+marked stable row, and at most five offending row indices for a detail.
+Besides the folds, the pass keeps the row widths for the bottom-triangle
+report and, only when the oracle cross-checks run, the point table they
+compare against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate, compress, count
+from operator import add, and_, gt, le, sub
+from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 from . import difftable, oracle, stable, structure
 from .core import Row, intermediate_configuration, next_row, row_bound
@@ -38,301 +57,445 @@ def _result(name: str, n: int | None, ok: bool, detail: str = "", advisory: bool
     return CheckResult(name=name, n=n, passed=ok, detail=detail, advisory=advisory)
 
 
-def _skip(name: str, n: int, why: str) -> CheckResult:
-    return CheckResult(name=name, n=n, passed=True, detail=f"skipped: {why}")
+class _Step(NamedTuple):
+    """What every fold sees of one arrival row."""
+
+    row: Row
+    diff: difftable.DiffRow | None  # None unless a difference-table check runs
+    stable: stable.StableRow
+
+
+_Verdict = tuple[bool, str]
+_Fold = Generator[None, "_Step | None", _Verdict]
+_PASS: _Verdict = (True, "")
+
+
+def _skipped(why: str) -> _Verdict:
+    return True, f"skipped: {why}"
+
+
+def _collect(bad: list[int], index: int) -> None:
+    # Details quote at most the first five offenders.
+    if len(bad) < 5:
+        bad.append(index)
 
 
 # ---------------------------------------------------------------------------
 # arrival-table checks
 
 
-def _check_row_symmetry(n: int, rows: Sequence[Row]) -> CheckResult:
-    bad = [r.index for r in rows if r.values != r.values[::-1]]
-    return _result("row-symmetry", n, not bad, f"asymmetric rows: {bad[:5]}" if bad else "")
+def _row_symmetry(n: int) -> _Fold:
+    bad: list[int] = []
+    while (step := (yield)) is not None:
+        r = step.row
+        if r.values != r.values[::-1]:
+            _collect(bad, r.index)
+    return not bad, f"asymmetric rows: {bad}" if bad else ""
 
 
-def _check_row_contiguity(n: int, rows: Sequence[Row]) -> CheckResult:
-    bad = [r.index for r in rows if any(v <= 0 for v in r.values)]
-    return _result("row-contiguity", n, not bad)
+def _row_contiguity(n: int) -> _Fold:
+    while (step := (yield)) is not None:
+        if step.row.values and min(step.row.values) <= 0:
+            return False, ""
+    return _PASS
 
 
-def _check_even_diagonal(n: int, rows: Sequence[Row]) -> CheckResult:
+def _even_diagonal(n: int) -> _Fold:
     if n < 1:
-        return _skip("even-diagonal", n, "needs n >= 1")
-    bad = [
-        r.index
-        for r in rows
-        if r.index % 2 == 0 and r.value_at(r.index // 2) % 2 != 0
-    ]
-    return _result("even-diagonal", n, not bad, f"odd centers at rows {bad[:5]}" if bad else "")
+        return _skipped("needs n >= 1")
+    bad: list[int] = []
+    while (step := (yield)) is not None:
+        r = step.row
+        if r.index % 2 == 0 and r.value_at(r.index // 2) % 2 != 0:
+            _collect(bad, r.index)
+    return not bad, f"odd centers at rows {bad}" if bad else ""
 
 
-def _check_chip_parity_accounting(n: int, rows: Sequence[Row]) -> CheckResult:
+def _chip_parity_accounting(n: int) -> _Fold:
     # Each row forwards sum - #odd chips; the odd entries retire one chip
     # each, and all 2**n chips retire somewhere.
     retired = 0
-    for i, r in enumerate(rows):
-        odd = sum(v & 1 for v in r.values)
+    above: tuple[int, int] | None = None  # (index, chips it must forward)
+    while (step := (yield)) is not None:
+        chips = step.row.chip_sum()
+        if above is not None and chips != above[1]:
+            return False, f"row {above[0]} forwards {chips}, expected {above[1]}"
+        odd = step.stable.chip_count
         retired += odd
-        forwarded = rows[i + 1].chip_sum() if i + 1 < len(rows) else 0
-        if forwarded != r.chip_sum() - odd:
-            return _result(
-                "chip-parity-accounting", n, False,
-                f"row {r.index} forwards {forwarded}, expected {r.chip_sum() - odd}",
-            )
-    ok = retired == 1 << n
-    return _result(
-        "chip-parity-accounting", n, ok,
-        f"{retired} chips retired into the stable configuration",
-    )
+        above = (step.row.index, chips - odd)
+    if above is not None and above[1] != 0:
+        return False, f"row {above[0]} forwards 0, expected {above[1]}"
+    return retired == 1 << n, f"{retired} chips retired into the stable configuration"
 
 
-def _check_monotone_steps(n: int, rows: Sequence[Row]) -> CheckResult:
+def _growth_failure(r: Row) -> str | None:
+    """Where ``r`` breaks the step growth rule, or None."""
+    v = r.values
+    c = len(v) - 1
+    if c >= 1 and r.index - 2 * r.y_min == c:
+        # A row centred on its diagonal: steps 0..a-1 lie strictly left of
+        # it, then come the central equal pair (odd c) or the steps onto
+        # and off the diagonal (even c), then the right side.
+        steps = list(map(sub, v[1:], v))
+        a = (c - 1) // 2
+        if c & 1:
+            centre, right = steps[a] == 0, steps[a + 1 :]
+        else:
+            centre, right = steps[a] >= 1 and steps[a + 1] <= -1, steps[a + 2 :]
+        if centre and min(steps[:a], default=2) >= 2 and max(right, default=-2) <= -2:
+            return None
+    i = r.index
+    for k in range(len(v) - 1):
+        yl = r.y_min + k
+        yr = yl + 1
+        d = v[k + 1] - v[k]
+        if 2 * yr < i:
+            ok = d >= 2
+        elif 2 * yr == i:
+            ok = d >= 1
+        elif 2 * yl == i:
+            ok = d <= -1
+        elif 2 * yl > i:
+            ok = d <= -2
+        else:
+            ok = d == 0
+        if not ok:
+            return f"row {i}: step {d} at y={yl} breaks the growth rule"
+    return None
+
+
+def _monotone_steps(n: int) -> _Fold:
     # Within a row, steps grow by >= 2 strictly left of the diagonal, by
     # >= 1 onto it, mirror on the right, and the central pair of an
     # even-width row is equal.
-    for r in rows:
-        i = r.index
-        for k in range(r.width - 1):
-            yl = r.y_min + k
-            yr = yl + 1
-            d = r.values[k + 1] - r.values[k]
-            if 2 * yr < i:
-                ok = d >= 2
-            elif 2 * yr == i:
-                ok = d >= 1
-            elif 2 * yl == i:
-                ok = d <= -1
-            elif 2 * yl > i:
-                ok = d <= -2
-            else:
-                ok = d == 0
-            if not ok:
-                return _result(
-                    "monotone-steps", n, False,
-                    f"row {i}: step {d} at y={yl} breaks the growth rule",
-                )
-    return _result("monotone-steps", n, True)
+    while (step := (yield)) is not None:
+        failure = _growth_failure(step.row)
+        if failure is not None:
+            return False, failure
+    return _PASS
 
 
-def _check_pascal_top_rows(n: int, rows: Sequence[Row]) -> CheckResult:
-    for i in range(min(n, len(rows) - 1) + 1):
-        if rows[i] != structure.pascal_row(n, i):
-            return _result("pascal-top-rows", n, False, f"row {i} is not the scaled binomial row")
-    return _result("pascal-top-rows", n, True)
+def _pascal_top_rows(n: int) -> _Fold:
+    for i in range(n + 1):
+        if (step := (yield)) is None:
+            break
+        if step.row != structure.pascal_row(n, i):
+            return False, f"row {i} is not the scaled binomial row"
+    return _PASS
 
 
-def _check_first_stable_row(n: int, rows: Sequence[Row]) -> CheckResult:
-    first = next((r.index for r in rows if any(v & 1 for v in r.values)), None)
-    return _result(
-        "first-stable-row", n, first == n,
-        f"first odd entry in row {first}, expected {n}",
-    )
+def _first_stable_row(n: int) -> _Fold:
+    first = None
+    while (step := (yield)) is not None:
+        if step.stable.bits:
+            first = step.row.index
+            break
+    return first == n, f"first odd entry in row {first}, expected {n}"
 
 
-def _check_length_steps(n: int, rows: Sequence[Row]) -> CheckResult:
-    lengths = [r.width for r in rows]
-    bad = [
-        i for i in range(len(lengths) - 1)
-        if abs(lengths[i + 1] - lengths[i]) != 1
-    ]
-    return _result("length-steps", n, not bad, f"non-unit steps after rows {bad[:5]}" if bad else "")
+def _length_steps(n: int) -> _Fold:
+    bad: list[int] = []
+    above = None
+    position = 0
+    while (step := (yield)) is not None:
+        width = step.row.width
+        if above is not None and abs(width - above) != 1:
+            _collect(bad, position - 1)
+        above = width
+        position += 1
+    return not bad, f"non-unit steps after rows {bad}" if bad else ""
 
 
-def _check_length_parity(n: int, rows: Sequence[Row]) -> CheckResult:
+def _length_parity(n: int) -> _Fold:
     if n < 1:
-        return _skip("length-parity", n, "needs n >= 1")
-    lengths = [r.width for r in rows]
-    alternates = all(
-        (lengths[i] + lengths[i + 1]) % 2 == 1 for i in range(len(lengths) - 1)
-    )
-    even_total = len(lengths) % 2 == 0
-    return _result(
-        "length-parity", n, alternates and even_total,
-        f"{len(lengths)} nonzero rows",
-    )
+        return _skipped("needs n >= 1")
+    rows = 0
+    alternates = True
+    above = None
+    while (step := (yield)) is not None:
+        width = step.row.width
+        if above is not None and (above + width) % 2 != 1:
+            alternates = False
+        above = width
+        rows += 1
+    return alternates and rows % 2 == 0, f"{rows} nonzero rows"
 
 
-def _check_row_start_pattern(n: int, rows: Sequence[Row]) -> CheckResult:
+def _starts_one_a(r: Row) -> bool:
+    return r.width >= 2 and r.values[0] == 1 and 4 <= r.values[1] <= 7
+
+
+def _row_start_pattern(n: int) -> _Fold:
     # A row starting 1, a with 4 <= a <= 7 repeats its length two rows down
-    # and starts with 1 again.
-    for i, r in enumerate(rows):
-        if r.width >= 2 and r.values[0] == 1 and 4 <= r.values[1] <= 7:
-            if i + 2 >= len(rows):
-                return _result("row-start-pattern", n, False, f"row {r.index} has no row {r.index + 2}")
-            two_down = rows[i + 2]
-            if two_down.width != r.width or two_down.values[0] != 1:
-                return _result(
-                    "row-start-pattern", n, False,
-                    f"row {r.index + 2} does not mirror row {r.index}",
-                )
-    return _result("row-start-pattern", n, True)
+    # and starts with 1 again.  ``older`` and ``newer`` are the two rows
+    # above, kept only when they start that way.
+    older = newer = None
+    while (step := (yield)) is not None:
+        r = step.row
+        if older is not None and (r.width != older.width or r.values[0] != 1):
+            return False, f"row {older.index + 2} does not mirror row {older.index}"
+        older, newer = newer, (r if _starts_one_a(r) else None)
+    for pending in (older, newer):
+        if pending is not None:
+            return False, f"row {pending.index} has no row {pending.index + 2}"
+    return _PASS
 
 
-def _check_diagonal_decay(n: int, rows: Sequence[Row]) -> CheckResult:
+def _decay_failure(above: tuple[int, int], center: int) -> str | None:
+    x, c = above
+    if c > 0 and center > c - 2:
+        return f"center at x={x + 1} is {center}, needs <= {c - 2}"
+    return None
+
+
+def _diagonal_decay(n: int) -> _Fold:
     if n < 1:
-        return _skip("diagonal-decay", n, "needs n >= 1")
-    centers = {r.index // 2: r.value_at(r.index // 2) for r in rows if r.index % 2 == 0}
-    for x, c in centers.items():
-        if c > 0 and centers.get(x + 1, 0) > c - 2:
-            return _result(
-                "diagonal-decay", n, False,
-                f"center at x={x + 1} is {centers.get(x + 1, 0)}, needs <= {c - 2}",
-            )
-    return _result("diagonal-decay", n, True)
+        return _skipped("needs n >= 1")
+    # While F(x, x) > 0, the next diagonal centre is at most F(x, x) - 2; a
+    # centre with no even row after it is followed by 0.
+    above: tuple[int, int] | None = None  # (x, F(x, x)) of the last even row
+    while (step := (yield)) is not None:
+        r = step.row
+        if r.index % 2:
+            continue
+        x = r.index // 2
+        center = r.value_at(x)
+        if above is not None:
+            failure = _decay_failure(above, center if x == above[0] + 1 else 0)
+            if failure is not None:
+                return False, failure
+        above = (x, center)
+    if above is not None:
+        failure = _decay_failure(above, 0)
+        if failure is not None:
+            return False, failure
+    return _PASS
 
 
-def _check_row_bound(n: int, rows: Sequence[Row]) -> CheckResult:
+def _row_bound(n: int) -> _Fold:
+    last = None
+    while (step := (yield)) is not None:
+        last = step.row.index
     bound = row_bound(n)
-    last = rows[-1].index
-    return _result("row-bound", n, last <= bound, f"last nonzero row {last}, bound {bound}")
+    return last <= bound, f"last nonzero row {last}, bound {bound}"
 
 
-def _check_last_row_pair(n: int, rows: Sequence[Row]) -> CheckResult:
+def _last_row_pair(n: int) -> _Fold:
     if n < 1:
-        return _skip("last-row-pair", n, "needs n >= 1")
-    return _result(
-        "last-row-pair", n, rows[-1].values == (1, 1),
-        f"last row values {rows[-1].values}",
-    )
+        return _skipped("needs n >= 1")
+    last = None
+    while (step := (yield)) is not None:
+        last = step.row
+    return last.values == (1, 1), f"last row values {last.values}"
 
 
-def _check_bottom_minimal_rows(n: int, rows: Sequence[Row]) -> CheckResult:
+def _bottom_minimal_rows(n: int) -> _Fold:
     if n < 1:
-        return _skip("bottom-minimal-rows", n, "needs n >= 1")
-    lengths = [r.width for r in rows]
-    start = structure._terminal_decreasing_run(lengths)
-    bad = [rows[i].index for i in range(start, len(rows)) if not structure.is_minimal(rows[i])]
-    return _result(
-        "bottom-minimal-rows", n, not bad,
-        f"{len(rows) - start} terminal rows" if not bad else f"non-minimal rows {bad[:5]}",
-    )
+        return _skipped("needs n >= 1")
+    # The run of rows whose widths step down by 1 that is open at the end
+    # of the table is its terminal run.
+    run = 0
+    bad: list[int] = []
+    above = None
+    while (step := (yield)) is not None:
+        r = step.row
+        if above is None or r.width != above - 1:
+            run = 0
+            bad = []
+        run += 1
+        if not structure.is_minimal(r):
+            _collect(bad, r.index)
+        above = r.width
+    return not bad, f"{run} terminal rows" if not bad else f"non-minimal rows {bad}"
 
 
 # ---------------------------------------------------------------------------
 # stable-configuration checks
 
 
-def _check_distance_distribution(n: int, config: stable.StableConfig) -> CheckResult:
-    if config.chip_count != 1 << n:
-        return _result("distance-distribution", n, False, f"{config.chip_count} chips, expected {1 << n}")
-    if n >= 1 and any(x == y for x, y in config.marked_points()):
-        return _result("distance-distribution", n, False, "chip left on the diagonal")
-    d = stable.distance_distribution(config)
-    symmetric = all(d.count(i) == d.count(-i) for i in d.offsets())
-    centered = n == 0 or d.count(0) == 0
-    total = sum(d.counts) == 1 << n
-    return _result(
-        "distance-distribution", n, symmetric and centered and total,
-        f"half width {d.half_width}",
-    )
+def _distance_distribution(n: int) -> _Fold:
+    counts: Counter[int] = Counter()
+    while (step := (yield)) is not None:
+        counts.update(step.stable.distances())
+    chips = sum(counts.values())
+    if chips != 1 << n:
+        return False, f"{chips} chips, expected {1 << n}"
+    if n >= 1 and counts[0]:
+        return False, "chip left on the diagonal"
+    symmetric = all(counts[i] == counts[-i] for i in counts)
+    return symmetric, f"half width {max(map(abs, counts))}"
 
 
-def _check_firing_count_identity(n: int, rows: Sequence[Row]) -> CheckResult:
-    via_sum, mu2 = stable.firing_routes(rows)
+def _firing_count_identity(n: int) -> _Fold:
+    via_sum = mu2 = 0
+    while (step := (yield)) is not None:
+        row_sum, row_mu2 = stable.firing_routes((step.row,))
+        via_sum += row_sum
+        mu2 += row_mu2
     if mu2 & 1:
-        return _result("firing-count-identity", n, False, f"odd second moment {mu2}")
-    return _result(
-        "firing-count-identity", n, mu2 >> 1 == via_sum,
-        f"{via_sum} firings; half moment {mu2 >> 1}",
-    )
+        return False, f"odd second moment {mu2}"
+    return mu2 >> 1 == via_sum, f"{via_sum} firings; half moment {mu2 >> 1}"
 
 
-def _check_last_stable_row(n: int, rows: Sequence[Row], config: stable.StableConfig) -> CheckResult:
+def _last_stable_row(n: int) -> _Fold:
     if n < 1:
-        return _skip("last-stable-row", n, "needs n >= 1")
-    last = config.last_marked_row()
-    ok = last.index == rows[-1].index and last.pattern() == "11"
-    return _result(
-        "last-stable-row", n, ok,
-        f"last chips in row {last.index} with pattern {last.pattern()}",
-    )
+        return _skipped("needs n >= 1")
+    last = marked = None
+    while (step := (yield)) is not None:
+        last = step.row
+        if step.stable.bits:
+            marked = step.stable
+    if marked is None:
+        return False, "configuration has no chips"
+    ok = marked.index == last.index and marked.pattern() == "11"
+    return ok, f"last chips in row {marked.index} with pattern {marked.pattern()}"
 
 
 # ---------------------------------------------------------------------------
 # difference-table checks
 
 
-def _diff_value_at(d: difftable.DiffRow, y: int) -> int:
-    k = y - d.y_min
-    if 0 <= k < len(d.values):
-        return d.values[k]
-    return 0
+def _diff_antisymmetry(n: int) -> _Fold:
+    while (step := (yield)) is not None:
+        d = step.diff
+        if any(map(add, d.values, reversed(d.values))):
+            return False, f"difference row {d.index}"
+    return _PASS
 
 
-def _check_diff_antisymmetry(n: int, diffs: Sequence[difftable.DiffRow]) -> CheckResult:
-    for d in diffs:
-        L = len(d.values)
-        if any(d.values[k] != -d.values[L - 1 - k] for k in range(L)):
-            return _result("diff-antisymmetry", n, False, f"difference row {d.index}")
-    return _result("diff-antisymmetry", n, True)
-
-
-def _check_diff_max_nonincreasing(n: int, diffs: Sequence[difftable.DiffRow]) -> CheckResult:
+def _diff_max_nonincreasing(n: int) -> _Fold:
     if n <= 2:
-        return _skip("diff-max-nonincreasing", n, "stated for n > 2")
-    maxima = [difftable.row_max_abs(d) for d in diffs]
-    # diffs[0] has index 1; the property starts at the comparison 2 -> 3.
-    bad = [
-        diffs[k].index for k in range(1, len(maxima) - 1)
-        if maxima[k + 1] > maxima[k]
-    ]
-    return _result(
-        "diff-max-nonincreasing", n, not bad,
-        f"maxima rise after rows {bad[:5]}" if bad else "",
-    )
+        return _skipped("stated for n > 2")
+    # The first difference row has index 1; the property starts at the
+    # comparison 2 -> 3.
+    bad: list[int] = []
+    above: tuple[int, int] | None = None  # (index, largest entry)
+    position = 0
+    while (step := (yield)) is not None:
+        d = step.diff
+        top = difftable.row_max_abs(d)
+        if position >= 2 and top > above[1]:
+            _collect(bad, above[0])
+        above = (d.index, top)
+        position += 1
+    return not bad, f"maxima rise after rows {bad}" if bad else ""
 
 
-def _check_diff_unimodality(n: int, diffs: Sequence[difftable.DiffRow]) -> CheckResult:
-    bad = [d.index for d in diffs if not difftable.unimodal_check(d)]
-    return _result(
-        "diff-unimodality", n, not bad,
-        f"non-unimodal rows {bad[:5]}" if bad else "",
-    )
+def _diff_unimodality(n: int) -> _Fold:
+    bad: list[int] = []
+    while (step := (yield)) is not None:
+        if not difftable.unimodal_check(step.diff):
+            _collect(bad, step.diff.index)
+    return not bad, f"non-unimodal rows {bad}" if bad else ""
 
 
-def _check_diff_local_propagation(n: int, diffs: Sequence[difftable.DiffRow]) -> CheckResult:
+def _window(d: difftable.DiffRow, start: int, count: int) -> tuple[int, ...]:
+    """Entries of ``d`` at ``y = start .. start + count - 1``, zero outside its span."""
+    k = start - d.y_min
+    left = min(max(-k, 0), count)
+    inner = d.values[max(k, 0) : max(k + count, 0)]
+    return (0,) * left + inner + (0,) * (count - left - len(inner))
+
+
+def _propagation_failure(a: difftable.DiffRow, b: difftable.DiffRow) -> int | None:
+    """The first y where a rising triple of ``a`` sits over a fall in ``b``."""
+    half = a.index // 2
+    v = a.values
+    # Triples start at y = a.y_min + k for k < triples, where y + 2 <= half.
+    triples = min(len(v) - 2, half - 1 - a.y_min)
+    if triples <= 0:
+        return None
+    rises = list(map(le, v, v[1 : triples + 2]))  # v[k] <= v[k + 1]
+    below = _window(b, a.y_min + 1, triples + 1)  # b at y + 1 for each k
+    hits = map(and_, map(and_, rises, rises[1:]), map(gt, below, below[1:]))
+    k = next(compress(count(), hits), None)
+    return None if k is None else a.y_min + k
+
+
+def _diff_local_propagation(n: int) -> _Fold:
     # Three weakly increasing neighbors in the left half force the two
     # entries below them to be weakly increasing as well.
-    for a, b in zip(diffs, diffs[1:]):
-        half = a.index // 2
-        for k in range(len(a.values) - 2):
-            y = a.y_min + k
-            if y + 2 > half:
-                break
-            t0, t1, t2 = a.values[k], a.values[k + 1], a.values[k + 2]
-            if t0 <= t1 <= t2:
-                if _diff_value_at(b, y + 1) > _diff_value_at(b, y + 2):
-                    return _result(
-                        "diff-local-propagation", n, False,
-                        f"rows {a.index}->{b.index} at y={y}",
-                    )
-    return _result("diff-local-propagation", n, True)
+    above = None
+    while (step := (yield)) is not None:
+        d = step.diff
+        if above is not None:
+            y = _propagation_failure(above, d)
+            if y is not None:
+                return False, f"rows {above.index}->{d.index} at y={y}"
+        above = d
+    return _PASS
 
 
-def _check_diff_telescoping(n: int, rows: Sequence[Row], diffs: Sequence[difftable.DiffRow]) -> CheckResult:
+def _telescoping_failure(r: Row, d: difftable.DiffRow) -> str | None:
+    if list(accumulate(d.values)) == [*r.values, 0]:
+        return None
+    running = 0
+    for k, dv in enumerate(d.values):
+        running += dv
+        if k < len(d.values) - 1 and running != r.values[k]:
+            return f"row {r.index} not recovered at position {k}"
+    if running != 0:
+        return f"row {d.index} sums to {running}"
+    return None
+
+
+def _diff_telescoping(n: int) -> _Fold:
     # Partial sums of a difference row rebuild its source row; the full sum
     # vanishes.
-    for r, d in zip(rows, diffs):
-        running = 0
-        for k, dv in enumerate(d.values):
-            running += dv
-            if k < len(d.values) - 1:
-                if running != r.values[k]:
-                    return _result(
-                        "diff-telescoping", n, False,
-                        f"row {r.index} not recovered at position {k}",
-                    )
-        if running != 0:
-            return _result("diff-telescoping", n, False, f"row {d.index} sums to {running}")
-    return _result("diff-telescoping", n, True)
+    while (step := (yield)) is not None:
+        failure = _telescoping_failure(step.row, step.diff)
+        if failure is not None:
+            return False, failure
+    return _PASS
+
+
+#: Folds in scorecard order.
+_TABLE_FOLDS: dict[str, Callable[[int], _Fold]] = {
+    "row-symmetry": _row_symmetry,
+    "row-contiguity": _row_contiguity,
+    "even-diagonal": _even_diagonal,
+    "chip-parity-accounting": _chip_parity_accounting,
+    "monotone-steps": _monotone_steps,
+    "pascal-top-rows": _pascal_top_rows,
+    "first-stable-row": _first_stable_row,
+    "length-steps": _length_steps,
+    "length-parity": _length_parity,
+    "row-start-pattern": _row_start_pattern,
+    "diagonal-decay": _diagonal_decay,
+    "row-bound": _row_bound,
+    "last-row-pair": _last_row_pair,
+    "bottom-minimal-rows": _bottom_minimal_rows,
+    "distance-distribution": _distance_distribution,
+    "firing-count-identity": _firing_count_identity,
+    "last-stable-row": _last_stable_row,
+}
+#: These read ``step.diff``; the pass builds difference rows only for them.
+_DIFF_FOLDS: dict[str, Callable[[int], _Fold]] = {
+    "diff-antisymmetry": _diff_antisymmetry,
+    "diff-max-nonincreasing": _diff_max_nonincreasing,
+    "diff-unimodality": _diff_unimodality,
+    "diff-local-propagation": _diff_local_propagation,
+    "diff-telescoping": _diff_telescoping,
+}
+_FOLDS = {**_TABLE_FOLDS, **_DIFF_FOLDS}
+
+
+def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
+    """Send ``step`` to ``fold``; its verdict once it has one, else None."""
+    try:
+        fold.send(step)
+    except StopIteration as done:
+        return done.value
+    return None
 
 
 # ---------------------------------------------------------------------------
 # oracle cross-checks
 
+_ORACLE_NAMES = ("oracle-confluence", "oracle-arrivals", "oracle-firing-counts", "oracle-stable-parity")
 
-def _oracle_checks(n: int, rows: Sequence[Row], trials: int, seed: int) -> list[CheckResult]:
+
+def _oracle_checks(n: int, table: dict[tuple[int, int], int], trials: int, seed: int) -> list[CheckResult]:
     report = oracle.confluence_check(n, trials=trials, seed=seed)
     results = [
         _result(
@@ -342,7 +505,6 @@ def _oracle_checks(n: int, rows: Sequence[Row], trials: int, seed: int) -> list[
         )
     ]
     state = oracle.simulate(n, "row-by-row")
-    table = {(x, y): v for r in rows for x, y, v in r.points()}
     results.append(
         _result("oracle-arrivals", n, oracle.arrivals(state) == table,
                 "arrival grid matches the streamed table")
@@ -373,13 +535,14 @@ def minimal_descent_check(max_j: int = 64) -> CheckResult:
     return _result("minimal-row-descent", None, True, f"verified for j = 2..{max_j}")
 
 
-def conjecture_report(n: int) -> CheckResult:
+def conjecture_report(n: int, profile: structure.RowProfile | None = None) -> CheckResult:
+    """The advisory bottom-triangle report; ``profile`` saves a second stream."""
     if n < 2:
         return CheckResult(
             name="bottom-triangle-conjecture", n=n, passed=True,
             detail="skipped: needs n >= 2", advisory=True,
         )
-    rep = structure.check_bottom_conjecture(n)
+    rep = structure.check_bottom_conjecture(n, profile)
     return CheckResult(
         name="bottom-triangle-conjecture",
         n=n,
@@ -396,43 +559,49 @@ def run_checks(
     seed: int = 0,
     oracle_limit: int = oracle.ORACLE_EXPONENT_LIMIT,
 ) -> list[CheckResult]:
-    """Run the invariant suite for one exponent.
+    """Run the invariant suite for one exponent in one pass over its table.
 
-    ``properties`` filters checks by substring match on the name.  Oracle
-    cross-checks run only when ``oracle_trials >= 2`` and n is within the
-    oracle's reach.
+    ``properties`` filters checks by substring match on the name; only the
+    checks it keeps are computed.  Oracle cross-checks run only when
+    ``oracle_trials >= 2`` and n is within the oracle's reach.
     """
-    rows = list(intermediate_configuration(n))
-    diffs = [difftable.diff_row(r) for r in rows]
-    config = stable.StableConfig(n=n, rows=tuple(map(stable.stable_row, rows)))
 
-    results = [
-        _check_row_symmetry(n, rows),
-        _check_row_contiguity(n, rows),
-        _check_even_diagonal(n, rows),
-        _check_chip_parity_accounting(n, rows),
-        _check_monotone_steps(n, rows),
-        _check_pascal_top_rows(n, rows),
-        _check_first_stable_row(n, rows),
-        _check_length_steps(n, rows),
-        _check_length_parity(n, rows),
-        _check_row_start_pattern(n, rows),
-        _check_diagonal_decay(n, rows),
-        _check_row_bound(n, rows),
-        _check_last_row_pair(n, rows),
-        _check_bottom_minimal_rows(n, rows),
-        _check_distance_distribution(n, config),
-        _check_firing_count_identity(n, rows),
-        _check_last_stable_row(n, rows, config),
-        _check_diff_antisymmetry(n, diffs),
-        _check_diff_max_nonincreasing(n, diffs),
-        _check_diff_unimodality(n, diffs),
-        _check_diff_local_propagation(n, diffs),
-        _check_diff_telescoping(n, rows, diffs),
-    ]
-    if oracle_trials >= 2 and 1 <= n <= oracle_limit:
-        results.extend(_oracle_checks(n, rows, oracle_trials, seed))
-    results.append(conjecture_report(n))
+    def wanted(name: str) -> bool:
+        return not properties or any(p in name for p in properties)
+
+    verdicts: dict[str, _Verdict] = {}
+    active: dict[str, _Fold] = {}
+    for name, make in _FOLDS.items():
+        if wanted(name):
+            fold = make(n)
+            verdict = _advance(fold, None)
+            if verdict is None:
+                active[name] = fold
+            else:
+                verdicts[name] = verdict
+    with_diffs = not active.keys().isdisjoint(_DIFF_FOLDS)
+    with_oracle = oracle_trials >= 2 and 1 <= n <= oracle_limit and any(map(wanted, _ORACLE_NAMES))
+    points: dict[tuple[int, int], int] = {}
+    widths: list[int] = []
+
+    for r in intermediate_configuration(n):
+        step = _Step(r, difftable.diff_row(r) if with_diffs else None, stable.stable_row(r))
+        widths.append(r.width)
+        if with_oracle:
+            points.update(((x, y), v) for x, y, v in r.points())
+        for name, fold in tuple(active.items()):
+            verdict = _advance(fold, step)
+            if verdict is not None:
+                verdicts[name] = verdict
+                del active[name]
+    for name, fold in active.items():
+        verdicts[name] = _advance(fold, None)
+
+    results = [_result(name, n, *verdicts[name]) for name in _FOLDS if name in verdicts]
+    if with_oracle:
+        results.extend(_oracle_checks(n, points, oracle_trials, seed))
+    if wanted("bottom-triangle-conjecture"):
+        results.append(conjecture_report(n, structure.RowProfile(n=n, lengths=tuple(widths))))
 
     if properties:
         results = [r for r in results if any(p in r.name for p in properties)]

@@ -11,7 +11,10 @@ d - 1 and one at d + 1, adding exactly 2 to the moment.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import and_, mul
 from typing import Iterable, Iterator
 
 from .core import ChipfireError, Row, intermediate_configuration
@@ -55,6 +58,16 @@ class StableRow:
             if self.bits >> k & 1:
                 y = self.y_min + k
                 yield self.index - y, y
+
+    def distances(self) -> Iterator[int]:
+        """Distance ``y - x`` of each chip, increasing.
+
+        Every position of a row has its own distance, so a row never puts
+        two chips at one distance.
+        """
+        first = 2 * self.y_min - self.index
+        marks = map("1".__eq__, bin(self.bits)[:1:-1])  # bit k is character k
+        return compress(range(first, first + 2 * self.width, 2), marks)
 
     def unmarked_points(self) -> Iterator[tuple[int, int]]:
         """Points of the span whose arrival count was even."""
@@ -149,13 +162,14 @@ class DistanceDistribution:
 
 
 def distance_distribution(s: StableConfig) -> DistanceDistribution:
-    """Group the chips of ``s`` by distance ``y - x``."""
-    points = list(s.marked_points())
-    m = max(abs(y - x) for x, y in points)
-    counts = [0] * (2 * m + 1)
-    for x, y in points:
-        counts[y - x + m] += 1
-    return DistanceDistribution(n=s.n, half_width=m, counts=tuple(counts))
+    """Group the chips of ``s`` by distance ``y - x``, counting row by row."""
+    counts: Counter[int] = Counter()
+    for r in s.rows:
+        counts.update(r.distances())
+    m = max(map(abs, counts))
+    return DistanceDistribution(
+        n=s.n, half_width=m, counts=tuple(counts[i] for i in range(-m, m + 1))
+    )
 
 
 def second_raw_moment(d: DistanceDistribution) -> int:
@@ -174,11 +188,12 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     """
     via_sum = mu2 = 0
     for r in rows:
-        i = r.index
-        for y, v in enumerate(r.values, r.y_min):
-            via_sum += v >> 1
-            if v & 1:
-                mu2 += (2 * y - i) ** 2
+        v = r.values
+        first = 2 * r.y_min - r.index
+        # Distances y - x of the odd entries: the chips that stay.
+        kept = list(compress(range(first, first + 2 * len(v), 2), map(and_, v, repeat(1))))
+        via_sum += (sum(v) - len(kept)) >> 1
+        mu2 += sum(map(mul, kept, kept))
     return via_sum, mu2
 
 

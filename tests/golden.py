@@ -92,3 +92,17 @@ def diff_top_rows(n: int) -> tuple[tuple[int, ...], ...]:
 def diff_max_prefix(n: int) -> tuple[int, ...]:
     """Largest absolute entries of difference rows 1..5, n > 3."""
     return (1 << n, 1 << (n - 1), 1 << (n - 2), 1 << (n - 2), 3 << (n - 4))
+
+
+# sha256 of the stdout of `chipfire verify --n 0..10 --trials 3 --seed 0`,
+# frozen from the list-based checks that the single-pass folds replaced.
+VERIFY_SCORECARD_SHA256 = "077cd7d6e7feedf13eb63a4f8c464e2bef6f1394c2b6366222e8a500b5a45ffc"
+
+# sha256 of the `row-profiles` SVG at the default size, frozen from the
+# three-pass landmark scan.
+ROW_PROFILES_SVG_SHA256 = {
+    1: "50d788046f3b8e76c836f480f14fd3eb823ca7bc63daf407fb9dd1f7b3c17303",
+    4: "fb5ab616ff8cdc588c973a4603f49c1254be95f5a84c0a7286c054dca425a520",
+    11: "ecd8d561a54b6c6e44a8b58c5f9b94402d418c49deb8dd524a9a9f404aec39f6",
+    14: "34905748769a59137fd4113a96f84b125c79bcdf041b0c7655024c3903f39660",
+}

@@ -1,6 +1,9 @@
+import dataclasses
+
 import pytest
 
-from chipfire import Row, checks
+from chipfire import Row, checks, difftable, structure
+from chipfire.difftable import DiffRow
 from chipfire.checks import (
     CheckResult,
     conjecture_report,
@@ -98,14 +101,67 @@ class TestMinimalDescent:
         assert minimal_descent_check(max_j=128).passed
 
 
+def _replace(rows, i, values):
+    rows[i] = Row(index=rows[i].index, y_min=rows[i].y_min, values=values)
+
+
+def _forced(rows, i, values):
+    # Row validation would reject these values; set them behind its back on
+    # a copy, so the shared table stays intact.
+    row = dataclasses.replace(rows[i])
+    object.__setattr__(row, "values", values)
+    rows[i] = row
+
+
+#: One corruption of the n = 6 table (rows listed by index) per check it breaks.
+TABLE_CORRUPTIONS = {
+    "row-symmetry": lambda rows: _forced(rows, 3, (8, 24, 24, 9)),
+    "row-contiguity": lambda rows: _forced(rows, 6, (1, 6, 15, 0, 15, 6, 1)),
+    "even-diagonal": lambda rows: _replace(rows, 6, (1, 6, 15, 21, 15, 6, 1)),
+    "chip-parity-accounting": lambda rows: _replace(rows, 4, (6, 16, 24, 16, 6)),
+    "monotone-steps": lambda rows: _replace(rows, 4, (15, 16, 24, 16, 15)),
+    "pascal-top-rows": lambda rows: _replace(rows, 2, (18, 32, 18)),
+    "first-stable-row": lambda rows: _replace(rows, 2, (17, 30, 17)),
+    "length-steps": lambda rows: rows.pop(7),
+    "length-parity": lambda rows: rows.pop(),
+    "row-start-pattern": lambda rows: _replace(rows, 8, (2, 6, 13, 16, 13, 6, 2)),
+    "diagonal-decay": lambda rows: _replace(rows, 10, (1, 5, 11, 16, 11, 5, 1)),
+    "row-bound": lambda rows: rows.append(Row(index=27, y_min=13, values=(1, 1))),
+    "last-row-pair": lambda rows: _replace(rows, 23, (1, 2, 1)),
+    "bottom-minimal-rows": lambda rows: _replace(rows, 22, (1, 4, 1)),
+    "distance-distribution": lambda rows: _replace(rows, 5, (3, 10, 20, 20, 10, 3)),
+    "firing-count-identity": lambda rows: _replace(rows, 5, (4, 10, 20, 20, 10, 4)),
+    "last-stable-row": lambda rows: _replace(rows, 23, (2, 2)),
+    "diff-max-nonincreasing": lambda rows: _replace(rows, 10, (40, 5, 11, 14, 11, 5, 40)),
+    "diff-unimodality": lambda rows: _replace(rows, 6, (1, 6, 7, 20, 7, 6, 1)),
+    "diff-local-propagation": lambda rows: _replace(rows, 6, (1, 10, 15, 20, 15, 10, 1)),
+    "bottom-triangle-conjecture": lambda rows: rows.pop(),
+    "oracle-arrivals": lambda rows: _replace(rows, 5, (4, 10, 20, 20, 10, 4)),
+    "oracle-firing-counts": lambda rows: _replace(rows, 5, (4, 10, 20, 20, 10, 4)),
+    "oracle-stable-parity": lambda rows: _replace(rows, 5, (3, 10, 20, 20, 10, 3)),
+}
+
+
+def _forced_diff(d):
+    object.__setattr__(d, "values", d.values[:-1] + (d.values[-1] + 1,))
+    return d
+
+
+#: Corruptions of difference row 5, which the table itself cannot carry.
+DIFF_CORRUPTIONS = {
+    "diff-antisymmetry": _forced_diff,
+    "diff-telescoping": lambda d: DiffRow(index=d.index, y_min=d.y_min, values=tuple(-v for v in d.values)),
+}
+
+
 class TestRerouteMutations:
-    """Each check fed from the shared stable routes fails on a corrupted table."""
+    """Every named check reports a failure on a table corrupted for it."""
 
     N = 6
 
-    def _run_on(self, monkeypatch, rows, name):
+    def _run_on(self, monkeypatch, rows, name, trials=0):
         monkeypatch.setattr(checks, "intermediate_configuration", lambda n: iter(rows))
-        (result,) = run_checks(self.N, properties=[name])
+        (result,) = run_checks(self.N, properties=[name], oracle_trials=trials)
         return result
 
     def _mirrored_pair(self, table, delta):
@@ -138,3 +194,60 @@ class TestRerouteMutations:
         result = self._run_on(monkeypatch, rows, "last-stable-row")
         assert result.name == "last-stable-row"
         assert not result.passed
+
+    def test_every_check_has_a_corruption(self):
+        names = {r.name for r in run_checks(self.N, oracle_trials=2)}
+        assert names - {"oracle-confluence"} == set(TABLE_CORRUPTIONS) | set(DIFF_CORRUPTIONS)
+
+    @pytest.mark.parametrize("name", list(TABLE_CORRUPTIONS))
+    def test_corrupted_table(self, monkeypatch, table, name):
+        rows = list(table(self.N))
+        TABLE_CORRUPTIONS[name](rows)
+        trials = 2 if name.startswith("oracle") else 0
+        result = self._run_on(monkeypatch, rows, name, trials)
+        assert result.name == name
+        assert not result.passed
+        # The same table passes once uncorrupted.
+        assert self._run_on(monkeypatch, list(table(self.N)), name, trials).passed
+
+    @pytest.mark.parametrize("name", list(DIFF_CORRUPTIONS))
+    def test_corrupted_difference_row(self, monkeypatch, name):
+        real = difftable.diff_row
+
+        def corrupted(r):
+            d = real(r)
+            return DIFF_CORRUPTIONS[name](d) if d.index == 5 else d
+
+        monkeypatch.setattr(difftable, "diff_row", corrupted)
+        (result,) = run_checks(self.N, properties=[name])
+        assert result.name == name
+        assert not result.passed
+
+    def test_minimal_descent(self, monkeypatch):
+        monkeypatch.setattr(checks, "next_row", lambda r: r)
+        assert not minimal_descent_check().passed
+
+
+class TestSinglePass:
+    def test_one_stream_per_run(self, monkeypatch):
+        calls = []
+        real = checks.intermediate_configuration
+
+        def counted(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(checks, "intermediate_configuration", counted)
+        monkeypatch.setattr(structure, "intermediate_configuration", counted)
+        assert failures(run_checks(7, oracle_trials=2)) == []
+        assert calls == [7]
+
+    def test_filtered_checks_skip_difference_rows(self, monkeypatch):
+        monkeypatch.setattr(difftable, "diff_row", lambda r: 1 / 0)
+        results = run_checks(5, properties=["row-", "stable"])
+        assert results and failures(results) == []
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_conjecture_report_from_profile(self, n):
+        profile = structure.row_profile(n)
+        assert conjecture_report(n, profile) == conjecture_report(n)

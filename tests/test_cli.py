@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,15 @@ import chipfire
 import golden
 from chipfire import stable
 from chipfire.cli import main, rows_from_csv, rows_to_csv
+
+
+_PEAK_RSS_LAUNCHER = """
+import json, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, text=True)
+out = proc.stdout.read()
+_, status, usage = os.wait4(proc.pid, 0)
+print(json.dumps({"exit": os.waitstatus_to_exitcode(status), "out": out, "peak_kib": usage.ru_maxrss}))
+"""
 
 
 def run(capsys, *argv):
@@ -189,6 +199,29 @@ class TestVerifyCommand:
         assert lines
         assert all("parity" in line for line in lines)
         assert "16 chips retired" in out
+
+    def test_scorecard_is_frozen(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--n", "0..10", "--trials", "3", "--seed", "0")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == golden.VERIFY_SCORECARD_SHA256
+
+    def test_memory_follows_the_widest_row(self):
+        # Listing the n = 20 table for the checks took 274 MB; one streaming
+        # pass holds a few rows.  A child forked straight from this process
+        # would report this process's own high-water mark (Linux carries it
+        # across fork and exec), so a small launcher forks the CLI and reads
+        # its peak RSS with os.wait4.
+        env = dict(os.environ, PYTHONPATH=str(Path(chipfire.__file__).parents[1]))
+        cli = [sys.executable, "-m", "chipfire.cli", "verify", "--n", "20", "--trials", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *cli],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["exit"] == 0
+        assert report["out"].endswith("0 failures\n")
+        assert report["peak_kib"] / 1024 < 48
 
     def test_degenerate_n0_passes_with_notices(self, capsys):
         rc, out, _ = run(capsys, "verify", "--n", "0", "--trials", "0")

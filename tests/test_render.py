@@ -1,8 +1,10 @@
+import hashlib
 import re
 
+import golden
 import pytest
 
-from chipfire import distance_distribution, sign_map, stable_configuration
+from chipfire import distance_distribution, intermediate_configuration, sign_map, stable_configuration
 from chipfire.render import KINDS, RenderSpec, render, render_svg
 
 FILLED = re.compile(r'<circle[^>]*fill="#000000"')
@@ -54,6 +56,23 @@ class TestRowProfiles:
     def test_n0_rejected(self):
         with pytest.raises(ValueError):
             render_svg(spec("row-profiles", 0))
+
+    @pytest.mark.parametrize("n", sorted(golden.ROW_PROFILES_SVG_SHA256))
+    def test_bytes_are_frozen(self, n):
+        svg = render_svg(spec("row-profiles", n))
+        assert hashlib.sha256(svg.encode()).hexdigest() == golden.ROW_PROFILES_SVG_SHA256[n]
+
+    def test_streams_the_table_once(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return intermediate_configuration(n)
+
+        monkeypatch.setattr("chipfire.render.intermediate_configuration", counted)
+        monkeypatch.setattr("chipfire.structure.intermediate_configuration", counted)
+        render_svg(spec("row-profiles", 9))
+        assert calls == [9]
 
 
 class TestDiffSignmap:

@@ -29,6 +29,11 @@ class TestStableRow:
         assert list(s.unmarked_points()) == [(4, 1), (1, 4)]
         assert s.chip_count == 2
 
+    @pytest.mark.parametrize("n", [0, 1, 4, 9])
+    def test_distances_follow_the_marked_points(self, n):
+        for s in stable_configuration(n).rows:
+            assert list(s.distances()) == [y - x for x, y in s.marked_points()]
+
 
 class TestStableConfiguration:
     def test_single_chip(self):
