@@ -22,17 +22,16 @@ the previous one or two rows or difference rows, the previous diagonal
 centre, running chip, firing and moment sums, the current run of widths
 stepping down by 1 with its non-minimal rows, the distance counts, the last
 marked stable row, and at most five offending row indices for a detail.
-Besides the folds, the pass keeps the row widths for the bottom-triangle
-report and, only when the oracle cross-checks run, the point table they
-compare against.
+Besides the folds, the pass keeps a :class:`structure.TerminalRun` (the
+open run and the longest width) for the bottom-triangle report and, only
+when the oracle cross-checks run, the point table they compare against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, compress, count
-from operator import add, and_, gt, le, sub
+from operator import add
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 from . import difftable, oracle, stable, structure
@@ -61,7 +60,7 @@ class _Step(NamedTuple):
     """What every fold sees of one arrival row."""
 
     row: Row
-    diff: difftable.DiffRow | None  # None unless a difference-table check runs
+    diff: difftable.DiffRow
     stable: stable.StableRow
 
 
@@ -130,25 +129,11 @@ def _chip_parity_accounting(n: int) -> _Fold:
 
 def _growth_failure(r: Row) -> str | None:
     """Where ``r`` breaks the step growth rule, or None."""
-    v = r.values
-    c = len(v) - 1
-    if c >= 1 and r.index - 2 * r.y_min == c:
-        # A row centred on its diagonal: steps 0..a-1 lie strictly left of
-        # it, then come the central equal pair (odd c) or the steps onto
-        # and off the diagonal (even c), then the right side.
-        steps = list(map(sub, v[1:], v))
-        a = (c - 1) // 2
-        if c & 1:
-            centre, right = steps[a] == 0, steps[a + 1 :]
-        else:
-            centre, right = steps[a] >= 1 and steps[a + 1] <= -1, steps[a + 2 :]
-        if centre and min(steps[:a], default=2) >= 2 and max(right, default=-2) <= -2:
-            return None
     i = r.index
-    for k in range(len(v) - 1):
+    for k in range(r.width - 1):
         yl = r.y_min + k
         yr = yl + 1
-        d = v[k + 1] - v[k]
+        d = r.values[k + 1] - r.values[k]
         if 2 * yr < i:
             ok = d >= 2
         elif 2 * yr == i:
@@ -292,21 +277,17 @@ def _last_row_pair(n: int) -> _Fold:
 def _bottom_minimal_rows(n: int) -> _Fold:
     if n < 1:
         return _skipped("needs n >= 1")
-    # The run of rows whose widths step down by 1 that is open at the end
-    # of the table is its terminal run.
-    run = 0
+    # Non-minimal rows of the open run; the run open at the end of the table
+    # is its terminal run.
+    run = structure.TerminalRun()
     bad: list[int] = []
-    above = None
     while (step := (yield)) is not None:
         r = step.row
-        if above is None or r.width != above - 1:
-            run = 0
+        if run.push(r.width):
             bad = []
-        run += 1
         if not structure.is_minimal(r):
             _collect(bad, r.index)
-        above = r.width
-    return not bad, f"{run} terminal rows" if not bad else f"non-minimal rows {bad}"
+    return not bad, f"{run.rows} terminal rows" if not bad else f"non-minimal rows {bad}"
 
 
 # ---------------------------------------------------------------------------
@@ -389,27 +370,17 @@ def _diff_unimodality(n: int) -> _Fold:
     return not bad, f"non-unimodal rows {bad}" if bad else ""
 
 
-def _window(d: difftable.DiffRow, start: int, count: int) -> tuple[int, ...]:
-    """Entries of ``d`` at ``y = start .. start + count - 1``, zero outside its span."""
-    k = start - d.y_min
-    left = min(max(-k, 0), count)
-    inner = d.values[max(k, 0) : max(k + count, 0)]
-    return (0,) * left + inner + (0,) * (count - left - len(inner))
-
-
 def _propagation_failure(a: difftable.DiffRow, b: difftable.DiffRow) -> int | None:
     """The first y where a rising triple of ``a`` sits over a fall in ``b``."""
     half = a.index // 2
-    v = a.values
-    # Triples start at y = a.y_min + k for k < triples, where y + 2 <= half.
-    triples = min(len(v) - 2, half - 1 - a.y_min)
-    if triples <= 0:
-        return None
-    rises = list(map(le, v, v[1 : triples + 2]))  # v[k] <= v[k + 1]
-    below = _window(b, a.y_min + 1, triples + 1)  # b at y + 1 for each k
-    hits = map(and_, map(and_, rises, rises[1:]), map(gt, below, below[1:]))
-    k = next(compress(count(), hits), None)
-    return None if k is None else a.y_min + k
+    for k in range(len(a.values) - 2):
+        y = a.y_min + k
+        if y + 2 > half:
+            break
+        t0, t1, t2 = a.values[k], a.values[k + 1], a.values[k + 2]
+        if t0 <= t1 <= t2 and b.value_at(y + 1) > b.value_at(y + 2):
+            return y
+    return None
 
 
 def _diff_local_propagation(n: int) -> _Fold:
@@ -427,8 +398,6 @@ def _diff_local_propagation(n: int) -> _Fold:
 
 
 def _telescoping_failure(r: Row, d: difftable.DiffRow) -> str | None:
-    if list(accumulate(d.values)) == [*r.values, 0]:
-        return None
     running = 0
     for k, dv in enumerate(d.values):
         running += dv
@@ -450,7 +419,7 @@ def _diff_telescoping(n: int) -> _Fold:
 
 
 #: Folds in scorecard order.
-_TABLE_FOLDS: dict[str, Callable[[int], _Fold]] = {
+_FOLDS: dict[str, Callable[[int], _Fold]] = {
     "row-symmetry": _row_symmetry,
     "row-contiguity": _row_contiguity,
     "even-diagonal": _even_diagonal,
@@ -468,16 +437,12 @@ _TABLE_FOLDS: dict[str, Callable[[int], _Fold]] = {
     "distance-distribution": _distance_distribution,
     "firing-count-identity": _firing_count_identity,
     "last-stable-row": _last_stable_row,
-}
-#: These read ``step.diff``; the pass builds difference rows only for them.
-_DIFF_FOLDS: dict[str, Callable[[int], _Fold]] = {
     "diff-antisymmetry": _diff_antisymmetry,
     "diff-max-nonincreasing": _diff_max_nonincreasing,
     "diff-unimodality": _diff_unimodality,
     "diff-local-propagation": _diff_local_propagation,
     "diff-telescoping": _diff_telescoping,
 }
-_FOLDS = {**_TABLE_FOLDS, **_DIFF_FOLDS}
 
 
 def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
@@ -491,9 +456,6 @@ def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
 
 # ---------------------------------------------------------------------------
 # oracle cross-checks
-
-_ORACLE_NAMES = ("oracle-confluence", "oracle-arrivals", "oracle-firing-counts", "oracle-stable-parity")
-
 
 def _oracle_checks(n: int, table: dict[tuple[int, int], int], trials: int, seed: int) -> list[CheckResult]:
     report = oracle.confluence_check(n, trials=trials, seed=seed)
@@ -535,14 +497,13 @@ def minimal_descent_check(max_j: int = 64) -> CheckResult:
     return _result("minimal-row-descent", None, True, f"verified for j = 2..{max_j}")
 
 
-def conjecture_report(n: int, profile: structure.RowProfile | None = None) -> CheckResult:
-    """The advisory bottom-triangle report; ``profile`` saves a second stream."""
-    if n < 2:
+def _conjecture_result(n: int, rep: structure.BottomTriangleReport | None) -> CheckResult:
+    """The advisory bottom-triangle result; ``rep`` is None when n < 2."""
+    if rep is None:
         return CheckResult(
             name="bottom-triangle-conjecture", n=n, passed=True,
             detail="skipped: needs n >= 2", advisory=True,
         )
-    rep = structure.check_bottom_conjecture(n, profile)
     return CheckResult(
         name="bottom-triangle-conjecture",
         n=n,
@@ -550,6 +511,10 @@ def conjecture_report(n: int, profile: structure.RowProfile | None = None) -> Ch
         detail=f"{rep.triangle_rows} triangle rows, longest row {rep.longest_length}",
         advisory=True,
     )
+
+
+def conjecture_report(n: int) -> CheckResult:
+    return _conjecture_result(n, structure.check_bottom_conjecture(n) if n >= 2 else None)
 
 
 def run_checks(
@@ -561,32 +526,26 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the invariant suite for one exponent in one pass over its table.
 
-    ``properties`` filters checks by substring match on the name; only the
-    checks it keeps are computed.  Oracle cross-checks run only when
-    ``oracle_trials >= 2`` and n is within the oracle's reach.
+    ``properties`` filters checks by substring match on the name.  Oracle
+    cross-checks run only when ``oracle_trials >= 2`` and n is within the
+    oracle's reach.
     """
-
-    def wanted(name: str) -> bool:
-        return not properties or any(p in name for p in properties)
-
     verdicts: dict[str, _Verdict] = {}
     active: dict[str, _Fold] = {}
     for name, make in _FOLDS.items():
-        if wanted(name):
-            fold = make(n)
-            verdict = _advance(fold, None)
-            if verdict is None:
-                active[name] = fold
-            else:
-                verdicts[name] = verdict
-    with_diffs = not active.keys().isdisjoint(_DIFF_FOLDS)
-    with_oracle = oracle_trials >= 2 and 1 <= n <= oracle_limit and any(map(wanted, _ORACLE_NAMES))
+        fold = make(n)
+        verdict = _advance(fold, None)
+        if verdict is None:
+            active[name] = fold
+        else:
+            verdicts[name] = verdict
+    with_oracle = oracle_trials >= 2 and 1 <= n <= oracle_limit
     points: dict[tuple[int, int], int] = {}
-    widths: list[int] = []
+    run = structure.TerminalRun()
 
     for r in intermediate_configuration(n):
-        step = _Step(r, difftable.diff_row(r) if with_diffs else None, stable.stable_row(r))
-        widths.append(r.width)
+        step = _Step(r, difftable.diff_row(r), stable.stable_row(r))
+        run.push(r.width)
         if with_oracle:
             points.update(((x, y), v) for x, y, v in r.points())
         for name, fold in tuple(active.items()):
@@ -597,11 +556,10 @@ def run_checks(
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)
 
-    results = [_result(name, n, *verdicts[name]) for name in _FOLDS if name in verdicts]
+    results = [_result(name, n, *verdicts[name]) for name in _FOLDS]
     if with_oracle:
         results.extend(_oracle_checks(n, points, oracle_trials, seed))
-    if wanted("bottom-triangle-conjecture"):
-        results.append(conjecture_report(n, structure.RowProfile(n=n, lengths=tuple(widths))))
+    results.append(_conjecture_result(n, run.report(n) if n >= 2 else None))
 
     if properties:
         results = [r for r in results if any(p in r.name for p in properties)]

@@ -118,23 +118,21 @@ def _render_distance_polyline(spec: RenderSpec) -> str:
 def _profile_rows(n: int) -> list[tuple[str, tuple[int, ...], str]]:
     # The three landmark rows: last scaled binomial row, first row of the
     # longest length, and the first bottom-triangle row (when it exists).
-    # One pass finds the last two: the bottom triangle is the run of widths
-    # stepping down by 1 that is open at the end, cut off above row n + 1.
-    widths: list[int] = []
+    # One pass finds the last two: the bottom triangle is the terminal run,
+    # cut off above row n + 1 as in the segmentation.
+    run = structure.TerminalRun(floor=n + 1)
     longest = bottom_first = None
-    for position, row in enumerate(intermediate_configuration(n)):
+    for row in intermediate_configuration(n):
         if longest is None or row.width > longest.width:
             longest = row
-        if position == n + 1 or (position > n + 1 and row.width != widths[-1] - 1):
+        if run.push(row.width):
             bottom_first = row
-        widths.append(row.width)
     rows = [
         ("top-triangle-last", structure.pascal_row(n, n).values,
          'stroke="#000000" stroke-width="1" stroke-dasharray="6 3"'),
         ("longest-first", longest.values, 'stroke="#000000" stroke-width="1.5"'),
     ]
-    seg = structure.segment(n, structure.RowProfile(n=n, lengths=tuple(widths)))
-    if len(seg.bottom_triangle):
+    if run.seen > n + 1:
         rows.append(
             ("bottom-triangle-first", bottom_first.values, 'stroke="#999999" stroke-width="1"')
         )

@@ -34,6 +34,7 @@ __all__ = [
     "Segmentation",
     "BottomTriangleReport",
     "DegenerateSegmentationError",
+    "TerminalRun",
     "pascal_row",
     "row_profile",
     "longest_row",
@@ -163,12 +164,56 @@ class Segmentation:
         )
 
 
-def _terminal_decreasing_run(lengths: Sequence[int]) -> int:
-    """Start index of the maximal terminal block whose lengths step down by 1."""
-    b = len(lengths) - 1
-    while b - 1 >= 0 and lengths[b - 1] == lengths[b] + 1:
-        b -= 1
-    return b
+class TerminalRun:
+    """The run of widths stepping down by 1 that is open at the last width seen.
+
+    Fed the row widths of a table in order, it keeps the start of that run,
+    which after the last row is the table's terminal decreasing run, and
+    the longest width so far.  With ``floor`` a run also opens at position
+    ``floor``, so the run never starts above it (:func:`segment` cuts the
+    bottom triangle off below the top triangle this way).
+    """
+
+    __slots__ = ("floor", "seen", "start", "last", "longest")
+
+    def __init__(self, floor: int = 0) -> None:
+        self.floor = floor
+        self.seen = 0
+        self.start = 0
+        self.last = 0
+        self.longest = 0
+
+    def push(self, width: int) -> bool:
+        """Take the next row's width; True when a new run opens at it."""
+        opens = self.seen == 0 or self.seen == self.floor or width != self.last - 1
+        if opens:
+            self.start = self.seen
+        self.seen += 1
+        self.last = width
+        self.longest = max(self.longest, width)
+        return opens
+
+    @property
+    def rows(self) -> int:
+        """Length of the open run."""
+        return self.seen - self.start
+
+    def report(self, n: int) -> BottomTriangleReport:
+        """The bottom-triangle report, once every width of the table for
+        ``2**n`` chips (n >= 2) has been pushed into a run without a floor."""
+        return BottomTriangleReport(
+            n=n,
+            holds=self.rows == self.longest - 1,
+            triangle_rows=self.rows,
+            longest_length=self.longest,
+        )
+
+
+def _terminal_run(lengths: Sequence[int], floor: int = 0) -> TerminalRun:
+    run = TerminalRun(floor)
+    for width in lengths:
+        run.push(width)
+    return run
 
 
 def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
@@ -199,7 +244,7 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
         rect = range(total, total)
         mid = range(n + 1, total)
     else:
-        b = max(_terminal_decreasing_run(lengths), n + 1)
+        b = _terminal_run(lengths, floor=n + 1).start
         r = b
         while r - 1 >= n + 1 and lengths[r - 1] >= longest - 1:
             r -= 1
@@ -250,12 +295,4 @@ def check_bottom_conjecture(n: int, profile: RowProfile | None = None) -> Bottom
         profile = row_profile(n)
     elif profile.n != n:
         raise ValueError(f"profile is for n={profile.n}, not n={n}")
-    lengths = profile.lengths
-    triangle_rows = len(lengths) - _terminal_decreasing_run(lengths)
-    longest = max(lengths)
-    return BottomTriangleReport(
-        n=n,
-        holds=triangle_rows == longest - 1,
-        triangle_rows=triangle_rows,
-        longest_length=longest,
-    )
+    return _terminal_run(profile.lengths).report(n)

@@ -14,6 +14,7 @@ from chipfire import (
     row_profile,
     segment,
 )
+from chipfire.structure import TerminalRun
 
 
 class TestPascalRow:
@@ -167,6 +168,33 @@ class TestSegmentation:
     def test_n0_rejected(self):
         with pytest.raises(ValueError):
             segment(0)
+
+
+class TestTerminalRun:
+    @staticmethod
+    def run(lengths, floor=0):
+        run = TerminalRun(floor)
+        opened = [k for k, width in enumerate(lengths) if run.push(width)]
+        return run, opened
+
+    def test_open_run_and_longest(self):
+        run, opened = self.run([1, 2, 3, 2, 3, 4, 3, 2])
+        assert opened == [0, 1, 2, 4, 5]
+        assert (run.start, run.rows, run.longest) == (5, 3, 4)
+
+    def test_floor_cuts_the_run(self):
+        run, opened = self.run([4, 3, 2, 1], floor=2)
+        assert opened == [0, 2]
+        assert run.start == 2
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_start_is_the_bottom_triangle(self, n):
+        seg = segment(n)
+        run, _ = self.run(row_profile(n).lengths, floor=n + 1)
+        if len(seg.bottom_triangle):
+            assert run.start == seg.bottom_triangle.start
+        else:
+            assert run.seen <= n + 1
 
 
 class TestBottomConjecture:
