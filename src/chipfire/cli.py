@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checks, difftable, render, sequences, stable, structure
 from .core import MAX_EXPONENT, ChipfireError, Row, intermediate_configuration
@@ -137,35 +137,47 @@ def _cmd_table(args) -> int:
     return _emit_rows(args, islice(intermediate_configuration(args.n), args.max_rows))
 
 
-def _cmd_stable(args) -> int:
-    config = stable.stable_configuration(args.n)
+def _emit_result(
+    args,
+    header: str,
+    csv_lines: Callable[[], Iterable[str]],
+    payload: Callable[[], dict],
+) -> int:
+    """Write one command's result in the requested format; build only that one."""
     if args.format == "csv":
-        lines = ["index,y_min,bits"] if args.header else []
-        lines.extend(f"{r.index},{r.y_min},{r.pattern()}" for r in config.rows)
+        lines = [header] if args.header else []
+        lines.extend(csv_lines())
         _emit(["\n".join(lines) + "\n"], args.out)
     else:
-        payload = {
+        _emit([_json(payload())], args.out)
+    return EXIT_OK
+
+
+def _cmd_stable(args) -> int:
+    config = stable.stable_configuration(args.n)
+    return _emit_result(
+        args,
+        "index,y_min,bits",
+        lambda: (f"{r.index},{r.y_min},{r.pattern()}" for r in config.rows),
+        lambda: {
             "n": config.n,
             "chip_count": config.chip_count,
             "rows": [
                 {"index": r.index, "y_min": r.y_min, "bits": r.pattern()}
                 for r in config.rows
             ],
-        }
-        _emit([_json(payload)], args.out)
-    return EXIT_OK
+        },
+    )
 
 
 def _cmd_distance(args) -> int:
     d = stable.distance_distribution(stable.stable_configuration(args.n))
-    if args.format == "csv":
-        lines = ["offset,count"] if args.header else []
-        lines.extend(f"{i},{d.count(i)}" for i in d.offsets())
-        _emit(["\n".join(lines) + "\n"], args.out)
-    else:
-        payload = {"n": d.n, "half_width": d.half_width, "counts": list(d.counts)}
-        _emit([_json(payload)], args.out)
-    return EXIT_OK
+    return _emit_result(
+        args,
+        "offset,count",
+        lambda: (f"{i},{d.count(i)}" for i in d.offsets()),
+        lambda: {"n": d.n, "half_width": d.half_width, "counts": list(d.counts)},
+    )
 
 
 def _cmd_firings(args) -> int:
@@ -175,13 +187,12 @@ def _cmd_firings(args) -> int:
             f"firing-count routes disagree for n={args.n}: "
             f"sum route {via_sum}, half moment {mu2 / 2}"
         )
-    if args.format == "csv":
-        lines = ["n,total_firings"] if args.header else []
-        lines.append(f"{args.n},{via_sum}")
-        _emit(["\n".join(lines) + "\n"], args.out)
-    else:
-        _emit([_json({"n": args.n, "total_firings": via_sum})], args.out)
-    return EXIT_OK
+    return _emit_result(
+        args,
+        "n,total_firings",
+        lambda: [f"{args.n},{via_sum}"],
+        lambda: {"n": args.n, "total_firings": via_sum},
+    )
 
 
 def _cmd_diff(args) -> int:
@@ -190,27 +201,24 @@ def _cmd_diff(args) -> int:
 
 def _cmd_segment(args) -> int:
     seg = structure.segment(args.n)
-    if args.format == "csv":
-        header = (
-            "n,top_start,top_stop,midsection_start,midsection_stop,"
-            "rectangle_start,rectangle_stop,bottom_start,bottom_stop,"
-            "longest_length,first_longest_row"
-        )
-        lines = [header] if args.header else []
-        spans = [f"{part.start},{part.stop}" for _, part in seg.parts()]
-        lines.append(
-            f"{seg.n},{','.join(spans)},{seg.longest_length},{seg.first_longest_row}"
-        )
-        _emit(["\n".join(lines) + "\n"], args.out)
-    else:
-        payload = {
+
+    def csv_line() -> list[str]:
+        spans = ",".join(f"{part.start},{part.stop}" for _, part in seg.parts())
+        return [f"{seg.n},{spans},{seg.longest_length},{seg.first_longest_row}"]
+
+    return _emit_result(
+        args,
+        "n,top_start,top_stop,midsection_start,midsection_stop,"
+        "rectangle_start,rectangle_stop,bottom_start,bottom_stop,"
+        "longest_length,first_longest_row",
+        csv_line,
+        lambda: {
             "n": seg.n,
             **{name: [part.start, part.stop] for name, part in seg.parts()},
             "longest_length": seg.longest_length,
             "first_longest_row": seg.first_longest_row,
-        }
-        _emit([_json(payload)], args.out)
-    return EXIT_OK
+        },
+    )
 
 
 def _cmd_sequences(args) -> int:
@@ -220,13 +228,12 @@ def _cmd_sequences(args) -> int:
     else:
         values = sequences.generate(args.id, args.upto)
         offset = sequences.SEQUENCES[args.id].offset
-    if args.format == "csv":
-        lines = ["index,value"] if args.header else []
-        lines.extend(f"{offset + k},{v}" for k, v in enumerate(values))
-        _emit(["\n".join(lines) + "\n"], args.out)
-    else:
-        _emit([_json({"id": args.id, "offset": offset, "values": values})], args.out)
-    return EXIT_OK
+    return _emit_result(
+        args,
+        "index,value",
+        lambda: (f"{offset + k},{v}" for k, v in enumerate(values)),
+        lambda: {"id": args.id, "offset": offset, "values": values},
+    )
 
 
 def _cmd_verify(args) -> int:

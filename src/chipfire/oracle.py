@@ -1,22 +1,24 @@
 """Brute-force chip-firing simulator with selectable firing orders.
 
-This module plays the game move by move on a dense grid, one firing at a
-time, under any of four orders: uniformly random (seeded), leftmost-first,
-a FIFO queue, or row-by-row.  Stabilization is confluent, so every order
-must end at the same stable grid with the same per-point firing counts and
-the same number of moves; :func:`confluence_check` verifies that, and
+This module plays the game move by move, one firing at a time, under any of
+four orders: uniformly random (seeded), leftmost-first, a FIFO queue, or
+row-by-row.  Chips and firing counts live in sparse maps keyed by point, and
+one worklist loop serves every order; an order only decides which listed point
+fires next.  Stabilization is confluent, so every order must end at the same
+stable configuration with the same per-point firing counts and the same
+number of moves; :func:`confluence_check` verifies that, and
 :func:`arrivals` rebuilds the arrival table from the firing counts for
 comparison with the streaming computation.
 
-The simulator exists for cross-validation at small n, not for scale: the
-grid is O(bound**2) and every firing is one Python-level step.
+The simulator exists for cross-validation at small n, not for scale: every
+firing is one Python-level step.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -35,130 +37,71 @@ class MoveCapExceededError(ChipfireError, RuntimeError):
 
 @dataclass
 class OracleState:
-    """Mutable simulation state on a dense, doubling bounding box.
+    """Mutable simulation state on sparse maps keyed by ``(x, y)``.
 
-    ``chips[x][y]`` is the current chip count, ``firings[x][y]`` how often
-    the point has fired.  Total chips stay at ``2**n`` throughout: a firing
-    moves two chips and destroys none.
+    ``chips[x, y]`` is the current chip count, ``firings[x, y]`` how often
+    the point has fired; points never reached read as 0.  Total chips stay
+    at ``2**n`` throughout: a firing moves two chips and destroys none.
     """
 
     n: int
-    strategy: str
-    seed: int | None = None
     moves: int = 0
-    size: int = 4
-    chips: list[list[int]] = field(default_factory=list)
-    firings: list[list[int]] = field(default_factory=list)
+    chips: Counter[Point] = field(default_factory=Counter)
+    firings: Counter[Point] = field(default_factory=Counter)
 
     def __post_init__(self) -> None:
-        self.chips = [[0] * self.size for _ in range(self.size)]
-        self.firings = [[0] * self.size for _ in range(self.size)]
-        self.chips[0][0] = 1 << self.n
-
-    def _grow(self) -> None:
-        old = self.size
-        self.size = old * 2
-        for grid in (self.chips, self.firings):
-            for row in grid:
-                row.extend([0] * old)
-            grid.extend([0] * self.size for _ in range(old))
+        self.chips[0, 0] = 1 << self.n
 
     def fire(self, x: int, y: int) -> None:
-        """Fire ``(x, y)`` once; grows the grid when a chip hits the border."""
-        if self.chips[x][y] < 2:
-            raise ValueError(f"({x}, {y}) holds {self.chips[x][y]} chips, cannot fire")
-        while x + 1 >= self.size or y + 1 >= self.size:
-            self._grow()
-        self.chips[x][y] -= 2
-        self.chips[x + 1][y] += 1
-        self.chips[x][y + 1] += 1
-        self.firings[x][y] += 1
+        """Fire ``(x, y)`` once: one chip to each out-neighbor."""
+        chips = self.chips
+        p = (x, y)
+        held = chips[p]
+        if held < 2:
+            raise ValueError(f"{p} holds {held} chips, cannot fire")
+        chips[p] = held - 2
+        chips[x + 1, y] += 1
+        chips[x, y + 1] += 1
+        self.firings[p] += 1
         self.moves += 1
 
     def can_fire(self, x: int, y: int) -> bool:
-        return self.chips[x][y] >= 2
+        return self.chips[x, y] >= 2
 
     def total_chips(self) -> int:
-        return sum(map(sum, self.chips))
+        return sum(self.chips.values())
 
     def nonzero_chips(self) -> dict[Point, int]:
-        return _nonzero(self.chips)
+        return {p: v for p, v in self.chips.items() if v}
 
     def nonzero_firings(self) -> dict[Point, int]:
-        return _nonzero(self.firings)
+        return dict(self.firings)
 
 
-def _nonzero(grid: list[list[int]]) -> dict[Point, int]:
-    return {
-        (x, y): v
-        for x, row in enumerate(grid)
-        for y, v in enumerate(row)
-        if v
-    }
+def _worklist(
+    strategy: str, seed: int | None
+) -> tuple[Callable[[Point], None], Callable[[], Point]]:
+    """``put`` and ``take`` for the container that sets ``strategy``'s order."""
+    if strategy == "fifo-queue":
+        queue: deque[Point] = deque()
+        return queue.append, queue.popleft
+    if strategy == "random":
+        rng = random.Random(seed)
+        pool: list[Point] = []
 
+        def take_any() -> Point:
+            i = rng.randrange(len(pool))
+            pool[i], pool[-1] = pool[-1], pool[i]
+            return pool.pop()
 
-def _run_heap(state: OracleState, key: Callable[[Point], tuple], cap: int) -> None:
-    # Lazy heap: points are (re)pushed whenever they might be fireable and
-    # stale entries are skipped on pop.
-    heap: list[tuple[tuple, Point]] = []
-    if state.can_fire(0, 0):
-        heapq.heappush(heap, (key((0, 0)), (0, 0)))
-    while heap:
-        _, (x, y) = heapq.heappop(heap)
-        if not state.can_fire(x, y):
-            continue
-        if state.moves >= cap:
-            raise MoveCapExceededError(f"move cap {cap} hit for n={state.n}")
-        state.fire(x, y)
-        for p in ((x, y), (x + 1, y), (x, y + 1)):
-            if state.can_fire(*p):
-                heapq.heappush(heap, (key(p), p))
-
-
-def _run_fifo(state: OracleState, cap: int) -> None:
-    queue: deque[Point] = deque()
-    queued: set[Point] = set()
-    if state.can_fire(0, 0):
-        queue.append((0, 0))
-        queued.add((0, 0))
-    while queue:
-        x, y = queue.popleft()
-        queued.discard((x, y))
-        if not state.can_fire(x, y):
-            continue
-        if state.moves >= cap:
-            raise MoveCapExceededError(f"move cap {cap} hit for n={state.n}")
-        state.fire(x, y)
-        for p in ((x, y), (x + 1, y), (x, y + 1)):
-            if state.can_fire(*p) and p not in queued:
-                queue.append(p)
-                queued.add(p)
-
-
-def _run_random(state: OracleState, rng: random.Random, cap: int) -> None:
-    # Each point appears at most once in the pool, so rejection sampling of
-    # stale entries stays uniform over the currently fireable points.
-    pool: list[Point] = []
-    pooled: set[Point] = set()
-    if state.can_fire(0, 0):
-        pool.append((0, 0))
-        pooled.add((0, 0))
-    while pool:
-        i = rng.randrange(len(pool))
-        p = pool[i]
-        if not state.can_fire(*p):
-            pool[i] = pool[-1]
-            pool.pop()
-            pooled.discard(p)
-            continue
-        if state.moves >= cap:
-            raise MoveCapExceededError(f"move cap {cap} hit for n={state.n}")
-        x, y = p
-        state.fire(x, y)
-        for q in ((x, y), (x + 1, y), (x, y + 1)):
-            if state.can_fire(*q) and q not in pooled:
-                pool.append(q)
-                pooled.add(q)
+        return pool.append, take_any
+    # Heap keys: (x + y, y) row by row, (y, x) leftmost first.
+    heap: list[tuple[int, int, Point]] = []
+    if strategy == "row-by-row":
+        put = lambda p: heapq.heappush(heap, (p[0] + p[1], p[1], p))
+    else:
+        put = lambda p: heapq.heappush(heap, (p[1], p[0], p))
+    return put, lambda: heapq.heappop(heap)[2]
 
 
 def simulate(
@@ -180,42 +123,45 @@ def simulate(
     if n > limit:
         raise ValueError(
             f"n={n} exceeds the oracle limit {limit}; "
-            "the dense simulator is meant for small cross-checks"
+            "the simulator is meant for small cross-checks"
         )
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     cap = move_cap if move_cap is not None else ((1 << n) * row_bound(n)) // 2 + 1
-    state = OracleState(n=n, strategy=strategy, seed=seed)
-    if strategy == "row-by-row":
-        _run_heap(state, lambda p: (p[0] + p[1], p[1]), cap)
-    elif strategy == "leftmost-first":
-        _run_heap(state, lambda p: (p[1], p[0]), cap)
-    elif strategy == "fifo-queue":
-        _run_fifo(state, cap)
-    else:
-        _run_random(state, random.Random(seed), cap)
+    state = OracleState(n=n)
+    put, take = _worklist(strategy, seed)
+    # Each fireable point is listed at most once.  Only a point's own firing
+    # removes its chips, so a listed point is still fireable when taken.
+    chips = state.chips
+    listed: set[Point] = set()
+    if chips[0, 0] >= 2:
+        listed.add((0, 0))
+        put((0, 0))
+    while listed:
+        p = take()
+        listed.remove(p)
+        if state.moves >= cap:
+            raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
+        x, y = p
+        state.fire(x, y)
+        for q in (p, (x + 1, y), (x, y + 1)):
+            if chips[q] >= 2 and q not in listed:
+                listed.add(q)
+                put(q)
     return state
 
 
 def arrivals(state: OracleState) -> dict[Point, int]:
     """Total chips that ever arrived at each point, from the firing counts.
 
-    A point receives one chip per firing of each in-neighbor, plus the
-    initial pile at the origin; this equals the arrival table F.
+    The origin's initial pile, plus one chip to each out-neighbor per
+    firing; this equals the arrival table F.
     """
-    out: dict[Point, int] = {}
-    f = state.firings
-    size = state.size
-    for x in range(size):
-        for y in range(size):
-            total = (1 << state.n) if x == 0 and y == 0 else 0
-            if x > 0:
-                total += f[x - 1][y]
-            if y > 0:
-                total += f[x][y - 1]
-            if total:
-                out[(x, y)] = total
-    return out
+    out = Counter({(0, 0): 1 << state.n})
+    for (x, y), f in state.firings.items():
+        out[x + 1, y] += f
+        out[x, y + 1] += f
+    return dict(out)
 
 
 @dataclass(frozen=True)

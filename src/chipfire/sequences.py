@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import stable, structure
+from .core import MAX_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -22,6 +23,7 @@ class SequenceTable:
     offset: int
     known: tuple[int, ...]
     value_at: Callable[[int], int]
+    max_index: int | None = None  # None: no table behind the terms, no cap
 
 
 def _nonzero_rows(n: int) -> int:
@@ -42,6 +44,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             offset=0,
             known=(0, 1, 5, 15, 52, 163, 458, 1359, 4296, 12890, 38570),
             value_at=stable.total_firings_via_sum,
+            max_index=MAX_EXPONENT,
         ),
         SequenceTable(
             id="nonzero-rows",
@@ -50,6 +53,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             offset=0,
             known=(1, 2, 4, 6, 10, 16, 24, 38, 60, 92, 144, 226, 362, 570, 906, 1430),
             value_at=_nonzero_rows,
+            max_index=MAX_EXPONENT,
         ),
         SequenceTable(
             id="longest-row",
@@ -58,6 +62,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             offset=0,
             known=(1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 15, 19, 24, 30, 37, 46, 58, 73),
             value_at=_longest_row_length,
+            max_index=MAX_EXPONENT,
         ),
         SequenceTable(
             id="minimal-row-sums",
@@ -72,7 +77,11 @@ SEQUENCES: dict[str, SequenceTable] = {
 
 
 def generate(seq_id: str, upto: int) -> list[int]:
-    """Recompute sequence values for indices ``offset .. upto`` inclusive."""
+    """Recompute sequence values for indices ``offset .. upto`` inclusive.
+
+    An ``upto`` past the table's ``max_index`` is refused before any term
+    is computed.
+    """
     try:
         table = SEQUENCES[seq_id]
     except KeyError:
@@ -81,6 +90,11 @@ def generate(seq_id: str, upto: int) -> list[int]:
         ) from None
     if upto < table.offset:
         raise ValueError(f"{seq_id} starts at index {table.offset}, got upto={upto}")
+    if table.max_index is not None and upto > table.max_index:
+        raise ValueError(
+            f"{seq_id} term n is read off the 2**n table and n stops at "
+            f"{table.max_index}, got upto={upto}"
+        )
     return [table.value_at(i) for i in range(table.offset, upto + 1)]
 
 

@@ -7,13 +7,10 @@ asserted where stated.
 """
 
 import json
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import golden
+import peak_rss
 from chipfire import (
     check_bottom_conjecture,
     distance_distribution,
@@ -28,8 +25,6 @@ from chipfire import (
 from chipfire.checks import failures, minimal_descent_check, run_checks
 from chipfire.cli import main
 from chipfire.oracle import arrivals, confluence_check, simulate
-
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -176,7 +171,7 @@ def test_c09_conjecture_report(capsys):
 
 
 _STREAM_CHILD = """
-import json, resource, time
+import json, time
 from chipfire.core import intermediate_configuration
 from chipfire.difftable import diff_row, row_max_abs, unimodal_check
 from chipfire.structure import RowProfile, check_bottom_conjecture, segment
@@ -206,25 +201,20 @@ print(json.dumps({
     "unimodal_ok": unimodal_ok,
     "conjecture_holds": rep.holds,
     "seconds": time.perf_counter() - t0,
-    "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
 }))
 """
 
 
 def test_c10_streaming_scale():
-    # Run in a subprocess so the memory high-water mark reflects only this
-    # workload: a full n=25 table, segmentation, and difference-table pass.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    # Run in a child of a small launcher so the memory high-water mark
+    # reflects only this workload: a full n=25 table, segmentation, and
+    # difference-table pass.
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-c", _STREAM_CHILD],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
+    report = peak_rss.run_python(["-c", _STREAM_CHILD], timeout=300)
     wall = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
-    stats = json.loads(proc.stdout)
-    rss_mb = stats["rss_kb"] / 1024
+    assert report["exit"] == 0, report["err"]
+    stats = json.loads(report["out"])
+    rss_mb = report["peak_kib"] / 1024
     ok = (
         wall < 60.0
         and rss_mb < 128  # far below the ~2 GB a materialized table would need

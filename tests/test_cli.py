@@ -9,17 +9,9 @@ import pytest
 
 import chipfire
 import golden
+import peak_rss
 from chipfire import stable
 from chipfire.cli import main, rows_from_csv, rows_to_csv
-
-
-_PEAK_RSS_LAUNCHER = """
-import json, os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE, text=True)
-out = proc.stdout.read()
-_, status, usage = os.wait4(proc.pid, 0)
-print(json.dumps({"exit": os.waitstatus_to_exitcode(status), "out": out, "peak_kib": usage.ru_maxrss}))
-"""
 
 
 def run(capsys, *argv):
@@ -207,19 +199,11 @@ class TestVerifyCommand:
 
     def test_memory_follows_the_widest_row(self):
         # Listing the n = 20 table for the checks took 274 MB; one streaming
-        # pass holds a few rows.  A child forked straight from this process
-        # would report this process's own high-water mark (Linux carries it
-        # across fork and exec), so a small launcher forks the CLI and reads
-        # its peak RSS with os.wait4.
-        env = dict(os.environ, PYTHONPATH=str(Path(chipfire.__file__).parents[1]))
-        cli = [sys.executable, "-m", "chipfire.cli", "verify", "--n", "20", "--trials", "0"]
-        proc = subprocess.run(
-            [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *cli],
-            capture_output=True, text=True, timeout=120, env=env,
+        # pass holds a few rows.
+        report = peak_rss.run_python(
+            ["-m", "chipfire.cli", "verify", "--n", "20", "--trials", "0"], timeout=120
         )
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["exit"] == 0
+        assert report["exit"] == 0, report["err"]
         assert report["out"].endswith("0 failures\n")
         assert report["peak_kib"] / 1024 < 48
 
@@ -281,6 +265,9 @@ class TestUsageErrors:
              "--dot-radius", "nan"],
             ["render", "--kind", "stable-dots", "--n", "2", "--out", "f.svg",
              "--dot-radius", "inf"],
+            ["sequences", "longest-row", "--upto", "127"],
+            ["sequences", "nonzero-rows", "--upto", "200"],
+            ["sequences", "half-nonzero-rows", "--upto", "127"],
         ],
     )
     def test_out_of_domain_values_exit_two(self, capsys, tmp_path, monkeypatch, argv):

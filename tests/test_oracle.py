@@ -31,8 +31,9 @@ class TestSimulate:
         assert a.nonzero_chips() == b.nonzero_chips()
         assert a.nonzero_firings() == b.nonzero_firings()
 
-    def test_arrivals_match_streamed_table(self, table):
-        state = simulate(6, "fifo-queue")
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_arrivals_match_streamed_table(self, strategy, table):
+        state = simulate(6, strategy, seed=4)
         assert arrivals(state) == arrival_grid(table(6))
 
     def test_arrivals_match_random_access(self):
@@ -58,24 +59,20 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(3, "by-feel")
 
-    def test_move_cap(self):
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_move_cap(self, strategy):
         with pytest.raises(MoveCapExceededError):
-            simulate(6, "row-by-row", move_cap=10)
+            simulate(6, strategy, seed=0, move_cap=10)
 
 
 class TestManualFiring:
     def test_chip_conservation_step_by_step(self):
-        state = OracleState(n=3, strategy="manual")
+        state = OracleState(n=3)
         total = 8
         assert state.total_chips() == total
         # fire greedily until stable, checking conservation after each move
         while True:
-            fireable = [
-                (x, y)
-                for x in range(state.size)
-                for y in range(state.size)
-                if state.chips[x][y] >= 2
-            ]
+            fireable = sorted(p for p, v in state.chips.items() if v >= 2)
             if not fireable:
                 break
             state.fire(*fireable[0])
@@ -83,21 +80,20 @@ class TestManualFiring:
         assert state.moves == 15
 
     def test_cannot_fire_below_threshold(self):
-        state = OracleState(n=0, strategy="manual")
+        state = OracleState(n=0)
         with pytest.raises(ValueError):
             state.fire(0, 0)
 
-    def test_grid_growth(self):
-        state = OracleState(n=4, strategy="manual")
-        assert state.size == 4
+    def test_firing_out_to_x4_conserves_chips(self):
+        state = OracleState(n=4)
         for _ in range(8):
             state.fire(0, 0)
         for _ in range(4):
             state.fire(1, 0)
         for _ in range(2):
             state.fire(2, 0)
-        state.fire(3, 0)  # delivery at x=4 forces a doubling
-        assert state.size == 8
+        state.fire(3, 0)
+        assert state.chips[4, 0] == 1
         assert state.total_chips() == 16
 
 
