@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, and_, gt, le, lt, ne, sub
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 from . import difftable, oracle, stable, structure
@@ -129,24 +130,32 @@ def _chip_parity_accounting(n: int) -> _Fold:
 
 def _growth_failure(r: Row) -> str | None:
     """Where ``r`` breaks the step growth rule, or None."""
-    i = r.index
-    for k in range(r.width - 1):
-        yl = r.y_min + k
-        yr = yl + 1
-        d = r.values[k + 1] - r.values[k]
-        if 2 * yr < i:
-            ok = d >= 2
-        elif 2 * yr == i:
-            ok = d >= 1
-        elif 2 * yl == i:
-            ok = d <= -1
-        elif 2 * yl > i:
-            ok = d <= -2
-        else:
-            ok = d == 0
-        if not ok:
-            return f"row {i}: step {d} at y={yl} breaks the growth rule"
-    return None
+    i, y0 = r.index, r.y_min
+    steps = list(map(sub, r.values[1:], r.values))
+    # Step k joins y0 + k and y0 + k + 1.  Steps before ``left`` lie
+    # strictly left of the diagonal, steps from ``right`` on strictly right
+    # of it, and the one or two between touch it.
+    left = min(max((i - 1) // 2 - y0, 0), len(steps))
+    right = min(max((i + 2) // 2 - y0, left), len(steps))
+    bad = chain(
+        compress(count(), map(lt, steps[:left], repeat(2))),
+        (k for k in range(left, right) if not _diagonal_step_ok(i, y0 + k, steps[k])),
+        compress(count(right), map(gt, steps[right:], repeat(-2))),
+    )
+    k = next(bad, None)
+    if k is None:
+        return None
+    return f"row {i}: step {steps[k]} at y={y0 + k} breaks the growth rule"
+
+
+def _diagonal_step_ok(i: int, y: int, d: int) -> bool:
+    # The step from y to y + 1 on row i, with the diagonal y = i / 2 at or
+    # between its ends.
+    if 2 * y + 2 == i:
+        return d >= 1
+    if 2 * y == i:
+        return d <= -1
+    return d == 0
 
 
 def _monotone_steps(n: int) -> _Fold:
@@ -372,15 +381,18 @@ def _diff_unimodality(n: int) -> _Fold:
 
 def _propagation_failure(a: difftable.DiffRow, b: difftable.DiffRow) -> int | None:
     """The first y where a rising triple of ``a`` sits over a fall in ``b``."""
-    half = a.index // 2
-    for k in range(len(a.values) - 2):
-        y = a.y_min + k
-        if y + 2 > half:
-            break
-        t0, t1, t2 = a.values[k], a.values[k + 1], a.values[k + 2]
-        if t0 <= t1 <= t2 and b.value_at(y + 1) > b.value_at(y + 2):
-            return y
-    return None
+    v = a.values
+    # Triples start at y = a.y_min + k for k < triples and end by the diagonal.
+    triples = min(len(v) - 2, a.index // 2 - 1 - a.y_min)
+    if triples <= 0:
+        return None
+    rises = list(map(le, v[: triples + 1], v[1 : triples + 2]))
+    # below[j] is b at y = a.y_min + 1 + j, zero outside b's span.
+    lo = a.y_min + 1 - b.y_min
+    pad = max(-lo, 0)
+    below = (0,) * pad + b.values[lo + pad : max(lo + triples + 1, 0)] + (0,) * (triples + 1)
+    hits = map(and_, map(and_, rises, rises[1:]), map(gt, below, below[1:]))
+    return next(compress(count(a.y_min), hits), None)
 
 
 def _diff_local_propagation(n: int) -> _Fold:
@@ -398,13 +410,12 @@ def _diff_local_propagation(n: int) -> _Fold:
 
 
 def _telescoping_failure(r: Row, d: difftable.DiffRow) -> str | None:
-    running = 0
-    for k, dv in enumerate(d.values):
-        running += dv
-        if k < len(d.values) - 1 and running != r.values[k]:
-            return f"row {r.index} not recovered at position {k}"
-    if running != 0:
-        return f"row {d.index} sums to {running}"
+    sums = list(accumulate(d.values))
+    k = next(compress(count(), map(ne, sums[:-1], r.values)), None)
+    if k is not None:
+        return f"row {r.index} not recovered at position {k}"
+    if sums and sums[-1]:
+        return f"row {d.index} sums to {sums[-1]}"
     return None
 
 

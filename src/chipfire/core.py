@@ -35,8 +35,23 @@ where ``low_mask`` clears the top bit of each lane, the bit that the shift
 brings in from the lane above.  Two halves sum to at most the largest
 parent entry, so no carry crosses a lane boundary.  The child is trimmed to
 its nonzero span by its lowest set bit and its ``bit_length``.
-``Row.values`` is unpacked with ``int.to_bytes``: 64-bit lanes are read in
-one pass through ``memoryview.cast("Q")``, wider lanes by slicing the bytes.
+
+The packed int is the one source of every row.  A streamed :class:`Row`
+keeps it as ``packed`` with its ``lane`` and ``width``, and quantities that
+depend only on parity, width or the row total are read straight off it:
+``Row.parity`` is the low byte of every lane reduced to 0/1 at C speed,
+and since a row's total never exceeds ``2**n`` it fits in one lane, so the
+lanes add up exactly modulo ``2**lane - 1``.  ``Row.values`` is unpacked
+only on its first read, with ``int.to_bytes``: 64-bit lanes in one pass
+through ``memoryview.cast("Q")``, wider lanes by slicing the bytes.
+
+Validation lives in the public constructor.  ``Row(index, y_min, values)``
+checks positivity, palindromes and the quadrant, and packs its values on
+demand (with a lane wide enough for the row total) so that every row reads
+parity the same way.  Rows from the kernel are trusted and built without
+those checks: a corrupted stream then reaches the invariant checks of
+:mod:`chipfire.checks`, which report it, instead of failing inside a
+constructor.
 """
 
 from __future__ import annotations
@@ -53,6 +68,9 @@ MAX_EXPONENT = 126
 
 # memoryview.cast("Q") reads native byte order; the lanes are little-endian.
 _NATIVE_QWORDS = sys.byteorder == "little"
+
+# bytes.translate table taking a byte to its lowest bit.
+_LOW_BIT = b"\0\1" * 128
 
 
 class ChipfireError(Exception):
@@ -84,6 +102,13 @@ class Row:
     reading the tuple left to right walks the row in increasing y.  An empty
     tuple represents an all-zero row.  Entries are strictly positive and
     palindromic, and the span must fit in the quadrant.
+
+    Every row also has a packed view: ``packed`` holds entry k in bits
+    ``k*lane .. k*lane + lane - 1``, ``lane`` is a multiple of 64 wide
+    enough for the row total plus the kernel's spare bit, and ``width`` is
+    the number of entries.  Rows streamed by the kernel hold the packed view
+    and unpack ``values`` on first read; rows built through this constructor
+    are validated and pack their values on each read of the view.
     """
 
     index: int
@@ -111,25 +136,42 @@ class Row:
         if v != v[::-1]:
             raise ValueError("row values must be palindromic")
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.values
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance: the values
+        # of a kernel row (cached, so later reads are plain attribute reads)
+        # or the packed view of a row built from its values.
+        if name == "values":
+            d = self.__dict__
+            values = d["values"] = _unpack(d["packed"], d["width"], d["lane"])
+            return values
+        if name == "width":
+            return len(self.values)
+        if name == "lane":
+            return _lane_bits(sum(self.values))
+        if name == "packed":
+            return _pack(self.values, self.lane)
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
-    def width(self) -> int:
-        """Number of nonzero entries."""
-        return len(self.values)
+    def parity(self) -> bytes:
+        """One byte per entry in increasing y: 1 where the entry is odd, else 0."""
+        size = self.lane // 8
+        return self.packed.to_bytes(self.width * size, "little")[::size].translate(_LOW_BIT)
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.width
 
     @property
     def y_max(self) -> int:
-        if not self.values:
+        if not self.width:
             raise ValueError("empty row has no span")
-        return self.y_min + len(self.values) - 1
+        return self.y_min + self.width - 1
 
     def value_at(self, y: int) -> int:
         """Entry at ``(index - y, y)``; zero outside the stored span."""
         k = y - self.y_min
-        if 0 <= k < len(self.values):
+        if 0 <= k < self.width:
             return self.values[k]
         return 0
 
@@ -141,6 +183,14 @@ class Row:
 
     def chip_sum(self) -> int:
         return sum(self.values)
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
+    given, built without its ``__post_init__`` validation."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def initial_row(n: int) -> Row:
@@ -196,18 +246,21 @@ def next_row(r: Row) -> Row:
     contrived palindromic row whose child support would contain an interior
     zero (impossible under the row monotonicity of real tables) is rejected
     with ``ValueError`` because the trimmed representation cannot hold it.
+    The child is kernel output, so it is trusted like a streamed row.
     """
     if r.is_empty:
         return Row(index=r.index + 1, y_min=0, values=())
-    lane = _lane_bits(max(r.values))
-    packed = _pack(r.values, lane)
-    child, lo, width = _step(packed, lane, _low_mask(lane, r.width))
+    lane = r.lane
+    child, lo, width = _step(r.packed, lane, _low_mask(lane, r.width))
     if not child:
         return Row(index=r.index + 1, y_min=0, values=())
-    vals = _unpack(child, width, lane)
-    if 0 in vals:
+    values = _unpack(child, width, lane)
+    if 0 in values:
         raise ValueError("child row support is not contiguous")
-    return Row(index=r.index + 1, y_min=r.y_min + lo, values=vals)
+    return _trusted(
+        Row, index=r.index + 1, y_min=r.y_min + lo, values=values,
+        packed=child, lane=lane, width=width,
+    )
 
 
 def row_bound(n: int) -> int:
@@ -234,6 +287,8 @@ class ConfigStream(Iterator[Row]):
 
     The stream holds only the current row, packed into lanes as described
     in the module docstring, so memory stays proportional to the widest row.
+    Its rows are trusted kernel output: they carry the packed view and are
+    not validated (see the module docstring).
     Instances are single-consumer; create one stream per traversal.
     """
 
@@ -271,7 +326,9 @@ class ConfigStream(Iterator[Row]):
                 f"for n={self.n}; this indicates a bug"
             )
         lane, width = self._lane, self._width
-        row = Row(index=self._index, y_min=self._y_min, values=_unpack(packed, width, lane))
+        row = _trusted(
+            Row, index=self._index, y_min=self._y_min, packed=packed, lane=lane, width=width
+        )
         if width > self._mask_lanes:
             # Rows widen by at most one lane per step; doubling keeps rebuilds rare.
             self._mask_lanes = 2 * width

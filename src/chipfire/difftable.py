@@ -20,7 +20,7 @@ from itertools import islice
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .core import Row, intermediate_configuration
+from .core import Row, _trusted, intermediate_configuration
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,10 @@ class DiffRow:
     """One row of the difference table, trimmed like its source row.
 
     ``values[k]`` sits at ``y = y_min + k``, ``x = index - y``.  Values are
-    antisymmetric: entry k equals minus entry ``len - 1 - k``.
+    antisymmetric: entry k equals minus entry ``len - 1 - k``.  The
+    constructor checks this; rows that :func:`diff_row` derives from a
+    table row are not checked, like the kernel rows they come from, so a
+    corrupted table reaches the ``diff-antisymmetry`` check instead.
     """
 
     index: int
@@ -76,7 +79,8 @@ def diff_row(prev: Row) -> DiffRow:
     if prev.is_empty:
         return DiffRow(index=prev.index + 1, y_min=0, values=())
     v = prev.values
-    return DiffRow(
+    return _trusted(
+        DiffRow,
         index=prev.index + 1,
         y_min=prev.y_min,
         values=(v[0], *map(sub, v[1:], v), -v[-1]),
@@ -90,15 +94,14 @@ def diff_table(n: int) -> Iterator[DiffRow]:
 
 
 def row_max_abs(d: DiffRow) -> int:
-    """Largest absolute entry.
+    """Largest absolute entry, 0 for an empty row.
 
-    Every ``DiffRow`` is antisymmetric (checked on construction), so each
-    negative entry is mirrored by its absolute value and the plain maximum
-    is exact.
+    Exact whether or not ``d`` is antisymmetric: rows from :func:`diff_row`
+    are not checked on construction.
     """
     if d.is_empty:
         return 0
-    return max(d.values)
+    return max(max(d.values), -min(d.values))
 
 
 def unimodal_check(d: DiffRow) -> bool:

@@ -7,17 +7,27 @@ per row.  Grouping the surviving chips by the distance coordinate
 ``y - x`` gives the distance distribution, whose second raw moment counts
 every firing twice: a firing replaces two chips at distance d with one at
 d - 1 and one at d + 1, adding exactly 2 to the moment.
+
+By the paper's main theorem everything here depends only on the parity and
+the total of each arrival row, and the kernel's packed row holds both:
+:attr:`Row.parity` gives the bit patterns and the chips' distances, and the
+lanes of a row sum exactly modulo ``2**lane - 1`` (see :mod:`chipfire.core`).
+Nothing in this module unpacks the row values.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import and_, mul
+from itertools import compress
+from operator import mul
 from typing import Iterable, Iterator
 
 from .core import ChipfireError, Row, intermediate_configuration
+
+
+# bytes.translate table writing a 0/1 byte as the digit "0" or "1".
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 class ParityError(ChipfireError):
@@ -50,7 +60,8 @@ class StableRow:
 
     def pattern(self) -> str:
         """The bits as a 0/1 string, leftmost position first."""
-        return "".join("1" if self.bits >> k & 1 else "0" for k in range(self.width))
+        # format pads to the width but writes "0" for a width of 0.
+        return format(self.bits, f"0{self.width}b")[::-1] if self.width else ""
 
     def marked_points(self) -> Iterator[tuple[int, int]]:
         """Yield ``(x, y)`` of each chip in this row, increasing y."""
@@ -79,11 +90,11 @@ class StableRow:
 
 def stable_row(r: Row) -> StableRow:
     """Parity pattern of one table row: bit k set iff ``values[k]`` is odd."""
-    bits = 0
-    for k, v in enumerate(r.values):
-        if v & 1:
-            bits |= 1 << k
-    return StableRow(index=r.index, y_min=r.y_min, width=len(r.values), bits=bits)
+    parity = r.parity
+    # Bit k of the pattern is byte k of the parity: write the bytes as
+    # binary digits, last entry first.
+    bits = int(parity.translate(_DIGITS)[::-1], 2) if parity else 0
+    return StableRow(index=r.index, y_min=r.y_min, width=len(parity), bits=bits)
 
 
 @dataclass(frozen=True)
@@ -100,18 +111,6 @@ class StableConfig:
     def marked_points(self) -> Iterator[tuple[int, int]]:
         for r in self.rows:
             yield from r.marked_points()
-
-    def first_marked_row(self) -> int:
-        for r in self.rows:
-            if r.bits:
-                return r.index
-        raise ValueError("configuration has no chips")
-
-    def last_marked_row(self) -> StableRow:
-        for r in reversed(self.rows):
-            if r.bits:
-                return r
-        raise ValueError("configuration has no chips")
 
 
 def stable_configuration(n: int) -> StableConfig:
@@ -185,14 +184,20 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     ``F // 2`` times, and the moment sums ``(y - x)**2`` over the chips that
     stay (the odd entries), counting every firing twice.  On a correct
     table the moment is exactly twice the sum.
+
+    The routes share only the packed row and its parity.  The sum route
+    reads every entry through the row total, the moment route only where
+    the odd entries sit, so each can catch an error the other cannot see.
     """
     via_sum = mu2 = 0
     for r in rows:
-        v = r.values
-        first = 2 * r.y_min - r.index
+        parity = r.parity
+        # The row's lane holds its total, so its lanes add up exactly
+        # modulo 2**lane - 1; the odd entries keep one chip each.
+        via_sum += (r.packed % ((1 << r.lane) - 1) - parity.count(1)) >> 1
         # Distances y - x of the odd entries: the chips that stay.
-        kept = list(compress(range(first, first + 2 * len(v), 2), map(and_, v, repeat(1))))
-        via_sum += (sum(v) - len(kept)) >> 1
+        first = 2 * r.y_min - r.index
+        kept = list(compress(range(first, first + 2 * len(parity), 2), parity))
         mu2 += sum(map(mul, kept, kept))
     return via_sum, mu2
 

@@ -78,6 +78,7 @@ class RowProfile:
 
 
 def row_profile(n: int) -> RowProfile:
+    """Row widths of the table for ``2**n`` chips, read without unpacking a row."""
     return RowProfile(n=n, lengths=tuple(r.width for r in intermediate_configuration(n)))
 
 
@@ -88,16 +89,15 @@ class LongestRow(NamedTuple):
 
 
 def longest_row(n: int) -> LongestRow:
-    """Longest row of the table; ties resolve to the smallest row index."""
-    best_len = -1
-    best_index = 0
-    best_values: tuple[int, ...] = ()
+    """Longest row of the table; ties resolve to the smallest row index.
+
+    Widths come off the packed rows; only the returned row is unpacked.
+    """
+    best = None
     for row in intermediate_configuration(n):
-        if row.width > best_len:
-            best_len = row.width
-            best_index = row.index
-            best_values = row.values
-    return LongestRow(best_len, best_index, best_values)
+        if best is None or row.width > best.width:
+            best = row
+    return LongestRow(best.width, best.index, best.values)
 
 
 def _minimal_values(j: int) -> tuple[int, ...]:

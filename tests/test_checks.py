@@ -2,7 +2,8 @@ import dataclasses
 
 import pytest
 
-from chipfire import Row, checks, difftable, structure
+from chipfire import Row, checks, core, difftable, structure
+from chipfire.cli import main
 from chipfire.difftable import DiffRow
 from chipfire.checks import (
     CheckResult,
@@ -237,6 +238,58 @@ class TestRerouteMutations:
     def test_minimal_descent(self, monkeypatch):
         monkeypatch.setattr(checks, "next_row", lambda r: r)
         assert not minimal_descent_check().passed
+
+
+def _corrupt_lane(child, lane, width, which):
+    """``child`` with its lowest lane raised by 1, or its middle lane zeroed."""
+    if which == "asymmetric":
+        return child + 1
+    return child & ~(((1 << lane) - 1) << (lane * (width // 2)))
+
+
+class TestCorruptedKernel:
+    """Kernel rows are not validated, so a corrupted kernel step reaches the
+    checks, which report it."""
+
+    N = 6
+    #: Checks that fail on each corruption of the kernel's row 6.
+    BROKEN = {
+        "asymmetric": {"row-symmetry", "diff-antisymmetry"},
+        "zero-inside": {"row-contiguity"},
+    }
+
+    def _corrupt(self, monkeypatch, which):
+        real = core._step
+        target = structure.pascal_row(self.N, 6).packed
+
+        def step(packed, lane, mask):
+            child, lo, width = real(packed, lane, mask)
+            if child == target:
+                child = _corrupt_lane(child, lane, width, which)
+            return child, lo, width
+
+        monkeypatch.setattr(core, "_step", step)
+
+    @pytest.mark.parametrize("which", list(BROKEN))
+    def test_checks_report_it(self, monkeypatch, which):
+        self._corrupt(monkeypatch, which)
+        rows = list(core.intermediate_configuration(self.N))
+        assert rows[6].width == 7
+        assert (rows[6].values == rows[6].values[::-1]) == (which != "asymmetric")
+        assert (0 in rows[6].values) == (which == "zero-inside")
+        failed = {r.name for r in failures(run_checks(self.N))}
+        assert self.BROKEN[which] <= failed
+
+    @pytest.mark.parametrize("which", list(BROKEN))
+    def test_verify_prints_a_scorecard(self, monkeypatch, capsys, which):
+        self._corrupt(monkeypatch, which)
+        rc = main(["verify", "--n", str(self.N), "--trials", "0"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err == ""
+        for name in self.BROKEN[which]:
+            assert f"n={self.N} {name}: FAIL" in out
+        assert out.splitlines()[-1].startswith("summary: ")
 
 
 class TestSinglePass:

@@ -14,6 +14,7 @@ from chipfire import (
     next_row,
     row_bound,
 )
+from chipfire import core, stable, structure
 from chipfire.core import _lane_bits
 from chipfire.structure import pascal_row
 
@@ -247,6 +248,52 @@ class TestConfigStream:
     @pytest.mark.parametrize("n", range(0, 11))
     def test_termination_within_bound(self, n, table):
         assert table(n)[-1].index <= row_bound(n)
+
+
+class TestPackedView:
+    @pytest.mark.parametrize("n", range(0, 17))
+    def test_kernel_rows_match_built_rows(self, n):
+        # Kernel rows skip validation and read width and parity off the
+        # packed int; a row built from the same values packs them itself.
+        for r in intermediate_configuration(n):
+            built = Row(index=r.index, y_min=r.y_min, values=r.values)
+            assert r == built
+            assert r.width == built.width
+            assert r.parity == built.parity == bytes(v & 1 for v in built.values)
+
+    def test_values_unpack_once(self, monkeypatch):
+        calls = []
+        real = core._unpack
+
+        def counted(packed, width, lane):
+            calls.append(width)
+            return real(packed, width, lane)
+
+        monkeypatch.setattr(core, "_unpack", counted)
+        r = next(iter(intermediate_configuration(3)))
+        assert calls == []
+        assert r.values == r.values == (8,)
+        assert calls == [1]
+
+    def test_width_and_parity_readers_never_unpack(self, monkeypatch):
+        n = 12
+        expected = (
+            structure.row_profile(n),
+            structure.segment(n),
+            stable.stable_configuration(n),
+            stable.firing_routes(intermediate_configuration(n)),
+        )
+
+        def refuse(packed, width, lane):
+            raise AssertionError("row values were unpacked")
+
+        monkeypatch.setattr(core, "_unpack", refuse)
+        assert (
+            structure.row_profile(n),
+            structure.segment(n),
+            stable.stable_configuration(n),
+            stable.firing_routes(intermediate_configuration(n)),
+        ) == expected
 
 
 class TestEntry:

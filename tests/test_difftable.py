@@ -15,6 +15,7 @@ from chipfire import (
     sign_map,
     unimodal_check,
 )
+from chipfire.core import _trusted
 
 
 def antisym(left, index=None):
@@ -158,6 +159,14 @@ class TestRowMaxAbs:
     def test_equals_largest_absolute_entry(self, n):
         for d in diff_table(n):
             assert row_max_abs(d) == max(map(abs, d.values))
+
+    def test_exact_on_an_asymmetric_row(self):
+        # diff_row does not check antisymmetry, so the largest absolute
+        # entry of a corrupted row may be negative: (1, 2, 8) gives
+        # (1, 1, 6, -8).
+        d = diff_row(_trusted(Row, index=3, y_min=0, values=(1, 2, 8)))
+        assert d.values == (1, 1, 6, -8)
+        assert row_max_abs(d) == 8
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_nonincreasing_from_row_two(self, n):

@@ -1,10 +1,17 @@
+from itertools import compress, repeat
+from operator import and_, mul
+
 import pytest
+from hypothesis import given, strategies as st
 
 import golden
 from chipfire import (
     DistanceDistribution,
     ParityError,
     Row,
+    StableRow,
+    firing_routes,
+    intermediate_configuration,
     distance_distribution,
     second_raw_moment,
     stable_configuration,
@@ -12,12 +19,54 @@ from chipfire import (
     total_firings_via_moment,
     total_firings_via_sum,
 )
+from chipfire.checks import run_checks
+from test_core import monotone_rows
+
+
+def reference_stable_row(r):
+    """The parity pattern entry by entry from the unpacked values."""
+    bits = 0
+    for k, v in enumerate(r.values):
+        if v & 1:
+            bits |= 1 << k
+    return StableRow(index=r.index, y_min=r.y_min, width=len(r.values), bits=bits)
+
+
+def reference_firing_routes(rows):
+    """Both firing routes from the unpacked values of each row."""
+    via_sum = mu2 = 0
+    for r in rows:
+        v = r.values
+        first = 2 * r.y_min - r.index
+        kept = list(compress(range(first, first + 2 * len(v), 2), map(and_, v, repeat(1))))
+        via_sum += (sum(v) - len(kept)) >> 1
+        mu2 += sum(map(mul, kept, kept))
+    return via_sum, mu2
+
+
+class TestPackedRoutes:
+    """stable_row and firing_routes read the packed rows; the references
+    above read the values."""
+
+    @pytest.mark.parametrize("n", range(0, 17))
+    def test_stream_matches_reference(self, n):
+        rows = list(intermediate_configuration(n))
+        assert [stable_row(r) for r in rows] == [reference_stable_row(r) for r in rows]
+        assert firing_routes(iter(rows)) == reference_firing_routes(rows)
+
+    @given(monotone_rows(), st.sampled_from([0, 1, 62, 64, 130]))
+    def test_built_rows_match_reference(self, r, shift):
+        # (v << shift) + v keeps the row palindromic and monotone while
+        # pushing its entries past 2**64.
+        r = Row(index=r.index, y_min=r.y_min, values=[(v << shift) + v for v in r.values])
+        assert stable_row(r) == reference_stable_row(r)
+        assert firing_routes([r]) == reference_firing_routes([r])
 
 
 class TestStableRow:
     @pytest.mark.parametrize(
         "values,pattern",
-        [((2, 5, 5, 2), "0110"), ((16,), "0"), ((1, 1), "11"), ((1, 3, 4, 3, 1), "11011")],
+        [((2, 5, 5, 2), "0110"), ((16,), "0"), ((1, 1), "11"), ((1, 3, 4, 3, 1), "11011"), ((), "")],
     )
     def test_patterns(self, values, pattern):
         r = Row(index=len(values), y_min=0, values=values)
@@ -58,11 +107,14 @@ class TestStableConfiguration:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_first_and_last_marked_rows(self, n, table):
-        config = stable_configuration(n)
-        assert config.first_marked_row() == n
-        last = config.last_marked_row()
-        assert last.index == table(n)[-1].index
-        assert last.pattern() == "11"
+        # The first chips sit in row n; the last ones are the pair "11" in
+        # the last row.  The first-stable-row and last-stable-row folds of
+        # run_checks carry this rule.
+        first, last = run_checks(n, properties=["first-stable-row", "last-stable-row"])
+        assert (first.name, first.passed) == ("first-stable-row", True)
+        assert first.detail == f"first odd entry in row {n}, expected {n}"
+        assert (last.name, last.passed) == ("last-stable-row", True)
+        assert last.detail == f"last chips in row {table(n)[-1].index} with pattern 11"
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_no_chip_on_the_diagonal(self, n):
