@@ -13,7 +13,6 @@ from .core import (
     MAX_EXPONENT,
     ChipOverflowError,
     ChipfireError,
-    ConfigStream,
     Row,
     RowCapExceededError,
     entry,
@@ -82,7 +81,6 @@ __all__ = [
     "ParityError",
     "DegenerateSegmentationError",
     "Row",
-    "ConfigStream",
     "initial_row",
     "next_row",
     "intermediate_configuration",

@@ -502,7 +502,10 @@ def _oracle_checks(n: int, table: dict[tuple[int, int], int], trials: int, seed:
 def minimal_descent_check(max_j: int = 64) -> CheckResult:
     """Firing a minimal row of j+1 entries yields the minimal row below it."""
     for j in range(2, max_j + 1):
-        child = next_row(structure.minimal_row(j))
+        try:
+            child = next_row(structure.minimal_row(j))
+        except ValueError as exc:
+            return _result("minimal-row-descent", None, False, f"descent breaks at j={j}: {exc}")
         if child.values != structure.minimal_row(j - 1).values:
             return _result("minimal-row-descent", None, False, f"descent breaks at j={j}")
     return _result("minimal-row-descent", None, True, f"verified for j = 2..{max_j}")
@@ -533,7 +536,6 @@ def run_checks(
     properties: Sequence[str] | None = None,
     oracle_trials: int = 0,
     seed: int = 0,
-    oracle_limit: int = oracle.ORACLE_EXPONENT_LIMIT,
 ) -> list[CheckResult]:
     """Run the invariant suite for one exponent in one pass over its table.
 
@@ -550,7 +552,7 @@ def run_checks(
             active[name] = fold
         else:
             verdicts[name] = verdict
-    with_oracle = oracle_trials >= 2 and 1 <= n <= oracle_limit
+    with_oracle = oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
     points: dict[tuple[int, int], int] = {}
     run = structure.TerminalRun()
 

@@ -40,10 +40,19 @@ The packed int is the one source of every row.  A streamed :class:`Row`
 keeps it as ``packed`` with its ``lane`` and ``width``, and quantities that
 depend only on parity, width or the row total are read straight off it:
 ``Row.parity`` is the low byte of every lane reduced to 0/1 at C speed,
-and since a row's total never exceeds ``2**n`` it fits in one lane, so the
-lanes add up exactly modulo ``2**lane - 1``.  ``Row.values`` is unpacked
-only on its first read, with ``int.to_bytes``: 64-bit lanes in one pass
-through ``memoryview.cast("Q")``, wider lanes by slicing the bytes.
+and since a row's total never exceeds ``2**n`` it fits in one lane, so
+``Row.chip_sum()`` adds the lanes up exactly modulo ``2**lane - 1``.
+``Row.values`` is unpacked only on its first read, with ``int.to_bytes``:
+64-bit lanes in one pass through ``memoryview.cast("Q")``, wider lanes by
+slicing the bytes.  The lane format stays inside this module: other
+modules read ``width``, ``parity``, ``chip_sum()`` or ``values``.
+
+:func:`intermediate_configuration` checks ``n`` when called and returns a
+generator that keeps the kernel state in locals (the packed row, its lane,
+width, ``y_min`` and index, and a ``low_mask`` that doubles in lanes as
+rows widen), so memory stays proportional to the widest row.  It stops
+before the first all-zero row and raises :class:`RowCapExceededError` if
+the index ever passes :func:`row_bound`, which no correct run can.
 
 Validation lives in the public constructor.  ``Row(index, y_min, values)``
 checks positivity, palindromes and the quadrant, and packs its values on
@@ -82,7 +91,10 @@ class ChipOverflowError(ChipfireError, OverflowError):
 
 
 class RowCapExceededError(ChipfireError, RuntimeError):
-    """A row stream hit its cap before reaching an all-zero row."""
+    """A row stream passed :func:`row_bound` before reaching an all-zero row.
+
+    No correct run can, so this means a bug in the kernel.
+    """
 
 
 def _check_exponent(n: int) -> None:
@@ -182,7 +194,10 @@ class Row:
             yield self.index - y, y, v
 
     def chip_sum(self) -> int:
-        return sum(self.values)
+        """The row total, read off the packed view without unpacking."""
+        # The lane holds the row total, so the lanes add up exactly modulo
+        # 2**lane - 1 (every lane is one digit in that base).
+        return self.packed % ((1 << self.lane) - 1)
 
 
 def _trusted(cls, **fields):
@@ -276,74 +291,34 @@ def row_bound(n: int) -> int:
     return n + 1 + 2 * (math.comb(n, n // 2) // 2)
 
 
-class ConfigStream(Iterator[Row]):
-    """Iterator over the nonzero rows of the arrival table for ``2**n`` chips.
+def intermediate_configuration(n: int) -> Iterator[Row]:
+    """Stream the nonzero rows of the arrival table for ``2**n`` chips.
 
     Yields rows 0, 1, 2, ... and stops just before the first all-zero row.
-    ``row_cap`` limits the number of rows emitted; hitting the cap while
-    rows are still nonzero raises :class:`RowCapExceededError`.  Without a
-    cap the stream is still guarded by :func:`row_bound`, which no correct
-    run can exceed.
-
-    The stream holds only the current row, packed into lanes as described
-    in the module docstring, so memory stays proportional to the widest row.
-    Its rows are trusted kernel output: they carry the packed view and are
-    not validated (see the module docstring).
-    Instances are single-consumer; create one stream per traversal.
+    ``n`` is checked here, at call time; the rows come from a generator
+    described in the module docstring.
     """
+    return _rows(n, row_bound(n))
 
-    def __init__(self, n: int, row_cap: int | None = None):
-        _check_exponent(n)
-        if row_cap is not None and row_cap < 1:
-            raise ValueError(f"row_cap must be at least 1, got {row_cap}")
-        self.n = n
-        self.row_cap = row_cap
-        self.current_row: Row | None = None
-        self.rows_emitted = 0
-        self._lane = _lane_bits(1 << n)
-        self._packed = 1 << n
-        self._width = 1
-        self._mask = _low_mask(self._lane, 1)
-        self._mask_lanes = 1
-        self._y_min = 0
-        self._index = 0
-        self._bound = row_bound(n)
 
-    def __iter__(self) -> "ConfigStream":
-        return self
-
-    def __next__(self) -> Row:
-        packed = self._packed
-        if not packed:
-            raise StopIteration
-        if self.row_cap is not None and self.rows_emitted >= self.row_cap:
+def _rows(n: int, bound: int) -> Iterator[Row]:
+    lane = _lane_bits(1 << n)
+    packed, width, y_min, index = 1 << n, 1, 0, 0
+    mask, mask_lanes = 0, 0
+    while packed:
+        if index > bound:
             raise RowCapExceededError(
-                f"row cap {self.row_cap} hit before termination (n={self.n})"
+                f"row {index} exceeds the termination bound {bound} "
+                f"for n={n}; this indicates a bug"
             )
-        if self._index > self._bound:
-            raise RowCapExceededError(
-                f"row {self._index} exceeds the termination bound {self._bound} "
-                f"for n={self.n}; this indicates a bug"
-            )
-        lane, width = self._lane, self._width
-        row = _trusted(
-            Row, index=self._index, y_min=self._y_min, packed=packed, lane=lane, width=width
-        )
-        if width > self._mask_lanes:
+        yield _trusted(Row, index=index, y_min=y_min, packed=packed, lane=lane, width=width)
+        if width > mask_lanes:
             # Rows widen by at most one lane per step; doubling keeps rebuilds rare.
-            self._mask_lanes = 2 * width
-            self._mask = _low_mask(lane, self._mask_lanes)
-        self._packed, lo, self._width = _step(packed, lane, self._mask)
-        self._y_min += lo
-        self._index += 1
-        self.current_row = row
-        self.rows_emitted += 1
-        return row
-
-
-def intermediate_configuration(n: int, row_cap: int | None = None) -> ConfigStream:
-    """Stream the arrival table for ``2**n`` chips, row by row."""
-    return ConfigStream(n, row_cap=row_cap)
+            mask_lanes = 2 * width
+            mask = _low_mask(lane, mask_lanes)
+        packed, lo, width = _step(packed, lane, mask)
+        y_min += lo
+        index += 1
 
 
 def entry(n: int, x: int, y: int) -> int:

@@ -60,13 +60,6 @@ class DiffRow:
     def is_empty(self) -> bool:
         return not self.values
 
-    def value_at(self, y: int) -> int:
-        """Entry at ``(index - y, y)``; zero outside the stored span."""
-        k = y - self.y_min
-        if 0 <= k < len(self.values):
-            return self.values[k]
-        return 0
-
     def left_half(self) -> tuple[int, ...]:
         """Entries at positions with ``y <= x`` (the diagonal included)."""
         # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min

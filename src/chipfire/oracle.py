@@ -65,9 +65,6 @@ class OracleState:
         self.firings[p] += 1
         self.moves += 1
 
-    def can_fire(self, x: int, y: int) -> bool:
-        return self.chips[x, y] >= 2
-
     def total_chips(self) -> int:
         return sum(self.chips.values())
 
@@ -109,7 +106,6 @@ def simulate(
     strategy: str = "row-by-row",
     seed: int | None = None,
     move_cap: int | None = None,
-    limit: int = ORACLE_EXPONENT_LIMIT,
 ) -> OracleState:
     """Run the game from ``2**n`` chips to its stable configuration.
 
@@ -120,9 +116,9 @@ def simulate(
     """
     if n < 0:
         raise ValueError(f"exponent must be nonnegative, got {n}")
-    if n > limit:
+    if n > ORACLE_EXPONENT_LIMIT:
         raise ValueError(
-            f"n={n} exceeds the oracle limit {limit}; "
+            f"n={n} exceeds the oracle limit {ORACLE_EXPONENT_LIMIT}; "
             "the simulator is meant for small cross-checks"
         )
     if strategy not in STRATEGIES:

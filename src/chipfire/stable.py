@@ -10,9 +10,9 @@ d - 1 and one at d + 1, adding exactly 2 to the moment.
 
 By the paper's main theorem everything here depends only on the parity and
 the total of each arrival row, and the kernel's packed row holds both:
-:attr:`Row.parity` gives the bit patterns and the chips' distances, and the
-lanes of a row sum exactly modulo ``2**lane - 1`` (see :mod:`chipfire.core`).
-Nothing in this module unpacks the row values.
+:attr:`Row.parity` gives the bit patterns and the chips' distances, and
+:meth:`Row.chip_sum` the total (see :mod:`chipfire.core`).  Nothing in this
+module unpacks the row values.
 """
 
 from __future__ import annotations
@@ -161,14 +161,22 @@ class DistanceDistribution:
 
 
 def distance_distribution(s: StableConfig) -> DistanceDistribution:
-    """Group the chips of ``s`` by distance ``y - x``, counting row by row."""
+    """Group the chips of ``s`` by distance ``y - x``, counting row by row.
+
+    A configuration whose counts break an invariant of
+    :class:`DistanceDistribution` came from a corrupted table, so the
+    constructor's ``ValueError`` is raised again as :class:`ChipfireError`.
+    """
     counts: Counter[int] = Counter()
     for r in s.rows:
         counts.update(r.distances())
-    m = max(map(abs, counts))
-    return DistanceDistribution(
-        n=s.n, half_width=m, counts=tuple(counts[i] for i in range(-m, m + 1))
-    )
+    m = max(map(abs, counts), default=0)
+    try:
+        return DistanceDistribution(
+            n=s.n, half_width=m, counts=tuple(counts[i] for i in range(-m, m + 1))
+        )
+    except ValueError as exc:
+        raise ChipfireError(str(exc)) from exc
 
 
 def second_raw_moment(d: DistanceDistribution) -> int:
@@ -192,9 +200,8 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     via_sum = mu2 = 0
     for r in rows:
         parity = r.parity
-        # The row's lane holds its total, so its lanes add up exactly
-        # modulo 2**lane - 1; the odd entries keep one chip each.
-        via_sum += (r.packed % ((1 << r.lane) - 1) - parity.count(1)) >> 1
+        # The odd entries keep one chip each.
+        via_sum += (r.chip_sum() - parity.count(1)) >> 1
         # Distances y - x of the odd entries: the chips that stay.
         first = 2 * r.y_min - r.index
         kept = list(compress(range(first, first + 2 * len(parity), 2), parity))

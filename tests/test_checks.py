@@ -291,6 +291,35 @@ class TestCorruptedKernel:
             assert f"n={self.N} {name}: FAIL" in out
         assert out.splitlines()[-1].startswith("summary: ")
 
+    def test_distance_is_an_invariant_failure(self, monkeypatch, capsys):
+        # The asymmetric row leaves an asymmetric distance distribution.
+        self._corrupt(monkeypatch, "asymmetric")
+        rc = main(["distance", "--n", str(self.N)])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("chipfire: ")
+
+    def test_minimal_descent_reports_the_break(self, monkeypatch, capsys):
+        # Zeroing the third lane of every wide child leaves a gap that
+        # next_row refuses; the check reports where instead of raising.
+        real = core._step
+
+        def step(packed, lane, mask):
+            child, lo, width = real(packed, lane, mask)
+            if width >= 5:
+                child &= ~(((1 << lane) - 1) << (2 * lane))
+            return child, lo, width
+
+        monkeypatch.setattr(core, "_step", step)
+        rc = main(["verify", "--n", "4", "--trials", "0", "--properties", "minimal-row-descent"])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err == ""
+        assert "minimal-row-descent: FAIL (descent breaks at j=5" in out
+        assert out.splitlines()[-1] == "summary: 1 checks, 1 failures"
+
 
 class TestSinglePass:
     def test_one_stream_per_run(self, monkeypatch):

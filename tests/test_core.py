@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,7 +8,6 @@ import golden
 from chipfire import (
     MAX_EXPONENT,
     ChipOverflowError,
-    ConfigStream,
     Row,
     RowCapExceededError,
     entry,
@@ -220,30 +222,24 @@ class TestConfigStream:
 
     def test_stream_bookkeeping(self):
         stream = intermediate_configuration(2)
-        assert stream.n == 2
-        assert stream.rows_emitted == 0
         first = next(stream)
         assert first.values == (4,)
-        assert stream.current_row == first
-        assert stream.rows_emitted == 1
         rest = list(stream)
-        assert stream.rows_emitted == 4
         assert rest[-1].values == (1, 1)
 
-    def test_row_cap_hit(self):
-        stream = intermediate_configuration(4, row_cap=5)
-        for _ in range(5):
-            next(stream)
+    def test_row_bound_guard(self, monkeypatch):
+        # Rows 0..3 stream; row 4 is past the patched bound.
+        monkeypatch.setattr(core, "row_bound", lambda n: 3)
         with pytest.raises(RowCapExceededError):
-            next(stream)
+            list(intermediate_configuration(4))
 
-    def test_row_cap_exact(self):
-        rows = list(intermediate_configuration(4, row_cap=10))
-        assert len(rows) == 10
-
-    def test_row_cap_validation(self):
-        with pytest.raises(ValueError):
-            intermediate_configuration(4, row_cap=0)
+    @pytest.mark.parametrize(
+        "n,error", [(-1, ValueError), (MAX_EXPONENT + 1, ChipOverflowError)]
+    )
+    def test_exponent_checked_at_call(self, n, error):
+        # Raised by the call itself, before any row is requested.
+        with pytest.raises(error):
+            intermediate_configuration(n)
 
     @pytest.mark.parametrize("n", range(0, 11))
     def test_termination_within_bound(self, n, table):
@@ -260,6 +256,7 @@ class TestPackedView:
             assert r == built
             assert r.width == built.width
             assert r.parity == built.parity == bytes(v & 1 for v in built.values)
+            assert r.chip_sum() == built.chip_sum() == sum(built.values)
 
     def test_values_unpack_once(self, monkeypatch):
         calls = []
@@ -282,6 +279,7 @@ class TestPackedView:
             structure.segment(n),
             stable.stable_configuration(n),
             stable.firing_routes(intermediate_configuration(n)),
+            [r.chip_sum() for r in intermediate_configuration(n)],
         )
 
         def refuse(packed, width, lane):
@@ -293,7 +291,21 @@ class TestPackedView:
             structure.segment(n),
             stable.stable_configuration(n),
             stable.firing_routes(intermediate_configuration(n)),
+            [r.chip_sum() for r in intermediate_configuration(n)],
         ) == expected
+
+    def test_only_core_reads_the_lanes(self):
+        # Other modules read width, parity, chip_sum() or values, so the lane
+        # format can change inside core alone.
+        package = Path(core.__file__).parent
+        readers = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "core.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in ("packed", "lane")
+        ]
+        assert readers == []
 
 
 class TestEntry:

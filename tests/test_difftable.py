@@ -91,11 +91,6 @@ class TestDiffRow:
             accepted = True
         assert accepted == expected
 
-    def test_value_at_matches_the_span(self):
-        d = DiffRow(index=7, y_min=2, values=(3, -1, 1, -3))
-        assert [d.value_at(y) for y in range(8)] == [0, 0, 3, -1, 1, -3, 0, 0]
-        assert DiffRow(index=3, y_min=0, values=()).value_at(1) == 0
-
     def test_left_half(self):
         assert antisym([4, 4], index=3).left_half() == (4, 4)
         assert DiffRow(index=2, y_min=0, values=(8, 0, -8)).left_half() == (8, 0)

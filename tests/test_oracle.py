@@ -1,7 +1,7 @@
 import pytest
 
 from chipfire import STRATEGIES, arrivals, confluence_check, entry, simulate
-from chipfire.oracle import MoveCapExceededError, OracleState
+from chipfire.oracle import ORACLE_EXPONENT_LIMIT, MoveCapExceededError, OracleState
 
 
 def parity_grid(rows):
@@ -53,7 +53,7 @@ class TestSimulate:
     def test_exponent_limit(self):
         with pytest.raises(ValueError):
             simulate(11, "random", seed=0)
-        simulate(11, "row-by-row", limit=11)  # explicit opt-in
+        simulate(ORACLE_EXPONENT_LIMIT, "row-by-row")  # the limit itself runs
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
