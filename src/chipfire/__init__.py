@@ -24,7 +24,6 @@ from .core import (
 from .stable import (
     DistanceDistribution,
     ParityError,
-    StableConfig,
     StableRow,
     distance_distribution,
     firing_routes,
@@ -87,7 +86,6 @@ __all__ = [
     "entry",
     "row_bound",
     "StableRow",
-    "StableConfig",
     "DistanceDistribution",
     "stable_row",
     "stable_configuration",

@@ -36,7 +36,7 @@ from operator import add, and_, gt, le, lt, ne, sub
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 from . import difftable, oracle, stable, structure
-from .core import Row, intermediate_configuration, next_row, row_bound
+from .core import ChipfireError, Row, intermediate_configuration, next_row, row_bound
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def _pascal_top_rows(n: int) -> _Fold:
 def _first_stable_row(n: int) -> _Fold:
     first = None
     while (step := (yield)) is not None:
-        if step.stable.bits:
+        if step.stable.chip_count:
             first = step.row.index
             break
     return first == n, f"first odd entry in row {first}, expected {n}"
@@ -307,13 +307,11 @@ def _distance_distribution(n: int) -> _Fold:
     counts: Counter[int] = Counter()
     while (step := (yield)) is not None:
         counts.update(step.stable.distances())
-    chips = sum(counts.values())
-    if chips != 1 << n:
-        return False, f"{chips} chips, expected {1 << n}"
-    if n >= 1 and counts[0]:
-        return False, "chip left on the diagonal"
-    symmetric = all(counts[i] == counts[-i] for i in counts)
-    return symmetric, f"half width {max(map(abs, counts))}"
+    try:
+        d = stable.distribution_from_counts(n, counts)
+    except ChipfireError as exc:
+        return False, str(exc)
+    return True, f"half width {d.half_width}"
 
 
 def _firing_count_identity(n: int) -> _Fold:
@@ -333,7 +331,7 @@ def _last_stable_row(n: int) -> _Fold:
     last = marked = None
     while (step := (yield)) is not None:
         last = step.row
-        if step.stable.bits:
+        if step.stable.chip_count:
             marked = step.stable
     if marked is None:
         return False, "configuration has no chips"

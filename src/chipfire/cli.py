@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import checks, difftable, render, sequences, stable, structure
@@ -154,24 +154,25 @@ def _emit_result(
 
 
 def _cmd_stable(args) -> int:
-    config = stable.stable_configuration(args.n)
-    return _emit_result(
-        args,
-        "index,y_min,bits",
-        lambda: (f"{r.index},{r.y_min},{r.pattern()}" for r in config.rows),
-        lambda: {
-            "n": config.n,
-            "chip_count": config.chip_count,
-            "rows": [
-                {"index": r.index, "y_min": r.y_min, "bits": r.pattern()}
-                for r in config.rows
-            ],
-        },
-    )
+    rows = stable.stable_configuration(args.n)
+    # CSV streams row by row, like table; JSON puts chip_count before the
+    # rows, so it lists them first.
+    if args.format == "csv":
+        lines = (f"{r.index},{r.y_min},{r.pattern()}\n" for r in rows)
+        _emit(chain(["index,y_min,bits\n"] if args.header else [], lines), args.out)
+    else:
+        listed = list(rows)
+        payload = {
+            "n": args.n,
+            "chip_count": sum(r.chip_count for r in listed),
+            "rows": [{"index": r.index, "y_min": r.y_min, "bits": r.pattern()} for r in listed],
+        }
+        _emit([_json(payload)], args.out)
+    return EXIT_OK
 
 
 def _cmd_distance(args) -> int:
-    d = stable.distance_distribution(stable.stable_configuration(args.n))
+    d = stable.distance_distribution(args.n)
     return _emit_result(
         args,
         "offset,count",
@@ -185,7 +186,7 @@ def _cmd_firings(args) -> int:
     if mu2 != 2 * via_sum:
         raise ChipfireError(
             f"firing-count routes disagree for n={args.n}: "
-            f"sum route {via_sum}, half moment {mu2 / 2}"
+            f"sum route {via_sum}, second moment {mu2} (expected {2 * via_sum})"
         )
     return _emit_result(
         args,

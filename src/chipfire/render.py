@@ -79,19 +79,16 @@ class _TableGeometry:
 
 
 def _render_stable_dots(spec: RenderSpec) -> str:
-    config = stable.stable_configuration(spec.n)
-    last_index = config.rows[-1].index
-    u_max = max(
-        (r.index - 2 * r.y_min for r in config.rows if r.width),
-        default=0,
-    )
+    rows = list(stable.stable_configuration(spec.n))
+    last_index = rows[-1].index
+    u_max = max((r.index - 2 * r.y_min for r in rows if r.width), default=0)
     geo = _TableGeometry(spec, last_index, u_max)
     elements = []
-    for row in config.rows:
+    for row in rows:
         for x, y in row.unmarked_points():
             px, py = geo.point(row.index, y - x)
             elements.append(_circle(px, py, spec.dot_radius, _HOLLOW))
-    for row in config.rows:
+    for row in rows:
         for x, y in row.marked_points():
             px, py = geo.point(row.index, y - x)
             elements.append(_circle(px, py, spec.dot_radius, _FILLED))
@@ -99,7 +96,7 @@ def _render_stable_dots(spec: RenderSpec) -> str:
 
 
 def _render_distance_polyline(spec: RenderSpec) -> str:
-    d = stable.distance_distribution(stable.stable_configuration(spec.n))
+    d = stable.distance_distribution(spec.n)
     pad = 16.0
     m = d.half_width
     sx = (spec.width - 2 * pad) / max(2 * m, 1)

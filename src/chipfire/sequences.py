@@ -23,7 +23,7 @@ class SequenceTable:
     offset: int
     known: tuple[int, ...]
     value_at: Callable[[int], int]
-    max_index: int | None = None  # None: no table behind the terms, no cap
+    max_index: int  # last index generate computes
 
 
 def _nonzero_rows(n: int) -> int:
@@ -71,6 +71,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             offset=1,
             known=(2, 4, 8, 12, 18, 24, 32, 40, 50),
             value_at=structure.minimal_row_sum,
+            max_index=10**6,
         ),
     )
 }
@@ -79,8 +80,8 @@ SEQUENCES: dict[str, SequenceTable] = {
 def generate(seq_id: str, upto: int) -> list[int]:
     """Recompute sequence values for indices ``offset .. upto`` inclusive.
 
-    An ``upto`` past the table's ``max_index`` is refused before any term
-    is computed.
+    An ``upto`` past the sequence's ``max_index`` is refused before any
+    term is computed.
     """
     try:
         table = SEQUENCES[seq_id]
@@ -90,11 +91,8 @@ def generate(seq_id: str, upto: int) -> list[int]:
         ) from None
     if upto < table.offset:
         raise ValueError(f"{seq_id} starts at index {table.offset}, got upto={upto}")
-    if table.max_index is not None and upto > table.max_index:
-        raise ValueError(
-            f"{seq_id} term n is read off the 2**n table and n stops at "
-            f"{table.max_index}, got upto={upto}"
-        )
+    if upto > table.max_index:
+        raise ValueError(f"{seq_id} is computed up to index {table.max_index}, got upto={upto}")
     return [table.value_at(i) for i in range(table.offset, upto + 1)]
 
 

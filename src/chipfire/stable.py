@@ -1,18 +1,22 @@
 """Stable configuration, distance distribution, and total firing counts.
 
 Once firing stops, a point holds one chip exactly when its arrival count is
-odd (it fired away ``2 * (F // 2)`` chips).  The stable configuration is
-therefore the parity of the arrival table, stored here as one bit pattern
-per row.  Grouping the surviving chips by the distance coordinate
-``y - x`` gives the distance distribution, whose second raw moment counts
-every firing twice: a firing replaces two chips at distance d with one at
-d - 1 and one at d + 1, adding exactly 2 to the moment.
+odd (it fired away ``2 * (F // 2)`` chips).  By the paper's main theorem the
+stable configuration is therefore the parity of the arrival table, and
+:attr:`Row.parity` already holds it: one 0/1 byte per entry.  A
+:class:`StableRow` keeps those bytes and derives everything else from them,
+and :func:`stable_configuration` streams one per arrival row.
 
-By the paper's main theorem everything here depends only on the parity and
-the total of each arrival row, and the kernel's packed row holds both:
-:attr:`Row.parity` gives the bit patterns and the chips' distances, and
-:meth:`Row.chip_sum` the total (see :mod:`chipfire.core`).  Nothing in this
-module unpacks the row values.
+Grouping the surviving chips by the distance coordinate ``y - x`` gives the
+distance distribution, whose second raw moment counts every firing twice: a
+firing replaces two chips at distance d with one at d - 1 and one at d + 1,
+adding exactly 2 to the moment.  :func:`distribution_from_counts` is the one
+function that makes a :class:`DistanceDistribution` from distance counts,
+so its invariants are checked in one place for the library and for the
+``distance-distribution`` check alike.
+
+Everything here depends only on each row's parity and total
+(:meth:`Row.chip_sum`), so nothing in this module unpacks the row values.
 """
 
 from __future__ import annotations
@@ -20,10 +24,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
+from operator import mul, not_
 from typing import Iterable, Iterator
 
-from .core import ChipfireError, Row, intermediate_configuration
+from .core import ChipfireError, Row, _trusted, intermediate_configuration
 
 
 # bytes.translate table writing a 0/1 byte as the digit "0" or "1".
@@ -36,39 +40,45 @@ class ParityError(ChipfireError):
 
 @dataclass(frozen=True)
 class StableRow:
-    """Bit pattern of the chips one row keeps after stabilization.
+    """The chips one row keeps after stabilization.
 
-    Bit ``k`` corresponds to ``y = y_min + k`` and is set when the arrival
-    count there is odd.  ``width`` is the nonzero span of the source row, so
-    the pattern can be rendered alongside the even (unmarked) positions.
+    Byte ``k`` of ``parity`` sits at ``y = y_min + k``, ``x = index - y``
+    and is 1 where the arrival count is odd (a chip stays) and 0 where it
+    is even.  The bytes span the nonzero entries of the source row, so the
+    even (unmarked) positions can be rendered too.
     """
 
     index: int
     y_min: int
-    width: int
-    bits: int
+    parity: bytes
 
     def __post_init__(self) -> None:
-        if self.width < 0 or self.bits < 0:
-            raise ValueError("width and bits must be nonnegative")
-        if self.bits >> self.width:
-            raise ValueError("bit pattern wider than the row span")
+        if self.parity.translate(None, b"\0\1"):
+            raise ValueError("parity bytes must be 0 or 1")
+
+    @property
+    def width(self) -> int:
+        return len(self.parity)
 
     @property
     def chip_count(self) -> int:
-        return self.bits.bit_count()
+        return self.parity.count(1)
 
     def pattern(self) -> str:
-        """The bits as a 0/1 string, leftmost position first."""
-        # format pads to the width but writes "0" for a width of 0.
-        return format(self.bits, f"0{self.width}b")[::-1] if self.width else ""
+        """The parity as a 0/1 string, leftmost position first."""
+        return self.parity.translate(_DIGITS).decode()
+
+    def _points(self) -> Iterator[tuple[int, int]]:
+        ys = range(self.y_min, self.y_min + self.width)
+        return zip(range(self.index - self.y_min, self.index - ys.stop, -1), ys)
 
     def marked_points(self) -> Iterator[tuple[int, int]]:
-        """Yield ``(x, y)`` of each chip in this row, increasing y."""
-        for k in range(self.width):
-            if self.bits >> k & 1:
-                y = self.y_min + k
-                yield self.index - y, y
+        """``(x, y)`` of each chip in this row, increasing y."""
+        return compress(self._points(), self.parity)
+
+    def unmarked_points(self) -> Iterator[tuple[int, int]]:
+        """Points of the span whose arrival count was even."""
+        return compress(self._points(), map(not_, self.parity))
 
     def distances(self) -> Iterator[int]:
         """Distance ``y - x`` of each chip, increasing.
@@ -77,50 +87,21 @@ class StableRow:
         two chips at one distance.
         """
         first = 2 * self.y_min - self.index
-        marks = map("1".__eq__, bin(self.bits)[:1:-1])  # bit k is character k
-        return compress(range(first, first + 2 * self.width, 2), marks)
-
-    def unmarked_points(self) -> Iterator[tuple[int, int]]:
-        """Points of the span whose arrival count was even."""
-        for k in range(self.width):
-            if not self.bits >> k & 1:
-                y = self.y_min + k
-                yield self.index - y, y
+        return compress(range(first, first + 2 * self.width, 2), self.parity)
 
 
 def stable_row(r: Row) -> StableRow:
-    """Parity pattern of one table row: bit k set iff ``values[k]`` is odd."""
-    parity = r.parity
-    # Bit k of the pattern is byte k of the parity: write the bytes as
-    # binary digits, last entry first.
-    bits = int(parity.translate(_DIGITS)[::-1], 2) if parity else 0
-    return StableRow(index=r.index, y_min=r.y_min, width=len(parity), bits=bits)
+    """The chips row ``r`` keeps: its parity bytes, not checked again."""
+    return _trusted(StableRow, index=r.index, y_min=r.y_min, parity=r.parity)
 
 
-@dataclass(frozen=True)
-class StableConfig:
-    """Per-row bit patterns of the full stable configuration for ``2**n`` chips."""
-
-    n: int
-    rows: tuple[StableRow, ...]
-
-    @property
-    def chip_count(self) -> int:
-        return sum(r.chip_count for r in self.rows)
-
-    def marked_points(self) -> Iterator[tuple[int, int]]:
-        for r in self.rows:
-            yield from r.marked_points()
-
-
-def stable_configuration(n: int) -> StableConfig:
-    """Stable configuration reached from ``2**n`` chips at the origin.
+def stable_configuration(n: int) -> Iterator[StableRow]:
+    """Stream the stable configuration reached from ``2**n`` chips, row by row.
 
     Rows with no odd arrival count (all rows below n, in particular) carry
-    empty patterns.
+    all-zero parity.
     """
-    rows = tuple(stable_row(r) for r in intermediate_configuration(n))
-    return StableConfig(n=n, rows=rows)
+    return map(stable_row, intermediate_configuration(n))
 
 
 @dataclass(frozen=True)
@@ -144,12 +125,12 @@ class DistanceDistribution:
             raise ValueError("counts must cover -half_width..half_width densely")
         if any(v < 0 for v in c):
             raise ValueError("counts must be nonnegative")
+        if sum(c) != 1 << self.n:
+            raise ValueError(f"{sum(c)} chips, expected 2**{self.n}")
+        if self.n >= 1 and c[self.half_width] != 0:
+            raise ValueError("chip left on the diagonal")
         if c != c[::-1]:
             raise ValueError("distance distribution must be symmetric")
-        if sum(c) != 1 << self.n:
-            raise ValueError(f"distribution must sum to 2**{self.n}")
-        if self.n >= 1 and c[self.half_width] != 0:
-            raise ValueError("center count must be zero for n >= 1")
 
     def offsets(self) -> range:
         return range(-self.half_width, self.half_width + 1)
@@ -160,23 +141,29 @@ class DistanceDistribution:
         return self.counts[i + self.half_width]
 
 
-def distance_distribution(s: StableConfig) -> DistanceDistribution:
-    """Group the chips of ``s`` by distance ``y - x``, counting row by row.
+def distribution_from_counts(n: int, counts: Counter[int]) -> DistanceDistribution:
+    """The distribution of ``2**n`` chips, ``counts[i]`` of them at distance i.
 
-    A configuration whose counts break an invariant of
-    :class:`DistanceDistribution` came from a corrupted table, so the
-    constructor's ``ValueError`` is raised again as :class:`ChipfireError`.
+    Counts that break an invariant of :class:`DistanceDistribution` came
+    from a corrupted table, so the constructor's ``ValueError`` is raised
+    again as :class:`ChipfireError`.
     """
-    counts: Counter[int] = Counter()
-    for r in s.rows:
-        counts.update(r.distances())
     m = max(map(abs, counts), default=0)
     try:
         return DistanceDistribution(
-            n=s.n, half_width=m, counts=tuple(counts[i] for i in range(-m, m + 1))
+            n=n, half_width=m, counts=tuple(counts[i] for i in range(-m, m + 1))
         )
     except ValueError as exc:
         raise ChipfireError(str(exc)) from exc
+
+
+def distance_distribution(n: int) -> DistanceDistribution:
+    """Group the chips of the stable configuration for ``2**n`` chips by
+    distance ``y - x``, counting as the rows stream past."""
+    counts: Counter[int] = Counter()
+    for s in stable_configuration(n):
+        counts.update(s.distances())
+    return distribution_from_counts(n, counts)
 
 
 def second_raw_moment(d: DistanceDistribution) -> int:
@@ -193,18 +180,16 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     stay (the odd entries), counting every firing twice.  On a correct
     table the moment is exactly twice the sum.
 
-    The routes share only the packed row and its parity.  The sum route
+    The routes share only the packed row and its stable row.  The sum route
     reads every entry through the row total, the moment route only where
     the odd entries sit, so each can catch an error the other cannot see.
     """
     via_sum = mu2 = 0
     for r in rows:
-        parity = r.parity
+        s = stable_row(r)
         # The odd entries keep one chip each.
-        via_sum += (r.chip_sum() - parity.count(1)) >> 1
-        # Distances y - x of the odd entries: the chips that stay.
-        first = 2 * r.y_min - r.index
-        kept = list(compress(range(first, first + 2 * len(parity), 2), parity))
+        via_sum += (r.chip_sum() - s.chip_count) >> 1
+        kept = list(s.distances())
         mu2 += sum(map(mul, kept, kept))
     return via_sum, mu2
 

@@ -106,3 +106,13 @@ ROW_PROFILES_SVG_SHA256 = {
     11: "ecd8d561a54b6c6e44a8b58c5f9b94402d418c49deb8dd524a9a9f404aec39f6",
     14: "34905748769a59137fd4113a96f84b125c79bcdf041b0c7655024c3903f39660",
 }
+
+# sha256 of the stdout of these commands (of the SVG file for `render`),
+# frozen from the code that listed the whole stable configuration before
+# writing it.
+STABLE_OUTPUT_SHA256 = {
+    "stable --n 12 --header": "7ff11d4fa271783f95b3630abf2ec1f5218baca937c1509beafc3d187cf18d90",
+    "stable --n 12 --format json": "d7678469f57b87dd7fcc3507bc2ad8f8db262b157470f34fc3c10db1d330dfc4",
+    "distance --n 15 --format json": "ce50e3773aae0da6fc43dfba2f96fc5497fda0a099ec9ae02d1d7cfd3176e9fe",
+    "render --kind stable-dots --n 9": "4bdef3532e8c4ad57f6c389f858db9ce948db9378d7fd699bfc1f16e212f4f14",
+}

@@ -18,7 +18,6 @@ from chipfire import (
     intermediate_configuration,
     longest_row,
     second_raw_moment,
-    stable_configuration,
     total_firings_via_moment,
     total_firings_via_sum,
 )
@@ -69,7 +68,7 @@ def test_c02_total_firings_sequence(capsys):
 
 def test_c03_moment_identity():
     def run():
-        assert second_raw_moment(distance_distribution(stable_configuration(4))) == 104
+        assert second_raw_moment(distance_distribution(4)) == 104
         for n in range(0, 13):
             assert total_firings_via_moment(n) == total_firings_via_sum(n)
 
@@ -79,12 +78,12 @@ def test_c03_moment_identity():
 
 def test_c04_distance_distributions():
     def run():
-        d4 = distance_distribution(stable_configuration(4))
+        d4 = distance_distribution(4)
         assert d4.counts == golden.D4
-        d15 = distance_distribution(stable_configuration(15))
+        d15 = distance_distribution(15)
         assert d15.counts == golden.D15 and d15.half_width == 45
         for n in range(0, 16):
-            d = distance_distribution(stable_configuration(n))
+            d = distance_distribution(n)
             assert sum(d.counts) == 1 << n
 
     _, elapsed = _timed(run)

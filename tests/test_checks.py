@@ -186,6 +186,8 @@ class TestRerouteMutations:
         result = self._run_on(monkeypatch, rows, "distance-distribution")
         assert result.name == "distance-distribution"
         assert not result.passed
+        # The detail is the message of stable.distribution_from_counts.
+        assert result.detail == "66 chips, expected 2**6"
 
     def test_last_stable_row(self, monkeypatch, table):
         rows = list(table(self.N))

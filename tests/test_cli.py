@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return rc, out.out, out.err
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def assert_frozen(capsys, command):
+    rc, out, _ = run(capsys, *command.split())
+    assert rc == 0
+    assert sha256(out) == golden.STABLE_OUTPUT_SHA256[command]
+
+
 class TestRowCsv:
     def test_golden_first_line(self, capsys):
         rc, out, _ = run(capsys, "table", "--n", "4")
@@ -79,10 +89,12 @@ class TestStableAndDistance:
         assert lines[0] == "0,0,0"
         assert lines[5] == "5,1,0110"
         assert lines[9] == "9,4,11"
+        assert_frozen(capsys, "stable --n 12 --header")
 
     def test_stable_json_chip_count(self, capsys):
         rc, out, _ = run(capsys, "stable", "--n", "9", "--format", "json")
         assert json.loads(out)["chip_count"] == 512
+        assert_frozen(capsys, "stable --n 12 --format json")
 
     def test_distance_csv(self, capsys):
         rc, out, _ = run(capsys, "distance", "--n", "4")
@@ -95,6 +107,22 @@ class TestStableAndDistance:
         payload = json.loads(out)
         assert payload["half_width"] == 45
         assert tuple(payload["counts"]) == golden.D15
+        assert sha256(out) == golden.STABLE_OUTPUT_SHA256["distance --n 15 --format json"]
+
+    def test_stable_and_distance_stream(self, tmp_path):
+        # Listing the n = 20 stable configuration peaked at 26.4 MiB and
+        # the distance distribution at 19.4 MiB, against 16.5 MiB for the
+        # streamed table.
+        peaks = {}
+        for command in ("table", "stable", "distance"):
+            report = peak_rss.run_python(
+                ["-m", "chipfire.cli", command, "--n", "20", "--out", str(tmp_path / command)],
+                timeout=120,
+            )
+            assert report["exit"] == 0, report["err"]
+            peaks[command] = report["peak_kib"] / 1024
+        assert peaks["stable"] - peaks["table"] < 2, peaks
+        assert peaks["distance"] - peaks["table"] < 2, peaks
 
 
 class TestFiringsDiffSegment:
@@ -107,12 +135,16 @@ class TestFiringsDiffSegment:
         assert json.loads(out) == {"n": 7, "total_firings": 1359}
 
     def test_firings_routes_disagree(self, capsys, monkeypatch):
-        monkeypatch.setattr(stable, "firing_routes", lambda rows: (52, 105))
-        rc, out, err = run(capsys, "firings", "--n", "4")
-        assert rc == 1
-        assert out == ""
-        assert err.startswith("chipfire: ")
-        assert err.count("\n") == 1
+        # A moment past 2**53 is printed exactly, not as a float.
+        for via_sum, mu2 in ((52, 105), (2**60, 2**61 + 3)):
+            monkeypatch.setattr(stable, "firing_routes", lambda rows: (via_sum, mu2))
+            rc, out, err = run(capsys, "firings", "--n", "4")
+            assert rc == 1
+            assert out == ""
+            assert err.startswith("chipfire: ")
+            assert err.count("\n") == 1
+            assert f"sum route {via_sum}," in err
+            assert f"second moment {mu2} " in err
 
     def test_diff_csv(self, capsys):
         rc, out, _ = run(capsys, "diff", "--n", "4")
@@ -195,7 +227,7 @@ class TestVerifyCommand:
     def test_scorecard_is_frozen(self, capsys):
         rc, out, _ = run(capsys, "verify", "--n", "0..10", "--trials", "3", "--seed", "0")
         assert rc == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == golden.VERIFY_SCORECARD_SHA256
+        assert sha256(out) == golden.VERIFY_SCORECARD_SHA256
 
     def test_memory_follows_the_widest_row(self):
         # Listing the n = 20 table for the checks took 274 MB; one streaming
@@ -227,6 +259,10 @@ class TestRenderCommand:
         assert rc == 0
         assert str(out_file) in out
         assert out_file.read_text().count('fill="#000000"') == 16
+        command = "render --kind stable-dots --n 9"
+        rc, _, _ = run(capsys, *command.split(), "--out", str(out_file))
+        assert rc == 0
+        assert sha256(out_file.read_text()) == golden.STABLE_OUTPUT_SHA256[command]
 
     def test_io_error_exit_code(self, capsys, tmp_path):
         rc, out, err = run(
@@ -268,6 +304,7 @@ class TestUsageErrors:
             ["sequences", "longest-row", "--upto", "127"],
             ["sequences", "nonzero-rows", "--upto", "200"],
             ["sequences", "half-nonzero-rows", "--upto", "127"],
+            ["sequences", "minimal-row-sums", "--upto", "1000000000000"],
         ],
     )
     def test_out_of_domain_values_exit_two(self, capsys, tmp_path, monkeypatch, argv):

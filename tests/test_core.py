@@ -277,7 +277,8 @@ class TestPackedView:
         expected = (
             structure.row_profile(n),
             structure.segment(n),
-            stable.stable_configuration(n),
+            list(stable.stable_configuration(n)),
+            stable.distance_distribution(n),
             stable.firing_routes(intermediate_configuration(n)),
             [r.chip_sum() for r in intermediate_configuration(n)],
         )
@@ -289,7 +290,8 @@ class TestPackedView:
         assert (
             structure.row_profile(n),
             structure.segment(n),
-            stable.stable_configuration(n),
+            list(stable.stable_configuration(n)),
+            stable.distance_distribution(n),
             stable.firing_routes(intermediate_configuration(n)),
             [r.chip_sum() for r in intermediate_configuration(n)],
         ) == expected

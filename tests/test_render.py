@@ -25,15 +25,14 @@ class TestStableDots:
 
     def test_hollow_dots_are_even_nonzero_positions(self):
         svg = render_svg(spec("stable-dots", 9))
-        config = stable_configuration(9)
-        nonzero = sum(r.width for r in config.rows)
+        nonzero = sum(r.width for r in stable_configuration(9))
         assert len(HOLLOW.findall(svg)) == nonzero - (1 << 9)
 
 
 class TestDistancePolyline:
     def test_point_count(self):
         svg = render_svg(spec("distance-polyline", 15))
-        d = distance_distribution(stable_configuration(15))
+        d = distance_distribution(15)
         assert len(FILLED.findall(svg)) == 2 * d.half_width + 1 == 91
         assert len(POLYLINE.findall(svg)) == 1
 
