@@ -317,7 +317,7 @@ def _distance_distribution(n: int) -> _Fold:
 def _firing_count_identity(n: int) -> _Fold:
     via_sum = mu2 = 0
     while (step := (yield)) is not None:
-        row_sum, row_mu2 = stable.firing_routes((step.row,))
+        row_sum, row_mu2 = stable.row_firings(step.row, step.stable)
         via_sum += row_sum
         mu2 += row_mu2
     if mu2 & 1:
@@ -475,7 +475,7 @@ def _oracle_checks(n: int, table: dict[tuple[int, int], int], trials: int, seed:
             + (f"; {report.mismatches[0]}" if report.mismatches else ""),
         )
     ]
-    state = oracle.simulate(n, "row-by-row")
+    state = report.row_by_row
     results.append(
         _result("oracle-arrivals", n, oracle.arrivals(state) == table,
                 "arrival grid matches the streamed table")

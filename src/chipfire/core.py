@@ -21,30 +21,47 @@ nonzero span; they are palindromic because the game is symmetric in x and y.
 The recurrence is the same shift-and-add for every entry, so the kernel steps
 a whole row at once.  A row is held as one Python int with fixed-width
 lanes: entry ``k`` (increasing y) occupies bits ``k*W .. k*W + W - 1``.
-The lane width ``W`` is the bit length of the largest entry plus one spare
-bit, rounded up to a multiple of 64; for ``2**n`` chips that is 64 bits
-when ``n <= 62`` and 128 bits up to ``MAX_EXPONENT``.  Entries never grow
-down the table (each is at most the sum of two halves of its parents), so
-the width chosen for the first row holds for every later one, and the top
-bit of every lane stays clear.  One step is
+The lane width ``W`` is the smallest power of two, at least 8, that holds
+the bits of the largest entry plus two spare bits: for ``2**n`` chips that
+is 8 bits for ``n <= 5``, 16 for ``n <= 13``, 32 for ``n <= 29``, 64 for
+``n <= 61``, 128 for ``n <= 125`` and 256 for ``MAX_EXPONENT``.  The first
+spare bit is the one the kernel's shift brings in from the lane above; the
+second leaves room for the biased differences below.  One step is
 
     halves = (packed >> 1) & low_mask      # v // 2 in every lane
     child  = halves + (halves << W)        # F(x-1, y) // 2 + F(x, y-1) // 2
 
-where ``low_mask`` clears the top bit of each lane, the bit that the shift
-brings in from the lane above.  Two halves sum to at most the largest
-parent entry, so no carry crosses a lane boundary.  The child is trimmed to
-its nonzero span by its lowest set bit and its ``bit_length``.
+where ``low_mask`` clears the top bit of each lane.  Two halves sum to at
+most the largest parent entry, so no carry crosses a lane boundary.  The
+child is trimmed to its nonzero span by its lowest set bit and its
+``bit_length``.
+
+Entries never grow down the table (each is at most the sum of two halves
+of its parents), so a lane chosen for row 0 holds every later row, and the
+maximum shrinks fast.  Every 64 rows the stream tests whether all entries
+fit the lane half as wide (``packed & ~keep == 0``, where ``keep`` holds
+the low ``W/2 - 2`` bits of every lane) and, if so, halves the lane by
+keeping the low half of every lane's bytes (``memoryview.cast`` to the
+half width, every second item).  At n = 18, 192 rows run in 32-bit lanes,
+5 504 in 16-bit lanes and the last 14 in 8-bit lanes.
 
 The packed int is the one source of every row.  A streamed :class:`Row`
 keeps it as ``packed`` with its ``lane`` and ``width``, and quantities that
 depend only on parity, width or the row total are read straight off it:
 ``Row.parity`` is the low byte of every lane reduced to 0/1 at C speed,
-and since a row's total never exceeds ``2**n`` it fits in one lane, so
-``Row.chip_sum()`` adds the lanes up exactly modulo ``2**lane - 1``.
-``Row.values`` is unpacked only on its first read, with ``int.to_bytes``:
-64-bit lanes in one pass through ``memoryview.cast("Q")``, wider lanes by
-slicing the bytes.  The lane format stays inside this module: other
+and ``Row.chip_sum()`` is the exact sum of the lanes, read through
+``memoryview.cast("B"/"H"/"I"/"Q")`` (a lane holds the largest entry, not
+the row total, so no digit-sum shortcut applies).  ``Row.values`` is
+unpacked through the same cast on its first read, and lanes wider than 64
+bits by slicing the bytes.
+
+The difference rows of :mod:`chipfire.difftable` share the format.  The
+first differences of a row are one whole-row expression,
+``packed + bias - (packed << W)`` with ``2**(W-2)`` added to every lane, and
+the second differences of a prefix, biased by ``2**(W-1)``, show their sign
+in the lanes' top bits.  :func:`_lane_shape` reads the unimodality and the
+largest entry of a difference row from those bits; ``difftable`` calls it
+and reads no lane itself.  The lane format stays inside this module: other
 modules read ``width``, ``parity``, ``chip_sum()`` or ``values``.
 
 :func:`intermediate_configuration` checks ``n`` when called and returns a
@@ -56,9 +73,10 @@ the index ever passes :func:`row_bound`, which no correct run can.
 
 Validation lives in the public constructor.  ``Row(index, y_min, values)``
 checks positivity, palindromes and the quadrant, and packs its values on
-demand (with a lane wide enough for the row total) so that every row reads
-parity the same way.  Rows from the kernel are trusted and built without
-those checks: a corrupted stream then reaches the invariant checks of
+demand (with the lane of its row total, which is the kernel's lane on the
+rows of the top triangle) so that every row reads parity the same way.
+Rows from the kernel are trusted and built without those checks: a
+corrupted stream then reaches the invariant checks of
 :mod:`chipfire.checks`, which report it, instead of failing inside a
 constructor.
 """
@@ -71,12 +89,19 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 #: Exponent cap for the initial chip count.  Every table entry is at most
-#: 2**n, which needs n + 1 bits; a kernel lane holds that plus one spare bit,
-#: so n + 2 <= 128 keeps every lane within two 64-bit words.
+#: 2**n, which needs n + 1 bits; a kernel lane holds that plus two spare
+#: bits, so the widest lane of any table is 256 bits.
 MAX_EXPONENT = 126
 
-# memoryview.cast("Q") reads native byte order; the lanes are little-endian.
-_NATIVE_QWORDS = sys.byteorder == "little"
+# memoryview.cast reads native byte order; the lanes are little-endian.
+_NATIVE_LITTLE = sys.byteorder == "little"
+
+# memoryview.cast formats by lane size in bytes.
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+# Per lane width: (lanes, an int holding 1 in each of that many lanes),
+# grown by doubling; every narrower run of ones is a shift of it.
+_ONES: dict[int, tuple[int, int]] = {}
 
 # bytes.translate table taking a byte to its lowest bit.
 _LOW_BIT = b"\0\1" * 128
@@ -116,11 +141,14 @@ class Row:
     palindromic, and the span must fit in the quadrant.
 
     Every row also has a packed view: ``packed`` holds entry k in bits
-    ``k*lane .. k*lane + lane - 1``, ``lane`` is a multiple of 64 wide
-    enough for the row total plus the kernel's spare bit, and ``width`` is
-    the number of entries.  Rows streamed by the kernel hold the packed view
-    and unpack ``values`` on first read; rows built through this constructor
-    are validated and pack their values on each read of the view.
+    ``k*lane .. k*lane + lane - 1`` and ``width`` is the number of entries.
+    ``lane`` is a power of two of at least 8 bits, with every entry below
+    ``2**(lane - 2)``: a streamed row has the lane of its stream at that row
+    (chosen for ``2**n`` and halved as the entries shrink), a row built
+    through this constructor the lane of its row total.  Rows streamed by
+    the kernel hold the packed view and unpack ``values`` on first read;
+    rows built through this constructor are validated and pack their values
+    on each read of the view.
     """
 
     index: int
@@ -195,9 +223,7 @@ class Row:
 
     def chip_sum(self) -> int:
         """The row total, read off the packed view without unpacking."""
-        # The lane holds the row total, so the lanes add up exactly modulo
-        # 2**lane - 1 (every lane is one digit in that base).
-        return self.packed % ((1 << self.lane) - 1)
+        return sum(_lanes(self.packed, self.width, self.lane))
 
 
 def _trusted(cls, **fields):
@@ -215,13 +241,29 @@ def initial_row(n: int) -> Row:
 
 
 def _lane_bits(top: int) -> int:
-    """Lane width for entries up to ``top``: its bits plus one, in 64-bit steps."""
-    return 64 * ((top.bit_length() + 64) // 64)
+    """Lane width for entries up to ``top``: the smallest power of two, at
+    least 8, holding its bits plus two spare bits."""
+    return max(8, 1 << (top.bit_length() + 1).bit_length())
+
+
+def _repeat(value: int, lane: int, lanes: int) -> int:
+    """``lanes`` lanes that each hold ``value``."""
+    return int.from_bytes(value.to_bytes(lane // 8, "little") * lanes, "little")
+
+
+def _ones(lane: int, lanes: int) -> int:
+    """``lanes`` lanes that each hold 1."""
+    cap, ones = _ONES.get(lane, (0, 0))
+    if lanes > cap:
+        cap = 2 * lanes
+        ones = _repeat(1, lane, cap)
+        _ONES[lane] = cap, ones
+    return ones >> (cap - lanes) * lane
 
 
 def _low_mask(lane: int, lanes: int) -> int:
     """Every bit of ``lanes`` lanes except the top bit of each lane."""
-    return int.from_bytes((b"\xff" * (lane // 8 - 1) + b"\x7f") * lanes, "little")
+    return _repeat((1 << lane - 1) - 1, lane, lanes)
 
 
 def _pack(values: Sequence[int], lane: int) -> int:
@@ -229,14 +271,38 @@ def _pack(values: Sequence[int], lane: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
 
 
-def _unpack(packed: int, width: int, lane: int) -> tuple[int, ...]:
+def _lanes(packed: int, width: int, lane: int) -> list[int]:
+    """The ``width`` lanes of ``packed`` as ints, lowest first."""
     size = lane // 8
     raw = packed.to_bytes(width * size, "little")
-    if size == 8 and _NATIVE_QWORDS:
-        return tuple(memoryview(raw).cast("Q").tolist())
-    return tuple(
-        int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)
-    )
+    if size <= 8 and _NATIVE_LITTLE:
+        return memoryview(raw).cast(_FORMATS[size]).tolist()
+    return [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
+
+
+def _unpack(packed: int, width: int, lane: int) -> tuple[int, ...]:
+    return tuple(_lanes(packed, width, lane))
+
+
+def _narrowed(packed: int, width: int, lane: int) -> tuple[int, int]:
+    """``(packed, lane)`` with the lane halved as often as the entries allow.
+
+    An entry fits the half lane when it is below ``2**(lane/2 - 2)``; the
+    low half of each lane is then the first half of its bytes.
+    """
+    while lane > 8:
+        half = lane // 2
+        keep = (1 << half - 2) - 1
+        if packed & ~_repeat(keep, lane, width):
+            break
+        raw = packed.to_bytes(width * lane // 8, "little")
+        size = half // 8
+        if size in _FORMATS:
+            kept = memoryview(raw).cast(_FORMATS[size])[::2]
+        else:
+            kept = b"".join(raw[k : k + size] for k in range(0, len(raw), 2 * size))
+        packed, lane = int.from_bytes(kept, "little"), half
+    return packed, lane
 
 
 def _step(packed: int, lane: int, mask: int) -> tuple[int, int, int]:
@@ -278,6 +344,71 @@ def next_row(r: Row) -> Row:
     )
 
 
+def _diff_lanes(source: Row) -> tuple[int, int]:
+    """``(packed, lane)`` of the first differences of ``source``.
+
+    Lane k holds ``v[k] - v[k-1] + 2**(lane-2)`` for the ``source.width + 1``
+    entries of the difference row (``v`` is zero outside the row).  Every
+    entry lies strictly between ``-2**(lane-2)`` and ``2**(lane-2)``, so
+    every biased lane is positive and below ``2**(lane-1)``: no borrow
+    crosses a lane.
+    """
+    lane, packed = source.lane, source.packed
+    return packed + (_ones(lane, source.width + 1) << lane - 2) - (packed << lane), lane
+
+
+def _pack_diffs(values: Sequence[int]) -> tuple[int, int]:
+    """``(packed, lane)`` of difference entries, biased as by :func:`_diff_lanes`."""
+    lane = _lane_bits(max(map(abs, values), default=0))
+    bias = 1 << lane - 2
+    return _pack([v + bias for v in values], lane), lane
+
+
+def _lane_shape(d, half: int) -> tuple[bool, int | None]:
+    """The shape of difference row ``d`` read off its lanes: whether its
+    first ``half`` entries are unimodal, and its largest absolute entry, or
+    None where the lanes cannot prove it.
+
+    Lane j of the second differences of those entries holds
+    ``s_j + 2**(lane-1)`` with ``s_j = e_j - e_{j-1}`` and ``e_{-1} = 0``
+    (the implicit margin).  Its top bit is clear exactly when ``s_j < 0``
+    (a strict fall), and ``s_j - 1`` keeps it set exactly when ``s_j > 0``
+    (a strict rise).  The entries are unimodal when every rise sits below
+    the lowest fall.
+
+    The candidate for the largest entry ``c`` is their peak: the entry just
+    before the first fall (the margin 0 if that is the first entry), or the
+    last of them if none falls.  Two whole-row comparisons then show that
+    every entry ``e`` lies in ``[-c, c]``: lane k of
+    ``(c + 3*2**(lane-2)) * ones - packed`` holds ``c - e + 2**(lane-1)``
+    and lane k of ``packed + (c + 2**(lane-2)) * ones`` holds
+    ``e + c + 2**(lane-1)``, both positive and below ``2**lane``, with the
+    top bit set exactly when the bound holds.
+    """
+    lane, packed = d.lane, d.packed
+    bias = 1 << lane - 2
+    low = packed & (1 << half * lane) - 1
+    ones = _ones(lane, half)
+    top = ones << lane - 1
+    # Lane ``half`` of ``low << lane`` borrows from the lanes above the
+    # half, which leaves the low ``half`` lanes intact.
+    second = low + top - bias - (low << lane)
+    falls = top & ~second
+    first_fall = falls & -falls
+    unimodal = not falls or (second - ones) & top < first_fall
+    peak = first_fall.bit_length() // lane - 2 if falls else half - 1
+    c = (packed >> peak * lane & (1 << lane) - 1) - bias if peak >= 0 else 0
+    if c < 0:
+        return unimodal, None
+    ones = _ones(lane, d.width)
+    top = ones << lane - 1
+    if ((c + 3 * bias) * ones - packed) & top != top:
+        return unimodal, None
+    if (packed + (c + bias) * ones) & top != top:
+        return unimodal, None
+    return unimodal, c
+
+
 def row_bound(n: int) -> int:
     """Upper bound on the index of the last nonzero row.
 
@@ -311,6 +442,10 @@ def _rows(n: int, bound: int) -> Iterator[Row]:
                 f"row {index} exceeds the termination bound {bound} "
                 f"for n={n}; this indicates a bug"
             )
+        if not index & 63:
+            packed, narrow = _narrowed(packed, width, lane)
+            if narrow != lane:
+                lane, mask_lanes = narrow, 0
         yield _trusted(Row, index=index, y_min=y_min, packed=packed, lane=lane, width=width)
         if width > mask_lanes:
             # Rows widen by at most one lane per step; doubling keeps rebuilds rare.

@@ -11,16 +11,35 @@ entry.  Palindromic arrival rows make every difference row antisymmetric,
 so the left half (positions with ``y <= x``) carries all the information;
 in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
+
+A difference row has a packed view like an arrival row: its entries,
+biased to be positive, in the lanes of :mod:`chipfire.core`.  For a row
+from :func:`diff_row` that view is a few whole-row operations on the
+source row's packed int, and :func:`unimodal_check` and
+:func:`row_max_abs` read only it: the signs of the second differences give
+the shape of the left half, and two lane comparisons prove that the left
+half's peak bounds every entry.  Only a row that fails that proof (never a
+row of a correct table) has its largest entry taken from its values.
+``values`` are built from the source row on their first read; the sign
+maps, plateaus and the checks that compare entries read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from operator import add, sub
 from typing import Iterator, NamedTuple
 
-from .core import Row, _trusted, intermediate_configuration
+from .core import (
+    Row,
+    _diff_lanes,
+    _lane_shape,
+    _pack_diffs,
+    _trusted,
+    intermediate_configuration,
+)
 
 
 @dataclass(frozen=True)
@@ -32,6 +51,12 @@ class DiffRow:
     constructor checks this; rows that :func:`diff_row` derives from a
     table row are not checked, like the kernel rows they come from, so a
     corrupted table reaches the ``diff-antisymmetry`` check instead.
+
+    Like :class:`Row`, every difference row has ``width`` (the number of
+    entries) and a packed view.  A row from :func:`diff_row` keeps its
+    source row, derives the view from the source's and builds ``values`` on
+    first read; a row built through this constructor packs its values on
+    first read of the view.
     """
 
     index: int
@@ -56,27 +81,48 @@ class DiffRow:
         if any(map(add, v[: (len(v) + 1) // 2], reversed(v))):
             raise ValueError("difference row must be antisymmetric")
 
+    def __getattr__(self, name: str):
+        # Reached only for attributes missing from the instance; what is
+        # derived is cached, so later reads are plain attribute reads.
+        d = self.__dict__
+        if name == "values":
+            v = d["source"].values
+            values = d["values"] = (v[0], *map(sub, v[1:], v), -v[-1])
+            return values
+        if name == "width":
+            return len(self.values)
+        if name in ("packed", "lane"):
+            source = d.get("source")
+            view = _diff_lanes(source) if source is not None else _pack_diffs(self.values)
+            d["packed"], d["lane"] = view
+            return d[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     @property
     def is_empty(self) -> bool:
-        return not self.values
+        return not self.width
+
+    def _half(self) -> int:
+        # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
+        return min(max(self.index // 2 - self.y_min + 1, 0), self.width)
+
+    @cached_property
+    def _shape(self) -> tuple[bool, int | None]:
+        # Whether the left half is unimodal, and the largest absolute entry
+        # where the lanes prove it: both come from one pass over the lanes.
+        return _lane_shape(self, self._half())
 
     def left_half(self) -> tuple[int, ...]:
         """Entries at positions with ``y <= x`` (the diagonal included)."""
-        # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
-        cut = self.index // 2 - self.y_min + 1
-        return self.values[: max(cut, 0)]
+        return self.values[: self._half()]
 
 
 def diff_row(prev: Row) -> DiffRow:
     """Difference row ``prev.index + 1`` computed from arrival row ``prev``."""
     if prev.is_empty:
         return DiffRow(index=prev.index + 1, y_min=0, values=())
-    v = prev.values
     return _trusted(
-        DiffRow,
-        index=prev.index + 1,
-        y_min=prev.y_min,
-        values=(v[0], *map(sub, v[1:], v), -v[-1]),
+        DiffRow, index=prev.index + 1, y_min=prev.y_min, source=prev, width=prev.width + 1
     )
 
 
@@ -90,27 +136,26 @@ def row_max_abs(d: DiffRow) -> int:
     """Largest absolute entry, 0 for an empty row.
 
     Exact whether or not ``d`` is antisymmetric: rows from :func:`diff_row`
-    are not checked on construction.
+    are not checked on construction.  The lanes prove the left half's peak
+    to be the answer on every row of a correct table; any other row falls
+    back to its values.
     """
     if d.is_empty:
         return 0
-    return max(max(d.values), -min(d.values))
+    top = d._shape[1]
+    if top is None:
+        top = max(max(d.values), -min(d.values))
+    return top
 
 
 def unimodal_check(d: DiffRow) -> bool:
     """Whether the left half weakly rises and then weakly falls.
 
     The half is prefixed with a single zero for the implicit margin, so a
-    row whose first stored entry is already its peak still counts.
+    row whose first stored entry is already its peak still counts.  It is
+    unimodal exactly when no strict rise follows a strict fall.
     """
-    seq = (0,) + d.left_half()
-    k = 0
-    last = len(seq) - 1
-    while k < last and seq[k + 1] >= seq[k]:
-        k += 1
-    while k < last and seq[k + 1] <= seq[k]:
-        k += 1
-    return k == last
+    return d._shape[0]
 
 
 class Plateau(NamedTuple):

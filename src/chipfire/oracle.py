@@ -162,12 +162,20 @@ def arrivals(state: OracleState) -> dict[Point, int]:
 
 @dataclass(frozen=True)
 class ConfluenceReport:
+    """The verdict of :func:`confluence_check`.
+
+    ``row_by_row`` is the final state of the row-by-row run, kept for the
+    arrival, firing-count and parity cross-checks that compare one run with
+    the streamed table.
+    """
+
     n: int
     trials: int
     passed: bool
     moves: int
     runs: int
     mismatches: tuple[str, ...] = ()
+    row_by_row: OracleState = field(kw_only=True, compare=False, repr=False)
 
 
 def confluence_check(n: int, trials: int, seed: int = 0) -> ConfluenceReport:
@@ -202,4 +210,5 @@ def confluence_check(n: int, trials: int, seed: int = 0) -> ConfluenceReport:
         moves=ref.moves,
         runs=len(runs),
         mismatches=tuple(mismatches),
+        row_by_row=dict(runs)["row-by-row"],
     )

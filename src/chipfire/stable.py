@@ -186,12 +186,17 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     """
     via_sum = mu2 = 0
     for r in rows:
-        s = stable_row(r)
-        # The odd entries keep one chip each.
-        via_sum += (r.chip_sum() - s.chip_count) >> 1
-        kept = list(s.distances())
-        mu2 += sum(map(mul, kept, kept))
+        row_sum, row_mu2 = row_firings(r, stable_row(r))
+        via_sum += row_sum
+        mu2 += row_mu2
     return via_sum, mu2
+
+
+def row_firings(r: Row, s: StableRow) -> tuple[int, int]:
+    """Row ``r``'s terms of both :func:`firing_routes`, given its stable row ``s``."""
+    # The odd entries keep one chip each.
+    kept = list(s.distances())
+    return (r.chip_sum() - s.chip_count) >> 1, sum(map(mul, kept, kept))
 
 
 def total_firings_via_moment(n: int) -> int:

@@ -1,8 +1,9 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from chipfire import Row, checks, core, difftable, structure
+from chipfire import Row, checks, core, difftable, oracle, stable, structure
 from chipfire.cli import main
 from chipfire.difftable import DiffRow
 from chipfire.checks import (
@@ -336,6 +337,33 @@ class TestSinglePass:
         monkeypatch.setattr(structure, "intermediate_configuration", counted)
         assert failures(run_checks(7, oracle_trials=2)) == []
         assert calls == [7]
+
+    def test_one_stable_row_per_row(self, monkeypatch, table):
+        calls = []
+        real = stable.stable_row
+
+        def counted(r):
+            calls.append(r.index)
+            return real(r)
+
+        monkeypatch.setattr(stable, "stable_row", counted)
+        assert failures(run_checks(12)) == []
+        assert calls == [r.index for r in table(12)]
+
+    def test_each_order_simulated_once(self, monkeypatch, capsys):
+        # The oracle cross-checks read the row-by-row run of the confluence
+        # check: trials random orders plus three deterministic ones per n.
+        calls = Counter()
+        real = oracle.simulate
+
+        def counted(n, *args, **kwargs):
+            calls[n] += 1
+            return real(n, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "simulate", counted)
+        assert main(["verify", "--n", "2..4", "--trials", "3"]) == 0
+        capsys.readouterr()
+        assert calls == {2: 6, 3: 6, 4: 6}
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_pass_matches_conjecture_report(self, n):

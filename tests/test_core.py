@@ -17,7 +17,7 @@ from chipfire import (
     row_bound,
 )
 from chipfire import core, stable, structure
-from chipfire.core import _lane_bits
+from chipfire.core import _lane_bits, _narrowed, _pack, _unpack
 from chipfire.structure import pascal_row
 
 
@@ -145,16 +145,37 @@ class TestNextRow:
 
 class TestLaneWidth:
     @pytest.mark.parametrize(
-        "n,bits", [(0, 64), (62, 64), (63, 128), (126, 128), (127, 192)]
+        "n,bits", [(0, 8), (6, 16), (29, 32), (62, 128), (126, 256)]
     )
     def test_rule(self, n, bits):
-        # Bits of 2**n plus one spare, rounded up to a multiple of 64.
+        # Bits of 2**n plus two spare, rounded up to a power of two of at
+        # least 8.
         assert _lane_bits(1 << n) == bits
+
+    def test_lanes_narrow_down_the_stream(self):
+        rows = list(intermediate_configuration(18))
+        assert rows[0].lane == 32
+        assert rows[-1].lane < rows[0].lane
+        for r in rows:
+            assert max(r.values) < 1 << r.lane - 2
+
+    @pytest.mark.parametrize("lane", [16, 32, 64, 128, 256])
+    def test_narrowing_keeps_the_entries(self, lane):
+        # Entries that fit the half lane move into it; one entry too wide
+        # for it keeps the lane.
+        half = lane // 2
+        values = [(1 << half - 2) - 1, 1, (1 << half - 3) + 5, 3]
+        packed, got = _narrowed(_pack(values, lane), len(values), lane)
+        assert got == half
+        assert _unpack(packed, len(values), got) == tuple(values)
+        values[2] = 1 << half - 2
+        packed = _pack(values, lane)
+        assert _narrowed(packed, len(values), lane) == (packed, lane)
 
     @pytest.mark.parametrize("n", [62, 63, MAX_EXPONENT])
     def test_top_triangle_matches_pascal(self, n):
-        # Rows 0..n are scaled binomial rows; n = 62 and 63 straddle the
-        # switch from 64- to 128-bit lanes, and MAX_EXPONENT fills 128 bits.
+        # Rows 0..n are scaled binomial rows; n = 62 and 63 run in 128-bit
+        # lanes, and MAX_EXPONENT is the one exponent with 256-bit lanes.
         stream = intermediate_configuration(n)
         for i in range(n + 1):
             assert next(stream) == pascal_row(n, i)

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
+from chipfire import core
 from chipfire import (
     DiffRow,
     Plateau,
     Row,
     diff_row,
     diff_table,
+    intermediate_configuration,
     plateaus,
     row_max_abs,
     sign_map,
@@ -158,15 +160,100 @@ class TestRowMaxAbs:
     def test_exact_on_an_asymmetric_row(self):
         # diff_row does not check antisymmetry, so the largest absolute
         # entry of a corrupted row may be negative: (1, 2, 8) gives
-        # (1, 1, 6, -8).
+        # (1, 1, 6, -8).  The left half peaks at 6, the lanes cannot prove
+        # -8 >= -6, and the values decide.
         d = diff_row(_trusted(Row, index=3, y_min=0, values=(1, 2, 8)))
-        assert d.values == (1, 1, 6, -8)
+        assert "values" not in vars(d)
         assert row_max_abs(d) == 8
+        assert "values" in vars(d)
+        assert d.values == (1, 1, 6, -8)
+
+    def test_exact_when_an_entry_passes_the_peak(self):
+        # (4, 1, 6, 3, 3) gives (4, -3, 5, -3, 0, -3): the left half
+        # (4, -3, 5) falls after 4, but 5 > 4 follows.
+        d = diff_row(_trusted(Row, index=4, y_min=0, values=(4, 1, 6, 3, 3)))
+        assert row_max_abs(d) == 5
+        assert d.values == (4, -3, 5, -3, 0, -3)
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_nonincreasing_from_row_two(self, n):
         maxima = [row_max_abs(d) for d in diff_table(n)]
         assert all(maxima[k + 1] <= maxima[k] for k in range(1, len(maxima) - 1))
+
+
+def reference_row_max_abs(d):
+    """The largest absolute entry, entry by entry."""
+    return max(map(abs, d.values), default=0)
+
+
+def reference_unimodal(d):
+    """Walk the margin zero and the left half: weakly up, then weakly down."""
+    seq = (0,) + d.left_half()
+    k = 0
+    last = len(seq) - 1
+    while k < last and seq[k + 1] >= seq[k]:
+        k += 1
+    while k < last and seq[k + 1] <= seq[k]:
+        k += 1
+    return k == last
+
+
+#: Difference entries: small, past 2**64 and past 2**128, of either sign.
+entries = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(2**130), max_value=2**130),
+)
+
+
+@st.composite
+def antisymmetric_rows(draw):
+    """Constructor-built difference rows, with the left half cut anywhere."""
+    left = draw(st.lists(entries, max_size=9))
+    values = _mirror(left, draw(st.sampled_from([[], [0]])))
+    y_min = draw(st.integers(min_value=0, max_value=3)) if values else 0
+    index = max(y_min + len(values) - 1 + draw(st.integers(min_value=0, max_value=3)), 1)
+    return DiffRow(index=index, y_min=y_min, values=values)
+
+
+@st.composite
+def asymmetric_rows(draw):
+    """Difference rows that diff_row takes from unchecked positive rows."""
+    values = draw(st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**70)), min_size=1, max_size=9))
+    y_min = draw(st.integers(min_value=0, max_value=3))
+    index = y_min + len(values) - 1 + draw(st.integers(min_value=0, max_value=3))
+    return diff_row(_trusted(Row, index=index, y_min=y_min, values=tuple(values)))
+
+
+class TestLaneReaders:
+    """row_max_abs and unimodal_check read the packed lanes; the references
+    walk the values."""
+
+    @pytest.mark.parametrize("n", range(0, 19))
+    def test_match_the_references_on_real_tables(self, n):
+        for d in diff_table(n):
+            assert row_max_abs(d) == reference_row_max_abs(d)
+            assert unimodal_check(d) == reference_unimodal(d)
+
+    @given(st.one_of(antisymmetric_rows(), asymmetric_rows()))
+    def test_match_the_references(self, d):
+        assert row_max_abs(d) == reference_row_max_abs(d)
+        assert unimodal_check(d) == reference_unimodal(d)
+
+    def test_never_unpack_a_real_table(self, monkeypatch):
+        def shapes(n):
+            return [
+                (row_max_abs(d), unimodal_check(d))
+                for d in map(diff_row, intermediate_configuration(n))
+            ]
+
+        expected = shapes(14)
+
+        def refuse(packed, width, lane):
+            raise AssertionError("row values were unpacked")
+
+        monkeypatch.setattr(core, "_unpack", refuse)
+        assert shapes(14) == expected
 
 
 def brute_unimodal(seq):
@@ -189,6 +276,11 @@ class TestUnimodalCheck:
 
     def test_synthetic_failure(self):
         assert not unimodal_check(antisym([1, 3, 2, 4]))
+
+    def test_a_rise_after_the_first_fall(self):
+        # 3 -> 2 falls, 2 -> 4 rises, 4 -> 3 falls again: the rise sits
+        # below the last fall but above the first.
+        assert not unimodal_check(antisym([1, 3, 2, 4, 3]))
 
     def test_peak_at_the_margin(self):
         # The implicit leading zero keeps a row whose first entry is the
