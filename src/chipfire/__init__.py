@@ -30,8 +30,7 @@ from .stable import (
     second_raw_moment,
     stable_configuration,
     stable_row,
-    total_firings_via_moment,
-    total_firings_via_sum,
+    total_firings,
 )
 from .structure import (
     BottomTriangleReport,
@@ -92,8 +91,7 @@ __all__ = [
     "distance_distribution",
     "firing_routes",
     "second_raw_moment",
-    "total_firings_via_moment",
-    "total_firings_via_sum",
+    "total_firings",
     "RowProfile",
     "LongestRow",
     "Segmentation",

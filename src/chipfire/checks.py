@@ -2,9 +2,9 @@
 
 Each check re-derives one structural fact about a table and reports a
 :class:`CheckResult` instead of raising, so a verification run can print
-the full scorecard.  Checks marked advisory (the bottom-triangle height
-report) never count as failures: they track an empirical claim, not a
-proven property.
+the full scorecard.  Advisory checks (the bottom-triangle height report)
+never count as failures: they track an empirical claim, not a proven
+property, and come last in the scorecard.
 
 Checks that are vacuous for a given n (most need n >= 1, some n > 2)
 report a pass with a "skipped" note rather than disappearing, so runs over
@@ -15,16 +15,18 @@ Every table check is a fold over a single stream of the table:
 each row to every check, so a run holds memory proportional to the widest
 row rather than to the table.  A fold is a generator.  It is started with
 ``send(None)``, then sent one :class:`_Step` per arrival row (the row, its
-difference row, its stable row), then ``None`` at the end of the table.
+total, its difference row, its stable row, each computed once), then
+``None`` at the end of the table.
 It returns ``(passed, detail)``; a skip, or a first failure that settles
 the verdict, returns early.  Between rows a fold keeps O(1) rows of state:
 the previous one or two rows or difference rows, the previous diagonal
 centre, running chip, firing and moment sums, the current run of widths
 stepping down by 1 with its non-minimal rows, the distance counts, the last
 marked stable row, and at most five offending row indices for a detail.
-Besides the folds, the pass keeps a :class:`structure.TerminalRun` (the
-open run and the longest width) for the bottom-triangle report and, only
-when the oracle cross-checks run, the point table they compare against.
+The bottom-triangle report is one more fold, over a
+:class:`structure.TerminalRun` (the open run and the longest width).
+Besides the folds, the pass keeps the point table that the oracle
+cross-checks compare against, and only when they run.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ class _Step(NamedTuple):
     """What every fold sees of one arrival row."""
 
     row: Row
+    chips: int  # the row total, Row.chip_sum()
     diff: difftable.DiffRow
     stable: stable.StableRow
 
@@ -117,7 +120,7 @@ def _chip_parity_accounting(n: int) -> _Fold:
     retired = 0
     above: tuple[int, int] | None = None  # (index, chips it must forward)
     while (step := (yield)) is not None:
-        chips = step.row.chip_sum()
+        chips = step.chips
         if above is not None and chips != above[1]:
             return False, f"row {above[0]} forwards {chips}, expected {above[1]}"
         odd = step.stable.chip_count
@@ -317,7 +320,7 @@ def _distance_distribution(n: int) -> _Fold:
 def _firing_count_identity(n: int) -> _Fold:
     via_sum = mu2 = 0
     while (step := (yield)) is not None:
-        row_sum, row_mu2 = stable.row_firings(step.row, step.stable)
+        row_sum, row_mu2 = stable.row_firings(step.chips, step.stable)
         via_sum += row_sum
         mu2 += row_mu2
     if mu2 & 1:
@@ -345,9 +348,11 @@ def _last_stable_row(n: int) -> _Fold:
 
 def _diff_antisymmetry(n: int) -> _Fold:
     while (step := (yield)) is not None:
-        d = step.diff
-        if any(map(add, d.values, reversed(d.values))):
-            return False, f"difference row {d.index}"
+        v = step.diff.values
+        # Each entry of the first half (the middle one included) must cancel
+        # its mirror; a nonzero middle entry fails as twice itself.
+        if any(map(add, v[: (len(v) + 1) // 2], reversed(v))):
+            return False, f"difference row {step.diff.index}"
     return _PASS
 
 
@@ -427,6 +432,20 @@ def _diff_telescoping(n: int) -> _Fold:
     return _PASS
 
 
+# ---------------------------------------------------------------------------
+# advisory reports
+
+
+def _bottom_triangle_conjecture(n: int) -> _Fold:
+    if n < 2:
+        return _skipped("needs n >= 2")
+    run = structure.TerminalRun()
+    while (step := (yield)) is not None:
+        run.push(step.row.width)
+    rep = run.report(n)
+    return rep.holds, f"{rep.triangle_rows} triangle rows, longest row {rep.longest_length}"
+
+
 #: Folds in scorecard order.
 _FOLDS: dict[str, Callable[[int], _Fold]] = {
     "row-symmetry": _row_symmetry,
@@ -451,6 +470,11 @@ _FOLDS: dict[str, Callable[[int], _Fold]] = {
     "diff-unimodality": _diff_unimodality,
     "diff-local-propagation": _diff_local_propagation,
     "diff-telescoping": _diff_telescoping,
+}
+
+#: Advisory folds, reported after the oracle cross-checks.
+_REPORTS: dict[str, Callable[[int], _Fold]] = {
+    "bottom-triangle-conjecture": _bottom_triangle_conjecture,
 }
 
 
@@ -509,26 +533,6 @@ def minimal_descent_check(max_j: int = 64) -> CheckResult:
     return _result("minimal-row-descent", None, True, f"verified for j = 2..{max_j}")
 
 
-def _conjecture_result(n: int, rep: structure.BottomTriangleReport | None) -> CheckResult:
-    """The advisory bottom-triangle result; ``rep`` is None when n < 2."""
-    if rep is None:
-        return CheckResult(
-            name="bottom-triangle-conjecture", n=n, passed=True,
-            detail="skipped: needs n >= 2", advisory=True,
-        )
-    return CheckResult(
-        name="bottom-triangle-conjecture",
-        n=n,
-        passed=rep.holds,
-        detail=f"{rep.triangle_rows} triangle rows, longest row {rep.longest_length}",
-        advisory=True,
-    )
-
-
-def conjecture_report(n: int) -> CheckResult:
-    return _conjecture_result(n, structure.check_bottom_conjecture(n) if n >= 2 else None)
-
-
 def run_checks(
     n: int,
     properties: Sequence[str] | None = None,
@@ -543,7 +547,7 @@ def run_checks(
     """
     verdicts: dict[str, _Verdict] = {}
     active: dict[str, _Fold] = {}
-    for name, make in _FOLDS.items():
+    for name, make in chain(_FOLDS.items(), _REPORTS.items()):
         fold = make(n)
         verdict = _advance(fold, None)
         if verdict is None:
@@ -552,11 +556,9 @@ def run_checks(
             verdicts[name] = verdict
     with_oracle = oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
     points: dict[tuple[int, int], int] = {}
-    run = structure.TerminalRun()
 
     for r in intermediate_configuration(n):
-        step = _Step(r, difftable.diff_row(r), stable.stable_row(r))
-        run.push(r.width)
+        step = _Step(r, r.chip_sum(), difftable.diff_row(r), stable.stable_row(r))
         if with_oracle:
             points.update(((x, y), v) for x, y, v in r.points())
         for name, fold in tuple(active.items()):
@@ -570,7 +572,7 @@ def run_checks(
     results = [_result(name, n, *verdicts[name]) for name in _FOLDS]
     if with_oracle:
         results.extend(_oracle_checks(n, points, oracle_trials, seed))
-    results.append(_conjecture_result(n, run.report(n) if n >= 2 else None))
+    results.extend(_result(name, n, *verdicts[name], advisory=True) for name in _REPORTS)
 
     if properties:
         results = [r for r in results if any(p in r.name for p in properties)]

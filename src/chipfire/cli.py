@@ -182,17 +182,12 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_firings(args) -> int:
-    via_sum, mu2 = stable.firing_routes(intermediate_configuration(args.n))
-    if mu2 != 2 * via_sum:
-        raise ChipfireError(
-            f"firing-count routes disagree for n={args.n}: "
-            f"sum route {via_sum}, second moment {mu2} (expected {2 * via_sum})"
-        )
+    total = stable.total_firings(args.n)
     return _emit_result(
         args,
         "n,total_firings",
-        lambda: [f"{args.n},{via_sum}"],
-        lambda: {"n": args.n, "total_firings": via_sum},
+        lambda: [f"{args.n},{total}"],
+        lambda: {"n": args.n, "total_firings": total},
     )
 
 

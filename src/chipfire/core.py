@@ -55,14 +55,16 @@ the row total, so no digit-sum shortcut applies).  ``Row.values`` is
 unpacked through the same cast on its first read, and lanes wider than 64
 bits by slicing the bytes.
 
-The difference rows of :mod:`chipfire.difftable` share the format.  The
-first differences of a row are one whole-row expression,
-``packed + bias - (packed << W)`` with ``2**(W-2)`` added to every lane, and
-the second differences of a prefix, biased by ``2**(W-1)``, show their sign
-in the lanes' top bits.  :func:`_lane_shape` reads the unimodality and the
-largest entry of a difference row from those bits; ``difftable`` calls it
-and reads no lane itself.  The lane format stays inside this module: other
-modules read ``width``, ``parity``, ``chip_sum()`` or ``values``.
+A difference row of :mod:`chipfire.difftable` is a function of its source
+row alone and keeps only that row.  :func:`_lane_shape` takes the source
+row and packs its first differences in the same format, as one whole-row
+expression, ``packed + bias - (packed << W)`` with ``2**(W-2)`` added to
+every lane; the second differences of a prefix, biased by ``2**(W-1)``,
+show their sign in the lanes' top bits.  From those bits it reads the
+unimodality and the largest entry of the difference row; ``difftable``
+calls it and reads no lane itself.  The lane format stays inside this
+module: other modules read ``width``, ``parity``, ``chip_sum()`` or
+``values``.
 
 :func:`intermediate_configuration` checks ``n`` when called and returns a
 generator that keeps the kernel state in locals (the packed row, its lane,
@@ -73,9 +75,9 @@ the index ever passes :func:`row_bound`, which no correct run can.
 
 Validation lives in the public constructor.  ``Row(index, y_min, values)``
 checks positivity, palindromes and the quadrant, and packs its values on
-demand (with the lane of its row total, which is the kernel's lane on the
-rows of the top triangle) so that every row reads parity the same way.
-Rows from the kernel are trusted and built without those checks: a
+demand, with the kernel's lane rule applied to its largest entry, so that
+every row reads parity the same way.  Rows from the kernel are trusted and
+built without those checks (:func:`_trusted`, used by no other module): a
 corrupted stream then reaches the invariant checks of
 :mod:`chipfire.checks`, which report it, instead of failing inside a
 constructor.
@@ -145,7 +147,7 @@ class Row:
     ``lane`` is a power of two of at least 8 bits, with every entry below
     ``2**(lane - 2)``: a streamed row has the lane of its stream at that row
     (chosen for ``2**n`` and halved as the entries shrink), a row built
-    through this constructor the lane of its row total.  Rows streamed by
+    through this constructor the lane of its largest entry.  Rows streamed by
     the kernel hold the packed view and unpack ``values`` on first read;
     rows built through this constructor are validated and pack their values
     on each read of the view.
@@ -187,7 +189,7 @@ class Row:
         if name == "width":
             return len(self.values)
         if name == "lane":
-            return _lane_bits(sum(self.values))
+            return _lane_bits(max(self.values, default=0))
         if name == "packed":
             return _pack(self.values, self.lane)
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -357,17 +359,10 @@ def _diff_lanes(source: Row) -> tuple[int, int]:
     return packed + (_ones(lane, source.width + 1) << lane - 2) - (packed << lane), lane
 
 
-def _pack_diffs(values: Sequence[int]) -> tuple[int, int]:
-    """``(packed, lane)`` of difference entries, biased as by :func:`_diff_lanes`."""
-    lane = _lane_bits(max(map(abs, values), default=0))
-    bias = 1 << lane - 2
-    return _pack([v + bias for v in values], lane), lane
-
-
-def _lane_shape(d, half: int) -> tuple[bool, int | None]:
-    """The shape of difference row ``d`` read off its lanes: whether its
-    first ``half`` entries are unimodal, and its largest absolute entry, or
-    None where the lanes cannot prove it.
+def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
+    """The shape of the difference row of ``source`` read off its lanes
+    (:func:`_diff_lanes`): whether its first ``half`` entries are unimodal,
+    and its largest absolute entry, or None where the lanes cannot prove it.
 
     Lane j of the second differences of those entries holds
     ``s_j + 2**(lane-1)`` with ``s_j = e_j - e_{j-1}`` and ``e_{-1} = 0``
@@ -385,7 +380,7 @@ def _lane_shape(d, half: int) -> tuple[bool, int | None]:
     ``e + c + 2**(lane-1)``, both positive and below ``2**lane``, with the
     top bit set exactly when the bound holds.
     """
-    lane, packed = d.lane, d.packed
+    packed, lane = _diff_lanes(source)
     bias = 1 << lane - 2
     low = packed & (1 << half * lane) - 1
     ones = _ones(lane, half)
@@ -400,7 +395,7 @@ def _lane_shape(d, half: int) -> tuple[bool, int | None]:
     c = (packed >> peak * lane & (1 << lane) - 1) - bias if peak >= 0 else 0
     if c < 0:
         return unimodal, None
-    ones = _ones(lane, d.width)
+    ones = _ones(lane, source.width + 1)
     top = ones << lane - 1
     if ((c + 3 * bias) * ones - packed) & top != top:
         return unimodal, None

@@ -12,16 +12,20 @@ so the left half (positions with ``y <= x``) carries all the information;
 in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
 
-A difference row has a packed view like an arrival row: its entries,
-biased to be positive, in the lanes of :mod:`chipfire.core`.  For a row
-from :func:`diff_row` that view is a few whole-row operations on the
-source row's packed int, and :func:`unimodal_check` and
-:func:`row_max_abs` read only it: the signs of the second differences give
-the shape of the left half, and two lane comparisons prove that the left
-half's peak bounds every entry.  Only a row that fails that proof (never a
-row of a correct table) has its largest entry taken from its values.
-``values`` are built from the source row on their first read; the sign
-maps, plateaus and the checks that compare entries read them.
+A :class:`DiffRow` is a function of its arrival row alone and keeps only
+that row, so it is built one way, by :func:`diff_row`.  Its ``values`` are
+computed from the source row on their first read; the sign maps, plateaus
+and the checks that compare entries read them.  :func:`unimodal_check` and
+:func:`row_max_abs` read neither: ``core`` packs the source row's first
+differences in its lanes with a few whole-row operations, the signs of the
+second differences give the shape of the left half, and two lane
+comparisons prove that the left half's peak bounds every entry.  Only a
+row that fails that proof (never a row of a correct table) has its largest
+entry taken from its values.
+
+Nothing here checks antisymmetry: the source rows of a table are not
+validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
+:mod:`chipfire.checks`, the one place that tests it.
 """
 
 from __future__ import annotations
@@ -29,78 +33,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import add, sub
+from operator import sub
 from typing import Iterator, NamedTuple
 
-from .core import (
-    Row,
-    _diff_lanes,
-    _lane_shape,
-    _pack_diffs,
-    _trusted,
-    intermediate_configuration,
-)
+from .core import Row, _lane_shape, intermediate_configuration
 
 
 @dataclass(frozen=True)
 class DiffRow:
     """One row of the difference table, trimmed like its source row.
 
-    ``values[k]`` sits at ``y = y_min + k``, ``x = index - y``.  Values are
-    antisymmetric: entry k equals minus entry ``len - 1 - k``.  The
-    constructor checks this; rows that :func:`diff_row` derives from a
-    table row are not checked, like the kernel rows they come from, so a
-    corrupted table reaches the ``diff-antisymmetry`` check instead.
-
-    Like :class:`Row`, every difference row has ``width`` (the number of
-    entries) and a packed view.  A row from :func:`diff_row` keeps its
-    source row, derives the view from the source's and builds ``values`` on
-    first read; a row built through this constructor packs its values on
-    first read of the view.
+    ``values[k]`` sits at ``y = y_min + k``, ``x = index - y``.  ``source``
+    is arrival row ``index - 1``; on a correct table the values are
+    antisymmetric, entry k equals minus entry ``width - 1 - k``.
     """
 
     index: int
     y_min: int
-    values: tuple[int, ...]
+    source: Row
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        v = self.values
-        if self.index < 1:
-            raise ValueError("difference rows start at index 1")
-        if not v:
-            if self.y_min != 0:
-                raise ValueError("empty difference rows must have y_min = 0")
-            return
-        if self.y_min < 0:
-            raise ValueError(f"y_min must be nonnegative, got {self.y_min}")
-        if self.y_min + len(v) - 1 > self.index:
-            raise ValueError("span leaves the quadrant")
-        # Each entry of the first half (the middle one included) must cancel
-        # its mirror; a nonzero middle entry fails as twice itself.
-        if any(map(add, v[: (len(v) + 1) // 2], reversed(v))):
-            raise ValueError("difference row must be antisymmetric")
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        v = self.source.values
+        return (v[0], *map(sub, v[1:], v), -v[-1]) if v else ()
 
-    def __getattr__(self, name: str):
-        # Reached only for attributes missing from the instance; what is
-        # derived is cached, so later reads are plain attribute reads.
-        d = self.__dict__
-        if name == "values":
-            v = d["source"].values
-            values = d["values"] = (v[0], *map(sub, v[1:], v), -v[-1])
-            return values
-        if name == "width":
-            return len(self.values)
-        if name in ("packed", "lane"):
-            source = d.get("source")
-            view = _diff_lanes(source) if source is not None else _pack_diffs(self.values)
-            d["packed"], d["lane"] = view
-            return d[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @property
+    def width(self) -> int:
+        return self.source.width + 1 if self.source.width else 0
 
     @property
     def is_empty(self) -> bool:
-        return not self.width
+        return self.source.is_empty
 
     def _half(self) -> int:
         # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
@@ -110,7 +73,7 @@ class DiffRow:
     def _shape(self) -> tuple[bool, int | None]:
         # Whether the left half is unimodal, and the largest absolute entry
         # where the lanes prove it: both come from one pass over the lanes.
-        return _lane_shape(self, self._half())
+        return _lane_shape(self.source, self._half())
 
     def left_half(self) -> tuple[int, ...]:
         """Entries at positions with ``y <= x`` (the diagonal included)."""
@@ -119,11 +82,7 @@ class DiffRow:
 
 def diff_row(prev: Row) -> DiffRow:
     """Difference row ``prev.index + 1`` computed from arrival row ``prev``."""
-    if prev.is_empty:
-        return DiffRow(index=prev.index + 1, y_min=0, values=())
-    return _trusted(
-        DiffRow, index=prev.index + 1, y_min=prev.y_min, source=prev, width=prev.width + 1
-    )
+    return DiffRow(index=prev.index + 1, y_min=prev.y_min, source=prev)
 
 
 def diff_table(n: int) -> Iterator[DiffRow]:
@@ -135,8 +94,8 @@ def diff_table(n: int) -> Iterator[DiffRow]:
 def row_max_abs(d: DiffRow) -> int:
     """Largest absolute entry, 0 for an empty row.
 
-    Exact whether or not ``d`` is antisymmetric: rows from :func:`diff_row`
-    are not checked on construction.  The lanes prove the left half's peak
+    Exact whether or not ``d`` is antisymmetric: nothing checks that on
+    construction.  The lanes prove the left half's peak
     to be the answer on every row of a correct table; any other row falls
     back to its values.
     """

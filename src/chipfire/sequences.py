@@ -43,7 +43,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             oeis_id="A389565",
             offset=0,
             known=(0, 1, 5, 15, 52, 163, 458, 1359, 4296, 12890, 38570),
-            value_at=stable.total_firings_via_sum,
+            value_at=stable.total_firings,
             max_index=MAX_EXPONENT,
         ),
         SequenceTable(

@@ -4,16 +4,20 @@ Once firing stops, a point holds one chip exactly when its arrival count is
 odd (it fired away ``2 * (F // 2)`` chips).  By the paper's main theorem the
 stable configuration is therefore the parity of the arrival table, and
 :attr:`Row.parity` already holds it: one 0/1 byte per entry.  A
-:class:`StableRow` keeps those bytes and derives everything else from them,
-and :func:`stable_configuration` streams one per arrival row.
+:class:`StableRow` is built one way, by :func:`stable_row` from its arrival
+row; it keeps those bytes, which need no second check, and derives
+everything else from them.  :func:`stable_configuration` streams one per
+arrival row.
 
 Grouping the surviving chips by the distance coordinate ``y - x`` gives the
 distance distribution, whose second raw moment counts every firing twice: a
 firing replaces two chips at distance d with one at d - 1 and one at d + 1,
-adding exactly 2 to the moment.  :func:`distribution_from_counts` is the one
-function that makes a :class:`DistanceDistribution` from distance counts,
-so its invariants are checked in one place for the library and for the
-``distance-distribution`` check alike.
+adding exactly 2 to the moment.  :func:`total_firings` is the one route to
+T(n): it runs both firing counts in one pass (:func:`firing_routes`) and
+refuses a result on which they disagree.  :func:`distribution_from_counts`
+is the one function that makes a :class:`DistanceDistribution` from
+distance counts, so its invariants are checked in one place for the
+library and for the ``distance-distribution`` check alike.
 
 Everything here depends only on each row's parity and total
 (:meth:`Row.chip_sum`), so nothing in this module unpacks the row values.
@@ -27,7 +31,7 @@ from itertools import compress
 from operator import mul, not_
 from typing import Iterable, Iterator
 
-from .core import ChipfireError, Row, _trusted, intermediate_configuration
+from .core import ChipfireError, Row, intermediate_configuration
 
 
 # bytes.translate table writing a 0/1 byte as the digit "0" or "1".
@@ -51,10 +55,6 @@ class StableRow:
     index: int
     y_min: int
     parity: bytes
-
-    def __post_init__(self) -> None:
-        if self.parity.translate(None, b"\0\1"):
-            raise ValueError("parity bytes must be 0 or 1")
 
     @property
     def width(self) -> int:
@@ -91,8 +91,8 @@ class StableRow:
 
 
 def stable_row(r: Row) -> StableRow:
-    """The chips row ``r`` keeps: its parity bytes, not checked again."""
-    return _trusted(StableRow, index=r.index, y_min=r.y_min, parity=r.parity)
+    """The chips row ``r`` keeps: its parity bytes."""
+    return StableRow(index=r.index, y_min=r.y_min, parity=r.parity)
 
 
 def stable_configuration(n: int) -> Iterator[StableRow]:
@@ -186,31 +186,31 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     """
     via_sum = mu2 = 0
     for r in rows:
-        row_sum, row_mu2 = row_firings(r, stable_row(r))
+        row_sum, row_mu2 = row_firings(r.chip_sum(), stable_row(r))
         via_sum += row_sum
         mu2 += row_mu2
     return via_sum, mu2
 
 
-def row_firings(r: Row, s: StableRow) -> tuple[int, int]:
-    """Row ``r``'s terms of both :func:`firing_routes`, given its stable row ``s``."""
+def row_firings(chips: int, s: StableRow) -> tuple[int, int]:
+    """One row's terms of both :func:`firing_routes`, given its total
+    ``chips`` and its stable row ``s``."""
     # The odd entries keep one chip each.
     kept = list(s.distances())
-    return (r.chip_sum() - s.chip_count) >> 1, sum(map(mul, kept, kept))
+    return (chips - s.chip_count) >> 1, sum(map(mul, kept, kept))
 
 
-def total_firings_via_moment(n: int) -> int:
-    """Total firings to stabilize ``2**n`` chips, via the moment identity.
+def total_firings(n: int) -> int:
+    """T(n), the total firings to stabilize ``2**n`` chips, by both routes.
 
     Every firing adds exactly 2 to the second raw moment of the chip
-    distribution, which starts at 0, so the total is half the final moment.
+    distribution, which starts at 0, so the moment must be twice the direct
+    sum of ``F // 2``; :class:`ChipfireError` is raised when it is not.
     """
-    mu2 = firing_routes(intermediate_configuration(n))[1]
-    if mu2 & 1:
-        raise ParityError(f"second raw moment {mu2} is odd for n={n}")
-    return mu2 >> 1
-
-
-def total_firings_via_sum(n: int) -> int:
-    """Total firings via direct summation: each point fires ``F // 2`` times."""
-    return firing_routes(intermediate_configuration(n))[0]
+    via_sum, mu2 = firing_routes(intermediate_configuration(n))
+    if mu2 != 2 * via_sum:
+        raise ChipfireError(
+            f"firing-count routes disagree for n={n}: "
+            f"sum route {via_sum}, second moment {mu2} (expected {2 * via_sum})"
+        )
+    return via_sum

@@ -14,12 +14,11 @@ import peak_rss
 from chipfire import (
     check_bottom_conjecture,
     distance_distribution,
+    firing_routes,
     generate,
     intermediate_configuration,
     longest_row,
     second_raw_moment,
-    total_firings_via_moment,
-    total_firings_via_sum,
 )
 from chipfire.checks import failures, minimal_descent_check, run_checks
 from chipfire.cli import main
@@ -70,7 +69,8 @@ def test_c03_moment_identity():
     def run():
         assert second_raw_moment(distance_distribution(4)) == 104
         for n in range(0, 13):
-            assert total_firings_via_moment(n) == total_firings_via_sum(n)
+            via_sum, mu2 = firing_routes(intermediate_configuration(n))
+            assert mu2 == 2 * via_sum
 
     _, elapsed = _timed(run)
     _report("c03 moment-identity", elapsed < 5.0, f"n=0..12 both routes, {elapsed:.2f}s")

@@ -5,10 +5,8 @@ import pytest
 
 from chipfire import Row, checks, core, difftable, oracle, stable, structure
 from chipfire.cli import main
-from chipfire.difftable import DiffRow
 from chipfire.checks import (
     CheckResult,
-    conjecture_report,
     failures,
     minimal_descent_check,
     run_checks,
@@ -76,7 +74,7 @@ class TestRunChecks:
 
 class TestAdvisorySemantics:
     def test_conjecture_is_advisory(self):
-        result = conjecture_report(9)
+        (result,) = run_checks(9, properties=["bottom-triangle"])
         assert result.advisory
         assert result.passed
         assert "12 triangle rows" in result.detail
@@ -88,7 +86,7 @@ class TestAdvisorySemantics:
         assert failures([fake, real]) == [real]
 
     def test_small_n_report_is_skipped(self):
-        result = conjecture_report(1)
+        (result,) = run_checks(1, properties=["bottom-triangle"])
         assert result.advisory and result.passed
         assert "skipped" in result.detail
 
@@ -143,15 +141,17 @@ TABLE_CORRUPTIONS = {
 }
 
 
-def _forced_diff(d):
-    object.__setattr__(d, "values", d.values[:-1] + (d.values[-1] + 1,))
+def _forced_diff(d, values):
+    # A derived row computes its values from its source row; set others
+    # behind its back.
+    object.__setattr__(d, "values", values)
     return d
 
 
 #: Corruptions of difference row 5, which the table itself cannot carry.
 DIFF_CORRUPTIONS = {
-    "diff-antisymmetry": _forced_diff,
-    "diff-telescoping": lambda d: DiffRow(index=d.index, y_min=d.y_min, values=tuple(-v for v in d.values)),
+    "diff-antisymmetry": lambda d: _forced_diff(d, d.values[:-1] + (d.values[-1] + 1,)),
+    "diff-telescoping": lambda d: _forced_diff(d, tuple(-v for v in d.values)),
 }
 
 
@@ -263,11 +263,11 @@ class TestCorruptedKernel:
 
     def _corrupt(self, monkeypatch, which):
         real = core._step
-        target = structure.pascal_row(self.N, 6).packed
+        target = structure.pascal_row(self.N, 6).values
 
         def step(packed, lane, mask):
             child, lo, width = real(packed, lane, mask)
-            if child == target:
+            if core._unpack(child, width, lane) == target:
                 child = _corrupt_lane(child, lane, width, which)
             return child, lo, width
 
@@ -350,6 +350,18 @@ class TestSinglePass:
         assert failures(run_checks(12)) == []
         assert calls == [r.index for r in table(12)]
 
+    def test_one_row_total_per_row(self, monkeypatch, table):
+        calls = []
+        real = core.Row.chip_sum
+
+        def counted(r):
+            calls.append(r.index)
+            return real(r)
+
+        monkeypatch.setattr(core.Row, "chip_sum", counted)
+        assert failures(run_checks(12)) == []
+        assert calls == [r.index for r in table(12)]
+
     def test_each_order_simulated_once(self, monkeypatch, capsys):
         # The oracle cross-checks read the row-by-row run of the confluence
         # check: trials random orders plus three deterministic ones per n.
@@ -367,5 +379,13 @@ class TestSinglePass:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_pass_matches_conjecture_report(self, n):
-        results = run_checks(n, properties=["bottom-triangle"])
-        assert results == [conjecture_report(n)]
+        (result,) = run_checks(n, properties=["bottom-triangle"])
+        assert (result.name, result.n, result.advisory) == ("bottom-triangle-conjecture", n, True)
+        if n < 2:
+            with pytest.raises(ValueError):
+                structure.check_bottom_conjecture(n)
+            assert (result.passed, result.detail) == (True, "skipped: needs n >= 2")
+            return
+        rep = structure.check_bottom_conjecture(n)
+        assert result.passed == rep.holds
+        assert result.detail == f"{rep.triangle_rows} triangle rows, longest row {rep.longest_length}"

@@ -146,6 +146,15 @@ class TestFiringsDiffSegment:
             assert f"sum route {via_sum}," in err
             assert f"second moment {mu2} " in err
 
+    def test_sequence_refuses_disagreeing_routes(self, capsys, monkeypatch):
+        # Every term of total-firings goes through the same cross-check.
+        monkeypatch.setattr(stable, "firing_routes", lambda rows: (52, 105))
+        rc, out, err = run(capsys, "sequences", "total-firings", "--upto", "4")
+        assert rc == 1
+        assert out == ""
+        assert err.startswith("chipfire: firing-count routes disagree for n=0: ")
+        assert err.count("\n") == 1
+
     def test_diff_csv(self, capsys):
         rc, out, _ = run(capsys, "diff", "--n", "4")
         lines = out.splitlines()

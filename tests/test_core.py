@@ -330,6 +330,20 @@ class TestPackedView:
         ]
         assert readers == []
 
+    def test_only_core_builds_trusted_rows(self):
+        # Difference and stable rows are built by their constructors; only
+        # kernel rows skip validation.
+        package = Path(core.__file__).parent
+        importers = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            if path.name != "core.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and any(a.name == "_trusted" for a in node.names)
+            or isinstance(node, ast.Attribute) and node.attr == "_trusted"
+        ]
+        assert importers == []
+
 
 class TestEntry:
     @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
-from itertools import groupby
+import dataclasses
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import given, strategies as st
 
 import golden
-from chipfire import core
+from chipfire import core, difftable
 from chipfire import (
     DiffRow,
     Plateau,
@@ -17,15 +18,34 @@ from chipfire import (
     sign_map,
     unimodal_check,
 )
+from chipfire.checks import run_checks
 from chipfire.core import _trusted
 
 
 def antisym(left, index=None):
-    """Build a DiffRow from its left half via exact mirroring."""
+    """The difference row whose left half is ``left``, mirrored exactly:
+    the difference row of the partial sums of the mirrored row."""
     values = tuple(left) + tuple(-v for v in reversed(left))
     if index is None:
         index = len(values) - 1
-    return DiffRow(index=index, y_min=0, values=values)
+    source = tuple(accumulate(values))[:-1]
+    return diff_row(Row(index=index - 1, y_min=0, values=source))
+
+
+def passes_antisymmetry_check(values):
+    """Whether the diff-antisymmetry check passes the n = 0 table, whose one
+    difference row is given ``values`` behind its source row's back."""
+    real = difftable.diff_row
+
+    def forced(r):
+        d = real(r)
+        object.__setattr__(d, "values", tuple(values))
+        return d
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(difftable, "diff_row", forced)
+        (result,) = run_checks(0, properties=["diff-antisymmetry"])
+    return result.passed
 
 
 def _mirror(left, middle):
@@ -51,29 +71,34 @@ def perturbed(values):
 
 class TestDiffRow:
     def test_root_row(self):
-        assert diff_row(Row(index=0, y_min=0, values=(16,))) == DiffRow(
-            index=1, y_min=0, values=(16, -16)
-        )
+        d = diff_row(Row(index=0, y_min=0, values=(16,)))
+        assert (d.index, d.y_min, d.values, d.width) == (1, 0, (16, -16), 2)
 
     def test_second_row(self):
         d = diff_row(Row(index=1, y_min=0, values=(8, 8)))
         assert d.values == (8, 0, -8)
 
     def test_empty(self):
-        assert diff_row(Row(index=6, y_min=0, values=())).is_empty
+        d = diff_row(Row(index=6, y_min=0, values=()))
+        assert d.is_empty
+        assert (d.index, d.values, d.width) == (7, (), 0)
+
+    def test_fields(self):
+        # A difference row is its arrival row and where it sits, nothing else.
+        assert [f.name for f in dataclasses.fields(DiffRow)] == ["index", "y_min", "source"]
 
     def test_offset_is_preserved(self):
         d = diff_row(Row(index=5, y_min=1, values=(2, 5, 5, 2)))
         assert (d.index, d.y_min, d.values) == (6, 1, (2, 3, 0, -3, -2))
 
+    # Antisymmetry is tested in one place, the diff-antisymmetry check.
+
     def test_rejects_asymmetric_values(self):
-        with pytest.raises(ValueError):
-            DiffRow(index=2, y_min=0, values=(3, -2))
+        assert not passes_antisymmetry_check((3, -2))
 
     @pytest.mark.parametrize("values", [(3, 1, -3), (1,), (-2,), (5, 0, 0, 5)])
     def test_rejects_nonzero_middle_and_sign_slips(self, values):
-        with pytest.raises(ValueError):
-            DiffRow(index=len(values), y_min=0, values=values)
+        assert not passes_antisymmetry_check(values)
 
     @given(
         st.one_of(
@@ -84,19 +109,12 @@ class TestDiffRow:
     )
     def test_accepts_exactly_the_antisymmetric(self, values):
         v = tuple(values)
-        expected = v == tuple(-x for x in reversed(v))
-        try:
-            DiffRow(index=max(len(v), 1), y_min=0, values=v)
-        except ValueError:
-            accepted = False
-        else:
-            accepted = True
-        assert accepted == expected
+        assert passes_antisymmetry_check(v) == (v == tuple(-x for x in reversed(v)))
 
     def test_left_half(self):
         assert antisym([4, 4], index=3).left_half() == (4, 4)
-        assert DiffRow(index=2, y_min=0, values=(8, 0, -8)).left_half() == (8, 0)
-        assert DiffRow(index=1, y_min=0, values=(16, -16)).left_half() == (16,)
+        assert diff_row(Row(index=1, y_min=0, values=(8, 8))).left_half() == (8, 0)
+        assert diff_row(Row(index=0, y_min=0, values=(16,))).left_half() == (16,)
 
 
 class TestDiffTable:
@@ -142,10 +160,10 @@ class TestDiffTable:
 
 class TestRowMaxAbs:
     def test_simple(self):
-        assert row_max_abs(DiffRow(index=1, y_min=0, values=(16, -16))) == 16
+        assert row_max_abs(diff_row(Row(index=0, y_min=0, values=(16,)))) == 16
 
     def test_empty(self):
-        assert row_max_abs(DiffRow(index=5, y_min=0, values=())) == 0
+        assert row_max_abs(diff_row(Row(index=4, y_min=0, values=()))) == 0
 
     @pytest.mark.parametrize("n", [5, 8, 11])
     def test_prefix_formula(self, n):
@@ -158,7 +176,7 @@ class TestRowMaxAbs:
             assert row_max_abs(d) == max(map(abs, d.values))
 
     def test_exact_on_an_asymmetric_row(self):
-        # diff_row does not check antisymmetry, so the largest absolute
+        # Nothing checks antisymmetry on construction, so the largest absolute
         # entry of a corrupted row may be negative: (1, 2, 8) gives
         # (1, 1, 6, -8).  The left half peaks at 6, the lanes cannot prove
         # -8 >= -6, and the values decide.
@@ -198,22 +216,24 @@ def reference_unimodal(d):
     return k == last
 
 
-#: Difference entries: small, past 2**64 and past 2**128, of either sign.
+#: Arrival-row entries: small, past 2**64 and past 2**128.
 entries = st.one_of(
-    st.integers(min_value=-9, max_value=9),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.integers(min_value=-(2**130), max_value=2**130),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=2**70),
+    st.integers(min_value=1, max_value=2**130),
 )
 
 
 @st.composite
 def antisymmetric_rows(draw):
-    """Constructor-built difference rows, with the left half cut anywhere."""
+    """Difference rows of unchecked palindromic rows, with the left half
+    cut anywhere."""
     left = draw(st.lists(entries, max_size=9))
-    values = _mirror(left, draw(st.sampled_from([[], [0]])))
+    middle = draw(st.lists(entries, max_size=1))
+    values = left + middle + left[::-1]
     y_min = draw(st.integers(min_value=0, max_value=3)) if values else 0
-    index = max(y_min + len(values) - 1 + draw(st.integers(min_value=0, max_value=3)), 1)
-    return DiffRow(index=index, y_min=y_min, values=values)
+    index = max(y_min + len(values) - 1, 0) + draw(st.integers(min_value=0, max_value=3))
+    return diff_row(_trusted(Row, index=index, y_min=y_min, values=tuple(values)))
 
 
 @st.composite
@@ -267,10 +287,11 @@ def brute_unimodal(seq):
 class TestUnimodalCheck:
     def test_fig_rows(self):
         assert unimodal_check(antisym([4, 4], index=3))
-        assert unimodal_check(DiffRow(index=2, y_min=0, values=(8, 0, -8)))
+        assert unimodal_check(diff_row(Row(index=1, y_min=0, values=(8, 8))))
 
     def test_n11_longest_diff(self):
-        d = DiffRow(index=49, y_min=15, values=golden.N11_LONGEST_DIFF)
+        d = diff_row(Row(index=golden.N11_LONGEST_FIRST_INDEX, y_min=15, values=golden.N11_LONGEST))
+        assert (d.index, d.values) == (49, golden.N11_LONGEST_DIFF)
         assert d.left_half() == golden.N11_LONGEST_DIFF[:10]
         assert unimodal_check(d)
 
@@ -291,15 +312,14 @@ class TestUnimodalCheck:
     def test_holds_on_real_tables(self, n):
         assert all(unimodal_check(d) for d in diff_table(n))
 
-    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=12))
-    def test_matches_brute_force(self, left):
-        d = antisym(left)
+    @given(antisymmetric_rows())
+    def test_matches_brute_force(self, d):
         assert unimodal_check(d) == brute_unimodal((0,) + d.left_half())
 
 
 class TestPlateaus:
     def test_no_runs(self):
-        assert plateaus(DiffRow(index=1, y_min=0, values=(16, -16))) == []
+        assert plateaus(diff_row(Row(index=0, y_min=0, values=(16,)))) == []
 
     def test_fig_row(self):
         assert plateaus(antisym([7, 7], index=3)) == [
@@ -308,12 +328,12 @@ class TestPlateaus:
         ]
 
     def test_n11_bottom_first(self):
-        d = DiffRow(index=209, y_min=95, values=golden.N11_BOTTOM_FIRST_DIFF)
+        d = diff_row(Row(index=208, y_min=95, values=golden.N11_BOTTOM_FIRST))
+        assert (d.index, d.values) == (209, golden.N11_BOTTOM_FIRST_DIFF)
         assert plateaus(d) == [Plateau(1, 8, 2), Plateau(11, 8, -2)]
 
-    @given(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=12))
-    def test_matches_groupby(self, left):
-        d = antisym(left)
+    @given(antisymmetric_rows())
+    def test_matches_groupby(self, d):
         expected = []
         pos = 0
         for value, group in groupby(d.values):

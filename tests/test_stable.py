@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import chain, compress, repeat
 from operator import and_, mul
 
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import golden
 from chipfire import (
+    ChipfireError,
     DistanceDistribution,
     ParityError,
     Row,
@@ -16,9 +18,9 @@ from chipfire import (
     second_raw_moment,
     stable_configuration,
     stable_row,
-    total_firings_via_moment,
-    total_firings_via_sum,
+    total_firings,
 )
+from chipfire import stable
 from chipfire.checks import run_checks
 from test_core import monotone_rows
 
@@ -74,10 +76,10 @@ class TestStableRow:
         assert list(s.unmarked_points()) == [(4, 1), (1, 4)]
         assert s.chip_count == 2
 
-    def test_rejects_non_parity_bytes(self):
-        assert StableRow(index=1, y_min=0, parity=b"\1\1").pattern() == "11"
-        with pytest.raises(ValueError):
-            StableRow(index=1, y_min=0, parity=b"\1\2")
+    def test_fields(self):
+        # Built one way, from Row.parity, so there is nothing to check again.
+        assert [f.name for f in dataclasses.fields(StableRow)] == ["index", "y_min", "parity"]
+        assert not hasattr(StableRow, "__post_init__")
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_distances_follow_the_marked_points(self, n):
@@ -172,16 +174,24 @@ class TestMoments:
 
     @pytest.mark.parametrize("n,expected", [(0, 0), (1, 1), (4, 52), (7, 1359)])
     def test_total_firings_examples(self, n, expected):
-        assert total_firings_via_moment(n) == expected
-        assert total_firings_via_sum(n) == expected
+        # The sum route gives T(n), the moment route twice T(n).
+        assert firing_routes(intermediate_configuration(n)) == (expected, 2 * expected)
+        assert total_firings(n) == expected
 
     def test_total_firings_n10(self):
-        assert total_firings_via_sum(10) == 38570
-        assert total_firings_via_moment(10) == 38570
+        assert firing_routes(intermediate_configuration(10)) == (38570, 2 * 38570)
+        assert total_firings(10) == 38570
 
     @pytest.mark.parametrize("n", range(0, 13))
     def test_routes_agree(self, n):
-        assert total_firings_via_sum(n) == total_firings_via_moment(n)
+        via_sum, mu2 = firing_routes(intermediate_configuration(n))
+        assert mu2 == 2 * via_sum
+
+    def test_total_firings_refuses_disagreeing_routes(self, monkeypatch):
+        monkeypatch.setattr(stable, "firing_routes", lambda rows: (52, 105))
+        with pytest.raises(ChipfireError, match=r"^firing-count routes disagree for n=4: "
+                           r"sum route 52, second moment 105 \(expected 104\)$"):
+            total_firings(4)
 
     def test_parity_error_type(self):
         # The moment of a real distribution is always even; the error class
