@@ -15,7 +15,6 @@ from .core import (
     ChipfireError,
     Row,
     RowCapExceededError,
-    entry,
     initial_row,
     intermediate_configuration,
     next_row,
@@ -49,11 +48,9 @@ from .structure import (
 )
 from .difftable import (
     DiffRow,
-    Plateau,
     SignRow,
     diff_row,
     diff_table,
-    plateaus,
     row_max_abs,
     sign_map,
     unimodal_check,
@@ -82,7 +79,6 @@ __all__ = [
     "initial_row",
     "next_row",
     "intermediate_configuration",
-    "entry",
     "row_bound",
     "StableRow",
     "DistanceDistribution",
@@ -105,13 +101,11 @@ __all__ = [
     "segment",
     "check_bottom_conjecture",
     "DiffRow",
-    "Plateau",
     "SignRow",
     "diff_row",
     "diff_table",
     "row_max_abs",
     "unimodal_check",
-    "plateaus",
     "sign_map",
     "OracleState",
     "ConfluenceReport",

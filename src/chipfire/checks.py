@@ -15,8 +15,8 @@ Every table check is a fold over a single stream of the table:
 each row to every check, so a run holds memory proportional to the widest
 row rather than to the table.  A fold is a generator.  It is started with
 ``send(None)``, then sent one :class:`_Step` per arrival row (the row, its
-total, its difference row, its stable row, each computed once), then
-``None`` at the end of the table.
+total, its difference row, its stable row and the distances of the chips
+it keeps, each computed once), then ``None`` at the end of the table.
 It returns ``(passed, detail)``; a skip, or a first failure that settles
 the verdict, returns early.  Between rows a fold keeps O(1) rows of state:
 the previous one or two rows or difference rows, the previous diagonal
@@ -27,18 +27,37 @@ The bottom-triangle report is one more fold, over a
 :class:`structure.TerminalRun` (the open run and the longest width).
 Besides the folds, the pass keeps the point table that the oracle
 cross-checks compare against, and only when they run.
+
+The folds read the packed rows, not their values: each heavy check calls
+the whole-row lane fold of :mod:`chipfire.core` that decides it and formats
+the detail from the one lane it reports, and the diagonal and row-start
+checks read single entries with ``Row.value_at``.  Only ``pascal-top-rows``
+(rows 0..n) and ``last-row-pair`` (the last row) unpack rows, and no
+difference row is built entry by entry.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, and_, gt, le, lt, ne, sub
+from itertools import chain
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 from . import difftable, oracle, stable, structure
-from .core import ChipfireError, Row, intermediate_configuration, next_row, row_bound
+from .core import (
+    ChipfireError,
+    Row,
+    _antisymmetric_diffs,
+    _growth_break,
+    _has_gap,
+    _is_palindrome,
+    _propagation_break,
+    _rises,
+    _telescoping_break,
+    intermediate_configuration,
+    next_row,
+    row_bound,
+)
 
 
 @dataclass(frozen=True)
@@ -66,6 +85,7 @@ class _Step(NamedTuple):
     chips: int  # the row total, Row.chip_sum()
     diff: difftable.DiffRow
     stable: stable.StableRow
+    distances: tuple[int, ...]  # y - x of each chip the row keeps
 
 
 _Verdict = tuple[bool, str]
@@ -90,15 +110,14 @@ def _collect(bad: list[int], index: int) -> None:
 def _row_symmetry(n: int) -> _Fold:
     bad: list[int] = []
     while (step := (yield)) is not None:
-        r = step.row
-        if r.values != r.values[::-1]:
-            _collect(bad, r.index)
+        if not _is_palindrome(step.row):
+            _collect(bad, step.row.index)
     return not bad, f"asymmetric rows: {bad}" if bad else ""
 
 
 def _row_contiguity(n: int) -> _Fold:
     while (step := (yield)) is not None:
-        if step.row.values and min(step.row.values) <= 0:
+        if _has_gap(step.row):
             return False, ""
     return _PASS
 
@@ -131,44 +150,15 @@ def _chip_parity_accounting(n: int) -> _Fold:
     return retired == 1 << n, f"{retired} chips retired into the stable configuration"
 
 
-def _growth_failure(r: Row) -> str | None:
-    """Where ``r`` breaks the step growth rule, or None."""
-    i, y0 = r.index, r.y_min
-    steps = list(map(sub, r.values[1:], r.values))
-    # Step k joins y0 + k and y0 + k + 1.  Steps before ``left`` lie
-    # strictly left of the diagonal, steps from ``right`` on strictly right
-    # of it, and the one or two between touch it.
-    left = min(max((i - 1) // 2 - y0, 0), len(steps))
-    right = min(max((i + 2) // 2 - y0, left), len(steps))
-    bad = chain(
-        compress(count(), map(lt, steps[:left], repeat(2))),
-        (k for k in range(left, right) if not _diagonal_step_ok(i, y0 + k, steps[k])),
-        compress(count(right), map(gt, steps[right:], repeat(-2))),
-    )
-    k = next(bad, None)
-    if k is None:
-        return None
-    return f"row {i}: step {steps[k]} at y={y0 + k} breaks the growth rule"
-
-
-def _diagonal_step_ok(i: int, y: int, d: int) -> bool:
-    # The step from y to y + 1 on row i, with the diagonal y = i / 2 at or
-    # between its ends.
-    if 2 * y + 2 == i:
-        return d >= 1
-    if 2 * y == i:
-        return d <= -1
-    return d == 0
-
-
 def _monotone_steps(n: int) -> _Fold:
     # Within a row, steps grow by >= 2 strictly left of the diagonal, by
     # >= 1 onto it, mirror on the right, and the central pair of an
     # even-width row is equal.
     while (step := (yield)) is not None:
-        failure = _growth_failure(step.row)
-        if failure is not None:
-            return False, failure
+        broken = _growth_break(step.row)
+        if broken is not None:
+            y, d = broken
+            return False, f"row {step.row.index}: step {d} at y={y} breaks the growth rule"
     return _PASS
 
 
@@ -219,7 +209,7 @@ def _length_parity(n: int) -> _Fold:
 
 
 def _starts_one_a(r: Row) -> bool:
-    return r.width >= 2 and r.values[0] == 1 and 4 <= r.values[1] <= 7
+    return r.width >= 2 and r.value_at(r.y_min) == 1 and 4 <= r.value_at(r.y_min + 1) <= 7
 
 
 def _row_start_pattern(n: int) -> _Fold:
@@ -229,7 +219,7 @@ def _row_start_pattern(n: int) -> _Fold:
     older = newer = None
     while (step := (yield)) is not None:
         r = step.row
-        if older is not None and (r.width != older.width or r.values[0] != 1):
+        if older is not None and (r.width != older.width or r.value_at(r.y_min) != 1):
             return False, f"row {older.index + 2} does not mirror row {older.index}"
         older, newer = newer, (r if _starts_one_a(r) else None)
     for pending in (older, newer):
@@ -309,7 +299,7 @@ def _bottom_minimal_rows(n: int) -> _Fold:
 def _distance_distribution(n: int) -> _Fold:
     counts: Counter[int] = Counter()
     while (step := (yield)) is not None:
-        counts.update(step.stable.distances())
+        counts.update(step.distances)
     try:
         d = stable.distribution_from_counts(n, counts)
     except ChipfireError as exc:
@@ -320,7 +310,7 @@ def _distance_distribution(n: int) -> _Fold:
 def _firing_count_identity(n: int) -> _Fold:
     via_sum = mu2 = 0
     while (step := (yield)) is not None:
-        row_sum, row_mu2 = stable.row_firings(step.chips, step.stable)
+        row_sum, row_mu2 = stable.row_firings(step.chips, step.distances)
         via_sum += row_sum
         mu2 += row_mu2
     if mu2 & 1:
@@ -347,11 +337,10 @@ def _last_stable_row(n: int) -> _Fold:
 
 
 def _diff_antisymmetry(n: int) -> _Fold:
+    # Each entry must cancel its mirror; a nonzero middle entry fails as
+    # twice itself.
     while (step := (yield)) is not None:
-        v = step.diff.values
-        # Each entry of the first half (the middle one included) must cancel
-        # its mirror; a nonzero middle entry fails as twice itself.
-        if any(map(add, v[: (len(v) + 1) // 2], reversed(v))):
+        if not _antisymmetric_diffs(step.diff.source):
             return False, f"difference row {step.diff.index}"
     return _PASS
 
@@ -382,53 +371,31 @@ def _diff_unimodality(n: int) -> _Fold:
     return not bad, f"non-unimodal rows {bad}" if bad else ""
 
 
-def _propagation_failure(a: difftable.DiffRow, b: difftable.DiffRow) -> int | None:
-    """The first y where a rising triple of ``a`` sits over a fall in ``b``."""
-    v = a.values
-    # Triples start at y = a.y_min + k for k < triples and end by the diagonal.
-    triples = min(len(v) - 2, a.index // 2 - 1 - a.y_min)
-    if triples <= 0:
-        return None
-    rises = list(map(le, v[: triples + 1], v[1 : triples + 2]))
-    # below[j] is b at y = a.y_min + 1 + j, zero outside b's span.
-    lo = a.y_min + 1 - b.y_min
-    pad = max(-lo, 0)
-    below = (0,) * pad + b.values[lo + pad : max(lo + triples + 1, 0)] + (0,) * (triples + 1)
-    hits = map(and_, map(and_, rises, rises[1:]), map(gt, below, below[1:]))
-    return next(compress(count(a.y_min), hits), None)
-
-
 def _diff_local_propagation(n: int) -> _Fold:
     # Three weakly increasing neighbors in the left half force the two
     # entries below them to be weakly increasing as well.
-    above = None
+    above = None  # the difference row above and its rises
     while (step := (yield)) is not None:
         d = step.diff
+        rises = _rises(d.source)
         if above is not None:
-            y = _propagation_failure(above, d)
+            y = _propagation_break(above[0].source, above[1], d.source, rises)
             if y is not None:
-                return False, f"rows {above.index}->{d.index} at y={y}"
-        above = d
+                return False, f"rows {above[0].index}->{d.index} at y={y}"
+        above = d, rises
     return _PASS
-
-
-def _telescoping_failure(r: Row, d: difftable.DiffRow) -> str | None:
-    sums = list(accumulate(d.values))
-    k = next(compress(count(), map(ne, sums[:-1], r.values)), None)
-    if k is not None:
-        return f"row {r.index} not recovered at position {k}"
-    if sums and sums[-1]:
-        return f"row {d.index} sums to {sums[-1]}"
-    return None
 
 
 def _diff_telescoping(n: int) -> _Fold:
     # Partial sums of a difference row rebuild its source row; the full sum
     # vanishes.
     while (step := (yield)) is not None:
-        failure = _telescoping_failure(step.row, step.diff)
-        if failure is not None:
-            return False, failure
+        broken = _telescoping_break(step.diff.source)
+        if broken is not None:
+            k, total = broken
+            if total is None:
+                return False, f"row {step.diff.source.index} not recovered at position {k}"
+            return False, f"row {step.diff.index} sums to {total}"
     return _PASS
 
 
@@ -558,13 +525,16 @@ def run_checks(
     points: dict[tuple[int, int], int] = {}
 
     for r in intermediate_configuration(n):
-        step = _Step(r, r.chip_sum(), difftable.diff_row(r), stable.stable_row(r))
+        s = stable.stable_row(r)
+        step = _Step(r, r.chip_sum(), difftable.diff_row(r), s, tuple(s.distances()))
         if with_oracle:
             points.update(((x, y), v) for x, y, v in r.points())
         for name, fold in tuple(active.items()):
-            verdict = _advance(fold, step)
-            if verdict is not None:
-                verdicts[name] = verdict
+            # _advance, inlined: this runs once per fold and row.
+            try:
+                fold.send(step)
+            except StopIteration as done:
+                verdicts[name] = done.value
                 del active[name]
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)

@@ -25,7 +25,7 @@ import sys
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import checks, difftable, render, sequences, stable, structure
+from . import checks, difftable, oracle, render, sequences, stable, structure
 from .core import MAX_EXPONENT, ChipfireError, Row, intermediate_configuration
 
 EXIT_OK = 0
@@ -233,6 +233,8 @@ def _cmd_sequences(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials >= 2:
+        oracle.check_trials(args.trials)
     properties = args.properties.split(",") if args.properties else None
     all_results: list[checks.CheckResult] = []
     lines: list[str] = []
@@ -337,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--properties", default=None,
                           help="comma-separated name filters")
     p_verify.add_argument("--trials", type=int, default=10,
-                          help="random oracle runs per n (< 2 disables the oracle)")
+                          help=f"random oracle runs per n, at most {oracle.MAX_TRIALS} "
+                          "(< 2 disables the oracle)")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)

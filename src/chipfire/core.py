@@ -53,18 +53,39 @@ and ``Row.chip_sum()`` is the exact sum of the lanes, read through
 ``memoryview.cast("B"/"H"/"I"/"Q")`` (a lane holds the largest entry, not
 the row total, so no digit-sum shortcut applies).  ``Row.values`` is
 unpacked through the same cast on its first read, and lanes wider than 64
-bits by slicing the bytes.
+bits by slicing the bytes.  ``Row.value_at`` reads one lane with a shift
+and a mask.
 
 A difference row of :mod:`chipfire.difftable` is a function of its source
-row alone and keeps only that row.  :func:`_lane_shape` takes the source
-row and packs its first differences in the same format, as one whole-row
+row alone and keeps only that row.  :func:`_diff_lanes` packs the first
+differences of the source row in the same format, as one whole-row
 expression, ``packed + bias - (packed << W)`` with ``2**(W-2)`` added to
-every lane; the second differences of a prefix, biased by ``2**(W-1)``,
-show their sign in the lanes' top bits.  From those bits it reads the
-unimodality and the largest entry of the difference row; ``difftable``
-calls it and reads no lane itself.  The lane format stays inside this
-module: other modules read ``width``, ``parity``, ``chip_sum()`` or
-``values``.
+every lane (kept with the row for the lane folds below); the second
+differences, biased by ``2**(W-1)``, show their sign in the lanes' top
+bits.  :func:`_lane_shape` reads the unimodality and the largest entry of
+the difference row from those bits; ``difftable`` calls it and reads no
+lane itself.
+
+The heavy table checks of :mod:`chipfire.checks` are folds over whole rows
+of lanes, kept here with the format (ints as wide as the row, not one
+Python object per entry):
+
+- ``row-symmetry`` (:func:`_is_palindrome`) and ``diff-antisymmetry``
+  (:func:`_antisymmetric_diffs`) compare the lanes with their reverse one
+  byte plane at a time;
+- ``row-contiguity`` (:func:`_has_gap`) is the SWAR zero-lane test;
+- ``monotone-steps`` (:func:`_growth_break`) and ``diff-local-propagation``
+  (:func:`_rises`, :func:`_propagation_break`) read the top bits of biased
+  first and second differences;
+- ``bottom-minimal-rows`` (:func:`_is_minimal`) compares a row with the
+  packed minimal row of its width and lane, built once;
+- ``diff-telescoping`` (:func:`_telescoping_break`) rebuilds the row from
+  its differences by multiplying with the all-ones int.
+
+A row that fails has its first offending lane found by its lowest set bit,
+and only that lane is read for the check's detail.  The lane format stays
+inside this module: other modules read ``width``, ``parity``,
+``chip_sum()``, ``value_at`` or ``values``, or call these folds.
 
 :func:`intermediate_configuration` checks ``n`` when called and returns a
 generator that keeps the kernel state in locals (the packed row, its lane,
@@ -105,8 +126,9 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # grown by doubling; every narrower run of ones is a shift of it.
 _ONES: dict[int, tuple[int, int]] = {}
 
-# bytes.translate table taking a byte to its lowest bit.
+# bytes.translate tables taking a byte to its lowest or its top bit.
 _LOW_BIT = b"\0\1" * 128
+_TOP_BIT = b"\0" * 128 + b"\1" * 128
 
 
 class ChipfireError(Exception):
@@ -204,17 +226,15 @@ class Row:
     def is_empty(self) -> bool:
         return not self.width
 
-    @property
-    def y_max(self) -> int:
-        if not self.width:
-            raise ValueError("empty row has no span")
-        return self.y_min + self.width - 1
-
     def value_at(self, y: int) -> int:
-        """Entry at ``(index - y, y)``; zero outside the stored span."""
+        """Entry at ``(index - y, y)``; zero outside the stored span.
+
+        Reads the one lane of the packed view, without unpacking the row.
+        """
         k = y - self.y_min
         if 0 <= k < self.width:
-            return self.values[k]
+            lane = self.lane
+            return self.packed >> k * lane & (1 << lane) - 1
         return 0
 
     def points(self) -> Iterator[tuple[int, int, int]]:
@@ -359,6 +379,16 @@ def _diff_lanes(source: Row) -> tuple[int, int]:
     return packed + (_ones(lane, source.width + 1) << lane - 2) - (packed << lane), lane
 
 
+def _kept_diff_lanes(source: Row) -> tuple[int, int]:
+    """:func:`_diff_lanes` of ``source``, computed on the first call and kept
+    with the row, since four lane folds of one pass read it."""
+    kept = source.__dict__
+    diffs = kept.get("_diff_lanes")
+    if diffs is None:
+        diffs = kept["_diff_lanes"] = _diff_lanes(source)
+    return diffs
+
+
 def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
     """The shape of the difference row of ``source`` read off its lanes
     (:func:`_diff_lanes`): whether its first ``half`` entries are unimodal,
@@ -402,6 +432,219 @@ def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
     if (packed + (c + bias) * ones) & top != top:
         return unimodal, None
     return unimodal, c
+
+
+def _reversed(a: int, b: int, width: int, lane: int) -> bool:
+    """Whether the ``width`` lanes of ``b`` are those of ``a`` in reverse order.
+
+    Compared one byte plane at a time: plane k holds byte k of every lane,
+    and reversing the lanes reverses every plane.
+    """
+    size = lane // 8
+    a_raw = a.to_bytes(width * size, "little")
+    b_raw = a_raw if b is a else b.to_bytes(width * size, "little")
+    for k in range(size):
+        if a_raw[k::size] != b_raw[k::size][::-1]:
+            return False
+    return True
+
+
+def _lowest_lane(bits: int, lane: int) -> int:
+    """The lane holding the lowest set bit of ``bits`` (nonzero)."""
+    return ((bits & -bits).bit_length() - 1) // lane
+
+
+# The lane folds of the table checks in :mod:`chipfire.checks`.  Each reads a
+# whole row with a few int operations; a failure reads the one lane it
+# reports.
+
+
+def _is_palindrome(r: Row) -> bool:
+    """Whether the entries of ``r`` read the same in both directions."""
+    packed = r.packed
+    return _reversed(packed, packed, r.width, r.lane)
+
+
+def _has_gap(r: Row) -> bool:
+    """Whether a lane of ``r`` holds 0.
+
+    The SWAR zero-lane test: subtracting 1 from every lane sets a lane's top
+    bit only where the lane borrows, which is in a zero lane, or in a lane
+    holding 1 above a lane that borrowed, so above a zero lane.  No lane of
+    a row has its top bit set, so the test's usual ``& ~packed`` term, which
+    clears the lanes that had it, is not needed.
+    """
+    ones = _ones(r.lane, r.width)
+    return bool((r.packed - ones) & ones << r.lane - 1)
+
+
+def _growth_break(r: Row) -> tuple[int, int] | None:
+    """``(y, step)`` of the first step of ``r`` that breaks the growth rule.
+
+    Step k, from ``y_min + k`` to the next position, is ``v[k+1] - v[k]``:
+    lane ``k + 1`` of :func:`_diff_lanes`, which holds it plus
+    ``B = 2**(lane-2)``.  Steps strictly left of the diagonal must be at
+    least 2 (lane ``+ B - 2`` reaches the top bit ``2B``), steps strictly
+    right of it at most -2 (``3B - 2 -`` lane reaches it), and the one or two
+    steps touching the diagonal are read one by one: at least 1 onto it, at
+    most -1 off it, 0 across the central pair of an even-width row.
+    """
+    i, y0, steps = r.index, r.y_min, r.width - 1
+    if steps <= 0:
+        return None
+    # Steps before ``left`` lie strictly left of the diagonal, steps from
+    # ``right`` on strictly right of it.
+    left = min(max((i - 1) // 2 - y0, 0), steps)
+    right = min(max((i + 2) // 2 - y0, left), steps)
+    packed, lane = _kept_diff_lanes(r)
+    bias = 1 << lane - 2
+    ones = _ones(lane, steps + 2)
+    top = ones << lane - 1
+    # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps.
+    bad = top & (1 << (left + 1) * lane) - (1 << lane) & ~(packed + (bias - 2) * ones)
+    if not bad:
+        for k in range(left, right):
+            d = (packed >> (k + 1) * lane & (1 << lane) - 1) - bias
+            if not _diagonal_step_ok(i, y0 + k, d):
+                return y0 + k, d
+        rights = top & (1 << (steps + 1) * lane) - (1 << (right + 1) * lane)
+        bad = rights & ~((3 * bias - 2) * ones - packed)
+        if not bad:
+            return None
+    k = _lowest_lane(bad, lane) - 1
+    return y0 + k, (packed >> (k + 1) * lane & (1 << lane) - 1) - bias
+
+
+def _diagonal_step_ok(i: int, y: int, d: int) -> bool:
+    # The step d from y to y + 1 on row i, with the diagonal y = i / 2 at or
+    # between its ends.
+    if 2 * y + 2 == i:
+        return d >= 1
+    if 2 * y == i:
+        return d <= -1
+    return d == 0
+
+
+def _minimal_values(j: int) -> tuple[int, ...]:
+    """The minimal row of ``j + 1`` entries: 1, 3, 5, ... up to j and back.
+
+    For odd j the two odd ramps meet in a pair ``j, j``; for even j a single
+    peak j sits between them.
+    """
+    half = tuple(range(1, j + 1, 2))
+    if j % 2 == 1:
+        return half + half[::-1]
+    return half + (j,) + half[::-1]
+
+
+# Packed minimal rows by (width, lane), built on first use.
+_MINIMAL: dict[tuple[int, int], int] = {}
+
+
+def _is_minimal(r: Row) -> bool:
+    """Whether ``r`` holds exactly the minimal row of its width.
+
+    That row peaks at ``width - 1``; a lane too narrow for the peak holds
+    no minimal row.
+    """
+    width, lane = r.width, r.lane
+    if width < 2 or width - 1 >= 1 << lane - 2:
+        return False
+    minimal = _MINIMAL.get((width, lane))
+    if minimal is None:
+        minimal = _MINIMAL[width, lane] = _pack(_minimal_values(width - 1), lane)
+    return r.packed == minimal
+
+
+def _antisymmetric_diffs(source: Row) -> bool:
+    """Whether every entry of the difference row of ``source`` cancels its
+    mirror.
+
+    Lane k of ``2 * 2**(lane-2) * ones - packed`` holds minus entry k,
+    biased like ``packed``; the row is antisymmetric when those lanes are
+    the lanes of ``packed`` in reverse order.
+    """
+    packed, lane = _kept_diff_lanes(source)
+    width = source.width + 1
+    return _reversed(packed, (_ones(lane, width) << lane - 1) - packed, width, lane)
+
+
+def _rises(source: Row) -> int:
+    """Where the difference row of ``source`` weakly rises, one byte each.
+
+    Byte j is 1 when entry j is at least entry j - 1, for j = 0 .. width
+    of the difference row (entries outside it are 0).  Lane j of the
+    second differences holds ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit
+    is the flag; the top byte of each lane, translated to its top bit,
+    becomes that lane's byte.
+    """
+    if not source.width:
+        return 0
+    packed, lane = _kept_diff_lanes(source)
+    width = source.width + 2
+    size = lane // 8
+    # The zero entry past the row, biased like the others, closes the row.
+    closed = packed + (1 << (width - 1) * lane + lane - 2)
+    second = closed + (_ones(lane, width) << lane - 1) - (1 << lane - 2) - (packed << lane)
+    flags = second.to_bytes(width * size, "little")[size - 1 :: size].translate(_TOP_BIT)
+    return int.from_bytes(flags, "little")
+
+
+def _propagation_break(above: Row, above_rises: int, below: Row, below_rises: int) -> int | None:
+    """The first y where the difference row of ``above`` rises weakly twice,
+    over three entries in its left half, while the difference row of
+    ``below`` falls strictly under the last two of them; None if nowhere.
+
+    The flags are those of :func:`_rises`.  A triple starting at position
+    k (``y = y_min + k``) rises where flags k + 1 and k + 2 are set; the
+    entries under its last two sit at ``y + 1`` and ``y + 2``.
+    """
+    y_min = above.y_min
+    triples = min(above.width - 1, (above.index + 1) // 2 - 1 - y_min)
+    if triples <= 0:
+        return None
+    pairs = above_rises & above_rises >> 8 & _ones(8, triples) << 8
+    falls = below_rises ^ _ones(8, below.width + 2 if below.width else 0)
+    shift = 8 * (y_min + 1 - below.y_min)
+    falls = falls >> shift if shift >= 0 else falls << -shift
+    hits = pairs & falls
+    return y_min + _lowest_lane(hits, 8) - 1 if hits else None
+
+
+def _telescoping_break(source: Row) -> tuple[int, int | None] | None:
+    """Where the partial sums of the difference row of ``source`` fail.
+
+    ``(k, None)`` when the sum up to position k misses entry k of the row,
+    ``(width, total)`` when all match but the full sum ``total`` is not 0,
+    None when the row telescopes.
+
+    Multiplying the unbiased difference int by the all-ones int of at least
+    ``width + 1`` lanes puts the partial sum up to k in lane k, with its sign
+    carried into the lanes above.  The multiplier is taken as the product
+    ``(1 + X)(1 + X**2)(1 + X**4)...`` with ``X = 2**lane``, one shift and
+    add per factor.  The lowest set bit of the product minus the row then
+    lies in the lowest lane that differs, because no difference there
+    reaches ``2**lane``.
+    """
+    width = source.width
+    if not width:
+        return None
+    packed, lane = _kept_diff_lanes(source)
+    span = (width + 1) * lane
+    sums = packed - (_ones(lane, width + 1) << lane - 2)
+    shift = lane
+    while shift < span:
+        sums += sums << shift
+        shift += shift
+    miss = (sums - source.packed) & (1 << span) - 1
+    if not miss:
+        return None
+    k = _lowest_lane(miss, lane)
+    if k < width:
+        return k, None
+    mask = (1 << lane) - 1
+    last = (source.packed >> (width - 1) * lane & mask) + (packed >> width * lane & mask)
+    return width, last - (1 << lane - 2)
 
 
 def row_bound(n: int) -> int:
@@ -449,19 +692,3 @@ def _rows(n: int, bound: int) -> Iterator[Row]:
         packed, lo, width = _step(packed, lane, mask)
         y_min += lo
         index += 1
-
-
-def entry(n: int, x: int, y: int) -> int:
-    """Arrival count F(x, y), streaming rows up to ``x + y``.
-
-    Zero if the point lies outside the nonzero span or past the last row.
-    """
-    if x < 0 or y < 0:
-        raise ValueError(f"coordinates must be nonnegative, got ({x}, {y})")
-    target = x + y
-    for row in intermediate_configuration(n):
-        if row.index == target:
-            return row.value_at(y)
-        if row.index > target:
-            break
-    return 0

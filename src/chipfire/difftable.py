@@ -14,8 +14,8 @@ margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps only
 that row, so it is built one way, by :func:`diff_row`.  Its ``values`` are
-computed from the source row on their first read; the sign maps, plateaus
-and the checks that compare entries read them.  :func:`unimodal_check` and
+computed from the source row on their first read; the sign maps and the
+CLI read them.  :func:`unimodal_check` and
 :func:`row_max_abs` read neither: ``core`` packs the source row's first
 differences in its lanes with a few whole-row operations, the signs of the
 second differences give the shape of the left half, and two lane
@@ -117,30 +117,6 @@ def unimodal_check(d: DiffRow) -> bool:
     return d._shape[0]
 
 
-class Plateau(NamedTuple):
-    start: int
-    length: int
-    value: int
-
-
-def plateaus(d: DiffRow) -> list[Plateau]:
-    """Maximal runs of at least two equal consecutive values.
-
-    ``start`` is the 0-based position of the first entry of the run.
-    """
-    runs: list[Plateau] = []
-    v = d.values
-    k = 0
-    while k < len(v):
-        j = k + 1
-        while j < len(v) and v[j] == v[k]:
-            j += 1
-        if j - k >= 2:
-            runs.append(Plateau(start=k, length=j - k, value=v[k]))
-        k = j
-    return runs
-
-
 class SignRow(NamedTuple):
     """Signs of the consecutive differences within one difference row.
 
@@ -164,7 +140,7 @@ def _signs(values: tuple[int, ...]) -> str:
 def sign_map(n: int) -> list[SignRow]:
     """Per-row sign strings for the whole difference table of ``2**n`` chips.
 
-    Zeros mark exactly the plateau adjacencies.
+    Zeros mark exactly the pairs of equal neighbours.
     """
     return [
         SignRow(index=d.index, y_min=d.y_min, signs=_signs(d.values))

@@ -2,13 +2,21 @@
 
 This module plays the game move by move, one firing at a time, under any of
 four orders: uniformly random (seeded), leftmost-first, a FIFO queue, or
-row-by-row.  Chips and firing counts live in sparse maps keyed by point, and
-one worklist loop serves every order; an order only decides which listed point
-fires next.  Stabilization is confluent, so every order must end at the same
+row-by-row.  Stabilization is confluent, so every order must end at the same
 stable configuration with the same per-point firing counts and the same
 number of moves; :func:`confluence_check` verifies that, and
 :func:`arrivals` rebuilds the arrival table from the firing counts for
 comparison with the streaming computation.
+
+One worklist loop serves every order; an order only decides which listed
+point fires next.  Inside the loop a point ``(x, y)`` is the int
+``x << _SHIFT | y``, so its right neighbour is ``p + (1 << _SHIFT)`` and its
+upper neighbour ``p + 1``, and chips and firing counts live in plain dicts
+keyed by those ints.  The heaps of the two sorted orders hold their sort
+keys as ints of the same form, ``(x + y) << _SHIFT | y`` row by row and
+``y << _SHIFT | x`` leftmost first, and the random order draws from its pool
+with one ``randrange`` per move.  The run ends in an :class:`OracleState`
+keyed by ``(x, y)`` tuples, built once.
 
 The simulator exists for cross-validation at small n, not for scale: every
 firing is one Python-level step.
@@ -20,15 +28,27 @@ import heapq
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from .core import ChipfireError, row_bound
 
 ORACLE_EXPONENT_LIMIT = 10
 
+#: Most random orders one confluence check may run.  Each trial adds one
+#: random run per n to ``verify --n 0..10``, about 90 ms in all on a 2-vCPU
+#: host with Python 3.11 (most of it the run at the oracle limit; 7 500
+#: trials took 691 s at a 17.7 MiB peak), so at this cap that command takes
+#: about 10 minutes there.
+MAX_TRIALS = 6_500
+
 STRATEGIES = ("random", "leftmost-first", "fifo-queue", "row-by-row")
 
 Point = tuple[int, int]
+
+# Bits of one coordinate inside a point int.  No chip passes the last-row
+# bound, so every coordinate reached, plus one, fits.
+_SHIFT = row_bound(ORACLE_EXPONENT_LIMIT).bit_length()
+_LOW = (1 << _SHIFT) - 1
 
 
 class MoveCapExceededError(ChipfireError, RuntimeError):
@@ -37,33 +57,17 @@ class MoveCapExceededError(ChipfireError, RuntimeError):
 
 @dataclass
 class OracleState:
-    """Mutable simulation state on sparse maps keyed by ``(x, y)``.
+    """The end of one simulation, on sparse maps keyed by ``(x, y)``.
 
-    ``chips[x, y]`` is the current chip count, ``firings[x, y]`` how often
-    the point has fired; points never reached read as 0.  Total chips stay
-    at ``2**n`` throughout: a firing moves two chips and destroys none.
+    ``chips[x, y]`` is the final chip count, ``firings[x, y]`` how often
+    the point fired; points never reached read as 0.  Total chips stay at
+    ``2**n`` throughout: a firing moves two chips and destroys none.
     """
 
     n: int
     moves: int = 0
     chips: Counter[Point] = field(default_factory=Counter)
     firings: Counter[Point] = field(default_factory=Counter)
-
-    def __post_init__(self) -> None:
-        self.chips[0, 0] = 1 << self.n
-
-    def fire(self, x: int, y: int) -> None:
-        """Fire ``(x, y)`` once: one chip to each out-neighbor."""
-        chips = self.chips
-        p = (x, y)
-        held = chips[p]
-        if held < 2:
-            raise ValueError(f"{p} holds {held} chips, cannot fire")
-        chips[p] = held - 2
-        chips[x + 1, y] += 1
-        chips[x, y + 1] += 1
-        self.firings[p] += 1
-        self.moves += 1
 
     def total_chips(self) -> int:
         return sum(self.chips.values())
@@ -75,30 +79,50 @@ class OracleState:
         return dict(self.firings)
 
 
+def _decode(p: int) -> Point:
+    return p >> _SHIFT, p & _LOW
+
+
+def _by_point(counts: dict[int, int]) -> Counter[Point]:
+    return Counter({_decode(p): v for p, v in counts.items()})
+
+
 def _worklist(
     strategy: str, seed: int | None
-) -> tuple[Callable[[Point], None], Callable[[], Point]]:
-    """``put`` and ``take`` for the container that sets ``strategy``'s order."""
+) -> tuple[list | deque, Callable[[int], None], Callable[[], int]]:
+    """The container that sets ``strategy``'s order, with its ``put`` and ``take``."""
     if strategy == "fifo-queue":
-        queue: deque[Point] = deque()
-        return queue.append, queue.popleft
+        queue: deque[int] = deque()
+        return queue, queue.append, queue.popleft
     if strategy == "random":
         rng = random.Random(seed)
-        pool: list[Point] = []
+        pool: list[int] = []
 
-        def take_any() -> Point:
+        def take_any() -> int:
             i = rng.randrange(len(pool))
             pool[i], pool[-1] = pool[-1], pool[i]
             return pool.pop()
 
-        return pool.append, take_any
-    # Heap keys: (x + y, y) row by row, (y, x) leftmost first.
-    heap: list[tuple[int, int, Point]] = []
+        return pool, pool.append, take_any
+    heap: list[int] = []
+    push, pop = heapq.heappush, heapq.heappop
     if strategy == "row-by-row":
-        put = lambda p: heapq.heappush(heap, (p[0] + p[1], p[1], p))
+        # (x, y) -> (x + y, y), and back.
+        def key(p: int) -> int:
+            y = p & _LOW
+            return ((p >> _SHIFT) + y) << _SHIFT | y
+
+        def point(k: int) -> int:
+            y = k & _LOW
+            return ((k >> _SHIFT) - y) << _SHIFT | y
+
     else:
-        put = lambda p: heapq.heappush(heap, (p[1], p[0], p))
-    return put, lambda: heapq.heappop(heap)[2]
+        # (x, y) -> (y, x), its own inverse.
+        def key(p: int) -> int:
+            return (p & _LOW) << _SHIFT | p >> _SHIFT
+
+        point = key
+    return heap, lambda p: push(heap, key(p)), lambda: point(pop(heap))
 
 
 def simulate(
@@ -124,27 +148,36 @@ def simulate(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     cap = move_cap if move_cap is not None else ((1 << n) * row_bound(n)) // 2 + 1
-    state = OracleState(n=n)
-    put, take = _worklist(strategy, seed)
-    # Each fireable point is listed at most once.  Only a point's own firing
-    # removes its chips, so a listed point is still fireable when taken.
-    chips = state.chips
-    listed: set[Point] = set()
-    if chips[0, 0] >= 2:
-        listed.add((0, 0))
-        put((0, 0))
-    while listed:
+    pending, put, take = _worklist(strategy, seed)
+    chips = {0: 1 << n}
+    firings: dict[int, int] = {}
+    held, fired = chips.get, firings.get
+    right = 1 << _SHIFT
+    moves = 0
+    # Exactly the points holding two chips or more are pending, each once:
+    # only a point's own firing takes chips from it, so a point is put when
+    # a chip brings it to two, or when it still holds two after firing.
+    if n:
+        put(0)
+    while pending:
         p = take()
-        listed.remove(p)
-        if state.moves >= cap:
+        if moves >= cap:
             raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
-        x, y = p
-        state.fire(x, y)
-        for q in (p, (x + 1, y), (x, y + 1)):
-            if chips[q] >= 2 and q not in listed:
-                listed.add(q)
-                put(q)
-    return state
+        moves += 1
+        kept = chips[p] - 2
+        chips[p] = kept
+        firings[p] = fired(p, 0) + 1
+        if kept >= 2:
+            put(p)
+        q = p + right
+        c = chips[q] = held(q, 0) + 1
+        if c == 2:
+            put(q)
+        q = p + 1
+        c = chips[q] = held(q, 0) + 1
+        if c == 2:
+            put(q)
+    return OracleState(n=n, moves=moves, chips=_by_point(chips), firings=_by_point(firings))
 
 
 def arrivals(state: OracleState) -> dict[Point, int]:
@@ -178,25 +211,35 @@ class ConfluenceReport:
     row_by_row: OracleState = field(kw_only=True, compare=False, repr=False)
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a trial count the confluence check cannot or need not run."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} oracle trials exceed the cap of {MAX_TRIALS}")
+
+
 def confluence_check(n: int, trials: int, seed: int = 0) -> ConfluenceReport:
     """Fire ``trials`` random orders plus the deterministic strategies.
 
     Passes when every run ends with the same stable grid, the same firing
-    counts, and the same move total.
+    counts, and the same move total.  Each run is compared with the first
+    as it ends, so only those two are held at a time.
     """
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    runs: list[tuple[str, OracleState]] = []
-    for t in range(trials):
-        runs.append((f"random[{seed + t}]", simulate(n, "random", seed=seed + t)))
-    for name in ("leftmost-first", "fifo-queue", "row-by-row"):
-        runs.append((name, simulate(n, name)))
+    check_trials(trials)
 
-    ref_name, ref = runs[0]
+    def runs() -> Iterator[tuple[str, OracleState]]:
+        for t in range(trials):
+            yield f"random[{seed + t}]", simulate(n, "random", seed=seed + t)
+        for name in ("leftmost-first", "fifo-queue", "row-by-row"):
+            yield name, simulate(n, name)
+
+    finished = runs()
+    ref_name, ref = next(finished)
     ref_stable = ref.nonzero_chips()
     ref_firings = ref.nonzero_firings()
     mismatches: list[str] = []
-    for name, state in runs[1:]:
+    for name, state in finished:
         if state.moves != ref.moves:
             mismatches.append(f"{name}: {state.moves} moves != {ref.moves} ({ref_name})")
         if state.nonzero_chips() != ref_stable:
@@ -208,7 +251,8 @@ def confluence_check(n: int, trials: int, seed: int = 0) -> ConfluenceReport:
         trials=trials,
         passed=not mismatches,
         moves=ref.moves,
-        runs=len(runs),
+        runs=trials + 3,
         mismatches=tuple(mismatches),
-        row_by_row=dict(runs)["row-by-row"],
+        # The last run is the row-by-row one.
+        row_by_row=state,
     )

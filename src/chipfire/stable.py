@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
 from operator import mul, not_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import ChipfireError, Row, intermediate_configuration
 
@@ -186,18 +186,17 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     """
     via_sum = mu2 = 0
     for r in rows:
-        row_sum, row_mu2 = row_firings(r.chip_sum(), stable_row(r))
+        row_sum, row_mu2 = row_firings(r.chip_sum(), list(stable_row(r).distances()))
         via_sum += row_sum
         mu2 += row_mu2
     return via_sum, mu2
 
 
-def row_firings(chips: int, s: StableRow) -> tuple[int, int]:
+def row_firings(chips: int, kept: Sequence[int]) -> tuple[int, int]:
     """One row's terms of both :func:`firing_routes`, given its total
-    ``chips`` and its stable row ``s``."""
-    # The odd entries keep one chip each.
-    kept = list(s.distances())
-    return (chips - s.chip_count) >> 1, sum(map(mul, kept, kept))
+    ``chips`` and the distances ``kept`` of the chips it keeps, one per odd
+    entry."""
+    return (chips - len(kept)) >> 1, sum(map(mul, kept, kept))
 
 
 def total_firings(n: int) -> int:

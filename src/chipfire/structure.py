@@ -24,6 +24,8 @@ from .core import (
     ChipfireError,
     Row,
     _check_exponent,
+    _is_minimal,
+    _minimal_values,
     intermediate_configuration,
     row_bound,
 )
@@ -100,15 +102,6 @@ def longest_row(n: int) -> LongestRow:
     return LongestRow(best.width, best.index, best.values)
 
 
-def _minimal_values(j: int) -> tuple[int, ...]:
-    # 1, 3, 5, ..., j, j, ..., 5, 3, 1 for odd j; the even case has a single
-    # peak j between the two odd ramps.
-    half = tuple(range(1, j + 1, 2))
-    if j % 2 == 1:
-        return half + half[::-1]
-    return half + (j,) + half[::-1]
-
-
 def minimal_row(j: int) -> Row:
     """The minimal row of ``j + 1`` entries.
 
@@ -130,10 +123,11 @@ def minimal_row_sum(j: int) -> int:
 
 
 def is_minimal(r: Row) -> bool:
-    """Whether the row's values are exactly the minimal row of its width."""
-    if r.width < 2:
-        return False
-    return r.values == _minimal_values(r.width - 1)
+    """Whether the row's values are exactly the minimal row of its width.
+
+    The row is compared packed, with the packed minimal row of its width.
+    """
+    return _is_minimal(r)
 
 
 @dataclass(frozen=True)

@@ -116,3 +116,13 @@ STABLE_OUTPUT_SHA256 = {
     "distance --n 15 --format json": "ce50e3773aae0da6fc43dfba2f96fc5497fda0a099ec9ae02d1d7cfd3176e9fe",
     "render --kind stable-dots --n 9": "4bdef3532e8c4ad57f6c389f858db9ce948db9378d7fd699bfc1f16e212f4f14",
 }
+
+# sha256 of repr() of the list of (x, y) points fired, in firing order, by
+# `simulate(5, strategy, seed=3)`, frozen from the simulator that keyed its
+# maps and heaps by (x, y) tuples.
+ORACLE_ORDER_N5_SHA256 = {
+    "random": "b9b8e6bb87190ccd38ec25e7c8dee93213718c39e63998c4253261065647cf2f",
+    "leftmost-first": "b59febd5fdf2564f0cb14642b62a19a3d62690560462bb4c54c30f0306ac62a9",
+    "fifo-queue": "3f96d4e48b0f0416058ecc412bf69d0ef3b496323099698e9e945138d40798c8",
+    "row-by-row": "4cb2804df439c48616173551c768f41ef2a7cddab2e71add0392c32bcaf40f30",
+}

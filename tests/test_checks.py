@@ -141,17 +141,50 @@ TABLE_CORRUPTIONS = {
 }
 
 
-def _forced_diff(d, values):
-    # A derived row computes its values from its source row; set others
-    # behind its back.
-    object.__setattr__(d, "values", values)
-    return d
+#: The detail each corruption above gives its check: the lane folds must
+#: name the same offender as an entry-by-entry reading.
+TABLE_DETAILS = {
+    "row-contiguity": "",
+    "even-diagonal": "odd centers at rows [6]",
+    "chip-parity-accounting": "row 3 forwards 68, expected 64",
+    "monotone-steps": "row 4: step 1 at y=0 breaks the growth rule",
+    "pascal-top-rows": "row 2 is not the scaled binomial row",
+    "first-stable-row": "first odd entry in row 2, expected 6",
+    "length-steps": "non-unit steps after rows [6]",
+    "length-parity": "23 nonzero rows",
+    "row-start-pattern": "row 8 does not mirror row 6",
+    "diagonal-decay": "center at x=5 is 16, needs <= 14",
+    "row-bound": "last nonzero row 27, bound 26",
+    "last-row-pair": "last row values (1, 2, 1)",
+    "bottom-minimal-rows": "non-minimal rows [22]",
+    "distance-distribution": "66 chips, expected 2**6",
+    "firing-count-identity": "460 firings; half moment 458",
+    "last-stable-row": "last chips in row 22 with pattern 101",
+    "diff-max-nonincreasing": "maxima rise after rows [10]",
+    "diff-unimodality": "non-unimodal rows [7]",
+    "diff-local-propagation": "rows 6->7 at y=0",
+    "bottom-triangle-conjecture": "5 triangle rows, longest row 7",
+    "oracle-arrivals": "arrival grid matches the streamed table",
+    "oracle-firing-counts": "every point fired F // 2 times",
+    "oracle-stable-parity": "stable chips sit exactly on odd arrival counts",
+}
 
 
-#: Corruptions of difference row 5, which the table itself cannot carry.
+#: Corruptions of difference row 5, which the table itself cannot carry, in
+#: the lanes the difference checks read: ``(packed, lane, lanes)`` of
+#: ``core._diff_lanes``, each entry biased by ``2**(lane-2)``, to the
+#: corrupted packed int, with the detail of the failure.
 DIFF_CORRUPTIONS = {
-    "diff-antisymmetry": lambda d: _forced_diff(d, d.values[:-1] + (d.values[-1] + 1,)),
-    "diff-telescoping": lambda d: _forced_diff(d, tuple(-v for v in d.values)),
+    # The last entry raised by 1.
+    "diff-antisymmetry": (
+        lambda packed, lane, lanes: packed + (1 << (lanes - 1) * lane),
+        "difference row 5",
+    ),
+    # Every entry negated.
+    "diff-telescoping": (
+        lambda packed, lane, lanes: (core._ones(lane, lanes) << lane - 1) - packed,
+        "row 4 not recovered at position 0",
+    ),
 }
 
 
@@ -222,21 +255,36 @@ class TestRerouteMutations:
         result = self._run_on(monkeypatch, rows, name, trials)
         assert result.name == name
         assert not result.passed
+        assert result.detail == TABLE_DETAILS[name]
         # The same table passes once uncorrupted.
         assert self._run_on(monkeypatch, list(table(self.N)), name, trials).passed
 
+    def _corrupt_difference_row(self, monkeypatch, name):
+        real = core._diff_lanes
+        corrupt, _ = DIFF_CORRUPTIONS[name]
+
+        def corrupted(source):
+            packed, lane = real(source)
+            if source.index + 1 == 5:
+                packed = corrupt(packed, lane, source.width + 1)
+            return packed, lane
+
+        monkeypatch.setattr(core, "_diff_lanes", corrupted)
+
     @pytest.mark.parametrize("name", list(DIFF_CORRUPTIONS))
     def test_corrupted_difference_row(self, monkeypatch, name):
-        real = difftable.diff_row
-
-        def corrupted(r):
-            d = real(r)
-            return DIFF_CORRUPTIONS[name](d) if d.index == 5 else d
-
-        monkeypatch.setattr(difftable, "diff_row", corrupted)
+        self._corrupt_difference_row(monkeypatch, name)
         (result,) = run_checks(self.N, properties=[name])
         assert result.name == name
         assert not result.passed
+        assert result.detail == DIFF_CORRUPTIONS[name][1]
+
+    def test_telescoping_reports_the_full_sum(self, monkeypatch):
+        # The last difference raised by 1: every partial sum but the full
+        # one still rebuilds the row.
+        self._corrupt_difference_row(monkeypatch, "diff-antisymmetry")
+        (result,) = run_checks(self.N, properties=["diff-telescoping"])
+        assert (result.passed, result.detail) == (False, "row 5 sums to 1")
 
     def test_minimal_descent(self, monkeypatch):
         monkeypatch.setattr(checks, "next_row", lambda r: r)
@@ -255,10 +303,14 @@ class TestCorruptedKernel:
     checks, which report it."""
 
     N = 6
-    #: Checks that fail on each corruption of the kernel's row 6.
+    #: Checks that fail on each corruption of the kernel's row 6, with
+    #: their details.
     BROKEN = {
-        "asymmetric": {"row-symmetry", "diff-antisymmetry"},
-        "zero-inside": {"row-contiguity"},
+        "asymmetric": {
+            "row-symmetry": "asymmetric rows: [6, 7, 8, 9, 10]",
+            "diff-antisymmetry": "difference row 7",
+        },
+        "zero-inside": {"row-contiguity": ""},
     }
 
     def _corrupt(self, monkeypatch, which):
@@ -280,8 +332,8 @@ class TestCorruptedKernel:
         assert rows[6].width == 7
         assert (rows[6].values == rows[6].values[::-1]) == (which != "asymmetric")
         assert (0 in rows[6].values) == (which == "zero-inside")
-        failed = {r.name for r in failures(run_checks(self.N))}
-        assert self.BROKEN[which] <= failed
+        failed = {r.name: r.detail for r in failures(run_checks(self.N))}
+        assert self.BROKEN[which].items() <= failed.items()
 
     @pytest.mark.parametrize("which", list(BROKEN))
     def test_verify_prints_a_scorecard(self, monkeypatch, capsys, which):
@@ -337,6 +389,25 @@ class TestSinglePass:
         monkeypatch.setattr(structure, "intermediate_configuration", counted)
         assert failures(run_checks(7, oracle_trials=2)) == []
         assert calls == [7]
+
+    def test_folds_read_the_lanes(self, monkeypatch):
+        # Only pascal-top-rows (rows 0..n) and last-row-pair (the last row)
+        # read row values; no difference row is built entry by entry.
+        n = 12
+        unpacked = []
+        real = core._unpack
+
+        def counted(packed, width, lane):
+            unpacked.append(width)
+            return real(packed, width, lane)
+
+        def refuse(d):
+            raise AssertionError(f"difference row {d.index} built entry by entry")
+
+        monkeypatch.setattr(core, "_unpack", counted)
+        monkeypatch.setattr(difftable.DiffRow, "values", property(refuse))
+        assert failures(run_checks(n)) == []
+        assert len(unpacked) <= n + 2
 
     def test_one_stable_row_per_row(self, monkeypatch, table):
         calls = []

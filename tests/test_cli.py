@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import chipfire
 import golden
 import peak_rss
-from chipfire import stable
+from chipfire import oracle, stable
 from chipfire.cli import main, rows_from_csv, rows_to_csv
 
 
@@ -257,6 +258,15 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "4..2"])
         assert exc.value.code == 2
+
+    def test_trials_past_the_cap_are_refused_at_once(self, capsys):
+        trials = str(oracle.MAX_TRIALS + 1)
+        start = time.perf_counter()
+        rc, out, err = run(capsys, "verify", "--n", "0..10", "--trials", trials)
+        assert time.perf_counter() - start < 1
+        assert rc == 2
+        assert out == ""
+        assert err == f"chipfire: {trials} oracle trials exceed the cap of {oracle.MAX_TRIALS}\n"
 
 
 class TestRenderCommand:

@@ -10,7 +10,6 @@ from chipfire import (
     ChipOverflowError,
     Row,
     RowCapExceededError,
-    entry,
     initial_row,
     intermediate_configuration,
     next_row,
@@ -56,7 +55,6 @@ class TestRow:
     def test_accessors(self):
         r = Row(index=5, y_min=1, values=(2, 5, 5, 2))
         assert r.width == 4
-        assert r.y_max == 4
         assert not r.is_empty
         assert r.value_at(2) == 5
         assert r.value_at(0) == 0
@@ -68,8 +66,7 @@ class TestRow:
         r = Row(index=3, y_min=0, values=())
         assert r.is_empty
         assert r.width == 0
-        with pytest.raises(ValueError):
-            r.y_max
+        assert r.value_at(0) == 0
 
     def test_accepts_lists(self):
         assert Row(index=1, y_min=0, values=[4, 4]).values == (4, 4)
@@ -302,6 +299,7 @@ class TestPackedView:
             stable.distance_distribution(n),
             stable.firing_routes(intermediate_configuration(n)),
             [r.chip_sum() for r in intermediate_configuration(n)],
+            [r.value_at(r.index // 2) for r in intermediate_configuration(n)],
         )
 
         def refuse(packed, width, lane):
@@ -315,6 +313,7 @@ class TestPackedView:
             stable.distance_distribution(n),
             stable.firing_routes(intermediate_configuration(n)),
             [r.chip_sum() for r in intermediate_configuration(n)],
+            [r.value_at(r.index // 2) for r in intermediate_configuration(n)],
         ) == expected
 
     def test_only_core_reads_the_lanes(self):
@@ -350,12 +349,44 @@ class TestEntry:
         "x,y,expected",
         [(0, 0, 16), (2, 3, 5), (3, 2, 5), (50, 50, 0), (9, 0, 0), (5, 4, 1)],
     )
-    def test_n4(self, x, y, expected):
-        assert entry(4, x, y) == expected
+    def test_n4(self, x, y, expected, table):
+        # F(x, y) read off the streamed row x + y, 0 past the last row.
+        rows = table(4)
+        assert (rows[x + y].value_at(y) if x + y < len(rows) else 0) == expected
 
-    def test_negative_coordinates(self):
-        with pytest.raises(ValueError):
-            entry(4, -1, 0)
+
+class TestLaneFolds:
+    """The lane folds behind the heavy checks, on rows built without
+    validation (the kernel's rows are trusted the same way)."""
+
+    @pytest.mark.parametrize(
+        "values,expected",
+        [
+            ((1, 4, 6, 4, 1), None),
+            ((1, 2, 6, 2, 1), (0, 1)),  # a step left of the diagonal below 2
+            ((1, 4, 4, 4, 1), (1, 0)),  # a step onto the diagonal below 1
+            ((1, 4, 6, 6, 1), (2, 0)),  # a step off the diagonal above -1
+            ((1, 4, 6, 4, 3), (3, -1)),  # a step right of the diagonal above -2
+        ],
+    )
+    def test_growth_break(self, values, expected):
+        # Row 4: step 0 lies left of the diagonal y = 2, steps 1 and 2 touch
+        # it, step 3 lies right of it.
+        row = core._trusted(Row, index=4, y_min=0, values=values)
+        assert core._growth_break(row) == expected
+
+    @pytest.mark.parametrize("values,expected", [((2, 5, 5, 2), None), ((2, 5, 6, 2), (2, 1))])
+    def test_growth_break_across_the_central_pair(self, values, expected):
+        # Row 5 of width 4: the central pair straddles the diagonal.
+        row = core._trusted(Row, index=5, y_min=1, values=values)
+        assert core._growth_break(row) == expected
+
+    @pytest.mark.parametrize("n", [4, 9, 18])
+    def test_value_at_reads_every_lane(self, n, table):
+        for r in table(n):
+            assert [r.value_at(y) for y in range(r.y_min - 1, r.y_min + r.width + 1)] == [
+                0, *r.values, 0
+            ]
 
 
 class TestRowBound:

@@ -1,19 +1,17 @@
 import dataclasses
-from itertools import accumulate, groupby
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
 
 import golden
-from chipfire import core, difftable
+from chipfire import checks, core
 from chipfire import (
     DiffRow,
-    Plateau,
     Row,
     diff_row,
     diff_table,
     intermediate_configuration,
-    plateaus,
     row_max_abs,
     sign_map,
     unimodal_check,
@@ -33,17 +31,26 @@ def antisym(left, index=None):
 
 
 def passes_antisymmetry_check(values):
-    """Whether the diff-antisymmetry check passes the n = 0 table, whose one
-    difference row is given ``values`` behind its source row's back."""
-    real = difftable.diff_row
+    """Whether the diff-antisymmetry check passes a one-row table whose
+    difference row holds ``values``, set in the lanes the check reads.
+
+    The source row has one entry fewer than ``values`` (a one-entry
+    difference row sits on an empty source, which has one lane of
+    differences); the lanes of an empty ``values`` are the source's own.
+    """
+    width = max(len(values) - 1, 0)
+    source = _trusted(Row, index=width, y_min=0, values=(1,) * width)
+    real = core._diff_lanes
 
     def forced(r):
-        d = real(r)
-        object.__setattr__(d, "values", tuple(values))
-        return d
+        packed, lane = real(r)
+        if values:
+            packed = core._pack([v + (1 << lane - 2) for v in values], lane)
+        return packed, lane
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(difftable, "diff_row", forced)
+        mp.setattr(checks, "intermediate_configuration", lambda n: iter([source]))
+        mp.setattr(core, "_diff_lanes", forced)
         (result,) = run_checks(0, properties=["diff-antisymmetry"])
     return result.passed
 
@@ -317,33 +324,6 @@ class TestUnimodalCheck:
         assert unimodal_check(d) == brute_unimodal((0,) + d.left_half())
 
 
-class TestPlateaus:
-    def test_no_runs(self):
-        assert plateaus(diff_row(Row(index=0, y_min=0, values=(16,)))) == []
-
-    def test_fig_row(self):
-        assert plateaus(antisym([7, 7], index=3)) == [
-            Plateau(0, 2, 7),
-            Plateau(2, 2, -7),
-        ]
-
-    def test_n11_bottom_first(self):
-        d = diff_row(Row(index=208, y_min=95, values=golden.N11_BOTTOM_FIRST))
-        assert (d.index, d.values) == (209, golden.N11_BOTTOM_FIRST_DIFF)
-        assert plateaus(d) == [Plateau(1, 8, 2), Plateau(11, 8, -2)]
-
-    @given(antisymmetric_rows())
-    def test_matches_groupby(self, d):
-        expected = []
-        pos = 0
-        for value, group in groupby(d.values):
-            size = len(list(group))
-            if size >= 2:
-                expected.append(Plateau(pos, size, value))
-            pos += size
-        assert plateaus(d) == expected
-
-
 class TestSignMap:
     def test_tiny_rows(self):
         signs = sign_map(4)
@@ -357,8 +337,7 @@ class TestSignMap:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_zeros_mark_exactly_the_plateaus(self, n):
         for d, s in zip(diff_table(n), sign_map(n)):
-            plateau_adjacencies = {
-                k for p in plateaus(d) for k in range(p.start, p.start + p.length - 1)
-            }
+            v = d.values
+            equal_neighbours = {k for k in range(len(v) - 1) if v[k] == v[k + 1]}
             zero_positions = {k for k, c in enumerate(s.signs) if c == "0"}
-            assert zero_positions == plateau_adjacencies
+            assert zero_positions == equal_neighbours

@@ -1,7 +1,10 @@
+import hashlib
+
 import pytest
 
-from chipfire import STRATEGIES, arrivals, confluence_check, entry, simulate
-from chipfire.oracle import ORACLE_EXPONENT_LIMIT, MoveCapExceededError, OracleState
+import golden
+from chipfire import STRATEGIES, arrivals, confluence_check, oracle, row_bound, simulate
+from chipfire.oracle import ORACLE_EXPONENT_LIMIT, MAX_TRIALS, MoveCapExceededError
 
 
 def parity_grid(rows):
@@ -36,10 +39,11 @@ class TestSimulate:
         state = simulate(6, strategy, seed=4)
         assert arrivals(state) == arrival_grid(table(6))
 
-    def test_arrivals_match_random_access(self):
+    def test_arrivals_match_random_access(self, table):
         grid = arrivals(simulate(5, "random", seed=9))
+        rows = table(5)
         for x, y in ((0, 0), (3, 2), (7, 4), (0, 5)):
-            assert grid.get((x, y), 0) == entry(5, x, y)
+            assert grid.get((x, y), 0) == rows[x + y].value_at(y)
 
     def test_firings_are_half_arrivals(self, table):
         state = simulate(5, "leftmost-first")
@@ -60,41 +64,72 @@ class TestSimulate:
             simulate(3, "by-feel")
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_firing_order_is_frozen(self, strategy, monkeypatch):
+        fired = []
+        real = oracle._worklist
+
+        def logged(*args):
+            pending, put, take = real(*args)
+
+            def take_logged():
+                p = take()
+                fired.append(oracle._decode(p))
+                return p
+
+            return pending, put, take_logged
+
+        monkeypatch.setattr(oracle, "_worklist", logged)
+        assert simulate(5, strategy, seed=3).moves == len(fired) == 163
+        digest = hashlib.sha256(repr(fired).encode()).hexdigest()
+        assert digest == golden.ORACLE_ORDER_N5_SHA256[strategy]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_move_cap(self, strategy):
         with pytest.raises(MoveCapExceededError):
             simulate(6, strategy, seed=0, move_cap=10)
 
 
 class TestManualFiring:
-    def test_chip_conservation_step_by_step(self):
-        state = OracleState(n=3)
-        total = 8
-        assert state.total_chips() == total
-        # fire greedily until stable, checking conservation after each move
-        while True:
-            fireable = sorted(p for p, v in state.chips.items() if v >= 2)
-            if not fireable:
-                break
-            state.fire(*fireable[0])
-            assert state.total_chips() == total
-        assert state.moves == 15
+    def test_chip_conservation(self):
+        for strategy in STRATEGIES:
+            for n in range(7):
+                state = simulate(n, strategy, seed=n)
+                assert state.total_chips() == 1 << n
+                assert all(v in (0, 1) for v in state.chips.values())
+            assert simulate(3, strategy, seed=0).moves == 15
 
     def test_cannot_fire_below_threshold(self):
-        state = OracleState(n=0)
-        with pytest.raises(ValueError):
-            state.fire(0, 0)
+        # The origin fires once; its two single chips never fire.
+        state = simulate(1, "leftmost-first")
+        assert state.moves == 1
+        assert state.nonzero_chips() == {(1, 0): 1, (0, 1): 1}
+        assert state.nonzero_firings() == {(0, 0): 1}
 
     def test_firing_out_to_x4_conserves_chips(self):
-        state = OracleState(n=4)
-        for _ in range(8):
-            state.fire(0, 0)
-        for _ in range(4):
-            state.fire(1, 0)
-        for _ in range(2):
-            state.fire(2, 0)
-        state.fire(3, 0)
+        # Along the x axis the pile halves: 8, 4, 2 and 1 firings, and one
+        # chip stays at (4, 0).
+        state = simulate(4, "row-by-row")
+        assert [state.firings[x, 0] for x in range(5)] == [8, 4, 2, 1, 0]
         assert state.chips[4, 0] == 1
         assert state.total_chips() == 16
+
+
+class TestPointInts:
+    def test_round_trip_at_the_limit(self):
+        # No chip passes the last-row bound, so a point that fires has both
+        # coordinates within it, and its neighbours one more.
+        bound = row_bound(ORACLE_EXPONENT_LIMIT)
+        assert bound + 1 < 1 << oracle._SHIFT
+        for x in (0, 1, bound // 2, bound):
+            for y in (0, 1, bound // 2, bound):
+                p = x << oracle._SHIFT | y
+                assert oracle._decode(p) == (x, y)
+                assert oracle._decode(p + (1 << oracle._SHIFT)) == (x + 1, y)
+                assert oracle._decode(p + 1) == (x, y + 1)
+
+    def test_run_reaches_inside_the_bound(self):
+        state = simulate(ORACLE_EXPONENT_LIMIT, "fifo-queue")
+        assert max(x + y for x, y in state.chips) <= row_bound(ORACLE_EXPONENT_LIMIT)
 
 
 class TestConfluence:
@@ -112,3 +147,10 @@ class TestConfluence:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             confluence_check(3, trials=1)
+
+    def test_trials_cap(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "simulate", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ValueError, match=f"cap of {MAX_TRIALS}"):
+            confluence_check(3, trials=MAX_TRIALS + 1)
+        assert calls == []
