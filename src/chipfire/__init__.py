@@ -5,120 +5,86 @@ The package computes the arrival table of the game that starts with
 distribution, firing counts, row structure, and difference tables from it,
 and cross-validates everything against a brute-force simulator at small n.
 
-Submodules ``render`` and ``cli`` (SVG figures and the command-line front
-end) are imported on demand.
+Names resolve lazily (PEP 562): ``import chipfire`` loads no submodule, and
+the first read of a public name, by ``chipfire.X`` or
+``from chipfire import X``, imports the one submodule that defines it.  So
+a command of :mod:`chipfire.cli` pays only for the modules it runs.  The
+submodules that define public names are attributes too, imported on first
+access.
 """
 
-from .core import (
-    MAX_EXPONENT,
-    ChipOverflowError,
-    ChipfireError,
-    Row,
-    RowCapExceededError,
-    initial_row,
-    intermediate_configuration,
-    next_row,
-    row_bound,
-)
-from .stable import (
-    DistanceDistribution,
-    ParityError,
-    StableRow,
-    distance_distribution,
-    firing_routes,
-    second_raw_moment,
-    stable_configuration,
-    stable_row,
-    total_firings,
-)
-from .structure import (
-    BottomTriangleReport,
-    DegenerateSegmentationError,
-    LongestRow,
-    RowProfile,
-    Segmentation,
-    check_bottom_conjecture,
-    is_minimal,
-    longest_row,
-    minimal_row,
-    minimal_row_sum,
-    pascal_row,
-    row_profile,
-    segment,
-)
-from .difftable import (
-    DiffRow,
-    SignRow,
-    diff_row,
-    diff_table,
-    row_max_abs,
-    sign_map,
-    unimodal_check,
-)
-from .oracle import (
-    ConfluenceReport,
-    OracleState,
-    STRATEGIES,
-    arrivals,
-    confluence_check,
-    simulate,
-)
-from .sequences import SEQUENCES, SequenceTable, generate, half_nonzero_rows
-from .checks import CheckResult, failures, minimal_descent_check, run_checks
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_EXPONENT",
-    "ChipfireError",
-    "ChipOverflowError",
-    "RowCapExceededError",
-    "ParityError",
-    "DegenerateSegmentationError",
-    "Row",
-    "initial_row",
-    "next_row",
-    "intermediate_configuration",
-    "row_bound",
-    "StableRow",
-    "DistanceDistribution",
-    "stable_row",
-    "stable_configuration",
-    "distance_distribution",
-    "firing_routes",
-    "second_raw_moment",
-    "total_firings",
-    "RowProfile",
-    "LongestRow",
-    "Segmentation",
-    "BottomTriangleReport",
-    "pascal_row",
-    "row_profile",
-    "longest_row",
-    "minimal_row",
-    "minimal_row_sum",
-    "is_minimal",
-    "segment",
-    "check_bottom_conjecture",
-    "DiffRow",
-    "SignRow",
-    "diff_row",
-    "diff_table",
-    "row_max_abs",
-    "unimodal_check",
-    "sign_map",
-    "OracleState",
-    "ConfluenceReport",
-    "STRATEGIES",
-    "simulate",
-    "arrivals",
-    "confluence_check",
-    "SequenceTable",
-    "SEQUENCES",
-    "generate",
-    "half_nonzero_rows",
-    "CheckResult",
-    "run_checks",
-    "failures",
-    "minimal_descent_check",
-]
+#: Every public name, in ``__all__`` order, with the submodule defining it.
+_SOURCES = {
+    "MAX_EXPONENT": "core",
+    "ChipfireError": "core",
+    "ChipOverflowError": "core",
+    "RowCapExceededError": "core",
+    "ParityError": "stable",
+    "DegenerateSegmentationError": "structure",
+    "Row": "core",
+    "initial_row": "core",
+    "next_row": "core",
+    "intermediate_configuration": "core",
+    "row_bound": "core",
+    "StableRow": "stable",
+    "DistanceDistribution": "stable",
+    "stable_row": "stable",
+    "stable_configuration": "stable",
+    "distance_distribution": "stable",
+    "firing_routes": "stable",
+    "second_raw_moment": "stable",
+    "total_firings": "stable",
+    "RowProfile": "structure",
+    "LongestRow": "structure",
+    "Segmentation": "structure",
+    "BottomTriangleReport": "structure",
+    "pascal_row": "structure",
+    "row_profile": "structure",
+    "longest_row": "structure",
+    "minimal_row": "structure",
+    "minimal_row_sum": "structure",
+    "is_minimal": "structure",
+    "segment": "structure",
+    "check_bottom_conjecture": "structure",
+    "DiffRow": "difftable",
+    "SignRow": "difftable",
+    "diff_row": "difftable",
+    "diff_table": "difftable",
+    "row_max_abs": "difftable",
+    "unimodal_check": "difftable",
+    "sign_map": "difftable",
+    "OracleState": "oracle",
+    "ConfluenceReport": "oracle",
+    "STRATEGIES": "oracle",
+    "simulate": "oracle",
+    "arrivals": "oracle",
+    "confluence_check": "oracle",
+    "SequenceTable": "sequences",
+    "SEQUENCES": "sequences",
+    "generate": "sequences",
+    "half_nonzero_rows": "sequences",
+    "CheckResult": "checks",
+    "run_checks": "checks",
+    "failures": "checks",
+    "minimal_descent_check": "checks",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    module = _SOURCES.get(name)
+    if module is not None:
+        value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+        return value
+    if name in _SOURCES.values():
+        return import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SOURCES.values()})

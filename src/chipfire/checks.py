@@ -15,14 +15,18 @@ Every table check is a fold over a single stream of the table:
 each row to every check, so a run holds memory proportional to the widest
 row rather than to the table.  A fold is a generator.  It is started with
 ``send(None)``, then sent one :class:`_Step` per arrival row (the row, its
-total, its difference row, its stable row and the distances of the chips
-it keeps, each computed once), then ``None`` at the end of the table.
+total, its difference row and its stable row, each computed once, and the
+pass's distance counts), then ``None`` at the end of the table.
 It returns ``(passed, detail)``; a skip, or a first failure that settles
 the verdict, returns early.  Between rows a fold keeps O(1) rows of state:
 the previous one or two rows or difference rows, the previous diagonal
-centre, running chip, firing and moment sums, the current run of widths
-stepping down by 1 with its non-minimal rows, the distance counts, the last
-marked stable row, and at most five offending row indices for a detail.
+centre, running chip and firing sums, the current run of widths stepping
+down by 1 with its non-minimal rows, the last marked stable row, and at
+most five offending row indices for a detail.  The chips are counted by
+distance once per row, on the lanes of one accumulator of
+:mod:`chipfire.core` that the pass keeps (an int of one lane per distance);
+``distance-distribution`` and ``firing-count-identity`` read its counts at
+the end of the table.
 The bottom-triangle report is one more fold, over a
 :class:`structure.TerminalRun` (the open run and the longest width).
 Besides the folds, the pass keeps the point table that the oracle
@@ -38,7 +42,6 @@ difference row is built entry by entry.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
@@ -47,6 +50,7 @@ from . import difftable, oracle, stable, structure
 from .core import (
     ChipfireError,
     Row,
+    _DistanceCounts,
     _antisymmetric_diffs,
     _growth_break,
     _has_gap,
@@ -85,7 +89,9 @@ class _Step(NamedTuple):
     chips: int  # the row total, Row.chip_sum()
     diff: difftable.DiffRow
     stable: stable.StableRow
-    distances: tuple[int, ...]  # y - x of each chip the row keeps
+    # The chips of the rows so far, this one included, by distance: one
+    # accumulator of the pass, which adds each stable row to it once.
+    counts: _DistanceCounts
 
 
 _Verdict = tuple[bool, str]
@@ -297,22 +303,24 @@ def _bottom_minimal_rows(n: int) -> _Fold:
 
 
 def _distance_distribution(n: int) -> _Fold:
-    counts: Counter[int] = Counter()
+    counts = _DistanceCounts()
     while (step := (yield)) is not None:
-        counts.update(step.distances)
+        counts = step.counts
     try:
-        d = stable.distribution_from_counts(n, counts)
+        d = stable.distribution_from_counts(n, counts.counts())
     except ChipfireError as exc:
         return False, str(exc)
     return True, f"half width {d.half_width}"
 
 
 def _firing_count_identity(n: int) -> _Fold:
-    via_sum = mu2 = 0
+    # The routes of stable.firing_routes, over the pass's distance counts.
+    via_sum = 0
+    counts = _DistanceCounts()
     while (step := (yield)) is not None:
-        row_sum, row_mu2 = stable.row_firings(step.chips, step.distances)
-        via_sum += row_sum
-        mu2 += row_mu2
+        via_sum += (step.chips - step.stable.chip_count) >> 1
+        counts = step.counts
+    mu2 = stable.moment(counts.counts())
     if mu2 & 1:
         return False, f"odd second moment {mu2}"
     return mu2 >> 1 == via_sum, f"{via_sum} firings; half moment {mu2 >> 1}"
@@ -445,6 +453,19 @@ _REPORTS: dict[str, Callable[[int], _Fold]] = {
 }
 
 
+#: Every check name, in scorecard order; ``verify --properties`` filters
+#: match against these.
+CHECK_NAMES = (
+    "minimal-row-descent",
+    *_FOLDS,
+    "oracle-confluence",
+    "oracle-arrivals",
+    "oracle-firing-counts",
+    "oracle-stable-parity",
+    *_REPORTS,
+)
+
+
 def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
     """Send ``step`` to ``fold``; its verdict once it has one, else None."""
     try:
@@ -523,10 +544,12 @@ def run_checks(
             verdicts[name] = verdict
     with_oracle = oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
     points: dict[tuple[int, int], int] = {}
+    counts = _DistanceCounts()
 
     for r in intermediate_configuration(n):
         s = stable.stable_row(r)
-        step = _Step(r, r.chip_sum(), difftable.diff_row(r), s, tuple(s.distances()))
+        counts.add(s)
+        step = _Step(r, r.chip_sum(), difftable.diff_row(r), s, counts)
         if with_oracle:
             points.update(((x, y), v) for x, y, v in r.points())
         for name, fold in tuple(active.items()):

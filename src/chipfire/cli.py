@@ -15,18 +15,31 @@ different n concatenate cleanly.  Exit codes: 0 all good, 1 invariant
 failure, 2 usage error, 3 I/O error.  The library raises ``ValueError`` for
 arguments outside a function's domain (``segment --n 0``) and
 ``ChipfireError`` for failed invariants, so the two map to exit 2 and 1.
+
+A command pays only for the modules it runs.  This module imports
+:mod:`chipfire.core` alone; each command imports its own modules when it
+runs (``distance`` loads :mod:`chipfire.stable`, ``diff``
+:mod:`chipfire.difftable`, ``table`` nothing more), and ``main`` adds to
+the parser the arguments of the one command named on the command line.
+Its argument builder imports what the arguments need: ``sequences`` reads
+its choices from ``sequences.SEQUENCES``, ``verify`` its ``--trials`` cap
+from ``oracle.MAX_TRIALS`` and ``render`` its kinds from ``render.KINDS``.
+The top-level help, usage and errors show only the command names and their
+help text, so they load nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
-from . import checks, difftable, oracle, render, sequences, stable, structure
 from .core import MAX_EXPONENT, ChipfireError, Row, intermediate_configuration
+
+if TYPE_CHECKING:
+    from .checks import CheckResult
+    from .difftable import DiffRow
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -72,14 +85,14 @@ def _positive(text: str) -> int:
 # serialization
 
 
-def _csv_lines(rows: Iterable[Row | difftable.DiffRow], header: bool) -> Iterator[str]:
+def _csv_lines(rows: Iterable[Row | DiffRow], header: bool) -> Iterator[str]:
     if header:
         yield "index,y_min,values\n"
     for r in rows:
         yield f"{r.index},{r.y_min},{' '.join(map(str, r.values))}\n"
 
 
-def rows_to_csv(rows: Iterable[Row | difftable.DiffRow], header: bool = False) -> str:
+def rows_to_csv(rows: Iterable[Row | DiffRow], header: bool = False) -> str:
     """Arrival or difference rows as ``index,y_min,values`` lines."""
     return "".join(_csv_lines(rows, header))
 
@@ -112,6 +125,8 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 
 def _json(payload) -> str:
+    import json  # only JSON output needs it
+
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -119,7 +134,7 @@ def _json(payload) -> str:
 # commands
 
 
-def _emit_rows(args, rows: Iterable[Row | difftable.DiffRow]) -> int:
+def _emit_rows(args, rows: Iterable[Row | DiffRow]) -> int:
     # CSV streams row by row; JSON puts row_count before the rows, so it
     # lists them first.
     if args.format == "csv":
@@ -154,6 +169,8 @@ def _emit_result(
 
 
 def _cmd_stable(args) -> int:
+    from . import stable
+
     rows = stable.stable_configuration(args.n)
     # CSV streams row by row, like table; JSON puts chip_count before the
     # rows, so it lists them first.
@@ -172,6 +189,8 @@ def _cmd_stable(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    from . import stable
+
     d = stable.distance_distribution(args.n)
     return _emit_result(
         args,
@@ -182,6 +201,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_firings(args) -> int:
+    from . import stable
+
     total = stable.total_firings(args.n)
     return _emit_result(
         args,
@@ -192,10 +213,14 @@ def _cmd_firings(args) -> int:
 
 
 def _cmd_diff(args) -> int:
+    from . import difftable
+
     return _emit_rows(args, map(difftable.diff_row, intermediate_configuration(args.n)))
 
 
 def _cmd_segment(args) -> int:
+    from . import structure
+
     seg = structure.segment(args.n)
 
     def csv_line() -> list[str]:
@@ -218,6 +243,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_sequences(args) -> int:
+    from . import sequences
+
     if args.id == "half-nonzero-rows":
         values = sequences.half_nonzero_rows(args.upto)
         offset = 1
@@ -233,10 +260,15 @@ def _cmd_sequences(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks, oracle
+
     if args.trials >= 2:
         oracle.check_trials(args.trials)
     properties = args.properties.split(",") if args.properties else None
-    all_results: list[checks.CheckResult] = []
+    for p in properties or ():
+        if not any(p in name for name in checks.CHECK_NAMES):
+            raise ValueError(f"--properties filter {p!r} names no check")
+    all_results: list[CheckResult] = []
     lines: list[str] = []
     if properties is None or any(p in "minimal-row-descent" for p in properties):
         descent = checks.minimal_descent_check()
@@ -254,7 +286,7 @@ def _cmd_verify(args) -> int:
     return EXIT_INVARIANT if failed else EXIT_OK
 
 
-def _format_check(r: checks.CheckResult) -> str:
+def _format_check(r: CheckResult) -> str:
     where = f"n={r.n} " if r.n is not None else ""
     if r.advisory:
         verdict = "report holds" if r.passed else "report does-not-hold"
@@ -265,6 +297,8 @@ def _format_check(r: checks.CheckResult) -> str:
 
 
 def _cmd_render(args) -> int:
+    from . import render
+
     spec = render.RenderSpec(
         kind=args.kind,
         n=args.n,
@@ -280,86 +314,99 @@ def _cmd_render(args) -> int:
 
 # ---------------------------------------------------------------------------
 # parser
+#
+# Each command has its own argument builder, which imports what its
+# arguments need.  ``main`` runs only the builder of the command it was
+# given, so help, usage and errors for one command load no other command's
+# modules; the top level lists every command by its name and help text.
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="write to a file instead of stdout")
+    p.add_argument("--header", action="store_true", help="include a CSV header line")
+
+
+def _table_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_exponent, required=True)
+    _output_flags(p)
+
+
+def _table_args(p: argparse.ArgumentParser) -> None:
+    _table_flags(p)
+    p.add_argument("--max-rows", type=_positive, default=None)
+
+
+def _sequences_args(p: argparse.ArgumentParser) -> None:
+    from . import sequences
+
+    p.add_argument("id", choices=sorted(sequences.SEQUENCES) + ["half-nonzero-rows"])
+    p.add_argument("--upto", type=int, required=True, help="last index, inclusive")
+    _output_flags(p)
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    from . import oracle
+
+    p.add_argument("--n", type=_exponent_range, required=True, metavar="N or A..B")
+    p.add_argument("--properties", default=None, help="comma-separated name filters")
+    p.add_argument("--trials", type=int, default=10,
+                   help=f"random oracle runs per n, at most {oracle.MAX_TRIALS} "
+                   "(< 2 disables the oracle)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+
+
+def _render_args(p: argparse.ArgumentParser) -> None:
+    from . import render
+
+    p.add_argument("--kind", choices=render.KINDS, required=True)
+    p.add_argument("--n", type=_exponent, required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--width", type=_positive, default=960)
+    p.add_argument("--height", type=_positive, default=640)
+    p.add_argument("--dot-radius", type=float, default=2.0)
+
+
+_Builder = Callable[[argparse.ArgumentParser], None]
+
+#: The commands in help order: help text, argument builder, and the
+#: function that runs the command.
+_COMMANDS: dict[str, tuple[str, _Builder, Callable[..., int]]] = {
+    "table": ("arrival table rows", _table_args, _cmd_table),
+    "stable": ("stable-configuration bit rows", _table_flags, _cmd_stable),
+    "distance": ("distance distribution", _table_flags, _cmd_distance),
+    "firings": ("total firing count", _table_flags, _cmd_firings),
+    "diff": ("difference table rows", _table_flags, _cmd_diff),
+    "segment": ("four-part row segmentation", _table_flags, _cmd_segment),
+    "sequences": ("derived integer sequences", _sequences_args, _cmd_sequences),
+    "verify": ("run the invariant scorecard", _verify_args, _cmd_verify),
+    "render": ("emit an SVG figure", _render_args, _cmd_render),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``chipfire`` parser, with the arguments of ``command`` only (of no
+    command when None or not a command name)."""
     parser = argparse.ArgumentParser(
         prog="chipfire",
         description="Chip-firing tables on the first-quadrant lattice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_output_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="write to a file instead of stdout")
-        p.add_argument("--header", action="store_true", help="include a CSV header line")
-
-    def add_table_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--n", type=_exponent, required=True)
-        add_output_flags(p)
-
-    p_table = sub.add_parser("table", help="arrival table rows")
-    add_table_flags(p_table)
-    p_table.add_argument("--max-rows", type=_positive, default=None)
-    p_table.set_defaults(func=_cmd_table)
-
-    p_stable = sub.add_parser("stable", help="stable-configuration bit rows")
-    add_table_flags(p_stable)
-    p_stable.set_defaults(func=_cmd_stable)
-
-    p_distance = sub.add_parser("distance", help="distance distribution")
-    add_table_flags(p_distance)
-    p_distance.set_defaults(func=_cmd_distance)
-
-    p_firings = sub.add_parser("firings", help="total firing count")
-    add_table_flags(p_firings)
-    p_firings.set_defaults(func=_cmd_firings)
-
-    p_diff = sub.add_parser("diff", help="difference table rows")
-    add_table_flags(p_diff)
-    p_diff.set_defaults(func=_cmd_diff)
-
-    p_segment = sub.add_parser("segment", help="four-part row segmentation")
-    p_segment.add_argument("--n", type=_exponent, required=True)
-    add_output_flags(p_segment)
-    p_segment.set_defaults(func=_cmd_segment)
-
-    p_seq = sub.add_parser("sequences", help="derived integer sequences")
-    p_seq.add_argument(
-        "id",
-        choices=sorted(sequences.SEQUENCES) + ["half-nonzero-rows"],
-    )
-    p_seq.add_argument("--upto", type=int, required=True, help="last index, inclusive")
-    add_output_flags(p_seq)
-    p_seq.set_defaults(func=_cmd_sequences)
-
-    p_verify = sub.add_parser("verify", help="run the invariant scorecard")
-    p_verify.add_argument("--n", type=_exponent_range, required=True,
-                          metavar="N or A..B")
-    p_verify.add_argument("--properties", default=None,
-                          help="comma-separated name filters")
-    p_verify.add_argument("--trials", type=int, default=10,
-                          help=f"random oracle runs per n, at most {oracle.MAX_TRIALS} "
-                          "(< 2 disables the oracle)")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--out", default=None)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_render = sub.add_parser("render", help="emit an SVG figure")
-    p_render.add_argument("--kind", choices=render.KINDS, required=True)
-    p_render.add_argument("--n", type=_exponent, required=True)
-    p_render.add_argument("--out", required=True)
-    p_render.add_argument("--width", type=_positive, default=960)
-    p_render.add_argument("--height", type=_positive, default=640)
-    p_render.add_argument("--dot-radius", type=float, default=2.0)
-    p_render.set_defaults(func=_cmd_render)
-
+    for name, (help_text, add_arguments, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(p)
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # The top level takes no option with a value, so the first argument
+    # that is not an option is the one argparse reads as the command.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except ChipfireError as exc:

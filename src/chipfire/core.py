@@ -63,8 +63,21 @@ expression, ``packed + bias - (packed << W)`` with ``2**(W-2)`` added to
 every lane (kept with the row for the lane folds below); the second
 differences, biased by ``2**(W-1)``, show their sign in the lanes' top
 bits.  :func:`_lane_shape` reads the unimodality and the largest entry of
-the difference row from those bits; ``difftable`` calls it and reads no
-lane itself.
+the difference row from those bits, and :func:`_diff_values` reads its
+entries: adding the bias once more and flipping each lane's top bit,
+``(packed + bias*ones) ^ top``, leaves every entry in two's complement, so
+``memoryview.cast("b"/"h"/"i"/"q")`` reads them as signed ints (lanes of
+128 or 256 bits, or a big-endian host, slice the bytes with
+``signed=True``).  ``difftable`` calls them and reads no lane itself.
+
+The distance counts of :mod:`chipfire.stable` are lanes too.
+:class:`_DistanceCounts` keeps one int with a lane per distance ``y - x``
+and adds each row's parity bytes to it, spread at a stride of two lanes by
+one ``bytearray`` slice assignment and one ``int.from_bytes``, then
+shifted to the row's first distance ``2*y_min - index``; the counts are
+read off the lanes once, at the end.  Rows are staged in 8-bit lanes and
+moved into 64-bit lanes every 255 rows, because ``int.from_bytes`` costs
+in proportion to the bytes it converts.
 
 The heavy table checks of :mod:`chipfire.checks` are folds over whole rows
 of lanes, kept here with the format (ints as wide as the row, not one
@@ -85,7 +98,8 @@ Python object per entry):
 A row that fails has its first offending lane found by its lowest set bit,
 and only that lane is read for the check's detail.  The lane format stays
 inside this module: other modules read ``width``, ``parity``,
-``chip_sum()``, ``value_at`` or ``values``, or call these folds.
+``chip_sum()``, ``value_at`` or ``values``, or call these folds and lane
+readers.
 
 :func:`intermediate_configuration` checks ``n`` when called and returns a
 generator that keeps the kernel state in locals (the packed row, its lane,
@@ -293,13 +307,18 @@ def _pack(values: Sequence[int], lane: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
 
 
-def _lanes(packed: int, width: int, lane: int) -> list[int]:
-    """The ``width`` lanes of ``packed`` as ints, lowest first."""
+def _lanes(packed: int, width: int, lane: int, signed: bool = False) -> list[int]:
+    """The ``width`` lanes of ``packed`` as ints, lowest first; read as two's
+    complement when ``signed``."""
     size = lane // 8
     raw = packed.to_bytes(width * size, "little")
     if size <= 8 and _NATIVE_LITTLE:
-        return memoryview(raw).cast(_FORMATS[size]).tolist()
-    return [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
+        fmt = _FORMATS[size]
+        return memoryview(raw).cast(fmt.lower() if signed else fmt).tolist()
+    return [
+        int.from_bytes(raw[k : k + size], "little", signed=signed)
+        for k in range(0, len(raw), size)
+    ]
 
 
 def _unpack(packed: int, width: int, lane: int) -> tuple[int, ...]:
@@ -377,6 +396,79 @@ def _diff_lanes(source: Row) -> tuple[int, int]:
     """
     lane, packed = source.lane, source.packed
     return packed + (_ones(lane, source.width + 1) << lane - 2) - (packed << lane), lane
+
+
+class _DistanceCounts:
+    """Chip counts by distance ``y - x``, added up one row at a time.
+
+    Position k of a row sits at distance ``2*y_min - index + 2k``, and a row
+    never puts two chips at one distance, so the row's parity bytes spread
+    at a stride of two lanes are its own counts by distance.  One
+    ``bytearray`` slice assignment and one ``int.from_bytes`` build them in
+    8-bit lanes, and one shift and add put them in place in ``staged``.
+    Every 255 rows, before a lane could overflow, ``staged`` is spread the
+    same way into the 64-bit lanes of ``packed`` and cleared; a count is at
+    most the number of rows, far below ``2**64`` for every table a stream
+    can finish.  Lane j of either int counts the chips at distance
+    ``low + j``.  (Spreading each row straight into 64-bit lanes converts
+    eight times the bytes per row, and ``int.from_bytes`` costs in
+    proportion to them.)
+    """
+
+    __slots__ = ("packed", "staged", "rows", "low")
+
+    def __init__(self) -> None:
+        self.packed = self.staged = self.rows = self.low = 0
+
+    def add(self, row) -> None:
+        """Add the chips of ``row``, anything with ``index``, ``y_min`` and
+        ``parity`` (a :class:`Row` or a stable row)."""
+        parity = row.parity
+        if not parity:
+            return
+        spread = bytearray(2 * len(parity) - 1)
+        spread[::2] = parity
+        first = 2 * row.y_min - row.index
+        if first < self.low:
+            self.packed <<= (self.low - first) * 64
+            self.staged <<= (self.low - first) * 8
+            self.low = first
+        self.staged += int.from_bytes(spread, "little") << (first - self.low) * 8
+        self.rows += 1
+        if self.rows == 255:
+            self._flush()
+
+    def _flush(self) -> None:
+        staged = self.staged
+        wide = bytearray(staged.bit_length() + 7 & ~7)
+        wide[::8] = staged.to_bytes(len(wide) // 8, "little")
+        self.packed += int.from_bytes(wide, "little")
+        self.staged = self.rows = 0
+
+    def counts(self) -> dict[int, int]:
+        """The nonzero counts, keyed by distance."""
+        self._flush()
+        packed = self.packed
+        lanes = _lanes(packed, -(-packed.bit_length() // 64), 64)
+        return {self.low + j: c for j, c in enumerate(lanes) if c}
+
+
+def _diff_values(source: Row) -> tuple[int, ...]:
+    """The entries of the difference row of ``source``, read off
+    :func:`_diff_lanes` (``()`` for an empty row).
+
+    Adding the bias ``2**(lane-2)`` once more puts ``e + 2**(lane-1)`` in
+    every lane, strictly between ``2**(lane-2)`` and ``3 * 2**(lane-2)``, so
+    no carry crosses a lane; flipping the top bit of every lane then leaves
+    ``e`` in two's complement, and the lanes read as signed ints.
+    """
+    if not source.width:
+        return ()
+    width = source.width + 1
+    packed, lane = _diff_lanes(source)
+    ones = _ones(lane, width)
+    signed = (packed + (ones << lane - 2)) ^ (ones << lane - 1)
+    return tuple(_lanes(signed, width, lane, signed=True))
 
 
 def _kept_diff_lanes(source: Row) -> tuple[int, int]:

@@ -13,15 +13,18 @@ in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps only
-that row, so it is built one way, by :func:`diff_row`.  Its ``values`` are
-computed from the source row on their first read; the sign maps and the
-CLI read them.  :func:`unimodal_check` and
-:func:`row_max_abs` read neither: ``core`` packs the source row's first
-differences in its lanes with a few whole-row operations, the signs of the
-second differences give the shape of the left half, and two lane
-comparisons prove that the left half's peak bounds every entry.  Only a
-row that fails that proof (never a row of a correct table) has its largest
-entry taken from its values.
+that row, so it is built one way, by :func:`diff_row`.  ``core`` packs the
+source row's first differences in its lanes with a few whole-row
+operations, each biased to be positive, and everything here reads that one
+packing.  The ``values`` are read off it on their first read, as signed
+lanes: adding the bias once more and flipping each lane's top bit leaves
+every entry in two's complement, which ``memoryview.cast`` reads as signed
+ints (lanes wider than 64 bits by slicing the bytes).  The sign maps and
+the CLI read them.  :func:`unimodal_check` and :func:`row_max_abs` read no
+values: the signs of the second differences give the shape of the left
+half, and two lane comparisons prove that the left half's peak bounds
+every entry.  Only a row that fails that proof (never a row of a correct
+table) has its largest entry taken from its values.
 
 Nothing here checks antisymmetry: the source rows of a table are not
 validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
@@ -33,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from operator import sub
 from typing import Iterator, NamedTuple
 
-from .core import Row, _lane_shape, intermediate_configuration
+from .core import Row, _diff_values, _lane_shape, intermediate_configuration
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,7 @@ class DiffRow:
 
     @cached_property
     def values(self) -> tuple[int, ...]:
-        v = self.source.values
-        return (v[0], *map(sub, v[1:], v), -v[-1]) if v else ()
+        return _diff_values(self.source)
 
     @property
     def width(self) -> int:

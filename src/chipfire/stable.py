@@ -12,12 +12,19 @@ arrival row.
 Grouping the surviving chips by the distance coordinate ``y - x`` gives the
 distance distribution, whose second raw moment counts every firing twice: a
 firing replaces two chips at distance d with one at d - 1 and one at d + 1,
-adding exactly 2 to the moment.  :func:`total_firings` is the one route to
-T(n): it runs both firing counts in one pass (:func:`firing_routes`) and
-refuses a result on which they disagree.  :func:`distribution_from_counts`
-is the one function that makes a :class:`DistanceDistribution` from
-distance counts, so its invariants are checked in one place for the
-library and for the ``distance-distribution`` check alike.
+adding exactly 2 to the moment.  The chips are counted by distance on
+lanes, by one accumulator of :mod:`chipfire.core`: each stable row's parity
+bytes, spread one per lane at a stride of two lanes, are added to one int
+at the row's first distance, and the counts are read off its lanes once,
+at the end.  :func:`distance_distribution` builds the distribution
+from those counts, and :func:`firing_routes` takes the moment from them
+(:func:`moment`, the sum of ``d**2`` times the count at d), so no distance
+is listed chip by chip.  :func:`total_firings` is the one route to T(n):
+it runs both firing counts in one pass (:func:`firing_routes`) and refuses
+a result on which they disagree.  :func:`distribution_from_counts` is the
+one function that makes a :class:`DistanceDistribution` from distance
+counts, so its invariants are checked in one place for the library and for
+the ``distance-distribution`` check alike.
 
 Everything here depends only on each row's parity and total
 (:meth:`Row.chip_sum`), so nothing in this module unpacks the row values.
@@ -25,13 +32,12 @@ Everything here depends only on each row's parity and total
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul, not_
-from typing import Iterable, Iterator, Sequence
+from operator import not_
+from typing import Iterable, Iterator, Mapping
 
-from .core import ChipfireError, Row, intermediate_configuration
+from .core import ChipfireError, Row, _DistanceCounts, intermediate_configuration
 
 
 # bytes.translate table writing a 0/1 byte as the digit "0" or "1".
@@ -141,7 +147,7 @@ class DistanceDistribution:
         return self.counts[i + self.half_width]
 
 
-def distribution_from_counts(n: int, counts: Counter[int]) -> DistanceDistribution:
+def distribution_from_counts(n: int, counts: Mapping[int, int]) -> DistanceDistribution:
     """The distribution of ``2**n`` chips, ``counts[i]`` of them at distance i.
 
     Counts that break an invariant of :class:`DistanceDistribution` came
@@ -151,7 +157,7 @@ def distribution_from_counts(n: int, counts: Counter[int]) -> DistanceDistributi
     m = max(map(abs, counts), default=0)
     try:
         return DistanceDistribution(
-            n=n, half_width=m, counts=tuple(counts[i] for i in range(-m, m + 1))
+            n=n, half_width=m, counts=tuple(counts.get(i, 0) for i in range(-m, m + 1))
         )
     except ValueError as exc:
         raise ChipfireError(str(exc)) from exc
@@ -160,10 +166,10 @@ def distribution_from_counts(n: int, counts: Counter[int]) -> DistanceDistributi
 def distance_distribution(n: int) -> DistanceDistribution:
     """Group the chips of the stable configuration for ``2**n`` chips by
     distance ``y - x``, counting as the rows stream past."""
-    counts: Counter[int] = Counter()
+    counts = _DistanceCounts()
     for s in stable_configuration(n):
-        counts.update(s.distances())
-    return distribution_from_counts(n, counts)
+        counts.add(s)
+    return distribution_from_counts(n, counts.counts())
 
 
 def second_raw_moment(d: DistanceDistribution) -> int:
@@ -181,22 +187,23 @@ def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:
     table the moment is exactly twice the sum.
 
     The routes share only the packed row and its stable row.  The sum route
-    reads every entry through the row total, the moment route only where
-    the odd entries sit, so each can catch an error the other cannot see.
+    reads every entry through the row total, ``(chip_sum - kept) >> 1`` per
+    row; the moment route only where the odd entries sit, through the
+    distance counts.  So each can catch an error the other cannot see.
     """
-    via_sum = mu2 = 0
+    via_sum = 0
+    counts = _DistanceCounts()
     for r in rows:
-        row_sum, row_mu2 = row_firings(r.chip_sum(), list(stable_row(r).distances()))
-        via_sum += row_sum
-        mu2 += row_mu2
-    return via_sum, mu2
+        s = stable_row(r)
+        via_sum += (r.chip_sum() - s.chip_count) >> 1
+        counts.add(s)
+    return via_sum, moment(counts.counts())
 
 
-def row_firings(chips: int, kept: Sequence[int]) -> tuple[int, int]:
-    """One row's terms of both :func:`firing_routes`, given its total
-    ``chips`` and the distances ``kept`` of the chips it keeps, one per odd
-    entry."""
-    return (chips - len(kept)) >> 1, sum(map(mul, kept, kept))
+def moment(counts: Mapping[int, int]) -> int:
+    """The second raw moment of chip ``counts`` keyed by distance d:
+    the sum of ``d**2 * counts[d]``."""
+    return sum(d * d * c for d, c in counts.items())
 
 
 def total_firings(n: int) -> int:

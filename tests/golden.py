@@ -126,3 +126,32 @@ ORACLE_ORDER_N5_SHA256 = {
     "fifo-queue": "3f96d4e48b0f0416058ecc412bf69d0ef3b496323099698e9e945138d40798c8",
     "row-by-row": "4cb2804df439c48616173551c768f41ef2a7cddab2e71add0392c32bcaf40f30",
 }
+
+# sha256 of the CLI's own text at COLUMNS=80, frozen from the parser that
+# imported every command's module up front: stdout of each help command
+# (exit 0), stderr of each usage error (exit 2).
+CLI_TEXT_SHA256 = {
+    "--help": "5799f8b6c5f557e1e26dca4839a85789968d35f74399ae4ddbe22c6d15e11a3f",
+    "-h table": "5799f8b6c5f557e1e26dca4839a85789968d35f74399ae4ddbe22c6d15e11a3f",
+    "table --help": "b369644c66a29cd6911ee9121c5df75dc3eb8358ff2e1e422a781012d2c3bb2d",
+    "stable --help": "f228172abd689eb67f1adee1bd64a27ce24ad8dfef2f8e6bae33f6ad6202639d",
+    "distance --help": "62897aa40bbdfa3d64f9e9dd65dfe742b3d06e6763fcfbd885d8b6c1bd42d04b",
+    "firings --help": "564850b9c63668b8b4ecb6a0ebf492b7e3ff30b8c9ea9f32146648771413274f",
+    "diff --help": "6aa6f4884607cda398572683d85f1ab6bdd560a5850816229501e6b1f8dd8b40",
+    "segment --help": "8aa90964fb89ff592dac73674d4babfd8a0be471ffae5dfaf00a05932c8ff52f",
+    "sequences --help": "720f733b0379a4d71d65091bbf76c34ce656132bfa6aa8c730cdb080fbd40eb3",
+    "verify --help": "a1b9f3f678a16e72a221b951c5eafd93cf67b0c4433e48538531e223952972d1",
+    "render --help": "624cbd3ebda22b8bd6f92302638038f908787aa08a98643d480fd74dd24b509b",
+    "": "9791c16a26f92fcd89626edd8e4019c1b28e188f04532110b917959b8d50ac22",
+    "nonsense": "68dda6ed20b01f2f9d0702c262d9772872bba54bed170182abac3a1fdd032db2",
+    "--bogus table --n 3": "8702d6f498cc511d7a004f8e01a42a51e9774ae24d8b6a2105f2ed30a65ff927",
+    "table": "47068535c12288a9f87923afbb4844c0f0ceefa19c277984b2d7d48562d99f94",
+    "stable --n 2 --format xml": "aceeae49e56a3fc06c5986a9034152ccb9ccaadb3a83f62c43fce5c3b76840b1",
+    "distance --n 200": "0d6f06b3db1503e747b37ebdb4fc3e0b48ae6371b7161c3643abf09f64a321e3",
+    "firings --n two": "28047b9c3a862c8bdeac54d5b28d772c875e14ceafc2b1376547dc3127ad2b23",
+    "diff --n 3 --max-rows 2": "c168d3438b3eb387574070dd42dd600726f31e95eaa740c6602cc767e19f835f",
+    "segment": "4abd39edf5061253c2fbdbef02962fc4e59c4a3176dbc39888ceb97c07cb120c",
+    "sequences busy-beavers --upto 3": "648d9a4696ac442ed342ba4c41ff376e2f0f67a90f957078338ecef2fba9e2be",
+    "verify --n 4..2": "0b341736796588b62ca07bd182fe74a4712778de85b836b72c2e472a1a132c5e",
+    "render --kind mystery --n 2 --out x.svg": "08d2dbe1af58228811d6fd2cc264e140c324f309754755ac121d4449cd07c896",
+}

@@ -11,7 +11,7 @@ import pytest
 import chipfire
 import golden
 import peak_rss
-from chipfire import oracle, stable
+from chipfire import checks, oracle, stable
 from chipfire.cli import main, rows_from_csv, rows_to_csv
 
 
@@ -234,6 +234,26 @@ class TestVerifyCommand:
         assert all("parity" in line for line in lines)
         assert "16 chips retired" in out
 
+    def test_filter_naming_no_check_is_refused_at_once(self, capsys):
+        rc, out, err = run(capsys, "verify", "--n", "3", "--properties", "row-symmetry,row-symetry")
+        assert rc == 2
+        assert out == ""
+        assert err == "chipfire: --properties filter 'row-symetry' names no check\n"
+
+    @pytest.mark.parametrize("name", ["minimal-row-descent", "oracle", "bottom-triangle"])
+    def test_filters_match_every_kind_of_check(self, capsys, name):
+        rc, out, err = run(capsys, "verify", "--n", "3", "--properties", name, "--trials", "0")
+        assert (rc, err) == (0, "")
+        # The oracle is off, so its filter keeps nothing, as before.
+        expected = 0 if name == "oracle" else 1
+        assert out.splitlines()[-1] == f"summary: {expected} checks, 0 failures"
+
+    def test_check_names_are_the_scorecard(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--n", "3", "--trials", "2")
+        assert rc == 0
+        names = [line.split(": ")[0].removeprefix("n=3 ") for line in out.splitlines()[:-1]]
+        assert tuple(names) == checks.CHECK_NAMES
+
     def test_scorecard_is_frozen(self, capsys):
         rc, out, _ = run(capsys, "verify", "--n", "0..10", "--trials", "3", "--seed", "0")
         assert rc == 0
@@ -290,6 +310,90 @@ class TestRenderCommand:
         )
         assert rc == 3
         assert err
+
+
+def loaded_modules(code):
+    """The chipfire modules a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(chipfire.__file__).parents[1]))
+    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('chipfire')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+class TestImports:
+    """A command loads only the modules it runs."""
+
+    BASE = {"chipfire", "chipfire.cli", "chipfire.core"}
+
+    def test_cli_import(self):
+        assert loaded_modules("import chipfire.cli") == self.BASE
+
+    def test_package_import(self):
+        assert loaded_modules("import chipfire") == {"chipfire"}
+
+    @pytest.mark.parametrize(
+        "command,extra",
+        [
+            ("table --n 2", set()),
+            ("--help", set()),
+            ("distance --n 3", {"chipfire.stable"}),
+            ("diff --n 3", {"chipfire.difftable"}),
+            ("segment --n 3", {"chipfire.structure"}),
+        ],
+    )
+    def test_command_imports(self, command, extra):
+        code = (
+            "import contextlib, io\n"
+            "from chipfire.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    try:\n"
+            f"        main({command.split()!r})\n"
+            "    except SystemExit:\n"
+            "        pass"
+        )
+        assert loaded_modules(code) == self.BASE | extra
+
+    def test_star_import_binds_every_name(self):
+        loaded_modules(
+            "import chipfire\n"
+            "from chipfire import *\n"
+            "missing = [name for name in chipfire.__all__ if name not in globals()]\n"
+            "assert not missing, missing"
+        )
+
+    def test_unknown_name_is_an_attribute_error(self):
+        assert loaded_modules(
+            "import chipfire\n"
+            "try:\n"
+            "    chipfire.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    assert 'no_such_name' in str(exc)\n"
+            "else:\n"
+            "    raise AssertionError('resolved')"
+        ) == {"chipfire"}
+
+    def test_names_and_submodules_resolve(self):
+        modules = {"core", "stable", "structure", "difftable", "oracle", "sequences", "checks"}
+        assert set(chipfire.__all__) | modules <= set(dir(chipfire))
+        assert chipfire.stable.total_firings is chipfire.total_firings
+
+
+class TestCliText:
+    """Help, usage and argparse errors stay byte-identical."""
+
+    @pytest.mark.parametrize("command", list(golden.CLI_TEXT_SHA256))
+    def test_frozen(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(command.split())
+        out, err = capsys.readouterr()
+        is_help = "-h" in command.split() or "--help" in command.split()
+        assert exc.value.code == (0 if is_help else 2)
+        text, other = (out, err) if is_help else (err, out)
+        assert other == ""
+        assert sha256(text) == golden.CLI_TEXT_SHA256[command]
 
 
 class TestUsageErrors:

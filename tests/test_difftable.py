@@ -1,5 +1,6 @@
 import dataclasses
 from itertools import accumulate
+from operator import sub
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,9 @@ from chipfire import (
     Row,
     diff_row,
     diff_table,
+    initial_row,
     intermediate_configuration,
+    next_row,
     row_max_abs,
     sign_map,
     unimodal_check,
@@ -206,14 +209,20 @@ class TestRowMaxAbs:
         assert all(maxima[k + 1] <= maxima[k] for k in range(1, len(maxima) - 1))
 
 
+def reference_values(d):
+    """The entries of ``d`` from the unpacked values of its source row."""
+    v = d.source.values
+    return (v[0], *map(sub, v[1:], v), -v[-1]) if v else ()
+
+
 def reference_row_max_abs(d):
     """The largest absolute entry, entry by entry."""
-    return max(map(abs, d.values), default=0)
+    return max(map(abs, reference_values(d)), default=0)
 
 
 def reference_unimodal(d):
     """Walk the margin zero and the left half: weakly up, then weakly down."""
-    seq = (0,) + d.left_half()
+    seq = (0,) + reference_values(d)[: len(d.left_half())]
     k = 0
     last = len(seq) - 1
     while k < last and seq[k + 1] >= seq[k]:
@@ -266,6 +275,35 @@ class TestLaneReaders:
     def test_match_the_references(self, d):
         assert row_max_abs(d) == reference_row_max_abs(d)
         assert unimodal_check(d) == reference_unimodal(d)
+
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_values_match_the_reference_on_real_tables(self, n):
+        for d in diff_table(n):
+            assert d.values == reference_values(d)
+
+    @pytest.mark.parametrize("exponent,lane", [(100, 128), (126, 256)])
+    def test_values_on_wide_lanes(self, exponent, lane):
+        # Lanes wider than 64 bits are read by slicing the bytes.
+        r = initial_row(exponent)
+        assert r.lane == lane
+        for _ in range(40):
+            d = diff_row(r)
+            assert d.values == reference_values(d)
+            r = next_row(r)
+        assert r.lane == lane
+
+    @given(st.one_of(antisymmetric_rows(), asymmetric_rows()))
+    def test_values_match_the_reference(self, d):
+        assert d.values == reference_values(d)
+
+    def test_values_read_no_source_values(self, monkeypatch):
+        expected = [d.values for d in diff_table(12)]
+
+        def refuse(packed, width, lane):
+            raise AssertionError("row values were unpacked")
+
+        monkeypatch.setattr(core, "_unpack", refuse)
+        assert [d.values for d in diff_table(12)] == expected
 
     def test_never_unpack_a_real_table(self, monkeypatch):
         def shapes(n):

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from itertools import chain, compress, repeat
 from operator import and_, mul
 
@@ -21,6 +22,7 @@ from chipfire import (
     total_firings,
 )
 from chipfire import stable
+from chipfire.core import _DistanceCounts
 from chipfire.checks import run_checks
 from test_core import monotone_rows
 
@@ -59,6 +61,45 @@ class TestPackedRoutes:
         r = Row(index=r.index, y_min=r.y_min, values=[(v << shift) + v for v in r.values])
         assert stable_row(r) == reference_stable_row(r)
         assert firing_routes([r]) == reference_firing_routes([r])
+
+
+class TestDistanceCounts:
+    """The lane accumulator behind the distance distribution and the moment
+    route counts what the stable rows list chip by chip."""
+
+    @staticmethod
+    def reference(rows):
+        return Counter(chain.from_iterable(stable_row(r).distances() for r in rows))
+
+    @staticmethod
+    def accumulated(rows):
+        counts = _DistanceCounts()
+        for r in rows:
+            counts.add(stable_row(r))
+        return counts.counts()
+
+    @pytest.mark.parametrize("n", range(0, 15))
+    def test_real_tables(self, n):
+        rows = list(intermediate_configuration(n))
+        assert self.accumulated(rows) == self.reference(rows)
+
+    @given(st.lists(monotone_rows(), max_size=300), st.sampled_from([0, 1, 62, 64, 130]))
+    def test_built_rows(self, rows, shift):
+        # Rows in any order: a row may start below every distance so far.
+        rows = [
+            Row(index=r.index, y_min=r.y_min, values=[(v << shift) + v for v in r.values])
+            for r in rows
+        ]
+        assert self.accumulated(rows) == self.reference(rows)
+
+    def test_many_rows_at_one_distance(self):
+        # Past 255 rows, the staged 8-bit lanes move into the 64-bit ones.
+        rows = [Row(index=2 * k, y_min=k, values=(1,)) for k in range(1000)]
+        assert self.accumulated(rows) == {0: 1000}
+
+    def test_empty(self):
+        assert self.accumulated([]) == {}
+        assert firing_routes([]) == (0, 0)
 
 
 class TestStableRow:
