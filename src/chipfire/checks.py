@@ -30,14 +30,20 @@ the end of the table.
 The bottom-triangle report is one more fold, over a
 :class:`structure.TerminalRun` (the open run and the longest width).
 Besides the folds, the pass keeps the point table that the oracle
-cross-checks compare against, and only when they run.
+cross-checks compare against, and only when they run.  A ``properties``
+filter starts only the folds it selects and runs the oracle only when it
+selects an oracle cross-check; its scorecard is the full one with the other
+lines left out.
 
 The folds read the packed rows, not their values: each heavy check calls
 the whole-row lane fold of :mod:`chipfire.core` that decides it and formats
 the detail from the one lane it reports, and the diagonal and row-start
-checks read single entries with ``Row.value_at``.  Only ``pascal-top-rows``
-(rows 0..n) and ``last-row-pair`` (the last row) unpack rows, and no
-difference row is built entry by entry.
+checks read single entries with ``Row.value_at``.  The lane folds of one
+row share one lane context that ``core`` keeps with the row (its
+difference lanes, their second differences and the lane constants), and
+the stable row carries its chip count, so each is computed once per row.
+Only ``pascal-top-rows`` (rows 0..n) and ``last-row-pair`` (the last row)
+unpack rows, and no difference row is built entry by entry.
 """
 
 from __future__ import annotations
@@ -453,17 +459,17 @@ _REPORTS: dict[str, Callable[[int], _Fold]] = {
 }
 
 
-#: Every check name, in scorecard order; ``verify --properties`` filters
-#: match against these.
-CHECK_NAMES = (
-    "minimal-row-descent",
-    *_FOLDS,
+#: The oracle cross-checks, in scorecard order, reported after the folds.
+_ORACLE_CHECKS = (
     "oracle-confluence",
     "oracle-arrivals",
     "oracle-firing-counts",
     "oracle-stable-parity",
-    *_REPORTS,
 )
+
+#: Every check name, in scorecard order; ``verify --properties`` filters
+#: match against these.
+CHECK_NAMES = ("minimal-row-descent", *_FOLDS, *_ORACLE_CHECKS, *_REPORTS)
 
 
 def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
@@ -529,24 +535,35 @@ def run_checks(
 ) -> list[CheckResult]:
     """Run the invariant suite for one exponent in one pass over its table.
 
-    ``properties`` filters checks by substring match on the name.  Oracle
-    cross-checks run only when ``oracle_trials >= 2`` and n is within the
-    oracle's reach.
+    ``properties`` filters checks by substring match on the name; only the
+    folds it selects are started, and the oracle runs only when it selects
+    an oracle cross-check.  Oracle cross-checks run only when
+    ``oracle_trials >= 2`` and n is within the oracle's reach.
     """
+
+    def selected(name: str) -> bool:
+        return not properties or any(p in name for p in properties)
+
     verdicts: dict[str, _Verdict] = {}
     active: dict[str, _Fold] = {}
     for name, make in chain(_FOLDS.items(), _REPORTS.items()):
+        if not selected(name):
+            continue
         fold = make(n)
         verdict = _advance(fold, None)
         if verdict is None:
             active[name] = fold
         else:
             verdicts[name] = verdict
-    with_oracle = oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
+    with_oracle = (
+        oracle_trials >= 2
+        and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
+        and any(map(selected, _ORACLE_CHECKS))
+    )
     points: dict[tuple[int, int], int] = {}
     counts = _DistanceCounts()
 
-    for r in intermediate_configuration(n):
+    for r in intermediate_configuration(n) if active or with_oracle else ():
         s = stable.stable_row(r)
         counts.add(s)
         step = _Step(r, r.chip_sum(), difftable.diff_row(r), s, counts)
@@ -562,11 +579,12 @@ def run_checks(
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)
 
-    results = [_result(name, n, *verdicts[name]) for name in _FOLDS]
+    results = [_result(name, n, *verdicts[name]) for name in _FOLDS if name in verdicts]
     if with_oracle:
-        results.extend(_oracle_checks(n, points, oracle_trials, seed))
-    results.extend(_result(name, n, *verdicts[name], advisory=True) for name in _REPORTS)
-
-    if properties:
-        results = [r for r in results if any(p in r.name for p in properties)]
+        results.extend(
+            r for r in _oracle_checks(n, points, oracle_trials, seed) if selected(r.name)
+        )
+    results.extend(
+        _result(name, n, *verdicts[name], advisory=True) for name in _REPORTS if name in verdicts
+    )
     return results

@@ -49,26 +49,31 @@ The packed int is the one source of every row.  A streamed :class:`Row`
 keeps it as ``packed`` with its ``lane`` and ``width``, and quantities that
 depend only on parity, width or the row total are read straight off it:
 ``Row.parity`` is the low byte of every lane reduced to 0/1 at C speed,
-and ``Row.chip_sum()`` is the exact sum of the lanes, read through
-``memoryview.cast("B"/"H"/"I"/"Q")`` (a lane holds the largest entry, not
-the row total, so no digit-sum shortcut applies).  ``Row.values`` is
-unpacked through the same cast on its first read, and lanes wider than 64
-bits by slicing the bytes.  ``Row.value_at`` reads one lane with a shift
+and ``Row.chip_sum()`` is the exact sum of the lanes, summed straight off
+``memoryview.cast("B"/"H"/"I"/"Q")`` with no list between (a lane holds the
+largest entry, not the row total, so no digit-sum shortcut applies).
+``Row.values`` is unpacked through the same cast on its first read, and
+lanes wider than 64 bits by slicing the bytes.  ``Row.value_at`` reads one lane with a shift
 and a mask.
 
 A difference row of :mod:`chipfire.difftable` is a function of its source
 row alone and keeps only that row.  :func:`_diff_lanes` packs the first
 differences of the source row in the same format, as one whole-row
 expression, ``packed + bias - (packed << W)`` with ``2**(W-2)`` added to
-every lane (kept with the row for the lane folds below); the second
-differences, biased by ``2**(W-1)``, show their sign in the lanes' top
-bits.  :func:`_lane_shape` reads the unimodality and the largest entry of
-the difference row from those bits, and :func:`_diff_values` reads its
-entries: adding the bias once more and flipping each lane's top bit,
-``(packed + bias*ones) ^ top``, leaves every entry in two's complement, so
-``memoryview.cast("b"/"h"/"i"/"q")`` reads them as signed ints (lanes of
-128 or 256 bits, or a big-endian host, slice the bytes with
-``signed=True``).  ``difftable`` calls them and reads no lane itself.
+every lane.  The first lane fold to need them builds the row's lane
+context from it (:func:`_diff_context`) and keeps it with the row
+(:func:`_kept_diff_lanes`): the difference lanes, the row's all-ones and
+top-bit constants, and the second differences, biased by ``2**(W-1)``, so
+that their signs show in the lanes' top bits.  Every fold of one pass reads
+that one context, so each row packs its differences, builds its constants
+and takes its second differences once.  :func:`_lane_shape` reads the
+unimodality and the largest entry of the difference row from it, and
+:func:`_diff_values` reads its entries: adding the bias once more and
+flipping each lane's top bit, ``(packed + bias*ones) ^ top``, leaves every
+entry in two's complement, so ``memoryview.cast("b"/"h"/"i"/"q")`` reads
+them as signed ints (lanes of 128 or 256 bits, or a big-endian host, slice
+the bytes with ``signed=True``).  ``difftable`` calls them and reads no
+lane itself.
 
 The distance counts of :mod:`chipfire.stable` are lanes too.
 :class:`_DistanceCounts` keeps one int with a lane per distance ``y - x``
@@ -88,8 +93,8 @@ Python object per entry):
   byte plane at a time;
 - ``row-contiguity`` (:func:`_has_gap`) is the SWAR zero-lane test;
 - ``monotone-steps`` (:func:`_growth_break`) and ``diff-local-propagation``
-  (:func:`_rises`, :func:`_propagation_break`) read the top bits of biased
-  first and second differences;
+  (:func:`_rises`, :func:`_propagation_break`) read the top bits of the
+  kept biased first and second differences;
 - ``bottom-minimal-rows`` (:func:`_is_minimal`) compares a row with the
   packed minimal row of its width and lane, built once;
 - ``diff-telescoping`` (:func:`_telescoping_break`) rebuilds the row from
@@ -107,6 +112,10 @@ width, ``y_min`` and index, and a ``low_mask`` that doubles in lanes as
 rows widen), so memory stays proportional to the widest row.  It stops
 before the first all-zero row and raises :class:`RowCapExceededError` if
 the index ever passes :func:`row_bound`, which no correct run can.
+
+The difference and stable rows of the other modules are frozen
+dataclasses with values computed on first read; :class:`_once` keeps such
+a value in the instance without the lock of ``functools.cached_property``.
 
 Validation lives in the public constructor.  ``Row(index, y_min, values)``
 checks positivity, palindromes and the quadrant, and packs its values on
@@ -258,7 +267,7 @@ class Row:
             yield self.index - y, y, v
 
     def chip_sum(self) -> int:
-        """The row total, read off the packed view without unpacking."""
+        """The row total, summed over the lanes of the packed view."""
         return sum(_lanes(self.packed, self.width, self.lane))
 
 
@@ -268,6 +277,25 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
+
+
+class _once:
+    """A lazy attribute of a frozen dataclass: ``fn(obj)``, computed on the
+    first read and kept in the instance's ``__dict__``, where every later
+    read finds it before this descriptor.  Unlike
+    ``functools.cached_property``, it takes no lock (Python 3.11 takes one on
+    every first read)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
 
 
 def initial_row(n: int) -> Row:
@@ -307,14 +335,18 @@ def _pack(values: Sequence[int], lane: int) -> int:
     return int.from_bytes(b"".join(v.to_bytes(size, "little") for v in values), "little")
 
 
-def _lanes(packed: int, width: int, lane: int, signed: bool = False) -> list[int]:
+def _lanes(packed: int, width: int, lane: int, signed: bool = False) -> Sequence[int]:
     """The ``width`` lanes of ``packed`` as ints, lowest first; read as two's
-    complement when ``signed``."""
+    complement when ``signed``.
+
+    A cast memoryview where the lanes fit a native format, so a caller that
+    sums or copies them builds no list first.
+    """
     size = lane // 8
     raw = packed.to_bytes(width * size, "little")
     if size <= 8 and _NATIVE_LITTLE:
         fmt = _FORMATS[size]
-        return memoryview(raw).cast(fmt.lower() if signed else fmt).tolist()
+        return memoryview(raw).cast(fmt.lower() if signed else fmt)
     return [
         int.from_bytes(raw[k : k + size], "little", signed=signed)
         for k in range(0, len(raw), size)
@@ -453,6 +485,38 @@ class _DistanceCounts:
         return {self.low + j: c for j, c in enumerate(lanes) if c}
 
 
+def _kept_diff_lanes(source: Row) -> tuple[int, int, int, int, int]:
+    """:func:`_diff_context` of ``source``, computed on the first call and
+    kept with the row, since every lane fold of one pass reads it."""
+    kept = source.__dict__
+    diffs = kept.get("_diff_lanes")
+    if diffs is None:
+        diffs = kept["_diff_lanes"] = _diff_context(source)
+    return diffs
+
+
+def _diff_context(source: Row) -> tuple[int, int, int, int, int]:
+    """``(packed, lane, ones, top, second)`` of the difference row of
+    ``source``.
+
+    ``packed`` and ``lane`` are :func:`_diff_lanes`; ``ones`` holds 1 in each
+    of the difference row's ``source.width + 1`` lanes and ``top`` the top
+    bit of each.  ``second`` holds the second differences, closed by the
+    zero entry past the row: lane j holds ``e_j - e_{j-1} + 2**(lane-1)``
+    for j = 0 .. ``source.width + 1`` (``e`` is zero outside the row).  Every
+    entry lies strictly between ``-2**(lane-2)`` and ``2**(lane-2)``, so
+    every lane of ``second`` is positive and below ``2**lane``, and no
+    borrow crosses a lane.
+    """
+    packed, lane = _diff_lanes(source)
+    width = source.width + 1
+    ones = _ones(lane, width)
+    top = ones << lane - 1
+    # Lane ``width`` holds the closing zero, biased, plus its top bit.
+    second = packed + top - (1 << lane - 2) - (packed << lane) + (3 << width * lane + lane - 2)
+    return packed, lane, ones, top, second
+
+
 def _diff_values(source: Row) -> tuple[int, ...]:
     """The entries of the difference row of ``source``, read off
     :func:`_diff_lanes` (``()`` for an empty row).
@@ -464,34 +528,23 @@ def _diff_values(source: Row) -> tuple[int, ...]:
     """
     if not source.width:
         return ()
-    width = source.width + 1
-    packed, lane = _diff_lanes(source)
-    ones = _ones(lane, width)
-    signed = (packed + (ones << lane - 2)) ^ (ones << lane - 1)
-    return tuple(_lanes(signed, width, lane, signed=True))
-
-
-def _kept_diff_lanes(source: Row) -> tuple[int, int]:
-    """:func:`_diff_lanes` of ``source``, computed on the first call and kept
-    with the row, since four lane folds of one pass read it."""
-    kept = source.__dict__
-    diffs = kept.get("_diff_lanes")
-    if diffs is None:
-        diffs = kept["_diff_lanes"] = _diff_lanes(source)
-    return diffs
+    packed, lane, ones, top, _ = _kept_diff_lanes(source)
+    signed = (packed + (ones << lane - 2)) ^ top
+    return tuple(_lanes(signed, source.width + 1, lane, signed=True))
 
 
 def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
-    """The shape of the difference row of ``source`` read off its lanes
-    (:func:`_diff_lanes`): whether its first ``half`` entries are unimodal,
-    and its largest absolute entry, or None where the lanes cannot prove it.
+    """The shape of the difference row of ``source`` read off its kept lanes
+    (:func:`_kept_diff_lanes`): whether its first ``half`` entries are
+    unimodal, and its largest absolute entry, or None where the lanes cannot
+    prove it.
 
-    Lane j of the second differences of those entries holds
-    ``s_j + 2**(lane-1)`` with ``s_j = e_j - e_{j-1}`` and ``e_{-1} = 0``
-    (the implicit margin).  Its top bit is clear exactly when ``s_j < 0``
-    (a strict fall), and ``s_j - 1`` keeps it set exactly when ``s_j > 0``
-    (a strict rise).  The entries are unimodal when every rise sits below
-    the lowest fall.
+    Lane j of the second differences holds ``s_j + 2**(lane-1)`` with
+    ``s_j = e_j - e_{j-1}`` and ``e_{-1} = 0`` (the implicit margin).  Its
+    top bit is clear exactly when ``s_j < 0`` (a strict fall), and
+    ``s_j - 1`` keeps it set exactly when ``s_j > 0`` (a strict rise).  The
+    first ``half`` entries are unimodal when every rise among their lanes
+    sits below the lowest fall.
 
     The candidate for the largest entry ``c`` is their peak: the entry just
     before the first fall (the margin 0 if that is the first entry), or the
@@ -502,23 +555,16 @@ def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
     ``e + c + 2**(lane-1)``, both positive and below ``2**lane``, with the
     top bit set exactly when the bound holds.
     """
-    packed, lane = _diff_lanes(source)
+    packed, lane, ones, top, second = _kept_diff_lanes(source)
     bias = 1 << lane - 2
-    low = packed & (1 << half * lane) - 1
-    ones = _ones(lane, half)
-    top = ones << lane - 1
-    # Lane ``half`` of ``low << lane`` borrows from the lanes above the
-    # half, which leaves the low ``half`` lanes intact.
-    second = low + top - bias - (low << lane)
-    falls = top & ~second
+    tops = top & (1 << half * lane) - 1
+    falls = tops & ~second
     first_fall = falls & -falls
-    unimodal = not falls or (second - ones) & top < first_fall
+    unimodal = not falls or (second - ones) & tops < first_fall
     peak = first_fall.bit_length() // lane - 2 if falls else half - 1
     c = (packed >> peak * lane & (1 << lane) - 1) - bias if peak >= 0 else 0
     if c < 0:
         return unimodal, None
-    ones = _ones(lane, source.width + 1)
-    top = ones << lane - 1
     if ((c + 3 * bias) * ones - packed) & top != top:
         return unimodal, None
     if (packed + (c + bias) * ones) & top != top:
@@ -564,10 +610,11 @@ def _has_gap(r: Row) -> bool:
     bit only where the lane borrows, which is in a zero lane, or in a lane
     holding 1 above a lane that borrowed, so above a zero lane.  No lane of
     a row has its top bit set, so the test's usual ``& ~packed`` term, which
-    clears the lanes that had it, is not needed.
+    clears the lanes that had it, is not needed.  The row's ones and top
+    bits are those kept for its difference row, one lane fewer.
     """
-    ones = _ones(r.lane, r.width)
-    return bool((r.packed - ones) & ones << r.lane - 1)
+    _, lane, ones, top, _ = _kept_diff_lanes(r)
+    return bool((r.packed - (ones >> lane)) & top >> lane)
 
 
 def _growth_break(r: Row) -> tuple[int, int] | None:
@@ -588,10 +635,8 @@ def _growth_break(r: Row) -> tuple[int, int] | None:
     # ``right`` on strictly right of it.
     left = min(max((i - 1) // 2 - y0, 0), steps)
     right = min(max((i + 2) // 2 - y0, left), steps)
-    packed, lane = _kept_diff_lanes(r)
+    packed, lane, ones, top, _ = _kept_diff_lanes(r)
     bias = 1 << lane - 2
-    ones = _ones(lane, steps + 2)
-    top = ones << lane - 1
     # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps.
     bad = top & (1 << (left + 1) * lane) - (1 << lane) & ~(packed + (bias - 2) * ones)
     if not bad:
@@ -656,29 +701,25 @@ def _antisymmetric_diffs(source: Row) -> bool:
     biased like ``packed``; the row is antisymmetric when those lanes are
     the lanes of ``packed`` in reverse order.
     """
-    packed, lane = _kept_diff_lanes(source)
-    width = source.width + 1
-    return _reversed(packed, (_ones(lane, width) << lane - 1) - packed, width, lane)
+    packed, lane, _, top, _ = _kept_diff_lanes(source)
+    return _reversed(packed, top - packed, source.width + 1, lane)
 
 
 def _rises(source: Row) -> int:
     """Where the difference row of ``source`` weakly rises, one byte each.
 
     Byte j is 1 when entry j is at least entry j - 1, for j = 0 .. width
-    of the difference row (entries outside it are 0).  Lane j of the
-    second differences holds ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit
-    is the flag; the top byte of each lane, translated to its top bit,
-    becomes that lane's byte.
+    of the difference row (entries outside it are 0).  Lane j of the kept
+    second differences (:func:`_kept_diff_lanes`) holds
+    ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit is the flag; the top
+    byte of each lane, translated to its top bit, becomes that lane's byte.
     """
     if not source.width:
         return 0
-    packed, lane = _kept_diff_lanes(source)
-    width = source.width + 2
+    _, lane, _, _, second = _kept_diff_lanes(source)
     size = lane // 8
-    # The zero entry past the row, biased like the others, closes the row.
-    closed = packed + (1 << (width - 1) * lane + lane - 2)
-    second = closed + (_ones(lane, width) << lane - 1) - (1 << lane - 2) - (packed << lane)
-    flags = second.to_bytes(width * size, "little")[size - 1 :: size].translate(_TOP_BIT)
+    raw = second.to_bytes((source.width + 2) * size, "little")
+    flags = raw[size - 1 :: size].translate(_TOP_BIT)
     return int.from_bytes(flags, "little")
 
 
@@ -721,9 +762,9 @@ def _telescoping_break(source: Row) -> tuple[int, int | None] | None:
     width = source.width
     if not width:
         return None
-    packed, lane = _kept_diff_lanes(source)
+    packed, lane, ones, _, _ = _kept_diff_lanes(source)
     span = (width + 1) * lane
-    sums = packed - (_ones(lane, width + 1) << lane - 2)
+    sums = packed - (ones << lane - 2)
     shift = lane
     while shift < span:
         sums += sums << shift

@@ -13,18 +13,22 @@ in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps only
-that row, so it is built one way, by :func:`diff_row`.  ``core`` packs the
-source row's first differences in its lanes with a few whole-row
-operations, each biased to be positive, and everything here reads that one
-packing.  The ``values`` are read off it on their first read, as signed
-lanes: adding the bias once more and flipping each lane's top bit leaves
-every entry in two's complement, which ``memoryview.cast`` reads as signed
-ints (lanes wider than 64 bits by slicing the bytes).  The sign maps and
-the CLI read them.  :func:`unimodal_check` and :func:`row_max_abs` read no
-values: the signs of the second differences give the shape of the left
-half, and two lane comparisons prove that the left half's peak bounds
-every entry.  Only a row that fails that proof (never a row of a correct
-table) has its largest entry taken from its values.
+that row, so it is built one way, by :func:`diff_row`, which has nothing
+to validate and skips the frozen dataclass's ``__init__``.  ``core`` packs
+the source row's first differences in its lanes with a few whole-row
+operations, each biased to be positive, and keeps them with the source row
+together with their second differences, so that everything here and every
+lane fold of ``verify`` reads that one packing.  The ``values`` are read
+off it on their first read, as signed lanes: adding the bias once more and
+flipping each lane's top bit leaves every entry in two's complement, which
+``memoryview.cast`` reads as signed ints (lanes wider than 64 bits by
+slicing the bytes).  The sign maps and the CLI read them.
+:func:`unimodal_check` and :func:`row_max_abs` read no values: the signs
+of the kept second differences give the shape of the left half, and two
+lane comparisons prove that the left half's peak bounds every entry.  Only
+a row that fails that proof (never a row of a correct table) has its
+largest entry taken from its values.  Both the values and that shape are
+computed on first read and kept in the row (``core._once``).
 
 Nothing here checks antisymmetry: the source rows of a table are not
 validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
@@ -34,11 +38,10 @@ validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .core import Row, _diff_values, _lane_shape, intermediate_configuration
+from .core import Row, _diff_values, _lane_shape, _once, intermediate_configuration
 
 
 @dataclass(frozen=True)
@@ -54,7 +57,7 @@ class DiffRow:
     y_min: int
     source: Row
 
-    @cached_property
+    @_once
     def values(self) -> tuple[int, ...]:
         return _diff_values(self.source)
 
@@ -70,7 +73,7 @@ class DiffRow:
         # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
         return min(max(self.index // 2 - self.y_min + 1, 0), self.width)
 
-    @cached_property
+    @_once
     def _shape(self) -> tuple[bool, int | None]:
         # Whether the left half is unimodal, and the largest absolute entry
         # where the lanes prove it: both come from one pass over the lanes.
@@ -83,7 +86,11 @@ class DiffRow:
 
 def diff_row(prev: Row) -> DiffRow:
     """Difference row ``prev.index + 1`` computed from arrival row ``prev``."""
-    return DiffRow(index=prev.index + 1, y_min=prev.y_min, source=prev)
+    # A difference row has nothing to validate, so it is built without the
+    # frozen __init__ and its object.__setattr__ per field.
+    d = object.__new__(DiffRow)
+    d.__dict__.update(index=prev.index + 1, y_min=prev.y_min, source=prev)
+    return d
 
 
 def diff_table(n: int) -> Iterator[DiffRow]:

@@ -9,14 +9,27 @@ number of moves; :func:`confluence_check` verifies that, and
 comparison with the streaming computation.
 
 One worklist loop serves every order; an order only decides which listed
-point fires next.  Inside the loop a point ``(x, y)`` is the int
-``x << _SHIFT | y``, so its right neighbour is ``p + (1 << _SHIFT)`` and its
-upper neighbour ``p + 1``, and chips and firing counts live in plain dicts
-keyed by those ints.  The heaps of the two sorted orders hold their sort
-keys as ints of the same form, ``(x + y) << _SHIFT | y`` row by row and
-``y << _SHIFT | x`` leftmost first, and the random order draws from its pool
-with one ``randrange`` per move.  The run ends in an :class:`OracleState`
-keyed by ``(x, y)`` tuples, built once.
+point fires next.  Inside the loop a point is an int, and chips and firing
+counts live in plain dicts keyed by those ints.  Each order has its own
+encoding, chosen so that its order is plain int order and the worklist
+needs no key function:
+
+- row by row, ``(x + y) << _SHIFT | y``, so the right neighbour is
+  ``p + (1 << _SHIFT)`` and the upper one ``p + (1 << _SHIFT) + 1``;
+- leftmost first, ``y << _SHIFT | x``: right ``p + 1``, up
+  ``p + (1 << _SHIFT)``;
+- random and FIFO, ``x << _SHIFT | y``: right ``p + (1 << _SHIFT)``, up
+  ``p + 1``.
+
+The origin is 0 in every encoding, so the loop reaches every point by
+adding the two offsets, and the two sorted orders push and pop a heap
+through ``functools.partial(heappush, heap)`` and its ``heappop`` twin,
+so no move calls a Python function.  The random order draws inline: with
+``k = size.bit_length()``, ``getrandbits(k)`` is redrawn until it falls
+below the pool's size, which is exactly what ``Random.randrange(size)``
+does, so a seed picks the same points as a ``randrange`` per move would.
+The drawn point is swapped to the end of the pool and popped.  The run
+ends in an :class:`OracleState` keyed by ``(x, y)`` tuples, decoded once.
 
 The simulator exists for cross-validation at small n, not for scale: every
 firing is one Python-level step.
@@ -24,10 +37,11 @@ firing is one Python-level step.
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappop, heappush
 from typing import Callable, Iterator
 
 from .core import ChipfireError, row_bound
@@ -35,10 +49,10 @@ from .core import ChipfireError, row_bound
 ORACLE_EXPONENT_LIMIT = 10
 
 #: Most random orders one confluence check may run.  Each trial adds one
-#: random run per n to ``verify --n 0..10``, about 90 ms in all on a 2-vCPU
-#: host with Python 3.11 (most of it the run at the oracle limit; 7 500
-#: trials took 691 s at a 17.7 MiB peak), so at this cap that command takes
-#: about 10 minutes there.
+#: random run per n to ``verify --n 0..10``, about 70 ms in all on a 2-vCPU
+#: host with Python 3.11 (most of it the run at the oracle limit; 200
+#: trials took 13.7 s more than 2, against 21.4 s with one ``randrange``
+#: per move), so at this cap that command takes about 8 minutes there.
 MAX_TRIALS = 6_500
 
 STRATEGIES = ("random", "leftmost-first", "fifo-queue", "row-by-row")
@@ -79,50 +93,58 @@ class OracleState:
         return dict(self.firings)
 
 
-def _decode(p: int) -> Point:
+def _xy(p: int) -> Point:
     return p >> _SHIFT, p & _LOW
 
 
-def _by_point(counts: dict[int, int]) -> Counter[Point]:
-    return Counter({_decode(p): v for p, v in counts.items()})
+def _yx(p: int) -> Point:
+    return p & _LOW, p >> _SHIFT
 
 
-def _worklist(
-    strategy: str, seed: int | None
-) -> tuple[list | deque, Callable[[int], None], Callable[[], int]]:
-    """The container that sets ``strategy``'s order, with its ``put`` and ``take``."""
+def _row_y(p: int) -> Point:
+    y = p & _LOW
+    return (p >> _SHIFT) - y, y
+
+
+def _by_point(counts: dict[int, int], decode: Callable[[int], Point]) -> Counter[Point]:
+    return Counter({decode(p): v for p, v in counts.items()})
+
+
+#: Per order: the point ints' offsets to the right and upper neighbours, and
+#: their decoder.  A point int is the origin, 0, plus x rights and y ups.
+_ENCODINGS: dict[str, tuple[int, int, Callable[[int], Point]]] = {
+    "random": (1 << _SHIFT, 1, _xy),
+    "fifo-queue": (1 << _SHIFT, 1, _xy),
+    # (x + y) << _SHIFT | y: row first, then y.
+    "row-by-row": (1 << _SHIFT, (1 << _SHIFT) + 1, _row_y),
+    # y << _SHIFT | x: y first, then x.
+    "leftmost-first": (1, 1 << _SHIFT, _yx),
+}
+
+
+def _worklist(strategy: str, seed: int | None) -> tuple[
+    list | deque,
+    Callable[[int], None],
+    Callable[[], int],
+    Callable[[int], int] | None,
+    tuple[int, int, Callable[[int], Point]],
+]:
+    """The container that sets ``strategy``'s order, its ``put`` and ``take``,
+    the random order's ``draw``, and the order's point encoding.
+
+    ``draw(k)`` gives ``k`` random bits; the random order swaps the drawn
+    entry to the end of its pool before ``take`` pops it.  The other orders
+    have no ``draw``.
+    """
+    encoding = _ENCODINGS[strategy]
     if strategy == "fifo-queue":
         queue: deque[int] = deque()
-        return queue, queue.append, queue.popleft
+        return queue, queue.append, queue.popleft, None, encoding
     if strategy == "random":
-        rng = random.Random(seed)
         pool: list[int] = []
-
-        def take_any() -> int:
-            i = rng.randrange(len(pool))
-            pool[i], pool[-1] = pool[-1], pool[i]
-            return pool.pop()
-
-        return pool, pool.append, take_any
+        return pool, pool.append, pool.pop, random.Random(seed).getrandbits, encoding
     heap: list[int] = []
-    push, pop = heapq.heappush, heapq.heappop
-    if strategy == "row-by-row":
-        # (x, y) -> (x + y, y), and back.
-        def key(p: int) -> int:
-            y = p & _LOW
-            return ((p >> _SHIFT) + y) << _SHIFT | y
-
-        def point(k: int) -> int:
-            y = k & _LOW
-            return ((k >> _SHIFT) - y) << _SHIFT | y
-
-    else:
-        # (x, y) -> (y, x), its own inverse.
-        def key(p: int) -> int:
-            return (p & _LOW) << _SHIFT | p >> _SHIFT
-
-        point = key
-    return heap, lambda p: push(heap, key(p)), lambda: point(pop(heap))
+    return heap, partial(heappush, heap), partial(heappop, heap), None, encoding
 
 
 def simulate(
@@ -148,11 +170,10 @@ def simulate(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     cap = move_cap if move_cap is not None else ((1 << n) * row_bound(n)) // 2 + 1
-    pending, put, take = _worklist(strategy, seed)
+    pending, put, take, draw, (right, up, decode) = _worklist(strategy, seed)
     chips = {0: 1 << n}
     firings: dict[int, int] = {}
     held, fired = chips.get, firings.get
-    right = 1 << _SHIFT
     moves = 0
     # Exactly the points holding two chips or more are pending, each once:
     # only a point's own firing takes chips from it, so a point is put when
@@ -160,6 +181,15 @@ def simulate(
     if n:
         put(0)
     while pending:
+        if draw:
+            # Random.randrange(size), inline: k random bits until they fall
+            # below size.
+            size = len(pending)
+            k = size.bit_length()
+            i = draw(k)
+            while i >= size:
+                i = draw(k)
+            pending[i], pending[-1] = pending[-1], pending[i]
         p = take()
         if moves >= cap:
             raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
@@ -173,11 +203,13 @@ def simulate(
         c = chips[q] = held(q, 0) + 1
         if c == 2:
             put(q)
-        q = p + 1
+        q = p + up
         c = chips[q] = held(q, 0) + 1
         if c == 2:
             put(q)
-    return OracleState(n=n, moves=moves, chips=_by_point(chips), firings=_by_point(firings))
+    return OracleState(
+        n=n, moves=moves, chips=_by_point(chips, decode), firings=_by_point(firings, decode)
+    )
 
 
 def arrivals(state: OracleState) -> dict[Point, int]:

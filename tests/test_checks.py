@@ -66,6 +66,34 @@ class TestRunChecks:
         assert results
         assert all("diff" in r.name for r in results)
 
+    @pytest.mark.parametrize(
+        "filters",
+        [[name] for name in checks.CHECK_NAMES]
+        + [["diff"], ["oracle"], ["oracle-a"], ["row"], ["stable"], ["-"], ["oracle", "row-sym"]],
+    )
+    def test_filter_selects_from_the_full_scorecard(self, filters):
+        # Only the selected folds start, and the oracle runs only for an
+        # oracle check, but the results are those of the full run.
+        full = run_checks(6, oracle_trials=3, seed=2)
+        expected = [r for r in full if any(p in r.name for p in filters)]
+        assert run_checks(6, properties=filters, oracle_trials=3, seed=2) == expected
+
+    def test_filter_without_oracle_checks_never_simulates(self, monkeypatch, capsys):
+        calls = []
+        real = oracle.simulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "simulate", counted)
+        assert run_checks(6, properties=["row-symmetry", "diff"], oracle_trials=50)
+        assert main(["verify", "--n", "2..6", "--trials", "50", "--properties", "distance"]) == 0
+        capsys.readouterr()
+        assert calls == []
+        assert run_checks(6, properties=["oracle-arrivals"], oracle_trials=2)
+        assert len(calls) == 5
+
     def test_degenerate_n0_skips_with_notice(self):
         results = {r.name: r for r in run_checks(0)}
         assert results["even-diagonal"].detail.startswith("skipped")
@@ -279,6 +307,29 @@ class TestRerouteMutations:
         assert not result.passed
         assert result.detail == DIFF_CORRUPTIONS[name][1]
 
+    #: Every check that fails on each corruption of ``DIFF_CORRUPTIONS``,
+    #: with its detail, captured before the lane folds shared one kept
+    #: context per row: the negated row reaches diff-unimodality through
+    #: the kept second differences, and monotone-steps through the kept
+    #: difference lanes.
+    DIFF_FAILURES = {
+        "diff-antisymmetry": {
+            "diff-antisymmetry": "difference row 5",
+            "diff-telescoping": "row 5 sums to 1",
+        },
+        "diff-telescoping": {
+            "monotone-steps": "row 4: step -12 at y=0 breaks the growth rule",
+            "diff-unimodality": "non-unimodal rows [5]",
+            "diff-telescoping": "row 4 not recovered at position 0",
+        },
+    }
+
+    @pytest.mark.parametrize("name", list(DIFF_CORRUPTIONS))
+    def test_corrupted_difference_row_fails_every_reader(self, monkeypatch, name):
+        self._corrupt_difference_row(monkeypatch, name)
+        failed = {r.name: r.detail for r in failures(run_checks(self.N))}
+        assert failed == self.DIFF_FAILURES[name]
+
     def test_telescoping_reports_the_full_sum(self, monkeypatch):
         # The last difference raised by 1: every partial sum but the full
         # one still rebuilds the row.
@@ -408,6 +459,22 @@ class TestSinglePass:
         monkeypatch.setattr(difftable.DiffRow, "values", property(refuse))
         assert failures(run_checks(n)) == []
         assert len(unpacked) <= n + 2
+
+    def test_one_lane_context_per_row(self, monkeypatch, table):
+        # The difference lanes, their second differences and the row's lane
+        # constants are built once per row and shared by every lane fold.
+        calls = {"_diff_lanes": [], "_diff_context": []}
+        for name, seen in calls.items():
+            real = getattr(core, name)
+
+            def counted(source, real=real, seen=seen):
+                seen.append(source.index)
+                return real(source)
+
+            monkeypatch.setattr(core, name, counted)
+        assert failures(run_checks(12)) == []
+        rows = [r.index for r in table(12)]
+        assert calls == {"_diff_lanes": rows, "_diff_context": rows}
 
     def test_one_stable_row_per_row(self, monkeypatch, table):
         calls = []

@@ -330,8 +330,8 @@ class TestPackedView:
         assert readers == []
 
     def test_only_core_builds_trusted_rows(self):
-        # Difference and stable rows are built by their constructors; only
-        # kernel rows skip validation.
+        # Only kernel rows skip validation; difference and stable rows have
+        # none to skip.
         package = Path(core.__file__).parent
         importers = [
             f"{path.name}:{node.lineno}"

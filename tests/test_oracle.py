@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -69,14 +70,15 @@ class TestSimulate:
         real = oracle._worklist
 
         def logged(*args):
-            pending, put, take = real(*args)
+            pending, put, take, draw, encoding = real(*args)
+            decode = encoding[2]
 
             def take_logged():
                 p = take()
-                fired.append(oracle._decode(p))
+                fired.append(decode(p))
                 return p
 
-            return pending, put, take_logged
+            return pending, put, take_logged, draw, encoding
 
         monkeypatch.setattr(oracle, "_worklist", logged)
         assert simulate(5, strategy, seed=3).moves == len(fired) == 163
@@ -117,15 +119,44 @@ class TestManualFiring:
 class TestPointInts:
     def test_round_trip_at_the_limit(self):
         # No chip passes the last-row bound, so a point that fires has both
-        # coordinates within it, and its neighbours one more.
+        # coordinates within it, and its neighbours one more.  Every order
+        # reaches a point from the origin, 0, by adding its two offsets.
         bound = row_bound(ORACLE_EXPONENT_LIMIT)
         assert bound + 1 < 1 << oracle._SHIFT
-        for x in (0, 1, bound // 2, bound):
-            for y in (0, 1, bound // 2, bound):
-                p = x << oracle._SHIFT | y
-                assert oracle._decode(p) == (x, y)
-                assert oracle._decode(p + (1 << oracle._SHIFT)) == (x + 1, y)
-                assert oracle._decode(p + 1) == (x, y + 1)
+        for strategy in STRATEGIES:
+            right, up, decode = oracle._worklist(strategy, 0)[-1]
+            for x in (0, 1, bound // 2, bound):
+                for y in (0, 1, bound // 2, bound - x):
+                    p = x * right + y * up
+                    assert decode(p) == (x, y)
+                    assert decode(p + right) == (x + 1, y)
+                    assert decode(p + up) == (x, y + 1)
+
+    @pytest.mark.parametrize(
+        ("strategy", "key"),
+        [("row-by-row", lambda x, y: (x + y, y)), ("leftmost-first", lambda x, y: (y, x))],
+    )
+    def test_heap_order_is_int_order(self, strategy, key):
+        right, up, decode = oracle._worklist(strategy, 0)[-1]
+        bound = row_bound(ORACLE_EXPONENT_LIMIT)
+        coords = [0, 1, 2, bound // 3, bound // 2, bound - 1, bound]
+        points = [x * right + y * up for x in coords for y in coords if x + y <= bound]
+        by_key = sorted(map(decode, points), key=lambda p: key(*p))
+        assert [decode(p) for p in sorted(points)] == by_key
+
+    def test_draw_is_randrange(self):
+        # The steps of the random order's inline draw pick what
+        # Random.randrange would on this interpreter; the frozen random
+        # firing order above pins the loop to these steps.
+        for seed in range(51):
+            bits = random.Random(seed).getrandbits
+            reference = random.Random(seed)
+            for size in range(1, 1001):
+                k = size.bit_length()
+                i = bits(k)
+                while i >= size:
+                    i = bits(k)
+                assert i == reference.randrange(size)
 
     def test_run_reaches_inside_the_bound(self):
         state = simulate(ORACLE_EXPONENT_LIMIT, "fifo-queue")
