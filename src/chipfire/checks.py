@@ -56,6 +56,7 @@ from . import difftable, oracle, stable, structure
 from .core import (
     ChipfireError,
     Row,
+    _check_exponent,
     _DistanceCounts,
     _antisymmetric_diffs,
     _growth_break,
@@ -538,8 +539,10 @@ def run_checks(
     ``properties`` filters checks by substring match on the name; only the
     folds it selects are started, and the oracle runs only when it selects
     an oracle cross-check.  Oracle cross-checks run only when
-    ``oracle_trials >= 2`` and n is within the oracle's reach.
+    ``oracle_trials >= 2`` and n is within the oracle's reach.  ``n`` is
+    checked first, whatever the filter selects.
     """
+    _check_exponent(n)
 
     def selected(name: str) -> bool:
         return not properties or any(p in name for p in properties)

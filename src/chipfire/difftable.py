@@ -13,8 +13,8 @@ in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps only
-that row, so it is built one way, by :func:`diff_row`, which has nothing
-to validate and skips the frozen dataclass's ``__init__``.  ``core`` packs
+that row, so it is built one way, by :func:`diff_row`, through
+``core._trusted`` since it has nothing to validate.  ``core`` packs
 the source row's first differences in its lanes with a few whole-row
 operations, each biased to be positive, and keeps them with the source row
 together with their second differences, so that everything here and every
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .core import Row, _diff_values, _lane_shape, _once, intermediate_configuration
+from .core import Row, _diff_values, _lane_shape, _once, _trusted, intermediate_configuration
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,7 @@ class DiffRow:
 
 def diff_row(prev: Row) -> DiffRow:
     """Difference row ``prev.index + 1`` computed from arrival row ``prev``."""
-    # A difference row has nothing to validate, so it is built without the
-    # frozen __init__ and its object.__setattr__ per field.
-    d = object.__new__(DiffRow)
-    d.__dict__.update(index=prev.index + 1, y_min=prev.y_min, source=prev)
-    return d
+    return _trusted(DiffRow, index=prev.index + 1, y_min=prev.y_min, source=prev)
 
 
 def diff_table(n: int) -> Iterator[DiffRow]:

@@ -5,10 +5,10 @@ odd (it fired away ``2 * (F // 2)`` chips).  By the paper's main theorem the
 stable configuration is therefore the parity of the arrival table, and
 :attr:`Row.parity` already holds it: one 0/1 byte per entry.  A
 :class:`StableRow` is built one way, by :func:`stable_row` from its arrival
-row; it keeps those bytes, which need no second check, and derives
-everything else from them.  Having nothing to validate, it is built
-without the frozen dataclass's ``__init__``, and its chip count is counted
-once, as it is built, since three folds of ``verify`` read it.
+row, through ``core._trusted`` since it has nothing to validate; it keeps
+those bytes, which need no second check, and derives everything else from
+them.  Its chip count is counted on first read and kept (``core._once``),
+since three folds of ``verify`` read it.
 :func:`stable_configuration` streams one per arrival row.
 
 Grouping the surviving chips by the distance coordinate ``y - x`` gives the
@@ -39,7 +39,7 @@ from itertools import compress
 from operator import not_
 from typing import Iterable, Iterator, Mapping
 
-from .core import ChipfireError, Row, _DistanceCounts, _once, intermediate_configuration
+from .core import ChipfireError, Row, _DistanceCounts, _once, _trusted, intermediate_configuration
 
 
 # bytes.translate table writing a 0/1 byte as the digit "0" or "1".
@@ -100,13 +100,7 @@ class StableRow:
 
 def stable_row(r: Row) -> StableRow:
     """The chips row ``r`` keeps: its parity bytes."""
-    # A stable row has nothing to validate, so it is built without the
-    # frozen __init__ and its object.__setattr__ per field, and with its
-    # chip count, which three folds of verify read.
-    parity = r.parity
-    s = object.__new__(StableRow)
-    s.__dict__.update(index=r.index, y_min=r.y_min, parity=parity, chip_count=parity.count(1))
-    return s
+    return _trusted(StableRow, index=r.index, y_min=r.y_min, parity=r.parity)
 
 
 def stable_configuration(n: int) -> Iterator[StableRow]:

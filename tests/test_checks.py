@@ -94,6 +94,14 @@ class TestRunChecks:
         assert run_checks(6, properties=["oracle-arrivals"], oracle_trials=2)
         assert len(calls) == 5
 
+    @pytest.mark.parametrize("filters", [None, ["oracle"], ["row-symmetry"]])
+    def test_bad_exponent_raises_under_any_filter(self, filters):
+        # A filter that needs no table still has its n checked.
+        with pytest.raises(ValueError, match="nonnegative"):
+            run_checks(-1, properties=filters, oracle_trials=3)
+        with pytest.raises(core.ChipOverflowError):
+            run_checks(10**6, properties=filters)
+
     def test_degenerate_n0_skips_with_notice(self):
         results = {r.name: r for r in run_checks(0)}
         assert results["even-diagonal"].detail.startswith("skipped")

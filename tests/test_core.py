@@ -330,18 +330,48 @@ class TestPackedView:
         assert readers == []
 
     def test_only_core_builds_trusted_rows(self):
-        # Only kernel rows skip validation; difference and stable rows have
-        # none to skip.
+        # Only core builds objects without their __init__, through _trusted,
+        # and only kernel rows skip validation that way.  Another module may
+        # call _trusted only on a dataclass of its own without __post_init__,
+        # so it has nothing to skip; it neither calls __new__ itself nor
+        # hands _trusted on or renames it.
         package = Path(core.__file__).parent
-        importers = [
-            f"{path.name}:{node.lineno}"
-            for path in sorted(package.glob("*.py"))
-            if path.name != "core.py"
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(node, ast.ImportFrom) and any(a.name == "_trusted" for a in node.names)
-            or isinstance(node, ast.Attribute) and node.attr == "_trusted"
-        ]
-        assert importers == []
+        misuses, calls = [], []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "core.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            own = {
+                node.name
+                for node in tree.body
+                if isinstance(node, ast.ClassDef)
+                and not any(
+                    isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                    for f in node.body
+                )
+            }
+            allowed = set()
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "_trusted"
+                    and node.args
+                    and isinstance(node.args[0], ast.Name)
+                    and node.args[0].id in own
+                ):
+                    allowed.add(id(node.func))
+                    calls.append(f"{path.name}:{node.args[0].id}")
+            for node in ast.walk(tree):
+                named = (
+                    isinstance(node, ast.Name) and node.id == "_trusted"
+                    or isinstance(node, ast.Attribute) and node.attr in ("_trusted", "__new__")
+                    or isinstance(node, ast.alias) and node.name == "_trusted" and node.asname
+                )
+                if named and id(node) not in allowed:
+                    misuses.append(f"{path.name}:{node.lineno}")
+        assert misuses == []
+        assert sorted(calls) == ["difftable.py:DiffRow", "stable.py:StableRow"]
 
 
 class TestEntry:
