@@ -85,16 +85,63 @@ def _positive(text: str) -> int:
 # serialization
 
 
+def _formatted(rows: Iterable[Row | DiffRow], row_format: Callable[[int], str]) -> Iterator[str]:
+    """Each row as ``row_format(width) % (index, y_min, *values)``.
+
+    One ``%`` per row formats every entry in C, instead of one Python
+    ``str`` call per entry.  The formats are kept per width for this call
+    only.
+    """
+    formats: dict[int, str] = {}
+    for r in rows:
+        values = r.values
+        width = len(values)
+        fmt = formats.get(width)
+        if fmt is None:
+            fmt = formats[width] = row_format(width)
+        yield fmt % (r.index, r.y_min, *values)
+
+
+def _csv_format(width: int) -> str:
+    return "%d,%d," + " ".join(["%d"] * width) + "\n"
+
+
 def _csv_lines(rows: Iterable[Row | DiffRow], header: bool) -> Iterator[str]:
+    """``index,y_min,values`` lines, the entries joined by spaces, as the
+    rows stream."""
     if header:
         yield "index,y_min,values\n"
-    for r in rows:
-        yield f"{r.index},{r.y_min},{' '.join(map(str, r.values))}\n"
+    yield from _formatted(rows, _csv_format)
 
 
 def rows_to_csv(rows: Iterable[Row | DiffRow], header: bool = False) -> str:
-    """Arrival or difference rows as ``index,y_min,values`` lines."""
+    """Arrival or difference rows as ``index,y_min,values`` lines.
+
+    Each entry is written with ``%d``: exactly ``str`` of the entry, since
+    rows hold only ints.
+    """
     return "".join(_csv_lines(rows, header))
+
+
+def _json_format(width: int) -> str:
+    # One row object of json.dumps(..., indent=2) at depth 2, after a comma.
+    values = ",\n        ".join(["%d"] * width)
+    values = f"[\n        {values}\n      ]" if width else "[]"
+    return ',\n    {\n      "index": %d,\n      "y_min": %d,\n      "values": ' + values + "\n    }"
+
+
+def _json_lines(n: int, row_count: int, rows: Iterable[Row | DiffRow]) -> Iterator[str]:
+    """``{"n", "row_count", "rows"}`` in the bytes of ``json.dumps(indent=2)``,
+    written as the rows stream."""
+    yield '{\n  "n": %d,\n  "row_count": %d,\n  "rows": [' % (n, row_count)
+    lines = _formatted(rows, _json_format)
+    first = next(lines, None)
+    if first is None:
+        yield "]\n}\n"
+        return
+    yield first[1:]  # no comma before the first row
+    yield from lines
+    yield "\n  ]\n}\n"
 
 
 def rows_from_csv(text: str) -> list[Row]:
@@ -134,22 +181,24 @@ def _json(payload) -> str:
 # commands
 
 
-def _emit_rows(args, rows: Iterable[Row | DiffRow]) -> int:
-    # CSV streams row by row; JSON puts row_count before the rows, so it
-    # lists them first.
+def _emit_rows(args, rows: Callable[[], Iterable[Row | DiffRow]]) -> int:
+    """Write the stream ``rows()`` as CSV or JSON, one row at a time.
+
+    JSON states ``row_count`` before the rows, so it first counts the rows
+    of one stream without reading their values, then writes those of a
+    fresh one.  Both formats hold a few rows at a time, so memory follows
+    the widest row.
+    """
     if args.format == "csv":
-        _emit(_csv_lines(rows, args.header), args.out)
+        _emit(_csv_lines(rows(), args.header), args.out)
     else:
-        listed = [
-            {"index": r.index, "y_min": r.y_min, "values": list(r.values)}
-            for r in rows
-        ]
-        _emit([_json({"n": args.n, "row_count": len(listed), "rows": listed})], args.out)
+        row_count = sum(1 for _ in rows())
+        _emit(_json_lines(args.n, row_count, rows()), args.out)
     return EXIT_OK
 
 
 def _cmd_table(args) -> int:
-    return _emit_rows(args, islice(intermediate_configuration(args.n), args.max_rows))
+    return _emit_rows(args, lambda: islice(intermediate_configuration(args.n), args.max_rows))
 
 
 def _emit_result(
@@ -215,7 +264,7 @@ def _cmd_firings(args) -> int:
 def _cmd_diff(args) -> int:
     from . import difftable
 
-    return _emit_rows(args, map(difftable.diff_row, intermediate_configuration(args.n)))
+    return _emit_rows(args, lambda: map(difftable.diff_row, intermediate_configuration(args.n)))
 
 
 def _cmd_segment(args) -> int:

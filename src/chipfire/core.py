@@ -187,7 +187,8 @@ class Row:
 
     ``values[k]`` is the entry at ``y = y_min + k``, ``x = index - y``;
     reading the tuple left to right walks the row in increasing y.  An empty
-    tuple represents an all-zero row.  Entries are strictly positive and
+    tuple represents an all-zero row.  The index, ``y_min`` and entries are
+    plain ints (not bools or floats), entries are strictly positive and
     palindromic, and the span must fit in the quadrant.
 
     Every row also has a packed view: ``packed`` holds entry k in bits
@@ -208,6 +209,10 @@ class Row:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
         v = self.values
+        fields = (self.index, self.y_min, *v)
+        if set(map(type, fields)) != {int}:
+            bad = next(f for f in fields if type(f) is not int)
+            raise ValueError(f"row index, y_min and values must be ints, got {bad!r}")
         if self.index < 0:
             raise ValueError(f"row index must be nonnegative, got {self.index}")
         if not v:

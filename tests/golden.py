@@ -117,6 +117,17 @@ STABLE_OUTPUT_SHA256 = {
     "render --kind stable-dots --n 9": "4bdef3532e8c4ad57f6c389f858db9ce948db9378d7fd699bfc1f16e212f4f14",
 }
 
+# sha256 of the stdout of these commands, frozen from the writer that joined
+# str() of each entry and listed the whole table before writing its JSON.
+ROW_OUTPUT_SHA256 = {
+    "table --n 12 --header": "ac0321169741f1c6013d0aece945bdb87ee67c6dd399a4c25bd7eab142c8d064",
+    "diff --n 12 --header": "2f1a415cfa905a5dfa6e22de495fa51655d395ea9fbb0684d72f1329a727aeef",
+    "table --n 126 --max-rows 3": "bfafac110709ff3857ad7044afb12985779525888c8e12e16002e07dba7a93bd",
+    "table --n 12 --format json": "3676344af6f6f856d967e967410a42f9b43da9c3b4fa684006d9d6678528ab27",
+    "diff --n 9 --format json": "da37ca27d1ef395d801e96600f3fb0a88515eede79d5cfa7fb263947d62b2772",
+    "table --n 126 --max-rows 3 --format json": "247af29ba4d327d4b64d0904649040593ffbadd4aa55db02d0716f348e5b5fa9",
+}
+
 # sha256 of repr() of the list of (x, y) points fired, in firing order, by
 # `simulate(5, strategy, seed=3)`, frozen from the simulator that keyed its
 # maps and heaps by (x, y) tuples.

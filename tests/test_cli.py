@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ import pytest
 import chipfire
 import golden
 import peak_rss
-from chipfire import checks, oracle, stable
+from chipfire import checks, cli, oracle, stable
 from chipfire.cli import main, rows_from_csv, rows_to_csv
+from chipfire.core import Row, intermediate_configuration
+from chipfire.difftable import diff_row
 
 
 def run(capsys, *argv):
@@ -81,6 +84,75 @@ class TestRowCsv:
         assert payload["n"] == 9
         assert payload["row_count"] == 92
         assert payload["rows"][0] == {"index": 0, "y_min": 0, "values": [512]}
+
+    @pytest.mark.parametrize("command", list(golden.ROW_OUTPUT_SHA256))
+    def test_output_is_frozen(self, capsys, command):
+        rc, out, _ = run(capsys, *command.split())
+        assert rc == 0
+        assert sha256(out) == golden.ROW_OUTPUT_SHA256[command]
+
+    def test_csv_matches_joined_str(self, table):
+        # The line each row had when every entry went through str().
+        def old_line(r):
+            return f"{r.index},{r.y_min},{' '.join(map(str, r.values))}\n"
+
+        tables = [table(n) for n in range(15)]
+        tables.append(list(islice(intermediate_configuration(126), 3)))
+        for rows in tables:
+            for some in (rows, list(map(diff_row, rows))):
+                assert rows_to_csv(some).splitlines(keepends=True) == list(map(old_line, some))
+        assert any(v < 0 for v in diff_row(table(14)[40]).values)
+        empty = Row(index=3, y_min=0, values=())
+        assert rows_to_csv([empty]) == old_line(empty) == "3,0,\n"
+
+    @pytest.mark.parametrize(
+        "command, max_rows", [("table", None), ("table", 1), ("table", 7), ("diff", None)]
+    )
+    def test_json_matches_json_dumps(self, capsys, command, max_rows):
+        # The streamed JSON is the bytes json.dumps(indent=2) gives the
+        # listed rows.
+        for n in range(13):
+            argv = [command, "--n", str(n), "--format", "json"]
+            if max_rows is not None:
+                argv += ["--max-rows", str(max_rows)]
+            rows = list(intermediate_configuration(n))[:max_rows]
+            if command == "diff":
+                rows = list(map(diff_row, rows))
+            listed = [{"index": r.index, "y_min": r.y_min, "values": list(r.values)} for r in rows]
+            expected = json.dumps({"n": n, "row_count": len(listed), "rows": listed}, indent=2)
+            rc, out, _ = run(capsys, *argv)
+            assert rc == 0
+            assert out == expected + "\n"
+
+    @pytest.mark.parametrize("rows", [[], [Row(index=3, y_min=0, values=())]])
+    def test_json_writer_on_empty_rows(self, rows):
+        listed = [{"index": r.index, "y_min": r.y_min, "values": []} for r in rows]
+        expected = json.dumps({"n": 3, "row_count": len(rows), "rows": listed}, indent=2)
+        assert "".join(cli._json_lines(3, len(rows), rows)) == expected + "\n"
+
+    def test_json_max_rows_stops_both_passes(self):
+        # The row count comes from a first pass, which must stop at
+        # --max-rows too.
+        env = dict(os.environ, PYTHONPATH=str(Path(chipfire.__file__).parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", "table", "--n", "126", "--max-rows", "3",
+             "--format", "json"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert time.perf_counter() - start < 1
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["row_count"] == 3
+
+    def test_json_memory_follows_the_widest_row(self):
+        # Listing the n = 20 table before json.dumps peaked at 258 MiB;
+        # streaming the rows holds a few of them.
+        report = peak_rss.run_python(
+            ["-m", "chipfire.cli", "table", "--n", "20", "--format", "json"], timeout=120
+        )
+        assert report["exit"] == 0, report["err"]
+        assert report["out"].endswith("\n  ]\n}\n")
+        assert report["peak_kib"] / 1024 < 48
 
 
 class TestStableAndDistance:

@@ -86,6 +86,23 @@ class TestRow:
         with pytest.raises(ValueError):
             Row(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(index=2, y_min=0, values=(1.5, 2, 1.5)),
+            dict(index=2, y_min=0, values=(True, 2, True)),
+            dict(index=2, y_min=0, values=(2.0,)),
+            dict(index=2.0, y_min=0, values=(1,)),
+            dict(index=True, y_min=0, values=(1,)),
+            dict(index=2, y_min=False, values=(1,)),
+        ],
+    )
+    def test_rejects_entries_that_are_not_ints(self, kwargs):
+        # The CSV and JSON writers format entries with %d, which would write
+        # 1.5 as 1 and True as 1; values stay exact ints.
+        with pytest.raises(ValueError, match="int"):
+            Row(**kwargs)
+
 
 class TestInitialRow:
     @pytest.mark.parametrize("n,expected", [(0, 1), (4, 16), (9, 512)])
