@@ -4,9 +4,17 @@
         --rounds 5 --out BENCH_11.json \\
         "verify --n 18 --trials 0" "verify --n 2..9 --trials 10 --seed 0"
 
+A command is the arguments of ``python -m chipfire.cli``, or, when its
+first word ends in ``.py``, a script and its arguments: each tree runs its
+own copy of the script, taken relative to the tree's root (the directory
+above its source tree), as in
+
+    python scripts/bench_cli.py --tree parent=../parent/src --tree change=src \\
+        --out BENCH_15.json "perfbench/stream_pass.py --n 21 --out /dev/stdout"
+
 Each round runs every command once on every tree, alternating from round to
 round which tree goes first.  A run's wall time and peak RSS are those of
-the ``python -m chipfire.cli`` process alone, read by the launcher of
+the command's own Python process alone, read by the launcher of
 ``tests/peak_rss.py``.  The JSON written to ``--out`` records the command
 line, the host, every run, and per command and tree the median and
 quartiles of both; ``wall_ratio`` divides the first tree's median wall time
@@ -49,6 +57,15 @@ def _summary(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
+def _argv(command: str, src: Path) -> list[str]:
+    """The arguments of ``python`` that run ``command`` on the tree whose
+    package lies in ``src``."""
+    words = command.split()
+    if words[0].endswith(".py"):
+        return [str(src.parent / words[0]), *words[1:]]
+    return ["-m", "chipfire.cli", *words]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", required=True, metavar="NAME=SRC",
@@ -56,7 +73,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--timeout", type=float, default=600)
     parser.add_argument("--out", required=True)
-    parser.add_argument("commands", nargs="+", help="chipfire arguments, one string per command")
+    parser.add_argument("commands", nargs="+",
+                        help="chipfire arguments or a .py script and its arguments, one string per command")
     args = parser.parse_args(argv)
     trees = dict(t.split("=", 1) for t in args.tree)
 
@@ -66,9 +84,8 @@ def main(argv: list[str] | None = None) -> int:
         for r in range(args.rounds):
             order = list(trees) if r % 2 == 0 else list(trees)[::-1]
             for name in order:
-                report = peak_rss.run_python(
-                    ["-m", "chipfire.cli", *command.split()], args.timeout, Path(trees[name]).resolve()
-                )
+                src = Path(trees[name]).resolve()
+                report = peak_rss.run_python(_argv(command, src), args.timeout, src)
                 outputs.setdefault(report["out"], name)
                 runs.append({"command": command, "tree": name, "round": r, "exit": report["exit"],
                              "wall_s": round(report["wall_s"], 4),

@@ -133,8 +133,15 @@ def _json_format(width: int) -> str:
 def _json_lines(n: int, row_count: int, rows: Iterable[Row | DiffRow]) -> Iterator[str]:
     """``{"n", "row_count", "rows"}`` in the bytes of ``json.dumps(indent=2)``,
     written as the rows stream."""
-    yield '{\n  "n": %d,\n  "row_count": %d,\n  "rows": [' % (n, row_count)
-    lines = _formatted(rows, _json_format)
+    head = '{\n  "n": %d,\n  "row_count": %d' % (n, row_count)
+    return _json_object(head, _formatted(rows, _json_format))
+
+
+def _json_object(head: str, lines: Iterator[str]) -> Iterator[str]:
+    """A ``json.dumps(indent=2)`` object whose last key is ``"rows"``:
+    ``head`` opens it and holds the keys before that one, and each of
+    ``lines`` is one row, led by the comma that follows the row before."""
+    yield head + ',\n  "rows": ['
     first = next(lines, None)
     if first is None:
         yield "]\n}\n"
@@ -142,6 +149,11 @@ def _json_lines(n: int, row_count: int, rows: Iterable[Row | DiffRow]) -> Iterat
     yield first[1:]  # no comma before the first row
     yield from lines
     yield "\n  ]\n}\n"
+
+
+# One stable row object of json.dumps(..., indent=2) at depth 2, after a
+# comma; the bits are digits, which JSON writes as they are.
+_STABLE_JSON_ROW = ',\n    {\n      "index": %d,\n      "y_min": %d,\n      "bits": "%s"\n    }'
 
 
 def rows_from_csv(text: str) -> list[Row]:
@@ -221,19 +233,19 @@ def _cmd_stable(args) -> int:
     from . import stable
 
     rows = stable.stable_configuration(args.n)
-    # CSV streams row by row, like table; JSON puts chip_count before the
-    # rows, so it lists them first.
+    # Both formats stream row by row, like table.  JSON puts chip_count
+    # before the rows, so a first pass sums it and a second, over a fresh
+    # stream, writes the rows.
     if args.format == "csv":
         lines = (f"{r.index},{r.y_min},{r.pattern()}\n" for r in rows)
         _emit(chain(["index,y_min,bits\n"] if args.header else [], lines), args.out)
     else:
-        listed = list(rows)
-        payload = {
-            "n": args.n,
-            "chip_count": sum(r.chip_count for r in listed),
-            "rows": [{"index": r.index, "y_min": r.y_min, "bits": r.pattern()} for r in listed],
-        }
-        _emit([_json(payload)], args.out)
+        head = '{\n  "n": %d,\n  "chip_count": %d' % (args.n, sum(r.chip_count for r in rows))
+        lines = (
+            _STABLE_JSON_ROW % (r.index, r.y_min, r.pattern())
+            for r in stable.stable_configuration(args.n)
+        )
+        _emit(_json_object(head, lines), args.out)
     return EXIT_OK
 
 

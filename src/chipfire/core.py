@@ -59,21 +59,31 @@ and a mask.
 A difference row of :mod:`chipfire.difftable` is a function of its source
 row alone and keeps only that row.  :func:`_diff_lanes` packs the first
 differences of the source row in the same format, as one whole-row
-expression, ``packed + bias - (packed << W)`` with ``2**(W-2)`` added to
-every lane.  The first lane fold to need them builds the row's lane
-context from it (:func:`_diff_context`) and keeps it with the row
-(:func:`_kept_diff_lanes`): the difference lanes, the row's all-ones and
-top-bit constants, and the second differences, biased by ``2**(W-1)``, so
-that their signs show in the lanes' top bits.  Every fold of one pass reads
-that one context, so each row packs its differences, builds its constants
-and takes its second differences once.  :func:`_lane_shape` reads the
-unimodality and the largest entry of the difference row from it, and
-:func:`_diff_values` reads its entries: adding the bias once more and
-flipping each lane's top bit, ``(packed + bias*ones) ^ top``, leaves every
-entry in two's complement, so ``memoryview.cast("b"/"h"/"i"/"q")`` reads
-them as signed ints (lanes of 128 or 256 bits, or a big-endian host, slice
-the bytes with ``signed=True``).  ``difftable`` calls them and reads no
-lane itself.
+expression, ``packed + bias - (packed << W)``, where ``bias`` holds
+``2**(W-2)`` in every lane.  The first lane fold to need them builds the
+row's lane context from it (:func:`_diff_context`) and keeps it with the
+row (:func:`_kept_diff_lanes`): the difference lanes, the row's all-ones
+and top-bit constants, and the second differences, biased by ``2**(W-1)``,
+so that their signs show in the lanes' top bits.  Those take three more
+whole-row operations, ``diff + close - (diff << W)``, with one constant
+``close`` that adds the bias to every lane and closes the row with its
+zero last entry.  The constants (the all-ones int, the top bits,
+``bias`` and ``close``) depend only on the lane and the number of lanes,
+so :func:`_diff_constants` builds them once per ``(W, lanes)`` and keeps
+them in a small cache, emptied when it reaches a few entries: widths move
+by one lane per row, so a few entries serve a whole stream.  Every fold of
+one pass reads the one context, so each row packs its differences and
+takes its second differences once.  :func:`_lane_shape` reads the
+unimodality and the largest entry of the difference row from it, with
+whole-row operations on nonnegative ints only (CPython runs ``~x`` and
+``x & -x`` through a two's-complement copy of the row), and
+:func:`_diff_values` reads its entries, from the kept context where a fold
+built one and from the bare difference lanes otherwise: adding the bias
+once more and flipping each lane's top bit, ``(packed + bias) ^ top``,
+leaves every entry in two's complement, so
+``memoryview.cast("b"/"h"/"i"/"q")`` reads them as signed ints (lanes of
+128 or 256 bits, or a big-endian host, slice the bytes with
+``signed=True``).  ``difftable`` calls them and reads no lane itself.
 
 The distance counts of :mod:`chipfire.stable` are lanes too.
 :class:`_DistanceCounts` keeps one int with a lane per distance ``y - x``
@@ -151,6 +161,14 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # Per lane width: (lanes, an int holding 1 in each of that many lanes),
 # grown by doubling; every narrower run of ones is a shift of it.
 _ONES: dict[int, tuple[int, int]] = {}
+
+# The constants of a difference row by (lane, lanes), and the top bits of
+# its left half by (lane, half), built on first use.  Widths move by one
+# lane per row, so a few entries serve a whole stream; a cache that reaches
+# _CONSTANTS_BOUND entries is emptied before the next one goes in.
+_DIFF_CONSTANTS: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+_HALF_TOPS: dict[tuple[int, int], int] = {}
+_CONSTANTS_BOUND = 8
 
 # bytes.translate tables taking a byte to its lowest or its top bit.
 _LOW_BIT = b"\0\1" * 128
@@ -426,6 +444,32 @@ def next_row(r: Row) -> Row:
     )
 
 
+def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
+    """``(ones, top, bias, close)`` of a difference row of ``lanes`` lanes:
+    1 in each lane, the top bit of each, ``2**(lane-2)`` in each, and the
+    term that closes the second differences (:func:`_diff_context`)."""
+    if len(_DIFF_CONSTANTS) >= _CONSTANTS_BOUND:
+        _DIFF_CONSTANTS.clear()
+    ones = _ones(lane, lanes)
+    top = ones << lane - 1
+    # ``diff + close - (diff << lane)`` holds ``2**(lane-1)`` plus the
+    # second difference in every lane: the biases of neighbouring lanes
+    # cancel and ``top`` adds it, except in lane 0, which has no lane below
+    # and keeps one bias, and in lane ``lanes``, the closing zero, which
+    # loses the bias of the last lane.
+    close = top - (1 << lane - 2) + (3 << lanes * lane + lane - 2)
+    constants = _DIFF_CONSTANTS[lane, lanes] = ones, top, ones << lane - 2, close
+    return constants
+
+
+def _half_tops(lane: int, half: int) -> int:
+    """The top bit of each of ``half`` lanes."""
+    if len(_HALF_TOPS) >= _CONSTANTS_BOUND:
+        _HALF_TOPS.clear()
+    tops = _HALF_TOPS[lane, half] = _ones(lane, half) << lane - 1
+    return tops
+
+
 def _diff_lanes(source: Row) -> tuple[int, int]:
     """``(packed, lane)`` of the first differences of ``source``.
 
@@ -435,8 +479,9 @@ def _diff_lanes(source: Row) -> tuple[int, int]:
     every biased lane is positive and below ``2**(lane-1)``: no borrow
     crosses a lane.
     """
-    lane, packed = source.lane, source.packed
-    return packed + (_ones(lane, source.width + 1) << lane - 2) - (packed << lane), lane
+    lane, packed, lanes = source.lane, source.packed, source.width + 1
+    bias = (_DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes))[2]
+    return packed + bias - (packed << lane), lane
 
 
 class _DistanceCounts:
@@ -518,12 +563,9 @@ def _diff_context(source: Row) -> tuple[int, int, int, int, int]:
     borrow crosses a lane.
     """
     packed, lane = _diff_lanes(source)
-    width = source.width + 1
-    ones = _ones(lane, width)
-    top = ones << lane - 1
-    # Lane ``width`` holds the closing zero, biased, plus its top bit.
-    second = packed + top - (1 << lane - 2) - (packed << lane) + (3 << width * lane + lane - 2)
-    return packed, lane, ones, top, second
+    lanes = source.width + 1
+    ones, top, _, close = _DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes)
+    return packed, lane, ones, top, packed + close - (packed << lane)
 
 
 def _diff_values(source: Row) -> tuple[int, ...]:
@@ -534,12 +576,18 @@ def _diff_values(source: Row) -> tuple[int, ...]:
     every lane, strictly between ``2**(lane-2)`` and ``3 * 2**(lane-2)``, so
     no carry crosses a lane; flipping the top bit of every lane then leaves
     ``e`` in two's complement, and the lanes read as signed ints.
+
+    A row whose lane folds already ran reads the difference lanes of its
+    kept context (:func:`_kept_diff_lanes`); any other row packs them alone,
+    without building the second differences that only the folds read.
     """
     if not source.width:
         return ()
-    packed, lane, ones, top, _ = _kept_diff_lanes(source)
-    signed = (packed + (ones << lane - 2)) ^ top
-    return tuple(_lanes(signed, source.width + 1, lane, signed=True))
+    lanes = source.width + 1
+    kept = source.__dict__.get("_diff_lanes")
+    packed, lane = _diff_lanes(source) if kept is None else kept[:2]
+    _, top, bias, _ = _DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes)
+    return tuple(_lanes((packed + bias) ^ top, lanes, lane, signed=True))
 
 
 def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
@@ -553,30 +601,41 @@ def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
     top bit is clear exactly when ``s_j < 0`` (a strict fall), and
     ``s_j - 1`` keeps it set exactly when ``s_j > 0`` (a strict rise).  The
     first ``half`` entries are unimodal when every rise among their lanes
-    sits below the lowest fall.
+    sits below the lowest fall: when the rise flags have fewer bits than
+    the lowest fall's position plus one, read as
+    ``(falls ^ (falls - 1)).bit_length()``.
 
     The candidate for the largest entry ``c`` is their peak: the entry just
     before the first fall (the margin 0 if that is the first entry), or the
     last of them if none falls.  Two whole-row comparisons then show that
-    every entry ``e`` lies in ``[-c, c]``: lane k of
-    ``(c + 3*2**(lane-2)) * ones - packed`` holds ``c - e + 2**(lane-1)``
-    and lane k of ``packed + (c + 2**(lane-2)) * ones`` holds
-    ``e + c + 2**(lane-1)``, both positive and below ``2**lane``, with the
-    top bit set exactly when the bound holds.
+    every entry ``e`` lies in ``[-c, c]``: with ``m = (c + 2**(lane-2)) *
+    ones``, lane k of ``m + top - packed`` holds ``c - e + 2**(lane-1)``
+    and lane k of ``packed + m`` holds ``e + c + 2**(lane-1)``, both
+    positive and below ``2**lane``, with the top bit set exactly when the
+    bound holds.
+
+    No operation here takes a negative int: CPython runs ``~x`` and the
+    ``&`` of a negative int through a two's-complement copy of the whole
+    row, so a clear bit is read as ``x ^ (x & y)`` instead of ``x & ~y``.
+    The top bits of the first ``half`` lanes come from a small cache, like
+    the constants of :func:`_diff_constants`.
     """
     packed, lane, ones, top, second = _kept_diff_lanes(source)
     bias = 1 << lane - 2
-    tops = top & (1 << half * lane) - 1
-    falls = tops & ~second
-    first_fall = falls & -falls
-    unimodal = not falls or (second - ones) & tops < first_fall
-    peak = first_fall.bit_length() // lane - 2 if falls else half - 1
+    tops = _HALF_TOPS.get((lane, half)) or _half_tops(lane, half)
+    falls = tops ^ (second & tops)
+    if falls:
+        # Bit ``low - 1`` is the top bit of the lane of the first fall.
+        low = (falls ^ (falls - 1)).bit_length()
+        unimodal = ((second - ones) & tops).bit_length() < low
+        peak = low // lane - 2
+    else:
+        unimodal, peak = True, half - 1
     c = (packed >> peak * lane & (1 << lane) - 1) - bias if peak >= 0 else 0
     if c < 0:
         return unimodal, None
-    if ((c + 3 * bias) * ones - packed) & top != top:
-        return unimodal, None
-    if (packed + (c + bias) * ones) & top != top:
+    m = (c + bias) * ones
+    if (m + top - packed) & (packed + m) & top != top:
         return unimodal, None
     return unimodal, c
 
@@ -598,7 +657,7 @@ def _reversed(a: int, b: int, width: int, lane: int) -> bool:
 
 def _lowest_lane(bits: int, lane: int) -> int:
     """The lane holding the lowest set bit of ``bits`` (nonzero)."""
-    return ((bits & -bits).bit_length() - 1) // lane
+    return ((bits ^ (bits - 1)).bit_length() - 1) // lane
 
 
 # The lane folds of the table checks in :mod:`chipfire.checks`.  Each reads a
@@ -645,15 +704,18 @@ def _growth_break(r: Row) -> tuple[int, int] | None:
     right = min(max((i + 2) // 2 - y0, left), steps)
     packed, lane, ones, top, _ = _kept_diff_lanes(r)
     bias = 1 << lane - 2
-    # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps.
-    bad = top & (1 << (left + 1) * lane) - (1 << lane) & ~(packed + (bias - 2) * ones)
+    # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps;
+    # a bad lane is one whose top bit is clear, read without negative ints
+    # as in :func:`_lane_shape`.
+    lefts = top & (1 << (left + 1) * lane) - (1 << lane)
+    bad = lefts ^ (lefts & (packed + (bias - 2) * ones))
     if not bad:
         for k in range(left, right):
             d = (packed >> (k + 1) * lane & (1 << lane) - 1) - bias
             if not _diagonal_step_ok(i, y0 + k, d):
                 return y0 + k, d
         rights = top & (1 << (steps + 1) * lane) - (1 << (right + 1) * lane)
-        bad = rights & ~((3 * bias - 2) * ones - packed)
+        bad = rights ^ (rights & ((3 * bias - 2) * ones - packed))
         if not bad:
             return None
     k = _lowest_lane(bad, lane) - 1

@@ -19,7 +19,8 @@ the source row's first differences in its lanes with a few whole-row
 operations, each biased to be positive, and keeps them with the source row
 together with their second differences, so that everything here and every
 lane fold of ``verify`` reads that one packing.  The ``values`` are read
-off it on their first read, as signed lanes: adding the bias once more and
+on their first read, off that packing where it was kept and off the bare
+difference lanes otherwise, as signed lanes: adding the bias once more and
 flipping each lane's top bit leaves every entry in two's complement, which
 ``memoryview.cast`` reads as signed ints (lanes wider than 64 bits by
 slicing the bytes).  The sign maps and the CLI read them.

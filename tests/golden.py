@@ -113,6 +113,8 @@ ROW_PROFILES_SVG_SHA256 = {
 STABLE_OUTPUT_SHA256 = {
     "stable --n 12 --header": "7ff11d4fa271783f95b3630abf2ec1f5218baca937c1509beafc3d187cf18d90",
     "stable --n 12 --format json": "d7678469f57b87dd7fcc3507bc2ad8f8db262b157470f34fc3c10db1d330dfc4",
+    "stable --n 0 --format json": "1cb3be0d082967f5269d28bd3dc430d7b3e31e54fe95d9389662e392012442ce",
+    "stable --n 16 --format json": "9c77fc201c336bdcf296a713825a7aa0f90fe7a52e0d97902eb6734c28ea09fa",
     "distance --n 15 --format json": "ce50e3773aae0da6fc43dfba2f96fc5497fda0a099ec9ae02d1d7cfd3176e9fe",
     "render --kind stable-dots --n 9": "4bdef3532e8c4ad57f6c389f858db9ce948db9378d7fd699bfc1f16e212f4f14",
 }

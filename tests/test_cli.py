@@ -167,7 +167,30 @@ class TestStableAndDistance:
     def test_stable_json_chip_count(self, capsys):
         rc, out, _ = run(capsys, "stable", "--n", "9", "--format", "json")
         assert json.loads(out)["chip_count"] == 512
-        assert_frozen(capsys, "stable --n 12 --format json")
+        for n in (0, 12, 16):
+            assert_frozen(capsys, f"stable --n {n} --format json")
+
+    def test_stable_json_matches_json_dumps(self, capsys):
+        # The streamed JSON is the bytes json.dumps(indent=2) gives the
+        # listed stable rows.
+        for n in range(13):
+            rows = list(stable.stable_configuration(n))
+            listed = [{"index": r.index, "y_min": r.y_min, "bits": r.pattern()} for r in rows]
+            chips = sum(r.chip_count for r in rows)
+            expected = json.dumps({"n": n, "chip_count": chips, "rows": listed}, indent=2)
+            rc, out, _ = run(capsys, "stable", "--n", str(n), "--format", "json")
+            assert rc == 0
+            assert out == expected + "\n"
+
+    def test_stable_json_streams(self):
+        # Listing the n = 20 stable rows before json.dumps peaked at
+        # 42.5 MiB, against 16.1 MiB for the streamed CSV.
+        report = peak_rss.run_python(
+            ["-m", "chipfire.cli", "stable", "--n", "20", "--format", "json"], timeout=120
+        )
+        assert report["exit"] == 0, report["err"]
+        assert report["out"].endswith('"\n    }\n  ]\n}\n')
+        assert report["peak_kib"] / 1024 < 32
 
     def test_distance_csv(self, capsys):
         rc, out, _ = run(capsys, "distance", "--n", "4")

@@ -1,4 +1,5 @@
 import ast
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,9 @@ from chipfire import (
     next_row,
     row_bound,
 )
-from chipfire import core, stable, structure
+from chipfire import checks, core, difftable, stable, structure
 from chipfire.core import _lane_bits, _narrowed, _pack, _unpack
+from chipfire.difftable import diff_row
 from chipfire.structure import pascal_row
 
 
@@ -434,6 +436,129 @@ class TestLaneFolds:
             assert [r.value_at(y) for y in range(r.y_min - 1, r.y_min + r.width + 1)] == [
                 0, *r.values, 0
             ]
+
+
+def reference_diffs(values):
+    """The first differences of a row, the zero margins included; an empty
+    row has the one lane of its zero margin."""
+    return (values[0], *map(sub, values[1:], values), -values[-1]) if values else (0,)
+
+
+def reference_context(row):
+    """``core._diff_context`` of ``row``, lane by lane: the biased first
+    differences, the ones and top bits of their lanes, and the biased
+    second differences closed by the zero past the row."""
+    lane, diffs = row.lane, reference_diffs(row.values)
+    seconds = map(sub, (*diffs, 0), (0, *diffs))
+    return (
+        _pack([e + (1 << lane - 2) for e in diffs], lane),
+        lane,
+        _pack([1] * len(diffs), lane),
+        _pack([1 << lane - 1] * len(diffs), lane),
+        _pack([s + (1 << lane - 1) for s in seconds], lane),
+    )
+
+
+def reference_lane_shape(values, half):
+    """``core._lane_shape`` entry by entry: whether the margin zero and the
+    first ``half`` differences weakly rise and then weakly fall, and the
+    peak ``c`` of that stretch where every difference lies in ``[-c, c]``."""
+    diffs = reference_diffs(values)
+    seq = (0, *diffs[:half])
+    steps = [b - a for a, b in zip(seq, seq[1:])]
+    fall = next((j for j, s in enumerate(steps) if s < 0), None)
+    if fall is None:
+        unimodal, c = True, seq[-1]
+    else:
+        unimodal, c = all(s <= 0 for s in steps[fall:]), seq[fall]
+    proven = c >= 0 and all(-c <= e <= c for e in diffs)
+    return unimodal, c if proven else None
+
+
+def reference_growth_break(row):
+    """``core._growth_break`` entry by entry: the first step that breaks
+    the growth rule, as ``(y, step)``."""
+    i, v = row.index, row.values
+    for k, d in enumerate(map(sub, v[1:], v)):
+        y = row.y_min + k
+        if 2 * (y + 1) < i:
+            ok = d >= 2  # strictly left of the diagonal
+        elif 2 * y > i:
+            ok = d <= -2  # strictly right of it
+        elif 2 * y + 2 == i:
+            ok = d >= 1  # onto it
+        elif 2 * y == i:
+            ok = d <= -1  # off it
+        else:
+            ok = d == 0  # across the central pair
+        if not ok:
+            return y, d
+    return None
+
+
+@st.composite
+def wide_lane_rows(draw):
+    """Unchecked rows in 128- or 256-bit lanes, with a left half cut
+    anywhere; a mirrored sorted row gives a shape the lanes can prove."""
+    lane = draw(st.sampled_from([128, 256]))
+    entries = st.one_of(st.integers(1, 9), st.integers(1, (1 << lane - 2) - 1))
+    values = draw(st.lists(entries, max_size=9))
+    if draw(st.booleans()):
+        values = sorted(values) + sorted(values, reverse=True)
+    y_min = draw(st.integers(min_value=0, max_value=3)) if values else 0
+    index = y_min + max(len(values) - 1, 0) + draw(st.integers(min_value=0, max_value=3))
+    row = core._trusted(
+        Row, index=index, y_min=y_min, packed=_pack(values, lane), lane=lane, width=len(values)
+    )
+    return row, draw(st.integers(min_value=0, max_value=len(values) + 1))
+
+
+class TestDiffLaneShape:
+    """The lane context of a difference row and the folds that read it,
+    against their entry-by-entry references."""
+
+    def test_match_the_references_on_real_tables(self, table):
+        for n in range(19):
+            for r in table(n):
+                assert core._diff_context(r) == reference_context(r)
+                half = diff_row(r)._half()
+                assert core._lane_shape(r, half) == reference_lane_shape(r.values, half)
+                assert core._growth_break(r) == reference_growth_break(r)
+
+    @pytest.mark.parametrize("exponent,lane", [(100, 128), (126, 256)])
+    def test_match_the_references_on_wide_lanes(self, exponent, lane):
+        r = initial_row(exponent)
+        for _ in range(40):
+            assert r.lane == lane
+            assert core._diff_context(r) == reference_context(r)
+            half = diff_row(r)._half()
+            assert core._lane_shape(r, half) == reference_lane_shape(r.values, half)
+            assert core._growth_break(r) is reference_growth_break(r) is None
+            r = next_row(r)
+
+    @given(wide_lane_rows())
+    def test_match_the_references(self, row_half):
+        row, half = row_half
+        assert core._diff_context(row) == reference_context(row)
+        assert core._lane_shape(row, half) == reference_lane_shape(row.values, half)
+        assert core._growth_break(row) == reference_growth_break(row)
+
+    def test_constant_caches_stay_small(self, monkeypatch):
+        # Widths move by one lane per row, so the few kept constants serve
+        # almost every row, and neither cache grows past its bound.
+        built = []
+        real = core._diff_constants
+
+        def counted(lane, lanes):
+            built.append((lane, lanes))
+            return real(lane, lanes)
+
+        monkeypatch.setattr(core, "_diff_constants", counted)
+        assert checks.failures(checks.run_checks(18)) == []
+        read = [(difftable.row_max_abs(d), d.values) for d in difftable.diff_table(18)]
+        assert len(built) < 2 * len(read) // 10
+        for cache in (core._DIFF_CONSTANTS, core._HALF_TOPS):
+            assert 0 < len(cache) <= core._CONSTANTS_BOUND
 
 
 class TestRowBound:
