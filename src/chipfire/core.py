@@ -77,8 +77,8 @@ takes its second differences once.  :func:`_lane_shape` reads the
 unimodality and the largest entry of the difference row from it, with
 whole-row operations on nonnegative ints only (CPython runs ``~x`` and
 ``x & -x`` through a two's-complement copy of the row), and
-:func:`_diff_values` reads its entries, from the kept context where a fold
-built one and from the bare difference lanes otherwise: adding the bias
+:func:`_diff_values` reads its entries from the bare difference lanes,
+without the second differences that only the folds read: adding the bias
 once more and flipping each lane's top bit, ``(packed + bias) ^ top``,
 leaves every entry in two's complement, so
 ``memoryview.cast("b"/"h"/"i"/"q")`` reads them as signed ints (lanes of
@@ -162,12 +162,11 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # grown by doubling; every narrower run of ones is a shift of it.
 _ONES: dict[int, tuple[int, int]] = {}
 
-# The constants of a difference row by (lane, lanes), and the top bits of
-# its left half by (lane, half), built on first use.  Widths move by one
-# lane per row, so a few entries serve a whole stream; a cache that reaches
-# _CONSTANTS_BOUND entries is emptied before the next one goes in.
+# The constants of a difference row by (lane, lanes), built on first use.
+# Widths move by one lane per row, so a few entries serve a whole stream;
+# the cache is emptied when it reaches _CONSTANTS_BOUND entries, before the
+# next one goes in.
 _DIFF_CONSTANTS: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-_HALF_TOPS: dict[tuple[int, int], int] = {}
 _CONSTANTS_BOUND = 8
 
 # bytes.translate tables taking a byte to its lowest or its top bit.
@@ -462,14 +461,6 @@ def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
     return constants
 
 
-def _half_tops(lane: int, half: int) -> int:
-    """The top bit of each of ``half`` lanes."""
-    if len(_HALF_TOPS) >= _CONSTANTS_BOUND:
-        _HALF_TOPS.clear()
-    tops = _HALF_TOPS[lane, half] = _ones(lane, half) << lane - 1
-    return tops
-
-
 def _diff_lanes(source: Row) -> tuple[int, int]:
     """``(packed, lane)`` of the first differences of ``source``.
 
@@ -576,16 +567,11 @@ def _diff_values(source: Row) -> tuple[int, ...]:
     every lane, strictly between ``2**(lane-2)`` and ``3 * 2**(lane-2)``, so
     no carry crosses a lane; flipping the top bit of every lane then leaves
     ``e`` in two's complement, and the lanes read as signed ints.
-
-    A row whose lane folds already ran reads the difference lanes of its
-    kept context (:func:`_kept_diff_lanes`); any other row packs them alone,
-    without building the second differences that only the folds read.
     """
     if not source.width:
         return ()
     lanes = source.width + 1
-    kept = source.__dict__.get("_diff_lanes")
-    packed, lane = _diff_lanes(source) if kept is None else kept[:2]
+    packed, lane = _diff_lanes(source)
     _, top, bias, _ = _DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes)
     return tuple(_lanes((packed + bias) ^ top, lanes, lane, signed=True))
 
@@ -617,12 +603,10 @@ def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
     No operation here takes a negative int: CPython runs ``~x`` and the
     ``&`` of a negative int through a two's-complement copy of the whole
     row, so a clear bit is read as ``x ^ (x & y)`` instead of ``x & ~y``.
-    The top bits of the first ``half`` lanes come from a small cache, like
-    the constants of :func:`_diff_constants`.
     """
     packed, lane, ones, top, second = _kept_diff_lanes(source)
     bias = 1 << lane - 2
-    tops = _HALF_TOPS.get((lane, half)) or _half_tops(lane, half)
+    tops = _ones(lane, half) << lane - 1
     falls = tops ^ (second & tops)
     if falls:
         # Bit ``low - 1`` is the top bit of the lane of the first fall.

@@ -545,7 +545,7 @@ class TestDiffLaneShape:
 
     def test_constant_caches_stay_small(self, monkeypatch):
         # Widths move by one lane per row, so the few kept constants serve
-        # almost every row, and neither cache grows past its bound.
+        # almost every row, and the cache never grows past its bound.
         built = []
         real = core._diff_constants
 
@@ -557,8 +557,7 @@ class TestDiffLaneShape:
         assert checks.failures(checks.run_checks(18)) == []
         read = [(difftable.row_max_abs(d), d.values) for d in difftable.diff_table(18)]
         assert len(built) < 2 * len(read) // 10
-        for cache in (core._DIFF_CONSTANTS, core._HALF_TOPS):
-            assert 0 < len(cache) <= core._CONSTANTS_BOUND
+        assert 0 < len(core._DIFF_CONSTANTS) <= core._CONSTANTS_BOUND
 
 
 class TestRowBound:
