@@ -33,7 +33,9 @@ Besides the folds, the pass keeps the point table that the oracle
 cross-checks compare against, and only when they run.  A ``properties``
 filter starts only the folds it selects and runs the oracle only when it
 selects an oracle cross-check; its scorecard is the full one with the other
-lines left out.
+lines left out.  The pass stops reading the table once every started fold
+has its verdict and no point table is being kept: ``pascal-top-rows``
+alone reads rows 0..n.
 
 The folds read the packed rows, not their values: each heavy check calls
 the whole-row lane fold of :mod:`chipfire.core` that decides it and formats
@@ -48,7 +50,6 @@ unpack rows, and no difference row is built entry by entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
@@ -58,12 +59,13 @@ from .core import (
     Row,
     _check_exponent,
     _DistanceCounts,
+    _frozen,
     _antisymmetric_diffs,
     _growth_break,
     _has_gap,
     _is_palindrome,
     _propagation_break,
-    _rises,
+    _rises_and_falls,
     _telescoping_break,
     intermediate_configuration,
     next_row,
@@ -71,13 +73,28 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    n: int | None
-    passed: bool
-    detail: str = ""
-    advisory: bool = False
+    """One line of the scorecard: a check's verdict for one n (None for the
+    checks that take no n), with its detail.  Read-only."""
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(
+        self, name: str, n: int | None, passed: bool, detail: str = "", advisory: bool = False
+    ) -> None:
+        self.__dict__.update(name=name, n=n, passed=passed, detail=detail, advisory=advisory)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckResult(name={self.name!r}, n={self.n!r}, passed={self.passed!r}, "
+            f"detail={self.detail!r}, advisory={self.advisory!r})"
+        )
 
 
 def failures(results: Iterable[CheckResult]) -> list[CheckResult]:
@@ -392,9 +409,9 @@ def _diff_local_propagation(n: int) -> _Fold:
     above = None  # the difference row above and its rises
     while (step := (yield)) is not None:
         d = step.diff
-        rises = _rises(d.source)
+        rises, falls = _rises_and_falls(d.source)
         if above is not None:
-            y = _propagation_break(above[0].source, above[1], d.source, rises)
+            y = _propagation_break(above[0].source, above[1], d.source, falls)
             if y is not None:
                 return False, f"rows {above[0].index}->{d.index} at y={y}"
         above = d, rises
@@ -579,6 +596,8 @@ def run_checks(
             except StopIteration as done:
                 verdicts[name] = done.value
                 del active[name]
+        if not active and not with_oracle:
+            break
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)
 

@@ -276,7 +276,10 @@ def _cmd_firings(args) -> int:
 def _cmd_diff(args) -> int:
     from . import difftable
 
-    return _emit_rows(args, lambda: map(difftable.diff_row, intermediate_configuration(args.n)))
+    return _emit_rows(
+        args,
+        lambda: map(difftable.diff_row, islice(intermediate_configuration(args.n), args.max_rows)),
+    )
 
 
 def _cmd_segment(args) -> int:
@@ -438,7 +441,7 @@ _COMMANDS: dict[str, tuple[str, _Builder, Callable[..., int]]] = {
     "stable": ("stable-configuration bit rows", _table_flags, _cmd_stable),
     "distance": ("distance distribution", _table_flags, _cmd_distance),
     "firings": ("total firing count", _table_flags, _cmd_firings),
-    "diff": ("difference table rows", _table_flags, _cmd_diff),
+    "diff": ("difference table rows", _table_args, _cmd_diff),
     "segment": ("four-part row segmentation", _table_flags, _cmd_segment),
     "sequences": ("derived integer sequences", _sequences_args, _cmd_sequences),
     "verify": ("run the invariant scorecard", _verify_args, _cmd_verify),

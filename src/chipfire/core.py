@@ -103,8 +103,8 @@ Python object per entry):
   byte plane at a time;
 - ``row-contiguity`` (:func:`_has_gap`) is the SWAR zero-lane test;
 - ``monotone-steps`` (:func:`_growth_break`) and ``diff-local-propagation``
-  (:func:`_rises`, :func:`_propagation_break`) read the top bits of the
-  kept biased first and second differences;
+  (:func:`_rises_and_falls`, :func:`_propagation_break`) read the top bits
+  of the kept biased first and second differences;
 - ``bottom-minimal-rows`` (:func:`_is_minimal`) compares a row with the
   packed minimal row of its width and lane, built once;
 - ``diff-telescoping`` (:func:`_telescoping_break`) rebuilds the row from
@@ -130,21 +130,28 @@ every row reads parity the same way.  Rows from the kernel are trusted and
 built without those checks (:func:`_trusted`): a corrupted stream then
 reaches the invariant checks of :mod:`chipfire.checks`, which report it,
 instead of failing inside a constructor.  ``_trusted`` is the one route
-that builds a frozen dataclass without its ``__init__``.  Besides kernel
-rows it builds only the difference and stable rows of the other modules,
-once per row, which have nothing to validate and so skip only the frozen
-``__init__``'s per-field ``object.__setattr__``; their values computed on
-first read are :class:`_once` attributes, which take no lock, unlike
-``functools.cached_property``.  Together the two cut the difference-row
-loop of the ``stream`` workload by 17 % and a ``verify`` pass by 8 %, both
-over the n = 18 rows (Python 3.11, one CPU of a 2-vCPU host).
+that builds a record without its ``__init__``.  Besides kernel rows it
+builds only the difference and stable rows of the other modules, once per
+row, which have nothing to validate and so skip only the call of their
+``__init__``; their values computed on first read are :class:`_once`
+attributes, which take no lock, unlike ``functools.cached_property``.
+Together the two cut the difference-row loop of the ``stream`` workload by
+17 % and a ``verify`` pass by 8 %, both over the n = 18 rows (Python 3.11,
+one CPU of a 2-vCPU host).
+
+The records of the package (:class:`Row` and the results of the other
+modules) are plain classes that write their fields into the instance's
+``__dict__`` and refuse any later assignment (:func:`_frozen`), with
+``==``, ``hash`` and ``repr`` written out over their fields.  No module
+imports :mod:`dataclasses`: it imports :mod:`inspect` with it, and the two
+cost every CLI call about 10 ms of start-up, a third of the package's
+import.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 #: Exponent cap for the initial chip count.  Every table entry is at most
@@ -169,9 +176,11 @@ _ONES: dict[int, tuple[int, int]] = {}
 _DIFF_CONSTANTS: dict[tuple[int, int], tuple[int, int, int, int]] = {}
 _CONSTANTS_BOUND = 8
 
-# bytes.translate tables taking a byte to its lowest or its top bit.
+# bytes.translate tables taking a byte to its lowest bit, its top bit, or
+# the complement of its top bit.
 _LOW_BIT = b"\0\1" * 128
 _TOP_BIT = b"\0" * 128 + b"\1" * 128
+_TOP_CLEAR = b"\1" * 128 + b"\0" * 128
 
 
 class ChipfireError(Exception):
@@ -198,7 +207,11 @@ def _check_exponent(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+def _frozen(self, name: str, *value) -> None:
+    """``__setattr__`` and ``__delattr__`` of a read-only record."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 class Row:
     """One antidiagonal of the arrival table, trimmed to its nonzero span.
 
@@ -206,7 +219,8 @@ class Row:
     reading the tuple left to right walks the row in increasing y.  An empty
     tuple represents an all-zero row.  The index, ``y_min`` and entries are
     plain ints (not bools or floats), entries are strictly positive and
-    palindromic, and the span must fit in the quadrant.
+    palindromic, and the span must fit in the quadrant.  A row is read-only;
+    two rows are equal when their index, ``y_min`` and values are.
 
     Every row also has a packed view: ``packed`` holds entry k in bits
     ``k*lane .. k*lane + lane - 1`` and ``width`` is the number of entries.
@@ -219,34 +233,42 @@ class Row:
     on each read of the view.
     """
 
-    index: int
-    y_min: int
-    values: tuple[int, ...]
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        v = self.values
-        fields = (self.index, self.y_min, *v)
+    def __init__(self, index: int, y_min: int, values: Sequence[int]) -> None:
+        v = tuple(values)
+        self.__dict__.update(index=index, y_min=y_min, values=v)
+        fields = (index, y_min, *v)
         if set(map(type, fields)) != {int}:
             bad = next(f for f in fields if type(f) is not int)
             raise ValueError(f"row index, y_min and values must be ints, got {bad!r}")
-        if self.index < 0:
-            raise ValueError(f"row index must be nonnegative, got {self.index}")
+        if index < 0:
+            raise ValueError(f"row index must be nonnegative, got {index}")
         if not v:
-            if self.y_min != 0:
+            if y_min != 0:
                 raise ValueError("empty rows must have y_min = 0")
             return
-        if self.y_min < 0:
-            raise ValueError(f"y_min must be nonnegative, got {self.y_min}")
-        if self.y_min + len(v) - 1 > self.index:
+        if y_min < 0:
+            raise ValueError(f"y_min must be nonnegative, got {y_min}")
+        if y_min + len(v) - 1 > index:
             raise ValueError(
-                f"span y={self.y_min}..{self.y_min + len(v) - 1} leaves the "
-                f"quadrant on row {self.index}"
+                f"span y={y_min}..{y_min + len(v) - 1} leaves the quadrant on row {index}"
             )
         if min(v) <= 0:
             raise ValueError("row values must be strictly positive")
         if v != v[::-1]:
             raise ValueError("row values must be palindromic")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.y_min, self.values) == (other.index, other.y_min, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.y_min, self.values))
+
+    def __repr__(self) -> str:
+        return f"Row(index={self.index!r}, y_min={self.y_min!r}, values={self.values!r})"
 
     def __getattr__(self, name: str):
         # Reached only for attributes missing from the instance: the values
@@ -297,16 +319,15 @@ class Row:
 
 
 def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as
-    given, built without its ``__init__``, so without any ``__post_init__``
-    validation."""
+    """An instance of the record class ``cls`` holding ``fields`` as given,
+    built without its ``__init__``, so without any validation."""
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
 
 
 class _once:
-    """A lazy attribute of a frozen dataclass: ``fn(obj)``, computed on the
+    """A lazy attribute of a read-only record: ``fn(obj)``, computed on the
     first read and kept in the instance's ``__dict__``, where every later
     read finds it before this descriptor.  Unlike
     ``functools.cached_property``, it takes no lock (Python 3.11 takes one on
@@ -606,7 +627,9 @@ def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
     """
     packed, lane, ones, top, second = _kept_diff_lanes(source)
     bias = 1 << lane - 2
-    tops = _ones(lane, half) << lane - 1
+    # The top bits of the first ``half`` lanes: every lane of ``top`` is
+    # alike, so dropping its upper lanes shifts the rest into place.
+    tops = top >> (source.width + 1 - half) * lane
     falls = tops ^ (second & tops)
     if falls:
         # Bit ``low - 1`` is the top bit of the lane of the first fall.
@@ -663,9 +686,15 @@ def _has_gap(r: Row) -> bool:
     holding 1 above a lane that borrowed, so above a zero lane.  No lane of
     a row has its top bit set, so the test's usual ``& ~packed`` term, which
     clears the lanes that had it, is not needed.
+
+    The constants are the cached ones of the row's difference row
+    (:func:`_diff_constants`), one lane wider: the ones shifted down one
+    lane, and the top bits as they are.  The extra top bit is set only when
+    the difference is negative, which takes a zero lane.
     """
-    ones = _ones(r.lane, r.width)
-    return bool((r.packed - ones) & ones << r.lane - 1)
+    lane, width = r.lane, r.width
+    ones, top, _, _ = _DIFF_CONSTANTS.get((lane, width + 1)) or _diff_constants(lane, width + 1)
+    return bool((r.packed - (ones >> lane)) & top)
 
 
 def _growth_break(r: Row) -> tuple[int, int] | None:
@@ -759,43 +788,49 @@ def _antisymmetric_diffs(source: Row) -> bool:
     return _reversed(packed, top - packed, source.width + 1, lane)
 
 
-def _rises(source: Row) -> int:
-    """Where the difference row of ``source`` weakly rises, one byte each.
+def _rises_and_falls(source: Row) -> tuple[int, int]:
+    """Where the difference row of ``source`` weakly rises, and where it
+    strictly falls, one byte each.
 
-    Byte j is 1 when entry j is at least entry j - 1, for j = 0 .. width
-    of the difference row (entries outside it are 0).  Lane j of the kept
-    second differences (:func:`_kept_diff_lanes`) holds
-    ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit is the flag; the top
-    byte of each lane, translated to its top bit, becomes that lane's byte.
+    Byte j of the first is 1 when entry j is at least entry j - 1, for
+    j = 0 .. width of the difference row (entries outside it are 0), and
+    byte j of the second is 1 where that byte of the first is 0.  Lane j of
+    the kept second differences (:func:`_kept_diff_lanes`) holds
+    ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit is the rise flag; the
+    top byte of each lane, translated to its top bit or to that bit's
+    complement, becomes that lane's byte.
     """
     if not source.width:
-        return 0
+        return 0, 0
     _, lane, _, _, second = _kept_diff_lanes(source)
     size = lane // 8
-    raw = second.to_bytes((source.width + 2) * size, "little")
-    flags = raw[size - 1 :: size].translate(_TOP_BIT)
-    return int.from_bytes(flags, "little")
+    raw = second.to_bytes((source.width + 2) * size, "little")[size - 1 :: size]
+    return (
+        int.from_bytes(raw.translate(_TOP_BIT), "little"),
+        int.from_bytes(raw.translate(_TOP_CLEAR), "little"),
+    )
 
 
-def _propagation_break(above: Row, above_rises: int, below: Row, below_rises: int) -> int | None:
+def _propagation_break(above: Row, above_rises: int, below: Row, below_falls: int) -> int | None:
     """The first y where the difference row of ``above`` rises weakly twice,
     over three entries in its left half, while the difference row of
     ``below`` falls strictly under the last two of them; None if nowhere.
 
-    The flags are those of :func:`_rises`.  A triple starting at position
-    k (``y = y_min + k``) rises where flags k + 1 and k + 2 are set; the
-    entries under its last two sit at ``y + 1`` and ``y + 2``.
+    The flags are those of :func:`_rises_and_falls`.  A triple starting at
+    position k (``y = y_min + k``) rises where rise flags k + 1 and k + 2
+    are set; the entries under its last two sit at ``y + 1`` and ``y + 2``,
+    and the fall between them is fall flag ``y + 2 - below.y_min``.
     """
     y_min = above.y_min
     triples = min(above.width - 1, (above.index + 1) // 2 - 1 - y_min)
     if triples <= 0:
         return None
-    pairs = above_rises & above_rises >> 8 & _ones(8, triples) << 8
-    falls = below_rises ^ _ones(8, below.width + 2 if below.width else 0)
-    shift = 8 * (y_min + 1 - below.y_min)
-    falls = falls >> shift if shift >= 0 else falls << -shift
+    # Byte k: whether the triple starting at position k rises.
+    pairs = above_rises >> 8 & above_rises >> 16 & (1 << 8 * triples) - 1
+    shift = 8 * (y_min + 2 - below.y_min)
+    falls = below_falls >> shift if shift >= 0 else below_falls << -shift
     hits = pairs & falls
-    return y_min + _lowest_lane(hits, 8) - 1 if hits else None
+    return y_min + _lowest_lane(hits, 8) if hits else None
 
 
 def _telescoping_break(source: Row) -> tuple[int, int | None] | None:

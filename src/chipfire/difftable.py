@@ -38,25 +38,43 @@ validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .core import Row, _diff_values, _lane_shape, _once, _trusted, intermediate_configuration
+from .core import (
+    Row,
+    _diff_values,
+    _frozen,
+    _lane_shape,
+    _once,
+    _trusted,
+    intermediate_configuration,
+)
 
 
-@dataclass(frozen=True)
 class DiffRow:
     """One row of the difference table, trimmed like its source row.
 
     ``values[k]`` sits at ``y = y_min + k``, ``x = index - y``.  ``source``
     is arrival row ``index - 1``; on a correct table the values are
-    antisymmetric, entry k equals minus entry ``width - 1 - k``.
+    antisymmetric, entry k equals minus entry ``width - 1 - k``.  Read-only.
     """
 
-    index: int
-    y_min: int
-    source: Row
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, index: int, y_min: int, source: Row) -> None:
+        self.__dict__.update(index=index, y_min=y_min, source=source)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.y_min, self.source) == (other.index, other.y_min, other.source)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.y_min, self.source))
+
+    def __repr__(self) -> str:
+        return f"DiffRow(index={self.index!r}, y_min={self.y_min!r}, source={self.source!r})"
 
     @_once
     def values(self) -> tuple[int, ...]:

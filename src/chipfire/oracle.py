@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Iterator
 
-from .core import ChipfireError, row_bound
+from .core import ChipfireError, _frozen, row_bound
 
 ORACLE_EXPONENT_LIMIT = 10
 
@@ -69,19 +68,38 @@ class MoveCapExceededError(ChipfireError, RuntimeError):
     """The simulation hit its move cap; stabilization should have ended it."""
 
 
-@dataclass
 class OracleState:
     """The end of one simulation, on sparse maps keyed by ``(x, y)``.
 
     ``chips[x, y]`` is the final chip count, ``firings[x, y]`` how often
     the point fired; points never reached read as 0.  Total chips stay at
-    ``2**n`` throughout: a firing moves two chips and destroys none.
+    ``2**n`` throughout: a firing moves two chips and destroys none.  Two
+    states are equal when all four fields are; a state is mutable, so it
+    has no hash.
     """
 
-    n: int
-    moves: int = 0
-    chips: Counter[Point] = field(default_factory=Counter)
-    firings: Counter[Point] = field(default_factory=Counter)
+    __hash__ = None
+
+    def __init__(
+        self,
+        n: int,
+        moves: int = 0,
+        chips: Counter[Point] | None = None,
+        firings: Counter[Point] | None = None,
+    ) -> None:
+        self.n = n
+        self.moves = moves
+        self.chips = Counter() if chips is None else chips
+        self.firings = Counter() if firings is None else firings
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"OracleState(n={self.n!r}, moves={self.moves!r}, chips={self.chips!r}, "
+            f"firings={self.firings!r})"
+        )
 
     def total_chips(self) -> int:
         return sum(self.chips.values())
@@ -225,22 +243,49 @@ def arrivals(state: OracleState) -> dict[Point, int]:
     return dict(out)
 
 
-@dataclass(frozen=True)
 class ConfluenceReport:
-    """The verdict of :func:`confluence_check`.
+    """The verdict of :func:`confluence_check`.  Read-only.
 
     ``row_by_row`` is the final state of the row-by-row run, kept for the
     arrival, firing-count and parity cross-checks that compare one run with
-    the streamed table.
+    the streamed table.  It is keyword-only, and left out of ``==``,
+    ``hash`` and ``repr``.
     """
 
-    n: int
-    trials: int
-    passed: bool
-    moves: int
-    runs: int
-    mismatches: tuple[str, ...] = ()
-    row_by_row: OracleState = field(kw_only=True, compare=False, repr=False)
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(
+        self,
+        n: int,
+        trials: int,
+        passed: bool,
+        moves: int,
+        runs: int,
+        mismatches: tuple[str, ...] = (),
+        *,
+        row_by_row: OracleState,
+    ) -> None:
+        self.__dict__.update(
+            n=n, trials=trials, passed=passed, moves=moves, runs=runs, mismatches=mismatches,
+            row_by_row=row_by_row,
+        )
+
+    def _compared(self) -> tuple:
+        return self.n, self.trials, self.passed, self.moves, self.runs, self.mismatches
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return (
+            f"ConfluenceReport(n={self.n!r}, trials={self.trials!r}, passed={self.passed!r}, "
+            f"moves={self.moves!r}, runs={self.runs!r}, mismatches={self.mismatches!r})"
+        )
 
 
 def check_trials(trials: int) -> None:

@@ -11,11 +11,10 @@ vertical axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import difftable, stable, structure
-from .core import intermediate_configuration
+from .core import _frozen, intermediate_configuration
 
 KINDS = ("stable-dots", "distance-polyline", "row-profiles", "diff-signmap")
 
@@ -24,26 +23,46 @@ _HOLLOW = 'fill="none" stroke="#000000" stroke-width="1"'
 _GRAY = 'fill="#999999"'
 
 
-@dataclass(frozen=True)
 class RenderSpec:
-    """Figure request: what to draw, for which n, where, and how large."""
+    """Figure request: what to draw, for which n, where, and how large.
 
-    kind: str
-    n: int
-    out_path: str | Path
-    width: int = 960
-    height: int = 640
-    dot_radius: float = 2.0
+    Read-only; the kind and the sizes are checked on construction.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown figure kind {self.kind!r}; choose from {KINDS}")
-        if not all(map(math.isfinite, (self.width, self.height, self.dot_radius))):
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        out_path: str | Path,
+        width: int = 960,
+        height: int = 640,
+        dot_radius: float = 2.0,
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, n=n, out_path=out_path, width=width, height=height, dot_radius=dot_radius
+        )
+        if kind not in KINDS:
+            raise ValueError(f"unknown figure kind {kind!r}; choose from {KINDS}")
+        if not all(map(math.isfinite, (width, height, dot_radius))):
             raise ValueError("figure dimensions and dot radius must be finite")
-        if self.width <= 0 or self.height <= 0:
+        if width <= 0 or height <= 0:
             raise ValueError("figure dimensions must be positive")
-        if self.dot_radius <= 0:
+        if dot_radius <= 0:
             raise ValueError("dot radius must be positive")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return (
+            f"RenderSpec(kind={self.kind!r}, n={self.n!r}, out_path={self.out_path!r}, "
+            f"width={self.width!r}, height={self.height!r}, dot_radius={self.dot_radius!r})"
+        )
 
 
 def _svg_document(width: int, height: int, elements: list[str]) -> str:

@@ -8,22 +8,46 @@ two sides of every golden comparison stay independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import stable, structure
-from .core import MAX_EXPONENT
+from .core import MAX_EXPONENT, _frozen
 
 
-@dataclass(frozen=True)
 class SequenceTable:
-    id: str
-    description: str
-    oeis_id: str
-    offset: int
-    known: tuple[int, ...]
-    value_at: Callable[[int], int]
-    max_index: int  # last index generate computes
+    """One integer sequence: its reference prefix ``known`` from ``offset``
+    on, and ``value_at``, which recomputes the term at an index up to
+    ``max_index``.  Read-only."""
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(
+        self,
+        id: str,
+        description: str,
+        oeis_id: str,
+        offset: int,
+        known: tuple[int, ...],
+        value_at: Callable[[int], int],
+        max_index: int,
+    ) -> None:
+        self.__dict__.update(
+            id=id, description=description, oeis_id=oeis_id, offset=offset, known=known,
+            value_at=value_at, max_index=max_index,
+        )
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return (
+            f"SequenceTable(id={self.id!r}, description={self.description!r}, "
+            f"oeis_id={self.oeis_id!r}, offset={self.offset!r}, known={self.known!r}, "
+            f"value_at={self.value_at!r}, max_index={self.max_index!r})"
+        )
 
 
 def _nonzero_rows(n: int) -> int:

@@ -34,12 +34,19 @@ Everything here depends only on each row's parity and total
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from operator import not_
 from typing import Iterable, Iterator, Mapping
 
-from .core import ChipfireError, Row, _DistanceCounts, _once, _trusted, intermediate_configuration
+from .core import (
+    ChipfireError,
+    Row,
+    _DistanceCounts,
+    _frozen,
+    _once,
+    _trusted,
+    intermediate_configuration,
+)
 
 
 # bytes.translate table writing a 0/1 byte as the digit "0" or "1".
@@ -50,19 +57,30 @@ class ParityError(ChipfireError):
     """An integer that must be even by construction turned out odd."""
 
 
-@dataclass(frozen=True)
 class StableRow:
     """The chips one row keeps after stabilization.
 
     Byte ``k`` of ``parity`` sits at ``y = y_min + k``, ``x = index - y``
     and is 1 where the arrival count is odd (a chip stays) and 0 where it
     is even.  The bytes span the nonzero entries of the source row, so the
-    even (unmarked) positions can be rendered too.
+    even (unmarked) positions can be rendered too.  Read-only.
     """
 
-    index: int
-    y_min: int
-    parity: bytes
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, index: int, y_min: int, parity: bytes) -> None:
+        self.__dict__.update(index=index, y_min=y_min, parity=parity)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.index, self.y_min, self.parity) == (other.index, other.y_min, other.parity)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.y_min, self.parity))
+
+    def __repr__(self) -> str:
+        return f"StableRow(index={self.index!r}, y_min={self.y_min!r}, parity={self.parity!r})"
 
     @property
     def width(self) -> int:
@@ -112,33 +130,39 @@ def stable_configuration(n: int) -> Iterator[StableRow]:
     return map(stable_row, intermediate_configuration(n))
 
 
-@dataclass(frozen=True)
 class DistanceDistribution:
     """Chip counts of a stable configuration grouped by ``i = y - x``.
 
     ``counts[k]`` is the number of chips at distance ``i = k - half_width``;
     the vector runs densely from ``-half_width`` to ``half_width``.  The
     distribution is symmetric, sums to ``2**n``, and has an empty center for
-    n >= 1 because the diagonal never keeps a chip.
+    n >= 1 because the diagonal never keeps a chip.  Read-only.
     """
 
-    n: int
-    half_width: int
-    counts: tuple[int, ...]
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "counts", tuple(self.counts))
-        c = self.counts
-        if len(c) != 2 * self.half_width + 1:
+    def __init__(self, n: int, half_width: int, counts: Iterable[int]) -> None:
+        c = tuple(counts)
+        self.__dict__.update(n=n, half_width=half_width, counts=c)
+        if len(c) != 2 * half_width + 1:
             raise ValueError("counts must cover -half_width..half_width densely")
         if any(v < 0 for v in c):
             raise ValueError("counts must be nonnegative")
-        if sum(c) != 1 << self.n:
-            raise ValueError(f"{sum(c)} chips, expected 2**{self.n}")
-        if self.n >= 1 and c[self.half_width] != 0:
+        if sum(c) != 1 << n:
+            raise ValueError(f"{sum(c)} chips, expected 2**{n}")
+        if n >= 1 and c[half_width] != 0:
             raise ValueError("chip left on the diagonal")
         if c != c[::-1]:
             raise ValueError("distance distribution must be symmetric")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"DistanceDistribution(n={self.n!r}, half_width={self.half_width!r}, counts={self.counts!r})"
 
     def offsets(self) -> range:
         return range(-self.half_width, self.half_width + 1)

@@ -17,13 +17,13 @@ have sharp definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .core import (
     ChipfireError,
     Row,
     _check_exponent,
+    _frozen,
     _is_minimal,
     _minimal_values,
     intermediate_configuration,
@@ -67,12 +67,22 @@ def pascal_row(n: int, i: int) -> Row:
     return Row(index=i, y_min=0, values=values)
 
 
-@dataclass(frozen=True)
 class RowProfile:
-    """Nonzero-entry counts of every row of one table."""
+    """Nonzero-entry counts of every row of one table.  Read-only."""
 
-    n: int
-    lengths: tuple[int, ...]
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, n: int, lengths: tuple[int, ...]) -> None:
+        self.__dict__.update(n=n, lengths=lengths)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"RowProfile(n={self.n!r}, lengths={self.lengths!r})"
 
     @property
     def nonzero_rows(self) -> int:
@@ -130,7 +140,6 @@ def is_minimal(r: Row) -> bool:
     return _is_minimal(r)
 
 
-@dataclass(frozen=True)
 class Segmentation:
     """Disjoint row ranges (half-open) covering all nonzero rows of a table.
 
@@ -138,16 +147,40 @@ class Segmentation:
     ranges never overlap; for n <= 3 the full terminal run of the length
     profile can reach into the top triangle (those rows are simultaneously
     scaled binomial rows and minimal rows).  The untruncated run is what
-    :func:`check_bottom_conjecture` measures.
+    :func:`check_bottom_conjecture` measures.  Read-only.
     """
 
-    n: int
-    top_triangle: range
-    midsection: range
-    rectangle: range
-    bottom_triangle: range
-    longest_length: int
-    first_longest_row: int
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(
+        self,
+        n: int,
+        top_triangle: range,
+        midsection: range,
+        rectangle: range,
+        bottom_triangle: range,
+        longest_length: int,
+        first_longest_row: int,
+    ) -> None:
+        self.__dict__.update(
+            n=n, top_triangle=top_triangle, midsection=midsection, rectangle=rectangle,
+            bottom_triangle=bottom_triangle, longest_length=longest_length,
+            first_longest_row=first_longest_row,
+        )
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return (
+            f"Segmentation(n={self.n!r}, top_triangle={self.top_triangle!r}, "
+            f"midsection={self.midsection!r}, rectangle={self.rectangle!r}, "
+            f"bottom_triangle={self.bottom_triangle!r}, longest_length={self.longest_length!r}, "
+            f"first_longest_row={self.first_longest_row!r})"
+        )
 
     def parts(self) -> tuple[tuple[str, range], ...]:
         return (
@@ -263,19 +296,32 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
     return seg
 
 
-@dataclass(frozen=True)
 class BottomTriangleReport:
     """Empirical status of the bottom-triangle height claim for one n.
 
     The claim: the maximal terminal run of lengths decreasing by 1 is one
     row shorter than the longest row.  This is a report, never an assertion;
-    a counterexample at some larger n must not break the library.
+    a counterexample at some larger n must not break the library.  Read-only.
     """
 
-    n: int
-    holds: bool
-    triangle_rows: int
-    longest_length: int
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, n: int, holds: bool, triangle_rows: int, longest_length: int) -> None:
+        self.__dict__.update(
+            n=n, holds=holds, triangle_rows=triangle_rows, longest_length=longest_length
+        )
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return (
+            f"BottomTriangleReport(n={self.n!r}, holds={self.holds!r}, "
+            f"triangle_rows={self.triangle_rows!r}, longest_length={self.longest_length!r})"
+        )
 
 
 def check_bottom_conjecture(n: int, profile: RowProfile | None = None) -> BottomTriangleReport:

@@ -128,6 +128,8 @@ ROW_OUTPUT_SHA256 = {
     "table --n 12 --format json": "3676344af6f6f856d967e967410a42f9b43da9c3b4fa684006d9d6678528ab27",
     "diff --n 9 --format json": "da37ca27d1ef395d801e96600f3fb0a88515eede79d5cfa7fb263947d62b2772",
     "table --n 126 --max-rows 3 --format json": "247af29ba4d327d4b64d0904649040593ffbadd4aa55db02d0716f348e5b5fa9",
+    # The first two lines of `diff --n 3`, frozen when diff took --max-rows.
+    "diff --n 3 --max-rows 2": "94f8f8df13dc1009a58803e918156741a047498beec1007f2e1c32983a3cd835",
 }
 
 # sha256 of repr() of the list of (x, y) points fired, in firing order, by
@@ -142,7 +144,8 @@ ORACLE_ORDER_N5_SHA256 = {
 
 # sha256 of the CLI's own text at COLUMNS=80, frozen from the parser that
 # imported every command's module up front: stdout of each help command
-# (exit 0), stderr of each usage error (exit 2).
+# (exit 0), stderr of each usage error (exit 2).  `diff --help` was frozen
+# again when diff took --max-rows.
 CLI_TEXT_SHA256 = {
     "--help": "5799f8b6c5f557e1e26dca4839a85789968d35f74399ae4ddbe22c6d15e11a3f",
     "-h table": "5799f8b6c5f557e1e26dca4839a85789968d35f74399ae4ddbe22c6d15e11a3f",
@@ -150,7 +153,7 @@ CLI_TEXT_SHA256 = {
     "stable --help": "f228172abd689eb67f1adee1bd64a27ce24ad8dfef2f8e6bae33f6ad6202639d",
     "distance --help": "62897aa40bbdfa3d64f9e9dd65dfe742b3d06e6763fcfbd885d8b6c1bd42d04b",
     "firings --help": "564850b9c63668b8b4ecb6a0ebf492b7e3ff30b8c9ea9f32146648771413274f",
-    "diff --help": "6aa6f4884607cda398572683d85f1ab6bdd560a5850816229501e6b1f8dd8b40",
+    "diff --help": "4a134fcad75b61792862a1b2db0957e3b37cf5d8372ee6cd5083f25fcf8a6118",
     "segment --help": "8aa90964fb89ff592dac73674d4babfd8a0be471ffae5dfaf00a05932c8ff52f",
     "sequences --help": "720f733b0379a4d71d65091bbf76c34ce656132bfa6aa8c730cdb080fbd40eb3",
     "verify --help": "a1b9f3f678a16e72a221b951c5eafd93cf67b0c4433e48538531e223952972d1",
@@ -162,7 +165,6 @@ CLI_TEXT_SHA256 = {
     "stable --n 2 --format xml": "aceeae49e56a3fc06c5986a9034152ccb9ccaadb3a83f62c43fce5c3b76840b1",
     "distance --n 200": "0d6f06b3db1503e747b37ebdb4fc3e0b48ae6371b7161c3643abf09f64a321e3",
     "firings --n two": "28047b9c3a862c8bdeac54d5b28d772c875e14ceafc2b1376547dc3127ad2b23",
-    "diff --n 3 --max-rows 2": "c168d3438b3eb387574070dd42dd600726f31e95eaa740c6602cc767e19f835f",
     "segment": "4abd39edf5061253c2fbdbef02962fc4e59c4a3176dbc39888ceb97c07cb120c",
     "sequences busy-beavers --upto 3": "648d9a4696ac442ed342ba4c41ff376e2f0f67a90f957078338ecef2fba9e2be",
     "verify --n 4..2": "0b341736796588b62ca07bd182fe74a4712778de85b836b72c2e472a1a132c5e",

@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -144,7 +143,7 @@ def _replace(rows, i, values):
 def _forced(rows, i, values):
     # Row validation would reject these values; set them behind its back on
     # a copy, so the shared table stays intact.
-    row = dataclasses.replace(rows[i])
+    row = Row(index=rows[i].index, y_min=rows[i].y_min, values=rows[i].values)
     object.__setattr__(row, "values", values)
     rows[i] = row
 
@@ -483,6 +482,40 @@ class TestSinglePass:
         assert failures(run_checks(12)) == []
         rows = [r.index for r in table(12)]
         assert calls == {"_diff_lanes": rows, "_diff_context": rows}
+
+    def test_stream_stops_when_no_fold_is_left(self, monkeypatch, table):
+        # pascal-top-rows settles after rows 0..n; nothing reads on after
+        # it, unless an oracle cross-check keeps the point table.
+        pulled = []
+        real = checks.intermediate_configuration
+
+        def counted(n):
+            for r in real(n):
+                pulled.append(r.index)
+                yield r
+
+        monkeypatch.setattr(checks, "intermediate_configuration", counted)
+        assert failures(run_checks(18, ["pascal-top-rows"])) == []
+        assert pulled == list(range(19))
+        pulled.clear()
+        assert failures(run_checks(4, ["pascal-top-rows", "oracle-arrivals"], oracle_trials=2)) == []
+        assert pulled == [r.index for r in table(4)]
+
+    def test_lane_constants_come_from_the_cache(self, monkeypatch, table):
+        # The lane folds take their all-ones and top-bit ints from the
+        # bounded constant cache, so _ones runs only when an entry of it is
+        # built, not once or more per row.
+        calls = {"_ones": 0, "_diff_constants": 0}
+        for name in calls:
+            real = getattr(core, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(core, name, counted)
+        assert failures(run_checks(18)) == []
+        assert calls["_ones"] == calls["_diff_constants"] < len(table(18)) // 20
 
     def test_one_stable_row_per_row(self, monkeypatch, table):
         calls = []

@@ -106,7 +106,8 @@ class TestRowCsv:
         assert rows_to_csv([empty]) == old_line(empty) == "3,0,\n"
 
     @pytest.mark.parametrize(
-        "command, max_rows", [("table", None), ("table", 1), ("table", 7), ("diff", None)]
+        "command, max_rows",
+        [("table", None), ("table", 1), ("table", 7), ("diff", None), ("diff", 2)],
     )
     def test_json_matches_json_dumps(self, capsys, command, max_rows):
         # The streamed JSON is the bytes json.dumps(indent=2) gives the
@@ -143,6 +144,27 @@ class TestRowCsv:
         assert time.perf_counter() - start < 1
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["row_count"] == 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_diff_max_rows_stops_the_stream(self, fmt):
+        # No form of `diff --n 126` returned before diff took --max-rows.
+        env = dict(os.environ, PYTHONPATH=str(Path(chipfire.__file__).parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", "diff", "--n", "126", "--max-rows", "3",
+             "--format", fmt],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert time.perf_counter() - start < 5
+        assert proc.returncode == 0, proc.stderr
+        if fmt == "csv":
+            lines = proc.stdout.splitlines()
+            assert [line.split(",")[0] for line in lines] == ["1", "2", "3"]
+            assert lines[0] == f"1,0,{2**126} {-(2**126)}"
+        else:
+            payload = json.loads(proc.stdout)
+            assert payload["row_count"] == 3
+            assert payload["rows"][0] == {"index": 1, "y_min": 0, "values": [2**126, -(2**126)]}
 
     def test_json_memory_follows_the_widest_row(self):
         # Listing the n = 20 table before json.dumps peaked at 258 MiB;
@@ -407,10 +429,19 @@ class TestRenderCommand:
         assert err
 
 
+#: Standard modules no command may load: ``dataclasses`` and the
+#: ``inspect`` it imports cost about 10 ms of every CLI call's start-up.
+SLOW_IMPORTS = ("dataclasses", "inspect")
+
+
 def loaded_modules(code):
-    """The chipfire modules a fresh interpreter holds after running ``code``."""
+    """The chipfire modules, and those of ``SLOW_IMPORTS``, that a fresh
+    interpreter holds after running ``code``."""
     env = dict(os.environ, PYTHONPATH=str(Path(chipfire.__file__).parents[1]))
-    probe = code + "\nimport sys\nprint(*sorted(m for m in sys.modules if m.startswith('chipfire')))"
+    probe = code + (
+        "\nimport sys\nprint(*sorted(m for m in sys.modules"
+        f" if m.startswith('chipfire') or m in {SLOW_IMPORTS!r}))"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
@@ -418,7 +449,7 @@ def loaded_modules(code):
 
 
 class TestImports:
-    """A command loads only the modules it runs."""
+    """A command loads only the modules it runs, and none of ``SLOW_IMPORTS``."""
 
     BASE = {"chipfire", "chipfire.cli", "chipfire.core"}
 
@@ -436,6 +467,15 @@ class TestImports:
             ("distance --n 3", {"chipfire.stable"}),
             ("diff --n 3", {"chipfire.difftable"}),
             ("segment --n 3", {"chipfire.structure"}),
+            (
+                "verify --n 3 --trials 2",
+                {"chipfire.checks", "chipfire.oracle", "chipfire.difftable", "chipfire.stable",
+                 "chipfire.structure"},
+            ),
+            (
+                "sequences total-firings --upto 3",
+                {"chipfire.sequences", "chipfire.stable", "chipfire.structure"},
+            ),
         ],
     )
     def test_command_imports(self, command, extra):

@@ -351,9 +351,10 @@ class TestPackedView:
     def test_only_core_builds_trusted_rows(self):
         # Only core builds objects without their __init__, through _trusted,
         # and only kernel rows skip validation that way.  Another module may
-        # call _trusted only on a dataclass of its own without __post_init__,
-        # so it has nothing to skip; it neither calls __new__ itself nor
-        # hands _trusted on or renames it.
+        # call _trusted only on a class of its own that does not validate
+        # (no __post_init__, and an __init__ that raises nothing), so it has
+        # nothing to skip; it neither calls __new__ itself nor hands
+        # _trusted on or renames it.
         package = Path(core.__file__).parent
         misuses, calls = [], []
         for path in sorted(package.glob("*.py")):
@@ -365,7 +366,12 @@ class TestPackedView:
                 for node in tree.body
                 if isinstance(node, ast.ClassDef)
                 and not any(
-                    isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                    isinstance(f, ast.FunctionDef)
+                    and (
+                        f.name == "__post_init__"
+                        or f.name == "__init__"
+                        and any(isinstance(s, (ast.Raise, ast.Assert)) for s in ast.walk(f))
+                    )
                     for f in node.body
                 )
             }

@@ -1,4 +1,3 @@
-import dataclasses
 from itertools import accumulate
 from operator import sub
 
@@ -95,7 +94,10 @@ class TestDiffRow:
 
     def test_fields(self):
         # A difference row is its arrival row and where it sits, nothing else.
-        assert [f.name for f in dataclasses.fields(DiffRow)] == ["index", "y_min", "source"]
+        source = Row(index=5, y_min=1, values=(2, 5, 5, 2))
+        fields = {"index": 6, "y_min": 1, "source": source}
+        assert vars(diff_row(source)) == fields
+        assert vars(DiffRow(**fields)) == fields
 
     def test_offset_is_preserved(self):
         d = diff_row(Row(index=5, y_min=1, values=(2, 5, 5, 2)))

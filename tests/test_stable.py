@@ -1,4 +1,3 @@
-import dataclasses
 from collections import Counter
 from itertools import chain, compress, repeat
 from operator import and_, mul
@@ -118,8 +117,11 @@ class TestStableRow:
         assert s.chip_count == 2
 
     def test_fields(self):
-        # Built one way, from Row.parity, so there is nothing to check again.
-        assert [f.name for f in dataclasses.fields(StableRow)] == ["index", "y_min", "parity"]
+        # Built one way, from Row.parity, so there is nothing to check again:
+        # the constructor stores its arguments as they are.
+        fields = {"index": 5, "y_min": 1, "parity": b"\0\1\1\0"}
+        assert vars(stable_row(Row(index=5, y_min=1, values=(2, 5, 5, 2)))) == fields
+        assert vars(StableRow(**fields)) == fields
         assert not hasattr(StableRow, "__post_init__")
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
