@@ -59,7 +59,7 @@ from .core import (
     Row,
     _check_exponent,
     _DistanceCounts,
-    _frozen,
+    _Record,
     _antisymmetric_diffs,
     _growth_break,
     _has_gap,
@@ -73,37 +73,21 @@ from .core import (
 )
 
 
-class CheckResult:
+class CheckResult(_Record):
     """One line of the scorecard: a check's verdict for one n (None for the
     checks that take no n), with its detail.  Read-only."""
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("name", "n", "passed", "detail", "advisory")
 
     def __init__(
         self, name: str, n: int | None, passed: bool, detail: str = "", advisory: bool = False
     ) -> None:
         self.__dict__.update(name=name, n=n, passed=passed, detail=detail, advisory=advisory)
 
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return (
-            f"CheckResult(name={self.name!r}, n={self.n!r}, passed={self.passed!r}, "
-            f"detail={self.detail!r}, advisory={self.advisory!r})"
-        )
-
 
 def failures(results: Iterable[CheckResult]) -> list[CheckResult]:
     """Non-advisory failures; the CLI exit status is driven by these."""
     return [r for r in results if not r.passed and not r.advisory]
-
-
-def _result(name: str, n: int | None, ok: bool, detail: str = "", advisory: bool = False) -> CheckResult:
-    return CheckResult(name=name, n=n, passed=ok, detail=detail, advisory=advisory)
 
 
 class _Step(NamedTuple):
@@ -505,7 +489,7 @@ def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
 def _oracle_checks(n: int, table: dict[tuple[int, int], int], trials: int, seed: int) -> list[CheckResult]:
     report = oracle.confluence_check(n, trials=trials, seed=seed)
     results = [
-        _result(
+        CheckResult(
             "oracle-confluence", n, report.passed,
             f"{report.runs} runs, {report.moves} moves"
             + (f"; {report.mismatches[0]}" if report.mismatches else ""),
@@ -513,18 +497,18 @@ def _oracle_checks(n: int, table: dict[tuple[int, int], int], trials: int, seed:
     ]
     state = report.row_by_row
     results.append(
-        _result("oracle-arrivals", n, oracle.arrivals(state) == table,
-                "arrival grid matches the streamed table")
+        CheckResult("oracle-arrivals", n, oracle.arrivals(state) == table,
+                    "arrival grid matches the streamed table")
     )
     firings = {p: v >> 1 for p, v in table.items() if v >= 2}
     results.append(
-        _result("oracle-firing-counts", n, state.nonzero_firings() == firings,
-                "every point fired F // 2 times")
+        CheckResult("oracle-firing-counts", n, state.nonzero_firings() == firings,
+                    "every point fired F // 2 times")
     )
     parity = {p: 1 for p, v in table.items() if v & 1}
     results.append(
-        _result("oracle-stable-parity", n, state.nonzero_chips() == parity,
-                "stable chips sit exactly on odd arrival counts")
+        CheckResult("oracle-stable-parity", n, state.nonzero_chips() == parity,
+                    "stable chips sit exactly on odd arrival counts")
     )
     return results
 
@@ -539,10 +523,10 @@ def minimal_descent_check(max_j: int = 64) -> CheckResult:
         try:
             child = next_row(structure.minimal_row(j))
         except ValueError as exc:
-            return _result("minimal-row-descent", None, False, f"descent breaks at j={j}: {exc}")
+            return CheckResult("minimal-row-descent", None, False, f"descent breaks at j={j}: {exc}")
         if child.values != structure.minimal_row(j - 1).values:
-            return _result("minimal-row-descent", None, False, f"descent breaks at j={j}")
-    return _result("minimal-row-descent", None, True, f"verified for j = 2..{max_j}")
+            return CheckResult("minimal-row-descent", None, False, f"descent breaks at j={j}")
+    return CheckResult("minimal-row-descent", None, True, f"verified for j = 2..{max_j}")
 
 
 def run_checks(
@@ -601,12 +585,12 @@ def run_checks(
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)
 
-    results = [_result(name, n, *verdicts[name]) for name in _FOLDS if name in verdicts]
+    results = [CheckResult(name, n, *verdicts[name]) for name in _FOLDS if name in verdicts]
     if with_oracle:
         results.extend(
             r for r in _oracle_checks(n, points, oracle_trials, seed) if selected(r.name)
         )
     results.extend(
-        _result(name, n, *verdicts[name], advisory=True) for name in _REPORTS if name in verdicts
+        CheckResult(name, n, *verdicts[name], advisory=True) for name in _REPORTS if name in verdicts
     )
     return results

@@ -140,9 +140,10 @@ Together the two cut the difference-row loop of the ``stream`` workload by
 one CPU of a 2-vCPU host).
 
 The records of the package (:class:`Row` and the results of the other
-modules) are plain classes that write their fields into the instance's
-``__dict__`` and refuse any later assignment (:func:`_frozen`), with
-``==``, ``hash`` and ``repr`` written out over their fields.  No module
+modules) derive from :class:`_Record`.  Each writes its fields into the
+instance's ``__dict__`` in its own ``__init__`` and names them in a
+``_fields`` tuple; the base refuses any later assignment (:func:`_frozen`)
+and gives ``==``, ``hash`` and ``repr`` over those fields alone.  No module
 imports :mod:`dataclasses`: it imports :mod:`inspect` with it, and the two
 cost every CLI call about 10 ms of start-up, a third of the package's
 import.
@@ -164,10 +165,6 @@ _NATIVE_LITTLE = sys.byteorder == "little"
 
 # memoryview.cast formats by lane size in bytes.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-# Per lane width: (lanes, an int holding 1 in each of that many lanes),
-# grown by doubling; every narrower run of ones is a shift of it.
-_ONES: dict[int, tuple[int, int]] = {}
 
 # The constants of a difference row by (lane, lanes), built on first use.
 # Widths move by one lane per row, so a few entries serve a whole stream;
@@ -212,7 +209,39 @@ def _frozen(self, name: str, *value) -> None:
     raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
-class Row:
+class _Record:
+    """The base of the package's records: read-only, ``==`` only against the
+    same class, ``hash`` of the fields in order, and ``repr`` as
+    ``Name(field=value, ...)``.
+
+    A record names its fields in a class-level ``_fields`` tuple; its
+    ``__init__`` writes them into the instance's ``__dict__``.  The fields
+    are read with ``getattr``, so a field that a record computes on first
+    read (the values of a kernel row) is computed here too, and nothing else
+    the instance keeps (lazy attributes, kept lane contexts) takes part.
+    """
+
+    _fields: tuple[str, ...]
+
+    __setattr__ = __delattr__ = _frozen
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Row(_Record):
     """One antidiagonal of the arrival table, trimmed to its nonzero span.
 
     ``values[k]`` is the entry at ``y = y_min + k``, ``x = index - y``;
@@ -233,7 +262,7 @@ class Row:
     on each read of the view.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("index", "y_min", "values")
 
     def __init__(self, index: int, y_min: int, values: Sequence[int]) -> None:
         v = tuple(values)
@@ -258,17 +287,6 @@ class Row:
             raise ValueError("row values must be strictly positive")
         if v != v[::-1]:
             raise ValueError("row values must be palindromic")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.y_min, self.values) == (other.index, other.y_min, other.values)
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.y_min, self.values))
-
-    def __repr__(self) -> str:
-        return f"Row(index={self.index!r}, y_min={self.y_min!r}, values={self.values!r})"
 
     def __getattr__(self, name: str):
         # Reached only for attributes missing from the instance: the values
@@ -364,12 +382,7 @@ def _repeat(value: int, lane: int, lanes: int) -> int:
 
 def _ones(lane: int, lanes: int) -> int:
     """``lanes`` lanes that each hold 1."""
-    cap, ones = _ONES.get(lane, (0, 0))
-    if lanes > cap:
-        cap = 2 * lanes
-        ones = _repeat(1, lane, cap)
-        _ONES[lane] = cap, ones
-    return ones >> (cap - lanes) * lane
+    return _repeat(1, lane, lanes)
 
 
 def _low_mask(lane: int, lanes: int) -> int:

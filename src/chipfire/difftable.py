@@ -14,22 +14,22 @@ margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps only
 that row, so it is built one way, by :func:`diff_row`, through
-``core._trusted`` since it has nothing to validate.  ``core`` packs
-the source row's first differences in its lanes with a few whole-row
-operations, each biased to be positive, and keeps them with the source row
-together with their second differences, so that everything here and every
-lane fold of ``verify`` reads that one packing.  The ``values`` are read
-on their first read, off that packing where it was kept and off the bare
-difference lanes otherwise, as signed lanes: adding the bias once more and
-flipping each lane's top bit leaves every entry in two's complement, which
-``memoryview.cast`` reads as signed ints (lanes wider than 64 bits by
-slicing the bytes).  The sign maps and the CLI read them.
-:func:`unimodal_check` and :func:`row_max_abs` read no values: the signs
-of the kept second differences give the shape of the left half, and two
-lane comparisons prove that the left half's peak bounds every entry.  Only
-a row that fails that proof (never a row of a correct table) has its
-largest entry taken from its values.  Both the values and that shape are
-computed on first read and kept in the row (``core._once``).
+``core._trusted`` since it has nothing to validate.  ``core`` packs the
+source row's first differences in its lanes with a few whole-row
+operations, each biased to be positive.  The ``values`` are read on their
+first read, off those bare difference lanes, as signed lanes: adding the
+bias once more and flipping each lane's top bit leaves every entry in two's
+complement, which ``memoryview.cast`` reads as signed ints (lanes wider
+than 64 bits by slicing the bytes).  The sign maps and the CLI read them.
+:func:`unimodal_check` and :func:`row_max_abs` read no values: they read
+the lane context that ``core`` keeps with the source row, the difference
+lanes with their second differences, which every lane fold of ``verify``
+shares.  The signs of the second differences give the shape of the left
+half, and two lane comparisons prove that the left half's peak bounds
+every entry.  Only a row that fails that proof (never a row of a correct
+table) has its largest entry taken from its values.  Both the values and
+that shape are computed on first read and kept in the row
+(``core._once``).
 
 Nothing here checks antisymmetry: the source rows of a table are not
 validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple
 from .core import (
     Row,
     _diff_values,
-    _frozen,
+    _Record,
     _lane_shape,
     _once,
     _trusted,
@@ -52,7 +52,7 @@ from .core import (
 )
 
 
-class DiffRow:
+class DiffRow(_Record):
     """One row of the difference table, trimmed like its source row.
 
     ``values[k]`` sits at ``y = y_min + k``, ``x = index - y``.  ``source``
@@ -60,21 +60,10 @@ class DiffRow:
     antisymmetric, entry k equals minus entry ``width - 1 - k``.  Read-only.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("index", "y_min", "source")
 
     def __init__(self, index: int, y_min: int, source: Row) -> None:
         self.__dict__.update(index=index, y_min=y_min, source=source)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.y_min, self.source) == (other.index, other.y_min, other.source)
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.y_min, self.source))
-
-    def __repr__(self) -> str:
-        return f"DiffRow(index={self.index!r}, y_min={self.y_min!r}, source={self.source!r})"
 
     @_once
     def values(self) -> tuple[int, ...]:

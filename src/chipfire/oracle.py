@@ -43,7 +43,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Iterator
 
-from .core import ChipfireError, _frozen, row_bound
+from .core import ChipfireError, _Record, row_bound
 
 ORACLE_EXPONENT_LIMIT = 10
 
@@ -68,7 +68,7 @@ class MoveCapExceededError(ChipfireError, RuntimeError):
     """The simulation hit its move cap; stabilization should have ended it."""
 
 
-class OracleState:
+class OracleState(_Record):
     """The end of one simulation, on sparse maps keyed by ``(x, y)``.
 
     ``chips[x, y]`` is the final chip count, ``firings[x, y]`` how often
@@ -78,6 +78,10 @@ class OracleState:
     has no hash.
     """
 
+    _fields = ("n", "moves", "chips", "firings")
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
     __hash__ = None
 
     def __init__(
@@ -91,15 +95,6 @@ class OracleState:
         self.moves = moves
         self.chips = Counter() if chips is None else chips
         self.firings = Counter() if firings is None else firings
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return (
-            f"OracleState(n={self.n!r}, moves={self.moves!r}, chips={self.chips!r}, "
-            f"firings={self.firings!r})"
-        )
 
     def total_chips(self) -> int:
         return sum(self.chips.values())
@@ -243,7 +238,7 @@ def arrivals(state: OracleState) -> dict[Point, int]:
     return dict(out)
 
 
-class ConfluenceReport:
+class ConfluenceReport(_Record):
     """The verdict of :func:`confluence_check`.  Read-only.
 
     ``row_by_row`` is the final state of the row-by-row run, kept for the
@@ -252,7 +247,7 @@ class ConfluenceReport:
     ``hash`` and ``repr``.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("n", "trials", "passed", "moves", "runs", "mismatches")
 
     def __init__(
         self,
@@ -268,23 +263,6 @@ class ConfluenceReport:
         self.__dict__.update(
             n=n, trials=trials, passed=passed, moves=moves, runs=runs, mismatches=mismatches,
             row_by_row=row_by_row,
-        )
-
-    def _compared(self) -> tuple:
-        return self.n, self.trials, self.passed, self.moves, self.runs, self.mismatches
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return (
-            f"ConfluenceReport(n={self.n!r}, trials={self.trials!r}, passed={self.passed!r}, "
-            f"moves={self.moves!r}, runs={self.runs!r}, mismatches={self.mismatches!r})"
         )
 
 

@@ -14,7 +14,7 @@ import math
 from pathlib import Path
 
 from . import difftable, stable, structure
-from .core import _frozen, intermediate_configuration
+from .core import _Record, intermediate_configuration
 
 KINDS = ("stable-dots", "distance-polyline", "row-profiles", "diff-signmap")
 
@@ -23,13 +23,13 @@ _HOLLOW = 'fill="none" stroke="#000000" stroke-width="1"'
 _GRAY = 'fill="#999999"'
 
 
-class RenderSpec:
+class RenderSpec(_Record):
     """Figure request: what to draw, for which n, where, and how large.
 
     Read-only; the kind and the sizes are checked on construction.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("kind", "n", "out_path", "width", "height", "dot_radius")
 
     def __init__(
         self,
@@ -51,18 +51,6 @@ class RenderSpec:
             raise ValueError("figure dimensions must be positive")
         if dot_radius <= 0:
             raise ValueError("dot radius must be positive")
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return (
-            f"RenderSpec(kind={self.kind!r}, n={self.n!r}, out_path={self.out_path!r}, "
-            f"width={self.width!r}, height={self.height!r}, dot_radius={self.dot_radius!r})"
-        )
 
 
 def _svg_document(width: int, height: int, elements: list[str]) -> str:

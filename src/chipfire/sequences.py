@@ -11,15 +11,15 @@ from __future__ import annotations
 from typing import Callable
 
 from . import stable, structure
-from .core import MAX_EXPONENT, _frozen
+from .core import MAX_EXPONENT, _Record
 
 
-class SequenceTable:
+class SequenceTable(_Record):
     """One integer sequence: its reference prefix ``known`` from ``offset``
     on, and ``value_at``, which recomputes the term at an index up to
     ``max_index``.  Read-only."""
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("id", "description", "oeis_id", "offset", "known", "value_at", "max_index")
 
     def __init__(
         self,
@@ -34,19 +34,6 @@ class SequenceTable:
         self.__dict__.update(
             id=id, description=description, oeis_id=oeis_id, offset=offset, known=known,
             value_at=value_at, max_index=max_index,
-        )
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return (
-            f"SequenceTable(id={self.id!r}, description={self.description!r}, "
-            f"oeis_id={self.oeis_id!r}, offset={self.offset!r}, known={self.known!r}, "
-            f"value_at={self.value_at!r}, max_index={self.max_index!r})"
         )
 
 

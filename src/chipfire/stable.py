@@ -42,7 +42,7 @@ from .core import (
     ChipfireError,
     Row,
     _DistanceCounts,
-    _frozen,
+    _Record,
     _once,
     _trusted,
     intermediate_configuration,
@@ -57,7 +57,7 @@ class ParityError(ChipfireError):
     """An integer that must be even by construction turned out odd."""
 
 
-class StableRow:
+class StableRow(_Record):
     """The chips one row keeps after stabilization.
 
     Byte ``k`` of ``parity`` sits at ``y = y_min + k``, ``x = index - y``
@@ -66,21 +66,10 @@ class StableRow:
     even (unmarked) positions can be rendered too.  Read-only.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("index", "y_min", "parity")
 
     def __init__(self, index: int, y_min: int, parity: bytes) -> None:
         self.__dict__.update(index=index, y_min=y_min, parity=parity)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.index, self.y_min, self.parity) == (other.index, other.y_min, other.parity)
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.y_min, self.parity))
-
-    def __repr__(self) -> str:
-        return f"StableRow(index={self.index!r}, y_min={self.y_min!r}, parity={self.parity!r})"
 
     @property
     def width(self) -> int:
@@ -130,7 +119,7 @@ def stable_configuration(n: int) -> Iterator[StableRow]:
     return map(stable_row, intermediate_configuration(n))
 
 
-class DistanceDistribution:
+class DistanceDistribution(_Record):
     """Chip counts of a stable configuration grouped by ``i = y - x``.
 
     ``counts[k]`` is the number of chips at distance ``i = k - half_width``;
@@ -139,7 +128,7 @@ class DistanceDistribution:
     n >= 1 because the diagonal never keeps a chip.  Read-only.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("n", "half_width", "counts")
 
     def __init__(self, n: int, half_width: int, counts: Iterable[int]) -> None:
         c = tuple(counts)
@@ -154,15 +143,6 @@ class DistanceDistribution:
             raise ValueError("chip left on the diagonal")
         if c != c[::-1]:
             raise ValueError("distance distribution must be symmetric")
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return f"DistanceDistribution(n={self.n!r}, half_width={self.half_width!r}, counts={self.counts!r})"
 
     def offsets(self) -> range:
         return range(-self.half_width, self.half_width + 1)

@@ -23,7 +23,7 @@ from .core import (
     ChipfireError,
     Row,
     _check_exponent,
-    _frozen,
+    _Record,
     _is_minimal,
     _minimal_values,
     intermediate_configuration,
@@ -67,22 +67,13 @@ def pascal_row(n: int, i: int) -> Row:
     return Row(index=i, y_min=0, values=values)
 
 
-class RowProfile:
+class RowProfile(_Record):
     """Nonzero-entry counts of every row of one table.  Read-only."""
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("n", "lengths")
 
     def __init__(self, n: int, lengths: tuple[int, ...]) -> None:
         self.__dict__.update(n=n, lengths=lengths)
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return f"RowProfile(n={self.n!r}, lengths={self.lengths!r})"
 
     @property
     def nonzero_rows(self) -> int:
@@ -140,7 +131,7 @@ def is_minimal(r: Row) -> bool:
     return _is_minimal(r)
 
 
-class Segmentation:
+class Segmentation(_Record):
     """Disjoint row ranges (half-open) covering all nonzero rows of a table.
 
     The bottom triangle here is truncated at row ``n + 1`` so the four
@@ -150,7 +141,10 @@ class Segmentation:
     :func:`check_bottom_conjecture` measures.  Read-only.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = (
+        "n", "top_triangle", "midsection", "rectangle", "bottom_triangle", "longest_length",
+        "first_longest_row",
+    )
 
     def __init__(
         self,
@@ -166,20 +160,6 @@ class Segmentation:
             n=n, top_triangle=top_triangle, midsection=midsection, rectangle=rectangle,
             bottom_triangle=bottom_triangle, longest_length=longest_length,
             first_longest_row=first_longest_row,
-        )
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return (
-            f"Segmentation(n={self.n!r}, top_triangle={self.top_triangle!r}, "
-            f"midsection={self.midsection!r}, rectangle={self.rectangle!r}, "
-            f"bottom_triangle={self.bottom_triangle!r}, longest_length={self.longest_length!r}, "
-            f"first_longest_row={self.first_longest_row!r})"
         )
 
     def parts(self) -> tuple[tuple[str, range], ...]:
@@ -296,7 +276,7 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
     return seg
 
 
-class BottomTriangleReport:
+class BottomTriangleReport(_Record):
     """Empirical status of the bottom-triangle height claim for one n.
 
     The claim: the maximal terminal run of lengths decreasing by 1 is one
@@ -304,23 +284,11 @@ class BottomTriangleReport:
     a counterexample at some larger n must not break the library.  Read-only.
     """
 
-    __setattr__ = __delattr__ = _frozen
+    _fields = ("n", "holds", "triangle_rows", "longest_length")
 
     def __init__(self, n: int, holds: bool, triangle_rows: int, longest_length: int) -> None:
         self.__dict__.update(
             n=n, holds=holds, triangle_rows=triangle_rows, longest_length=longest_length
-        )
-
-    def __eq__(self, other):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
-
-    def __repr__(self) -> str:
-        return (
-            f"BottomTriangleReport(n={self.n!r}, holds={self.holds!r}, "
-            f"triangle_rows={self.triangle_rows!r}, longest_length={self.longest_length!r})"
         )
 
 

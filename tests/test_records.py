@@ -18,7 +18,10 @@ from chipfire import (
     SequenceTable,
     StableRow,
 )
+from chipfire.core import _kept_diff_lanes, _Record, intermediate_configuration
+from chipfire.difftable import diff_row, unimodal_check
 from chipfire.render import RenderSpec
+from chipfire.stable import stable_row
 
 SOURCE = Row(4, 1, (2, 5, 2))
 
@@ -124,3 +127,77 @@ def test_oracle_states_start_with_their_own_maps():
     a, b = OracleState(2), OracleState(2)
     a.chips[0, 0] += 1
     assert b.chips == Counter() and a != b
+
+
+def _same_record(a, twin):
+    # ``a`` compares, hashes and prints like ``twin``, a record built fresh
+    # through the public constructor.
+    assert a == twin and twin == a
+    assert hash(a) == hash(twin)
+    assert repr(a) == repr(twin)
+
+
+def _streamed_row():
+    # A fresh kernel row of width 9, its values not yet unpacked.
+    return next(r for r in intermediate_configuration(8) if r.index == 20)
+
+
+class TestLazyStateStaysOut:
+    """What a record computes on first read or keeps for the lane folds
+    (unpacked values, lane contexts, shapes, counts) takes no part in
+    ``==``, ``hash`` or ``repr``."""
+
+    def twin(self):
+        r = _streamed_row()
+        return Row(r.index, r.y_min, list(r.values))
+
+    @pytest.mark.parametrize("op", [
+        lambda r, twin: r == twin,
+        lambda r, twin: hash(r),
+        lambda r, twin: repr(r),
+    ], ids=["eq", "hash", "repr"])
+    def test_streamed_row_before_and_after_unpacking(self, op):
+        twin, r = self.twin(), _streamed_row()
+        assert "values" not in vars(r)
+        assert op(r, twin) == op(twin, twin)
+        assert "values" in vars(r)
+        _same_record(r, twin)
+
+    def test_source_row_with_kept_lane_context(self):
+        r = _streamed_row()
+        _kept_diff_lanes(r)
+        assert "_diff_lanes" in vars(r)
+        _same_record(r, self.twin())
+
+    def test_difference_row_after_its_shape_and_values(self):
+        d = diff_row(_streamed_row())
+        unimodal_check(d)
+        assert d.values
+        assert {"_shape", "values"} <= set(vars(d))
+        assert "_diff_lanes" in vars(d.source)
+        _same_record(d, DiffRow(d.index, d.y_min, self.twin()))
+
+    def test_stable_row_after_its_chip_count(self):
+        s = stable_row(_streamed_row())
+        assert s.chip_count == s.parity.count(1)
+        assert "chip_count" in vars(s)
+        _same_record(s, StableRow(s.index, s.y_min, s.parity))
+
+
+RECORD_CLASSES = [r[0] for r in RECORDS] + [ConfluenceReport]
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=[c.__name__ for c in RECORD_CLASSES])
+def test_records_take_their_policy_from_the_base(cls):
+    # A record names its fields and writes its own __init__; the read-only
+    # fields, ==, hash and repr come from the one base.
+    assert issubclass(cls, _Record)
+    assert isinstance(vars(cls).get("_fields"), tuple)
+    own = {"__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__"} & set(vars(cls))
+    if cls is OracleState:
+        # The one mutable record: plain assignment and no hash.
+        assert own == {"__hash__", "__setattr__", "__delattr__"}
+        assert cls.__hash__ is None
+        assert cls.__setattr__ is object.__setattr__ and cls.__delattr__ is object.__delattr__
+    else:
+        assert own == set()
