@@ -60,20 +60,25 @@ A difference row of :mod:`chipfire.difftable` is a function of its source
 row alone and keeps only that row.  :func:`_diff_lanes` packs the first
 differences of the source row in the same format, as one whole-row
 expression, ``packed + bias - (packed << W)``, where ``bias`` holds
-``2**(W-2)`` in every lane.  The first lane fold to need them builds the
-row's lane context from it (:func:`_diff_context`) and keeps it with the
-row (:func:`_kept_diff_lanes`): the difference lanes, the row's all-ones
-and top-bit constants, and the second differences, biased by ``2**(W-1)``,
-so that their signs show in the lanes' top bits.  Those take three more
-whole-row operations, ``diff + close - (diff << W)``, with one constant
-``close`` that adds the bias to every lane and closes the row with its
-zero last entry.  The constants (the all-ones int, the top bits,
-``bias`` and ``close``) depend only on the lane and the number of lanes,
-so :func:`_diff_constants` builds them once per ``(W, lanes)`` and keeps
-them in a small cache, emptied when it reaches a few entries: widths move
-by one lane per row, so a few entries serve a whole stream.  Every fold of
-one pass reads the one context, so each row packs its differences and
-takes its second differences once.  :func:`_lane_shape` reads the
+``2**(W-2)`` in every lane; it is the one builder of difference lanes.
+The first lane reader to need them calls :func:`_kept_diff_lanes`, the one
+place that builds the row's lane context, from ``_diff_lanes`` and one
+read of the constants, and keeps it with the row: the difference lanes,
+the row's all-ones and top-bit constants, and the second differences,
+biased by ``2**(W-1)``, so that their signs show in the lanes' top bits.
+Those take three more whole-row operations, ``diff + close - (diff << W)``,
+with one constant ``close`` that adds the bias to every lane and closes the
+row with its zero last entry.  The constants (the all-ones int, the top
+bits, ``bias`` and ``close``) depend only on the lane and the number of
+lanes, so :func:`_diff_constants` builds them once per ``(W, lanes)`` and
+keeps them in a small cache, emptied when it reaches a few entries: widths
+move by one lane per row, so a few entries serve a whole stream.  Every
+fold of one pass reads the one context, so each row packs its differences
+and takes its second differences once.  The shape of a fresh difference
+row (its maximum and unimodality) takes nine Python calls in all:
+``diff_row`` and ``_trusted``, ``row_max_abs``, the ``_once`` read of
+``DiffRow._shape`` (two), :func:`_lane_shape`, ``_kept_diff_lanes``,
+``_diff_lanes`` and ``unimodal_check``.  :func:`_lane_shape` reads the
 unimodality and the largest entry of the difference row from it, with
 whole-row operations on nonnegative ints only (CPython runs ``~x`` and
 ``x & -x`` through a two's-complement copy of the row), and
@@ -259,7 +264,7 @@ class Row(_Record):
     through this constructor the lane of its largest entry.  Rows streamed by
     the kernel hold the packed view and unpack ``values`` on first read;
     rows built through this constructor are validated and pack their values
-    on each read of the view.
+    on the first read of the view, which they then keep.
     """
 
     _fields = ("index", "y_min", "values")
@@ -290,19 +295,23 @@ class Row(_Record):
 
     def __getattr__(self, name: str):
         # Reached only for attributes missing from the instance: the values
-        # of a kernel row (cached, so later reads are plain attribute reads)
-        # or the packed view of a row built from its values.
+        # of a kernel row, or the packed view of a row built from its
+        # values.  Each is kept in the instance on its first read, so later
+        # reads are plain attribute reads; none is a field, so ==, hash and
+        # repr do not see them.
+        d = self.__dict__
         if name == "values":
-            d = self.__dict__
-            values = d["values"] = _unpack(d["packed"], d["width"], d["lane"])
-            return values
-        if name == "width":
-            return len(self.values)
-        if name == "lane":
-            return _lane_bits(max(self.values, default=0))
-        if name == "packed":
-            return _pack(self.values, self.lane)
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+            value = _unpack(d["packed"], d["width"], d["lane"])
+        elif name == "width":
+            value = len(self.values)
+        elif name == "lane":
+            value = _lane_bits(max(self.values, default=0))
+        elif name == "packed":
+            value = _pack(self.values, self.lane)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        d[name] = value
+        return value
 
     @property
     def parity(self) -> bytes:
@@ -480,7 +489,7 @@ def next_row(r: Row) -> Row:
 def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
     """``(ones, top, bias, close)`` of a difference row of ``lanes`` lanes:
     1 in each lane, the top bit of each, ``2**(lane-2)`` in each, and the
-    term that closes the second differences (:func:`_diff_context`)."""
+    term that closes the second differences (:func:`_kept_diff_lanes`)."""
     if len(_DIFF_CONSTANTS) >= _CONSTANTS_BOUND:
         _DIFF_CONSTANTS.clear()
     ones = _ones(lane, lanes)
@@ -565,18 +574,10 @@ class _DistanceCounts:
 
 
 def _kept_diff_lanes(source: Row) -> tuple[int, int, int, int, int]:
-    """:func:`_diff_context` of ``source``, computed on the first call and
-    kept with the row, since every lane fold of one pass reads it."""
-    kept = source.__dict__
-    diffs = kept.get("_diff_lanes")
-    if diffs is None:
-        diffs = kept["_diff_lanes"] = _diff_context(source)
-    return diffs
-
-
-def _diff_context(source: Row) -> tuple[int, int, int, int, int]:
-    """``(packed, lane, ones, top, second)`` of the difference row of
-    ``source``.
+    """``(packed, lane, ones, top, second)``, the lane context of the
+    difference row of ``source``, built on the first call and kept with the
+    row, since every lane fold of one pass reads it.  This is the one place
+    a context is built.
 
     ``packed`` and ``lane`` are :func:`_diff_lanes`; ``ones`` holds 1 in each
     of the difference row's ``source.width + 1`` lanes and ``top`` the top
@@ -587,10 +588,16 @@ def _diff_context(source: Row) -> tuple[int, int, int, int, int]:
     every lane of ``second`` is positive and below ``2**lane``, and no
     borrow crosses a lane.
     """
-    packed, lane = _diff_lanes(source)
-    lanes = source.width + 1
-    ones, top, _, close = _DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes)
-    return packed, lane, ones, top, packed + close - (packed << lane)
+    kept = source.__dict__
+    context = kept.get("_diff_lanes")
+    if context is None:
+        packed, lane = _diff_lanes(source)
+        lanes = source.width + 1
+        ones, top, _, close = _DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes)
+        context = kept["_diff_lanes"] = (
+            packed, lane, ones, top, packed + close - (packed << lane)
+        )
+    return context
 
 
 def _diff_values(source: Row) -> tuple[int, ...]:

@@ -22,14 +22,18 @@ bias once more and flipping each lane's top bit leaves every entry in two's
 complement, which ``memoryview.cast`` reads as signed ints (lanes wider
 than 64 bits by slicing the bytes).  The sign maps and the CLI read them.
 :func:`unimodal_check` and :func:`row_max_abs` read no values: they read
-the lane context that ``core`` keeps with the source row, the difference
-lanes with their second differences, which every lane fold of ``verify``
-shares.  The signs of the second differences give the shape of the left
-half, and two lane comparisons prove that the left half's peak bounds
-every entry.  Only a row that fails that proof (never a row of a correct
-table) has its largest entry taken from its values.  Both the values and
-that shape are computed on first read and kept in the row
-(``core._once``).
+the lane context that ``core._kept_diff_lanes`` builds and keeps with the
+source row, the difference lanes with their second differences, which
+every lane fold of ``verify`` shares.  The signs of the second differences
+give the shape of the left half, and two lane comparisons prove that the
+left half's peak bounds every entry.  Only a row that fails that proof
+(never a row of a correct table) has its largest entry taken from its
+values.  Both the values and that shape are computed on first read and
+kept in the row (``core._once``).  The shape is read once per streamed row,
+so its path is kept short: ``DiffRow._shape`` computes the left half's
+length from its own fields and ``row_max_abs`` reads the source row's
+width, which makes nine Python calls per fresh row for both readers
+together (see ``core``).
 
 Nothing here checks antisymmetry: the source rows of a table are not
 validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
@@ -85,7 +89,12 @@ class DiffRow(_Record):
     def _shape(self) -> tuple[bool, int | None]:
         # Whether the left half is unimodal, and the largest absolute entry
         # where the lanes prove it: both come from one pass over the lanes.
-        return _lane_shape(self.source, self._half())
+        # The half is _half, read straight off the fields: this runs once
+        # per streamed row, and each call it saves is a measurable share.
+        source = self.source
+        width = source.width
+        half = min(max(self.index // 2 - self.y_min + 1, 0), width + 1 if width else 0)
+        return _lane_shape(source, half)
 
     def left_half(self) -> tuple[int, ...]:
         """Entries at positions with ``y <= x`` (the diagonal included)."""
@@ -111,7 +120,7 @@ def row_max_abs(d: DiffRow) -> int:
     to be the answer on every row of a correct table; any other row falls
     back to its values.
     """
-    if d.is_empty:
+    if not d.source.width:
         return 0
     top = d._shape[1]
     if top is None:

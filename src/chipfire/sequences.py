@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import stable, structure
-from .core import MAX_EXPONENT, _Record
+from .core import MAX_EXPONENT, _Record, intermediate_configuration
 
 
 class SequenceTable(_Record):
@@ -38,7 +38,11 @@ class SequenceTable(_Record):
 
 
 def _nonzero_rows(n: int) -> int:
-    return structure.row_profile(n).nonzero_rows
+    # Counted off the stream, which holds one row at a time; no width is kept.
+    count = 0
+    for count, _ in enumerate(intermediate_configuration(n), 1):
+        pass
+    return count
 
 
 def _longest_row_length(n: int) -> int:

@@ -12,6 +12,12 @@ The rectangle criterion used here (a contiguous block directly above the
 bottom triangle whose lengths stay within 1 of the longest length) is a
 heuristic reading of the observed shape; only the top and bottom triangles
 have sharp definitions.
+
+Both parts below the midsection sit at the end of the table, so
+:func:`segment` and :func:`check_bottom_conjecture` read a stored width
+profile from its end (:meth:`TerminalRun.of`): at n = 21 the terminal run
+is 181 of 22 838 rows.  Readers that see the widths one row at a time push
+them into a :class:`TerminalRun` instead, which keeps the same state.
 """
 
 from __future__ import annotations
@@ -178,7 +184,9 @@ class TerminalRun:
     which after the last row is the table's terminal decreasing run, and
     the longest width so far.  With ``floor`` a run also opens at position
     ``floor``, so the run never starts above it (:func:`segment` cuts the
-    bottom triangle off below the top triangle this way).
+    bottom triangle off below the top triangle this way).  The streaming
+    readers (``verify`` and the row-profile rendering) push widths one at a
+    time; :meth:`of` fills the same state from a stored width list.
     """
 
     __slots__ = ("floor", "seen", "start", "last", "longest")
@@ -189,6 +197,26 @@ class TerminalRun:
         self.start = 0
         self.last = 0
         self.longest = 0
+
+    @classmethod
+    def of(cls, lengths: Sequence[int], floor: int = 0) -> TerminalRun:
+        """The run after every width of ``lengths`` has been pushed.
+
+        Scanned back from the last width: the run reaches back while each
+        width is one below the width before it, and stops at position 0 or
+        at ``floor``.  Only the run is read in Python; the longest width is
+        taken at C speed.
+        """
+        run = cls(floor)
+        seen = run.seen = len(lengths)
+        if not seen:
+            return run
+        stop = floor if 0 < floor < seen else 0
+        start = seen - 1
+        while start > stop and lengths[start - 1] == lengths[start] + 1:
+            start -= 1
+        run.start, run.last, run.longest = start, lengths[-1], max(lengths)
+        return run
 
     def push(self, width: int) -> bool:
         """Take the next row's width; True when a new run opens at it."""
@@ -216,11 +244,21 @@ class TerminalRun:
         )
 
 
-def _terminal_run(lengths: Sequence[int], floor: int = 0) -> TerminalRun:
-    run = TerminalRun(floor)
-    for width in lengths:
-        run.push(width)
-    return run
+def _partitions(parts: Sequence[range], total: int) -> bool:
+    """Whether the rows of the step-1 ranges ``parts``, in order, are
+    exactly rows 0 .. total - 1.
+
+    Compares the ends of the ranges instead of listing their rows: an empty
+    range holds no row wherever it sits, and each other range must start
+    where the rows before it end.
+    """
+    end = 0
+    for part in parts:
+        if part.start < part.stop:
+            if part.start != end:
+                return False
+            end = part.stop
+    return end == total
 
 
 def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
@@ -232,7 +270,11 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
     within 1 of the longest length; the midsection is whatever remains.
     Empty midsection, rectangle, or bottom triangle are legal (small n).
 
-    Passing a precomputed ``profile`` avoids re-streaming the table.
+    Passing a precomputed ``profile`` avoids re-streaming the table.  The
+    widths are read from the end: the bottom triangle and the rectangle are
+    scanned back from the last row, so only those rows are read in Python,
+    and the longest width and its first row are found at C speed.  The
+    four ranges are checked to partition the rows by their ends alone.
     """
     if n < 1:
         raise ValueError(f"segmentation needs n >= 1, got {n}")
@@ -242,7 +284,8 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
         raise ValueError(f"profile is for n={profile.n}, not n={n}")
     lengths = profile.lengths
     total = len(lengths)
-    longest = max(lengths)
+    run = TerminalRun.of(lengths, floor=n + 1)
+    longest = run.longest
     first_longest = lengths.index(longest)
 
     top = range(0, n + 1)
@@ -251,7 +294,7 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
         rect = range(total, total)
         mid = range(n + 1, total)
     else:
-        b = _terminal_run(lengths, floor=n + 1).start
+        b = run.start
         r = b
         while r - 1 >= n + 1 and lengths[r - 1] >= longest - 1:
             r -= 1
@@ -268,8 +311,7 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
         longest_length=longest,
         first_longest_row=first_longest,
     )
-    covered = [i for _, part in seg.parts() for i in part]
-    if covered != list(range(total)):
+    if not _partitions((top, mid, rect, bottom), total):
         raise DegenerateSegmentationError(
             f"segments do not partition rows 0..{total - 1} for n={n}"
         )
@@ -303,4 +345,4 @@ def check_bottom_conjecture(n: int, profile: RowProfile | None = None) -> Bottom
         profile = row_profile(n)
     elif profile.n != n:
         raise ValueError(f"profile is for n={profile.n}, not n={n}")
-    return _terminal_run(profile.lengths).report(n)
+    return TerminalRun.of(profile.lengths).report(n)

@@ -216,7 +216,7 @@ def test_c10_streaming_scale():
     rss_mb = report["peak_kib"] / 1024
     ok = (
         wall < 60.0
-        and rss_mb < 128  # far below the ~2 GB a materialized table would need
+        and rss_mb < 48  # far below the ~2 GB a materialized table would need
         and stats["covered"]
         and stats["max_ok"]
         and stats["unimodal_ok"]

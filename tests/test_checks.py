@@ -337,6 +337,13 @@ class TestRerouteMutations:
         failed = {r.name: r.detail for r in failures(run_checks(self.N))}
         assert failed == self.DIFF_FAILURES[name]
 
+    def test_unimodality_alone_reads_the_corrupted_lanes(self, monkeypatch):
+        # With no other fold to build each row's lane context first, the
+        # shape must still build it through core._diff_lanes.
+        self._corrupt_difference_row(monkeypatch, "diff-telescoping")
+        (result,) = run_checks(self.N, properties=["diff-unimodality"])
+        assert (result.passed, result.detail) == (False, "non-unimodal rows [5]")
+
     def test_telescoping_reports_the_full_sum(self, monkeypatch):
         # The last difference raised by 1: every partial sum but the full
         # one still rebuilds the row.
@@ -469,19 +476,19 @@ class TestSinglePass:
 
     def test_one_lane_context_per_row(self, monkeypatch, table):
         # The difference lanes, their second differences and the row's lane
-        # constants are built once per row and shared by every lane fold.
-        calls = {"_diff_lanes": [], "_diff_context": []}
-        for name, seen in calls.items():
-            real = getattr(core, name)
+        # constants are built once per row and shared by every lane fold:
+        # core._kept_diff_lanes, the one place a context is built, calls
+        # core._diff_lanes once per row, and only while building it.
+        seen = []
+        real = core._diff_lanes
 
-            def counted(source, real=real, seen=seen):
-                seen.append(source.index)
-                return real(source)
+        def counted(source):
+            seen.append(source.index)
+            return real(source)
 
-            monkeypatch.setattr(core, name, counted)
+        monkeypatch.setattr(core, "_diff_lanes", counted)
         assert failures(run_checks(12)) == []
-        rows = [r.index for r in table(12)]
-        assert calls == {"_diff_lanes": rows, "_diff_context": rows}
+        assert seen == [r.index for r in table(12)]
 
     def test_stream_stops_when_no_fold_is_left(self, monkeypatch, table):
         # pascal-top-rows settles after rows 0..n; nothing reads on after

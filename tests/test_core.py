@@ -436,6 +436,23 @@ class TestLaneFolds:
         row = core._trusted(Row, index=5, y_min=1, values=values)
         assert core._growth_break(row) == expected
 
+    def test_constructor_row_keeps_its_packed_view(self, monkeypatch):
+        # A row built from its values packs them on the first read of its
+        # packed view and keeps it, outside its fields.
+        packs = []
+        real = core._pack
+
+        def counted(values, lane):
+            packs.append(lane)
+            return real(values, lane)
+
+        monkeypatch.setattr(core, "_pack", counted)
+        r = pascal_row(126, 126)
+        assert [r.value_at(y) for y in range(100)] == list(r.values[:100])
+        assert packs == [r.lane] == [128]
+        twin = Row(r.index, r.y_min, r.values)
+        assert (r == twin, hash(r), repr(r)) == (True, hash(twin), repr(twin))
+
     @pytest.mark.parametrize("n", [4, 9, 18])
     def test_value_at_reads_every_lane(self, n, table):
         for r in table(n):
@@ -451,7 +468,7 @@ def reference_diffs(values):
 
 
 def reference_context(row):
-    """``core._diff_context`` of ``row``, lane by lane: the biased first
+    """``core._kept_diff_lanes`` of ``row``, lane by lane: the biased first
     differences, the ones and top bits of their lanes, and the biased
     second differences closed by the zero past the row."""
     lane, diffs = row.lane, reference_diffs(row.values)
@@ -526,7 +543,7 @@ class TestDiffLaneShape:
     def test_match_the_references_on_real_tables(self, table):
         for n in range(19):
             for r in table(n):
-                assert core._diff_context(r) == reference_context(r)
+                assert core._kept_diff_lanes(r) == reference_context(r)
                 half = diff_row(r)._half()
                 assert core._lane_shape(r, half) == reference_lane_shape(r.values, half)
                 assert core._growth_break(r) == reference_growth_break(r)
@@ -536,7 +553,7 @@ class TestDiffLaneShape:
         r = initial_row(exponent)
         for _ in range(40):
             assert r.lane == lane
-            assert core._diff_context(r) == reference_context(r)
+            assert core._kept_diff_lanes(r) == reference_context(r)
             half = diff_row(r)._half()
             assert core._lane_shape(r, half) == reference_lane_shape(r.values, half)
             assert core._growth_break(r) is reference_growth_break(r) is None
@@ -545,7 +562,7 @@ class TestDiffLaneShape:
     @given(wide_lane_rows())
     def test_match_the_references(self, row_half):
         row, half = row_half
-        assert core._diff_context(row) == reference_context(row)
+        assert core._kept_diff_lanes(row) == reference_context(row)
         assert core._lane_shape(row, half) == reference_lane_shape(row.values, half)
         assert core._growth_break(row) == reference_growth_break(row)
 

@@ -322,6 +322,25 @@ class TestLaneReaders:
         monkeypatch.setattr(core, "_unpack", refuse)
         assert shapes(14) == expected
 
+    def test_one_difference_lane_build_per_row(self, monkeypatch):
+        # The shape reads the lane context of the source row, built once by
+        # core._kept_diff_lanes through core._diff_lanes.
+        seen = []
+        real = core._diff_lanes
+
+        def counted(source):
+            seen.append(source.index)
+            return real(source)
+
+        monkeypatch.setattr(core, "_diff_lanes", counted)
+        streamed = []
+        for row in intermediate_configuration(12):
+            d = diff_row(row)
+            row_max_abs(d)
+            unimodal_check(d)
+            streamed.append(row.index)
+        assert seen == streamed
+
 
 def brute_unimodal(seq):
     return any(

@@ -1,6 +1,7 @@
 import pytest
 
 import golden
+import peak_rss
 from chipfire import SEQUENCES, ParityError, generate, half_nonzero_rows
 
 
@@ -75,3 +76,18 @@ class TestHalfNonzeroRows:
 
     def test_parity_guard_is_wired(self):
         assert issubclass(ParityError, Exception)
+
+
+def test_nonzero_rows_keep_no_widths():
+    # The count comes off the stream: at n = 23 a kept width tuple of the
+    # 57 562 rows raised the peak about 2 MiB above a small table's.
+    peaks = [
+        peak_rss.run_python(["-m", "chipfire.cli", *args], timeout=120)
+        for args in (
+            ["table", "--n", "12", "--out", "/dev/null"],
+            ["sequences", "nonzero-rows", "--upto", "23"],
+        )
+    ]
+    assert [p["exit"] for p in peaks] == [0, 0], [p["err"] for p in peaks]
+    assert peaks[1]["out"].splitlines()[-1] == "23,57562"
+    assert peaks[1]["peak_kib"] - peaks[0]["peak_kib"] < 1024

@@ -14,7 +14,13 @@ from chipfire import (
     row_profile,
     segment,
 )
-from chipfire.structure import TerminalRun
+from chipfire.structure import (
+    DegenerateSegmentationError,
+    RowProfile,
+    Segmentation,
+    TerminalRun,
+    _partitions,
+)
 
 
 class TestPascalRow:
@@ -219,3 +225,87 @@ class TestBottomConjecture:
         rep = check_bottom_conjecture(2)
         assert rep.triangle_rows == 2
         assert len(segment(2).bottom_triangle) == 1
+
+
+def forward_run(lengths, floor=0):
+    """A :class:`TerminalRun` fed ``lengths`` one width at a time."""
+    run = TerminalRun(floor)
+    for width in lengths:
+        run.push(width)
+    return run
+
+
+def listed_partition(parts, total):
+    """Whether the rows of ``parts``, listed in order, are rows 0..total-1."""
+    return [i for part in parts for i in part] == list(range(total))
+
+
+def reference_segment(n, lengths):
+    """:func:`segment` as it read the widths forward and listed the rows of
+    its four ranges to check them."""
+    total, longest = len(lengths), max(lengths)
+    top = range(0, n + 1)
+    if total <= n + 1:
+        bottom = rect = range(total, total)
+        mid = range(n + 1, total)
+    else:
+        b = forward_run(lengths, floor=n + 1).start
+        r = b
+        while r - 1 >= n + 1 and lengths[r - 1] >= longest - 1:
+            r -= 1
+        bottom, rect, mid = range(b, total), range(r, b), range(n + 1, r)
+    if not listed_partition((top, mid, rect, bottom), total):
+        return DegenerateSegmentationError
+    return Segmentation(n, top, mid, rect, bottom, longest, lengths.index(longest))
+
+
+@st.composite
+def width_lists(draw, min_size=0):
+    """Widths with runs stepping down by 1 among random ones."""
+    chunks = draw(st.lists(st.one_of(
+        st.integers(0, 9).map(lambda w: [w]),
+        st.tuples(st.integers(1, 9), st.integers(1, 6)).map(
+            lambda t: list(range(t[0], max(t[0] - t[1], 0), -1))
+        ),
+    ), min_size=min_size, max_size=8))
+    return [w for chunk in chunks for w in chunk]
+
+
+class TestBackwardScan:
+    """The stored-profile readers scan back from the last width; the
+    streaming :class:`TerminalRun` fed forward is their reference."""
+
+    @given(width_lists(), st.integers(-2, 40))
+    def test_run_matches_the_forward_run(self, lengths, floor):
+        back, forward = TerminalRun.of(lengths, floor), forward_run(lengths, floor)
+        assert (back.seen, back.start, back.rows, back.last, back.longest) == (
+            forward.seen, forward.start, forward.rows, forward.last, forward.longest
+        )
+
+    @given(
+        st.lists(st.builds(range, st.integers(-2, 12), st.integers(-2, 12)), max_size=5),
+        st.integers(0, 12),
+    )
+    def test_partition_check_matches_the_listing(self, parts, total):
+        assert _partitions(parts, total) == listed_partition(parts, total)
+
+    @given(st.integers(1, 8), width_lists(min_size=1))
+    def test_segment_matches_the_forward_reference(self, n, lengths):
+        profile = RowProfile(n, tuple(lengths))
+        try:
+            got = segment(n, profile)
+        except DegenerateSegmentationError:
+            got = DegenerateSegmentationError
+        assert got == reference_segment(n, profile.lengths)
+
+    @given(st.integers(2, 8), width_lists(min_size=1))
+    def test_report_matches_the_forward_run(self, n, lengths):
+        rep = check_bottom_conjecture(n, RowProfile(n, tuple(lengths)))
+        assert rep == forward_run(lengths).report(n)
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_real_tables(self, n):
+        lengths = row_profile(n).lengths
+        assert segment(n) == reference_segment(n, lengths)
+        if n >= 2:
+            assert check_bottom_conjecture(n) == forward_run(lengths).report(n)
