@@ -209,8 +209,16 @@ def _emit_rows(args, rows: Callable[[], Iterable[Row | DiffRow]]) -> int:
     return EXIT_OK
 
 
+def _table_rows(args) -> Iterator[Row]:
+    """The table's rows, stopped after ``--max-rows``.  A limit past
+    ``sys.maxsize``, which ``islice`` refuses, exceeds every table, so the
+    whole table is written."""
+    limit = args.max_rows and min(args.max_rows, sys.maxsize)
+    return islice(intermediate_configuration(args.n), limit)
+
+
 def _cmd_table(args) -> int:
-    return _emit_rows(args, lambda: islice(intermediate_configuration(args.n), args.max_rows))
+    return _emit_rows(args, lambda: _table_rows(args))
 
 
 def _emit_result(
@@ -276,10 +284,7 @@ def _cmd_firings(args) -> int:
 def _cmd_diff(args) -> int:
     from . import difftable
 
-    return _emit_rows(
-        args,
-        lambda: map(difftable.diff_row, islice(intermediate_configuration(args.n), args.max_rows)),
-    )
+    return _emit_rows(args, lambda: map(difftable.diff_row, _table_rows(args)))
 
 
 def _cmd_segment(args) -> int:

@@ -10,7 +10,7 @@ vertical axis.
 
 from __future__ import annotations
 
-import math
+import sys
 from pathlib import Path
 
 from . import difftable, stable, structure
@@ -45,8 +45,9 @@ class RenderSpec(_Record):
         )
         if kind not in KINDS:
             raise ValueError(f"unknown figure kind {kind!r}; choose from {KINDS}")
-        if not all(map(math.isfinite, (width, height, dot_radius))):
-            raise ValueError("figure dimensions and dot radius must be finite")
+        # nan, the infinities and ints past the float range all fail this.
+        if not all(abs(v) <= sys.float_info.max for v in (width, height, dot_radius)):
+            raise ValueError("figure dimensions and dot radius must be finite floats")
         if width <= 0 or height <= 0:
             raise ValueError("figure dimensions must be positive")
         if dot_radius <= 0:
@@ -122,14 +123,14 @@ def _render_distance_polyline(spec: RenderSpec) -> str:
 def _profile_rows(n: int) -> list[tuple[str, tuple[int, ...], str]]:
     # The three landmark rows: last scaled binomial row, first row of the
     # longest length, and the first bottom-triangle row (when it exists).
-    # One pass finds the last two: the bottom triangle is the terminal run,
-    # cut off above row n + 1 as in the segmentation.
-    run = structure.TerminalRun(floor=n + 1)
+    # One pass finds the last two: as in the segmentation, the bottom triangle
+    # starts where the terminal run opens, or at row n + 1 if it opens above.
+    run = structure.TerminalRun()
     longest = bottom_first = None
     for row in intermediate_configuration(n):
         if longest is None or row.width > longest.width:
             longest = row
-        if run.push(row.width):
+        if run.push(row.width) or row.index == n + 1:
             bottom_first = row
     rows = [
         ("top-triangle-last", structure.pascal_row(n, n).values,

@@ -17,12 +17,15 @@ Both parts below the midsection sit at the end of the table, so
 :func:`segment` and :func:`check_bottom_conjecture` read a stored width
 profile from its end (:meth:`TerminalRun.of`): at n = 21 the terminal run
 is 181 of 22 838 rows.  Readers that see the widths one row at a time push
-them into a :class:`TerminalRun` instead, which keeps the same state.
+them into a :class:`TerminalRun` instead, which keeps the same state.  The
+run is the whole terminal run; :func:`segment` alone cuts the bottom
+triangle at row n + 1, so that it never starts inside the top triangle.
 """
 
 from __future__ import annotations
 
 import math
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -56,7 +59,7 @@ __all__ = [
 
 
 class DegenerateSegmentationError(ChipfireError):
-    """The four-part split could not be formed without overlapping ranges."""
+    """The width profile is too short to hold the top triangle (rows 0..n)."""
 
 
 def pascal_row(n: int, i: int) -> Row:
@@ -102,10 +105,7 @@ def longest_row(n: int) -> LongestRow:
 
     Widths come off the packed rows; only the returned row is unpacked.
     """
-    best = None
-    for row in intermediate_configuration(n):
-        if best is None or row.width > best.width:
-            best = row
+    best = max(intermediate_configuration(n), key=attrgetter("width"))
     return LongestRow(best.width, best.index, best.values)
 
 
@@ -182,45 +182,43 @@ class TerminalRun:
 
     Fed the row widths of a table in order, it keeps the start of that run,
     which after the last row is the table's terminal decreasing run, and
-    the longest width so far.  With ``floor`` a run also opens at position
-    ``floor``, so the run never starts above it (:func:`segment` cuts the
-    bottom triangle off below the top triangle this way).  The streaming
-    readers (``verify`` and the row-profile rendering) push widths one at a
-    time; :meth:`of` fills the same state from a stored width list.
+    the longest width so far.  The run is never cut: for n <= 3 it reaches
+    into the top triangle, and :func:`segment` cuts it at row n + 1 itself.
+    The streaming readers (``verify`` and the row-profile rendering) push
+    widths one at a time; :meth:`of` fills the same state from a stored
+    width list.
     """
 
-    __slots__ = ("floor", "seen", "start", "last", "longest")
+    __slots__ = ("seen", "start", "last", "longest")
 
-    def __init__(self, floor: int = 0) -> None:
-        self.floor = floor
+    def __init__(self) -> None:
         self.seen = 0
         self.start = 0
         self.last = 0
         self.longest = 0
 
     @classmethod
-    def of(cls, lengths: Sequence[int], floor: int = 0) -> TerminalRun:
+    def of(cls, lengths: Sequence[int]) -> TerminalRun:
         """The run after every width of ``lengths`` has been pushed.
 
         Scanned back from the last width: the run reaches back while each
-        width is one below the width before it, and stops at position 0 or
-        at ``floor``.  Only the run is read in Python; the longest width is
-        taken at C speed.
+        width is one below the width before it, and stops at position 0.
+        Only the run is read in Python; the longest width is taken at C
+        speed.
         """
-        run = cls(floor)
+        run = cls()
         seen = run.seen = len(lengths)
         if not seen:
             return run
-        stop = floor if 0 < floor < seen else 0
         start = seen - 1
-        while start > stop and lengths[start - 1] == lengths[start] + 1:
+        while start and lengths[start - 1] == lengths[start] + 1:
             start -= 1
         run.start, run.last, run.longest = start, lengths[-1], max(lengths)
         return run
 
     def push(self, width: int) -> bool:
         """Take the next row's width; True when a new run opens at it."""
-        opens = self.seen == 0 or self.seen == self.floor or width != self.last - 1
+        opens = self.seen == 0 or width != self.last - 1
         if opens:
             self.start = self.seen
         self.seen += 1
@@ -235,7 +233,7 @@ class TerminalRun:
 
     def report(self, n: int) -> BottomTriangleReport:
         """The bottom-triangle report, once every width of the table for
-        ``2**n`` chips (n >= 2) has been pushed into a run without a floor."""
+        ``2**n`` chips (n >= 2) has been pushed."""
         return BottomTriangleReport(
             n=n,
             holds=self.rows == self.longest - 1,
@@ -244,78 +242,52 @@ class TerminalRun:
         )
 
 
-def _partitions(parts: Sequence[range], total: int) -> bool:
-    """Whether the rows of the step-1 ranges ``parts``, in order, are
-    exactly rows 0 .. total - 1.
-
-    Compares the ends of the ranges instead of listing their rows: an empty
-    range holds no row wherever it sits, and each other range must start
-    where the rows before it end.
-    """
-    end = 0
-    for part in parts:
-        if part.start < part.stop:
-            if part.start != end:
-                return False
-            end = part.stop
-    return end == total
+def _lengths(n: int, profile: RowProfile | None) -> tuple[int, ...]:
+    """The widths of ``profile`` (of :func:`row_profile` when None), made for ``n``."""
+    if profile is None:
+        return row_profile(n).lengths
+    if profile.n != n:
+        raise ValueError(f"profile is for n={profile.n}, not n={n}")
+    return profile.lengths
 
 
 def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
     """Split the table for ``2**n`` chips into its four vertical parts.
 
-    Top triangle is rows 0..n.  The bottom triangle is the maximal terminal
-    block below the top triangle whose lengths decrease by exactly 1 per
-    row; the rectangle is the maximal block directly above it with lengths
-    within 1 of the longest length; the midsection is whatever remains.
-    Empty midsection, rectangle, or bottom triangle are legal (small n).
+    Top triangle is rows 0..n.  The bottom triangle is the terminal run of
+    lengths decreasing by exactly 1 per row, cut at row n + 1 so that it
+    starts below the top triangle; the rectangle is the maximal block
+    directly above it with lengths within 1 of the longest length; the
+    midsection is whatever remains.  Empty midsection, rectangle, or bottom
+    triangle are legal (small n).  Only a profile of fewer than n + 1 rows
+    raises :class:`DegenerateSegmentationError`; any other splits into four
+    ranges that partition its rows.
 
     Passing a precomputed ``profile`` avoids re-streaming the table.  The
     widths are read from the end: the bottom triangle and the rectangle are
     scanned back from the last row, so only those rows are read in Python,
-    and the longest width and its first row are found at C speed.  The
-    four ranges are checked to partition the rows by their ends alone.
+    and the longest width and its first row are found at C speed.
     """
     if n < 1:
         raise ValueError(f"segmentation needs n >= 1, got {n}")
-    if profile is None:
-        profile = row_profile(n)
-    elif profile.n != n:
-        raise ValueError(f"profile is for n={profile.n}, not n={n}")
-    lengths = profile.lengths
+    lengths = _lengths(n, profile)
     total = len(lengths)
-    run = TerminalRun.of(lengths, floor=n + 1)
+    if total < n + 1:
+        raise DegenerateSegmentationError(f"{total} rows cannot hold the top triangle for n={n}")
+    run = TerminalRun.of(lengths)
     longest = run.longest
-    first_longest = lengths.index(longest)
-
-    top = range(0, n + 1)
-    if total <= n + 1:
-        bottom = range(total, total)
-        rect = range(total, total)
-        mid = range(n + 1, total)
-    else:
-        b = run.start
-        r = b
-        while r - 1 >= n + 1 and lengths[r - 1] >= longest - 1:
-            r -= 1
-        bottom = range(b, total)
-        rect = range(r, b)
-        mid = range(n + 1, r)
-
-    seg = Segmentation(
+    b = r = max(run.start, n + 1)
+    while r - 1 >= n + 1 and lengths[r - 1] >= longest - 1:
+        r -= 1
+    return Segmentation(
         n=n,
-        top_triangle=top,
-        midsection=mid,
-        rectangle=rect,
-        bottom_triangle=bottom,
+        top_triangle=range(0, n + 1),
+        midsection=range(n + 1, r),
+        rectangle=range(r, b),
+        bottom_triangle=range(b, total),
         longest_length=longest,
-        first_longest_row=first_longest,
+        first_longest_row=lengths.index(longest),
     )
-    if not _partitions((top, mid, rect, bottom), total):
-        raise DegenerateSegmentationError(
-            f"segments do not partition rows 0..{total - 1} for n={n}"
-        )
-    return seg
 
 
 class BottomTriangleReport(_Record):
@@ -341,8 +313,4 @@ def check_bottom_conjecture(n: int, profile: RowProfile | None = None) -> Bottom
     """
     if n < 2:
         raise ValueError(f"conjecture check needs n >= 2, got {n}")
-    if profile is None:
-        profile = row_profile(n)
-    elif profile.n != n:
-        raise ValueError(f"profile is for n={profile.n}, not n={n}")
-    return TerminalRun.of(profile.lengths).report(n)
+    return TerminalRun.of(_lengths(n, profile)).report(n)

@@ -563,6 +563,10 @@ class TestUsageErrors:
             ["sequences", "nonzero-rows", "--upto", "200"],
             ["sequences", "half-nonzero-rows", "--upto", "127"],
             ["sequences", "minimal-row-sums", "--upto", "1000000000000"],
+            ["render", "--kind", "stable-dots", "--n", "2", "--out", "f.svg",
+             "--width", str(2**1024)],
+            ["render", "--kind", "stable-dots", "--n", "2", "--out", "f.svg",
+             "--height", str(2**1024)],
         ],
     )
     def test_out_of_domain_values_exit_two(self, capsys, tmp_path, monkeypatch, argv):

@@ -108,6 +108,8 @@ class TestSpecAndOutput:
             dict(kind="stable-dots", n=3, dot_radius=0),
             dict(kind="stable-dots", n=3, dot_radius=float("nan")),
             dict(kind="stable-dots", n=3, dot_radius=float("inf")),
+            dict(kind="stable-dots", n=3, width=2**1024),
+            dict(kind="stable-dots", n=3, height=2**1024 - 1),
         ],
     )
     def test_invalid_specs(self, kwargs):

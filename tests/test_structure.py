@@ -19,7 +19,6 @@ from chipfire.structure import (
     RowProfile,
     Segmentation,
     TerminalRun,
-    _partitions,
 )
 
 
@@ -178,8 +177,8 @@ class TestSegmentation:
 
 class TestTerminalRun:
     @staticmethod
-    def run(lengths, floor=0):
-        run = TerminalRun(floor)
+    def run(lengths):
+        run = TerminalRun()
         opened = [k for k, width in enumerate(lengths) if run.push(width)]
         return run, opened
 
@@ -188,19 +187,11 @@ class TestTerminalRun:
         assert opened == [0, 1, 2, 4, 5]
         assert (run.start, run.rows, run.longest) == (5, 3, 4)
 
-    def test_floor_cuts_the_run(self):
-        run, opened = self.run([4, 3, 2, 1], floor=2)
-        assert opened == [0, 2]
-        assert run.start == 2
-
     @pytest.mark.parametrize("n", range(1, 10))
     def test_start_is_the_bottom_triangle(self, n):
-        seg = segment(n)
-        run, _ = self.run(row_profile(n).lengths, floor=n + 1)
-        if len(seg.bottom_triangle):
-            assert run.start == seg.bottom_triangle.start
-        else:
-            assert run.seen <= n + 1
+        # segment cuts the run at row n + 1, below the top triangle.
+        run, _ = self.run(row_profile(n).lengths)
+        assert segment(n).bottom_triangle.start == max(run.start, n + 1)
 
 
 class TestBottomConjecture:
@@ -227,12 +218,22 @@ class TestBottomConjecture:
         assert len(segment(2).bottom_triangle) == 1
 
 
-def forward_run(lengths, floor=0):
+def forward_run(lengths):
     """A :class:`TerminalRun` fed ``lengths`` one width at a time."""
-    run = TerminalRun(floor)
+    run = TerminalRun()
     for width in lengths:
         run.push(width)
     return run
+
+
+def forward_start(lengths, floor):
+    """Start of the run open after ``lengths`` read forward, where a run
+    also opens at position ``floor``."""
+    start = 0
+    for k, width in enumerate(lengths):
+        if k == 0 or k == floor or width != lengths[k - 1] - 1:
+            start = k
+    return start
 
 
 def listed_partition(parts, total):
@@ -241,15 +242,15 @@ def listed_partition(parts, total):
 
 
 def reference_segment(n, lengths):
-    """:func:`segment` as it read the widths forward and listed the rows of
-    its four ranges to check them."""
+    """:func:`segment` as it read the widths forward, opening a run at row
+    n + 1, and listed the rows of its four ranges to check them."""
     total, longest = len(lengths), max(lengths)
     top = range(0, n + 1)
     if total <= n + 1:
         bottom = rect = range(total, total)
         mid = range(n + 1, total)
     else:
-        b = forward_run(lengths, floor=n + 1).start
+        b = forward_start(lengths, n + 1)
         r = b
         while r - 1 >= n + 1 and lengths[r - 1] >= longest - 1:
             r -= 1
@@ -275,19 +276,12 @@ class TestBackwardScan:
     """The stored-profile readers scan back from the last width; the
     streaming :class:`TerminalRun` fed forward is their reference."""
 
-    @given(width_lists(), st.integers(-2, 40))
-    def test_run_matches_the_forward_run(self, lengths, floor):
-        back, forward = TerminalRun.of(lengths, floor), forward_run(lengths, floor)
+    @given(width_lists())
+    def test_run_matches_the_forward_run(self, lengths):
+        back, forward = TerminalRun.of(lengths), forward_run(lengths)
         assert (back.seen, back.start, back.rows, back.last, back.longest) == (
             forward.seen, forward.start, forward.rows, forward.last, forward.longest
         )
-
-    @given(
-        st.lists(st.builds(range, st.integers(-2, 12), st.integers(-2, 12)), max_size=5),
-        st.integers(0, 12),
-    )
-    def test_partition_check_matches_the_listing(self, parts, total):
-        assert _partitions(parts, total) == listed_partition(parts, total)
 
     @given(st.integers(1, 8), width_lists(min_size=1))
     def test_segment_matches_the_forward_reference(self, n, lengths):
@@ -297,6 +291,17 @@ class TestBackwardScan:
         except DegenerateSegmentationError:
             got = DegenerateSegmentationError
         assert got == reference_segment(n, profile.lengths)
+
+    @given(st.integers(1, 8), width_lists())
+    def test_degenerate_exactly_when_shorter_than_the_top_triangle(self, n, lengths):
+        # Empty profiles included.
+        profile = RowProfile(n, tuple(lengths))
+        if len(lengths) < n + 1:
+            with pytest.raises(DegenerateSegmentationError):
+                segment(n, profile)
+        else:
+            parts = [part for _, part in segment(n, profile).parts()]
+            assert listed_partition(parts, len(lengths))
 
     @given(st.integers(2, 8), width_lists(min_size=1))
     def test_report_matches_the_forward_run(self, n, lengths):
