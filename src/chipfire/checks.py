@@ -29,13 +29,17 @@ distance once per row, on the lanes of one accumulator of
 the end of the table.
 The bottom-triangle report is one more fold, over a
 :class:`structure.TerminalRun` (the open run and the longest width).
-Besides the folds, the pass keeps the point table that the oracle
-cross-checks compare against, and only when they run.  A ``properties``
-filter starts only the folds it selects and runs the oracle only when it
-selects an oracle cross-check; its scorecard is the full one with the other
-lines left out.  The pass stops reading the table once every started fold
-has its verdict and no point table is being kept: ``pascal-top-rows``
-alone reads rows 0..n.
+The oracle cross-checks are folds too.  When they run, the confluence
+check runs before the stream and ``oracle-confluence`` has its verdict at
+once; the arrival, firing-count and parity checks each compare the
+streamed entries with the grid of the row-by-row run as the rows go by,
+and check at the end of the table that every point of the grid was met.
+A ``properties`` filter starts only the folds it selects and runs the
+oracle only when it selects an oracle cross-check; its scorecard is the
+full one with the other lines left out, and :func:`scorecard` alone
+applies it.  The pass stops reading the table once every started fold has
+its verdict: ``pascal-top-rows`` alone reads rows 0..n, and
+``oracle-confluence`` alone reads none.
 
 The folds read the packed rows, not their values: each heavy check calls
 the whole-row lane fold of :mod:`chipfire.core` that decides it and formats
@@ -50,7 +54,6 @@ unpack rows, and no difference row is built entry by entry.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
 from . import difftable, oracle, stable, structure
@@ -416,6 +419,57 @@ def _diff_telescoping(n: int) -> _Fold:
 
 
 # ---------------------------------------------------------------------------
+# oracle cross-checks
+
+
+def _settled(verdict: _Verdict) -> _Fold:
+    # A fold whose verdict is known before the table is read.
+    return verdict
+    yield
+
+
+def _grid_match(grid: dict[oracle.Point, int], entry: Callable, detail: str) -> _Fold:
+    # The streamed entries that ``entry`` maps to a value (None leaves one
+    # out) must be exactly the points of ``grid``: each is compared as its
+    # row streams by, and a point of the grid that no row met fails at the
+    # end of the table.
+    met = 0
+    while (step := (yield)) is not None:
+        for x, y, v in step.row.points():
+            kept = entry(v)
+            if kept is not None:
+                if grid.get((x, y)) != kept:
+                    return False, detail
+                met += 1
+    return met == len(grid), detail
+
+
+def _oracle_folds(n: int, trials: int, seed: int) -> dict[str, Callable[[int], _Fold]]:
+    """The oracle cross-checks of one confluence check, as folds."""
+    report = oracle.confluence_check(n, trials=trials, seed=seed)
+    state = report.row_by_row
+    confluence = (
+        report.passed,
+        f"{report.runs} runs, {report.moves} moves"
+        + (f"; {report.mismatches[0]}" if report.mismatches else ""),
+    )
+    return {
+        "oracle-confluence": lambda n: _settled(confluence),
+        "oracle-arrivals": lambda n: _grid_match(
+            oracle.arrivals(state), lambda v: v, "arrival grid matches the streamed table"
+        ),
+        "oracle-firing-counts": lambda n: _grid_match(
+            state.nonzero_firings(), lambda v: v >> 1 if v >= 2 else None,
+            "every point fired F // 2 times",
+        ),
+        "oracle-stable-parity": lambda n: _grid_match(
+            state.nonzero_chips(), lambda v: 1 if v & 1 else None,
+            "stable chips sit exactly on odd arrival counts",
+        ),
+    }
+
+
+# ---------------------------------------------------------------------------
 # advisory reports
 
 
@@ -474,6 +528,12 @@ _ORACLE_CHECKS = (
 CHECK_NAMES = ("minimal-row-descent", *_FOLDS, *_ORACLE_CHECKS, *_REPORTS)
 
 
+def _selects(properties: Sequence[str] | None, name: str) -> bool:
+    """The filter rule: ``properties`` selects ``name`` when it is empty or
+    one of its entries is a substring of ``name``."""
+    return not properties or any(p in name for p in properties)
+
+
 def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
     """Send ``step`` to ``fold``; its verdict once it has one, else None."""
     try:
@@ -481,36 +541,6 @@ def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
     except StopIteration as done:
         return done.value
     return None
-
-
-# ---------------------------------------------------------------------------
-# oracle cross-checks
-
-def _oracle_checks(n: int, table: dict[tuple[int, int], int], trials: int, seed: int) -> list[CheckResult]:
-    report = oracle.confluence_check(n, trials=trials, seed=seed)
-    results = [
-        CheckResult(
-            "oracle-confluence", n, report.passed,
-            f"{report.runs} runs, {report.moves} moves"
-            + (f"; {report.mismatches[0]}" if report.mismatches else ""),
-        )
-    ]
-    state = report.row_by_row
-    results.append(
-        CheckResult("oracle-arrivals", n, oracle.arrivals(state) == table,
-                    "arrival grid matches the streamed table")
-    )
-    firings = {p: v >> 1 for p, v in table.items() if v >= 2}
-    results.append(
-        CheckResult("oracle-firing-counts", n, state.nonzero_firings() == firings,
-                    "every point fired F // 2 times")
-    )
-    parity = {p: 1 for p, v in table.items() if v & 1}
-    results.append(
-        CheckResult("oracle-stable-parity", n, state.nonzero_chips() == parity,
-                    "stable chips sit exactly on odd arrival counts")
-    )
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -544,14 +574,15 @@ def run_checks(
     checked first, whatever the filter selects.
     """
     _check_exponent(n)
-
-    def selected(name: str) -> bool:
-        return not properties or any(p in name for p in properties)
-
+    oracle_folds = {}
+    if oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT:
+        if any(_selects(properties, name) for name in _ORACLE_CHECKS):
+            oracle_folds = _oracle_folds(n, oracle_trials, seed)
+    makers = {**_FOLDS, **oracle_folds, **_REPORTS}
     verdicts: dict[str, _Verdict] = {}
     active: dict[str, _Fold] = {}
-    for name, make in chain(_FOLDS.items(), _REPORTS.items()):
-        if not selected(name):
+    for name, make in makers.items():
+        if not _selects(properties, name):
             continue
         fold = make(n)
         verdict = _advance(fold, None)
@@ -559,20 +590,12 @@ def run_checks(
             active[name] = fold
         else:
             verdicts[name] = verdict
-    with_oracle = (
-        oracle_trials >= 2
-        and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
-        and any(map(selected, _ORACLE_CHECKS))
-    )
-    points: dict[tuple[int, int], int] = {}
     counts = _DistanceCounts()
 
-    for r in intermediate_configuration(n) if active or with_oracle else ():
+    for r in intermediate_configuration(n) if active else ():
         s = stable.stable_row(r)
         counts.add(s)
         step = _Step(r, r.chip_sum(), difftable.diff_row(r), s, counts)
-        if with_oracle:
-            points.update(((x, y), v) for x, y, v in r.points())
         for name, fold in tuple(active.items()):
             # _advance, inlined: this runs once per fold and row.
             try:
@@ -580,17 +603,30 @@ def run_checks(
             except StopIteration as done:
                 verdicts[name] = done.value
                 del active[name]
-        if not active and not with_oracle:
+        if not active:
             break
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)
 
-    results = [CheckResult(name, n, *verdicts[name]) for name in _FOLDS if name in verdicts]
-    if with_oracle:
-        results.extend(
-            r for r in _oracle_checks(n, points, oracle_trials, seed) if selected(r.name)
-        )
-    results.extend(
-        CheckResult(name, n, *verdicts[name], advisory=True) for name in _REPORTS if name in verdicts
-    )
+    named = (name for name in CHECK_NAMES if name in verdicts)
+    return [CheckResult(name, n, *verdicts[name], advisory=name in _REPORTS) for name in named]
+
+
+def scorecard(
+    ns: Iterable[int], properties: Sequence[str] | None = None,
+    oracle_trials: int = 0, seed: int = 0,
+) -> list[CheckResult]:
+    """The ``verify`` scorecard: ``minimal-row-descent``, then the lines of
+    :func:`run_checks` for each n of ``ns``, each kept when ``properties``
+    selects it.
+
+    A filter that names no check is refused with ``ValueError`` before
+    anything runs.
+    """
+    for p in properties or ():
+        if not any(_selects((p,), name) for name in CHECK_NAMES):
+            raise ValueError(f"--properties filter {p!r} names no check")
+    results = [minimal_descent_check()] if _selects(properties, "minimal-row-descent") else []
+    for n in ns:
+        results.extend(run_checks(n, properties, oracle_trials, seed))
     return results

@@ -334,23 +334,10 @@ def _cmd_verify(args) -> int:
     if args.trials >= 2:
         oracle.check_trials(args.trials)
     properties = args.properties.split(",") if args.properties else None
-    for p in properties or ():
-        if not any(p in name for name in checks.CHECK_NAMES):
-            raise ValueError(f"--properties filter {p!r} names no check")
-    all_results: list[CheckResult] = []
-    lines: list[str] = []
-    if properties is None or any(p in "minimal-row-descent" for p in properties):
-        descent = checks.minimal_descent_check()
-        all_results.append(descent)
-        lines.append(_format_check(descent))
-    for n in args.n:
-        for result in checks.run_checks(
-            n, properties=properties, oracle_trials=args.trials, seed=args.seed
-        ):
-            all_results.append(result)
-            lines.append(_format_check(result))
-    failed = checks.failures(all_results)
-    lines.append(f"summary: {len(all_results)} checks, {len(failed)} failures")
+    results = checks.scorecard(args.n, properties, args.trials, args.seed)
+    failed = checks.failures(results)
+    lines = [*map(_format_check, results)]
+    lines.append(f"summary: {len(results)} checks, {len(failed)} failures")
     _emit(["\n".join(lines) + "\n"], args.out)
     return EXIT_INVARIANT if failed else EXIT_OK
 

@@ -471,8 +471,6 @@ def next_row(r: Row) -> Row:
     with ``ValueError`` because the trimmed representation cannot hold it.
     The child is kernel output, so it is trusted like a streamed row.
     """
-    if r.is_empty:
-        return Row(index=r.index + 1, y_min=0, values=())
     lane = r.lane
     child, lo, width = _step(r.packed, lane, _low_mask(lane, r.width))
     if not child:

@@ -22,6 +22,11 @@ _FILLED = 'fill="#000000"'
 _HOLLOW = 'fill="none" stroke="#000000" stroke-width="1"'
 _GRAY = 'fill="#999999"'
 
+#: The widest padding a renderer leaves on each side of the figure.  A
+#: figure no wider or taller than twice it would get a negative scale and
+#: draw outside its own viewBox.
+_PAD = 16.0
+
 
 class RenderSpec(_Record):
     """Figure request: what to draw, for which n, where, and how large.
@@ -48,8 +53,8 @@ class RenderSpec(_Record):
         # nan, the infinities and ints past the float range all fail this.
         if not all(abs(v) <= sys.float_info.max for v in (width, height, dot_radius)):
             raise ValueError("figure dimensions and dot radius must be finite floats")
-        if width <= 0 or height <= 0:
-            raise ValueError("figure dimensions must be positive")
+        if width <= 2 * _PAD or height <= 2 * _PAD:
+            raise ValueError(f"figure width and height must exceed {2 * _PAD:g}, twice the padding")
         if dot_radius <= 0:
             raise ValueError("dot radius must be positive")
 
@@ -105,7 +110,7 @@ def _render_stable_dots(spec: RenderSpec) -> str:
 
 def _render_distance_polyline(spec: RenderSpec) -> str:
     d = stable.distance_distribution(spec.n)
-    pad = 16.0
+    pad = _PAD
     m = d.half_width
     sx = (spec.width - 2 * pad) / max(2 * m, 1)
     peak = max(d.counts) or 1
@@ -148,7 +153,7 @@ def _render_row_profiles(spec: RenderSpec) -> str:
     if spec.n < 1:
         raise ValueError("row profiles need n >= 1")
     rows = _profile_rows(spec.n)
-    pad = 16.0
+    pad = _PAD
     widest = max(len(values) for _, values, _ in rows)
     peak = max(v for _, values, _ in rows for v in values)
     sx = (spec.width - 2 * pad) / max(widest - 1, 1)

@@ -294,6 +294,29 @@ class TestRerouteMutations:
         # The same table passes once uncorrupted.
         assert self._run_on(monkeypatch, list(table(self.N)), name, trials).passed
 
+    @pytest.mark.parametrize(
+        "alter, failing",
+        [
+            (lambda rows: rows.pop(), {"oracle-arrivals", "oracle-stable-parity"}),
+            (lambda rows: rows.__delitem__(slice(2)), {"oracle-arrivals", "oracle-firing-counts"}),
+            (
+                lambda rows: rows.append(Row(index=27, y_min=13, values=(1, 1))),
+                {"oracle-arrivals", "oracle-stable-parity"},
+            ),
+        ],
+        ids=["last-row-dropped", "first-rows-dropped", "row-appended"],
+    )
+    def test_oracle_folds_count_the_grid_at_the_end(self, monkeypatch, table, alter, failing):
+        # A missing row shows only once the table has ended, as a point of
+        # the simulated grid that no streamed entry met; an extra row shows
+        # as an entry the grid does not hold.
+        rows = list(table(self.N))
+        alter(rows)
+        monkeypatch.setattr(checks, "intermediate_configuration", lambda n: iter(rows))
+        results = run_checks(self.N, ["oracle"], oracle_trials=2)
+        assert [r.name for r in results] == list(checks._ORACLE_CHECKS)
+        assert {r.name for r in results if not r.passed} == failing
+
     def _corrupt_difference_row(self, monkeypatch, name):
         real = core._diff_lanes
         corrupt, _ = DIFF_CORRUPTIONS[name]
@@ -492,7 +515,8 @@ class TestSinglePass:
 
     def test_stream_stops_when_no_fold_is_left(self, monkeypatch, table):
         # pascal-top-rows settles after rows 0..n; nothing reads on after
-        # it, unless an oracle cross-check keeps the point table.
+        # it, unless an oracle cross-check compares the rest of the table
+        # with the simulated grid.
         pulled = []
         real = checks.intermediate_configuration
 
@@ -507,6 +531,22 @@ class TestSinglePass:
         pulled.clear()
         assert failures(run_checks(4, ["pascal-top-rows", "oracle-arrivals"], oracle_trials=2)) == []
         assert pulled == [r.index for r in table(4)]
+
+    def test_confluence_alone_reads_no_row(self, monkeypatch):
+        # oracle-confluence has its verdict before the table is read, so a
+        # run that selects nothing else never starts the stream.
+        pulled = []
+        real = checks.intermediate_configuration
+
+        def counted(n):
+            for r in real(n):
+                pulled.append(r.index)
+                yield r
+
+        monkeypatch.setattr(checks, "intermediate_configuration", counted)
+        (result,) = run_checks(10, ["oracle-confluence"], oracle_trials=2)
+        assert (result.name, result.passed) == ("oracle-confluence", True)
+        assert pulled == []
 
     def test_lane_constants_come_from_the_cache(self, monkeypatch, table):
         # The lane folds take their all-ones and top-bit ints from the

@@ -567,6 +567,12 @@ class TestUsageErrors:
              "--width", str(2**1024)],
             ["render", "--kind", "stable-dots", "--n", "2", "--out", "f.svg",
              "--height", str(2**1024)],
+            ["render", "--kind", "distance-polyline", "--n", "3", "--out", "f.svg",
+             "--width", "10", "--height", "10"],
+            ["render", "--kind", "stable-dots", "--n", "2", "--out", "f.svg",
+             "--width", "20", "--height", "20"],
+            ["render", "--kind", "diff-signmap", "--n", "2", "--out", "f.svg", "--width", "32"],
+            ["render", "--kind", "row-profiles", "--n", "2", "--out", "f.svg", "--height", "32"],
         ],
     )
     def test_out_of_domain_values_exit_two(self, capsys, tmp_path, monkeypatch, argv):

@@ -64,7 +64,8 @@ OUTPUT = [
 ]
 TABLE = [option("--n", *EXPONENT, required=True), *OUTPUT]
 TABLE_ROWS = [*TABLE, option("--max-rows", *ints(1, 40, ["0", str(sys.maxsize + 1), *BAD_INTS]))]
-SIZE = ints(1, 1200, ["0", "-1", HUGE, "x"])
+#: A figure must be wider and taller than twice its padding, 32 px.
+SIZE = ints(33, 1200, ["-1", *map(str, range(33)), HUGE, "x"])
 
 GRAMMAR = {
     "table": TABLE_ROWS,

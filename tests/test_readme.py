@@ -1,0 +1,69 @@
+"""The command block under "## Command line" in README.md runs as written.
+
+Every ``chipfire ...`` line of the block runs in process through
+``cli.main``, in a temporary directory, and must exit 0.  The figures its
+comments state are read back from the output.
+"""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from chipfire import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _command_lines() -> list[tuple[list[str], str]]:
+    """``(argv, comment)`` of each line of the block, ``chipfire`` dropped."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = re.search(r"^```\n(.*?)^```$", section, re.S | re.M).group(1)
+    lines = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "chipfire", line
+        lines.append((argv[1:], comment.strip()))
+    return lines
+
+
+def _row_count(out: str, stated: re.Match) -> None:
+    assert json.loads(out)["row_count"] == int(stated[1])
+
+
+def _total_firings(out: str, stated: re.Match) -> None:
+    assert out == f"{stated[1]},{stated[2]}\n"
+
+
+def _row_split(out: str, stated: re.Match) -> None:
+    # n, then the start and stop of the four parts, then the longest row.
+    bounds = [int(v) for v in out.split(",")[1:9]]
+    sizes = [stop - start for start, stop in zip(bounds[::2], bounds[1::2])]
+    assert sizes == [int(v) for v in stated.groups()]
+
+
+#: The figures the comments state, and how each is read from the output.
+FIGURES = {
+    r"row_count \((\d+)\)": _row_count,
+    r"T\((\d+)\) = (\d+)": _total_firings,
+    r"(\d+) \+ (\d+) \+ (\d+) \+ (\d+) row split": _row_split,
+}
+
+
+def test_command_block_runs(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = _command_lines()
+    assert len(lines) == 11
+    checked = []
+    for argv, comment in lines:
+        capsys.readouterr()
+        assert cli.main(argv) == 0, argv
+        out = capsys.readouterr().out
+        for pattern, check in FIGURES.items():
+            stated = re.search(pattern, comment)
+            if stated:
+                check(out, stated)
+                checked.append(pattern)
+    assert sorted(checked) == sorted(FIGURES)

@@ -110,6 +110,11 @@ class TestSpecAndOutput:
             dict(kind="stable-dots", n=3, dot_radius=float("inf")),
             dict(kind="stable-dots", n=3, width=2**1024),
             dict(kind="stable-dots", n=3, height=2**1024 - 1),
+            # No larger than twice the padding: the scales would turn negative.
+            dict(kind="stable-dots", n=3, width=20, height=20),
+            dict(kind="distance-polyline", n=3, width=10, height=10),
+            dict(kind="row-profiles", n=3, width=32),
+            dict(kind="diff-signmap", n=3, height=32),
         ],
     )
     def test_invalid_specs(self, kwargs):
