@@ -18,8 +18,10 @@ the command's own Python process alone, read by the launcher of
 ``tests/peak_rss.py``.  The JSON written to ``--out`` records the command
 line, the host, every run, and per command and tree the median and
 quartiles of both; ``wall_ratio`` divides the first tree's median wall time
-by each other tree's.  Every tree must print the same output for a command,
-or the script stops.
+by each other tree's, and ``wins`` counts, for each tree after the first,
+the rounds in which that tree ran the command faster than the first tree
+(a tie counts for neither).  Every tree must print the same output for a
+command, or the script stops.
 """
 
 from __future__ import annotations
@@ -104,10 +106,15 @@ def main(argv: list[str] | None = None) -> int:
                 "peak_mib": _summary([run["peak_mib"] for run in mine]),
             }
         first, *others = trees
+        wall = {(run["tree"], run["round"]): run["wall_s"] for run in runs if run["command"] == command}
         results[command] = {
             **per_tree,
             "wall_ratio": {
                 name: round(per_tree[first]["wall_s"]["median"] / per_tree[name]["wall_s"]["median"], 3)
+                for name in others
+            },
+            "wins": {
+                name: sum(wall[name, r] < wall[first, r] for r in range(args.rounds))
                 for name in others
             },
         }

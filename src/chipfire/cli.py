@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -89,19 +90,15 @@ def _formatted(rows: Iterable[Row | DiffRow], row_format: Callable[[int], str]) 
     """Each row as ``row_format(width) % (index, y_min, *values)``.
 
     One ``%`` per row formats every entry in C, instead of one Python
-    ``str`` call per entry.  The formats are kept per width for this call
-    only.
+    ``str`` call per entry.  Both row formats are ``lru_cache`` functions,
+    so each width's format is built once.
     """
-    formats: dict[int, str] = {}
     for r in rows:
         values = r.values
-        width = len(values)
-        fmt = formats.get(width)
-        if fmt is None:
-            fmt = formats[width] = row_format(width)
-        yield fmt % (r.index, r.y_min, *values)
+        yield row_format(len(values)) % (r.index, r.y_min, *values)
 
 
+@lru_cache(maxsize=None)
 def _csv_format(width: int) -> str:
     return "%d,%d," + " ".join(["%d"] * width) + "\n"
 
@@ -123,6 +120,7 @@ def rows_to_csv(rows: Iterable[Row | DiffRow], header: bool = False) -> str:
     return "".join(_csv_lines(rows, header))
 
 
+@lru_cache(maxsize=None)
 def _json_format(width: int) -> str:
     # One row object of json.dumps(..., indent=2) at depth 2, after a comma.
     values = ",\n        ".join(["%d"] * width)

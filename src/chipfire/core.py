@@ -71,10 +71,10 @@ with one constant ``close`` that adds the bias to every lane and closes the
 row with its zero last entry.  The constants (the all-ones int, the top
 bits, ``bias`` and ``close``) depend only on the lane and the number of
 lanes, so :func:`_diff_constants` builds them once per ``(W, lanes)`` and
-keeps them in a small cache, emptied when it reaches a few entries: widths
-move by one lane per row, so a few entries serve a whole stream.  Every
-fold of one pass reads the one context, so each row packs its differences
-and takes its second differences once.  The shape of a fresh difference
+``functools.lru_cache`` keeps the last eight: widths move by one lane per
+row, so a few entries serve a whole stream.  Every fold of one pass reads
+the one context, so each row packs its differences and takes its second
+differences once.  The shape of a fresh difference
 row (its maximum and unimodality) takes nine Python calls in all:
 ``diff_row`` and ``_trusted``, ``row_max_abs``, the ``_once`` read of
 ``DiffRow._shape`` (two), :func:`_lane_shape`, ``_kept_diff_lanes``,
@@ -110,8 +110,10 @@ Python object per entry):
 - ``monotone-steps`` (:func:`_growth_break`) and ``diff-local-propagation``
   (:func:`_rises_and_falls`, :func:`_propagation_break`) read the top bits
   of the kept biased first and second differences;
-- ``bottom-minimal-rows`` (:func:`_is_minimal`) compares a row with the
-  packed minimal row of its width and lane, built once;
+- ``bottom-minimal-rows`` (:func:`_is_minimal`, exported by
+  :mod:`chipfire.structure` as ``is_minimal``) compares a row with the
+  packed minimal row of its width and lane, built once
+  (:func:`_packed_minimal`);
 - ``diff-telescoping`` (:func:`_telescoping_break`) rebuilds the row from
   its differences by multiplying with the all-ones int.
 
@@ -158,6 +160,7 @@ from __future__ import annotations
 
 import math
 import sys
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 #: Exponent cap for the initial chip count.  Every table entry is at most
@@ -170,13 +173,6 @@ _NATIVE_LITTLE = sys.byteorder == "little"
 
 # memoryview.cast formats by lane size in bytes.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-# The constants of a difference row by (lane, lanes), built on first use.
-# Widths move by one lane per row, so a few entries serve a whole stream;
-# the cache is emptied when it reaches _CONSTANTS_BOUND entries, before the
-# next one goes in.
-_DIFF_CONSTANTS: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-_CONSTANTS_BOUND = 8
 
 # bytes.translate tables taking a byte to its lowest bit, its top bit, or
 # the complement of its top bit.
@@ -484,12 +480,13 @@ def next_row(r: Row) -> Row:
     )
 
 
+# Widths move by one lane per row, so the last few of these serve a whole
+# stream.
+@lru_cache(maxsize=8)
 def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
     """``(ones, top, bias, close)`` of a difference row of ``lanes`` lanes:
     1 in each lane, the top bit of each, ``2**(lane-2)`` in each, and the
     term that closes the second differences (:func:`_kept_diff_lanes`)."""
-    if len(_DIFF_CONSTANTS) >= _CONSTANTS_BOUND:
-        _DIFF_CONSTANTS.clear()
     ones = _ones(lane, lanes)
     top = ones << lane - 1
     # ``diff + close - (diff << lane)`` holds ``2**(lane-1)`` plus the
@@ -498,8 +495,7 @@ def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
     # and keeps one bias, and in lane ``lanes``, the closing zero, which
     # loses the bias of the last lane.
     close = top - (1 << lane - 2) + (3 << lanes * lane + lane - 2)
-    constants = _DIFF_CONSTANTS[lane, lanes] = ones, top, ones << lane - 2, close
-    return constants
+    return ones, top, ones << lane - 2, close
 
 
 def _diff_lanes(source: Row) -> tuple[int, int]:
@@ -512,7 +508,7 @@ def _diff_lanes(source: Row) -> tuple[int, int]:
     crosses a lane.
     """
     lane, packed, lanes = source.lane, source.packed, source.width + 1
-    bias = (_DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes))[2]
+    bias = _diff_constants(lane, lanes)[2]
     return packed + bias - (packed << lane), lane
 
 
@@ -591,7 +587,7 @@ def _kept_diff_lanes(source: Row) -> tuple[int, int, int, int, int]:
     if context is None:
         packed, lane = _diff_lanes(source)
         lanes = source.width + 1
-        ones, top, _, close = _DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes)
+        ones, top, _, close = _diff_constants(lane, lanes)
         context = kept["_diff_lanes"] = (
             packed, lane, ones, top, packed + close - (packed << lane)
         )
@@ -611,7 +607,7 @@ def _diff_values(source: Row) -> tuple[int, ...]:
         return ()
     lanes = source.width + 1
     packed, lane = _diff_lanes(source)
-    _, top, bias, _ = _DIFF_CONSTANTS.get((lane, lanes)) or _diff_constants(lane, lanes)
+    _, top, bias, _ = _diff_constants(lane, lanes)
     return tuple(_lanes((packed + bias) ^ top, lanes, lane, signed=True))
 
 
@@ -711,7 +707,7 @@ def _has_gap(r: Row) -> bool:
     the difference is negative, which takes a zero lane.
     """
     lane, width = r.lane, r.width
-    ones, top, _, _ = _DIFF_CONSTANTS.get((lane, width + 1)) or _diff_constants(lane, width + 1)
+    ones, top, _, _ = _diff_constants(lane, width + 1)
     return bool((r.packed - (ones >> lane)) & top)
 
 
@@ -775,23 +771,23 @@ def _minimal_values(j: int) -> tuple[int, ...]:
     return half + (j,) + half[::-1]
 
 
-# Packed minimal rows by (width, lane), built on first use.
-_MINIMAL: dict[tuple[int, int], int] = {}
+@lru_cache(maxsize=None)
+def _packed_minimal(width: int, lane: int) -> int:
+    """The minimal row of ``width`` entries in lanes of ``lane`` bits."""
+    return _pack(_minimal_values(width - 1), lane)
 
 
 def _is_minimal(r: Row) -> bool:
-    """Whether ``r`` holds exactly the minimal row of its width.
+    """Whether the row's values are exactly the minimal row of its width.
 
-    That row peaks at ``width - 1``; a lane too narrow for the peak holds
-    no minimal row.
+    The row is compared packed, with the packed minimal row of its width and
+    lane.  That row peaks at ``width - 1``; a lane too narrow for the peak
+    holds no minimal row.
     """
     width, lane = r.width, r.lane
     if width < 2 or width - 1 >= 1 << lane - 2:
         return False
-    minimal = _MINIMAL.get((width, lane))
-    if minimal is None:
-        minimal = _MINIMAL[width, lane] = _pack(_minimal_values(width - 1), lane)
-    return r.packed == minimal
+    return r.packed == _packed_minimal(width, lane)
 
 
 def _antisymmetric_diffs(source: Row) -> bool:

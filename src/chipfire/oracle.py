@@ -43,7 +43,7 @@ from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Iterator
 
-from .core import ChipfireError, _Record, row_bound
+from .core import ChipfireError, _check_exponent, _Record, row_bound
 
 ORACLE_EXPONENT_LIMIT = 10
 
@@ -173,13 +173,12 @@ def simulate(
     chip passes the last-row bound), so hitting it means a bug, not a long
     run.
     """
-    if n < 0:
-        raise ValueError(f"exponent must be nonnegative, got {n}")
     if n > ORACLE_EXPONENT_LIMIT:
         raise ValueError(
             f"n={n} exceeds the oracle limit {ORACLE_EXPONENT_LIMIT}; "
             "the simulator is meant for small cross-checks"
         )
+    _check_exponent(n)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     cap = move_cap if move_cap is not None else ((1 << n) * row_bound(n)) // 2 + 1

@@ -122,6 +122,9 @@ def half_nonzero_rows(upto: int) -> list[int]:
     """
     if upto < 1:
         raise ValueError(f"half sequence starts at n=1, got upto={upto}")
+    last = SEQUENCES["nonzero-rows"].max_index
+    if upto > last:
+        raise ValueError(f"half-nonzero-rows is computed up to index {last}, got upto={upto}")
     counts = generate("nonzero-rows", upto)[1:]
     for n, c in enumerate(counts, start=1):
         if c & 1:

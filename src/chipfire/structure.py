@@ -32,8 +32,8 @@ from .core import (
     ChipfireError,
     Row,
     _check_exponent,
+    _is_minimal as is_minimal,
     _Record,
-    _is_minimal,
     _minimal_values,
     intermediate_configuration,
     row_bound,
@@ -127,14 +127,6 @@ def minimal_row_sum(j: int) -> int:
     if j < 1:
         raise ValueError(f"minimal rows need at least 2 entries, got j={j}")
     return (j + 1) ** 2 // 2
-
-
-def is_minimal(r: Row) -> bool:
-    """Whether the row's values are exactly the minimal row of its width.
-
-    The row is compared packed, with the packed minimal row of its width.
-    """
-    return _is_minimal(r)
 
 
 class Segmentation(_Record):

@@ -23,3 +23,16 @@ def test_runs_scripts_and_commands_on_each_tree(tmp_path):
         (c, 0) for c in commands for _ in "ab"
     ]
     assert set(report["results"]) == set(commands)
+
+
+def test_wins_count_the_rounds_each_tree_ran_faster(tmp_path):
+    # wins[name] is the number of rounds in which tree name ran faster than
+    # the first tree; a tie counts for neither.
+    out = tmp_path / "bench.json"
+    trees = [arg for name in "abc" for arg in ("--tree", f"{name}={ROOT / 'src'}")]
+    assert _bench_cli().main([*trees, "--rounds", "3", "--out", str(out), "table --n 3"]) == 0
+    report = json.loads(out.read_text())
+    wall = {(r["tree"], r["round"]): r["wall_s"] for r in report["runs"]}
+    assert report["results"]["table --n 3"]["wins"] == {
+        name: len([r for r in range(3) if wall[name, r] < wall["a", r]]) for name in "bc"
+    }

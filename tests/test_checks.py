@@ -550,19 +550,21 @@ class TestSinglePass:
 
     def test_lane_constants_come_from_the_cache(self, monkeypatch, table):
         # The lane folds take their all-ones and top-bit ints from the
-        # bounded constant cache, so _ones runs only when an entry of it is
-        # built, not once or more per row.
-        calls = {"_ones": 0, "_diff_constants": 0}
-        for name in calls:
-            real = getattr(core, name)
+        # lru_cache of _diff_constants.  Its body, and so _ones, runs only on
+        # a cache miss, not once or more per row.  The cache is emptied
+        # first, so the count does not depend on the tests run before.
+        calls = []
+        real = core._ones
 
-            def counted(*args, real=real, name=name):
-                calls[name] += 1
-                return real(*args)
+        def counted(lane, lanes):
+            calls.append((lane, lanes))
+            return real(lane, lanes)
 
-            monkeypatch.setattr(core, name, counted)
+        monkeypatch.setattr(core, "_ones", counted)
+        core._diff_constants.cache_clear()
         assert failures(run_checks(18)) == []
-        assert calls["_ones"] == calls["_diff_constants"] < len(table(18)) // 20
+        misses = core._diff_constants.cache_info().misses
+        assert len(calls) == misses < len(table(18)) // 20
 
     def test_one_stable_row_per_row(self, monkeypatch, table):
         calls = []

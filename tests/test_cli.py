@@ -584,6 +584,11 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "f.svg").exists()
 
+    def test_half_sequence_past_its_last_index_names_itself(self, capsys):
+        rc, out, err = run(capsys, "sequences", "half-nonzero-rows", "--upto", "127")
+        assert (rc, out) == (2, "")
+        assert err == "chipfire: half-nonzero-rows is computed up to index 126, got upto=127\n"
+
     def test_out_to_unwritable_path_is_io_error(self, capsys, tmp_path):
         rc, _, err = run(
             capsys, "table", "--n", "2", "--out", str(tmp_path / "no" / "file.csv")

@@ -567,20 +567,25 @@ class TestDiffLaneShape:
         assert core._growth_break(row) == reference_growth_break(row)
 
     def test_constant_caches_stay_small(self, monkeypatch):
-        # Widths move by one lane per row, so the few kept constants serve
-        # almost every row, and the cache never grows past its bound.
+        # Widths move by one lane per row, so the last eight constants that
+        # the lru_cache of _diff_constants keeps serve almost every row.
+        # _ones runs only on a cache miss, so it counts the constants built;
+        # the cache is emptied first, so the count does not depend on the
+        # tests run before.
         built = []
-        real = core._diff_constants
+        real = core._ones
 
         def counted(lane, lanes):
             built.append((lane, lanes))
             return real(lane, lanes)
 
-        monkeypatch.setattr(core, "_diff_constants", counted)
+        monkeypatch.setattr(core, "_ones", counted)
+        core._diff_constants.cache_clear()
         assert checks.failures(checks.run_checks(18)) == []
         read = [(difftable.row_max_abs(d), d.values) for d in difftable.diff_table(18)]
-        assert len(built) < 2 * len(read) // 10
-        assert 0 < len(core._DIFF_CONSTANTS) <= core._CONSTANTS_BOUND
+        info = core._diff_constants.cache_info()
+        assert len(built) == info.misses < 2 * len(read) // 10
+        assert 0 < info.currsize <= info.maxsize == 8
 
 
 class TestRowBound:

@@ -4,8 +4,14 @@ import re
 import golden
 import pytest
 
-from chipfire import distance_distribution, intermediate_configuration, sign_map, stable_configuration
-from chipfire.render import KINDS, RenderSpec, render, render_svg
+from chipfire import (
+    distance_distribution,
+    intermediate_configuration,
+    segment,
+    sign_map,
+    stable_configuration,
+)
+from chipfire.render import KINDS, RenderSpec, _profile_rows, render, render_svg
 
 FILLED = re.compile(r'<circle[^>]*fill="#000000"')
 HOLLOW = re.compile(r'<circle[^>]*fill="none"')
@@ -72,6 +78,22 @@ class TestRowProfiles:
         monkeypatch.setattr("chipfire.structure.intermediate_configuration", counted)
         render_svg(spec("row-profiles", 9))
         assert calls == [9]
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_landmarks_agree_with_segment(self, table, n):
+        # The figure keeps its own copy of two rules of segment (the first
+        # widest row, and the bottom triangle cut at row n + 1) so that it
+        # streams the table once.  The cut matters for n = 1, 2 and 3, where
+        # the terminal run starts at or above row n.
+        rows = table(n)
+        seg = segment(n)
+        landmarks = {label: values for label, values, _ in _profile_rows(n)}
+        assert landmarks["top-triangle-last"] == rows[seg.top_triangle[-1]].values
+        assert landmarks["longest-first"] == rows[seg.first_longest_row].values
+        if seg.bottom_triangle:
+            assert landmarks["bottom-triangle-first"] == rows[seg.bottom_triangle.start].values
+        else:
+            assert "bottom-triangle-first" not in landmarks
 
 
 class TestDiffSignmap:
