@@ -22,11 +22,17 @@ by each other tree's, and ``wins`` counts, for each tree after the first,
 the rounds in which that tree ran the command faster than the first tree
 (a tie counts for neither).  Every tree must print the same output for a
 command, or the script stops.
+
+The script and every command it starts run pinned to the first CPU the
+script may run on, recorded as ``host["pinned_cpu"]``, since the speed of a
+shared host can drift differently on each CPU.  Where the platform cannot
+set the affinity, the runs are unpinned and ``pinned_cpu`` is null.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -37,6 +43,23 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import peak_rss  # noqa: E402
+
+
+@contextlib.contextmanager
+def _pinned():
+    """Pin this process, and so every child it starts, to its first allowed
+    CPU, and yield that CPU (None where affinity cannot be set); the old
+    affinity is restored on exit."""
+    if not hasattr(os, "sched_setaffinity"):
+        yield None
+        return
+    allowed = os.sched_getaffinity(0)
+    cpu = min(allowed)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        yield cpu
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
 def _host() -> dict:
@@ -69,6 +92,11 @@ def _argv(command: str, src: Path) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with _pinned() as cpu:
+        return _bench(argv, cpu)
+
+
+def _bench(argv: list[str] | None, cpu: int | None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tree", action="append", required=True, metavar="NAME=SRC",
                         help="a source tree holding the chipfire package; repeat for each")
@@ -120,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         }
     report = {
         "command": shlex.join(["python", "scripts/bench_cli.py", *(sys.argv[1:] if argv is None else argv)]),
-        "host": _host(),
+        "host": {**_host(), "pinned_cpu": cpu},
         "rounds": args.rounds,
         "trees": trees,
         "results": results,

@@ -45,16 +45,18 @@ keeping the low half of every lane's bytes (``memoryview.cast`` to the
 half width, every second item).  At n = 18, 192 rows run in 32-bit lanes,
 5 504 in 16-bit lanes and the last 14 in 8-bit lanes.
 
-The packed int is the one source of every row.  A streamed :class:`Row`
-keeps it as ``packed`` with its ``lane`` and ``width``, and quantities that
-depend only on parity, width or the row total are read straight off it:
-``Row.parity`` is the low byte of every lane reduced to 0/1 at C speed,
-and ``Row.chip_sum()`` is the exact sum of the lanes, summed straight off
+The packed int is the one source of every row.  Every :class:`Row` holds
+it as ``packed``, with its ``lane`` and ``width``, from the moment it is
+built: the kernel streams rows packed, and the constructor packs its
+values once, after validating them.  Quantities that depend only on
+parity, width or the row total are read straight off it: ``Row.parity``
+is the low byte of every lane reduced to 0/1 at C speed, and
+``Row.chip_sum()`` is the exact sum of the lanes, summed straight off
 ``memoryview.cast("B"/"H"/"I"/"Q")`` with no list between (a lane holds the
-largest entry, not the row total, so no digit-sum shortcut applies).
-``Row.values`` is unpacked through the same cast on its first read, and
-lanes wider than 64 bits by slicing the bytes.  ``Row.value_at`` reads one lane with a shift
-and a mask.
+largest entry, not the row total, so no digit-sum shortcut applies).  A
+kernel row's ``values`` are unpacked through the same cast on their first
+read, and lanes wider than 64 bits by slicing the bytes.
+``Row.value_at`` reads one lane with a shift and a mask.
 
 A difference row of :mod:`chipfire.difftable` is a function of its source
 row alone and keeps only that row.  :func:`_diff_lanes` packs the first
@@ -131,9 +133,9 @@ before the first all-zero row and raises :class:`RowCapExceededError` if
 the index ever passes :func:`row_bound`, which no correct run can.
 
 Validation lives in the public constructor.  ``Row(index, y_min, values)``
-checks positivity, palindromes and the quadrant, and packs its values on
-demand, with the kernel's lane rule applied to its largest entry, so that
-every row reads parity the same way.  Rows from the kernel are trusted and
+checks positivity, palindromes and the quadrant, then packs its values,
+with the kernel's lane rule applied to its largest entry, so that every
+row reads parity the same way.  Rows from the kernel are trusted and
 built without those checks (:func:`_trusted`): a corrupted stream then
 reaches the invariant checks of :mod:`chipfire.checks`, which report it,
 instead of failing inside a constructor.  ``_trusted`` is the one route
@@ -242,6 +244,25 @@ class _Record:
         return f"{type(self).__name__}({fields})"
 
 
+class _once:
+    """A lazy attribute of a read-only record: ``fn(obj)``, computed on the
+    first read and kept in the instance's ``__dict__``, where every later
+    read finds it before this descriptor.  Unlike
+    ``functools.cached_property``, it takes no lock (Python 3.11 takes one on
+    every first read)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
 class Row(_Record):
     """One antidiagonal of the arrival table, trimmed to its nonzero span.
 
@@ -252,62 +273,47 @@ class Row(_Record):
     palindromic, and the span must fit in the quadrant.  A row is read-only;
     two rows are equal when their index, ``y_min`` and values are.
 
-    Every row also has a packed view: ``packed`` holds entry k in bits
-    ``k*lane .. k*lane + lane - 1`` and ``width`` is the number of entries.
-    ``lane`` is a power of two of at least 8 bits, with every entry below
-    ``2**(lane - 2)``: a streamed row has the lane of its stream at that row
-    (chosen for ``2**n`` and halved as the entries shrink), a row built
-    through this constructor the lane of its largest entry.  Rows streamed by
-    the kernel hold the packed view and unpack ``values`` on first read;
-    rows built through this constructor are validated and pack their values
-    on the first read of the view, which they then keep.
+    Every row also holds a packed view from the moment it is built:
+    ``packed`` holds entry k in bits ``k*lane .. k*lane + lane - 1`` and
+    ``width`` is the number of entries.  ``lane`` is a power of two of at
+    least 8 bits, with every entry below ``2**(lane - 2)``: a streamed row
+    has the lane of its stream at that row (chosen for ``2**n`` and halved
+    as the entries shrink), a row built through this constructor the lane of
+    its largest entry (8 bits for an empty row).  The constructor validates
+    its values and packs them once; rows streamed by the kernel are built
+    packed and unpack ``values`` on first read.
     """
 
     _fields = ("index", "y_min", "values")
 
     def __init__(self, index: int, y_min: int, values: Sequence[int]) -> None:
         v = tuple(values)
-        self.__dict__.update(index=index, y_min=y_min, values=v)
         fields = (index, y_min, *v)
         if set(map(type, fields)) != {int}:
             bad = next(f for f in fields if type(f) is not int)
             raise ValueError(f"row index, y_min and values must be ints, got {bad!r}")
         if index < 0:
             raise ValueError(f"row index must be nonnegative, got {index}")
-        if not v:
-            if y_min != 0:
-                raise ValueError("empty rows must have y_min = 0")
-            return
+        if not v and y_min != 0:
+            raise ValueError("empty rows must have y_min = 0")
         if y_min < 0:
             raise ValueError(f"y_min must be nonnegative, got {y_min}")
         if y_min + len(v) - 1 > index:
             raise ValueError(
                 f"span y={y_min}..{y_min + len(v) - 1} leaves the quadrant on row {index}"
             )
-        if min(v) <= 0:
+        if min(v, default=1) <= 0:
             raise ValueError("row values must be strictly positive")
         if v != v[::-1]:
             raise ValueError("row values must be palindromic")
+        lane = _lane_bits(max(v, default=0))
+        self.__dict__.update(
+            index=index, y_min=y_min, values=v, packed=_pack(v, lane), lane=lane, width=len(v)
+        )
 
-    def __getattr__(self, name: str):
-        # Reached only for attributes missing from the instance: the values
-        # of a kernel row, or the packed view of a row built from its
-        # values.  Each is kept in the instance on its first read, so later
-        # reads are plain attribute reads; none is a field, so ==, hash and
-        # repr do not see them.
-        d = self.__dict__
-        if name == "values":
-            value = _unpack(d["packed"], d["width"], d["lane"])
-        elif name == "width":
-            value = len(self.values)
-        elif name == "lane":
-            value = _lane_bits(max(self.values, default=0))
-        elif name == "packed":
-            value = _pack(self.values, self.lane)
-        else:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        d[name] = value
-        return value
+    @_once
+    def values(self) -> tuple[int, ...]:
+        return _unpack(self.packed, self.width, self.lane)
 
     @property
     def parity(self) -> bytes:
@@ -347,25 +353,6 @@ def _trusted(cls, **fields):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-class _once:
-    """A lazy attribute of a read-only record: ``fn(obj)``, computed on the
-    first read and kept in the instance's ``__dict__``, where every later
-    read finds it before this descriptor.  Unlike
-    ``functools.cached_property``, it takes no lock (Python 3.11 takes one on
-    every first read)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn) -> None:
-        self.fn = fn
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
 
 
 def initial_row(n: int) -> Row:

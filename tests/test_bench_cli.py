@@ -1,6 +1,9 @@
 import importlib.util
 import json
+import os
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -36,3 +39,21 @@ def test_wins_count_the_rounds_each_tree_ran_faster(tmp_path):
     assert report["results"]["table --n 3"]["wins"] == {
         name: len([r for r in range(3) if wall[name, r] < wall["a", r]]) for name in "bc"
     }
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_runs_pinned_to_one_cpu(tmp_path):
+    # Every command sees the one CPU the script pins; the caller's affinity
+    # is back once main returns.
+    (tmp_path / "src").mkdir()
+    (tmp_path / "affinity.py").write_text(
+        "import os, sys\n"
+        "open(sys.argv[1], 'w').write(repr(sorted(os.sched_getaffinity(0))))\n"
+    )
+    seen, out = tmp_path / "seen.txt", tmp_path / "bench.json"
+    before = os.sched_getaffinity(0)
+    tree = ["--tree", f"t={tmp_path / 'src'}"]
+    assert _bench_cli().main([*tree, "--rounds", "1", "--out", str(out), f"affinity.py {seen}"]) == 0
+    assert os.sched_getaffinity(0) == before
+    assert seen.read_text() == repr([min(before)])
+    assert json.loads(out.read_text())["host"]["pinned_cpu"] == min(before)

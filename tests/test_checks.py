@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from forge import forged_row
 from chipfire import Row, checks, core, difftable, oracle, stable, structure
 from chipfire.cli import main
 from chipfire.checks import (
@@ -141,11 +142,8 @@ def _replace(rows, i, values):
 
 
 def _forced(rows, i, values):
-    # Row validation would reject these values; set them behind its back on
-    # a copy, so the shared table stays intact.
-    row = Row(index=rows[i].index, y_min=rows[i].y_min, values=rows[i].values)
-    object.__setattr__(row, "values", values)
-    rows[i] = row
+    # Row validation would reject these values, so the row is forged.
+    rows[i] = forged_row(rows[i].index, rows[i].y_min, values)
 
 
 #: One corruption of the n = 6 table (rows listed by index) per check it breaks.
@@ -268,8 +266,8 @@ class TestRerouteMutations:
 
     def test_every_check_has_a_corruption(self):
         names = {r.name for r in run_checks(self.N, oracle_trials=2)}
-        covered = set(TABLE_CORRUPTIONS) | set(DIFF_CORRUPTIONS) | {"row-symmetry"}
-        assert names - {"oracle-confluence"} == covered
+        covered = set(TABLE_CORRUPTIONS) | set(DIFF_CORRUPTIONS)
+        assert names == covered | {"row-symmetry", "oracle-confluence"}
 
     def test_row_symmetry(self, monkeypatch, table):
         # An asymmetric row has no difference row, so the pass is handed
@@ -377,6 +375,26 @@ class TestRerouteMutations:
     def test_minimal_descent(self, monkeypatch):
         monkeypatch.setattr(checks, "next_row", lambda r: r)
         assert not minimal_descent_check().passed
+
+    def test_oracle_confluence(self, monkeypatch):
+        # The table plays no part: one firing order that reports a move
+        # more than the others is enough.
+        (result,) = run_checks(self.N, ["oracle-confluence"], oracle_trials=2)
+        assert (result.passed, result.detail) == (True, "5 runs, 458 moves")
+        real = oracle.simulate
+
+        def simulate(n, strategy="row-by-row", **kwargs):
+            state = real(n, strategy, **kwargs)
+            if strategy == "fifo-queue":
+                state.moves += 1
+            return state
+
+        monkeypatch.setattr(oracle, "simulate", simulate)
+        (result,) = run_checks(self.N, ["oracle-confluence"], oracle_trials=2)
+        assert (result.name, result.passed, result.detail) == (
+            "oracle-confluence", False,
+            "5 runs, 458 moves; fifo-queue: 459 moves != 458 (random[0])",
+        )
 
 
 def _corrupt_lane(child, lane, width, which):

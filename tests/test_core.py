@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
+from forge import forged_row
 from chipfire import (
     MAX_EXPONENT,
     ChipOverflowError,
@@ -17,6 +18,7 @@ from chipfire import (
     row_bound,
 )
 from chipfire import checks, core, difftable, stable, structure
+from chipfire.cli import rows_from_csv, rows_to_csv
 from chipfire.core import _lane_bits, _narrowed, _pack, _unpack
 from chipfire.difftable import diff_row
 from chipfire.structure import pascal_row
@@ -295,6 +297,26 @@ class TestPackedView:
             assert r.parity == built.parity == bytes(v & 1 for v in built.values)
             assert r.chip_sum() == built.chip_sum() == sum(built.values)
 
+    def test_every_row_is_packed_when_built(self):
+        # Constructor rows pack their values in __init__, kernel rows are
+        # born packed: either way the view is in the instance from the start.
+        empty = Row(index=3, y_min=0, values=())
+        rows = [
+            empty,
+            Row(index=5, y_min=1, values=(2, 5, 5, 2)),
+            initial_row(7),
+            pascal_row(126, 126),
+            structure.minimal_row(9),
+            *rows_from_csv(rows_to_csv(list(intermediate_configuration(4)))),
+            next_row(initial_row(4)),
+            next_row(Row(index=9, y_min=4, values=(1, 1))),
+            *intermediate_configuration(9),
+        ]
+        for r in rows:
+            assert {"packed", "lane", "width"} <= vars(r).keys()
+            assert _unpack(r.packed, r.width, r.lane) == r.values
+        assert (empty.packed, empty.lane, empty.width) == (0, 8, 0)
+
     def test_values_unpack_once(self, monkeypatch):
         calls = []
         real = core._unpack
@@ -427,18 +449,18 @@ class TestLaneFolds:
     def test_growth_break(self, values, expected):
         # Row 4: step 0 lies left of the diagonal y = 2, steps 1 and 2 touch
         # it, step 3 lies right of it.
-        row = core._trusted(Row, index=4, y_min=0, values=values)
+        row = forged_row(4, 0, values)
         assert core._growth_break(row) == expected
 
     @pytest.mark.parametrize("values,expected", [((2, 5, 5, 2), None), ((2, 5, 6, 2), (2, 1))])
     def test_growth_break_across_the_central_pair(self, values, expected):
         # Row 5 of width 4: the central pair straddles the diagonal.
-        row = core._trusted(Row, index=5, y_min=1, values=values)
+        row = forged_row(5, 1, values)
         assert core._growth_break(row) == expected
 
     def test_constructor_row_keeps_its_packed_view(self, monkeypatch):
-        # A row built from its values packs them on the first read of its
-        # packed view and keeps it, outside its fields.
+        # A row built from its values packs them once, when it is built, and
+        # keeps the packed view outside its fields.
         packs = []
         real = core._pack
 
@@ -530,9 +552,7 @@ def wide_lane_rows(draw):
         values = sorted(values) + sorted(values, reverse=True)
     y_min = draw(st.integers(min_value=0, max_value=3)) if values else 0
     index = y_min + max(len(values) - 1, 0) + draw(st.integers(min_value=0, max_value=3))
-    row = core._trusted(
-        Row, index=index, y_min=y_min, packed=_pack(values, lane), lane=lane, width=len(values)
-    )
+    row = forged_row(index, y_min, values, lane)
     return row, draw(st.integers(min_value=0, max_value=len(values) + 1))
 
 

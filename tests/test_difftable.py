@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
+from forge import forged_row
 from chipfire import checks, core
 from chipfire import (
     DiffRow,
@@ -19,7 +20,6 @@ from chipfire import (
     unimodal_check,
 )
 from chipfire.checks import run_checks
-from chipfire.core import _trusted
 
 
 def antisym(left, index=None):
@@ -41,7 +41,7 @@ def passes_antisymmetry_check(values):
     differences); the lanes of an empty ``values`` are the source's own.
     """
     width = max(len(values) - 1, 0)
-    source = _trusted(Row, index=width, y_min=0, values=(1,) * width)
+    source = forged_row(width, 0, (1,) * width)
     real = core._diff_lanes
 
     def forced(r):
@@ -192,7 +192,7 @@ class TestRowMaxAbs:
         # entry of a corrupted row may be negative: (1, 2, 8) gives
         # (1, 1, 6, -8).  The left half peaks at 6, the lanes cannot prove
         # -8 >= -6, and the values decide.
-        d = diff_row(_trusted(Row, index=3, y_min=0, values=(1, 2, 8)))
+        d = diff_row(forged_row(3, 0, (1, 2, 8)))
         assert "values" not in vars(d)
         assert row_max_abs(d) == 8
         assert "values" in vars(d)
@@ -201,7 +201,7 @@ class TestRowMaxAbs:
     def test_exact_when_an_entry_passes_the_peak(self):
         # (4, 1, 6, 3, 3) gives (4, -3, 5, -3, 0, -3): the left half
         # (4, -3, 5) falls after 4, but 5 > 4 follows.
-        d = diff_row(_trusted(Row, index=4, y_min=0, values=(4, 1, 6, 3, 3)))
+        d = diff_row(forged_row(4, 0, (4, 1, 6, 3, 3)))
         assert row_max_abs(d) == 5
         assert d.values == (4, -3, 5, -3, 0, -3)
 
@@ -251,7 +251,7 @@ def antisymmetric_rows(draw):
     values = left + middle + left[::-1]
     y_min = draw(st.integers(min_value=0, max_value=3)) if values else 0
     index = max(y_min + len(values) - 1, 0) + draw(st.integers(min_value=0, max_value=3))
-    return diff_row(_trusted(Row, index=index, y_min=y_min, values=tuple(values)))
+    return diff_row(forged_row(index, y_min, values))
 
 
 @st.composite
@@ -260,7 +260,7 @@ def asymmetric_rows(draw):
     values = draw(st.lists(st.one_of(st.integers(1, 40), st.integers(1, 2**70)), min_size=1, max_size=9))
     y_min = draw(st.integers(min_value=0, max_value=3))
     index = y_min + len(values) - 1 + draw(st.integers(min_value=0, max_value=3))
-    return diff_row(_trusted(Row, index=index, y_min=y_min, values=tuple(values)))
+    return diff_row(forged_row(index, y_min, values))
 
 
 class TestLaneReaders:

@@ -1,4 +1,5 @@
-"""The command block under "## Command line" in README.md runs as written.
+"""The command block under "## Command line" in README.md runs as written,
+and the scorecard table matches the checks and the tests that break them.
 
 Every ``chipfire ...`` line of the block runs in process through
 ``cli.main``, in a temporary directory, and must exit 0.  The figures its
@@ -10,7 +11,8 @@ import re
 import shlex
 from pathlib import Path
 
-from chipfire import cli
+import test_checks
+from chipfire import checks, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -67,3 +69,32 @@ def test_command_block_runs(capsys, tmp_path, monkeypatch):
                 check(out, stated)
                 checked.append(pattern)
     assert sorted(checked) == sorted(FIGURES)
+
+
+def _scorecard_table() -> list[list[str]]:
+    """The cells of each row of the scorecard table, backticks dropped."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## The `verify` scorecard and the paper\n", 1)[1]
+    rows = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("|")]
+    return [[cell.strip().strip("`") for cell in row.strip("|").split("|")] for row in rows[2:]]
+
+
+#: The parts of the paper's abstract a scorecard line may check.
+SUBJECTS = {
+    "parity theorem", "top triangle", "midsection", "bottom triangle",
+    "row properties", "row count", "difference tables", "the game",
+}
+
+
+def test_scorecard_table():
+    table = _scorecard_table()
+    assert [row[0] for row in table] == list(checks.CHECK_NAMES)
+    assert {row[1] for row in table} <= SUBJECTS
+    flags = {r.name: r.advisory for r in checks.scorecard([6], oracle_trials=2)}
+    assert {name: kind == "advisory" for name, _, kind, _ in table} == flags
+    for name, _, _, fails in table:
+        keyed = re.fullmatch(r'(TABLE_CORRUPTIONS|DIFF_CORRUPTIONS)\["([\w-]+)"\]', fails)
+        if keyed:
+            assert keyed[2] == name and name in getattr(test_checks, keyed[1]), fails
+        else:
+            assert callable(getattr(test_checks.TestRerouteMutations, fails)), fails

@@ -85,7 +85,7 @@ class TestRecord:
                 hash(a)
         else:
             # The hash of the fields in order, so equal records hash alike.
-            assert hash(a) == hash(cls(**kwargs)) == hash(tuple(vars(a)[k] for k in vars(a)))
+            assert hash(a) == hash(cls(**kwargs)) == hash(tuple(vars(a)[k] for k in cls._fields))
 
     def test_fields_are_read_only(self, cls, args, kwargs, text):
         a = cls(*args)
