@@ -45,9 +45,10 @@ The folds read the packed rows, not their values: each heavy check calls
 the whole-row lane fold of :mod:`chipfire.core` that decides it and formats
 the detail from the one lane it reports, and the diagonal and row-start
 checks read single entries with ``Row.value_at``.  The lane folds of one
-row share one lane context that ``core`` keeps with the row (its
-difference lanes, their second differences and the lane constants), and
-the stable row carries its chip count, so each is computed once per row.
+row take its difference row and share the one lane context that the
+difference row keeps (its difference lanes, their second differences and
+the lane constants), and the stable row carries its chip count, so each is
+computed once per row.
 Without the oracle, only ``pascal-top-rows`` (rows 0..n) and
 ``last-row-pair`` (the last row) unpack rows; the oracle folds read
 ``Row.points()``, which unpacks every row they see (``run_checks(8,
@@ -175,7 +176,7 @@ def _monotone_steps(n: int) -> _Fold:
     # >= 1 onto it, mirror on the right, and the central pair of an
     # even-width row is equal.
     while (step := (yield)) is not None:
-        broken = _growth_break(step.row)
+        broken = _growth_break(step.diff)
         if broken is not None:
             y, d = broken
             return False, f"row {step.row.index}: step {d} at y={y} breaks the growth rule"
@@ -362,7 +363,7 @@ def _diff_antisymmetry(n: int) -> _Fold:
     # Each entry must cancel its mirror; a nonzero middle entry fails as
     # twice itself.
     while (step := (yield)) is not None:
-        if not _antisymmetric_diffs(step.diff.source):
+        if not _antisymmetric_diffs(step.diff):
             return False, f"difference row {step.diff.index}"
     return _PASS
 
@@ -399,7 +400,7 @@ def _diff_local_propagation(n: int) -> _Fold:
     above = None  # the difference row above and its rises
     while (step := (yield)) is not None:
         d = step.diff
-        rises, falls = _rises_and_falls(d.source)
+        rises, falls = _rises_and_falls(d)
         if above is not None:
             y = _propagation_break(above[0].source, above[1], d.source, falls)
             if y is not None:
@@ -412,7 +413,7 @@ def _diff_telescoping(n: int) -> _Fold:
     # Partial sums of a difference row rebuild its source row; the full sum
     # vanishes.
     while (step := (yield)) is not None:
-        broken = _telescoping_break(step.diff.source)
+        broken = _telescoping_break(step.diff)
         if broken is not None:
             k, total = broken
             if total is None:
@@ -624,10 +625,10 @@ def scorecard(
     selects it.
 
     A filter that names no check is refused with ``ValueError`` before
-    anything runs.
+    anything runs; so is an empty entry, which would select every check.
     """
     for p in properties or ():
-        if not any(_selects((p,), name) for name in CHECK_NAMES):
+        if not p or not any(_selects((p,), name) for name in CHECK_NAMES):
             raise ValueError(f"--properties filter {p!r} names no check")
     results = [minimal_descent_check()] if _selects(properties, "minimal-row-descent") else []
     for n in ns:

@@ -41,8 +41,8 @@ of its parents), so a lane chosen for row 0 holds every later row, and the
 maximum shrinks fast.  Every 64 rows the stream tests whether all entries
 fit the lane half as wide (``packed & ~keep == 0``, where ``keep`` holds
 the low ``W/2 - 2`` bits of every lane) and, if so, halves the lane by
-keeping the low half of every lane's bytes (``memoryview.cast`` to the
-half width, every second item).  At n = 18, 192 rows run in 32-bit lanes,
+reading the lanes off and packing them again, at most five times per
+stream (256 bits down to 8).  At n = 18, 192 rows run in 32-bit lanes,
 5 504 in 16-bit lanes and the last 14 in 8-bit lanes.
 
 The packed int is the one source of every row.  Every :class:`Row` holds
@@ -63,34 +63,34 @@ row alone and keeps only that row.  :func:`_diff_lanes` packs the first
 differences of the source row in the same format, as one whole-row
 expression, ``packed + bias - (packed << W)``, where ``bias`` holds
 ``2**(W-2)`` in every lane; it is the one builder of difference lanes.
-The first lane reader to need them calls :func:`_kept_diff_lanes`, the one
-place that builds the row's lane context, from ``_diff_lanes`` and one
-read of the constants, and keeps it with the row: the difference lanes,
-the row's all-ones and top-bit constants, and the second differences,
-biased by ``2**(W-1)``, so that their signs show in the lanes' top bits.
-Those take three more whole-row operations, ``diff + close - (diff << W)``,
-with one constant ``close`` that adds the bias to every lane and closes the
-row with its zero last entry.  The constants (the all-ones int, the top
-bits, ``bias`` and ``close``) depend only on the lane and the number of
-lanes, so :func:`_diff_constants` builds them once per ``(W, lanes)`` and
+:func:`_diff_context` builds the difference row's lane context from
+``_diff_lanes`` and one read of the constants: the difference lanes, the
+row's all-ones and top-bit constants, and the second differences, biased by
+``2**(W-1)``, so that their signs show in the lanes' top bits.  Those take
+three more whole-row operations, ``diff + close - (diff << W)``, with one
+constant ``close`` that adds the bias to every lane and closes the row with
+its zero last entry.  The constants (the all-ones int, the top bits,
+``bias`` and ``close``) depend only on the lane and the number of lanes, so
+:func:`_diff_constants` builds them once per ``(W, lanes)`` and
 ``functools.lru_cache`` keeps the last eight: widths move by one lane per
-row, so a few entries serve a whole stream.  Every fold of one pass reads
-the one context, so each row packs its differences and takes its second
-differences once.  The shape of a fresh difference
-row (its maximum and unimodality) takes nine Python calls in all:
-``diff_row`` and ``_trusted``, ``row_max_abs``, the ``_once`` read of
-``DiffRow._shape`` (two), :func:`_lane_shape`, ``_kept_diff_lanes``,
-``_diff_lanes`` and ``unimodal_check``.  :func:`_lane_shape` reads the
-unimodality and the largest entry of the difference row from it, with
-whole-row operations on nonnegative ints only (CPython runs ``~x`` and
-``x & -x`` through a two's-complement copy of the row), and
-:func:`_diff_values` reads its entries from the bare difference lanes,
-without the second differences that only the folds read: adding the bias
-once more and flipping each lane's top bit, ``(packed + bias) ^ top``,
-leaves every entry in two's complement, so
-``memoryview.cast("b"/"h"/"i"/"q")`` reads them as signed ints (lanes of
-128 or 256 bits, or a big-endian host, slice the bytes with
-``signed=True``).  ``difftable`` calls them and reads no lane itself.
+row, so a few entries serve a whole stream.  ``DiffRow`` keeps the context
+and its shape as :class:`_once` attributes, so every fold of one pass reads
+the one context, and each row packs its differences and takes its second
+differences once.  The shape of a fresh difference row (its maximum and
+unimodality) takes nine Python calls in all: ``diff_row`` and
+``_trusted``, ``row_max_abs``, the ``_once`` reads of ``DiffRow._lane_shape``
+and ``DiffRow._diff_context`` (two each), ``_diff_lanes`` and
+``unimodal_check``.  :func:`_lane_shape` reads the unimodality and the
+largest entry of the difference row from the context, with whole-row
+operations on nonnegative ints only (CPython runs ``~x`` and ``x & -x``
+through a two's-complement copy of the row), and :func:`_diff_values`
+reads its entries from the bare difference lanes, without the second
+differences that only the folds read: adding the bias once more and
+flipping each lane's top bit, ``(packed + bias) ^ top``, leaves every entry
+in two's complement, so ``memoryview.cast("b"/"h"/"i"/"q")`` reads them as
+signed ints (lanes of 128 or 256 bits, or a big-endian host, slice the
+bytes with ``signed=True``).  ``difftable`` calls them and reads no lane
+itself.
 
 The distance counts of :mod:`chipfire.stable` are lanes too.
 :class:`_DistanceCounts` keeps one int with a lane per distance ``y - x``
@@ -111,7 +111,7 @@ Python object per entry):
 - ``row-contiguity`` (:func:`_has_gap`) is the SWAR zero-lane test;
 - ``monotone-steps`` (:func:`_growth_break`) and ``diff-local-propagation``
   (:func:`_rises_and_falls`, :func:`_propagation_break`) read the top bits
-  of the kept biased first and second differences;
+  of the biased first and second differences of the context;
 - ``bottom-minimal-rows`` (:func:`_is_minimal`, exported by
   :mod:`chipfire.structure` as ``is_minimal``) compares a row with the
   packed minimal row of its width and lane, built once
@@ -221,7 +221,8 @@ class _Record:
     ``__init__`` writes them into the instance's ``__dict__``.  The fields
     are read with ``getattr``, so a field that a record computes on first
     read (the values of a kernel row) is computed here too, and nothing else
-    the instance keeps (lazy attributes, kept lane contexts) takes part.
+    the instance keeps (its packed view, its other :class:`_once`
+    attributes) takes part.
     """
 
     _fields: tuple[str, ...]
@@ -413,20 +414,12 @@ def _narrowed(packed: int, width: int, lane: int) -> tuple[int, int]:
     """``(packed, lane)`` with the lane halved as often as the entries allow.
 
     An entry fits the half lane when it is below ``2**(lane/2 - 2)``; the
-    low half of each lane is then the first half of its bytes.
+    lanes are then read off and packed again in the half lane.  That runs
+    at most five times per stream (256 bits down to 8), so it takes the
+    plain route.
     """
-    while lane > 8:
-        half = lane // 2
-        keep = (1 << half - 2) - 1
-        if packed & ~_repeat(keep, lane, width):
-            break
-        raw = packed.to_bytes(width * lane // 8, "little")
-        size = half // 8
-        if size in _FORMATS:
-            kept = memoryview(raw).cast(_FORMATS[size])[::2]
-        else:
-            kept = b"".join(raw[k : k + size] for k in range(0, len(raw), 2 * size))
-        packed, lane = int.from_bytes(kept, "little"), half
+    while lane > 8 and not packed & ~_repeat((1 << lane // 2 - 2) - 1, lane, width):
+        packed, lane = _pack(_lanes(packed, width, lane), lane // 2), lane // 2
     return packed, lane
 
 
@@ -473,7 +466,7 @@ def next_row(r: Row) -> Row:
 def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
     """``(ones, top, bias, close)`` of a difference row of ``lanes`` lanes:
     1 in each lane, the top bit of each, ``2**(lane-2)`` in each, and the
-    term that closes the second differences (:func:`_kept_diff_lanes`)."""
+    term that closes the second differences (:func:`_diff_context`)."""
     ones = _ones(lane, lanes)
     top = ones << lane - 1
     # ``diff + close - (diff << lane)`` holds ``2**(lane-1)`` plus the
@@ -554,31 +547,24 @@ class _DistanceCounts:
         return {self.low + j: c for j, c in enumerate(lanes) if c}
 
 
-def _kept_diff_lanes(source: Row) -> tuple[int, int, int, int, int]:
+def _diff_context(d) -> tuple[int, int, int, int, int]:
     """``(packed, lane, ones, top, second)``, the lane context of the
-    difference row of ``source``, built on the first call and kept with the
-    row, since every lane fold of one pass reads it.  This is the one place
-    a context is built.
+    difference row ``d`` that every lane fold reads; ``DiffRow`` keeps it as
+    a :class:`_once` attribute, so one pass builds it once per row.
 
-    ``packed`` and ``lane`` are :func:`_diff_lanes`; ``ones`` holds 1 in each
-    of the difference row's ``source.width + 1`` lanes and ``top`` the top
-    bit of each.  ``second`` holds the second differences, closed by the
-    zero entry past the row: lane j holds ``e_j - e_{j-1} + 2**(lane-1)``
-    for j = 0 .. ``source.width + 1`` (``e`` is zero outside the row).  Every
-    entry lies strictly between ``-2**(lane-2)`` and ``2**(lane-2)``, so
-    every lane of ``second`` is positive and below ``2**lane``, and no
-    borrow crosses a lane.
+    ``packed`` and ``lane`` are :func:`_diff_lanes` of ``d.source``;
+    ``ones`` holds 1 in each of the difference row's ``source.width + 1``
+    lanes and ``top`` the top bit of each.  ``second`` holds the second
+    differences, closed by the zero entry past the row: lane j holds
+    ``e_j - e_{j-1} + 2**(lane-1)`` for j = 0 .. ``source.width + 1`` (``e``
+    is zero outside the row).  Every entry lies strictly between
+    ``-2**(lane-2)`` and ``2**(lane-2)``, so every lane of ``second`` is
+    positive and below ``2**lane``, and no borrow crosses a lane.
     """
-    kept = source.__dict__
-    context = kept.get("_diff_lanes")
-    if context is None:
-        packed, lane = _diff_lanes(source)
-        lanes = source.width + 1
-        ones, top, _, close = _diff_constants(lane, lanes)
-        context = kept["_diff_lanes"] = (
-            packed, lane, ones, top, packed + close - (packed << lane)
-        )
-    return context
+    source = d.source
+    packed, lane = _diff_lanes(source)
+    ones, top, _, close = _diff_constants(lane, source.width + 1)
+    return packed, lane, ones, top, packed + close - (packed << lane)
 
 
 def _diff_values(source: Row) -> tuple[int, ...]:
@@ -598,11 +584,11 @@ def _diff_values(source: Row) -> tuple[int, ...]:
     return tuple(_lanes((packed + bias) ^ top, lanes, lane, signed=True))
 
 
-def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
-    """The shape of the difference row of ``source`` read off its kept lanes
-    (:func:`_kept_diff_lanes`): whether its first ``half`` entries are
-    unimodal, and its largest absolute entry, or None where the lanes cannot
-    prove it.
+def _lane_shape(d) -> tuple[bool, int | None]:
+    """The shape of the difference row ``d`` read off its lane context
+    (:func:`_diff_context`): whether its left half (its first ``half``
+    entries, those with ``y <= x``) is unimodal, and its largest absolute
+    entry, or None where the lanes cannot prove it.
 
     Lane j of the second differences holds ``s_j + 2**(lane-1)`` with
     ``s_j = e_j - e_{j-1}`` and ``e_{-1} = 0`` (the implicit margin).  Its
@@ -626,11 +612,14 @@ def _lane_shape(source: Row, half: int) -> tuple[bool, int | None]:
     ``&`` of a negative int through a two's-complement copy of the whole
     row, so a clear bit is read as ``x ^ (x & y)`` instead of ``x & ~y``.
     """
-    packed, lane, ones, top, second = _kept_diff_lanes(source)
+    packed, lane, ones, top, second = d._diff_context
     bias = 1 << lane - 2
+    width = d.source.width
+    # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
+    half = min(max(d.index // 2 - d.y_min + 1, 0), width + 1 if width else 0)
     # The top bits of the first ``half`` lanes: every lane of ``top`` is
     # alike, so dropping its upper lanes shifts the rest into place.
-    tops = top >> (source.width + 1 - half) * lane
+    tops = top >> (width + 1 - half) * lane
     falls = tops ^ (second & tops)
     if falls:
         # Bit ``low - 1`` is the top bit of the lane of the first fall.
@@ -698,8 +687,9 @@ def _has_gap(r: Row) -> bool:
     return bool((r.packed - (ones >> lane)) & top)
 
 
-def _growth_break(r: Row) -> tuple[int, int] | None:
-    """``(y, step)`` of the first step of ``r`` that breaks the growth rule.
+def _growth_break(d) -> tuple[int, int] | None:
+    """``(y, step)`` of the first step of the source row of the difference
+    row ``d`` that breaks the growth rule.
 
     Step k, from ``y_min + k`` to the next position, is ``v[k+1] - v[k]``:
     lane ``k + 1`` of :func:`_diff_lanes`, which holds it plus
@@ -709,6 +699,7 @@ def _growth_break(r: Row) -> tuple[int, int] | None:
     steps touching the diagonal are read one by one: at least 1 onto it, at
     most -1 off it, 0 across the central pair of an even-width row.
     """
+    r = d.source
     i, y0, steps = r.index, r.y_min, r.width - 1
     if steps <= 0:
         return None
@@ -716,7 +707,7 @@ def _growth_break(r: Row) -> tuple[int, int] | None:
     # ``right`` on strictly right of it.
     left = min(max((i - 1) // 2 - y0, 0), steps)
     right = min(max((i + 2) // 2 - y0, left), steps)
-    packed, lane, ones, top, _ = _kept_diff_lanes(r)
+    packed, lane, ones, top, _ = d._diff_context
     bias = 1 << lane - 2
     # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps;
     # a bad lane is one whose top bit is clear, read without negative ints
@@ -777,35 +768,35 @@ def _is_minimal(r: Row) -> bool:
     return r.packed == _packed_minimal(width, lane)
 
 
-def _antisymmetric_diffs(source: Row) -> bool:
-    """Whether every entry of the difference row of ``source`` cancels its
-    mirror.
+def _antisymmetric_diffs(d) -> bool:
+    """Whether every entry of the difference row ``d`` cancels its mirror.
 
     Lane k of ``2 * 2**(lane-2) * ones - packed`` holds minus entry k,
     biased like ``packed``; the row is antisymmetric when those lanes are
     the lanes of ``packed`` in reverse order.
     """
-    packed, lane, _, top, _ = _kept_diff_lanes(source)
-    return _reversed(packed, top - packed, source.width + 1, lane)
+    packed, lane, _, top, _ = d._diff_context
+    return _reversed(packed, top - packed, d.source.width + 1, lane)
 
 
-def _rises_and_falls(source: Row) -> tuple[int, int]:
-    """Where the difference row of ``source`` weakly rises, and where it
-    strictly falls, one byte each.
+def _rises_and_falls(d) -> tuple[int, int]:
+    """Where the difference row ``d`` weakly rises, and where it strictly
+    falls, one byte each.
 
     Byte j of the first is 1 when entry j is at least entry j - 1, for
     j = 0 .. width of the difference row (entries outside it are 0), and
     byte j of the second is 1 where that byte of the first is 0.  Lane j of
-    the kept second differences (:func:`_kept_diff_lanes`) holds
+    the second differences of its lane context (:func:`_diff_context`) holds
     ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit is the rise flag; the
     top byte of each lane, translated to its top bit or to that bit's
     complement, becomes that lane's byte.
     """
-    if not source.width:
+    width = d.source.width
+    if not width:
         return 0, 0
-    _, lane, _, _, second = _kept_diff_lanes(source)
+    _, lane, _, _, second = d._diff_context
     size = lane // 8
-    raw = second.to_bytes((source.width + 2) * size, "little")[size - 1 :: size]
+    raw = second.to_bytes((width + 2) * size, "little")[size - 1 :: size]
     return (
         int.from_bytes(raw.translate(_TOP_BIT), "little"),
         int.from_bytes(raw.translate(_TOP_CLEAR), "little"),
@@ -834,8 +825,9 @@ def _propagation_break(above: Row, above_rises: int, below: Row, below_falls: in
     return y_min + _lowest_lane(hits, 8) if hits else None
 
 
-def _telescoping_break(source: Row) -> tuple[int, int | None] | None:
-    """Where the partial sums of the difference row of ``source`` fail.
+def _telescoping_break(d) -> tuple[int, int | None] | None:
+    """Where the partial sums of the difference row ``d`` fail to rebuild
+    its source row.
 
     ``(k, None)`` when the sum up to position k misses entry k of the row,
     ``(width, total)`` when all match but the full sum ``total`` is not 0,
@@ -849,10 +841,11 @@ def _telescoping_break(source: Row) -> tuple[int, int | None] | None:
     lies in the lowest lane that differs, because no difference there
     reaches ``2**lane``.
     """
+    source = d.source
     width = source.width
     if not width:
         return None
-    packed, lane, ones, _, _ = _kept_diff_lanes(source)
+    packed, lane, ones, _, _ = d._diff_context
     span = (width + 1) * lane
     sums = packed - (ones << lane - 2)
     shift = lane

@@ -22,18 +22,16 @@ bias once more and flipping each lane's top bit leaves every entry in two's
 complement, which ``memoryview.cast`` reads as signed ints (lanes wider
 than 64 bits by slicing the bytes).  The sign maps and the CLI read them.
 :func:`unimodal_check` and :func:`row_max_abs` read no values: they read
-the lane context that ``core._kept_diff_lanes`` builds and keeps with the
-source row, the difference lanes with their second differences, which
-every lane fold of ``verify`` shares.  The signs of the second differences
-give the shape of the left half, and two lane comparisons prove that the
-left half's peak bounds every entry.  Only a row that fails that proof
-(never a row of a correct table) has its largest entry taken from its
-values.  Both the values and that shape are computed on first read and
-kept in the row (``core._once``).  The shape is read once per streamed row,
-so its path is kept short: ``DiffRow._shape`` computes the left half's
-length from its own fields and ``row_max_abs`` reads the source row's
-width, which makes nine Python calls per fresh row for both readers
-together (see ``core``).
+the row's lane context, built by ``core._diff_context`` and kept in the
+row: the difference lanes with their second differences, which every lane
+fold of ``verify`` shares.  The signs of the second differences give the
+shape of the left half, and two lane comparisons prove that the left
+half's peak bounds every entry.  Only a row that fails that proof (never a
+row of a correct table) has its largest entry taken from its values.  The
+values, the lane context and the shape are each computed on first read and
+kept in the row (``core._once``): the shape is read once per streamed row,
+and it takes nine Python calls per fresh row for both readers together
+(see ``core``).
 
 Nothing here checks antisymmetry: the source rows of a table are not
 validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
@@ -47,6 +45,7 @@ from typing import Iterator, NamedTuple
 
 from .core import (
     Row,
+    _diff_context,
     _diff_values,
     _Record,
     _lane_shape,
@@ -73,6 +72,11 @@ class DiffRow(_Record):
     def values(self) -> tuple[int, ...]:
         return _diff_values(self.source)
 
+    # A _once keeps its value under its function's name, so each of these
+    # is bound to the name of its core builder.
+    _diff_context = _once(_diff_context)
+    _lane_shape = _once(_lane_shape)
+
     @property
     def width(self) -> int:
         return self.source.width + 1 if self.source.width else 0
@@ -84,17 +88,6 @@ class DiffRow(_Record):
     def _half(self) -> int:
         # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
         return min(max(self.index // 2 - self.y_min + 1, 0), self.width)
-
-    @_once
-    def _shape(self) -> tuple[bool, int | None]:
-        # Whether the left half is unimodal, and the largest absolute entry
-        # where the lanes prove it: both come from one pass over the lanes.
-        # The half is _half, read straight off the fields: this runs once
-        # per streamed row, and each call it saves is a measurable share.
-        source = self.source
-        width = source.width
-        half = min(max(self.index // 2 - self.y_min + 1, 0), width + 1 if width else 0)
-        return _lane_shape(source, half)
 
     def left_half(self) -> tuple[int, ...]:
         """Entries at positions with ``y <= x`` (the diagonal included)."""
@@ -122,7 +115,7 @@ def row_max_abs(d: DiffRow) -> int:
     """
     if not d.source.width:
         return 0
-    top = d._shape[1]
+    top = d._lane_shape[1]
     if top is None:
         top = max(max(d.values), -min(d.values))
     return top
@@ -135,7 +128,7 @@ def unimodal_check(d: DiffRow) -> bool:
     row whose first stored entry is already its peak still counts.  It is
     unimodal exactly when no strict rise follows a strict fall.
     """
-    return d._shape[0]
+    return d._lane_shape[0]
 
 
 class SignRow(NamedTuple):

@@ -66,6 +66,12 @@ class TestRunChecks:
         assert results
         assert all("diff" in r.name for r in results)
 
+    def test_empty_filter_entry_names_no_check(self):
+        # An empty entry is a substring of every name; it is refused
+        # rather than selecting the whole scorecard.
+        with pytest.raises(ValueError, match="filter '' names no check"):
+            checks.scorecard([5], ["row", ""])
+
     @pytest.mark.parametrize(
         "filters",
         [[name] for name in checks.CHECK_NAMES]
@@ -518,8 +524,9 @@ class TestSinglePass:
     def test_one_lane_context_per_row(self, monkeypatch, table):
         # The difference lanes, their second differences and the row's lane
         # constants are built once per row and shared by every lane fold:
-        # core._kept_diff_lanes, the one place a context is built, calls
-        # core._diff_lanes once per row, and only while building it.
+        # core._diff_context, the one place a context is built, is kept on
+        # the difference row and calls core._diff_lanes once per row, and
+        # only while building it.
         seen = []
         real = core._diff_lanes
 

@@ -357,6 +357,12 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "chipfire: --properties filter 'row-symetry' names no check\n"
 
+    @pytest.mark.parametrize("spelling", ["row,", ",row", "row,,diff"])
+    def test_empty_filter_entry_is_refused(self, capsys, spelling):
+        rc, out, err = run(capsys, "verify", "--n", "5", "--trials", "0", "--properties", spelling)
+        assert (rc, out) == (2, "")
+        assert err == "chipfire: --properties filter '' names no check\n"
+
     @pytest.mark.parametrize("name", ["minimal-row-descent", "oracle", "bottom-triangle"])
     def test_filters_match_every_kind_of_check(self, capsys, name):
         rc, out, err = run(capsys, "verify", "--n", "3", "--properties", name, "--trials", "0")

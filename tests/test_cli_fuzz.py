@@ -95,7 +95,7 @@ GRAMMAR = {
             "--properties",
             st.lists(st.sampled_from([*checks.CHECK_NAMES, "diff", "oracle"]),
                      min_size=1, max_size=3).map(",".join),
-            st.sampled_from(["no-such-check", "diff,no-such-check"]),
+            st.sampled_from(["no-such-check", "diff,no-such-check", "row,", ",diff"]),
         ),
         option("--trials", *ints(-3, 3, [str(oracle.MAX_TRIALS + 1), HUGE, "x", ""])),
         option("--seed", *ints(-3, 3, ["x", ""])),

@@ -450,13 +450,13 @@ class TestLaneFolds:
         # Row 4: step 0 lies left of the diagonal y = 2, steps 1 and 2 touch
         # it, step 3 lies right of it.
         row = forged_row(4, 0, values)
-        assert core._growth_break(row) == expected
+        assert core._growth_break(diff_row(row)) == expected
 
     @pytest.mark.parametrize("values,expected", [((2, 5, 5, 2), None), ((2, 5, 6, 2), (2, 1))])
     def test_growth_break_across_the_central_pair(self, values, expected):
         # Row 5 of width 4: the central pair straddles the diagonal.
         row = forged_row(5, 1, values)
-        assert core._growth_break(row) == expected
+        assert core._growth_break(diff_row(row)) == expected
 
     def test_constructor_row_keeps_its_packed_view(self, monkeypatch):
         # A row built from its values packs them once, when it is built, and
@@ -490,9 +490,10 @@ def reference_diffs(values):
 
 
 def reference_context(row):
-    """``core._kept_diff_lanes`` of ``row``, lane by lane: the biased first
-    differences, the ones and top bits of their lanes, and the biased
-    second differences closed by the zero past the row."""
+    """``core._diff_context`` of the difference row of ``row``, lane by
+    lane: the biased first differences, the ones and top bits of their
+    lanes, and the biased second differences closed by the zero past the
+    row."""
     lane, diffs = row.lane, reference_diffs(row.values)
     seconds = map(sub, (*diffs, 0), (0, *diffs))
     return (
@@ -543,48 +544,49 @@ def reference_growth_break(row):
 
 @st.composite
 def wide_lane_rows(draw):
-    """Unchecked rows in 128- or 256-bit lanes, with a left half cut
-    anywhere; a mirrored sorted row gives a shape the lanes can prove."""
+    """Unchecked rows in 128- or 256-bit lanes, placed anywhere from wholly
+    left of the diagonal to wholly right of it, so that the left half of
+    their difference row takes every length from 0 to its width; a mirrored
+    sorted row gives a shape the lanes can prove."""
     lane = draw(st.sampled_from([128, 256]))
     entries = st.one_of(st.integers(1, 9), st.integers(1, (1 << lane - 2) - 1))
     values = draw(st.lists(entries, max_size=9))
     if draw(st.booleans()):
         values = sorted(values) + sorted(values, reverse=True)
-    y_min = draw(st.integers(min_value=0, max_value=3)) if values else 0
-    index = y_min + max(len(values) - 1, 0) + draw(st.integers(min_value=0, max_value=3))
-    row = forged_row(index, y_min, values, lane)
-    return row, draw(st.integers(min_value=0, max_value=len(values) + 1))
+    width = len(values)
+    y_min = draw(st.integers(min_value=0, max_value=width + 3)) if values else 0
+    index = y_min + max(width - 1, 0) + draw(st.integers(min_value=0, max_value=width + 3))
+    return forged_row(index, y_min, values, lane)
 
 
 class TestDiffLaneShape:
     """The lane context of a difference row and the folds that read it,
     against their entry-by-entry references."""
 
+    @staticmethod
+    def assert_match(r):
+        d = diff_row(r)
+        assert core._diff_context(d) == reference_context(r)
+        assert core._lane_shape(d) == reference_lane_shape(r.values, d._half())
+        assert core._growth_break(d) == reference_growth_break(r)
+
     def test_match_the_references_on_real_tables(self, table):
         for n in range(19):
             for r in table(n):
-                assert core._kept_diff_lanes(r) == reference_context(r)
-                half = diff_row(r)._half()
-                assert core._lane_shape(r, half) == reference_lane_shape(r.values, half)
-                assert core._growth_break(r) == reference_growth_break(r)
+                self.assert_match(r)
 
     @pytest.mark.parametrize("exponent,lane", [(100, 128), (126, 256)])
     def test_match_the_references_on_wide_lanes(self, exponent, lane):
         r = initial_row(exponent)
         for _ in range(40):
             assert r.lane == lane
-            assert core._kept_diff_lanes(r) == reference_context(r)
-            half = diff_row(r)._half()
-            assert core._lane_shape(r, half) == reference_lane_shape(r.values, half)
-            assert core._growth_break(r) is reference_growth_break(r) is None
+            self.assert_match(r)
+            assert reference_growth_break(r) is None
             r = next_row(r)
 
     @given(wide_lane_rows())
-    def test_match_the_references(self, row_half):
-        row, half = row_half
-        assert core._kept_diff_lanes(row) == reference_context(row)
-        assert core._lane_shape(row, half) == reference_lane_shape(row.values, half)
-        assert core._growth_break(row) == reference_growth_break(row)
+    def test_match_the_references(self, row):
+        self.assert_match(row)
 
     def test_constant_caches_stay_small(self, monkeypatch):
         # Widths move by one lane per row, so the last eight constants that

@@ -323,8 +323,8 @@ class TestLaneReaders:
         assert shapes(14) == expected
 
     def test_one_difference_lane_build_per_row(self, monkeypatch):
-        # The shape reads the lane context of the source row, built once by
-        # core._kept_diff_lanes through core._diff_lanes.
+        # The shape reads the lane context of the difference row, built once
+        # by core._diff_context through core._diff_lanes.
         seen = []
         real = core._diff_lanes
 

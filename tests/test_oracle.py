@@ -175,6 +175,30 @@ class TestConfluence:
         report = confluence_check(1, trials=3)
         assert report.passed and report.moves == 1
 
+    @pytest.mark.parametrize("moved,expected", [
+        (True, ("fifo-queue: stable grid differs from random[0]",)),
+        (False, ()),
+    ])
+    def test_a_run_is_compared_point_by_point(self, monkeypatch, moved, expected):
+        # The fifo-queue run either moves one chip one step right or only
+        # carries an extra point holding no chips and no firings.
+        real = oracle.simulate
+
+        def patched(n, strategy, **kwargs):
+            state = real(n, strategy, **kwargs)
+            if strategy == "fifo-queue":
+                if moved:
+                    x, y = next(iter(state.chips))
+                    state.chips[x, y] -= 1
+                    state.chips[x + 1, y] += 1
+                else:
+                    state.chips[99, 99] = state.firings[99, 99] = 0
+            return state
+
+        monkeypatch.setattr(oracle, "simulate", patched)
+        report = confluence_check(4, trials=2)
+        assert (report.passed, report.mismatches) == (not expected, expected)
+
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             confluence_check(3, trials=1)

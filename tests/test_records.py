@@ -18,7 +18,8 @@ from chipfire import (
     SequenceTable,
     StableRow,
 )
-from chipfire.core import _kept_diff_lanes, _Record, intermediate_configuration
+from chipfire import checks
+from chipfire.core import _Record, intermediate_configuration
 from chipfire.difftable import diff_row, unimodal_check
 from chipfire.render import RenderSpec
 from chipfire.stable import stable_row
@@ -163,18 +164,28 @@ class TestLazyStateStaysOut:
         assert "values" in vars(r)
         _same_record(r, twin)
 
-    def test_source_row_with_kept_lane_context(self):
-        r = _streamed_row()
-        _kept_diff_lanes(r)
-        assert "_diff_lanes" in vars(r)
-        _same_record(r, self.twin())
+    def test_streamed_rows_keep_only_their_fields_and_packed_view(self, monkeypatch):
+        # Every lane fold of a verify pass reads its context off the
+        # difference row, so nothing is written into the source rows.
+        streamed = []
+        real = checks.intermediate_configuration
+
+        def kept(n):
+            for r in real(n):
+                streamed.append(r)
+                yield r
+
+        monkeypatch.setattr(checks, "intermediate_configuration", kept)
+        assert checks.failures(checks.run_checks(12)) == []
+        assert streamed
+        for r in streamed:
+            assert set(vars(r)) <= {"index", "y_min", "packed", "lane", "width", "values"}
 
     def test_difference_row_after_its_shape_and_values(self):
         d = diff_row(_streamed_row())
         unimodal_check(d)
         assert d.values
-        assert {"_shape", "values"} <= set(vars(d))
-        assert "_diff_lanes" in vars(d.source)
+        assert {"_diff_context", "_lane_shape", "values"} <= set(vars(d))
         _same_record(d, DiffRow(d.index, d.y_min, self.twin()))
 
     def test_stable_row_after_its_chip_count(self):
