@@ -185,9 +185,8 @@ def _monotone_steps(n: int) -> _Fold:
 
 def _pascal_top_rows(n: int) -> _Fold:
     for i in range(n + 1):
-        if (step := (yield)) is None:
-            break
-        if step.row != structure.pascal_row(n, i):
+        step = yield
+        if step is None or step.row != structure.pascal_row(n, i):
             return False, f"row {i} is not the scaled binomial row"
     return _PASS
 
@@ -285,7 +284,7 @@ def _row_bound(n: int) -> _Fold:
     while (step := (yield)) is not None:
         last = step.row.index
     bound = row_bound(n)
-    return last <= bound, f"last nonzero row {last}, bound {bound}"
+    return last is not None and last <= bound, f"last nonzero row {last}, bound {bound}"
 
 
 def _last_row_pair(n: int) -> _Fold:
@@ -294,7 +293,8 @@ def _last_row_pair(n: int) -> _Fold:
     last = None
     while (step := (yield)) is not None:
         last = step.row
-    return last.values == (1, 1), f"last row values {last.values}"
+    values = last.values if last is not None else ()
+    return values == (1, 1), f"last row values {values}"
 
 
 def _bottom_minimal_rows(n: int) -> _Fold:
@@ -448,29 +448,26 @@ def _grid_match(grid: dict[oracle.Point, int], entry: Callable, detail: str) -> 
     return met == len(grid), detail
 
 
-def _oracle_folds(n: int, trials: int, seed: int) -> dict[str, Callable[[int], _Fold]]:
-    """The oracle cross-checks of one confluence check, as folds."""
-    report = oracle.confluence_check(n, trials=trials, seed=seed)
-    state = report.row_by_row
-    confluence = (
+#: The oracle cross-checks in scorecard order, reported after the folds: each
+#: builds its fold from the confluence check of the pass.
+_ORACLE_FOLDS: dict[str, Callable[[oracle.ConfluenceReport], _Fold]] = {
+    "oracle-confluence": lambda report: _settled((
         report.passed,
         f"{report.runs} runs, {report.moves} moves"
         + (f"; {report.mismatches[0]}" if report.mismatches else ""),
-    )
-    return {
-        "oracle-confluence": lambda n: _settled(confluence),
-        "oracle-arrivals": lambda n: _grid_match(
-            oracle.arrivals(state), lambda v: v, "arrival grid matches the streamed table"
-        ),
-        "oracle-firing-counts": lambda n: _grid_match(
-            state.nonzero_firings(), lambda v: v >> 1 if v >= 2 else None,
-            "every point fired F // 2 times",
-        ),
-        "oracle-stable-parity": lambda n: _grid_match(
-            state.nonzero_chips(), lambda v: 1 if v & 1 else None,
-            "stable chips sit exactly on odd arrival counts",
-        ),
-    }
+    )),
+    "oracle-arrivals": lambda report: _grid_match(
+        oracle.arrivals(report.row_by_row), lambda v: v, "arrival grid matches the streamed table"
+    ),
+    "oracle-firing-counts": lambda report: _grid_match(
+        report.row_by_row.nonzero_firings(), lambda v: v >> 1 if v >= 2 else None,
+        "every point fired F // 2 times",
+    ),
+    "oracle-stable-parity": lambda report: _grid_match(
+        report.row_by_row.nonzero_chips(), lambda v: 1 if v & 1 else None,
+        "stable chips sit exactly on odd arrival counts",
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -518,18 +515,9 @@ _REPORTS: dict[str, Callable[[int], _Fold]] = {
     "bottom-triangle-conjecture": _bottom_triangle_conjecture,
 }
 
-
-#: The oracle cross-checks, in scorecard order, reported after the folds.
-_ORACLE_CHECKS = (
-    "oracle-confluence",
-    "oracle-arrivals",
-    "oracle-firing-counts",
-    "oracle-stable-parity",
-)
-
 #: Every check name, in scorecard order; ``verify --properties`` filters
 #: match against these.
-CHECK_NAMES = ("minimal-row-descent", *_FOLDS, *_ORACLE_CHECKS, *_REPORTS)
+CHECK_NAMES = ("minimal-row-descent", *_FOLDS, *_ORACLE_FOLDS, *_REPORTS)
 
 
 def _selects(properties: Sequence[str] | None, name: str) -> bool:
@@ -578,17 +566,15 @@ def run_checks(
     checked first, whatever the filter selects.
     """
     _check_exponent(n)
-    oracle_folds = {}
-    if oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT:
-        if any(_selects(properties, name) for name in _ORACLE_CHECKS):
-            oracle_folds = _oracle_folds(n, oracle_trials, seed)
-    makers = {**_FOLDS, **oracle_folds, **_REPORTS}
+    makers = {**_FOLDS, **_REPORTS}
+    folds = {name: make(n) for name, make in makers.items() if _selects(properties, name)}
+    oracle_names = [name for name in _ORACLE_FOLDS if _selects(properties, name)]
+    if oracle_names and oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT:
+        report = oracle.confluence_check(n, trials=oracle_trials, seed=seed)
+        folds.update((name, _ORACLE_FOLDS[name](report)) for name in oracle_names)
     verdicts: dict[str, _Verdict] = {}
     active: dict[str, _Fold] = {}
-    for name, make in makers.items():
-        if not _selects(properties, name):
-            continue
-        fold = make(n)
+    for name, fold in folds.items():
         verdict = _advance(fold, None)
         if verdict is None:
             active[name] = fold
@@ -624,9 +610,12 @@ def scorecard(
     :func:`run_checks` for each n of ``ns``, each kept when ``properties``
     selects it.
 
-    A filter that names no check is refused with ``ValueError`` before
-    anything runs; so is an empty entry, which would select every check.
+    A trial count past the oracle's cap, and a filter that names no check,
+    are refused with ``ValueError`` before anything runs; so is an empty
+    filter entry, which would select every check.
     """
+    if oracle_trials >= 2:
+        oracle.check_trials(oracle_trials)
     for p in properties or ():
         if not p or not any(_selects((p,), name) for name in CHECK_NAMES):
             raise ValueError(f"--properties filter {p!r} names no check")

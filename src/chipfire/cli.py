@@ -327,10 +327,8 @@ def _cmd_sequences(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import checks, oracle
+    from . import checks
 
-    if args.trials >= 2:
-        oracle.check_trials(args.trials)
     properties = args.properties.split(",") if args.properties else None
     results = checks.scorecard(args.n, properties, args.trials, args.seed)
     failed = checks.failures(results)

@@ -76,11 +76,7 @@ its zero last entry.  The constants (the all-ones int, the top bits,
 row, so a few entries serve a whole stream.  ``DiffRow`` keeps the context
 and its shape as :class:`_once` attributes, so every fold of one pass reads
 the one context, and each row packs its differences and takes its second
-differences once.  The shape of a fresh difference row (its maximum and
-unimodality) takes nine Python calls in all: ``diff_row`` and
-``_trusted``, ``row_max_abs``, the ``_once`` reads of ``DiffRow._lane_shape``
-and ``DiffRow._diff_context`` (two each), ``_diff_lanes`` and
-``unimodal_check``.  :func:`_lane_shape` reads the unimodality and the
+differences once.  :func:`_lane_shape` reads the unimodality and the
 largest entry of the difference row from the context, with whole-row
 operations on nonnegative ints only (CPython runs ``~x`` and ``x & -x``
 through a two's-complement copy of the row), and :func:`_diff_values`
@@ -144,9 +140,8 @@ builds only the difference and stable rows of the other modules, once per
 row, which have nothing to validate and so skip only the call of their
 ``__init__``; their values computed on first read are :class:`_once`
 attributes, which take no lock, unlike ``functools.cached_property``.
-Together the two cut the difference-row loop of the ``stream`` workload by
-17 % and a ``verify`` pass by 8 %, both over the n = 18 rows (Python 3.11,
-one CPU of a 2-vCPU host).
+Both run once per streamed row, so both save time on every pass over a
+table.
 
 The records of the package (:class:`Row` and the results of the other
 modules) derive from :class:`_Record`.  Each writes its fields into the
@@ -629,8 +624,6 @@ def _lane_shape(d) -> tuple[bool, int | None]:
     else:
         unimodal, peak = True, half - 1
     c = (packed >> peak * lane & (1 << lane) - 1) - bias if peak >= 0 else 0
-    if c < 0:
-        return unimodal, None
     m = (c + bias) * ones
     if (m + top - packed) & (packed + m) & top != top:
         return unimodal, None
@@ -843,8 +836,6 @@ def _telescoping_break(d) -> tuple[int, int | None] | None:
     """
     source = d.source
     width = source.width
-    if not width:
-        return None
     packed, lane, ones, _, _ = d._diff_context
     span = (width + 1) * lane
     sums = packed - (ones << lane - 2)

@@ -29,9 +29,8 @@ shape of the left half, and two lane comparisons prove that the left
 half's peak bounds every entry.  Only a row that fails that proof (never a
 row of a correct table) has its largest entry taken from its values.  The
 values, the lane context and the shape are each computed on first read and
-kept in the row (``core._once``): the shape is read once per streamed row,
-and it takes nine Python calls per fresh row for both readers together
-(see ``core``).
+kept in the row (``core._once``), so the two readers of the shape share one
+computation of it per streamed row.
 
 Nothing here checks antisymmetry: the source rows of a table are not
 validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
@@ -113,8 +112,6 @@ def row_max_abs(d: DiffRow) -> int:
     to be the answer on every row of a correct table; any other row falls
     back to its values.
     """
-    if not d.source.width:
-        return 0
     top = d._lane_shape[1]
     if top is None:
         top = max(max(d.values), -min(d.values))

@@ -8,6 +8,7 @@ asserted where stated.
 
 import json
 import time
+from pathlib import Path
 
 import golden
 import peak_rss
@@ -169,47 +170,18 @@ def test_c09_conjecture_report(capsys):
     )
 
 
-_STREAM_CHILD = """
-import json, time
-from chipfire.core import intermediate_configuration
-from chipfire.difftable import diff_row, row_max_abs, unimodal_check
-from chipfire.structure import RowProfile, check_bottom_conjecture, segment
-
-n = 25
-t0 = time.perf_counter()
-lengths = []
-prev_max = None
-max_ok = True
-unimodal_ok = True
-for row in intermediate_configuration(n):
-    lengths.append(row.width)
-    d = diff_row(row)
-    m = row_max_abs(d)
-    if d.index > 2 and prev_max is not None and m > prev_max:
-        max_ok = False
-    prev_max = m
-    unimodal_ok = unimodal_ok and unimodal_check(d)
-profile = RowProfile(n=n, lengths=tuple(lengths))
-seg = segment(n, profile=profile)
-rep = check_bottom_conjecture(n, profile=profile)
-print(json.dumps({
-    "rows": len(lengths),
-    "longest": seg.longest_length,
-    "covered": sum(len(part) for _, part in seg.parts()) == len(lengths),
-    "max_ok": max_ok,
-    "unimodal_ok": unimodal_ok,
-    "conjecture_holds": rep.holds,
-    "seconds": time.perf_counter() - t0,
-}))
-"""
+#: The benchmark's streaming pass: a full table, its segmentation, and the
+#: difference-table pass, holding one row at a time.
+STREAM_PASS = Path(__file__).parents[1] / "perfbench" / "stream_pass.py"
 
 
 def test_c10_streaming_scale():
     # Run in a child of a small launcher so the memory high-water mark
-    # reflects only this workload: a full n=25 table, segmentation, and
-    # difference-table pass.
+    # reflects only this workload, the streaming pass at n=25.
     start = time.perf_counter()
-    report = peak_rss.run_python(["-c", _STREAM_CHILD], timeout=300)
+    report = peak_rss.run_python(
+        [str(STREAM_PASS), "--n", "25", "--out", "/dev/stdout"], timeout=300
+    )
     wall = time.perf_counter() - start
     assert report["exit"] == 0, report["err"]
     stats = json.loads(report["out"])

@@ -72,6 +72,12 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="filter '' names no check"):
             checks.scorecard([5], ["row", ""])
 
+    def test_trials_past_the_cap_are_refused(self, monkeypatch):
+        # Refused before the filter is read or any check runs.
+        monkeypatch.setattr(checks, "run_checks", None)
+        with pytest.raises(ValueError, match=f"exceed the cap of {oracle.MAX_TRIALS}"):
+            checks.scorecard([12], ["no-such-check"], oracle_trials=oracle.MAX_TRIALS + 1)
+
     @pytest.mark.parametrize(
         "filters",
         [[name] for name in checks.CHECK_NAMES]
@@ -209,6 +215,31 @@ TABLE_DETAILS = {
 }
 
 
+def _doubled(rows):
+    for i in range(len(rows)):
+        _replace(rows, i, tuple(2 * v for v in rows[i].values))
+
+
+#: More corruptions of the n = 6 table, as ``(check, corruption, detail)``:
+#: tables that end early or hold no row, and the failure branches that no
+#: corruption above reaches.
+FAILURE_DETAILS = [
+    ("pascal-top-rows", lambda rows: rows.__delitem__(slice(3, None)),
+     "row 3 is not the scaled binomial row"),
+    ("pascal-top-rows", list.clear, "row 0 is not the scaled binomial row"),
+    ("row-bound", list.clear, "last nonzero row None, bound 26"),
+    ("last-row-pair", list.clear, "last row values ()"),
+    ("chip-parity-accounting", list.pop, "row 22 forwards 0, expected 2"),
+    ("row-start-pattern", lambda rows: rows.__delitem__(slice(18, None)),
+     "row 16 has no row 18"),
+    ("diagonal-decay", lambda rows: _replace(rows, 22, (1, 1, 1)),
+     "center at x=12 is 0, needs <= -1"),
+    ("firing-count-identity", lambda rows: _forced(rows, 5, (3, 10, 20, 20, 10, 2)),
+     "odd second moment 941"),
+    ("last-stable-row", _doubled, "configuration has no chips"),
+]
+
+
 #: Corruptions of difference row 5, which the table itself cannot carry, in
 #: the lanes the difference checks read: ``(packed, lane, lanes)`` of
 #: ``core._diff_lanes``, each entry biased by ``2**(lane-2)``, to the
@@ -299,6 +330,23 @@ class TestRerouteMutations:
         assert self._run_on(monkeypatch, list(table(self.N)), name, trials).passed
 
     @pytest.mark.parametrize(
+        "name, corrupt, detail", FAILURE_DETAILS,
+        ids=[f"{name}-{k}" for k, (name, _, _) in enumerate(FAILURE_DETAILS)],
+    )
+    def test_failure_detail(self, monkeypatch, table, name, corrupt, detail):
+        rows = list(table(self.N))
+        corrupt(rows)
+        assert self._run_on(monkeypatch, rows, name) == CheckResult(name, self.N, False, detail)
+
+    def test_empty_stream_gives_a_scorecard(self, monkeypatch):
+        monkeypatch.setattr(checks, "intermediate_configuration", lambda n: iter(()))
+        results = run_checks(self.N)
+        assert {r.name for r in results} == EXPECTED_NAMES
+        assert {"pascal-top-rows", "row-bound", "last-row-pair"} <= {
+            r.name for r in failures(results)
+        }
+
+    @pytest.mark.parametrize(
         "alter, failing",
         [
             (lambda rows: rows.pop(), {"oracle-arrivals", "oracle-stable-parity"}),
@@ -318,7 +366,9 @@ class TestRerouteMutations:
         alter(rows)
         monkeypatch.setattr(checks, "intermediate_configuration", lambda n: iter(rows))
         results = run_checks(self.N, ["oracle"], oracle_trials=2)
-        assert [r.name for r in results] == list(checks._ORACLE_CHECKS)
+        assert [r.name for r in results] == [
+            name for name in checks.CHECK_NAMES if name.startswith("oracle")
+        ]
         assert {r.name for r in results if not r.passed} == failing
 
     def _corrupt_difference_row(self, monkeypatch, name):
@@ -381,6 +431,23 @@ class TestRerouteMutations:
     def test_minimal_descent(self, monkeypatch):
         monkeypatch.setattr(checks, "next_row", lambda r: r)
         assert not minimal_descent_check().passed
+
+    def test_oracle_firing_counts_differ(self, monkeypatch):
+        # Only the fifo-queue run's firing counts differ: one point fired
+        # once more.
+        real = oracle.simulate
+
+        def simulate(n, strategy="row-by-row", **kwargs):
+            state = real(n, strategy, **kwargs)
+            if strategy == "fifo-queue":
+                state.firings[next(iter(state.firings))] += 1
+            return state
+
+        monkeypatch.setattr(oracle, "simulate", simulate)
+        (result,) = run_checks(self.N, ["oracle-confluence"], oracle_trials=2)
+        assert (result.passed, result.detail) == (
+            False, "5 runs, 458 moves; fifo-queue: firing counts differ from random[0]",
+        )
 
     def test_oracle_confluence(self, monkeypatch):
         # The table plays no part: one firing order that reports a move

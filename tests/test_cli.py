@@ -402,6 +402,14 @@ class TestVerifyCommand:
             main(["verify", "--n", "4..2"])
         assert exc.value.code == 2
 
+    def test_range_of_non_numbers_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "a..3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --n: not an exponent range: 'a..3'\n")
+
     def test_trials_past_the_cap_are_refused_at_once(self, capsys):
         trials = str(oracle.MAX_TRIALS + 1)
         start = time.perf_counter()

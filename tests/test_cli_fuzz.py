@@ -3,8 +3,10 @@
 Argv for every command is drawn from the argparse tree: each option present
 or absent, with values in range, at the boundaries and out of range
 (negative, past ``2**1024``, non-numeric), ``A..B`` ranges, and ``--out``
-to a writable or an unwritable path.  Each argv runs through ``cli.main``
-in process.  The contract:
+to a writable or an unwritable path.  Besides the drawn argvs, each
+invalid value that the grammar lists runs once, in a fixed case with every
+other option valid.  Each argv runs through ``cli.main`` in process.  The
+contract:
 
 * the exit code, argparse's ``SystemExit`` included, is 0, 1, 2 or 3, and
   no other exception escapes;
@@ -20,9 +22,11 @@ at 6 or below when in range (out of range means past every cap), and
 
 import contextlib
 import io
+import shlex
 import sys
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -34,38 +38,49 @@ BAD_INTS = ["-1", HUGE, "-" + HUGE, "x", ""]
 GOOD_OUT, BAD_OUT = "<out>", "<unwritable>"
 
 
-def option(flag, valid, invalid, required=False):
-    """An option's valid and invalid draws, each a list of argv tokens.
+class Option(NamedTuple):
+    """One option of the grammar: ``valid`` draws its valid argv tokens,
+    ``invalid`` lists its invalid ones, and ``fixed`` holds the valid tokens
+    it takes in a fixed case, where another option is the invalid one."""
 
-    A valid draw gives ``flag`` a value of ``valid``, or leaves an optional
-    flag out; an invalid one gives it a value of ``invalid``, or leaves a
-    required flag out.
+    valid: st.SearchStrategy
+    invalid: list
+    fixed: list = []
+
+
+def option(flag, valid, invalid, required=None):
+    """``flag`` with a value drawn from ``valid`` or one of ``invalid``.
+
+    An optional flag may be left out and is left out in fixed cases.  A
+    required flag takes the value ``required`` in fixed cases, and leaving
+    it out is one more invalid draw.
     """
-    good, bad = valid.map(lambda v: [flag, v]), invalid.map(lambda v: [flag, v])
-    if required:
-        return good, st.one_of(bad, st.just([]))
-    return st.one_of(st.just([]), good), bad
+    good, bad = valid.map(lambda v: [flag, v]), [[flag, v] for v in invalid]
+    if required is None:
+        return Option(st.one_of(st.just([]), good), bad)
+    return Option(good, [*bad, []], [flag, required])
 
 
 def ints(lo, hi, out_of_range):
     """Ints in ``lo..hi`` as text, and ``out_of_range`` ones."""
-    return st.integers(lo, hi).map(str), st.sampled_from(out_of_range)
+    return st.integers(lo, hi).map(str), out_of_range
 
 
 def choices(names):
-    return st.sampled_from(names), st.just("no-such-choice")
+    return st.sampled_from(names), ["no-such-choice"]
 
 
 EXPONENT = ints(0, 6, ["127", *BAD_INTS])
 OUTPUT = [
     option("--format", *choices(["csv", "json"])),
-    option("--out", st.just(GOOD_OUT), st.just(BAD_OUT)),
-    (st.sampled_from([[], ["--header"]]), st.just(["--header", "extra"])),
+    option("--out", st.just(GOOD_OUT), [BAD_OUT]),
+    Option(st.sampled_from([[], ["--header"]]), [["--header", "extra"]]),
 ]
-TABLE = [option("--n", *EXPONENT, required=True), *OUTPUT]
+TABLE = [option("--n", *EXPONENT, required="0"), *OUTPUT]
 TABLE_ROWS = [*TABLE, option("--max-rows", *ints(1, 40, ["0", str(sys.maxsize + 1), *BAD_INTS]))]
 #: A figure must be wider and taller than twice its padding, 32 px.
 SIZE = ints(33, 1200, ["-1", *map(str, range(33)), HUGE, "x"])
+SEQUENCE_IDS = [*sorted(sequences.SEQUENCES), "half-nonzero-rows"]
 
 GRAMMAR = {
     "table": TABLE_ROWS,
@@ -75,9 +90,9 @@ GRAMMAR = {
     "diff": TABLE_ROWS,
     "segment": TABLE,
     "sequences": [
-        (st.sampled_from([[s] for s in [*sorted(sequences.SEQUENCES), "half-nonzero-rows"]]),
-         st.sampled_from([["no-such-sequence"], []])),
-        option("--upto", *ints(-1, 6, ["127", str(10**6 + 1), *BAD_INTS]), required=True),
+        Option(st.sampled_from([[s] for s in SEQUENCE_IDS]), [["no-such-sequence"], []],
+               [SEQUENCE_IDS[0]]),
+        option("--upto", *ints(-1, 6, ["127", str(10**6 + 1), *BAD_INTS]), required="0"),
         *OUTPUT,
     ],
     "verify": [
@@ -87,35 +102,34 @@ GRAMMAR = {
                 st.integers(0, 6).map(str),
                 st.tuples(st.integers(0, 3), st.integers(3, 6)).map(lambda t: "%d..%d" % t),
             ),
-            st.sampled_from(["4..2", "3..", "..3", "-1..2", "2..127", f"0..{HUGE}", "a..b",
-                             "1...3", *BAD_INTS]),
-            required=True,
+            ["4..2", "3..", "..3", "-1..2", "2..127", f"0..{HUGE}", "a..b", "1...3", *BAD_INTS],
+            required="0",
         ),
         option(
             "--properties",
             st.lists(st.sampled_from([*checks.CHECK_NAMES, "diff", "oracle"]),
                      min_size=1, max_size=3).map(",".join),
-            st.sampled_from(["no-such-check", "diff,no-such-check", "row,", ",diff"]),
+            ["no-such-check", "diff,no-such-check", "row,", ",diff"],
         ),
         option("--trials", *ints(-3, 3, [str(oracle.MAX_TRIALS + 1), HUGE, "x", ""])),
         option("--seed", *ints(-3, 3, ["x", ""])),
-        option("--out", st.just(GOOD_OUT), st.just(BAD_OUT)),
+        option("--out", st.just(GOOD_OUT), [BAD_OUT]),
     ],
     "render": [
-        option("--kind", *choices(render.KINDS), required=True),
-        option("--n", *EXPONENT, required=True),
-        option("--out", st.just(GOOD_OUT), st.just(BAD_OUT), required=True),
+        option("--kind", *choices(render.KINDS), required=render.KINDS[0]),
+        option("--n", *EXPONENT, required="0"),
+        option("--out", st.just(GOOD_OUT), [BAD_OUT], required=GOOD_OUT),
         option("--width", *SIZE),
         option("--height", *SIZE),
         option(
             "--dot-radius",
             st.floats(0.1, 8).map(str),
-            st.sampled_from(["0", "-1", "nan", "inf", "-inf", "1e400", HUGE, "x"]),
+            ["0", "-1", "nan", "inf", "-inf", "1e400", HUGE, "x"],
         ),
     ],
 }
 #: Tokens no command takes: an unknown flag, a flag without its value, help.
-STRAY = (st.just([]), st.sampled_from([["--bogus"], ["--n"], ["-h"]]))
+STRAY = Option(st.just([]), [["--bogus"], ["--n"], ["-h"]])
 
 
 @st.composite
@@ -124,7 +138,9 @@ def argvs(draw, command):
     drawn order (a ``sequences`` id stays first)."""
     options = [*GRAMMAR[command], STRAY]
     bad = draw(st.one_of(st.just(-1), st.integers(0, len(options) - 1)))
-    parts = [draw(invalid if k == bad else valid) for k, (valid, invalid) in enumerate(options)]
+    parts = [
+        draw(st.sampled_from(o.invalid) if k == bad else o.valid) for k, o in enumerate(options)
+    ]
     head = parts.pop(0) if command == "sequences" else []
     parts = draw(st.permutations(parts))
     return [command, *head, *(token for part in parts for token in part)]
@@ -149,14 +165,18 @@ def is_error_report(err):
     return err.startswith("chipfire: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", sorted(GRAMMAR))
-@settings(
-    derandomize=True, database=None, max_examples=40, deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(data=st.data())
-def test_cli_contract(command, data):
-    argv = data.draw(argvs(command), label="argv")
+def fixed_cases():
+    """One argv per command, option and listed invalid value, with every
+    other option at its fixed valid tokens."""
+    for command in sorted(GRAMMAR):
+        options = [*GRAMMAR[command], STRAY]
+        for k, o in enumerate(options):
+            for tokens in o.invalid:
+                parts = [tokens if j == k else other.fixed for j, other in enumerate(options)]
+                yield [command, *(token for part in parts for token in part)]
+
+
+def check_contract(argv):
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         paths = {GOOD_OUT: str(out), BAD_OUT: str(Path(tmp) / "missing" / "out")}
@@ -173,6 +193,23 @@ def test_cli_contract(command, data):
             out.unlink(missing_ok=True)
             assert run(argv) == (rc, stdout, stderr)
             assert (out.read_bytes() if out.exists() else None) == written
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+@settings(
+    derandomize=True, database=None, max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_cli_contract(command, data):
+    check_contract(data.draw(argvs(command), label="argv"))
+
+
+@pytest.mark.parametrize(
+    "argv", fixed_cases(), ids=lambda argv: shlex.join(argv).replace(HUGE, "<huge>")
+)
+def test_cli_contract_on_every_invalid_value(argv):
+    check_contract(argv)
 
 
 @pytest.mark.parametrize("trials", ["1", "-3", "-" + HUGE], ids=["1", "-3", "-huge"])

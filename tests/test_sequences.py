@@ -2,7 +2,7 @@ import pytest
 
 import golden
 import peak_rss
-from chipfire import SEQUENCES, ParityError, generate, half_nonzero_rows
+from chipfire import SEQUENCES, ParityError, generate, half_nonzero_rows, sequences
 
 
 class TestGenerate:
@@ -76,6 +76,11 @@ class TestHalfNonzeroRows:
 
     def test_parity_guard_is_wired(self):
         assert issubclass(ParityError, Exception)
+
+    def test_odd_count_raises(self, monkeypatch):
+        monkeypatch.setattr(sequences, "generate", lambda name, upto: [1, 2, 5, 6][: upto + 1])
+        with pytest.raises(ParityError, match="^nonzero-row count 5 at n=2 is odd$"):
+            half_nonzero_rows(3)
 
 
 def test_nonzero_rows_keep_no_widths():

@@ -205,6 +205,17 @@ class TestDistanceDistribution:
         with pytest.raises(ValueError):
             DistanceDistribution(**kwargs)
 
+    @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ((-1, 0, 3), "counts must be nonnegative"),
+            ((2, 0, 0), "distance distribution must be symmetric"),
+        ],
+    )
+    def test_rejects_with_message(self, counts, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DistanceDistribution(1, 1, counts)
+
 
 class TestMoments:
     def test_second_raw_moment_n4(self):
