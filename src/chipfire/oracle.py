@@ -10,9 +10,9 @@ comparison with the streaming computation.
 
 One worklist loop serves every order; an order only decides which listed
 point fires next.  Inside the loop a point is an int, and chips and firing
-counts live in plain dicts keyed by those ints.  Each order has its own
-encoding, chosen so that its order is plain int order and the worklist
-needs no key function:
+counts live in two flat lists of zeros indexed by those ints, allocated once
+per run.  Each order has its own encoding, chosen so that its order is plain
+int order and the worklist needs no key function:
 
 - row by row, ``(x + y) << _SHIFT | y``, so the right neighbour is
   ``p + (1 << _SHIFT)`` and the upper one ``p + (1 << _SHIFT) + 1``;
@@ -23,9 +23,18 @@ needs no key function:
 
 ``_SHIFT`` is 9 bits, enough for every coordinate up to the n = 10 oracle
 limit.  The origin is 0 in every encoding, so the loop reaches every point by
-adding the two offsets, and the two sorted orders push and pop a heap
-through ``functools.partial(heappush, heap)`` and its ``heappop`` twin,
-so no move calls a Python function.  The random order draws inline: with
+adding the two offsets.  No chip passes the last-row bound ``b =
+row_bound(n)``, so a point reached has ``x + y <= b`` and its int is below
+``(b + 1) << _SHIFT`` in every encoding; that is the length of the two
+lists (70 144 entries at n = 9, 134 656 at the limit).  A point past them
+would be a defect in the bound or an encoding, and ends the run in a
+:class:`~chipfire.core.ChipfireError` naming the grid.  The points that
+fired are listed the first time each fires, and only they, their
+neighbours and the origin are decoded at the end.
+
+The two sorted orders push and pop a heap through
+``functools.partial(heappush, heap)`` and its ``heappop`` twin, so no move
+calls a Python function.  The random order draws inline: with
 ``k = size.bit_length()``, ``getrandbits(k)`` is redrawn until it falls
 below the pool's size, which is exactly what ``Random.randrange(size)``
 does, so a seed picks the same points as a ``randrange`` per move would.
@@ -49,10 +58,11 @@ from .core import ChipfireError, _check_exponent, _Record, row_bound
 ORACLE_EXPONENT_LIMIT = 10
 
 #: Most random orders one confluence check may run.  Each trial adds one
-#: random run per n to ``verify --n 0..10``, about 70 ms in all on a 2-vCPU
-#: host with Python 3.11 (most of it the run at the oracle limit; 200
-#: trials took 13.7 s more than 2, against 21.4 s with one ``randrange``
-#: per move), so at this cap that command takes about 8 minutes there.
+#: random run per n to ``verify --n 0..10``, about 21 ms in all on a 2-vCPU
+#: host with Python 3.11, most of it the run at the oracle limit (200
+#: trials took 4.1 s more than 2, against 5.3 s with chips and firing
+#: counts in dicts), so at this cap that command takes about 2.3 minutes
+#: there (135 s measured).
 MAX_TRIALS = 6_500
 
 STRATEGIES = ("random", "leftmost-first", "fifo-queue", "row-by-row")
@@ -120,10 +130,6 @@ def _row_y(p: int) -> Point:
     return (p >> _SHIFT) - y, y
 
 
-def _by_point(counts: dict[int, int], decode: Callable[[int], Point]) -> Counter[Point]:
-    return Counter({decode(p): v for p, v in counts.items()})
-
-
 #: Per order: the point ints' offsets to the right and upper neighbours, and
 #: their decoder.  A point int is the origin, 0, plus x rights and y ups.
 _ENCODINGS: dict[str, tuple[int, int, Callable[[int], Point]]] = {
@@ -172,7 +178,8 @@ def simulate(
     One move fires one point once.  The default cap comes from a
     displacement argument (each move pushes two chips one row outward and no
     chip passes the last-row bound), so hitting it means a bug, not a long
-    run.
+    run; so does a point outside the run's grid, which raises
+    :class:`~chipfire.core.ChipfireError`.
     """
     if n > ORACLE_EXPONENT_LIMIT:
         raise ValueError(
@@ -184,44 +191,61 @@ def simulate(
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     cap = move_cap if move_cap is not None else ((1 << n) * row_bound(n)) // 2 + 1
     pending, put, take, draw, (right, up, decode) = _worklist(strategy, seed)
-    chips = {0: 1 << n}
-    firings: dict[int, int] = {}
-    held, fired = chips.get, firings.get
+    chips = [0] * ((row_bound(n) + 1) << _SHIFT)
+    firings = [0] * len(chips)
+    chips[0] = 1 << n
+    first_fired: list[int] = []
     moves = 0
     # Exactly the points holding two chips or more are pending, each once:
     # only a point's own firing takes chips from it, so a point is put when
     # a chip brings it to two, or when it still holds two after firing.
     if n:
         put(0)
-    while pending:
-        if draw:
-            # Random.randrange(size), inline: k random bits until they fall
-            # below size.
-            size = len(pending)
-            k = size.bit_length()
-            i = draw(k)
-            while i >= size:
+    try:
+        while pending:
+            if draw:
+                # Random.randrange(size), inline: k random bits until they
+                # fall below size.
+                size = len(pending)
+                k = size.bit_length()
                 i = draw(k)
-            pending[i], pending[-1] = pending[-1], pending[i]
-        p = take()
-        if moves >= cap:
-            raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
-        moves += 1
-        kept = chips[p] - 2
-        chips[p] = kept
-        firings[p] = fired(p, 0) + 1
-        if kept >= 2:
-            put(p)
-        q = p + right
-        c = chips[q] = held(q, 0) + 1
-        if c == 2:
-            put(q)
-        q = p + up
-        c = chips[q] = held(q, 0) + 1
-        if c == 2:
-            put(q)
+                while i >= size:
+                    i = draw(k)
+                pending[i], pending[-1] = pending[-1], pending[i]
+            p = take()
+            if moves >= cap:
+                raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
+            moves += 1
+            kept = chips[p] - 2
+            chips[p] = kept
+            f = firings[p]
+            if not f:
+                first_fired.append(p)
+            firings[p] = f + 1
+            if kept >= 2:
+                put(p)
+            q = p + right
+            c = chips[q] + 1
+            chips[q] = c
+            if c == 2:
+                put(q)
+            q = p + up
+            c = chips[q] + 1
+            chips[q] = c
+            if c == 2:
+                put(q)
+    except IndexError:
+        raise ChipfireError(
+            f"the {strategy} run for n={n} left its grid of {len(chips)} point ints"
+        ) from None
+    reached = dict.fromkeys([0])
+    for p in first_fired:
+        reached[p] = reached[p + right] = reached[p + up] = None
     return OracleState(
-        n=n, moves=moves, chips=_by_point(chips, decode), firings=_by_point(firings, decode)
+        n=n,
+        moves=moves,
+        chips=Counter({decode(p): chips[p] for p in reached}),
+        firings=Counter({decode(p): firings[p] for p in first_fired}),
     )
 
 

@@ -410,6 +410,15 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.endswith("error: argument --n: not an exponent range: 'a..3'\n")
 
+    def test_oracle_off_its_grid_exits_1(self, capsys, monkeypatch):
+        # A defect that sends a run past its grid is one chipfire: line and
+        # exit 1, not an IndexError traceback.
+        right, up, decode = oracle._ENCODINGS["row-by-row"]
+        monkeypatch.setitem(oracle._ENCODINGS, "row-by-row", (right << 8, up, decode))
+        rc, _, err = run(capsys, "verify", "--n", "4", "--properties", "oracle", "--trials", "2")
+        assert rc == 1
+        assert err == "chipfire: the row-by-row run for n=4 left its grid of 5632 point ints\n"
+
     def test_trials_past_the_cap_are_refused_at_once(self, capsys):
         trials = str(oracle.MAX_TRIALS + 1)
         start = time.perf_counter()

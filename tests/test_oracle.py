@@ -4,7 +4,8 @@ import random
 import pytest
 
 import golden
-from chipfire import STRATEGIES, arrivals, confluence_check, oracle, row_bound, simulate
+from chipfire import STRATEGIES, arrivals, confluence_check, oracle, row_bound, simulate, stable
+from chipfire.core import ChipfireError
 from chipfire.oracle import ORACLE_EXPONENT_LIMIT, MAX_TRIALS, MoveCapExceededError
 
 
@@ -158,9 +159,44 @@ class TestPointInts:
                     i = bits(k)
                 assert i == reference.randrange(size)
 
-    def test_run_reaches_inside_the_bound(self):
-        state = simulate(ORACLE_EXPONENT_LIMIT, "fifo-queue")
-        assert max(x + y for x, y in state.chips) <= row_bound(ORACLE_EXPONENT_LIMIT)
+    def test_run_reaches_inside_the_bound(self, monkeypatch):
+        # No chip passes the last-row bound b, so every point int a run
+        # reaches, a fired point plus its larger offset, lies below
+        # (b + 1) << _SHIFT, the length of the run's two lists.  Every order
+        # ends in the same state at the limit.
+        top = {}
+        real = oracle._worklist
+
+        def logged(strategy, seed):
+            pending, put, take, draw, encoding = real(strategy, seed)
+            step = max(encoding[:2])
+            top[strategy] = 0
+
+            def take_logged():
+                p = take()
+                top[strategy] = max(top[strategy], p + step)
+                return p
+
+            return pending, put, take_logged, draw, encoding
+
+        monkeypatch.setattr(oracle, "_worklist", logged)
+        bound = row_bound(ORACLE_EXPONENT_LIMIT)
+        states = [simulate(ORACLE_EXPONENT_LIMIT, s, seed=0) for s in STRATEGIES]
+        assert states[0].moves == stable.total_firings(ORACLE_EXPONENT_LIMIT) == 38_570
+        assert all(state == states[0] for state in states[1:])
+        assert max(x + y for x, y in states[0].chips) <= bound
+        assert max(top.values()) == top["row-by-row"] < (bound + 1) << oracle._SHIFT
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_point_off_the_grid_is_a_chipfire_error(self, strategy, monkeypatch):
+        # A right offset as long as the grid stands in for a defect in the
+        # bound or an encoding: the first firing's right neighbour is past
+        # the lists, and the run refuses instead of raising IndexError.
+        _, up, decode = oracle._ENCODINGS[strategy]
+        grid = (row_bound(4) + 1) << oracle._SHIFT
+        monkeypatch.setitem(oracle._ENCODINGS, strategy, (grid, up, decode))
+        with pytest.raises(ChipfireError, match=f"{strategy} run for n=4 left its grid of {grid} "):
+            simulate(4, strategy, seed=0)
 
 
 class TestConfluence:
