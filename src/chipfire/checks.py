@@ -14,11 +14,15 @@ Every table check is a fold over a single stream of the table:
 :func:`run_checks` reads ``intermediate_configuration(n)`` once and hands
 each row to every check, so a run holds memory proportional to the widest
 row rather than to the table.  A fold is a generator.  It is started with
-``send(None)``, then sent one :class:`_Step` per arrival row (the row, its
-total, its difference row and its stable row, each computed once, and the
-pass's distance counts), then ``None`` at the end of the table.
-It returns ``(passed, detail)``; a skip, or a first failure that settles
-the verdict, returns early.  Between rows a fold keeps O(1) rows of state:
+``send(None)``, then sent one :class:`_Step` per arrival row, then ``None``
+at the end of the table.  It returns ``(passed, detail)``; a skip, or a
+first failure that settles the verdict, returns early.  A step holds the
+row and, of its total, its difference row, its stable row and the pass's
+distance counts, only the fields the started folds read, each built once
+per row: every fold declares its reads next to its maker in ``_FOLDS`` and
+``_REPORTS``, and the pass works out what to build when it starts and
+again each time a fold settles, so a lone ``row-bound`` costs about one
+kernel pass.  Between rows a fold keeps O(1) rows of state:
 the previous one or two rows or difference rows, the previous diagonal
 centre, running chip and firing sums, the current run of widths stepping
 down by 1 with its non-minimal rows, the last marked stable row, and at
@@ -46,9 +50,9 @@ the whole-row lane fold of :mod:`chipfire.core` that decides it and formats
 the detail from the one lane it reports, and the diagonal and row-start
 checks read single entries with ``Row.value_at``.  The lane folds of one
 row take its difference row and share the one lane context that the
-difference row keeps (its difference lanes, their second differences and
-the lane constants), and the stable row carries its chip count, so each is
-computed once per row.
+difference row is built with (its difference lanes, their second
+differences and the lane constants), and the stable row carries its chip
+count, so each is computed once per row.
 Without the oracle, only ``pascal-top-rows`` (rows 0..n) and
 ``last-row-pair`` (the last row) unpack rows; the oracle folds read
 ``Row.points()``, which unpacks every row they see (``run_checks(8,
@@ -98,15 +102,17 @@ def failures(results: Iterable[CheckResult]) -> list[CheckResult]:
 
 
 class _Step(NamedTuple):
-    """What every fold sees of one arrival row."""
+    """What every fold sees of one arrival row.  Every field but the row is
+    built only while a started fold reads it (declared in ``_FOLDS`` and
+    ``_REPORTS``), and is None otherwise."""
 
     row: Row
-    chips: int  # the row total, Row.chip_sum()
-    diff: difftable.DiffRow
-    stable: stable.StableRow
+    chips: int | None  # the row total, Row.chip_sum()
+    diff: difftable.DiffRow | None
+    stable: stable.StableRow | None
     # The chips of the rows so far, this one included, by distance: one
-    # accumulator of the pass, which adds each stable row to it once.
-    counts: _DistanceCounts
+    # accumulator of the pass, which adds each row's parity to it once.
+    counts: _DistanceCounts | None
 
 
 _Verdict = tuple[bool, str]
@@ -484,35 +490,36 @@ def _bottom_triangle_conjecture(n: int) -> _Fold:
     return rep.holds, f"{rep.triangle_rows} triangle rows, longest row {rep.longest_length}"
 
 
-#: Folds in scorecard order.
-_FOLDS: dict[str, Callable[[int], _Fold]] = {
-    "row-symmetry": _row_symmetry,
-    "row-contiguity": _row_contiguity,
-    "even-diagonal": _even_diagonal,
-    "chip-parity-accounting": _chip_parity_accounting,
-    "monotone-steps": _monotone_steps,
-    "pascal-top-rows": _pascal_top_rows,
-    "first-stable-row": _first_stable_row,
-    "length-steps": _length_steps,
-    "length-parity": _length_parity,
-    "row-start-pattern": _row_start_pattern,
-    "diagonal-decay": _diagonal_decay,
-    "row-bound": _row_bound,
-    "last-row-pair": _last_row_pair,
-    "bottom-minimal-rows": _bottom_minimal_rows,
-    "distance-distribution": _distance_distribution,
-    "firing-count-identity": _firing_count_identity,
-    "last-stable-row": _last_stable_row,
-    "diff-antisymmetry": _diff_antisymmetry,
-    "diff-max-nonincreasing": _diff_max_nonincreasing,
-    "diff-unimodality": _diff_unimodality,
-    "diff-local-propagation": _diff_local_propagation,
-    "diff-telescoping": _diff_telescoping,
+#: Folds in scorecard order, each with the ``_Step`` fields it reads
+#: besides the row.
+_FOLDS: dict[str, tuple[Callable[[int], _Fold], tuple[str, ...]]] = {
+    "row-symmetry": (_row_symmetry, ()),
+    "row-contiguity": (_row_contiguity, ()),
+    "even-diagonal": (_even_diagonal, ()),
+    "chip-parity-accounting": (_chip_parity_accounting, ("chips", "stable")),
+    "monotone-steps": (_monotone_steps, ("diff",)),
+    "pascal-top-rows": (_pascal_top_rows, ()),
+    "first-stable-row": (_first_stable_row, ("stable",)),
+    "length-steps": (_length_steps, ()),
+    "length-parity": (_length_parity, ()),
+    "row-start-pattern": (_row_start_pattern, ()),
+    "diagonal-decay": (_diagonal_decay, ()),
+    "row-bound": (_row_bound, ()),
+    "last-row-pair": (_last_row_pair, ()),
+    "bottom-minimal-rows": (_bottom_minimal_rows, ()),
+    "distance-distribution": (_distance_distribution, ("counts",)),
+    "firing-count-identity": (_firing_count_identity, ("chips", "stable", "counts")),
+    "last-stable-row": (_last_stable_row, ("stable",)),
+    "diff-antisymmetry": (_diff_antisymmetry, ("diff",)),
+    "diff-max-nonincreasing": (_diff_max_nonincreasing, ("diff",)),
+    "diff-unimodality": (_diff_unimodality, ("diff",)),
+    "diff-local-propagation": (_diff_local_propagation, ("diff",)),
+    "diff-telescoping": (_diff_telescoping, ("diff",)),
 }
 
-#: Advisory folds, reported after the oracle cross-checks.
-_REPORTS: dict[str, Callable[[int], _Fold]] = {
-    "bottom-triangle-conjecture": _bottom_triangle_conjecture,
+#: Advisory folds, reported after the oracle cross-checks, with their reads.
+_REPORTS: dict[str, tuple[Callable[[int], _Fold], tuple[str, ...]]] = {
+    "bottom-triangle-conjecture": (_bottom_triangle_conjecture, ()),
 }
 
 #: Every check name, in scorecard order; ``verify --properties`` filters
@@ -524,6 +531,15 @@ def _selects(properties: Sequence[str] | None, name: str) -> bool:
     """The filter rule: ``properties`` selects ``name`` when it is empty or
     one of its entries is a substring of ``name``."""
     return not properties or any(p in name for p in properties)
+
+
+def _built(active: Iterable[str], makers: dict) -> tuple[bool, bool, bool, bool]:
+    """Whether the folds named in ``active`` read the row total, the
+    difference row, the stable row and the distance counts of a step, by
+    the reads declared next to their ``makers`` (the oracle cross-checks,
+    which have none there, read only the row)."""
+    reads = {field for name in active if name in makers for field in makers[name][1]}
+    return tuple(field in reads for field in _Step._fields[1:])
 
 
 def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
@@ -567,7 +583,7 @@ def run_checks(
     """
     _check_exponent(n)
     makers = {**_FOLDS, **_REPORTS}
-    folds = {name: make(n) for name, make in makers.items() if _selects(properties, name)}
+    folds = {name: make(n) for name, (make, _) in makers.items() if _selects(properties, name)}
     oracle_names = [name for name in _ORACLE_FOLDS if _selects(properties, name)]
     if oracle_names and oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT:
         report = oracle.confluence_check(n, trials=oracle_trials, seed=seed)
@@ -581,11 +597,17 @@ def run_checks(
         else:
             verdicts[name] = verdict
     counts = _DistanceCounts()
+    with_chips, with_diff, with_stable, with_counts = _built(active, makers)
 
     for r in intermediate_configuration(n) if active else ():
-        s = stable.stable_row(r)
-        counts.add(s)
-        step = _Step(r, r.chip_sum(), difftable.diff_row(r), s, counts)
+        s = stable.stable_row(r) if with_stable else None
+        if with_counts:
+            counts.add(r if s is None else s)
+        step = _Step(
+            r, r.chip_sum() if with_chips else None,
+            difftable.diff_row(r) if with_diff else None, s, counts if with_counts else None,
+        )
+        settled = False
         for name, fold in tuple(active.items()):
             # _advance, inlined: this runs once per fold and row.
             try:
@@ -593,8 +615,11 @@ def run_checks(
             except StopIteration as done:
                 verdicts[name] = done.value
                 del active[name]
-        if not active:
-            break
+                settled = True
+        if settled:
+            if not active:
+                break
+            with_chips, with_diff, with_stable, with_counts = _built(active, makers)
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -191,19 +191,21 @@ def _json(payload) -> str:
 # commands
 
 
-def _emit_rows(args, rows: Callable[[], Iterable[Row | DiffRow]]) -> int:
-    """Write the stream ``rows()`` as CSV or JSON, one row at a time.
+def _emit_rows(args, mapped: Callable[[Iterable[Row]], Iterable[Row | DiffRow]] = iter) -> int:
+    """Write ``mapped`` of the table's rows (by default the rows themselves)
+    as CSV or JSON, one row at a time.
 
-    JSON states ``row_count`` before the rows, so it first counts the rows
-    of one stream without reading their values, then writes those of a
-    fresh one.  Both formats hold a few rows at a time, so memory follows
-    the widest row.
+    ``mapped`` gives one row per arrival row.  JSON states ``row_count``
+    before the rows, so it first counts the arrival rows of one stream,
+    building no mapped row, then writes the mapped rows of a fresh one.
+    Both formats hold a few rows at a time, so memory follows the widest
+    row.
     """
     if args.format == "csv":
-        _emit(_csv_lines(rows(), args.header), args.out)
+        _emit(_csv_lines(mapped(_table_rows(args)), args.header), args.out)
     else:
-        row_count = sum(1 for _ in rows())
-        _emit(_json_lines(args.n, row_count, rows()), args.out)
+        row_count = sum(1 for _ in _table_rows(args))
+        _emit(_json_lines(args.n, row_count, mapped(_table_rows(args))), args.out)
     return EXIT_OK
 
 
@@ -216,7 +218,7 @@ def _table_rows(args) -> Iterator[Row]:
 
 
 def _cmd_table(args) -> int:
-    return _emit_rows(args, lambda: _table_rows(args))
+    return _emit_rows(args)
 
 
 def _emit_result(
@@ -282,7 +284,7 @@ def _cmd_firings(args) -> int:
 def _cmd_diff(args) -> int:
     from . import difftable
 
-    return _emit_rows(args, lambda: map(difftable.diff_row, _table_rows(args)))
+    return _emit_rows(args, partial(map, difftable.diff_row))
 
 
 def _cmd_segment(args) -> int:

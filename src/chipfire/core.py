@@ -59,34 +59,32 @@ read, and lanes wider than 64 bits by slicing the bytes.
 ``Row.value_at`` reads one lane with a shift and a mask.
 
 A difference row of :mod:`chipfire.difftable` is a function of its source
-row alone and keeps only that row.  :func:`_diff_lanes` packs the first
-differences of the source row in the same format, as one whole-row
-expression, ``packed + bias - (packed << W)``, where ``bias`` holds
-``2**(W-2)`` in every lane; it is the one builder of difference lanes.
-:func:`_diff_context` builds the difference row's lane context from
-``_diff_lanes`` and one read of the constants: the difference lanes, the
-row's all-ones and top-bit constants, and the second differences, biased by
-``2**(W-1)``, so that their signs show in the lanes' top bits.  Those take
-three more whole-row operations, ``diff + close - (diff << W)``, with one
-constant ``close`` that adds the bias to every lane and closes the row with
-its zero last entry.  The constants (the all-ones int, the top bits,
-``bias`` and ``close``) depend only on the lane and the number of lanes, so
+row alone and keeps that row and its lane context.
+:func:`_diff_lanes` is the one builder of that context, from one read of
+the constants: the first differences of the source row packed in the same
+format, as one whole-row expression, ``packed + bias - (packed << W)``,
+where ``bias`` holds ``2**(W-2)`` in every lane; the row's all-ones and
+top-bit constants; and the second differences, biased by ``2**(W-1)``, so
+that their signs show in the lanes' top bits.  Those take three more
+whole-row operations, ``diff + close - (diff << W)``, with one constant
+``close`` that adds the bias to every lane and closes the row with its zero
+last entry.  The constants (the all-ones int, the top bits, ``bias`` and
+``close``) depend only on the lane and the number of lanes, so
 :func:`_diff_constants` builds them once per ``(W, lanes)`` and
 ``functools.lru_cache`` keeps the last eight: widths move by one lane per
 row, so a few entries serve a whole stream.  ``DiffRow`` keeps the context
-and its shape as :class:`_once` attributes, so every fold of one pass reads
-the one context, and each row packs its differences and takes its second
-differences once.  :func:`_lane_shape` reads the unimodality and the
-largest entry of the difference row from the context, with whole-row
-operations on nonnegative ints only (CPython runs ``~x`` and ``x & -x``
-through a two's-complement copy of the row), and :func:`_diff_values`
-reads its entries from the bare difference lanes, without the second
-differences that only the folds read: adding the bias once more and
-flipping each lane's top bit, ``(packed + bias) ^ top``, leaves every entry
-in two's complement, so ``memoryview.cast("b"/"h"/"i"/"q")`` reads them as
-signed ints (lanes of 128 or 256 bits, or a big-endian host, slice the
-bytes with ``signed=True``).  ``difftable`` calls them and reads no lane
-itself.
+from the moment it is built, and its shape as a :class:`_once` attribute,
+so every fold of one pass reads the one context, and each row packs its
+differences and takes its second differences once.  :func:`_lane_shape`
+reads the unimodality and the largest entry of the difference row from the
+context, with whole-row operations on nonnegative ints only (CPython runs
+``~x`` and ``x & -x`` through a two's-complement copy of the row), and
+:func:`_diff_values` reads its entries from the difference lanes of the
+same context: adding the bias once more and flipping each lane's top bit,
+``(packed + bias) ^ top``, leaves every entry in two's complement, so
+``memoryview.cast("b"/"h"/"i"/"q")`` reads them as signed ints (lanes of
+128 or 256 bits, or a big-endian host, slice the bytes with
+``signed=True``).  ``difftable`` calls them and reads no lane itself.
 
 The distance counts of :mod:`chipfire.stable` are lanes too.
 :class:`_DistanceCounts` keeps one int with a lane per distance ``y - x``
@@ -242,20 +240,23 @@ class _Record:
 
 class _once:
     """A lazy attribute of a read-only record: ``fn(obj)``, computed on the
-    first read and kept in the instance's ``__dict__``, where every later
-    read finds it before this descriptor.  Unlike
-    ``functools.cached_property``, it takes no lock (Python 3.11 takes one on
-    every first read)."""
+    first read and kept in the instance's ``__dict__`` under the
+    attribute's name, where every later read finds it before this
+    descriptor.  Unlike ``functools.cached_property``, it takes no lock
+    (Python 3.11 takes one on every first read)."""
 
-    __slots__ = ("fn",)
+    __slots__ = ("fn", "name")
 
     def __init__(self, fn) -> None:
         self.fn = fn
 
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        value = obj.__dict__[self.name] = self.fn(obj)
         return value
 
 
@@ -461,7 +462,7 @@ def next_row(r: Row) -> Row:
 def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
     """``(ones, top, bias, close)`` of a difference row of ``lanes`` lanes:
     1 in each lane, the top bit of each, ``2**(lane-2)`` in each, and the
-    term that closes the second differences (:func:`_diff_context`)."""
+    term that closes the second differences (:func:`_diff_lanes`)."""
     ones = _ones(lane, lanes)
     top = ones << lane - 1
     # ``diff + close - (diff << lane)`` holds ``2**(lane-1)`` plus the
@@ -473,18 +474,27 @@ def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
     return ones, top, ones << lane - 2, close
 
 
-def _diff_lanes(source: Row) -> tuple[int, int]:
-    """``(packed, lane)`` of the first differences of ``source``.
+def _diff_lanes(source: Row) -> tuple[int, int, int, int, int]:
+    """``(packed, lane, ones, top, second)``, the lane context of the
+    difference row of ``source`` that every lane fold reads, built from one
+    read of :func:`_diff_constants`; ``DiffRow`` keeps it, so one pass
+    builds it once per row.
 
-    Lane k holds ``v[k] - v[k-1] + 2**(lane-2)`` for the ``source.width + 1``
-    entries of the difference row (``v`` is zero outside the row).  Every
-    entry lies strictly between ``-2**(lane-2)`` and ``2**(lane-2)``, so
-    every biased lane is positive and below ``2**(lane-1)``: no borrow
-    crosses a lane.
+    Lane k of ``packed`` holds ``e_k + 2**(lane-2)`` for the
+    ``source.width + 1`` entries ``e_k = v[k] - v[k-1]`` of the difference
+    row (``v`` is zero outside the row); ``ones`` holds 1 in each of those
+    lanes and ``top`` the top bit of each.  ``second`` holds the second
+    differences, closed by the zero entry past the row: lane j holds
+    ``e_j - e_{j-1} + 2**(lane-1)`` for j = 0 .. ``source.width + 1``
+    (``e`` is zero outside the row).  Every entry lies strictly between
+    ``-2**(lane-2)`` and ``2**(lane-2)``, so every lane of ``packed`` is
+    positive and below ``2**(lane-1)``, every lane of ``second`` positive
+    and below ``2**lane``, and no borrow crosses a lane.
     """
-    lane, packed, lanes = source.lane, source.packed, source.width + 1
-    bias = _diff_constants(lane, lanes)[2]
-    return packed + bias - (packed << lane), lane
+    lane, packed = source.lane, source.packed
+    ones, top, bias, close = _diff_constants(lane, source.width + 1)
+    diff = packed + bias - (packed << lane)
+    return diff, lane, ones, top, diff + close - (diff << lane)
 
 
 class _DistanceCounts:
@@ -542,46 +552,27 @@ class _DistanceCounts:
         return {self.low + j: c for j, c in enumerate(lanes) if c}
 
 
-def _diff_context(d) -> tuple[int, int, int, int, int]:
-    """``(packed, lane, ones, top, second)``, the lane context of the
-    difference row ``d`` that every lane fold reads; ``DiffRow`` keeps it as
-    a :class:`_once` attribute, so one pass builds it once per row.
+def _diff_values(d) -> tuple[int, ...]:
+    """The entries of the difference row ``d``, read off the difference
+    lanes of its context (:func:`_diff_lanes`; ``()`` for an empty source
+    row).
 
-    ``packed`` and ``lane`` are :func:`_diff_lanes` of ``d.source``;
-    ``ones`` holds 1 in each of the difference row's ``source.width + 1``
-    lanes and ``top`` the top bit of each.  ``second`` holds the second
-    differences, closed by the zero entry past the row: lane j holds
-    ``e_j - e_{j-1} + 2**(lane-1)`` for j = 0 .. ``source.width + 1`` (``e``
-    is zero outside the row).  Every entry lies strictly between
-    ``-2**(lane-2)`` and ``2**(lane-2)``, so every lane of ``second`` is
-    positive and below ``2**lane``, and no borrow crosses a lane.
+    Adding the bias ``2**(lane-2)`` (the top bits shifted down one bit) once
+    more puts ``e + 2**(lane-1)`` in every lane, strictly between
+    ``2**(lane-2)`` and ``3 * 2**(lane-2)``, so no carry crosses a lane;
+    flipping the top bit of every lane then leaves ``e`` in two's
+    complement, and the lanes read as signed ints.
     """
-    source = d.source
-    packed, lane = _diff_lanes(source)
-    ones, top, _, close = _diff_constants(lane, source.width + 1)
-    return packed, lane, ones, top, packed + close - (packed << lane)
-
-
-def _diff_values(source: Row) -> tuple[int, ...]:
-    """The entries of the difference row of ``source``, read off
-    :func:`_diff_lanes` (``()`` for an empty row).
-
-    Adding the bias ``2**(lane-2)`` once more puts ``e + 2**(lane-1)`` in
-    every lane, strictly between ``2**(lane-2)`` and ``3 * 2**(lane-2)``, so
-    no carry crosses a lane; flipping the top bit of every lane then leaves
-    ``e`` in two's complement, and the lanes read as signed ints.
-    """
-    if not source.width:
+    width = d.source.width
+    if not width:
         return ()
-    lanes = source.width + 1
-    packed, lane = _diff_lanes(source)
-    _, top, bias, _ = _diff_constants(lane, lanes)
-    return tuple(_lanes((packed + bias) ^ top, lanes, lane, signed=True))
+    packed, lane, _, top, _ = d._diff_lanes
+    return tuple(_lanes((packed + (top >> 1)) ^ top, width + 1, lane, signed=True))
 
 
 def _lane_shape(d) -> tuple[bool, int | None]:
     """The shape of the difference row ``d`` read off its lane context
-    (:func:`_diff_context`): whether its left half (its first ``half``
+    (:func:`_diff_lanes`): whether its left half (its first ``half``
     entries, those with ``y <= x``) is unimodal, and its largest absolute
     entry, or None where the lanes cannot prove it.
 
@@ -607,11 +598,14 @@ def _lane_shape(d) -> tuple[bool, int | None]:
     ``&`` of a negative int through a two's-complement copy of the whole
     row, so a clear bit is read as ``x ^ (x & y)`` instead of ``x & ~y``.
     """
-    packed, lane, ones, top, second = d._diff_context
+    packed, lane, ones, top, second = d._diff_lanes
     bias = 1 << lane - 2
     width = d.source.width
-    # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
-    half = min(max(d.index // 2 - d.y_min + 1, 0), width + 1 if width else 0)
+    # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min, clamped to
+    # the difference row's lanes (none for an empty source row).
+    half = d.index // 2 - d.y_min + 1
+    lanes = width + 1 if width else 0
+    half = 0 if half < 0 else lanes if half > lanes else half
     # The top bits of the first ``half`` lanes: every lane of ``top`` is
     # alike, so dropping its upper lanes shifts the rest into place.
     tops = top >> (width + 1 - half) * lane
@@ -700,7 +694,7 @@ def _growth_break(d) -> tuple[int, int] | None:
     # ``right`` on strictly right of it.
     left = min(max((i - 1) // 2 - y0, 0), steps)
     right = min(max((i + 2) // 2 - y0, left), steps)
-    packed, lane, ones, top, _ = d._diff_context
+    packed, lane, ones, top, _ = d._diff_lanes
     bias = 1 << lane - 2
     # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps;
     # a bad lane is one whose top bit is clear, read without negative ints
@@ -768,7 +762,7 @@ def _antisymmetric_diffs(d) -> bool:
     biased like ``packed``; the row is antisymmetric when those lanes are
     the lanes of ``packed`` in reverse order.
     """
-    packed, lane, _, top, _ = d._diff_context
+    packed, lane, _, top, _ = d._diff_lanes
     return _reversed(packed, top - packed, d.source.width + 1, lane)
 
 
@@ -779,7 +773,7 @@ def _rises_and_falls(d) -> tuple[int, int]:
     Byte j of the first is 1 when entry j is at least entry j - 1, for
     j = 0 .. width of the difference row (entries outside it are 0), and
     byte j of the second is 1 where that byte of the first is 0.  Lane j of
-    the second differences of its lane context (:func:`_diff_context`) holds
+    the second differences of its lane context (:func:`_diff_lanes`) holds
     ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit is the rise flag; the
     top byte of each lane, translated to its top bit or to that bit's
     complement, becomes that lane's byte.
@@ -787,7 +781,7 @@ def _rises_and_falls(d) -> tuple[int, int]:
     width = d.source.width
     if not width:
         return 0, 0
-    _, lane, _, _, second = d._diff_context
+    _, lane, _, _, second = d._diff_lanes
     size = lane // 8
     raw = second.to_bytes((width + 2) * size, "little")[size - 1 :: size]
     return (
@@ -836,7 +830,7 @@ def _telescoping_break(d) -> tuple[int, int | None] | None:
     """
     source = d.source
     width = source.width
-    packed, lane, ones, _, _ = d._diff_context
+    packed, lane, ones, _, _ = d._diff_lanes
     span = (width + 1) * lane
     sums = packed - (ones << lane - 2)
     shift = lane

@@ -12,25 +12,27 @@ so the left half (positions with ``y <= x``) carries all the information;
 in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
 
-A :class:`DiffRow` is a function of its arrival row alone and keeps only
-that row, so it is built one way, by :func:`diff_row`, through
-``core._trusted`` since it has nothing to validate.  ``core`` packs the
-source row's first differences in its lanes with a few whole-row
-operations, each biased to be positive.  The ``values`` are read on their
-first read, off those bare difference lanes, as signed lanes: adding the
-bias once more and flipping each lane's top bit leaves every entry in two's
-complement, which ``memoryview.cast`` reads as signed ints (lanes wider
-than 64 bits by slicing the bytes).  The sign maps and the CLI read them.
+A :class:`DiffRow` is a function of its arrival row alone and keeps that
+row and its lane context, so it is built one way, by :func:`diff_row`,
+through ``core._trusted`` since it has nothing to validate.  The context is
+built with the row, by ``core._diff_lanes``, the one builder of it, from
+one read of the lane constants: the source row's first differences packed
+in its lanes with a few whole-row operations, each biased to be positive,
+the row's all-ones and top-bit constants, and the second differences.
+Every reader shares it.  The ``values`` are read on their first read, off
+the difference lanes, as signed lanes: adding the bias once more and
+flipping each lane's top bit leaves every entry in two's complement, which
+``memoryview.cast`` reads as signed ints (lanes wider than 64 bits by
+slicing the bytes).  The sign maps and the CLI read them.
 :func:`unimodal_check` and :func:`row_max_abs` read no values: they read
-the row's lane context, built by ``core._diff_context`` and kept in the
-row: the difference lanes with their second differences, which every lane
-fold of ``verify`` shares.  The signs of the second differences give the
-shape of the left half, and two lane comparisons prove that the left
-half's peak bounds every entry.  Only a row that fails that proof (never a
-row of a correct table) has its largest entry taken from its values.  The
-values, the lane context and the shape are each computed on first read and
-kept in the row (``core._once``), so the two readers of the shape share one
-computation of it per streamed row.
+the row's shape, taken off the context that every lane fold of ``verify``
+reads too.
+The signs of the second differences give the shape of the left half, and
+two lane comparisons prove that the left half's peak bounds every entry.
+Only a row that fails that proof (never a row of a correct table) has its
+largest entry taken from its values.  The values and the shape are each
+computed on first read and kept in the row (``core._once``), so the two
+readers of the shape share one computation of it per streamed row.
 
 Nothing here checks antisymmetry: the source rows of a table are not
 validated, so a corrupted table reaches the ``diff-antisymmetry`` check of
@@ -42,9 +44,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, NamedTuple
 
+from . import core
 from .core import (
     Row,
-    _diff_context,
     _diff_values,
     _Record,
     _lane_shape,
@@ -65,15 +67,11 @@ class DiffRow(_Record):
     _fields = ("index", "y_min", "source")
 
     def __init__(self, index: int, y_min: int, source: Row) -> None:
-        self.__dict__.update(index=index, y_min=y_min, source=source)
+        self.__dict__.update(
+            index=index, y_min=y_min, source=source, _diff_lanes=core._diff_lanes(source)
+        )
 
-    @_once
-    def values(self) -> tuple[int, ...]:
-        return _diff_values(self.source)
-
-    # A _once keeps its value under its function's name, so each of these
-    # is bound to the name of its core builder.
-    _diff_context = _once(_diff_context)
+    values = _once(_diff_values)
     _lane_shape = _once(_lane_shape)
 
     @property
@@ -95,7 +93,10 @@ class DiffRow(_Record):
 
 def diff_row(prev: Row) -> DiffRow:
     """Difference row ``prev.index + 1`` computed from arrival row ``prev``."""
-    return _trusted(DiffRow, index=prev.index + 1, y_min=prev.y_min, source=prev)
+    return _trusted(
+        DiffRow, index=prev.index + 1, y_min=prev.y_min, source=prev,
+        _diff_lanes=core._diff_lanes(prev),
+    )
 
 
 def diff_table(n: int) -> Iterator[DiffRow]:

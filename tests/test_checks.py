@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from forge import forged_row
+from forge import forged_context, forged_row
 from chipfire import Row, checks, core, difftable, oracle, stable, structure
 from chipfire.cli import main
 from chipfire.checks import (
@@ -118,6 +118,27 @@ class TestRunChecks:
         results = {r.name: r for r in run_checks(0)}
         assert results["even-diagonal"].detail.startswith("skipped")
         assert results["even-diagonal"].passed
+
+
+@pytest.fixture(scope="module")
+def full_scorecards():
+    """The full scorecard of n = 0..12 without the oracle, and of n = 5 with
+    two oracle trials, keyed by ``(ns, trials)``."""
+    return {
+        (ns, trials): checks.scorecard(ns, oracle_trials=trials)
+        for ns, trials in [(tuple(range(13)), 0), ((5,), 2)]
+    }
+
+
+@pytest.mark.parametrize("name", checks.CHECK_NAMES)
+def test_single_check_filter_gives_its_full_scorecard_lines(full_scorecards, name):
+    # A run builds only the step fields its started folds read, so each
+    # check run alone must still give exactly its lines of the full run.
+    for (ns, trials), full in full_scorecards.items():
+        expected = [r for r in full if name in r.name]
+        assert checks.scorecard(ns, [name], oracle_trials=trials) == expected
+        if trials or not name.startswith("oracle"):
+            assert name in {r.name for r in expected}
 
 
 class TestAdvisorySemantics:
@@ -241,9 +262,11 @@ FAILURE_DETAILS = [
 
 
 #: Corruptions of difference row 5, which the table itself cannot carry, in
-#: the lanes the difference checks read: ``(packed, lane, lanes)`` of
-#: ``core._diff_lanes``, each entry biased by ``2**(lane-2)``, to the
-#: corrupted packed int, with the detail of the failure.
+#: the lanes the difference checks read: each maps ``(packed, lane, lanes)``
+#: (the difference lanes of ``core._diff_lanes``, each entry biased by
+#: ``2**(lane-2)``, their width and their count) to the corrupted packed
+#: int, with the detail of the failure.  The helper that applies them
+#: rebuilds the second differences of the context from the corrupted lanes.
 DIFF_CORRUPTIONS = {
     # The last entry raised by 1.
     "diff-antisymmetry": (
@@ -376,10 +399,11 @@ class TestRerouteMutations:
         corrupt, _ = DIFF_CORRUPTIONS[name]
 
         def corrupted(source):
-            packed, lane = real(source)
-            if source.index + 1 == 5:
-                packed = corrupt(packed, lane, source.width + 1)
-            return packed, lane
+            context = real(source)
+            if source.index + 1 != 5:
+                return context
+            packed, lane = context[:2]
+            return forged_context(source, corrupt(packed, lane, source.width + 1))
 
         monkeypatch.setattr(core, "_diff_lanes", corrupted)
 
@@ -415,8 +439,8 @@ class TestRerouteMutations:
         assert failed == self.DIFF_FAILURES[name]
 
     def test_unimodality_alone_reads_the_corrupted_lanes(self, monkeypatch):
-        # With no other fold to build each row's lane context first, the
-        # shape must still build it through core._diff_lanes.
+        # With no other fold reading the difference rows, the shape must
+        # still read the context that core._diff_lanes built.
         self._corrupt_difference_row(monkeypatch, "diff-telescoping")
         (result,) = run_checks(self.N, properties=["diff-unimodality"])
         assert (result.passed, result.detail) == (False, "non-unimodal rows [5]")
@@ -591,9 +615,8 @@ class TestSinglePass:
     def test_one_lane_context_per_row(self, monkeypatch, table):
         # The difference lanes, their second differences and the row's lane
         # constants are built once per row and shared by every lane fold:
-        # core._diff_context, the one place a context is built, is kept on
-        # the difference row and calls core._diff_lanes once per row, and
-        # only while building it.
+        # core._diff_lanes, the one builder of a context, runs once per row,
+        # when the difference row is built, which keeps what it returns.
         seen = []
         real = core._diff_lanes
 
@@ -681,6 +704,38 @@ class TestSinglePass:
         monkeypatch.setattr(core.Row, "chip_sum", counted)
         assert failures(run_checks(12)) == []
         assert calls == [r.index for r in table(12)]
+
+    @pytest.mark.parametrize(
+        "properties, built",
+        [
+            (["row-bound"], set()),
+            (["diff-telescoping"], {"diff"}),
+            (["distance-distribution"], {"counts"}),
+            (["chip-parity-accounting"], {"chips", "stable"}),
+            (None, {"chips", "diff", "stable", "counts"}),
+        ],
+    )
+    def test_builds_only_what_the_started_folds_read(self, monkeypatch, table, properties, built):
+        # Each row's total, difference row, stable row and distance count
+        # are built once per row while a started fold reads them, and not
+        # at all otherwise.
+        calls = Counter()
+
+        def counting(kind, real):
+            def counted(*args):
+                calls[kind] += 1
+                return real(*args)
+
+            return counted
+
+        monkeypatch.setattr(core.Row, "chip_sum", counting("chips", core.Row.chip_sum))
+        monkeypatch.setattr(difftable, "diff_row", counting("diff", difftable.diff_row))
+        monkeypatch.setattr(stable, "stable_row", counting("stable", stable.stable_row))
+        monkeypatch.setattr(
+            core._DistanceCounts, "add", counting("counts", core._DistanceCounts.add)
+        )
+        assert failures(run_checks(12, properties)) == []
+        assert calls == {kind: len(table(12)) for kind in built}
 
     def test_each_order_simulated_once(self, monkeypatch, capsys):
         # The oracle cross-checks read the row-by-row run of the confluence

@@ -490,8 +490,8 @@ def reference_diffs(values):
 
 
 def reference_context(row):
-    """``core._diff_context`` of the difference row of ``row``, lane by
-    lane: the biased first differences, the ones and top bits of their
+    """``core._diff_lanes`` of ``row``, the lane context of its difference
+    row, lane by lane: the biased first differences, the ones and top bits of their
     lanes, and the biased second differences closed by the zero past the
     row."""
     lane, diffs = row.lane, reference_diffs(row.values)
@@ -560,13 +560,14 @@ def wide_lane_rows(draw):
 
 
 class TestDiffLaneShape:
-    """The lane context of a difference row and the folds that read it,
-    against their entry-by-entry references."""
+    """The lane context of a difference row, built by ``core._diff_lanes``
+    with the row and kept on it, and the folds that read it, against their
+    entry-by-entry references."""
 
     @staticmethod
     def assert_match(r):
         d = diff_row(r)
-        assert core._diff_context(d) == reference_context(r)
+        assert d._diff_lanes == core._diff_lanes(r) == reference_context(r)
         assert core._lane_shape(d) == reference_lane_shape(r.values, d._half())
         assert core._growth_break(d) == reference_growth_break(r)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
-from forge import forged_row
+from forge import forged_context, forged_row
 from chipfire import checks, core
 from chipfire import (
     DiffRow,
@@ -45,10 +45,10 @@ def passes_antisymmetry_check(values):
     real = core._diff_lanes
 
     def forced(r):
-        packed, lane = real(r)
-        if values:
-            packed = core._pack([v + (1 << lane - 2) for v in values], lane)
-        return packed, lane
+        if not values:
+            return real(r)
+        lane = r.lane
+        return forged_context(r, core._pack([v + (1 << lane - 2) for v in values], lane))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "intermediate_configuration", lambda n: iter([source]))
@@ -93,11 +93,13 @@ class TestDiffRow:
         assert (d.index, d.values, d.width) == (7, (), 0)
 
     def test_fields(self):
-        # A difference row is its arrival row and where it sits, nothing else.
+        # A difference row is its arrival row, where it sits and the lane
+        # context of its differences, built with it; nothing else.
         source = Row(index=5, y_min=1, values=(2, 5, 5, 2))
         fields = {"index": 6, "y_min": 1, "source": source}
-        assert vars(diff_row(source)) == fields
-        assert vars(DiffRow(**fields)) == fields
+        built = {**fields, "_diff_lanes": core._diff_lanes(source)}
+        assert vars(diff_row(source)) == built
+        assert vars(DiffRow(**fields)) == built
 
     def test_offset_is_preserved(self):
         d = diff_row(Row(index=5, y_min=1, values=(2, 5, 5, 2)))
@@ -323,8 +325,8 @@ class TestLaneReaders:
         assert shapes(14) == expected
 
     def test_one_difference_lane_build_per_row(self, monkeypatch):
-        # The shape reads the lane context of the difference row, built once
-        # by core._diff_context through core._diff_lanes.
+        # The shape reads the lane context of the difference row, built once,
+        # with the row, by core._diff_lanes.
         seen = []
         real = core._diff_lanes
 

@@ -185,7 +185,7 @@ class TestLazyStateStaysOut:
         d = diff_row(_streamed_row())
         unimodal_check(d)
         assert d.values
-        assert {"_diff_context", "_lane_shape", "values"} <= set(vars(d))
+        assert {"_diff_lanes", "_lane_shape", "values"} <= set(vars(d))
         _same_record(d, DiffRow(d.index, d.y_min, self.twin()))
 
     def test_stable_row_after_its_chip_count(self):

@@ -91,10 +91,13 @@ class TestDistanceCounts:
         ]
         assert self.accumulated(rows) == self.reference(rows)
 
-    def test_many_rows_at_one_distance(self):
-        # Past 255 rows, the staged 8-bit lanes move into the 64-bit ones.
-        rows = [Row(index=2 * k, y_min=k, values=(1,)) for k in range(1000)]
-        assert self.accumulated(rows) == {0: 1000}
+    @pytest.mark.parametrize("rows", [255, 256, 300, 511, 1000])
+    def test_many_rows_at_one_distance(self, rows):
+        # Every 255 rows, before a lane could overflow, the staged 8-bit
+        # lanes move into the 64-bit ones: a staged lane that took a 256th
+        # chip would carry it into distance 1.
+        table = [Row(index=2 * k, y_min=k, values=(1,)) for k in range(rows)]
+        assert self.accumulated(table) == {0: rows}
 
     def test_empty(self):
         assert self.accumulated([]) == {}
