@@ -22,7 +22,9 @@ distance counts, only the fields the started folds read, each built once
 per row: every fold declares its reads next to its maker in ``_FOLDS`` and
 ``_REPORTS``, and the pass works out what to build when it starts and
 again each time a fold settles, so a lone ``row-bound`` costs about one
-kernel pass.  Between rows a fold keeps O(1) rows of state:
+kernel pass.  The step goes to the started folds through a list of their
+names and bound ``send`` methods, which the pass likewise rebuilds only
+when a fold settles.  Between rows a fold keeps O(1) rows of state:
 the previous one or two rows or difference rows, the previous diagonal
 centre, running chip and firing sums, the current run of widths stepping
 down by 1 with its non-minimal rows, the last marked stable row, and at
@@ -533,6 +535,13 @@ def _selects(properties: Sequence[str] | None, name: str) -> bool:
     return not properties or any(p in name for p in properties)
 
 
+def _oracle_runs(n: int, trials: int) -> bool:
+    """Whether the oracle cross-checks run for ``n`` with ``trials`` random
+    orders: the confluence check needs two, and the simulator stops at the
+    oracle limit."""
+    return trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
+
+
 def _built(active: Iterable[str], makers: dict) -> tuple[bool, bool, bool, bool]:
     """Whether the folds named in ``active`` read the row total, the
     difference row, the stable row and the distance counts of a step, by
@@ -585,7 +594,7 @@ def run_checks(
     makers = {**_FOLDS, **_REPORTS}
     folds = {name: make(n) for name, (make, _) in makers.items() if _selects(properties, name)}
     oracle_names = [name for name in _ORACLE_FOLDS if _selects(properties, name)]
-    if oracle_names and oracle_trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT:
+    if oracle_names and _oracle_runs(n, oracle_trials):
         report = oracle.confluence_check(n, trials=oracle_trials, seed=seed)
         folds.update((name, _ORACLE_FOLDS[name](report)) for name in oracle_names)
     verdicts: dict[str, _Verdict] = {}
@@ -597,9 +606,14 @@ def run_checks(
         else:
             verdicts[name] = verdict
     counts = _DistanceCounts()
-    with_chips, with_diff, with_stable, with_counts = _built(active, makers)
+    # The active folds are new, or one of them settled on the last row.
+    settled = True
 
     for r in intermediate_configuration(n) if active else ():
+        if settled:
+            with_chips, with_diff, with_stable, with_counts = _built(active, makers)
+            sends = [(name, fold.send) for name, fold in active.items()]
+            settled = False
         s = stable.stable_row(r) if with_stable else None
         if with_counts:
             counts.add(r if s is None else s)
@@ -607,19 +621,16 @@ def run_checks(
             r, r.chip_sum() if with_chips else None,
             difftable.diff_row(r) if with_diff else None, s, counts if with_counts else None,
         )
-        settled = False
-        for name, fold in tuple(active.items()):
+        for name, send in sends:
             # _advance, inlined: this runs once per fold and row.
             try:
-                fold.send(step)
+                send(step)
             except StopIteration as done:
                 verdicts[name] = done.value
                 del active[name]
                 settled = True
-        if settled:
-            if not active:
-                break
-            with_chips, with_diff, with_stable, with_counts = _built(active, makers)
+        if not active:
+            break
     for name, fold in active.items():
         verdicts[name] = _advance(fold, None)
 
@@ -637,13 +648,21 @@ def scorecard(
 
     A trial count past the oracle's cap, and a filter that names no check,
     are refused with ``ValueError`` before anything runs; so is an empty
-    filter entry, which would select every check.
+    filter entry, which would select every check, and a filter that selects
+    only oracle cross-checks when the oracle runs for no n of ``ns``.
     """
     if oracle_trials >= 2:
         oracle.check_trials(oracle_trials)
     for p in properties or ():
         if not p or not any(_selects((p,), name) for name in CHECK_NAMES):
             raise ValueError(f"--properties filter {p!r} names no check")
+    ns = tuple(ns)
+    selected = {name for name in CHECK_NAMES if _selects(properties, name)}
+    if selected <= _ORACLE_FOLDS.keys() and not any(_oracle_runs(n, oracle_trials) for n in ns):
+        raise ValueError(
+            "--properties filter selects only oracle checks, which run only with "
+            f"at least 2 trials and for n in 1..{oracle.ORACLE_EXPONENT_LIMIT}"
+        )
     results = [minimal_descent_check()] if _selects(properties, "minimal-row-descent") else []
     for n in ns:
         results.extend(run_checks(n, properties, oracle_trials, seed))

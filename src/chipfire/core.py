@@ -51,11 +51,12 @@ built: the kernel streams rows packed, and the constructor packs its
 values once, after validating them.  Quantities that depend only on
 parity, width or the row total are read straight off it: ``Row.parity``
 is the low byte of every lane reduced to 0/1 at C speed, and
-``Row.chip_sum()`` is the exact sum of the lanes, summed straight off
-``memoryview.cast("B"/"H"/"I"/"Q")`` with no list between (a lane holds the
-largest entry, not the row total, so no digit-sum shortcut applies).  A
-kernel row's ``values`` are unpacked through the same cast on their first
-read, and lanes wider than 64 bits by slicing the bytes.
+``Row.chip_sum()`` is the exact sum of the lanes, added one byte plane at a
+time (plane k, byte k of every lane, sums at C speed and weighs
+``2**(8*k)``), so no lane is converted to an int (a lane holds the largest
+entry, not the row total, so no digit-sum shortcut applies).  A kernel
+row's ``values`` are unpacked through ``memoryview.cast("B"/"H"/"I"/"Q")``
+on their first read, and lanes wider than 64 bits by slicing the bytes.
 ``Row.value_at`` reads one lane with a shift and a mask.
 
 A difference row of :mod:`chipfire.difftable` is a function of its source
@@ -100,8 +101,10 @@ of lanes, kept here with the format (ints as wide as the row, not one
 Python object per entry):
 
 - ``row-symmetry`` (:func:`_is_palindrome`) and ``diff-antisymmetry``
-  (:func:`_antisymmetric_diffs`) compare the lanes with their reverse one
-  byte plane at a time;
+  (:func:`_antisymmetric_diffs`) compare the lanes with their reverse
+  (:func:`_reversed`): as cast memoryviews, one element per lane, where a
+  lane fits a native format, and one byte plane at a time in lanes of 128
+  or 256 bits;
 - ``row-contiguity`` (:func:`_has_gap`) is the SWAR zero-lane test;
 - ``monotone-steps`` (:func:`_growth_break`) and ``diff-local-propagation``
   (:func:`_rises_and_falls`, :func:`_propagation_break`) read the top bits
@@ -340,8 +343,14 @@ class Row(_Record):
             yield self.index - y, y, v
 
     def chip_sum(self) -> int:
-        """The row total, summed over the lanes of the packed view."""
-        return sum(_lanes(self.packed, self.width, self.lane))
+        """The row total, summed one byte plane of the packed view at a time:
+        plane k holds byte k of every lane and weighs ``2**(8*k)``."""
+        size = self.lane // 8
+        raw = self.packed.to_bytes(self.width * size, "little")
+        total = 0
+        for k in range(size):
+            total += sum(raw[k::size]) << 8 * k
+        return total
 
 
 def _trusted(cls, **fields):
@@ -627,12 +636,18 @@ def _lane_shape(d) -> tuple[bool, int | None]:
 def _reversed(a: int, b: int, width: int, lane: int) -> bool:
     """Whether the ``width`` lanes of ``b`` are those of ``a`` in reverse order.
 
-    Compared one byte plane at a time: plane k holds byte k of every lane,
-    and reversing the lanes reverses every plane.
+    Lanes of at most 64 bits are compared as cast memoryviews, one element
+    per lane, at C speed; two elements are equal exactly when their bytes
+    are, so the host's byte order plays no part.  Wider lanes are compared
+    one byte plane at a time: plane k holds byte k of every lane, and
+    reversing the lanes reverses every plane.
     """
     size = lane // 8
     a_raw = a.to_bytes(width * size, "little")
     b_raw = a_raw if b is a else b.to_bytes(width * size, "little")
+    if size <= 8:
+        fmt = _FORMATS[size]
+        return memoryview(a_raw).cast(fmt) == memoryview(b_raw).cast(fmt)[::-1]
     for k in range(size):
         if a_raw[k::size] != b_raw[k::size][::-1]:
             return False
@@ -692,8 +707,10 @@ def _growth_break(d) -> tuple[int, int] | None:
         return None
     # Steps before ``left`` lie strictly left of the diagonal, steps from
     # ``right`` on strictly right of it.
-    left = min(max((i - 1) // 2 - y0, 0), steps)
-    right = min(max((i + 2) // 2 - y0, left), steps)
+    left = (i - 1) // 2 - y0
+    left = 0 if left < 0 else steps if left > steps else left
+    right = (i + 2) // 2 - y0
+    right = left if right < left else steps if right > steps else right
     packed, lane, ones, top, _ = d._diff_lanes
     bias = 1 << lane - 2
     # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps;
@@ -702,26 +719,18 @@ def _growth_break(d) -> tuple[int, int] | None:
     lefts = top & (1 << (left + 1) * lane) - (1 << lane)
     bad = lefts ^ (lefts & (packed + (bias - 2) * ones))
     if not bad:
-        for k in range(left, right):
-            d = (packed >> (k + 1) * lane & (1 << lane) - 1) - bias
-            if not _diagonal_step_ok(i, y0 + k, d):
-                return y0 + k, d
+        # The step from y to y + 1, with the diagonal y = i / 2 at or
+        # between its ends.
+        for y in range(y0 + left, y0 + right):
+            step = (packed >> (y - y0 + 1) * lane & (1 << lane) - 1) - bias
+            if not (step >= 1 if 2 * y + 2 == i else step <= -1 if 2 * y == i else step == 0):
+                return y, step
         rights = top & (1 << (steps + 1) * lane) - (1 << (right + 1) * lane)
         bad = rights ^ (rights & ((3 * bias - 2) * ones - packed))
         if not bad:
             return None
     k = _lowest_lane(bad, lane) - 1
     return y0 + k, (packed >> (k + 1) * lane & (1 << lane) - 1) - bias
-
-
-def _diagonal_step_ok(i: int, y: int, d: int) -> bool:
-    # The step d from y to y + 1 on row i, with the diagonal y = i / 2 at or
-    # between its ends.
-    if 2 * y + 2 == i:
-        return d >= 1
-    if 2 * y == i:
-        return d <= -1
-    return d == 0
 
 
 def _minimal_values(j: int) -> tuple[int, ...]:

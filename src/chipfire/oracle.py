@@ -10,9 +10,13 @@ comparison with the streaming computation.
 
 One worklist loop serves every order; an order only decides which listed
 point fires next.  Inside the loop a point is an int, and chips and firing
-counts live in two flat lists of zeros indexed by those ints, allocated once
-per run.  Each order has its own encoding, chosen so that its order is plain
-int order and the worklist needs no key function:
+counts live in two flat lists of zeros indexed by those ints.  A plain
+:func:`simulate` call allocates its own pair; :func:`confluence_check`
+allocates one pair per check and plays every run on it, and each run
+zeroes the entries it reached before it returns, so the next run starts on
+zeros (a run that raises ends the check, and its lists go with it).  Each
+order has its own encoding, chosen so that its order is plain int order and
+the worklist needs no key function:
 
 - row by row, ``(x + y) << _SHIFT | y``, so the right neighbour is
   ``p + (1 << _SHIFT)`` and the upper one ``p + (1 << _SHIFT) + 1``;
@@ -30,7 +34,7 @@ lists (70 144 entries at n = 9, 134 656 at the limit).  A point past them
 would be a defect in the bound or an encoding, and ends the run in a
 :class:`~chipfire.core.ChipfireError` naming the grid.  The points that
 fired are listed the first time each fires, and only they, their
-neighbours and the origin are decoded at the end.
+neighbours and the origin are decoded at the end, and zeroed.
 
 The two sorted orders push and pop a heap through
 ``functools.partial(heappush, heap)`` and its ``heappop`` twin, so no move
@@ -40,6 +44,9 @@ below the pool's size, which is exactly what ``Random.randrange(size)``
 does, so a seed picks the same points as a ``randrange`` per move would.
 The drawn point is swapped to the end of the pool and popped.  The run
 ends in an :class:`OracleState` keyed by ``(x, y)`` tuples, decoded once.
+The confluence check compares two runs' maps with ``dict`` equality, at C
+speed, and falls back on Counter equality, which reads a missing point as
+0, only when that fails.
 
 The simulator exists for cross-validation at small n, not for scale: every
 firing is one Python-level step.
@@ -58,11 +65,11 @@ from .core import ChipfireError, _check_exponent, _Record, row_bound
 ORACLE_EXPONENT_LIMIT = 10
 
 #: Most random orders one confluence check may run.  Each trial adds one
-#: random run per n to ``verify --n 0..10``, about 21 ms in all on a 2-vCPU
+#: random run per n to ``verify --n 0..10``, about 17 ms in all on a 2-vCPU
 #: host with Python 3.11, most of it the run at the oracle limit (200
-#: trials took 4.1 s more than 2, against 5.3 s with chips and firing
-#: counts in dicts), so at this cap that command takes about 2.3 minutes
-#: there (135 s measured).
+#: trials took 3.4 s more than 2, against 5.3 s with chips and firing
+#: counts in dicts), so at this cap that command takes just under 2
+#: minutes there (112 s measured).
 MAX_TRIALS = 6_500
 
 STRATEGIES = ("random", "leftmost-first", "fifo-queue", "row-by-row")
@@ -167,11 +174,19 @@ def _worklist(strategy: str, seed: int | None) -> tuple[
     return heap, partial(heappush, heap), partial(heappop, heap), None, encoding
 
 
+def _grid(n: int) -> tuple[list[int], list[int]]:
+    """The chips and firing-count lists of a run for ``n``, all zeros."""
+    size = (row_bound(n) + 1) << _SHIFT
+    return [0] * size, [0] * size
+
+
 def simulate(
     n: int,
     strategy: str = "row-by-row",
     seed: int | None = None,
     move_cap: int | None = None,
+    *,
+    _lists: tuple[list[int], list[int]] | None = None,
 ) -> OracleState:
     """Run the game from ``2**n`` chips to its stable configuration.
 
@@ -180,6 +195,10 @@ def simulate(
     chip passes the last-row bound), so hitting it means a bug, not a long
     run; so does a point outside the run's grid, which raises
     :class:`~chipfire.core.ChipfireError`.
+
+    ``_lists`` is :func:`confluence_check`'s own pair of :func:`_grid`
+    lists for ``n``, all zeros, which a run that returns leaves all zeros
+    again; without it the run allocates its own.
     """
     if n > ORACLE_EXPONENT_LIMIT:
         raise ValueError(
@@ -191,8 +210,7 @@ def simulate(
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     cap = move_cap if move_cap is not None else ((1 << n) * row_bound(n)) // 2 + 1
     pending, put, take, draw, (right, up, decode) = _worklist(strategy, seed)
-    chips = [0] * ((row_bound(n) + 1) << _SHIFT)
-    firings = [0] * len(chips)
+    chips, firings = _grid(n) if _lists is None else _lists
     chips[0] = 1 << n
     first_fired: list[int] = []
     moves = 0
@@ -241,12 +259,16 @@ def simulate(
     reached = dict.fromkeys([0])
     for p in first_fired:
         reached[p] = reached[p + right] = reached[p + up] = None
-    return OracleState(
+    state = OracleState(
         n=n,
         moves=moves,
-        chips=Counter({decode(p): chips[p] for p in reached}),
-        firings=Counter({decode(p): firings[p] for p in first_fired}),
+        chips=Counter(dict(zip(map(decode, reached), map(chips.__getitem__, reached)))),
+        firings=Counter(dict(zip(map(decode, first_fired), map(firings.__getitem__, first_fired)))),
     )
+    # Only the points reached hold chips or firings.
+    for p in reached:
+        chips[p] = firings[p] = 0
+    return state
 
 
 def arrivals(state: OracleState) -> dict[Point, int]:
@@ -298,6 +320,13 @@ def check_trials(trials: int) -> None:
         raise ValueError(f"{trials} oracle trials exceed the cap of {MAX_TRIALS}")
 
 
+def _same(a: Counter[Point], b: Counter[Point]) -> bool:
+    """Whether two runs' maps agree at every point, a missing point read as
+    0: ``dict`` equality, at C speed, settles the runs that reached the
+    same points, and Counter ``==`` the rest."""
+    return dict.__eq__(a, b) or a == b
+
+
 def confluence_check(n: int, trials: int, seed: int = 0) -> ConfluenceReport:
     """Fire ``trials`` random orders plus the deterministic strategies.
 
@@ -306,12 +335,13 @@ def confluence_check(n: int, trials: int, seed: int = 0) -> ConfluenceReport:
     as it ends, so only those two are held at a time.
     """
     check_trials(trials)
+    lists = _grid(n)
 
     def runs() -> Iterator[tuple[str, OracleState]]:
         for t in range(trials):
-            yield f"random[{seed + t}]", simulate(n, "random", seed=seed + t)
+            yield f"random[{seed + t}]", simulate(n, "random", seed=seed + t, _lists=lists)
         for name in ("leftmost-first", "fifo-queue", "row-by-row"):
-            yield name, simulate(n, name)
+            yield name, simulate(n, name, _lists=lists)
 
     finished = runs()
     ref_name, ref = next(finished)
@@ -319,11 +349,9 @@ def confluence_check(n: int, trials: int, seed: int = 0) -> ConfluenceReport:
     for name, state in finished:
         if state.moves != ref.moves:
             mismatches.append(f"{name}: {state.moves} moves != {ref.moves} ({ref_name})")
-        # Counter == reads a missing point as 0, so a point a run holds
-        # with no chips or firings compares equal to one it never reached.
-        if state.chips != ref.chips:
+        if not _same(state.chips, ref.chips):
             mismatches.append(f"{name}: stable grid differs from {ref_name}")
-        if state.firings != ref.firings:
+        if not _same(state.firings, ref.firings):
             mismatches.append(f"{name}: firing counts differ from {ref_name}")
     return ConfluenceReport(
         n=n,

@@ -106,6 +106,33 @@ class TestRunChecks:
         assert run_checks(6, properties=["oracle-arrivals"], oracle_trials=2)
         assert len(calls) == 5
 
+    @pytest.mark.parametrize("ns, trials", [
+        ((11,), 2), ((0,), 2), ((0, 11, 12), 10), (range(1, 11), 1), (range(1, 11), 0),
+        (range(1, 11), -3), ((), 2),
+    ])
+    @pytest.mark.parametrize("filters", [["oracle"], ["oracle-arrivals", "oracle-confluence"]])
+    def test_oracle_only_filter_that_can_run_nothing_is_refused(
+        self, monkeypatch, filters, ns, trials
+    ):
+        # The oracle runs for no n, so the filter would leave an empty
+        # scorecard; it is refused before any table is streamed.
+        monkeypatch.setattr(checks, "intermediate_configuration", None)
+        monkeypatch.setattr(oracle, "confluence_check", None)
+        with pytest.raises(ValueError, match=(
+            "^--properties filter selects only oracle checks, which run only with "
+            r"at least 2 trials and for n in 1\.\.10$"
+        )):
+            checks.scorecard(ns, filters, oracle_trials=trials)
+
+    @pytest.mark.parametrize("filters, ns, trials", [
+        (["oracle"], (0, 10, 11), 2),
+        (["oracle", "minimal"], (11,), 0),
+        (["oracle", "row-bound"], (4,), 0),
+        (None, (11,), 0),
+    ])
+    def test_a_filter_with_something_to_run_is_kept(self, filters, ns, trials):
+        assert checks.scorecard(ns, filters, oracle_trials=trials)
+
     @pytest.mark.parametrize("filters", [None, ["oracle"], ["row-symmetry"]])
     def test_bad_exponent_raises_under_any_filter(self, filters):
         # A filter that needs no table still has its n checked.
@@ -135,10 +162,14 @@ def test_single_check_filter_gives_its_full_scorecard_lines(full_scorecards, nam
     # A run builds only the step fields its started folds read, so each
     # check run alone must still give exactly its lines of the full run.
     for (ns, trials), full in full_scorecards.items():
+        if name.startswith("oracle") and not trials:
+            # The oracle is off, so the filter could run nothing.
+            with pytest.raises(ValueError, match="only oracle checks"):
+                checks.scorecard(ns, [name], oracle_trials=trials)
+            continue
         expected = [r for r in full if name in r.name]
         assert checks.scorecard(ns, [name], oracle_trials=trials) == expected
-        if trials or not name.startswith("oracle"):
-            assert name in {r.name for r in expected}
+        assert name in {r.name for r in expected}
 
 
 class TestAdvisorySemantics:

@@ -365,11 +365,20 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("name", ["minimal-row-descent", "oracle", "bottom-triangle"])
     def test_filters_match_every_kind_of_check(self, capsys, name):
-        rc, out, err = run(capsys, "verify", "--n", "3", "--properties", name, "--trials", "0")
+        rc, out, err = run(capsys, "verify", "--n", "3", "--properties", name, "--trials", "2")
         assert (rc, err) == (0, "")
-        # The oracle is off, so its filter keeps nothing, as before.
-        expected = 0 if name == "oracle" else 1
+        expected = 4 if name == "oracle" else 1
         assert out.splitlines()[-1] == f"summary: {expected} checks, 0 failures"
+
+    @pytest.mark.parametrize("n, trials", [("11", "2"), ("0", "10"), ("3", "0"), ("2..5", "1")])
+    def test_oracle_only_filter_that_can_run_nothing_is_refused(self, capsys, n, trials):
+        # Without the oracle the filter keeps no line of the scorecard.
+        rc, out, err = run(capsys, "verify", "--n", n, "--trials", trials, "--properties", "oracle")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "chipfire: --properties filter selects only oracle checks, which run only "
+            f"with at least 2 trials and for n in 1..{oracle.ORACLE_EXPONENT_LIMIT}\n"
+        )
 
     def test_check_names_are_the_scorecard(self, capsys):
         rc, out, _ = run(capsys, "verify", "--n", "3", "--trials", "2")

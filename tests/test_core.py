@@ -1,4 +1,5 @@
 import ast
+from itertools import islice
 from operator import sub
 from pathlib import Path
 
@@ -543,12 +544,12 @@ def reference_growth_break(row):
 
 
 @st.composite
-def wide_lane_rows(draw):
-    """Unchecked rows in 128- or 256-bit lanes, placed anywhere from wholly
-    left of the diagonal to wholly right of it, so that the left half of
-    their difference row takes every length from 0 to its width; a mirrored
-    sorted row gives a shape the lanes can prove."""
-    lane = draw(st.sampled_from([128, 256]))
+def wide_lane_rows(draw, lanes=(128, 256)):
+    """Unchecked rows in one of ``lanes`` (by default 128- or 256-bit lanes),
+    placed anywhere from wholly left of the diagonal to wholly right of it,
+    so that the left half of their difference row takes every length from 0
+    to its width; a mirrored sorted row gives a shape the lanes can prove."""
+    lane = draw(st.sampled_from(lanes))
     entries = st.one_of(st.integers(1, 9), st.integers(1, (1 << lane - 2) - 1))
     values = draw(st.lists(entries, max_size=9))
     if draw(st.booleans()):
@@ -609,6 +610,60 @@ class TestDiffLaneShape:
         info = core._diff_constants.cache_info()
         assert len(built) == info.misses < 2 * len(read) // 10
         assert 0 < info.currsize <= info.maxsize == 8
+
+
+class TestReversalAndSum:
+    """``_is_palindrome`` and ``_antisymmetric_diffs``, which compare cast
+    memoryviews in lanes of up to 64 bits and byte planes in wider ones, and
+    ``Row.chip_sum``, which adds byte planes, against their entry-by-entry
+    references in every lane width."""
+
+    LANES = (8, 16, 32, 64, 128, 256)
+    #: An exponent whose first rows run in each lane width.
+    EXPONENTS = {8: 5, 16: 13, 32: 29, 64: 61, 128: 100, 256: 126}
+
+    @staticmethod
+    def assert_match(r):
+        values, d = r.values, diff_row(r)
+        assert core._is_palindrome(r) == (values == values[::-1])
+        assert core._antisymmetric_diffs(d) == (d.values == tuple(-e for e in d.values[::-1]))
+        assert r.chip_sum() == sum(values)
+
+    def test_real_tables(self, table):
+        lanes = set()
+        for n in range(19):
+            for r in table(n):
+                self.assert_match(r)
+                lanes.add(r.lane)
+        assert lanes == {8, 16, 32}
+
+    @pytest.mark.parametrize("lane", LANES)
+    def test_first_rows_in_every_lane(self, lane):
+        for r in islice(intermediate_configuration(self.EXPONENTS[lane]), 40):
+            assert r.lane == lane
+            self.assert_match(r)
+
+    @given(wide_lane_rows(lanes=LANES))
+    def test_unchecked_rows(self, row):
+        self.assert_match(row)
+
+    @pytest.mark.parametrize("lane", LANES)
+    def test_one_corrupted_lane_fails_both_checks(self, lane, monkeypatch):
+        # Lane 1 of row 6 gains one in its top byte, so only the last byte
+        # plane of a wide lane sees it.
+        rows = list(islice(intermediate_configuration(self.EXPONENTS[lane]), 12))
+        r = rows[6]
+        values = _unpack(r.packed + (1 << 2 * lane - 8), r.width, lane)
+        bad = forged_row(r.index, r.y_min, values, lane)
+        assert r.lane == lane and bad.values != bad.values[::-1]
+        self.assert_match(bad)
+        rows[6] = bad
+        monkeypatch.setattr(checks, "intermediate_configuration", lambda n: iter(rows))
+        results = checks.run_checks(self.EXPONENTS[lane], ["row-symmetry", "diff-antisymmetry"])
+        assert [(c.name, c.passed, c.detail) for c in results] == [
+            ("row-symmetry", False, "asymmetric rows: [6]"),
+            ("diff-antisymmetry", False, "difference row 7"),
+        ]
 
 
 class TestRowBound:

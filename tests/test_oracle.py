@@ -245,3 +245,55 @@ class TestConfluence:
         with pytest.raises(ValueError, match=f"cap of {MAX_TRIALS}"):
             confluence_check(3, trials=MAX_TRIALS + 1)
         assert calls == []
+
+
+class TestSharedGrid:
+    """A confluence check plays all its runs on one pair of lists, which
+    each run leaves all zeros."""
+
+    def test_runs_match_fresh_runs(self, monkeypatch):
+        real = oracle.simulate
+        runs = []
+
+        def recorded(n, strategy, seed=None, **kwargs):
+            state = real(n, strategy, seed, **kwargs)
+            chips, firings = kwargs["_lists"]
+            assert not any(chips) and not any(firings)
+            runs.append((n, strategy, seed, state))
+            return state
+
+        monkeypatch.setattr(oracle, "simulate", recorded)
+        assert confluence_check(9, 10, 1).passed
+        assert [(strategy, seed) for _, strategy, seed, _ in runs] == [
+            *(("random", seed) for seed in range(1, 11)),
+            ("leftmost-first", None), ("fifo-queue", None), ("row-by-row", None),
+        ]
+        for n, strategy, seed, state in runs:
+            fresh = real(n, strategy, seed)
+            assert state == fresh
+            assert (dict(state.chips), dict(state.firings)) == (
+                dict(fresh.chips), dict(fresh.firings)
+            )
+
+    def test_one_pair_of_lists_per_check(self, monkeypatch):
+        grids = []
+        real = oracle._grid
+        monkeypatch.setattr(oracle, "_grid", lambda n: grids.append(n) or real(n))
+        confluence_check(5, trials=10)
+        assert grids == [5]
+        simulate(5, "random", seed=0)
+        assert grids == [5, 5]
+
+    def test_a_check_after_a_capped_run_passes(self, monkeypatch):
+        real = oracle.simulate
+
+        def capped(n, strategy, seed=None, **kwargs):
+            cap = 50 if strategy == "fifo-queue" else None
+            return real(n, strategy, seed, cap, **kwargs)
+
+        monkeypatch.setattr(oracle, "simulate", capped)
+        with pytest.raises(MoveCapExceededError):
+            confluence_check(6, trials=3)
+        monkeypatch.setattr(oracle, "simulate", real)
+        report = confluence_check(6, trials=3)
+        assert report.passed and report.moves == stable.total_firings(6)
