@@ -3,10 +3,15 @@
     python scripts/code_size.py src/chipfire
 
 For every ``.py`` file under the given directory, in path order, it prints
-the physical lines (as ``wc -l`` counts them) and the code lines: the
-lines that hold a token of code, leaving out docstrings (the first
-statement of a module, class or function when it is a string), comments
-and blank lines.  A last line gives the totals.  Stdlib only.
+the physical lines (as ``wc -l`` counts them), the code lines (the lines
+that hold a token of code, leaving out docstrings, which are the first
+statement of a module, class or function when it is a string, comments
+and blank lines) and the tokens that CPython's parser holds while it
+compiles the module (every ``tokenize`` token but comments, non-logical
+newlines and the encoding; a docstring is one token).  The parser doubles
+its token array at 4 096 tokens, so a module past that costs every
+process that compiles it more peak memory.  A last line gives the totals.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ _NOT_CODE = {
     tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
     tokenize.ENCODING, tokenize.ENDMARKER,
 }
+_NOT_PARSED = {tokenize.COMMENT, tokenize.NL, tokenize.ENCODING}
 _SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -34,18 +40,31 @@ def code_lines(source: str) -> int:
                     and isinstance(first.value.value, str)):
                 docstrings.update(range(first.lineno, first.end_lineno + 1))
     lines = set()
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+    for tok in _tokens(source):
         if tok.type not in _NOT_CODE:
             lines.update(range(tok.start[0], tok.end[0] + 1))
     return len(lines - docstrings)
 
 
-def sizes(root: Path) -> list[tuple[str, int, int]]:
-    """``(path, physical lines, code lines)`` of every module under ``root``."""
+def parser_tokens(source: str) -> int:
+    """Tokens of ``source`` that the parser holds."""
+    return sum(tok.type not in _NOT_PARSED for tok in _tokens(source))
+
+
+def _tokens(source: str):
+    return tokenize.generate_tokens(io.StringIO(source).readline)
+
+
+def sizes(root: Path) -> list[tuple[str, int, int, int]]:
+    """``(path, physical lines, code lines, parser tokens)`` of every module
+    under ``root``."""
     rows = []
     for path in sorted(root.rglob("*.py")):
         source = path.read_text(encoding="utf-8")
-        rows.append((path.relative_to(root).as_posix(), source.count("\n"), code_lines(source)))
+        rows.append((
+            path.relative_to(root).as_posix(), source.count("\n"), code_lines(source),
+            parser_tokens(source),
+        ))
     return rows
 
 
@@ -55,13 +74,11 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write("usage: python scripts/code_size.py SOURCE_DIR\n")
         return 2
     rows = sizes(Path(argv[0]))
-    width = max([len("total"), *(len(name) for name, _, _ in rows)])
-    print(f"{'module':<{width}}  physical  code")
-    for name, physical, code in rows:
-        print(f"{name:<{width}}  {physical:>8}  {code:>4}")
-    total_physical = sum(physical for _, physical, _ in rows)
-    total_code = sum(code for _, _, code in rows)
-    print(f"{'total':<{width}}  {total_physical:>8}  {total_code:>4}")
+    width = max([len("total"), *(len(row[0]) for row in rows)])
+    print(f"{'module':<{width}}  physical  code  tokens")
+    total = ("total", *(sum(row[k] for row in rows) for k in (1, 2, 3)))
+    for name, physical, code, tokens in [*rows, total]:
+        print(f"{name:<{width}}  {physical:>8}  {code:>4}  {tokens:>6}")
     return 0
 
 

@@ -48,13 +48,16 @@ its verdict: ``pascal-top-rows`` alone reads rows 0..n, and
 ``oracle-confluence`` alone reads none.
 
 The folds read the packed rows, not their values: each heavy check calls
-the whole-row lane fold of :mod:`chipfire.core` that decides it and formats
-the detail from the one lane it reports, and the diagonal and row-start
-checks read single entries with ``Row.value_at``.  The lane folds of one
-row take its difference row and share the one lane context that the
+the whole-row lane fold of :mod:`chipfire._lanefolds` that decides it and
+formats the detail from the one lane it reports, and the diagonal and
+row-start checks read single entries with ``Row.value_at``.  The lane folds
+of one row take its difference row and share the one lane context that the
 difference row is built with (its difference lanes, their second
 differences and the lane constants), and the stable row carries its chip
-count, so each is computed once per row.
+count, so each is computed once per row.  This module is the only
+importer of :mod:`chipfire._lanefolds`, so only ``verify`` compiles the
+folds, and like every module but ``core`` and ``_lanefolds`` it reads no
+lane itself.
 Without the oracle, only ``pascal-top-rows`` (rows 0..n) and
 ``last-row-pair`` (the last row) unpack rows; the oracle folds read
 ``Row.points()``, which unpacks every row they see (``run_checks(8,
@@ -73,6 +76,11 @@ from .core import (
     _check_exponent,
     _DistanceCounts,
     _Record,
+    intermediate_configuration,
+    next_row,
+    row_bound,
+)
+from ._lanefolds import (
     _antisymmetric_diffs,
     _growth_break,
     _has_gap,
@@ -80,9 +88,6 @@ from .core import (
     _propagation_break,
     _rises_and_falls,
     _telescoping_break,
-    intermediate_configuration,
-    next_row,
-    row_bound,
 )
 
 

@@ -496,27 +496,39 @@ class TestImports:
         [
             ("table --n 2", set()),
             ("--help", set()),
+            ("stable --n 3", {"chipfire.stable"}),
             ("distance --n 3", {"chipfire.stable"}),
+            ("firings --n 3", {"chipfire.stable"}),
             ("diff --n 3", {"chipfire.difftable"}),
             ("segment --n 3", {"chipfire.structure"}),
+            # Only verify loads the lane folds.
             (
                 "verify --n 3 --trials 2",
-                {"chipfire.checks", "chipfire.oracle", "chipfire.difftable", "chipfire.stable",
-                 "chipfire.structure"},
+                {"chipfire.checks", "chipfire._lanefolds", "chipfire.oracle",
+                 "chipfire.difftable", "chipfire.stable", "chipfire.structure"},
             ),
             (
                 "sequences total-firings --upto 3",
                 {"chipfire.sequences", "chipfire.stable", "chipfire.structure"},
             ),
+            (
+                "sequences longest-row --upto 3",
+                {"chipfire.sequences", "chipfire.stable", "chipfire.structure"},
+            ),
+            (
+                "render --kind row-profiles --n 3 --out {tmp}",
+                {"chipfire.render", "chipfire.difftable", "chipfire.stable", "chipfire.structure"},
+            ),
         ],
     )
-    def test_command_imports(self, command, extra):
+    def test_command_imports(self, command, extra, tmp_path):
+        argv = command.format(tmp=tmp_path / "figure.svg").split()
         code = (
             "import contextlib, io\n"
             "from chipfire.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    try:\n"
-            f"        main({command.split()!r})\n"
+            f"        main({argv!r})\n"
             "    except SystemExit:\n"
             "        pass"
         )

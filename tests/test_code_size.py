@@ -41,13 +41,15 @@ def test_counts_a_two_file_package(tmp_path, capsys):
     (pkg / "a.py").write_text(A)
     (pkg / "sub" / "b.py").write_text(B)
     # a.py: import, def, return and its continuation; b.py: class, the
-    # two-line string assignment, def, return.
+    # two-line string assignment, def, return.  Tokens: every token but the
+    # comments and the NL tokens (blank lines, breaks inside brackets), so a
+    # docstring is one and each INDENT, DEDENT, NEWLINE and ENDMARKER counts.
     assert _code_size().main([str(pkg)]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "module    physical  code",
-        "a.py            11     4",
-        "sub/b.py         8     5",
-        "total           19     9",
+        "module    physical  code  tokens",
+        "a.py            11     4      24",
+        "sub/b.py         8     5      25",
+        "total           19     9      49",
     ]
 
 

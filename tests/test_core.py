@@ -18,7 +18,7 @@ from chipfire import (
     next_row,
     row_bound,
 )
-from chipfire import checks, core, difftable, stable, structure
+from chipfire import _lanefolds, checks, core, difftable, stable, structure
 from chipfire.cli import rows_from_csv, rows_to_csv
 from chipfire.core import _lane_bits, _narrowed, _pack, _unpack
 from chipfire.difftable import diff_row
@@ -358,18 +358,54 @@ class TestPackedView:
             [r.value_at(r.index // 2) for r in intermediate_configuration(n)],
         ) == expected
 
+    def test_constructor_row_keeps_its_packed_view(self, monkeypatch):
+        # A row built from its values packs them once, when it is built, and
+        # keeps the packed view outside its fields.
+        packs = []
+        real = core._pack
+
+        def counted(values, lane):
+            packs.append(lane)
+            return real(values, lane)
+
+        monkeypatch.setattr(core, "_pack", counted)
+        r = pascal_row(126, 126)
+        assert [r.value_at(y) for y in range(100)] == list(r.values[:100])
+        assert packs == [r.lane] == [128]
+        twin = Row(r.index, r.y_min, r.values)
+        assert (r == twin, hash(r), repr(r)) == (True, hash(twin), repr(twin))
+
+    @pytest.mark.parametrize("n", [4, 9, 18])
+    def test_value_at_reads_every_lane(self, n, table):
+        for r in table(n):
+            assert [r.value_at(y) for y in range(r.y_min - 1, r.y_min + r.width + 1)] == [
+                0, *r.values, 0
+            ]
+
     def test_only_core_reads_the_lanes(self):
         # Other modules read width, parity, chip_sum() or values, so the lane
-        # format can change inside core alone.
+        # format can change inside core and the lane folds of _lanefolds alone.
         package = Path(core.__file__).parent
         readers = [
             f"{path.name}:{node.lineno}"
             for path in sorted(package.glob("*.py"))
-            if path.name != "core.py"
+            if path.name not in ("core.py", "_lanefolds.py")
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and node.attr in ("packed", "lane")
         ]
         assert readers == []
+
+    def test_only_checks_imports_the_lane_folds(self):
+        # Only verify runs the lane folds, so no other command compiles them.
+        package = Path(core.__file__).parent
+        importers = set()
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [getattr(node, "module", None) or "", *(a.name for a in node.names)]
+                    if any(name.rsplit(".", 1)[-1] == "_lanefolds" for name in names):
+                        importers.add(path.name)
+        assert importers == {"checks.py"}
 
     def test_only_core_builds_trusted_rows(self):
         # Only core builds objects without their __init__, through _trusted,
@@ -433,57 +469,6 @@ class TestEntry:
         assert (rows[x + y].value_at(y) if x + y < len(rows) else 0) == expected
 
 
-class TestLaneFolds:
-    """The lane folds behind the heavy checks, on rows built without
-    validation (the kernel's rows are trusted the same way)."""
-
-    @pytest.mark.parametrize(
-        "values,expected",
-        [
-            ((1, 4, 6, 4, 1), None),
-            ((1, 2, 6, 2, 1), (0, 1)),  # a step left of the diagonal below 2
-            ((1, 4, 4, 4, 1), (1, 0)),  # a step onto the diagonal below 1
-            ((1, 4, 6, 6, 1), (2, 0)),  # a step off the diagonal above -1
-            ((1, 4, 6, 4, 3), (3, -1)),  # a step right of the diagonal above -2
-        ],
-    )
-    def test_growth_break(self, values, expected):
-        # Row 4: step 0 lies left of the diagonal y = 2, steps 1 and 2 touch
-        # it, step 3 lies right of it.
-        row = forged_row(4, 0, values)
-        assert core._growth_break(diff_row(row)) == expected
-
-    @pytest.mark.parametrize("values,expected", [((2, 5, 5, 2), None), ((2, 5, 6, 2), (2, 1))])
-    def test_growth_break_across_the_central_pair(self, values, expected):
-        # Row 5 of width 4: the central pair straddles the diagonal.
-        row = forged_row(5, 1, values)
-        assert core._growth_break(diff_row(row)) == expected
-
-    def test_constructor_row_keeps_its_packed_view(self, monkeypatch):
-        # A row built from its values packs them once, when it is built, and
-        # keeps the packed view outside its fields.
-        packs = []
-        real = core._pack
-
-        def counted(values, lane):
-            packs.append(lane)
-            return real(values, lane)
-
-        monkeypatch.setattr(core, "_pack", counted)
-        r = pascal_row(126, 126)
-        assert [r.value_at(y) for y in range(100)] == list(r.values[:100])
-        assert packs == [r.lane] == [128]
-        twin = Row(r.index, r.y_min, r.values)
-        assert (r == twin, hash(r), repr(r)) == (True, hash(twin), repr(twin))
-
-    @pytest.mark.parametrize("n", [4, 9, 18])
-    def test_value_at_reads_every_lane(self, n, table):
-        for r in table(n):
-            assert [r.value_at(y) for y in range(r.y_min - 1, r.y_min + r.width + 1)] == [
-                0, *r.values, 0
-            ]
-
-
 def reference_diffs(values):
     """The first differences of a row, the zero margins included; an empty
     row has the one lane of its zero margin."""
@@ -523,7 +508,7 @@ def reference_lane_shape(values, half):
 
 
 def reference_growth_break(row):
-    """``core._growth_break`` entry by entry: the first step that breaks
+    """``_lanefolds._growth_break`` entry by entry: the first step that breaks
     the growth rule, as ``(y, step)``."""
     i, v = row.index, row.values
     for k, d in enumerate(map(sub, v[1:], v)):
@@ -570,7 +555,7 @@ class TestDiffLaneShape:
         d = diff_row(r)
         assert d._diff_lanes == core._diff_lanes(r) == reference_context(r)
         assert core._lane_shape(d) == reference_lane_shape(r.values, d._half())
-        assert core._growth_break(d) == reference_growth_break(r)
+        assert _lanefolds._growth_break(d) == reference_growth_break(r)
 
     def test_match_the_references_on_real_tables(self, table):
         for n in range(19):
@@ -625,8 +610,10 @@ class TestReversalAndSum:
     @staticmethod
     def assert_match(r):
         values, d = r.values, diff_row(r)
-        assert core._is_palindrome(r) == (values == values[::-1])
-        assert core._antisymmetric_diffs(d) == (d.values == tuple(-e for e in d.values[::-1]))
+        assert _lanefolds._is_palindrome(r) == (values == values[::-1])
+        assert _lanefolds._antisymmetric_diffs(d) == (
+            d.values == tuple(-e for e in d.values[::-1])
+        )
         assert r.chip_sum() == sum(values)
 
     def test_real_tables(self, table):
