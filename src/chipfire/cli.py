@@ -331,7 +331,7 @@ def _cmd_sequences(args) -> int:
 def _cmd_verify(args) -> int:
     from . import checks
 
-    properties = args.properties.split(",") if args.properties else None
+    properties = None if args.properties is None else args.properties.split(",")
     results = checks.scorecard(args.n, properties, args.trials, args.seed)
     failed = checks.failures(results)
     lines = [*map(_format_check, results)]

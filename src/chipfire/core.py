@@ -123,13 +123,11 @@ row reads parity the same way.  Rows from the kernel are trusted and
 built without those checks (:func:`_trusted`): a corrupted stream then
 reaches the invariant checks of :mod:`chipfire.checks`, which report it,
 instead of failing inside a constructor.  ``_trusted`` is the one route
-that builds a record without its ``__init__``.  Besides kernel rows it
-builds only the difference and stable rows of the other modules, once per
-row, which have nothing to validate and so skip only the call of their
-``__init__``; their values computed on first read are :class:`_once`
-attributes, which take no lock, unlike ``functools.cached_property``.
-Both run once per streamed row, so both save time on every pass over a
-table.
+that builds a record without its ``__init__``, and it builds kernel rows
+only: the streamed rows and the child of :func:`next_row`.  Every other
+record is built through its own ``__init__``.  Values that a record
+computes on first read are :class:`_once` attributes, which take no lock,
+unlike ``functools.cached_property``.
 
 The records of the package (:class:`Row` and the results of the other
 modules) derive from :class:`_Record`.  Each writes its fields into the
@@ -379,11 +377,8 @@ def _pack(values: Sequence[int], lane: int) -> int:
 
 def _lanes(packed: int, width: int, lane: int, signed: bool = False) -> Sequence[int]:
     """The ``width`` lanes of ``packed`` as ints, lowest first; read as two's
-    complement when ``signed``.
-
-    A cast memoryview where the lanes fit a native format, so a caller that
-    sums or copies them builds no list first.
-    """
+    complement when ``signed``: a cast memoryview where the lanes fit a
+    native format, else a list."""
     size = lane // 8
     raw = packed.to_bytes(width * size, "little")
     if size <= 8 and _NATIVE_LITTLE:

@@ -13,9 +13,10 @@ in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps that
-row and its lane context, so it is built one way, by :func:`diff_row`,
-through ``core._trusted`` since it has nothing to validate.  The context is
-built with the row, by ``core._diff_lanes``, the one builder of it, from
+row and its lane context.  It is built one way, through its own
+constructor, which has nothing to validate; :func:`diff_row` calls it with
+the index and ``y_min`` that follow from the arrival row.  The constructor
+builds the context, by ``core._diff_lanes``, the one builder of it, from
 one read of the lane constants: the source row's first differences packed
 in its lanes with a few whole-row operations, each biased to be positive,
 the row's all-ones and top-bit constants, and the second differences.
@@ -51,7 +52,6 @@ from .core import (
     _Record,
     _lane_shape,
     _once,
-    _trusted,
     intermediate_configuration,
 )
 
@@ -93,10 +93,7 @@ class DiffRow(_Record):
 
 def diff_row(prev: Row) -> DiffRow:
     """Difference row ``prev.index + 1`` computed from arrival row ``prev``."""
-    return _trusted(
-        DiffRow, index=prev.index + 1, y_min=prev.y_min, source=prev,
-        _diff_lanes=core._diff_lanes(prev),
-    )
+    return DiffRow(prev.index + 1, prev.y_min, prev)
 
 
 def diff_table(n: int) -> Iterator[DiffRow]:

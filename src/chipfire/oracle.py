@@ -43,7 +43,9 @@ calls a Python function.  The random order draws inline: with
 below the pool's size, which is exactly what ``Random.randrange(size)``
 does, so a seed picks the same points as a ``randrange`` per move would.
 The drawn point is swapped to the end of the pool and popped.  The run
-ends in an :class:`OracleState` keyed by ``(x, y)`` tuples, decoded once.
+ends in an :class:`OracleState` keyed by ``(x, y)`` tuples, decoded once
+and built through its own constructor, with read-only fields like every
+record's.
 The confluence check compares two runs' maps with ``dict`` equality, at C
 speed, and falls back on Counter equality, which reads a missing point as
 0, only when that fails.
@@ -92,15 +94,12 @@ class OracleState(_Record):
     ``chips[x, y]`` is the final chip count, ``firings[x, y]`` how often
     the point fired; points never reached read as 0.  Total chips stay at
     ``2**n`` throughout: a firing moves two chips and destroys none.  Two
-    states are equal when all four fields are; a state is mutable, so it
-    has no hash.
+    states are equal when all four fields are.  The fields are read-only,
+    like every record's, but the two maps are Counters, which have no
+    hash, so a state has none either.
     """
 
     _fields = ("n", "moves", "chips", "firings")
-
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -109,10 +108,12 @@ class OracleState(_Record):
         chips: Counter[Point] | None = None,
         firings: Counter[Point] | None = None,
     ) -> None:
-        self.n = n
-        self.moves = moves
-        self.chips = Counter() if chips is None else chips
-        self.firings = Counter() if firings is None else firings
+        self.__dict__.update(
+            n=n,
+            moves=moves,
+            chips=Counter() if chips is None else chips,
+            firings=Counter() if firings is None else firings,
+        )
 
     def total_chips(self) -> int:
         return sum(self.chips.values())

@@ -5,7 +5,8 @@ can verify them by counting elements (every stable chip is one filled
 circle, every distribution point one circle on the polyline, and so on).
 Table-shaped figures are rotated so rows run horizontally: the row index
 grows to the right and the distance coordinate ``y - x`` spans the
-vertical axis.
+vertical axis.  Each renderer imports the module it draws from, so a
+figure loads only that one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from . import difftable, stable, structure
 from .core import _Record, intermediate_configuration
 
 KINDS = ("stable-dots", "distance-polyline", "row-profiles", "diff-signmap")
@@ -92,6 +92,8 @@ class _TableGeometry:
 
 
 def _render_stable_dots(spec: RenderSpec) -> str:
+    from . import stable
+
     rows = list(stable.stable_configuration(spec.n))
     last_index = rows[-1].index
     u_max = max((r.index - 2 * r.y_min for r in rows if r.width), default=0)
@@ -109,6 +111,8 @@ def _render_stable_dots(spec: RenderSpec) -> str:
 
 
 def _render_distance_polyline(spec: RenderSpec) -> str:
+    from . import stable
+
     d = stable.distance_distribution(spec.n)
     pad = _PAD
     m = d.half_width
@@ -130,6 +134,8 @@ def _profile_rows(n: int) -> list[tuple[str, tuple[int, ...], str]]:
     # longest length, and the first bottom-triangle row (when it exists).
     # One pass finds the last two: as in the segmentation, the bottom triangle
     # starts where the terminal run opens, or at row n + 1 if it opens above.
+    from . import structure
+
     run = structure.TerminalRun()
     longest = bottom_first = None
     for row in intermediate_configuration(n):
@@ -172,6 +178,8 @@ def _render_row_profiles(spec: RenderSpec) -> str:
 
 
 def _render_diff_signmap(spec: RenderSpec) -> str:
+    from . import difftable
+
     sign_rows = difftable.sign_map(spec.n)
     last_index = max((s.index for s in sign_rows), default=1)
     u_max = 1

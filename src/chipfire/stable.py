@@ -4,11 +4,12 @@ Once firing stops, a point holds one chip exactly when its arrival count is
 odd (it fired away ``2 * (F // 2)`` chips).  By the paper's main theorem the
 stable configuration is therefore the parity of the arrival table, and
 :attr:`Row.parity` already holds it: one 0/1 byte per entry.  A
-:class:`StableRow` is built one way, by :func:`stable_row` from its arrival
-row, through ``core._trusted`` since it has nothing to validate; it keeps
-those bytes, which need no second check, and derives everything else from
-them.  Its chip count is counted on first read and kept (``core._once``),
-since three folds of ``verify`` read it.
+:class:`StableRow` is built one way, through its own constructor, which
+has nothing to validate; :func:`stable_row` calls it with its arrival
+row's index, ``y_min`` and parity.  It keeps those bytes, which need no
+second check, and derives everything else from them.  Its chip count is
+counted on first read and kept (``core._once``), since three folds of
+``verify`` read it.
 :func:`stable_configuration` streams one per arrival row.
 
 Grouping the surviving chips by the distance coordinate ``y - x`` gives the
@@ -44,7 +45,6 @@ from .core import (
     _DistanceCounts,
     _Record,
     _once,
-    _trusted,
     intermediate_configuration,
 )
 
@@ -107,7 +107,7 @@ class StableRow(_Record):
 
 def stable_row(r: Row) -> StableRow:
     """The chips row ``r`` keeps: its parity bytes."""
-    return _trusted(StableRow, index=r.index, y_min=r.y_min, parity=r.parity)
+    return StableRow(r.index, r.y_min, r.parity)
 
 
 def stable_configuration(n: int) -> Iterator[StableRow]:

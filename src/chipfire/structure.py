@@ -36,26 +36,7 @@ from .core import (
     _Record,
     _minimal_values,
     intermediate_configuration,
-    row_bound,
 )
-
-__all__ = [
-    "RowProfile",
-    "LongestRow",
-    "Segmentation",
-    "BottomTriangleReport",
-    "DegenerateSegmentationError",
-    "TerminalRun",
-    "pascal_row",
-    "row_profile",
-    "longest_row",
-    "minimal_row",
-    "minimal_row_sum",
-    "is_minimal",
-    "segment",
-    "row_bound",
-    "check_bottom_conjecture",
-]
 
 
 class DegenerateSegmentationError(ChipfireError):

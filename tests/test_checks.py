@@ -512,10 +512,10 @@ class TestRerouteMutations:
         real = oracle.simulate
 
         def simulate(n, strategy="row-by-row", **kwargs):
-            state = real(n, strategy, **kwargs)
+            s = real(n, strategy, **kwargs)
             if strategy == "fifo-queue":
-                state.moves += 1
-            return state
+                return oracle.OracleState(s.n, s.moves + 1, s.chips, s.firings)
+            return s
 
         monkeypatch.setattr(oracle, "simulate", simulate)
         (result,) = run_checks(self.N, ["oracle-confluence"], oracle_trials=2)

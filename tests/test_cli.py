@@ -357,7 +357,7 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "chipfire: --properties filter 'row-symetry' names no check\n"
 
-    @pytest.mark.parametrize("spelling", ["row,", ",row", "row,,diff"])
+    @pytest.mark.parametrize("spelling", ["", "row,", ",row", "row,,diff"])
     def test_empty_filter_entry_is_refused(self, capsys, spelling):
         rc, out, err = run(capsys, "verify", "--n", "5", "--trials", "0", "--properties", spelling)
         assert (rc, out) == (2, "")
@@ -515,9 +515,18 @@ class TestImports:
                 "sequences longest-row --upto 3",
                 {"chipfire.sequences", "chipfire.stable", "chipfire.structure"},
             ),
+            # Each figure loads only the module it draws from.
             (
                 "render --kind row-profiles --n 3 --out {tmp}",
-                {"chipfire.render", "chipfire.difftable", "chipfire.stable", "chipfire.structure"},
+                {"chipfire.render", "chipfire.structure"},
+            ),
+            (
+                "render --kind diff-signmap --n 3 --out {tmp}",
+                {"chipfire.render", "chipfire.difftable"},
+            ),
+            (
+                "render --kind stable-dots --n 3 --out {tmp}",
+                {"chipfire.render", "chipfire.stable"},
             ),
         ],
     )

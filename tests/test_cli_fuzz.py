@@ -109,7 +109,7 @@ GRAMMAR = {
             "--properties",
             st.lists(st.sampled_from([*checks.CHECK_NAMES, "diff", "oracle"]),
                      min_size=1, max_size=3).map(",".join),
-            ["no-such-check", "diff,no-such-check", "row,", ",diff"],
+            ["no-such-check", "diff,no-such-check", "", "row,", ",diff"],
         ),
         option("--trials", *ints(-3, 3, [str(oracle.MAX_TRIALS + 1), HUGE, "x", ""])),
         option("--seed", *ints(-3, 3, ["x", ""])),

@@ -409,53 +409,21 @@ class TestPackedView:
 
     def test_only_core_builds_trusted_rows(self):
         # Only core builds objects without their __init__, through _trusted,
-        # and only kernel rows skip validation that way.  Another module may
-        # call _trusted only on a class of its own that does not validate
-        # (no __post_init__, and an __init__ that raises nothing), so it has
-        # nothing to skip; it neither calls __new__ itself nor hands
-        # _trusted on or renames it.
+        # and only for kernel rows: no other module names _trusted or
+        # __new__.
         package = Path(core.__file__).parent
-        misuses, calls = [], []
+        misuses = []
         for path in sorted(package.glob("*.py")):
             if path.name == "core.py":
                 continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            own = {
-                node.name
-                for node in tree.body
-                if isinstance(node, ast.ClassDef)
-                and not any(
-                    isinstance(f, ast.FunctionDef)
-                    and (
-                        f.name == "__post_init__"
-                        or f.name == "__init__"
-                        and any(isinstance(s, (ast.Raise, ast.Assert)) for s in ast.walk(f))
-                    )
-                    for f in node.body
-                )
-            }
-            allowed = set()
-            for node in ast.walk(tree):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "_trusted"
-                    and node.args
-                    and isinstance(node.args[0], ast.Name)
-                    and node.args[0].id in own
-                ):
-                    allowed.add(id(node.func))
-                    calls.append(f"{path.name}:{node.args[0].id}")
-            for node in ast.walk(tree):
-                named = (
                     isinstance(node, ast.Name) and node.id == "_trusted"
                     or isinstance(node, ast.Attribute) and node.attr in ("_trusted", "__new__")
-                    or isinstance(node, ast.alias) and node.name == "_trusted" and node.asname
-                )
-                if named and id(node) not in allowed:
+                    or isinstance(node, ast.alias) and node.name == "_trusted"
+                ):
                     misuses.append(f"{path.name}:{node.lineno}")
         assert misuses == []
-        assert sorted(calls) == ["difftable.py:DiffRow", "stable.py:StableRow"]
 
 
 class TestEntry:

@@ -91,7 +91,7 @@ class TestDistanceCounts:
         ]
         assert self.accumulated(rows) == self.reference(rows)
 
-    @pytest.mark.parametrize("rows", [255, 256, 300, 511, 1000])
+    @pytest.mark.parametrize("rows", [255, 256, 300, 511, 600, 1000])
     def test_many_rows_at_one_distance(self, rows):
         # Every 255 rows, before a lane could overflow, the staged 8-bit
         # lanes move into the 64-bit ones: a staged lane that took a 256th
