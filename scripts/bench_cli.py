@@ -20,8 +20,19 @@ line, the host, every run, and per command and tree the median and
 quartiles of both; ``wall_ratio`` divides the first tree's median wall time
 by each other tree's, and ``wins`` counts, for each tree after the first,
 the rounds in which that tree ran the command faster than the first tree
-(a tie counts for neither).  Every tree must print the same output for a
-command, or the script stops.
+(a tie counts for neither), and ``wall_delta_s`` is the median over the
+rounds of that tree's wall time less the first tree's in the same round,
+which drift of the host's speed between rounds moves less than the
+medians.  Every tree must print the same output for a command, or the
+script stops.
+
+A process's peak RSS follows the length of the paths it imports from, so
+every tree runs from paths of one length: tree ``k`` of a run is reached
+through the symlinks ``<tmp>/<k>/src``, to its source tree, and
+``<tmp>/<k>/tree``, to the directory above it, in one temporary directory,
+and the child is given these paths unresolved.  ``trees`` in the JSON maps
+each name to the real path of its source tree, relative to the working
+directory.
 
 The script and every command it starts run pinned to the first CPU the
 script may run on, recorded as ``host["pinned_cpu"]``, since the speed of a
@@ -39,6 +50,7 @@ import platform
 import shlex
 import statistics
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -82,13 +94,48 @@ def _summary(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def _argv(command: str, src: Path) -> list[str]:
+def _argv(command: str, root: Path) -> list[str]:
     """The arguments of ``python`` that run ``command`` on the tree whose
-    package lies in ``src``."""
+    scripts lie under ``root``."""
     words = command.split()
     if words[0].endswith(".py"):
-        return [str(src.parent / words[0]), *words[1:]]
+        return [str(root / words[0]), *words[1:]]
     return ["-m", "chipfire.cli", *words]
+
+
+def _links(real: dict[str, Path], tmp: Path) -> dict[str, Path]:
+    """For each tree, ``tmp/<k>`` holding the symlinks ``src`` to its source
+    tree and ``tree`` to the directory above it; ``k`` is the tree's place,
+    zero-padded, so every tree's paths have one length."""
+    width = len(str(len(real) - 1))
+    links = {}
+    for k, (name, src) in enumerate(real.items()):
+        link = tmp / f"{k:0{width}d}"
+        link.mkdir()
+        (link / "src").symlink_to(src, target_is_directory=True)
+        (link / "tree").symlink_to(src.parent, target_is_directory=True)
+        links[name] = link
+    return links
+
+
+def _runs(args: argparse.Namespace, links: dict[str, Path]) -> list[dict]:
+    """Every run of every command, each tree reached through its links."""
+    runs = []
+    for command in args.commands:
+        outputs = {}
+        for r in range(args.rounds):
+            order = list(links) if r % 2 == 0 else list(links)[::-1]
+            for name in order:
+                link = links[name]
+                report = peak_rss.run_python(_argv(command, link / "tree"), args.timeout, link / "src")
+                outputs.setdefault(report["out"], name)
+                runs.append({"command": command, "tree": name, "round": r, "exit": report["exit"],
+                             "wall_s": round(report["wall_s"], 4),
+                             "peak_mib": round(report["peak_kib"] / 1024, 2)})
+                print(json.dumps(runs[-1]), file=sys.stderr)
+        if len(outputs) != 1:
+            raise SystemExit(f"trees {sorted(outputs.values())} print different output for {command!r}")
+    return runs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,23 +153,9 @@ def _bench(argv: list[str] | None, cpu: int | None) -> int:
     parser.add_argument("commands", nargs="+",
                         help="chipfire arguments or a .py script and its arguments, one string per command")
     args = parser.parse_args(argv)
-    trees = dict(t.split("=", 1) for t in args.tree)
-
-    runs = []
-    for command in args.commands:
-        outputs = {}
-        for r in range(args.rounds):
-            order = list(trees) if r % 2 == 0 else list(trees)[::-1]
-            for name in order:
-                src = Path(trees[name]).resolve()
-                report = peak_rss.run_python(_argv(command, src), args.timeout, src)
-                outputs.setdefault(report["out"], name)
-                runs.append({"command": command, "tree": name, "round": r, "exit": report["exit"],
-                             "wall_s": round(report["wall_s"], 4),
-                             "peak_mib": round(report["peak_kib"] / 1024, 2)})
-                print(json.dumps(runs[-1]), file=sys.stderr)
-        if len(outputs) != 1:
-            raise SystemExit(f"trees {sorted(outputs.values())} print different output for {command!r}")
+    trees = {name: Path(src).resolve() for name, src in (t.split("=", 1) for t in args.tree)}
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = _runs(args, _links(trees, Path(tmp)))
 
     results = {}
     for command in args.commands:
@@ -145,12 +178,16 @@ def _bench(argv: list[str] | None, cpu: int | None) -> int:
                 name: sum(wall[name, r] < wall[first, r] for r in range(args.rounds))
                 for name in others
             },
+            "wall_delta_s": {
+                name: round(statistics.median(wall[name, r] - wall[first, r] for r in range(args.rounds)), 4)
+                for name in others
+            },
         }
     report = {
         "command": shlex.join(["python", "scripts/bench_cli.py", *(sys.argv[1:] if argv is None else argv)]),
         "host": {**_host(), "pinned_cpu": cpu},
         "rounds": args.rounds,
-        "trees": trees,
+        "trees": {name: os.path.relpath(src) for name, src in trees.items()},
         "results": results,
         "runs": runs,
     }

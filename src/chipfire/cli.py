@@ -19,18 +19,26 @@ arguments outside a function's domain (``segment --n 0``) and
 A command pays only for the modules it runs.  This module imports
 :mod:`chipfire.core` alone; each command imports its own modules when it
 runs (``distance`` loads :mod:`chipfire.stable`, ``diff``
-:mod:`chipfire.difftable`, ``table`` nothing more), and ``main`` adds to
-the parser the arguments of the one command named on the command line.
+:mod:`chipfire.difftable`, ``table`` nothing more).  When the command line
+starts with a command, the parser holds that command's subparser alone;
+otherwise (help or an option first, an unknown command or none) it holds
+all nine, and only the one named on the command line gets its arguments.
 Its argument builder imports what the arguments need: ``sequences`` reads
 its choices from ``sequences.SEQUENCES``, ``verify`` its ``--trials`` cap
 from ``oracle.MAX_TRIALS`` and ``render`` its kinds from ``render.KINDS``.
 The top-level help, usage and errors show only the command names and their
 help text, so they load nothing.
+
+``python -m chipfire.cli`` and the ``chipfire`` script run :func:`entry`,
+which calls ``gc.freeze()`` once the command has returned, so the
+collection the interpreter runs at exit skips every object start-up and
+the command left alive.  :func:`main` leaves the caller's GC state alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from functools import lru_cache, partial
 from itertools import chain, islice
@@ -370,9 +378,10 @@ def _cmd_render(args) -> int:
 # parser
 #
 # Each command has its own argument builder, which imports what its
-# arguments need.  ``main`` runs only the builder of the command it was
-# given, so help, usage and errors for one command load no other command's
-# modules; the top level lists every command by its name and help text.
+# arguments need.  ``build_parser`` runs only the builder of the command it
+# was given, so help, usage and errors for one command load no other
+# command's modules; the top level lists every command by its name and help
+# text.
 
 
 def _output_flags(p: argparse.ArgumentParser) -> None:
@@ -439,15 +448,29 @@ _COMMANDS: dict[str, tuple[str, _Builder, Callable[..., int]]] = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``chipfire`` parser, with the arguments of ``command`` only (of no
-    command when None or not a command name)."""
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The ``chipfire`` parser for ``argv``.
+
+    When ``argv`` starts with a command name, the parser holds that command
+    alone, with its arguments, and its usage line still lists every command.
+    Otherwise (help or an option first, an unknown command or none) it holds
+    every command, and gives its arguments to the first argument that is not
+    an option when that names a command.
+    """
     parser = argparse.ArgumentParser(
         prog="chipfire",
         description="Chip-firing tables on the first-quadrant lattice.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, run) in _COMMANDS.items():
+    # The top level takes no option with a value, so the first argument
+    # that is not an option is the one argparse reads as the command.
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if argv and argv[0] == command and command in _COMMANDS:
+        names, metavar = [command], "{%s}" % ",".join(_COMMANDS)
+    else:
+        names, metavar = list(_COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_arguments, run = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name == command:
             add_arguments(p)
@@ -457,10 +480,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # The top level takes no option with a value, so the first argument
-    # that is not an option is the one argparse reads as the command.
-    command = next((a for a in argv if not a.startswith("-")), None)
-    args = build_parser(command).parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except ChipfireError as exc:
@@ -474,5 +494,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_IO
 
 
+def entry() -> int:
+    """``main`` on ``sys.argv``, then ``gc.freeze()``: the process entry of
+    ``python -m chipfire.cli`` and of the ``chipfire`` script.
+
+    The freeze moves every object still tracked to the permanent
+    generation, which the collection the interpreter runs at exit skips.
+    Exit statuses, flushes, ``atexit`` and module teardown are as without
+    it.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

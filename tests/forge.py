@@ -1,7 +1,7 @@
-"""Rows built without validation, for tests that feed the checks and lane
-folds values no real table holds."""
+"""Rows and tables no real ``n`` holds, for tests that feed them to the
+checks, the lane folds and the CLI."""
 
-from chipfire.core import Row, _lane_bits, _pack, _trusted, _unpack
+from chipfire.core import Row, _lane_bits, _pack, _trusted, _unpack, intermediate_configuration
 
 
 def forged_row(index, y_min, values, lane=None):
@@ -25,3 +25,15 @@ def forged_context(source, packed):
     diffs = [e - (1 << lane - 2) for e in _unpack(packed, lanes, lane)]
     seconds = [b - a + (1 << lane - 1) for a, b in zip((0, *diffs), (*diffs, 0))]
     return packed, lane, ones, ones << lane - 1, _pack(seconds, lane)
+
+
+def corrupted_table(n):
+    """The rows of ``n`` with the ends of the first row of width 3 or more
+    raised by one: palindromic and positive, but not the table."""
+    rows = list(intermediate_configuration(n))
+    i = next(k for k, r in enumerate(rows) if r.width >= 3)
+    v = list(rows[i].values)
+    v[0] += 1
+    v[-1] += 1
+    rows[i] = Row(index=rows[i].index, y_min=rows[i].y_min, values=tuple(v))
+    return rows

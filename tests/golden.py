@@ -169,4 +169,11 @@ CLI_TEXT_SHA256 = {
     "sequences busy-beavers --upto 3": "648d9a4696ac442ed342ba4c41ff376e2f0f67a90f957078338ecef2fba9e2be",
     "verify --n 4..2": "0b341736796588b62ca07bd182fe74a4712778de85b836b72c2e472a1a132c5e",
     "render --kind mystery --n 2 --out x.svg": "08d2dbe1af58228811d6fd2cc264e140c324f309754755ac121d4449cd07c896",
+    # Frozen from the parser that built every command's subparser on every
+    # call: a command then a stray argument, an option before the command,
+    # `--` before it and an unknown command.
+    "table --n 3 extra": "4a519343b216b31027dfef7dc3e3ff73ed3bab68fcb29e1d77f986392b14c269",
+    "--n 3 table": "114ada6bf03588b776381d01c77e118363dc43d8b1f3b83b0dfcb2ca01ede344",
+    "-- table --n 3": "8b7a116ee39eece72d9b4d5f3690fa806a3d7d0c36ac50a9bb1edb10ba6aa88d",
+    "bogus": "d5ddc57a8904c22d8b7c37753bef1d69f6fc446c8601be53968bac46fb9d8882",
 }

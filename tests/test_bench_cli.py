@@ -30,14 +30,19 @@ def test_runs_scripts_and_commands_on_each_tree(tmp_path):
 
 def test_wins_count_the_rounds_each_tree_ran_faster(tmp_path):
     # wins[name] is the number of rounds in which tree name ran faster than
-    # the first tree; a tie counts for neither.
+    # the first tree, a tie counting for neither; wall_delta_s[name] is the
+    # median of name's wall time less the first tree's, round by round.
     out = tmp_path / "bench.json"
     trees = [arg for name in "abc" for arg in ("--tree", f"{name}={ROOT / 'src'}")]
     assert _bench_cli().main([*trees, "--rounds", "3", "--out", str(out), "table --n 3"]) == 0
     report = json.loads(out.read_text())
     wall = {(r["tree"], r["round"]): r["wall_s"] for r in report["runs"]}
-    assert report["results"]["table --n 3"]["wins"] == {
+    result = report["results"]["table --n 3"]
+    assert result["wins"] == {
         name: len([r for r in range(3) if wall[name, r] < wall["a", r]]) for name in "bc"
+    }
+    assert result["wall_delta_s"] == {
+        name: round(sorted(wall[name, r] - wall["a", r] for r in range(3))[1], 4) for name in "bc"
     }
 
 
@@ -57,3 +62,23 @@ def test_runs_pinned_to_one_cpu(tmp_path):
     assert os.sched_getaffinity(0) == before
     assert seen.read_text() == repr([min(before)])
     assert json.loads(out.read_text())["host"]["pinned_cpu"] == min(before)
+
+
+def test_trees_at_paths_of_different_lengths_run_from_paths_of_one_length(tmp_path):
+    # A process's peak RSS follows the length of the paths it imports from,
+    # so each tree runs from a path of one length; the JSON keeps its real one.
+    trees = []
+    for name, directory in (("short", "a"), ("long", "a_much_longer_directory_name")):
+        root = tmp_path / directory
+        (root / "src" / "chipfire").mkdir(parents=True)
+        (root / "src" / "chipfire" / "__init__.py").write_text("")
+        (root / "filelen.py").write_text("import chipfire\nprint(len(chipfire.__file__))\n")
+        trees += ["--tree", f"{name}={root / 'src'}"]
+    out = tmp_path / "bench.json"
+    assert _bench_cli().main([*trees, "--rounds", "2", "--out", str(out), "filelen.py"]) == 0
+    report = json.loads(out.read_text())
+    assert report["trees"] == {
+        name: os.path.relpath((tmp_path / directory / "src").resolve())
+        for name, directory in (("short", "a"), ("long", "a_much_longer_directory_name"))
+    }
+    assert [r["exit"] for r in report["runs"]] == [0] * 4
