@@ -7,10 +7,18 @@ and cross-validates everything against a brute-force simulator at small n.
 
 Names resolve lazily (PEP 562): ``import chipfire`` loads no submodule, and
 the first read of a public name, by ``chipfire.X`` or
-``from chipfire import X``, imports the one submodule that defines it.  So
-a command of :mod:`chipfire.cli` pays only for the modules it runs.  The
+``from chipfire import X``, imports the one submodule that defines it.  The
 submodules that define public names are attributes too, imported on first
-access.
+access; :mod:`chipfire.checks` reads ``chipfire.oracle`` that way, so only a
+pass that plays the oracle imports it.
+
+So a command of :mod:`chipfire.cli` compiles only the code it runs: this
+module, the dispatcher :mod:`chipfire.cli` and the kernel
+:mod:`chipfire.core`, which every command loads, then the module of its
+family (``_cli_tables`` for ``table``, ``diff`` and ``stable``,
+``_cli_summaries`` for ``distance``, ``firings`` and ``segment``,
+``_cli_sequences``, ``_cli_verify`` and ``_cli_render``), and the library
+modules that command runs.
 """
 
 from importlib import import_module

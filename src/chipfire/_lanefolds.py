@@ -13,7 +13,7 @@ entry):
 - ``monotone-steps`` (:func:`_growth_break`) and ``diff-local-propagation``
   (:func:`_rises_and_falls`, :func:`_propagation_break`) read the top bits
   of the biased first and second differences of the context that
-  :func:`chipfire.core._diff_lanes` builds;
+  :func:`chipfire.difftable._diff_lanes` builds;
 - ``diff-telescoping`` (:func:`_telescoping_break`) rebuilds the row from
   its differences by multiplying with the all-ones int.
 
@@ -22,15 +22,14 @@ and only that lane is read for the check's detail.
 
 Only ``verify`` runs these folds, so they live apart from the kernel,
 which every command compiles, and only :mod:`chipfire.checks` imports
-this module.  The lane format stays inside :mod:`chipfire.core` and this
-module: other modules read ``width``, ``parity``, ``chip_sum()``,
-``value_at`` or ``values``, or call the lane readers of ``core`` and the
-folds here.
+this module.  This is one of the five modules that read the lane format
+(see :mod:`chipfire.core`).
 """
 
 from __future__ import annotations
 
-from .core import _FORMATS, Row, _diff_constants
+from .core import _FORMATS, Row
+from .difftable import _diff_constants
 
 # bytes.translate tables taking a byte to its top bit, or the complement of
 # its top bit.
@@ -99,7 +98,7 @@ def _growth_break(d) -> tuple[int, int] | None:
     row ``d`` that breaks the growth rule.
 
     Step k, from ``y_min + k`` to the next position, is ``v[k+1] - v[k]``:
-    lane ``k + 1`` of ``core._diff_lanes``, which holds it plus
+    lane ``k + 1`` of ``difftable._diff_lanes``, which holds it plus
     ``B = 2**(lane-2)``.  Steps strictly left of the diagonal must be at
     least 2 (lane ``+ B - 2`` reaches the top bit ``2B``), steps strictly
     right of it at most -2 (``3B - 2 -`` lane reaches it), and the one or two
@@ -120,7 +119,7 @@ def _growth_break(d) -> tuple[int, int] | None:
     bias = 1 << lane - 2
     # The top bits of lanes 1 .. left, then of lanes right + 1 .. steps;
     # a bad lane is one whose top bit is clear, read without negative ints
-    # as in ``core._lane_shape``.
+    # as in ``difftable._lane_shape``.
     lefts = top & (1 << (left + 1) * lane) - (1 << lane)
     bad = lefts ^ (lefts & (packed + (bias - 2) * ones))
     if not bad:
@@ -156,7 +155,7 @@ def _rises_and_falls(d) -> tuple[int, int]:
     Byte j of the first is 1 when entry j is at least entry j - 1, for
     j = 0 .. width of the difference row (entries outside it are 0), and
     byte j of the second is 1 where that byte of the first is 0.  Lane j of
-    the second differences of its lane context (``core._diff_lanes``) holds
+    the second differences of its lane context (``difftable._diff_lanes``) holds
     ``e_j - e_{j-1} + 2**(lane-1)``, so its top bit is the rise flag; the
     top byte of each lane, translated to its top bit or to that bit's
     complement, becomes that lane's byte.

@@ -30,12 +30,13 @@ centre, running chip and firing sums, the current run of widths stepping
 down by 1 with its non-minimal rows, the last marked stable row, and at
 most five offending row indices for a detail.  The chips are counted by
 distance once per row, on the lanes of one accumulator of
-:mod:`chipfire.core` that the pass keeps (an int of one lane per distance);
+:mod:`chipfire.stable` that the pass keeps (an int of one lane per distance);
 ``distance-distribution`` and ``firing-count-identity`` read its counts at
 the end of the table.
 The bottom-triangle report is one more fold, over a
 :class:`structure.TerminalRun` (the open run and the longest width).
-The oracle cross-checks are folds too.  When they run, the confluence
+The oracle cross-checks are folds too, and only a pass that plays the
+oracle imports :mod:`chipfire.oracle`.  When they run, the confluence
 check runs before the stream and ``oracle-confluence`` has its verdict at
 once; the arrival, firing-count and parity checks each compare the
 streamed entries with the grid of the row-by-row run as the rows go by,
@@ -69,17 +70,17 @@ from __future__ import annotations
 
 from typing import Callable, Generator, Iterable, NamedTuple, Sequence
 
-from . import difftable, oracle, stable, structure
+# Only a pass that plays the oracle reads ``chipfire.oracle``, which the
+# package imports on that first read (PEP 562), so a run without the oracle
+# compiles none of the simulator, nor random and heapq.
+import chipfire
+
+from . import difftable, stable, structure
 from .core import (
-    ChipfireError,
-    Row,
-    _check_exponent,
-    _DistanceCounts,
-    _Record,
-    intermediate_configuration,
-    next_row,
-    row_bound,
+    ORACLE_EXPONENT_LIMIT, ChipfireError, Row, _check_exponent, _Record, check_trials,
+    intermediate_configuration, next_row, row_bound,
 )
+from .stable import _DistanceCounts
 from ._lanefolds import (
     _antisymmetric_diffs,
     _growth_break,
@@ -445,7 +446,7 @@ def _settled(verdict: _Verdict) -> _Fold:
     yield
 
 
-def _grid_match(grid: dict[oracle.Point, int], entry: Callable, detail: str) -> _Fold:
+def _grid_match(grid: dict[chipfire.oracle.Point, int], entry: Callable, detail: str) -> _Fold:
     # The streamed entries that ``entry`` maps to a value (None leaves one
     # out) must be exactly the points of ``grid``: each is compared as its
     # row streams by, and a point of the grid that no row met fails at the
@@ -463,14 +464,15 @@ def _grid_match(grid: dict[oracle.Point, int], entry: Callable, detail: str) -> 
 
 #: The oracle cross-checks in scorecard order, reported after the folds: each
 #: builds its fold from the confluence check of the pass.
-_ORACLE_FOLDS: dict[str, Callable[[oracle.ConfluenceReport], _Fold]] = {
+_ORACLE_FOLDS: dict[str, Callable[..., _Fold]] = {
     "oracle-confluence": lambda report: _settled((
         report.passed,
         f"{report.runs} runs, {report.moves} moves"
         + (f"; {report.mismatches[0]}" if report.mismatches else ""),
     )),
     "oracle-arrivals": lambda report: _grid_match(
-        oracle.arrivals(report.row_by_row), lambda v: v, "arrival grid matches the streamed table"
+        chipfire.oracle.arrivals(report.row_by_row), lambda v: v,
+        "arrival grid matches the streamed table",
     ),
     "oracle-firing-counts": lambda report: _grid_match(
         report.row_by_row.nonzero_firings(), lambda v: v >> 1 if v >= 2 else None,
@@ -544,7 +546,7 @@ def _oracle_runs(n: int, trials: int) -> bool:
     """Whether the oracle cross-checks run for ``n`` with ``trials`` random
     orders: the confluence check needs two, and the simulator stops at the
     oracle limit."""
-    return trials >= 2 and 1 <= n <= oracle.ORACLE_EXPONENT_LIMIT
+    return trials >= 2 and 1 <= n <= ORACLE_EXPONENT_LIMIT
 
 
 def _built(active: Iterable[str], makers: dict) -> tuple[bool, bool, bool, bool]:
@@ -600,7 +602,7 @@ def run_checks(
     folds = {name: make(n) for name, (make, _) in makers.items() if _selects(properties, name)}
     oracle_names = [name for name in _ORACLE_FOLDS if _selects(properties, name)]
     if oracle_names and _oracle_runs(n, oracle_trials):
-        report = oracle.confluence_check(n, trials=oracle_trials, seed=seed)
+        report = chipfire.oracle.confluence_check(n, trials=oracle_trials, seed=seed)
         folds.update((name, _ORACLE_FOLDS[name](report)) for name in oracle_names)
     verdicts: dict[str, _Verdict] = {}
     active: dict[str, _Fold] = {}
@@ -657,7 +659,7 @@ def scorecard(
     only oracle cross-checks when the oracle runs for no n of ``ns``.
     """
     if oracle_trials >= 2:
-        oracle.check_trials(oracle_trials)
+        check_trials(oracle_trials)
     for p in properties or ():
         if not p or not any(_selects((p,), name) for name in CHECK_NAMES):
             raise ValueError(f"--properties filter {p!r} names no check")
@@ -666,7 +668,7 @@ def scorecard(
     if selected <= _ORACLE_FOLDS.keys() and not any(_oracle_runs(n, oracle_trials) for n in ns):
         raise ValueError(
             "--properties filter selects only oracle checks, which run only with "
-            f"at least 2 trials and for n in 1..{oracle.ORACLE_EXPONENT_LIMIT}"
+            f"at least 2 trials and for n in 1..{ORACLE_EXPONENT_LIMIT}"
         )
     results = [minimal_descent_check()] if _selects(properties, "minimal-row-descent") else []
     for n in ns:

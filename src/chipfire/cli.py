@@ -16,18 +16,32 @@ failure, 2 usage error, 3 I/O error.  The library raises ``ValueError`` for
 arguments outside a function's domain (``segment --n 0``) and
 ``ChipfireError`` for failed invariants, so the two map to exit 2 and 1.
 
-A command pays only for the modules it runs.  This module imports
-:mod:`chipfire.core` alone; each command imports its own modules when it
-runs (``distance`` loads :mod:`chipfire.stable`, ``diff``
-:mod:`chipfire.difftable`, ``table`` nothing more).  When the command line
-starts with a command, the parser holds that command's subparser alone;
-otherwise (help or an option first, an unknown command or none) it holds
-all nine, and only the one named on the command line gets its arguments.
-Its argument builder imports what the arguments need: ``sequences`` reads
-its choices from ``sequences.SEQUENCES``, ``verify`` its ``--trials`` cap
-from ``oracle.MAX_TRIALS`` and ``render`` its kinds from ``render.KINDS``.
-The top-level help, usage and errors show only the command names and their
-help text, so they load nothing.
+A command compiles only the code it runs.  This module is the dispatcher:
+the exit codes, the argument types and flags that several commands share,
+the writers of text and of one result, the table of commands and the
+parser.  It imports
+:mod:`chipfire.core` alone.  Each command lives in the module of its
+family that ``_COMMANDS`` names, which holds its argument builder and its
+handler, and imports the library modules the command runs only for it
+(``sequences`` and ``render`` when their arguments are built, since their
+choices come from those modules):
+
+- ``table``, ``diff`` and ``stable``, which write a table row by row, in
+  :mod:`chipfire._cli_tables`, with the CSV and JSON row writers;
+- ``distance``, ``firings`` and ``segment``, which write one summary of a
+  table each, in :mod:`chipfire._cli_summaries`;
+- ``sequences`` in :mod:`chipfire._cli_sequences`, ``verify`` in
+  :mod:`chipfire._cli_verify` and ``render`` in :mod:`chipfire._cli_render`.
+
+Where no bytecode is written, every call compiles each module it imports:
+the package, the dispatcher, ``core``, its command's module and the
+library modules the command runs, and no code of a command outside its
+family.  When the command line starts with a command, the parser holds
+that command's subparser alone; otherwise (help or an option first, an
+unknown command or none) it holds all nine, and only the one named on the
+command line gets its arguments, so only that command's module is
+imported.  The top-level help, usage and errors show only the command
+names and their help text, so they import no command module.
 
 ``python -m chipfire.cli`` and the ``chipfire`` script run :func:`entry`,
 which calls ``gc.freeze()`` once the command has returned, so the
@@ -40,15 +54,10 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
-from functools import lru_cache, partial
-from itertools import chain, islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from importlib import import_module
+from typing import Callable, Iterable, Sequence
 
-from .core import MAX_EXPONENT, ChipfireError, Row, intermediate_configuration
-
-if TYPE_CHECKING:
-    from .checks import CheckResult
-    from .difftable import DiffRow
+from .core import MAX_EXPONENT, ChipfireError
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -57,7 +66,7 @@ EXIT_IO = 3
 
 
 # ---------------------------------------------------------------------------
-# argument helpers
+# argument types and shared flags
 
 
 def _exponent(text: str) -> int:
@@ -70,19 +79,6 @@ def _exponent(text: str) -> int:
     return n
 
 
-def _exponent_range(text: str) -> range:
-    """Accept a single exponent or an inclusive span like ``2..12``."""
-    lo, sep, hi = text.partition("..")
-    try:
-        start = int(lo)
-        stop = int(hi) if sep else start
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an exponent range: {text!r}") from None
-    if not 0 <= start <= stop <= MAX_EXPONENT:
-        raise argparse.ArgumentTypeError(f"bad exponent range: {text!r}")
-    return range(start, stop + 1)
-
-
 def _positive(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -90,94 +86,19 @@ def _positive(text: str) -> int:
     return value
 
 
+def _output_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="write to a file instead of stdout")
+    p.add_argument("--header", action="store_true", help="include a CSV header line")
+
+
+def _table_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_exponent, required=True)
+    _output_flags(p)
+
+
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def _formatted(rows: Iterable[Row | DiffRow], row_format: Callable[[int], str]) -> Iterator[str]:
-    """Each row as ``row_format(width) % (index, y_min, *values)``.
-
-    One ``%`` per row formats every entry in C, instead of one Python
-    ``str`` call per entry.  Both row formats are ``lru_cache`` functions,
-    so each width's format is built once.
-    """
-    for r in rows:
-        values = r.values
-        yield row_format(len(values)) % (r.index, r.y_min, *values)
-
-
-@lru_cache(maxsize=None)
-def _csv_format(width: int) -> str:
-    return "%d,%d," + " ".join(["%d"] * width) + "\n"
-
-
-def _csv_lines(rows: Iterable[Row | DiffRow], header: bool) -> Iterator[str]:
-    """``index,y_min,values`` lines, the entries joined by spaces, as the
-    rows stream."""
-    if header:
-        yield "index,y_min,values\n"
-    yield from _formatted(rows, _csv_format)
-
-
-def rows_to_csv(rows: Iterable[Row | DiffRow], header: bool = False) -> str:
-    """Arrival or difference rows as ``index,y_min,values`` lines.
-
-    Each entry is written with ``%d``: exactly ``str`` of the entry, since
-    rows hold only ints.
-    """
-    return "".join(_csv_lines(rows, header))
-
-
-@lru_cache(maxsize=None)
-def _json_format(width: int) -> str:
-    # One row object of json.dumps(..., indent=2) at depth 2, after a comma.
-    values = ",\n        ".join(["%d"] * width)
-    values = f"[\n        {values}\n      ]" if width else "[]"
-    return ',\n    {\n      "index": %d,\n      "y_min": %d,\n      "values": ' + values + "\n    }"
-
-
-def _json_lines(n: int, row_count: int, rows: Iterable[Row | DiffRow]) -> Iterator[str]:
-    """``{"n", "row_count", "rows"}`` in the bytes of ``json.dumps(indent=2)``,
-    written as the rows stream."""
-    head = '{\n  "n": %d,\n  "row_count": %d' % (n, row_count)
-    return _json_object(head, _formatted(rows, _json_format))
-
-
-def _json_object(head: str, lines: Iterator[str]) -> Iterator[str]:
-    """A ``json.dumps(indent=2)`` object whose last key is ``"rows"``:
-    ``head`` opens it and holds the keys before that one, and each of
-    ``lines`` is one row, led by the comma that follows the row before."""
-    yield head + ',\n  "rows": ['
-    first = next(lines, None)
-    if first is None:
-        yield "]\n}\n"
-        return
-    yield first[1:]  # no comma before the first row
-    yield from lines
-    yield "\n  ]\n}\n"
-
-
-# One stable row object of json.dumps(..., indent=2) at depth 2, after a
-# comma; the bits are digits, which JSON writes as they are.
-_STABLE_JSON_ROW = ',\n    {\n      "index": %d,\n      "y_min": %d,\n      "bits": "%s"\n    }'
-
-
-def rows_from_csv(text: str) -> list[Row]:
-    """Parse ``rows_to_csv`` output (with or without header) back into rows."""
-    out: list[Row] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("index,"):
-            continue
-        index, y_min, values = line.split(",", 2)
-        out.append(
-            Row(
-                index=int(index),
-                y_min=int(y_min),
-                values=tuple(int(v) for v in values.split()),
-            )
-        )
-    return out
+# output
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -187,46 +108,6 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
-
-
-def _json(payload) -> str:
-    import json  # only JSON output needs it
-
-    return json.dumps(payload, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-def _emit_rows(args, mapped: Callable[[Iterable[Row]], Iterable[Row | DiffRow]] = iter) -> int:
-    """Write ``mapped`` of the table's rows (by default the rows themselves)
-    as CSV or JSON, one row at a time.
-
-    ``mapped`` gives one row per arrival row.  JSON states ``row_count``
-    before the rows, so it first counts the arrival rows of one stream,
-    building no mapped row, then writes the mapped rows of a fresh one.
-    Both formats hold a few rows at a time, so memory follows the widest
-    row.
-    """
-    if args.format == "csv":
-        _emit(_csv_lines(mapped(_table_rows(args)), args.header), args.out)
-    else:
-        row_count = sum(1 for _ in _table_rows(args))
-        _emit(_json_lines(args.n, row_count, mapped(_table_rows(args))), args.out)
-    return EXIT_OK
-
-
-def _table_rows(args) -> Iterator[Row]:
-    """The table's rows, stopped after ``--max-rows``.  A limit past
-    ``sys.maxsize``, which ``islice`` refuses, exceeds every table, so the
-    whole table is written."""
-    limit = args.max_rows and min(args.max_rows, sys.maxsize)
-    return islice(intermediate_configuration(args.n), limit)
-
-
-def _cmd_table(args) -> int:
-    return _emit_rows(args)
 
 
 def _emit_result(
@@ -241,210 +122,29 @@ def _emit_result(
         lines.extend(csv_lines())
         _emit(["\n".join(lines) + "\n"], args.out)
     else:
-        _emit([_json(payload())], args.out)
-    return EXIT_OK
+        import json  # only JSON output needs it
 
-
-def _cmd_stable(args) -> int:
-    from . import stable
-
-    rows = stable.stable_configuration(args.n)
-    # Both formats stream row by row, like table.  JSON puts chip_count
-    # before the rows, so a first pass sums it and a second, over a fresh
-    # stream, writes the rows.
-    if args.format == "csv":
-        lines = (f"{r.index},{r.y_min},{r.pattern()}\n" for r in rows)
-        _emit(chain(["index,y_min,bits\n"] if args.header else [], lines), args.out)
-    else:
-        head = '{\n  "n": %d,\n  "chip_count": %d' % (args.n, sum(r.chip_count for r in rows))
-        lines = (
-            _STABLE_JSON_ROW % (r.index, r.y_min, r.pattern())
-            for r in stable.stable_configuration(args.n)
-        )
-        _emit(_json_object(head, lines), args.out)
-    return EXIT_OK
-
-
-def _cmd_distance(args) -> int:
-    from . import stable
-
-    d = stable.distance_distribution(args.n)
-    return _emit_result(
-        args,
-        "offset,count",
-        lambda: (f"{i},{d.count(i)}" for i in d.offsets()),
-        lambda: {"n": d.n, "half_width": d.half_width, "counts": list(d.counts)},
-    )
-
-
-def _cmd_firings(args) -> int:
-    from . import stable
-
-    total = stable.total_firings(args.n)
-    return _emit_result(
-        args,
-        "n,total_firings",
-        lambda: [f"{args.n},{total}"],
-        lambda: {"n": args.n, "total_firings": total},
-    )
-
-
-def _cmd_diff(args) -> int:
-    from . import difftable
-
-    return _emit_rows(args, partial(map, difftable.diff_row))
-
-
-def _cmd_segment(args) -> int:
-    from . import structure
-
-    seg = structure.segment(args.n)
-
-    def csv_line() -> list[str]:
-        spans = ",".join(f"{part.start},{part.stop}" for _, part in seg.parts())
-        return [f"{seg.n},{spans},{seg.longest_length},{seg.first_longest_row}"]
-
-    return _emit_result(
-        args,
-        "n,top_start,top_stop,midsection_start,midsection_stop,"
-        "rectangle_start,rectangle_stop,bottom_start,bottom_stop,"
-        "longest_length,first_longest_row",
-        csv_line,
-        lambda: {
-            "n": seg.n,
-            **{name: [part.start, part.stop] for name, part in seg.parts()},
-            "longest_length": seg.longest_length,
-            "first_longest_row": seg.first_longest_row,
-        },
-    )
-
-
-def _cmd_sequences(args) -> int:
-    from . import sequences
-
-    if args.id == "half-nonzero-rows":
-        values = sequences.half_nonzero_rows(args.upto)
-        offset = 1
-    else:
-        values = sequences.generate(args.id, args.upto)
-        offset = sequences.SEQUENCES[args.id].offset
-    return _emit_result(
-        args,
-        "index,value",
-        lambda: (f"{offset + k},{v}" for k, v in enumerate(values)),
-        lambda: {"id": args.id, "offset": offset, "values": values},
-    )
-
-
-def _cmd_verify(args) -> int:
-    from . import checks
-
-    properties = None if args.properties is None else args.properties.split(",")
-    results = checks.scorecard(args.n, properties, args.trials, args.seed)
-    failed = checks.failures(results)
-    lines = [*map(_format_check, results)]
-    lines.append(f"summary: {len(results)} checks, {len(failed)} failures")
-    _emit(["\n".join(lines) + "\n"], args.out)
-    return EXIT_INVARIANT if failed else EXIT_OK
-
-
-def _format_check(r: CheckResult) -> str:
-    where = f"n={r.n} " if r.n is not None else ""
-    if r.advisory:
-        verdict = "report holds" if r.passed else "report does-not-hold"
-    else:
-        verdict = "pass" if r.passed else "FAIL"
-    detail = f" ({r.detail})" if r.detail else ""
-    return f"{where}{r.name}: {verdict}{detail}"
-
-
-def _cmd_render(args) -> int:
-    from . import render
-
-    spec = render.RenderSpec(
-        kind=args.kind,
-        n=args.n,
-        out_path=args.out,
-        width=args.width,
-        height=args.height,
-        dot_radius=args.dot_radius,
-    )
-    path = render.render(spec)
-    sys.stdout.write(f"{path}\n")
+        _emit([json.dumps(payload(), indent=2) + "\n"], args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
-#
-# Each command has its own argument builder, which imports what its
-# arguments need.  ``build_parser`` runs only the builder of the command it
-# was given, so help, usage and errors for one command load no other
-# command's modules; the top level lists every command by its name and help
-# text.
 
-
-def _output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.add_argument("--header", action="store_true", help="include a CSV header line")
-
-
-def _table_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_exponent, required=True)
-    _output_flags(p)
-
-
-def _table_args(p: argparse.ArgumentParser) -> None:
-    _table_flags(p)
-    p.add_argument("--max-rows", type=_positive, default=None)
-
-
-def _sequences_args(p: argparse.ArgumentParser) -> None:
-    from . import sequences
-
-    p.add_argument("id", choices=sorted(sequences.SEQUENCES) + ["half-nonzero-rows"])
-    p.add_argument("--upto", type=int, required=True, help="last index, inclusive")
-    _output_flags(p)
-
-
-def _verify_args(p: argparse.ArgumentParser) -> None:
-    from . import oracle
-
-    p.add_argument("--n", type=_exponent_range, required=True, metavar="N or A..B")
-    p.add_argument("--properties", default=None, help="comma-separated name filters")
-    p.add_argument("--trials", type=int, default=10,
-                   help=f"random oracle runs per n, at most {oracle.MAX_TRIALS} "
-                   "(< 2 disables the oracle)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-
-
-def _render_args(p: argparse.ArgumentParser) -> None:
-    from . import render
-
-    p.add_argument("--kind", choices=render.KINDS, required=True)
-    p.add_argument("--n", type=_exponent, required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--width", type=_positive, default=960)
-    p.add_argument("--height", type=_positive, default=640)
-    p.add_argument("--dot-radius", type=float, default=2.0)
-
-
-_Builder = Callable[[argparse.ArgumentParser], None]
-
-#: The commands in help order: help text, argument builder, and the
-#: function that runs the command.
-_COMMANDS: dict[str, tuple[str, _Builder, Callable[..., int]]] = {
-    "table": ("arrival table rows", _table_args, _cmd_table),
-    "stable": ("stable-configuration bit rows", _table_flags, _cmd_stable),
-    "distance": ("distance distribution", _table_flags, _cmd_distance),
-    "firings": ("total firing count", _table_flags, _cmd_firings),
-    "diff": ("difference table rows", _table_args, _cmd_diff),
-    "segment": ("four-part row segmentation", _table_flags, _cmd_segment),
-    "sequences": ("derived integer sequences", _sequences_args, _cmd_sequences),
-    "verify": ("run the invariant scorecard", _verify_args, _cmd_verify),
-    "render": ("emit an SVG figure", _render_args, _cmd_render),
+#: The commands in help order: help text, and the module, under this
+#: package, that holds the command: its handler ``_cmd_<name>`` and, unless
+#: the command takes ``--n`` and the output flags alone
+#: (:func:`_table_flags`), its argument builder ``_<name>_args``.
+_COMMANDS: dict[str, tuple[str, str]] = {
+    "table": ("arrival table rows", "_cli_tables"),
+    "stable": ("stable-configuration bit rows", "_cli_tables"),
+    "distance": ("distance distribution", "_cli_summaries"),
+    "firings": ("total firing count", "_cli_summaries"),
+    "diff": ("difference table rows", "_cli_tables"),
+    "segment": ("four-part row segmentation", "_cli_summaries"),
+    "sequences": ("derived integer sequences", "_cli_sequences"),
+    "verify": ("run the invariant scorecard", "_cli_verify"),
+    "render": ("emit an SVG figure", "_cli_render"),
 }
 
 
@@ -455,7 +155,8 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     alone, with its arguments, and its usage line still lists every command.
     Otherwise (help or an option first, an unknown command or none) it holds
     every command, and gives its arguments to the first argument that is not
-    an option when that names a command.
+    an option when that names a command.  Only that command's module is
+    imported.
     """
     parser = argparse.ArgumentParser(
         prog="chipfire",
@@ -470,11 +171,12 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
         names, metavar = list(_COMMANDS), None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, add_arguments, run = _COMMANDS[name]
+        help_text, module_name = _COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         if name == command:
-            add_arguments(p)
-            p.set_defaults(func=run)
+            module = import_module(f"{__package__}.{module_name}")
+            getattr(module, f"_{name}_args", _table_flags)(p)
+            p.set_defaults(func=getattr(module, f"_cmd_{name}"))
     return parser
 
 
@@ -510,4 +212,8 @@ def entry() -> int:
 
 
 if __name__ == "__main__":
+    # ``python -m chipfire.cli`` runs this file as ``__main__``.  The command
+    # modules import the shared helpers from ``chipfire.cli``; this module
+    # takes that name too, so they do not compile and run the file again.
+    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     sys.exit(entry())

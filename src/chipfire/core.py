@@ -26,7 +26,8 @@ the bits of the largest entry plus two spare bits: for ``2**n`` chips that
 is 8 bits for ``n <= 5``, 16 for ``n <= 13``, 32 for ``n <= 29``, 64 for
 ``n <= 61``, 128 for ``n <= 125`` and 256 for ``MAX_EXPONENT``.  The first
 spare bit is the one the kernel's shift brings in from the lane above; the
-second leaves room for the biased differences below.  One step is
+second leaves room for the biased differences of :mod:`chipfire.difftable`.
+One step is
 
     halves = (packed >> 1) & low_mask      # v // 2 in every lane
     child  = halves + (halves << W)        # F(x-1, y) // 2 + F(x, y-1) // 2
@@ -59,55 +60,17 @@ row's ``values`` are unpacked through ``memoryview.cast("B"/"H"/"I"/"Q")``
 on their first read, and lanes wider than 64 bits by slicing the bytes.
 ``Row.value_at`` reads one lane with a shift and a mask.
 
-A difference row of :mod:`chipfire.difftable` is a function of its source
-row alone and keeps that row and its lane context.
-:func:`_diff_lanes` is the one builder of that context, from one read of
-the constants: the first differences of the source row packed in the same
-format, as one whole-row expression, ``packed + bias - (packed << W)``,
-where ``bias`` holds ``2**(W-2)`` in every lane; the row's all-ones and
-top-bit constants; and the second differences, biased by ``2**(W-1)``, so
-that their signs show in the lanes' top bits.  Those take three more
-whole-row operations, ``diff + close - (diff << W)``, with one constant
-``close`` that adds the bias to every lane and closes the row with its zero
-last entry.  The constants (the all-ones int, the top bits, ``bias`` and
-``close``) depend only on the lane and the number of lanes, so
-:func:`_diff_constants` builds them once per ``(W, lanes)`` and
-``functools.lru_cache`` keeps the last eight: widths move by one lane per
-row, so a few entries serve a whole stream.  ``DiffRow`` keeps the context
-from the moment it is built, and its shape as a :class:`_once` attribute,
-so every fold of one pass reads the one context, and each row packs its
-differences and takes its second differences once.  :func:`_lane_shape`
-reads the unimodality and the largest entry of the difference row from the
-context, with whole-row operations on nonnegative ints only (CPython runs
-``~x`` and ``x & -x`` through a two's-complement copy of the row), and
-:func:`_diff_values` reads its entries from the difference lanes of the
-same context: adding the bias once more and flipping each lane's top bit,
-``(packed + bias) ^ top``, leaves every entry in two's complement, so
-``memoryview.cast("b"/"h"/"i"/"q")`` reads them as signed ints (lanes of
-128 or 256 bits, or a big-endian host, slice the bytes with
-``signed=True``).  ``difftable`` calls them and reads no lane itself.
-
-The distance counts of :mod:`chipfire.stable` are lanes too.
-:class:`_DistanceCounts` keeps one int with a lane per distance ``y - x``
-and adds each row's parity bytes to it, spread at a stride of two lanes by
-one ``bytearray`` slice assignment and one ``int.from_bytes``, then
-shifted to the row's first distance ``2*y_min - index``; the counts are
-read off the lanes once, at the end.  Rows are staged in 8-bit lanes and
-moved into 64-bit lanes every 255 rows, because ``int.from_bytes`` costs
-in proportion to the bytes it converts.
-
-The heavy table checks of :mod:`chipfire.checks` are folds over whole rows
-of lanes too.  Only ``verify`` runs them, so they live in
-:mod:`chipfire._lanefolds`, which only ``checks`` imports, and no other
-command compiles them; they read the lane context of :func:`_diff_lanes`
-and the constants of :func:`_diff_constants`.  ``bottom-minimal-rows``
-stays here, because :mod:`chipfire.structure` exports it as
-``is_minimal``: :func:`_is_minimal` compares a row with the packed minimal
-row of its width and lane, built once (:func:`_packed_minimal`).
-
-The lane format stays inside this module and :mod:`chipfire._lanefolds`:
-other modules read ``width``, ``parity``, ``chip_sum()``, ``value_at`` or
-``values``, or call the lane readers here and the folds there.
+The lane format is read in five modules, each holding the lane code of
+the one job that needs it, so that a command compiles only the lane code it
+runs: this one (the kernel, :class:`Row` and the lane readers
+:func:`_lanes`, :func:`_pack`, :func:`_unpack` and :func:`_repeat`),
+:mod:`chipfire.difftable` (the lane context of a difference row and the
+shape read off it), :mod:`chipfire.stable` (the distance counts),
+:mod:`chipfire.structure` (the packed minimal rows) and
+:mod:`chipfire._lanefolds` (the lane folds of ``verify``'s heavy checks,
+which only :mod:`chipfire.checks` imports).  Every other module reads
+``width``, ``parity``, ``chip_sum()``, ``value_at`` or ``values``, or calls
+the lane code of those modules.
 
 :func:`intermediate_configuration` checks ``n`` when called and returns a
 generator that keeps the kernel state in locals (the packed row, its lane,
@@ -143,7 +106,6 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 #: Exponent cap for the initial chip count.  Every table entry is at most
@@ -174,6 +136,30 @@ class RowCapExceededError(ChipfireError, RuntimeError):
 
     No correct run can, so this means a bug in the kernel.
     """
+
+
+# The oracle's limits: ``verify`` reads them to refuse a trial count and to
+# tell whether the oracle plays, before, and without, importing
+# :mod:`chipfire.oracle`, which imports them from here.
+
+#: Largest n the brute-force oracle plays.
+ORACLE_EXPONENT_LIMIT = 10
+
+#: Most random orders one confluence check may run.  Each trial adds one
+#: random run per n to ``verify --n 0..10``, about 17 ms in all on a 2-vCPU
+#: host with Python 3.11, most of it the run at the oracle limit (200
+#: trials took 3.4 s more than 2, against 5.3 s with chips and firing
+#: counts in dicts), so at this cap that command takes just under 2
+#: minutes there (112 s measured).
+MAX_TRIALS = 6_500
+
+
+def check_trials(trials: int) -> None:
+    """Refuse a trial count the confluence check cannot or need not run."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"{trials} oracle trials exceed the cap of {MAX_TRIALS}")
 
 
 def _check_exponent(n: int) -> None:
@@ -360,11 +346,6 @@ def _repeat(value: int, lane: int, lanes: int) -> int:
     return int.from_bytes(value.to_bytes(lane // 8, "little") * lanes, "little")
 
 
-def _ones(lane: int, lanes: int) -> int:
-    """``lanes`` lanes that each hold 1."""
-    return _repeat(1, lane, lanes)
-
-
 def _low_mask(lane: int, lanes: int) -> int:
     """Every bit of ``lanes`` lanes except the top bit of each lane."""
     return _repeat((1 << lane - 1) - 1, lane, lanes)
@@ -442,205 +423,6 @@ def next_row(r: Row) -> Row:
         Row, index=r.index + 1, y_min=r.y_min + lo, values=values,
         packed=child, lane=lane, width=width,
     )
-
-
-# Widths move by one lane per row, so the last few of these serve a whole
-# stream.
-@lru_cache(maxsize=8)
-def _diff_constants(lane: int, lanes: int) -> tuple[int, int, int, int]:
-    """``(ones, top, bias, close)`` of a difference row of ``lanes`` lanes:
-    1 in each lane, the top bit of each, ``2**(lane-2)`` in each, and the
-    term that closes the second differences (:func:`_diff_lanes`)."""
-    ones = _ones(lane, lanes)
-    top = ones << lane - 1
-    # ``diff + close - (diff << lane)`` holds ``2**(lane-1)`` plus the
-    # second difference in every lane: the biases of neighbouring lanes
-    # cancel and ``top`` adds it, except in lane 0, which has no lane below
-    # and keeps one bias, and in lane ``lanes``, the closing zero, which
-    # loses the bias of the last lane.
-    close = top - (1 << lane - 2) + (3 << lanes * lane + lane - 2)
-    return ones, top, ones << lane - 2, close
-
-
-def _diff_lanes(source: Row) -> tuple[int, int, int, int, int]:
-    """``(packed, lane, ones, top, second)``, the lane context of the
-    difference row of ``source`` that every lane fold reads, built from one
-    read of :func:`_diff_constants`; ``DiffRow`` keeps it, so one pass
-    builds it once per row.
-
-    Lane k of ``packed`` holds ``e_k + 2**(lane-2)`` for the
-    ``source.width + 1`` entries ``e_k = v[k] - v[k-1]`` of the difference
-    row (``v`` is zero outside the row); ``ones`` holds 1 in each of those
-    lanes and ``top`` the top bit of each.  ``second`` holds the second
-    differences, closed by the zero entry past the row: lane j holds
-    ``e_j - e_{j-1} + 2**(lane-1)`` for j = 0 .. ``source.width + 1``
-    (``e`` is zero outside the row).  Every entry lies strictly between
-    ``-2**(lane-2)`` and ``2**(lane-2)``, so every lane of ``packed`` is
-    positive and below ``2**(lane-1)``, every lane of ``second`` positive
-    and below ``2**lane``, and no borrow crosses a lane.
-    """
-    lane, packed = source.lane, source.packed
-    ones, top, bias, close = _diff_constants(lane, source.width + 1)
-    diff = packed + bias - (packed << lane)
-    return diff, lane, ones, top, diff + close - (diff << lane)
-
-
-class _DistanceCounts:
-    """Chip counts by distance ``y - x``, added up one row at a time.
-
-    Position k of a row sits at distance ``2*y_min - index + 2k``, and a row
-    never puts two chips at one distance, so the row's parity bytes spread
-    at a stride of two lanes are its own counts by distance.  One
-    ``bytearray`` slice assignment and one ``int.from_bytes`` build them in
-    8-bit lanes, and one shift and add put them in place in ``staged``.
-    Every 255 rows, before a lane could overflow, ``staged`` is spread the
-    same way into the 64-bit lanes of ``packed`` and cleared; a count is at
-    most the number of rows, far below ``2**64`` for every table a stream
-    can finish.  Lane j of either int counts the chips at distance
-    ``low + j``.  (Spreading each row straight into 64-bit lanes converts
-    eight times the bytes per row, and ``int.from_bytes`` costs in
-    proportion to them.)
-    """
-
-    __slots__ = ("packed", "staged", "rows", "low")
-
-    def __init__(self) -> None:
-        self.packed = self.staged = self.rows = self.low = 0
-
-    def add(self, row) -> None:
-        """Add the chips of ``row``, anything with ``index``, ``y_min`` and
-        ``parity`` (a :class:`Row` or a stable row)."""
-        parity = row.parity
-        if not parity:
-            return
-        spread = bytearray(2 * len(parity) - 1)
-        spread[::2] = parity
-        first = 2 * row.y_min - row.index
-        if first < self.low:
-            self.packed <<= (self.low - first) * 64
-            self.staged <<= (self.low - first) * 8
-            self.low = first
-        self.staged += int.from_bytes(spread, "little") << (first - self.low) * 8
-        self.rows += 1
-        if self.rows == 255:
-            self._flush()
-
-    def _flush(self) -> None:
-        staged = self.staged
-        wide = bytearray(staged.bit_length() + 7 & ~7)
-        wide[::8] = staged.to_bytes(len(wide) // 8, "little")
-        self.packed += int.from_bytes(wide, "little")
-        self.staged = self.rows = 0
-
-    def counts(self) -> dict[int, int]:
-        """The nonzero counts, keyed by distance."""
-        self._flush()
-        packed = self.packed
-        lanes = _lanes(packed, -(-packed.bit_length() // 64), 64)
-        return {self.low + j: c for j, c in enumerate(lanes) if c}
-
-
-def _diff_values(d) -> tuple[int, ...]:
-    """The entries of the difference row ``d``, read off the difference
-    lanes of its context (:func:`_diff_lanes`; ``()`` for an empty source
-    row).
-
-    Adding the bias ``2**(lane-2)`` (the top bits shifted down one bit) once
-    more puts ``e + 2**(lane-1)`` in every lane, strictly between
-    ``2**(lane-2)`` and ``3 * 2**(lane-2)``, so no carry crosses a lane;
-    flipping the top bit of every lane then leaves ``e`` in two's
-    complement, and the lanes read as signed ints.
-    """
-    width = d.source.width
-    if not width:
-        return ()
-    packed, lane, _, top, _ = d._diff_lanes
-    return tuple(_lanes((packed + (top >> 1)) ^ top, width + 1, lane, signed=True))
-
-
-def _lane_shape(d) -> tuple[bool, int | None]:
-    """The shape of the difference row ``d`` read off its lane context
-    (:func:`_diff_lanes`): whether its left half (its first ``half``
-    entries, those with ``y <= x``) is unimodal, and its largest absolute
-    entry, or None where the lanes cannot prove it.
-
-    Lane j of the second differences holds ``s_j + 2**(lane-1)`` with
-    ``s_j = e_j - e_{j-1}`` and ``e_{-1} = 0`` (the implicit margin).  Its
-    top bit is clear exactly when ``s_j < 0`` (a strict fall), and
-    ``s_j - 1`` keeps it set exactly when ``s_j > 0`` (a strict rise).  The
-    first ``half`` entries are unimodal when every rise among their lanes
-    sits below the lowest fall: when the rise flags have fewer bits than
-    the lowest fall's position plus one, read as
-    ``(falls ^ (falls - 1)).bit_length()``.
-
-    The candidate for the largest entry ``c`` is their peak: the entry just
-    before the first fall (the margin 0 if that is the first entry), or the
-    last of them if none falls.  Two whole-row comparisons then show that
-    every entry ``e`` lies in ``[-c, c]``: with ``m = (c + 2**(lane-2)) *
-    ones``, lane k of ``m + top - packed`` holds ``c - e + 2**(lane-1)``
-    and lane k of ``packed + m`` holds ``e + c + 2**(lane-1)``, both
-    positive and below ``2**lane``, with the top bit set exactly when the
-    bound holds.
-
-    No operation here takes a negative int: CPython runs ``~x`` and the
-    ``&`` of a negative int through a two's-complement copy of the whole
-    row, so a clear bit is read as ``x ^ (x & y)`` instead of ``x & ~y``.
-    """
-    packed, lane, ones, top, second = d._diff_lanes
-    bias = 1 << lane - 2
-    width = d.source.width
-    # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min, clamped to
-    # the difference row's lanes (none for an empty source row).
-    half = d.index // 2 - d.y_min + 1
-    lanes = width + 1 if width else 0
-    half = 0 if half < 0 else lanes if half > lanes else half
-    # The top bits of the first ``half`` lanes: every lane of ``top`` is
-    # alike, so dropping its upper lanes shifts the rest into place.
-    tops = top >> (width + 1 - half) * lane
-    falls = tops ^ (second & tops)
-    if falls:
-        # Bit ``low - 1`` is the top bit of the lane of the first fall.
-        low = (falls ^ (falls - 1)).bit_length()
-        unimodal = ((second - ones) & tops).bit_length() < low
-        peak = low // lane - 2
-    else:
-        unimodal, peak = True, half - 1
-    c = (packed >> peak * lane & (1 << lane) - 1) - bias if peak >= 0 else 0
-    m = (c + bias) * ones
-    if (m + top - packed) & (packed + m) & top != top:
-        return unimodal, None
-    return unimodal, c
-
-
-def _minimal_values(j: int) -> tuple[int, ...]:
-    """The minimal row of ``j + 1`` entries: 1, 3, 5, ... up to j and back.
-
-    For odd j the two odd ramps meet in a pair ``j, j``; for even j a single
-    peak j sits between them.
-    """
-    half = tuple(range(1, j + 1, 2))
-    if j % 2 == 1:
-        return half + half[::-1]
-    return half + (j,) + half[::-1]
-
-
-@lru_cache(maxsize=None)
-def _packed_minimal(width: int, lane: int) -> int:
-    """The minimal row of ``width`` entries in lanes of ``lane`` bits."""
-    return _pack(_minimal_values(width - 1), lane)
-
-
-def _is_minimal(r: Row) -> bool:
-    """Whether the row's values are exactly the minimal row of its width.
-
-    The row is compared packed, with the packed minimal row of its width and
-    lane.  That row peaks at ``width - 1``; a lane too narrow for the peak
-    holds no minimal row.
-    """
-    width, lane = r.width, r.lane
-    if width < 2 or width - 1 >= 1 << lane - 2:
-        return False
-    return r.packed == _packed_minimal(width, lane)
 
 
 def row_bound(n: int) -> int:

@@ -64,15 +64,9 @@ from typing import Callable, Iterator
 
 from .core import ChipfireError, _check_exponent, _Record, row_bound
 
-ORACLE_EXPONENT_LIMIT = 10
-
-#: Most random orders one confluence check may run.  Each trial adds one
-#: random run per n to ``verify --n 0..10``, about 17 ms in all on a 2-vCPU
-#: host with Python 3.11, most of it the run at the oracle limit (200
-#: trials took 3.4 s more than 2, against 5.3 s with chips and firing
-#: counts in dicts), so at this cap that command takes just under 2
-#: minutes there (112 s measured).
-MAX_TRIALS = 6_500
+# The oracle's limits are defined in core, so that verify reads them without
+# importing this module; they are this module's names too.
+from .core import MAX_TRIALS, ORACLE_EXPONENT_LIMIT, check_trials  # noqa: F401
 
 STRATEGIES = ("random", "leftmost-first", "fifo-queue", "row-by-row")
 
@@ -311,14 +305,6 @@ class ConfluenceReport(_Record):
             n=n, trials=trials, passed=passed, moves=moves, runs=runs, mismatches=mismatches,
             row_by_row=row_by_row,
         )
-
-
-def check_trials(trials: int) -> None:
-    """Refuse a trial count the confluence check cannot or need not run."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    if trials > MAX_TRIALS:
-        raise ValueError(f"{trials} oracle trials exceed the cap of {MAX_TRIALS}")
 
 
 def _same(a: Counter[Point], b: Counter[Point]) -> bool:

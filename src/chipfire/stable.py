@@ -16,10 +16,12 @@ Grouping the surviving chips by the distance coordinate ``y - x`` gives the
 distance distribution, whose second raw moment counts every firing twice: a
 firing replaces two chips at distance d with one at d - 1 and one at d + 1,
 adding exactly 2 to the moment.  The chips are counted by distance on
-lanes, by one accumulator of :mod:`chipfire.core`: each stable row's parity
-bytes, spread one per lane at a stride of two lanes, are added to one int
-at the row's first distance, and the counts are read off its lanes once,
-at the end.  :func:`distance_distribution` builds the distribution
+lanes, by one accumulator (:class:`_DistanceCounts`): each stable row's
+parity bytes, spread one per lane at a stride of two lanes, are added to
+one int at the row's first distance, and the counts are read off its lanes
+once, at the end.  Rows are staged in 8-bit lanes and moved into 64-bit
+lanes every 255 rows, because ``int.from_bytes`` costs in proportion to the
+bytes it converts.  The ``verify`` pass keeps one such accumulator too.  :func:`distance_distribution` builds the distribution
 from those counts, and :func:`firing_routes` takes the moment from them
 (:func:`moment`, the sum of ``d**2`` times the count at d), so no distance
 is listed chip by chip.  :func:`total_firings` is the one route to T(n):
@@ -31,6 +33,8 @@ the ``distance-distribution`` check alike.
 
 Everything here depends only on each row's parity and total
 (:meth:`Row.chip_sum`), so nothing in this module unpacks the row values.
+The accumulator's lanes are its own; this module is one of the five that
+read the lane format (see :mod:`chipfire.core`).
 """
 
 from __future__ import annotations
@@ -39,14 +43,7 @@ from itertools import compress
 from operator import not_
 from typing import Iterable, Iterator, Mapping
 
-from .core import (
-    ChipfireError,
-    Row,
-    _DistanceCounts,
-    _Record,
-    _once,
-    intermediate_configuration,
-)
+from .core import ChipfireError, Row, _lanes, _Record, _once, intermediate_configuration
 
 
 # bytes.translate table writing a 0/1 byte as the digit "0" or "1".
@@ -117,6 +114,61 @@ def stable_configuration(n: int) -> Iterator[StableRow]:
     all-zero parity.
     """
     return map(stable_row, intermediate_configuration(n))
+
+
+class _DistanceCounts:
+    """Chip counts by distance ``y - x``, added up one row at a time.
+
+    Position k of a row sits at distance ``2*y_min - index + 2k``, and a row
+    never puts two chips at one distance, so the row's parity bytes spread
+    at a stride of two lanes are its own counts by distance.  One
+    ``bytearray`` slice assignment and one ``int.from_bytes`` build them in
+    8-bit lanes, and one shift and add put them in place in ``staged``.
+    Every 255 rows, before a lane could overflow, ``staged`` is spread the
+    same way into the 64-bit lanes of ``packed`` and cleared; a count is at
+    most the number of rows, far below ``2**64`` for every table a stream
+    can finish.  Lane j of either int counts the chips at distance
+    ``low + j``.  (Spreading each row straight into 64-bit lanes converts
+    eight times the bytes per row, and ``int.from_bytes`` costs in
+    proportion to them.)
+    """
+
+    __slots__ = ("packed", "staged", "rows", "low")
+
+    def __init__(self) -> None:
+        self.packed = self.staged = self.rows = self.low = 0
+
+    def add(self, row) -> None:
+        """Add the chips of ``row``, anything with ``index``, ``y_min`` and
+        ``parity`` (a :class:`Row` or a stable row)."""
+        parity = row.parity
+        if not parity:
+            return
+        spread = bytearray(2 * len(parity) - 1)
+        spread[::2] = parity
+        first = 2 * row.y_min - row.index
+        if first < self.low:
+            self.packed <<= (self.low - first) * 64
+            self.staged <<= (self.low - first) * 8
+            self.low = first
+        self.staged += int.from_bytes(spread, "little") << (first - self.low) * 8
+        self.rows += 1
+        if self.rows == 255:
+            self._flush()
+
+    def _flush(self) -> None:
+        staged = self.staged
+        wide = bytearray(staged.bit_length() + 7 & ~7)
+        wide[::8] = staged.to_bytes(len(wide) // 8, "little")
+        self.packed += int.from_bytes(wide, "little")
+        self.staged = self.rows = 0
+
+    def counts(self) -> dict[int, int]:
+        """The nonzero counts, keyed by distance."""
+        self._flush()
+        packed = self.packed
+        lanes = _lanes(packed, -(-packed.bit_length() // 64), 64)
+        return {self.low + j: c for j, c in enumerate(lanes) if c}
 
 
 class DistanceDistribution(_Record):

@@ -20,23 +20,21 @@ is 181 of 22 838 rows.  Readers that see the widths one row at a time push
 them into a :class:`TerminalRun` instead, which keeps the same state.  The
 run is the whole terminal run; :func:`segment` alone cuts the bottom
 triangle at row n + 1, so that it never starts inside the top triangle.
+
+:func:`is_minimal`, which the ``bottom-minimal-rows`` check of ``verify``
+runs on every row, compares a row packed with the packed minimal row of its
+width and lane, built once per pair (:func:`_packed_minimal`); this module
+is one of the five that read the lane format (see :mod:`chipfire.core`).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
-from .core import (
-    ChipfireError,
-    Row,
-    _check_exponent,
-    _is_minimal as is_minimal,
-    _Record,
-    _minimal_values,
-    intermediate_configuration,
-)
+from .core import ChipfireError, Row, _check_exponent, _pack, _Record, intermediate_configuration
 
 
 class DegenerateSegmentationError(ChipfireError):
@@ -88,6 +86,37 @@ def longest_row(n: int) -> LongestRow:
     """
     best = max(intermediate_configuration(n), key=attrgetter("width"))
     return LongestRow(best.width, best.index, best.values)
+
+
+def _minimal_values(j: int) -> tuple[int, ...]:
+    """The minimal row of ``j + 1`` entries: 1, 3, 5, ... up to j and back.
+
+    For odd j the two odd ramps meet in a pair ``j, j``; for even j a single
+    peak j sits between them.
+    """
+    half = tuple(range(1, j + 1, 2))
+    if j % 2 == 1:
+        return half + half[::-1]
+    return half + (j,) + half[::-1]
+
+
+@lru_cache(maxsize=None)
+def _packed_minimal(width: int, lane: int) -> int:
+    """The minimal row of ``width`` entries in lanes of ``lane`` bits."""
+    return _pack(_minimal_values(width - 1), lane)
+
+
+def is_minimal(r: Row) -> bool:
+    """Whether the row's values are exactly the minimal row of its width.
+
+    The row is compared packed, with the packed minimal row of its width and
+    lane.  That row peaks at ``width - 1``; a lane too narrow for the peak
+    holds no minimal row.
+    """
+    width, lane = r.width, r.lane
+    if width < 2 or width - 1 >= 1 << lane - 2:
+        return False
+    return r.packed == _packed_minimal(width, lane)
 
 
 def minimal_row(j: int) -> Row:

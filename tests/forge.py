@@ -17,7 +17,7 @@ def forged_row(index, y_min, values, lane=None):
 
 
 def forged_context(source, packed):
-    """``core._diff_lanes`` of ``source`` with the difference lanes
+    """``difftable._diff_lanes`` of ``source`` with the difference lanes
     ``packed`` (each entry biased by ``2**(lane-2)``) in place of its own:
     the second differences are rebuilt from those lanes, entry by entry."""
     lane, lanes = source.lane, source.width + 1

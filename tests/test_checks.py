@@ -294,7 +294,7 @@ FAILURE_DETAILS = [
 
 #: Corruptions of difference row 5, which the table itself cannot carry, in
 #: the lanes the difference checks read: each maps ``(packed, lane, lanes)``
-#: (the difference lanes of ``core._diff_lanes``, each entry biased by
+#: (the difference lanes of ``difftable._diff_lanes``, each entry biased by
 #: ``2**(lane-2)``, their width and their count) to the corrupted packed
 #: int, with the detail of the failure.  The helper that applies them
 #: rebuilds the second differences of the context from the corrupted lanes.
@@ -306,7 +306,7 @@ DIFF_CORRUPTIONS = {
     ),
     # Every entry negated.
     "diff-telescoping": (
-        lambda packed, lane, lanes: (core._ones(lane, lanes) << lane - 1) - packed,
+        lambda packed, lane, lanes: (core._repeat(1, lane, lanes) << lane - 1) - packed,
         "row 4 not recovered at position 0",
     ),
 }
@@ -426,7 +426,7 @@ class TestRerouteMutations:
         assert {r.name for r in results if not r.passed} == failing
 
     def _corrupt_difference_row(self, monkeypatch, name):
-        real = core._diff_lanes
+        real = difftable._diff_lanes
         corrupt, _ = DIFF_CORRUPTIONS[name]
 
         def corrupted(source):
@@ -436,7 +436,7 @@ class TestRerouteMutations:
             packed, lane = context[:2]
             return forged_context(source, corrupt(packed, lane, source.width + 1))
 
-        monkeypatch.setattr(core, "_diff_lanes", corrupted)
+        monkeypatch.setattr(difftable, "_diff_lanes", corrupted)
 
     @pytest.mark.parametrize("name", list(DIFF_CORRUPTIONS))
     def test_corrupted_difference_row(self, monkeypatch, name):
@@ -471,7 +471,7 @@ class TestRerouteMutations:
 
     def test_unimodality_alone_reads_the_corrupted_lanes(self, monkeypatch):
         # With no other fold reading the difference rows, the shape must
-        # still read the context that core._diff_lanes built.
+        # still read the context that difftable._diff_lanes built.
         self._corrupt_difference_row(monkeypatch, "diff-telescoping")
         (result,) = run_checks(self.N, properties=["diff-unimodality"])
         assert (result.passed, result.detail) == (False, "non-unimodal rows [5]")
@@ -646,16 +646,16 @@ class TestSinglePass:
     def test_one_lane_context_per_row(self, monkeypatch, table):
         # The difference lanes, their second differences and the row's lane
         # constants are built once per row and shared by every lane fold:
-        # core._diff_lanes, the one builder of a context, runs once per row,
+        # difftable._diff_lanes, the one builder of a context, runs once per row,
         # when the difference row is built, which keeps what it returns.
         seen = []
-        real = core._diff_lanes
+        real = difftable._diff_lanes
 
         def counted(source):
             seen.append(source.index)
             return real(source)
 
-        monkeypatch.setattr(core, "_diff_lanes", counted)
+        monkeypatch.setattr(difftable, "_diff_lanes", counted)
         assert failures(run_checks(12)) == []
         assert seen == [r.index for r in table(12)]
 
@@ -696,20 +696,21 @@ class TestSinglePass:
 
     def test_lane_constants_come_from_the_cache(self, monkeypatch, table):
         # The lane folds take their all-ones and top-bit ints from the
-        # lru_cache of _diff_constants.  Its body, and so _ones, runs only on
-        # a cache miss, not once or more per row.  The cache is emptied
-        # first, so the count does not depend on the tests run before.
+        # lru_cache of _diff_constants.  Its body, and so its one _repeat,
+        # runs only on a cache miss, not once or more per row.  The cache is
+        # emptied first, so the count does not depend on the tests run
+        # before.
         calls = []
-        real = core._ones
+        real = difftable._repeat
 
-        def counted(lane, lanes):
+        def counted(value, lane, lanes):
             calls.append((lane, lanes))
-            return real(lane, lanes)
+            return real(value, lane, lanes)
 
-        monkeypatch.setattr(core, "_ones", counted)
-        core._diff_constants.cache_clear()
+        monkeypatch.setattr(difftable, "_repeat", counted)
+        difftable._diff_constants.cache_clear()
         assert failures(run_checks(18)) == []
-        misses = core._diff_constants.cache_info().misses
+        misses = difftable._diff_constants.cache_info().misses
         assert len(calls) == misses < len(table(18)) // 20
 
     def test_one_stable_row_per_row(self, monkeypatch, table):
@@ -763,7 +764,7 @@ class TestSinglePass:
         monkeypatch.setattr(difftable, "diff_row", counting("diff", difftable.diff_row))
         monkeypatch.setattr(stable, "stable_row", counting("stable", stable.stable_row))
         monkeypatch.setattr(
-            core._DistanceCounts, "add", counting("counts", core._DistanceCounts.add)
+            stable._DistanceCounts, "add", counting("counts", stable._DistanceCounts.add)
         )
         assert failures(run_checks(12, properties)) == []
         assert calls == {kind: len(table(12)) for kind in built}

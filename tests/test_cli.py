@@ -12,8 +12,9 @@ import pytest
 import chipfire
 import golden
 import peak_rss
-from chipfire import checks, cli, oracle, stable
-from chipfire.cli import main, rows_from_csv, rows_to_csv
+from chipfire import _cli_tables, checks, oracle, stable
+from chipfire._cli_tables import rows_from_csv, rows_to_csv
+from chipfire.cli import main
 from chipfire.core import Row, intermediate_configuration
 from chipfire.difftable import diff_row
 
@@ -129,7 +130,7 @@ class TestRowCsv:
     def test_json_writer_on_empty_rows(self, rows):
         listed = [{"index": r.index, "y_min": r.y_min, "values": []} for r in rows]
         expected = json.dumps({"n": 3, "row_count": len(rows), "rows": listed}, indent=2)
-        assert "".join(cli._json_lines(3, len(rows), rows)) == expected + "\n"
+        assert "".join(_cli_tables._json_lines(3, len(rows), rows)) == expected + "\n"
 
     def test_json_max_rows_stops_both_passes(self):
         # The row count comes from a first pass, which must stop at
@@ -483,6 +484,8 @@ def loaded_modules(code):
 class TestImports:
     """A command loads only the modules it runs, and none of ``SLOW_IMPORTS``."""
 
+    #: What the dispatcher loads; each command adds the module that holds it
+    #: and the library modules it runs.
     BASE = {"chipfire", "chipfire.cli", "chipfire.core"}
 
     def test_cli_import(self):
@@ -494,39 +497,55 @@ class TestImports:
     @pytest.mark.parametrize(
         "command,extra",
         [
-            ("table --n 2", set()),
+            ("table --n 2", {"chipfire._cli_tables"}),
             ("--help", set()),
-            ("stable --n 3", {"chipfire.stable"}),
-            ("distance --n 3", {"chipfire.stable"}),
-            ("firings --n 3", {"chipfire.stable"}),
-            ("diff --n 3", {"chipfire.difftable"}),
-            ("segment --n 3", {"chipfire.structure"}),
-            # Only verify loads the lane folds.
+            ("table --help", {"chipfire._cli_tables"}),
+            ("stable --n 3", {"chipfire._cli_tables", "chipfire.stable"}),
+            ("diff --n 3", {"chipfire._cli_tables", "chipfire.difftable"}),
+            ("distance --n 3", {"chipfire._cli_summaries", "chipfire.stable"}),
+            ("firings --n 3", {"chipfire._cli_summaries", "chipfire.stable"}),
+            ("segment --n 3", {"chipfire._cli_summaries", "chipfire.structure"}),
+            # Only verify loads the lane folds, and only a run that plays
+            # the oracle loads it.
             (
                 "verify --n 3 --trials 2",
-                {"chipfire.checks", "chipfire._lanefolds", "chipfire.oracle",
+                {"chipfire._cli_verify", "chipfire.checks", "chipfire._lanefolds",
+                 "chipfire.oracle", "chipfire.difftable", "chipfire.stable",
+                 "chipfire.structure"},
+            ),
+            (
+                "verify --n 3 --trials 0",
+                {"chipfire._cli_verify", "chipfire.checks", "chipfire._lanefolds",
                  "chipfire.difftable", "chipfire.stable", "chipfire.structure"},
             ),
             (
+                "verify --n 11 --trials 2",
+                {"chipfire._cli_verify", "chipfire.checks", "chipfire._lanefolds",
+                 "chipfire.difftable", "chipfire.stable", "chipfire.structure"},
+            ),
+            ("verify --help", {"chipfire._cli_verify"}),
+            (
                 "sequences total-firings --upto 3",
-                {"chipfire.sequences", "chipfire.stable", "chipfire.structure"},
+                {"chipfire._cli_sequences", "chipfire.sequences", "chipfire.stable",
+                 "chipfire.structure"},
             ),
             (
                 "sequences longest-row --upto 3",
-                {"chipfire.sequences", "chipfire.stable", "chipfire.structure"},
+                {"chipfire._cli_sequences", "chipfire.sequences", "chipfire.stable",
+                 "chipfire.structure"},
             ),
             # Each figure loads only the module it draws from.
             (
                 "render --kind row-profiles --n 3 --out {tmp}",
-                {"chipfire.render", "chipfire.structure"},
+                {"chipfire._cli_render", "chipfire.render", "chipfire.structure"},
             ),
             (
                 "render --kind diff-signmap --n 3 --out {tmp}",
-                {"chipfire.render", "chipfire.difftable"},
+                {"chipfire._cli_render", "chipfire.render", "chipfire.difftable"},
             ),
             (
                 "render --kind stable-dots --n 3 --out {tmp}",
-                {"chipfire.render", "chipfire.stable"},
+                {"chipfire._cli_render", "chipfire.render", "chipfire.stable"},
             ),
         ],
     )

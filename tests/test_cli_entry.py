@@ -105,6 +105,23 @@ class TestEntryBytes:
         assert status == 1 and b" FAIL " in out
 
 
+class TestEntryModule:
+    """The entry compiles and runs ``cli.py`` once."""
+
+    @pytest.mark.parametrize("argv", [["table", "--n", "2"], ["segment", "--n", "2"]])
+    def test_entry_runs_the_dispatcher_once(self, argv):
+        # python -m runs cli.py as __main__; the command modules import
+        # chipfire.cli, which is that same module, not a second copy.
+        probe = (
+            "import atexit, sys\n"
+            "atexit.register(lambda: sys.stderr.write("
+            "f\"cli={sys.modules['chipfire.cli'].__name__}\\n\"))\n"
+        ) + ENTRY_PROBE
+        proc = python("-c", probe, *argv)
+        assert proc.returncode == 0
+        assert proc.stderr == b"frozen=True\ncli=__main__\n"
+
+
 class TestHeapFreeze:
     """Only the process entry freezes the heap, whatever its exit status."""
 

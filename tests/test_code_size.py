@@ -1,7 +1,14 @@
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+#: Parser tokens of the modules that ``import chipfire.cli`` loads, which
+#: every command compiles: the package, the dispatcher and the kernel.
+DISPATCHER_TOKENS = 3324
 
 
 def _code_size():
@@ -66,3 +73,24 @@ def test_no_module_reaches_the_parsers_token_step():
     sizes = _code_size().sizes(ROOT / "src" / "chipfire")
     assert sizes
     assert [(path, tokens) for path, _, _, tokens in sizes if tokens >= 4096] == []
+
+
+def test_the_dispatcher_stays_below_its_ceiling():
+    # Every call compiles what ``import chipfire.cli`` loads before it
+    # compiles the module of its own command, so that stays small: 6 271
+    # tokens when the dispatcher held every command and the kernel every
+    # lane job, at most 4 000 since.
+    probe = (
+        "import sys, chipfire.cli\n"
+        "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'chipfire'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    files = [
+        "__init__.py" if name == "chipfire" else name.partition(".")[2] + ".py"
+        for name in proc.stdout.split()
+    ]
+    tokens = {path: tokens for path, _, _, tokens in _code_size().sizes(ROOT / "src" / "chipfire")}
+    assert sum(tokens[f] for f in files) <= DISPATCHER_TOKENS <= 4000

@@ -19,7 +19,7 @@ from chipfire import (
     row_bound,
 )
 from chipfire import _lanefolds, checks, core, difftable, stable, structure
-from chipfire.cli import rows_from_csv, rows_to_csv
+from chipfire._cli_tables import rows_from_csv, rows_to_csv
 from chipfire.core import _lane_bits, _narrowed, _pack, _unpack
 from chipfire.difftable import diff_row
 from chipfire.structure import pascal_row
@@ -384,16 +384,20 @@ class TestPackedView:
 
     def test_only_core_reads_the_lanes(self):
         # Other modules read width, parity, chip_sum() or values, so the lane
-        # format can change inside core and the lane folds of _lanefolds alone.
+        # format can change inside core and the four modules that hold the
+        # lane code of one job each: the difference-row context (difftable),
+        # the distance counts (stable), the packed minimal rows (structure)
+        # and the lane folds of verify (_lanefolds).
         package = Path(core.__file__).parent
-        readers = [
-            f"{path.name}:{node.lineno}"
-            for path in sorted(package.glob("*.py"))
-            if path.name not in ("core.py", "_lanefolds.py")
+        readers = sorted({
+            path.name
+            for path in package.glob("*.py")
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and node.attr in ("packed", "lane")
+        })
+        assert readers == [
+            "_lanefolds.py", "core.py", "difftable.py", "stable.py", "structure.py"
         ]
-        assert readers == []
 
     def test_only_checks_imports_the_lane_folds(self):
         # Only verify runs the lane folds, so no other command compiles them.
@@ -444,7 +448,7 @@ def reference_diffs(values):
 
 
 def reference_context(row):
-    """``core._diff_lanes`` of ``row``, the lane context of its difference
+    """``difftable._diff_lanes`` of ``row``, the lane context of its difference
     row, lane by lane: the biased first differences, the ones and top bits of their
     lanes, and the biased second differences closed by the zero past the
     row."""
@@ -460,7 +464,7 @@ def reference_context(row):
 
 
 def reference_lane_shape(values, half):
-    """``core._lane_shape`` entry by entry: whether the margin zero and the
+    """``difftable._lane_shape`` entry by entry: whether the margin zero and the
     first ``half`` differences weakly rise and then weakly fall, and the
     peak ``c`` of that stretch where every difference lies in ``[-c, c]``."""
     diffs = reference_diffs(values)
@@ -514,15 +518,15 @@ def wide_lane_rows(draw, lanes=(128, 256)):
 
 
 class TestDiffLaneShape:
-    """The lane context of a difference row, built by ``core._diff_lanes``
+    """The lane context of a difference row, built by ``difftable._diff_lanes``
     with the row and kept on it, and the folds that read it, against their
     entry-by-entry references."""
 
     @staticmethod
     def assert_match(r):
         d = diff_row(r)
-        assert d._diff_lanes == core._diff_lanes(r) == reference_context(r)
-        assert core._lane_shape(d) == reference_lane_shape(r.values, d._half())
+        assert d._diff_lanes == difftable._diff_lanes(r) == reference_context(r)
+        assert difftable._lane_shape(d) == reference_lane_shape(r.values, d._half())
         assert _lanefolds._growth_break(d) == reference_growth_break(r)
 
     def test_match_the_references_on_real_tables(self, table):
@@ -546,21 +550,21 @@ class TestDiffLaneShape:
     def test_constant_caches_stay_small(self, monkeypatch):
         # Widths move by one lane per row, so the last eight constants that
         # the lru_cache of _diff_constants keeps serve almost every row.
-        # _ones runs only on a cache miss, so it counts the constants built;
-        # the cache is emptied first, so the count does not depend on the
-        # tests run before.
+        # Its one _repeat runs only on a cache miss, so it counts the
+        # constants built; the cache is emptied first, so the count does not
+        # depend on the tests run before.
         built = []
-        real = core._ones
+        real = difftable._repeat
 
-        def counted(lane, lanes):
+        def counted(value, lane, lanes):
             built.append((lane, lanes))
-            return real(lane, lanes)
+            return real(value, lane, lanes)
 
-        monkeypatch.setattr(core, "_ones", counted)
-        core._diff_constants.cache_clear()
+        monkeypatch.setattr(difftable, "_repeat", counted)
+        difftable._diff_constants.cache_clear()
         assert checks.failures(checks.run_checks(18)) == []
         read = [(difftable.row_max_abs(d), d.values) for d in difftable.diff_table(18)]
-        info = core._diff_constants.cache_info()
+        info = difftable._diff_constants.cache_info()
         assert len(built) == info.misses < 2 * len(read) // 10
         assert 0 < info.currsize <= info.maxsize == 8
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import golden
 from forge import forged_context, forged_row
-from chipfire import checks, core
+from chipfire import checks, core, difftable
 from chipfire import (
     DiffRow,
     Row,
@@ -42,7 +42,7 @@ def passes_antisymmetry_check(values):
     """
     width = max(len(values) - 1, 0)
     source = forged_row(width, 0, (1,) * width)
-    real = core._diff_lanes
+    real = difftable._diff_lanes
 
     def forced(r):
         if not values:
@@ -52,7 +52,7 @@ def passes_antisymmetry_check(values):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "intermediate_configuration", lambda n: iter([source]))
-        mp.setattr(core, "_diff_lanes", forced)
+        mp.setattr(difftable, "_diff_lanes", forced)
         (result,) = run_checks(0, properties=["diff-antisymmetry"])
     return result.passed
 
@@ -97,7 +97,7 @@ class TestDiffRow:
         # context of its differences, built with it; nothing else.
         source = Row(index=5, y_min=1, values=(2, 5, 5, 2))
         fields = {"index": 6, "y_min": 1, "source": source}
-        built = {**fields, "_diff_lanes": core._diff_lanes(source)}
+        built = {**fields, "_diff_lanes": difftable._diff_lanes(source)}
         assert vars(diff_row(source)) == built
         assert vars(DiffRow(**fields)) == built
 
@@ -326,15 +326,15 @@ class TestLaneReaders:
 
     def test_one_difference_lane_build_per_row(self, monkeypatch):
         # The shape reads the lane context of the difference row, built once,
-        # with the row, by core._diff_lanes.
+        # with the row, by difftable._diff_lanes.
         seen = []
-        real = core._diff_lanes
+        real = difftable._diff_lanes
 
         def counted(source):
             seen.append(source.index)
             return real(source)
 
-        monkeypatch.setattr(core, "_diff_lanes", counted)
+        monkeypatch.setattr(difftable, "_diff_lanes", counted)
         streamed = []
         for row in intermediate_configuration(12):
             d = diff_row(row)

@@ -21,7 +21,7 @@ from chipfire import (
     total_firings,
 )
 from chipfire import stable
-from chipfire.core import _DistanceCounts
+from chipfire.stable import _DistanceCounts
 from chipfire.checks import run_checks
 from test_core import monotone_rows
 
