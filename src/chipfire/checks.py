@@ -33,8 +33,9 @@ distance once per row, on the lanes of one accumulator of
 :mod:`chipfire.stable` that the pass keeps (an int of one lane per distance);
 ``distance-distribution`` and ``firing-count-identity`` read its counts at
 the end of the table.
-The bottom-triangle report is one more fold, over a
-:class:`structure.TerminalRun` (the open run and the longest width).
+The bottom-triangle report is one more fold, over the one width summary
+that also serves ``segment`` and the row-profile figure
+(:class:`structure.WidthSummary`).
 The oracle cross-checks are folds too, and only a pass that plays the
 oracle imports :mod:`chipfire.oracle`.  When they run, the confluence
 check runs before the stream and ``oracle-confluence`` has its verdict at
@@ -316,7 +317,7 @@ def _bottom_minimal_rows(n: int) -> _Fold:
         return _skipped("needs n >= 1")
     # Non-minimal rows of the open run; the run open at the end of the table
     # is its terminal run.
-    run = structure.TerminalRun()
+    run = structure.WidthSummary(n)
     bad: list[int] = []
     while (step := (yield)) is not None:
         r = step.row
@@ -324,7 +325,7 @@ def _bottom_minimal_rows(n: int) -> _Fold:
             bad = []
         if not structure.is_minimal(r):
             _collect(bad, r.index)
-    return not bad, f"{run.rows} terminal rows" if not bad else f"non-minimal rows {bad}"
+    return not bad, f"non-minimal rows {bad}" if bad else f"{run.rows} terminal rows"
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +493,10 @@ _ORACLE_FOLDS: dict[str, Callable[..., _Fold]] = {
 def _bottom_triangle_conjecture(n: int) -> _Fold:
     if n < 2:
         return _skipped("needs n >= 2")
-    run = structure.TerminalRun()
+    run = structure.WidthSummary(n)
     while (step := (yield)) is not None:
         run.push(step.row.width)
-    rep = run.report(n)
+    rep = run.report()
     return rep.holds, f"{rep.triangle_rows} triangle rows, longest row {rep.longest_length}"
 
 

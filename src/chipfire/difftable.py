@@ -155,11 +155,7 @@ def _lane_shape(d) -> tuple[bool, int | None]:
     packed, lane, ones, top, second = d._diff_lanes
     bias = 1 << lane - 2
     width = d.source.width
-    # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min, clamped to
-    # the difference row's lanes (none for an empty source row).
-    half = d.index // 2 - d.y_min + 1
-    lanes = width + 1 if width else 0
-    half = 0 if half < 0 else lanes if half > lanes else half
+    half = d._half()
     # The top bits of the first ``half`` lanes: every lane of ``top`` is
     # alike, so dropping its upper lanes shifts the rest into place.
     tops = top >> (width + 1 - half) * lane
@@ -207,8 +203,12 @@ class DiffRow(_Record):
         return self.source.is_empty
 
     def _half(self) -> int:
-        # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min
-        return min(max(self.index // 2 - self.y_min + 1, 0), self.width)
+        # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min, clamped to
+        # the row's lanes (none for an empty source row).  Conditionals, not
+        # min and max: ``_lane_shape`` reads it for every difference row.
+        half = self.index // 2 - self.y_min + 1
+        width = self.width
+        return 0 if half < 0 else width if half > width else half
 
     def left_half(self) -> tuple[int, ...]:
         """Entries at positions with ``y <= x`` (the diagonal included)."""

@@ -132,23 +132,24 @@ def _render_distance_polyline(spec: RenderSpec) -> str:
 def _profile_rows(n: int) -> list[tuple[str, tuple[int, ...], str]]:
     # The three landmark rows: last scaled binomial row, first row of the
     # longest length, and the first bottom-triangle row (when it exists).
-    # One pass finds the last two: as in the segmentation, the bottom triangle
-    # starts where the terminal run opens, or at row n + 1 if it opens above.
+    # One pass finds the last two: a row is kept while the width summary,
+    # which the segmentation reads, places that landmark at it.
     from . import structure
 
-    run = structure.TerminalRun()
-    longest = bottom_first = None
+    summary = structure.WidthSummary(n)
+    bottom_first = None
     for row in intermediate_configuration(n):
-        if longest is None or row.width > longest.width:
+        summary.push(row.width)
+        if summary.first_longest == row.index:
             longest = row
-        if run.push(row.width) or row.index == n + 1:
+        if summary.bottom_start == row.index:
             bottom_first = row
     rows = [
         ("top-triangle-last", structure.pascal_row(n, n).values,
          'stroke="#000000" stroke-width="1" stroke-dasharray="6 3"'),
         ("longest-first", longest.values, 'stroke="#000000" stroke-width="1.5"'),
     ]
-    if run.seen > n + 1:
+    if bottom_first is not None:
         rows.append(
             ("bottom-triangle-first", bottom_first.values, 'stroke="#999999" stroke-width="1"')
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import stable, structure
-from .core import MAX_EXPONENT, _Record, intermediate_configuration
+from .core import MAX_EXPONENT, _Record
 
 
 class SequenceTable(_Record):
@@ -37,18 +37,6 @@ class SequenceTable(_Record):
         )
 
 
-def _nonzero_rows(n: int) -> int:
-    # Counted off the stream, which holds one row at a time; no width is kept.
-    count = 0
-    for count, _ in enumerate(intermediate_configuration(n), 1):
-        pass
-    return count
-
-
-def _longest_row_length(n: int) -> int:
-    return structure.longest_row(n).length
-
-
 SEQUENCES: dict[str, SequenceTable] = {
     t.id: t
     for t in (
@@ -67,7 +55,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             oeis_id="A390129",
             offset=0,
             known=(1, 2, 4, 6, 10, 16, 24, 38, 60, 92, 144, 226, 362, 570, 906, 1430),
-            value_at=_nonzero_rows,
+            value_at=lambda n: structure.summarize(n).seen,
             max_index=MAX_EXPONENT,
         ),
         SequenceTable(
@@ -76,7 +64,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             oeis_id="A390355",
             offset=0,
             known=(1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 15, 19, 24, 30, 37, 46, 58, 73),
-            value_at=_longest_row_length,
+            value_at=lambda n: structure.summarize(n).longest,
             max_index=MAX_EXPONENT,
         ),
         SequenceTable(

@@ -13,13 +13,17 @@ bottom triangle whose lengths stay within 1 of the longest length) is a
 heuristic reading of the observed shape; only the top and bottom triangles
 have sharp definitions.
 
-Both parts below the midsection sit at the end of the table, so
-:func:`segment` and :func:`check_bottom_conjecture` read a stored width
-profile from its end (:meth:`TerminalRun.of`): at n = 21 the terminal run
-is 181 of 22 838 rows.  Readers that see the widths one row at a time push
-them into a :class:`TerminalRun` instead, which keeps the same state.  The
-run is the whole terminal run; :func:`segment` alone cuts the bottom
-triangle at row n + 1, so that it never starts inside the top triangle.
+Every width reader folds the row widths, first to last, into one
+:class:`WidthSummary` in O(1) state: :func:`segment`,
+:func:`check_bottom_conjecture`, the ``bottom-*`` folds of ``verify``, the
+row-profile figure and the ``nonzero-rows`` and ``longest-row`` sequences.
+The summary keeps the row count, the longest width and its first row, the
+run of widths stepping down by 1 that is open at the last width, and what
+it needs to place the rectangle above that run, so no width is stored.  A
+stored :class:`RowProfile` passed as ``profile=`` is folded through the
+same :meth:`WidthSummary.push`.  The run is the whole terminal run; the
+segmentation alone cuts the bottom triangle at row n + 1, so that it never
+starts inside the top triangle.
 
 :func:`is_minimal`, which the ``bottom-minimal-rows`` check of ``verify``
 runs on every row, compares a row packed with the packed minimal row of its
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import ChipfireError, Row, _check_exponent, _pack, _Record, intermediate_configuration
 
@@ -179,53 +183,57 @@ class Segmentation(_Record):
         )
 
 
-class TerminalRun:
-    """The run of widths stepping down by 1 that is open at the last width seen.
+class WidthSummary:
+    """The row widths of the table for ``2**n`` chips, folded first to last.
 
-    Fed the row widths of a table in order, it keeps the start of that run,
-    which after the last row is the table's terminal decreasing run, and
-    the longest width so far.  The run is never cut: for n <= 3 it reaches
-    into the top triangle, and :func:`segment` cuts it at row n + 1 itself.
-    The streaming readers (``verify`` and the row-profile rendering) push
-    widths one at a time; :meth:`of` fills the same state from a stored
-    width list.
+    :meth:`push` takes one width per row.  The summary keeps the row count
+    ``seen``, the last width, the longest width so far and its first row,
+    and the ``start`` of the run of widths stepping down by 1 that is open
+    at the last width: after the last row, the table's terminal run, never
+    cut (for n <= 3 it reaches into the top triangle).
+
+    The rectangle is the block of rows directly above the bottom triangle
+    whose widths are all at least M - 1, for the final longest width M.  To
+    place it without the widths, the summary keeps the starts of the open
+    runs of widths >= M - 1 and >= M for the M so far: a narrower width
+    restarts a run after its row, and a new longest width w takes the run
+    of widths >= M as its run of widths >= w - 1 when w = M + 1, and starts
+    that run at its own row otherwise, since no earlier width reaches
+    w - 1.  When a run stepping down by 1 opens, before its first width
+    counts, the two starts and M are saved.  The rectangle then starts at
+    the saved run of widths >= M - 1 if M has not grown since, at the saved
+    run of widths >= M if it grew by 1, and at the terminal run's own start
+    if it grew by more.
     """
 
-    __slots__ = ("seen", "start", "last", "longest")
+    __slots__ = ("n", "seen", "last", "start", "longest", "first_longest", "near", "peak",
+                 "at_open")
 
-    def __init__(self) -> None:
-        self.seen = 0
-        self.start = 0
-        self.last = 0
-        self.longest = 0
-
-    @classmethod
-    def of(cls, lengths: Sequence[int]) -> TerminalRun:
-        """The run after every width of ``lengths`` has been pushed.
-
-        Scanned back from the last width: the run reaches back while each
-        width is one below the width before it, and stops at position 0.
-        Only the run is read in Python; the longest width is taken at C
-        speed.
-        """
-        run = cls()
-        seen = run.seen = len(lengths)
-        if not seen:
-            return run
-        start = seen - 1
-        while start and lengths[start - 1] == lengths[start] + 1:
-            start -= 1
-        run.start, run.last, run.longest = start, lengths[-1], max(lengths)
-        return run
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.seen = self.last = self.start = self.longest = self.first_longest = 0
+        # Starts of the open runs of widths >= longest - 1 and >= longest.
+        self.near = self.peak = 0
+        self.at_open = (0, 0, 0)
 
     def push(self, width: int) -> bool:
         """Take the next row's width; True when a new run opens at it."""
-        opens = self.seen == 0 or width != self.last - 1
+        k, longest = self.seen, self.longest
+        opens = k == 0 or width != self.last - 1
         if opens:
-            self.start = self.seen
-        self.seen += 1
+            self.start = k
+            self.at_open = (self.near, self.peak, longest)
+        if width > longest:
+            self.near = self.peak if width == longest + 1 else k
+            self.peak = self.first_longest = k
+            self.longest = width
+        else:
+            if width < longest - 1:
+                self.near = k + 1
+            if width < longest:
+                self.peak = k + 1
+        self.seen = k + 1
         self.last = width
-        self.longest = max(self.longest, width)
         return opens
 
     @property
@@ -233,24 +241,50 @@ class TerminalRun:
         """Length of the open run."""
         return self.seen - self.start
 
-    def report(self, n: int) -> BottomTriangleReport:
-        """The bottom-triangle report, once every width of the table for
-        ``2**n`` chips (n >= 2) has been pushed."""
+    @property
+    def bottom_start(self) -> int:
+        """First row of the bottom triangle: the open run, cut at row n + 1."""
+        return max(self.start, self.n + 1)
+
+    def segmentation(self) -> Segmentation:
+        """The four parts, once every width of the table has been pushed.
+
+        Fewer than n + 1 widths raise :class:`DegenerateSegmentationError`.
+        """
+        n, total = self.n, self.seen
+        if total < n + 1:
+            raise DegenerateSegmentationError(f"{total} rows cannot hold the top triangle for {n=}")
+        near, peak, longest = self.at_open
+        grown = self.longest - longest
+        r = max(near if grown == 0 else peak if grown == 1 else self.start, n + 1)
+        b = self.bottom_start
+        return Segmentation(
+            n=n, top_triangle=range(0, n + 1), midsection=range(n + 1, r), rectangle=range(r, b),
+            bottom_triangle=range(b, total), longest_length=self.longest,
+            first_longest_row=self.first_longest,
+        )
+
+    def report(self) -> BottomTriangleReport:
+        """The bottom-triangle report, once every width has been pushed."""
+        rows, longest = self.rows, self.longest
         return BottomTriangleReport(
-            n=n,
-            holds=self.rows == self.longest - 1,
-            triangle_rows=self.rows,
-            longest_length=self.longest,
+            n=self.n, holds=rows == longest - 1, triangle_rows=rows, longest_length=longest
         )
 
 
-def _lengths(n: int, profile: RowProfile | None) -> tuple[int, ...]:
-    """The widths of ``profile`` (of :func:`row_profile` when None), made for ``n``."""
+def summarize(n: int, profile: RowProfile | None = None) -> WidthSummary:
+    """The :class:`WidthSummary` of the table for ``2**n`` chips, folded from
+    its row stream, or from the widths of ``profile`` when one is given."""
     if profile is None:
-        return row_profile(n).lengths
-    if profile.n != n:
+        widths = (r.width for r in intermediate_configuration(n))
+    elif profile.n != n:
         raise ValueError(f"profile is for n={profile.n}, not n={n}")
-    return profile.lengths
+    else:
+        widths = profile.lengths
+    summary = WidthSummary(n)
+    for width in widths:
+        summary.push(width)
+    return summary
 
 
 def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
@@ -265,31 +299,12 @@ def segment(n: int, profile: RowProfile | None = None) -> Segmentation:
     raises :class:`DegenerateSegmentationError`; any other splits into four
     ranges that partition its rows.
 
-    Passing a precomputed ``profile`` avoids re-streaming the table.  The
-    widths are read from the end: the bottom triangle and the rectangle are
-    scanned back from the last row, so only those rows are read in Python,
-    and the longest width and its first row are found at C speed.
+    The widths are folded into a :class:`WidthSummary`, from the row stream
+    or from a precomputed ``profile``, which avoids re-streaming the table.
     """
     if n < 1:
         raise ValueError(f"segmentation needs n >= 1, got {n}")
-    lengths = _lengths(n, profile)
-    total = len(lengths)
-    if total < n + 1:
-        raise DegenerateSegmentationError(f"{total} rows cannot hold the top triangle for n={n}")
-    run = TerminalRun.of(lengths)
-    longest = run.longest
-    b = r = max(run.start, n + 1)
-    while r - 1 >= n + 1 and lengths[r - 1] >= longest - 1:
-        r -= 1
-    return Segmentation(
-        n=n,
-        top_triangle=range(0, n + 1),
-        midsection=range(n + 1, r),
-        rectangle=range(r, b),
-        bottom_triangle=range(b, total),
-        longest_length=longest,
-        first_longest_row=lengths.index(longest),
-    )
+    return summarize(n, profile).segmentation()
 
 
 class BottomTriangleReport(_Record):
@@ -315,4 +330,4 @@ def check_bottom_conjecture(n: int, profile: RowProfile | None = None) -> Bottom
     """
     if n < 2:
         raise ValueError(f"conjecture check needs n >= 2, got {n}")
-    return TerminalRun.of(_lengths(n, profile)).report(n)
+    return summarize(n, profile).report()

@@ -18,7 +18,7 @@ from chipfire import (
     next_row,
     row_bound,
 )
-from chipfire import _lanefolds, checks, core, difftable, stable, structure
+from chipfire import _lanefolds, checks, core, difftable, sequences, stable, structure
 from chipfire._cli_tables import rows_from_csv, rows_to_csv
 from chipfire.core import _lane_bits, _narrowed, _pack, _unpack
 from chipfire.difftable import diff_row
@@ -337,6 +337,7 @@ class TestPackedView:
         expected = (
             structure.row_profile(n),
             structure.segment(n),
+            sequences.generate("longest-row", n),
             list(stable.stable_configuration(n)),
             stable.distance_distribution(n),
             stable.firing_routes(intermediate_configuration(n)),
@@ -351,6 +352,7 @@ class TestPackedView:
         assert (
             structure.row_profile(n),
             structure.segment(n),
+            sequences.generate("longest-row", n),
             list(stable.stable_configuration(n)),
             stable.distance_distribution(n),
             stable.firing_routes(intermediate_configuration(n)),

@@ -81,10 +81,6 @@ class TestRowProfiles:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_landmarks_agree_with_segment(self, table, n):
-        # The figure keeps its own copy of two rules of segment (the first
-        # widest row, and the bottom triangle cut at row n + 1) so that it
-        # streams the table once.  The cut matters for n = 1, 2 and 3, where
-        # the terminal run starts at or above row n.
         rows = table(n)
         seg = segment(n)
         landmarks = {label: values for label, values, _ in _profile_rows(n)}

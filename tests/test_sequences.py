@@ -96,3 +96,15 @@ def test_nonzero_rows_keep_no_widths():
     assert [p["exit"] for p in peaks] == [0, 0], [p["err"] for p in peaks]
     assert peaks[1]["out"].splitlines()[-1] == "23,57562"
     assert peaks[1]["peak_kib"] - peaks[0]["peak_kib"] < 1024
+
+
+def test_segment_keeps_no_widths():
+    # segment folds the widths as they stream: at n = 23 a stored width
+    # tuple of the 57 562 rows raised the peak about 2 MiB above a small
+    # table's.
+    peaks = [
+        peak_rss.run_python(["-m", "chipfire.cli", *args], timeout=120)
+        for args in (["table", "--n", "12", "--out", "/dev/null"], ["segment", "--n", "23"])
+    ]
+    assert [p["exit"] for p in peaks] == [0, 0], [p["err"] for p in peaks]
+    assert peaks[1]["peak_kib"] - peaks[0]["peak_kib"] < 1024

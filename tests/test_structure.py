@@ -15,10 +15,11 @@ from chipfire import (
     segment,
 )
 from chipfire.structure import (
+    BottomTriangleReport,
     DegenerateSegmentationError,
     RowProfile,
     Segmentation,
-    TerminalRun,
+    WidthSummary,
 )
 
 
@@ -177,20 +178,20 @@ class TestSegmentation:
 
 class TestTerminalRun:
     @staticmethod
-    def run(lengths):
-        run = TerminalRun()
+    def run(n, lengths):
+        run = WidthSummary(n)
         opened = [k for k, width in enumerate(lengths) if run.push(width)]
         return run, opened
 
     def test_open_run_and_longest(self):
-        run, opened = self.run([1, 2, 3, 2, 3, 4, 3, 2])
+        run, opened = self.run(1, [1, 2, 3, 2, 3, 4, 3, 2])
         assert opened == [0, 1, 2, 4, 5]
         assert (run.start, run.rows, run.longest) == (5, 3, 4)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_start_is_the_bottom_triangle(self, n):
         # segment cuts the run at row n + 1, below the top triangle.
-        run, _ = self.run(row_profile(n).lengths)
+        run, _ = self.run(n, row_profile(n).lengths)
         assert segment(n).bottom_triangle.start == max(run.start, n + 1)
 
 
@@ -218,14 +219,6 @@ class TestBottomConjecture:
         assert len(segment(2).bottom_triangle) == 1
 
 
-def forward_run(lengths):
-    """A :class:`TerminalRun` fed ``lengths`` one width at a time."""
-    run = TerminalRun()
-    for width in lengths:
-        run.push(width)
-    return run
-
-
 def forward_start(lengths, floor):
     """Start of the run open after ``lengths`` read forward, where a run
     also opens at position ``floor``."""
@@ -243,7 +236,8 @@ def listed_partition(parts, total):
 
 def reference_segment(n, lengths):
     """:func:`segment` as it read the widths forward, opening a run at row
-    n + 1, and listed the rows of its four ranges to check them."""
+    n + 1, walked the rectangle back from the bottom triangle, and listed
+    the rows of its four ranges to check them."""
     total, longest = len(lengths), max(lengths)
     top = range(0, n + 1)
     if total <= n + 1:
@@ -260,6 +254,13 @@ def reference_segment(n, lengths):
     return Segmentation(n, top, mid, rect, bottom, longest, lengths.index(longest))
 
 
+def reference_report(n, lengths):
+    """:func:`check_bottom_conjecture` read off the listed widths: the
+    terminal run, uncut, against the longest width."""
+    rows, longest = len(lengths) - forward_start(lengths, None), max(lengths)
+    return BottomTriangleReport(n, rows == longest - 1, rows, longest)
+
+
 @st.composite
 def width_lists(draw, min_size=0):
     """Widths with runs stepping down by 1 among random ones."""
@@ -272,27 +273,47 @@ def width_lists(draw, min_size=0):
     return [w for chunk in chunks for w in chunk]
 
 
-class TestBackwardScan:
-    """The stored-profile readers scan back from the last width; the
-    streaming :class:`TerminalRun` fed forward is their reference."""
+def any_widths(min_size=0):
+    """Shaped widths, or widths with steps of any size."""
+    return st.one_of(width_lists(min_size), st.lists(st.integers(0, 9), min_size=min_size))
 
-    @given(width_lists())
-    def test_run_matches_the_forward_run(self, lengths):
-        back, forward = TerminalRun.of(lengths), forward_run(lengths)
-        assert (back.seen, back.start, back.rows, back.last, back.longest) == (
-            forward.seen, forward.start, forward.rows, forward.last, forward.longest
-        )
 
-    @given(st.integers(1, 8), width_lists(min_size=1))
-    def test_segment_matches_the_forward_reference(self, n, lengths):
-        profile = RowProfile(n, tuple(lengths))
+class TestSummaryFold:
+    """The one-pass :class:`WidthSummary` against the references above,
+    which list the widths and walk them back."""
+
+    @given(st.integers(1, 8), any_widths(min_size=1))
+    def test_segment_matches_the_reference(self, n, lengths):
         try:
-            got = segment(n, profile)
+            got = segment(n, RowProfile(n, tuple(lengths)))
         except DegenerateSegmentationError:
             got = DegenerateSegmentationError
-        assert got == reference_segment(n, profile.lengths)
+        assert got == reference_segment(n, lengths)
 
-    @given(st.integers(1, 8), width_lists())
+    @pytest.mark.parametrize("lengths, rectangle", [
+        # The longest width is the same since the terminal run opened, grew
+        # by 1 at its first row, or grew by 2.
+        ((1, 1, 4, 5, 5, 4, 3), range(2, 4)),
+        ((4, 4, 4, 5, 5, 6, 5, 4), range(3, 5)),
+        ((4, 5, 5, 7, 6, 5), range(3, 3)),
+    ])
+    def test_rectangle_as_the_longest_width_grows(self, lengths, rectangle):
+        seg = segment(1, RowProfile(1, lengths))
+        assert seg.rectangle == rectangle
+        assert seg == reference_segment(1, list(lengths))
+
+    @given(st.integers(1, 8), any_widths(min_size=1))
+    def test_every_prefix_matches_the_reference(self, n, lengths):
+        summary = WidthSummary(n)
+        for k, width in enumerate(lengths, 1):
+            summary.push(width)
+            try:
+                got = summary.segmentation()
+            except DegenerateSegmentationError:
+                got = DegenerateSegmentationError
+            assert got == reference_segment(n, lengths[:k])
+
+    @given(st.integers(1, 8), any_widths())
     def test_degenerate_exactly_when_shorter_than_the_top_triangle(self, n, lengths):
         # Empty profiles included.
         profile = RowProfile(n, tuple(lengths))
@@ -303,14 +324,14 @@ class TestBackwardScan:
             parts = [part for _, part in segment(n, profile).parts()]
             assert listed_partition(parts, len(lengths))
 
-    @given(st.integers(2, 8), width_lists(min_size=1))
-    def test_report_matches_the_forward_run(self, n, lengths):
+    @given(st.integers(2, 8), any_widths(min_size=1))
+    def test_report_matches_the_reference(self, n, lengths):
         rep = check_bottom_conjecture(n, RowProfile(n, tuple(lengths)))
-        assert rep == forward_run(lengths).report(n)
+        assert rep == reference_report(n, lengths)
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_real_tables(self, n):
         lengths = row_profile(n).lengths
         assert segment(n) == reference_segment(n, lengths)
         if n >= 2:
-            assert check_bottom_conjecture(n) == forward_run(lengths).report(n)
+            assert check_bottom_conjecture(n) == reference_report(n, lengths)
