@@ -17,20 +17,22 @@ row rather than to the table.  A fold is a generator.  It is started with
 ``send(None)``, then sent one :class:`_Step` per arrival row, then ``None``
 at the end of the table.  It returns ``(passed, detail)``; a skip, or a
 first failure that settles the verdict, returns early.  A step holds the
-row and, of its total, its difference row, its stable row and the pass's
-distance counts, only the fields the started folds read, each built once
-per row: every fold declares its reads next to its maker in ``_FOLDS`` and
-``_REPORTS``, and the pass works out what to build when it starts and
-again each time a fold settles, so a lone ``row-bound`` costs about one
-kernel pass.  The step goes to the started folds through a list of their
-names and bound ``send`` methods, which the pass likewise rebuilds only
-when a fold settles.  Between rows a fold keeps O(1) rows of state:
+row, and builds each of its other fields (the row total, the difference
+row, the stable row and the pass's distance counts) the first time a
+started fold reads it in that row, then keeps it for the other folds.  So
+a field is built at most once per row, and never in a pass whose folds do
+not read it: a lone ``row-bound`` costs about one kernel pass.  The
+distance counts are the one accumulator of the pass, and their first read
+in a row adds that row's stable row to it, so a fold that reads them reads
+them on every row.  The step goes to the started folds through a list of
+their bound ``send`` methods, which the pass rebuilds only when a fold
+settles.  Between rows a fold keeps O(1) rows of state:
 the previous one or two rows or difference rows, the previous diagonal
 centre, running chip and firing sums, the current run of widths stepping
 down by 1 with its non-minimal rows, the last marked stable row, and at
 most five offending row indices for a detail.  The chips are counted by
-distance once per row, on the lanes of one accumulator of
-:mod:`chipfire.stable` that the pass keeps (an int of one lane per distance);
+distance once per row, from the stable row, on the lanes of the pass's
+accumulator of :mod:`chipfire.stable` (an int of one lane per distance);
 ``distance-distribution`` and ``firing-count-identity`` read its counts at
 the end of the table.
 The bottom-triangle report is one more fold, over the one width summary
@@ -69,7 +71,7 @@ No difference row is built entry by entry.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, NamedTuple, Sequence
+from typing import Callable, Generator, Iterable, Sequence
 
 # Only a pass that plays the oracle reads ``chipfire.oracle``, which the
 # package imports on that first read (PEP 562), so a run without the oracle
@@ -78,7 +80,7 @@ import chipfire
 
 from . import difftable, stable, structure
 from .core import (
-    ORACLE_EXPONENT_LIMIT, ChipfireError, Row, _check_exponent, _Record, check_trials,
+    ORACLE_EXPONENT_LIMIT, ChipfireError, Row, _check_exponent, _once, _Record, check_trials,
     intermediate_configuration, next_row, row_bound,
 )
 from .stable import _DistanceCounts
@@ -110,18 +112,38 @@ def failures(results: Iterable[CheckResult]) -> list[CheckResult]:
     return [r for r in results if not r.passed and not r.advisory]
 
 
-class _Step(NamedTuple):
-    """What every fold sees of one arrival row.  Every field but the row is
-    built only while a started fold reads it (declared in ``_FOLDS`` and
-    ``_REPORTS``), and is None otherwise."""
+class _Step:
+    """What every fold sees of one arrival row: the row, and of its total,
+    its difference row, its stable row and the pass's distance counts,
+    each built the first time a fold reads it in this row (``_once``) and
+    never when no fold does.
 
-    row: Row
-    chips: int | None  # the row total, Row.chip_sum()
-    diff: difftable.DiffRow | None
-    stable: stable.StableRow | None
-    # The chips of the rows so far, this one included, by distance: one
-    # accumulator of the pass, which adds each row's parity to it once.
-    counts: _DistanceCounts | None
+    ``counts`` is the one accumulator of the pass, and its first read in
+    a row adds that row's stable row to it.  A fold that reads ``counts``
+    must therefore read it on every row, so that every row is added once.
+    """
+
+    def __init__(self, row: Row, counts: _DistanceCounts) -> None:
+        self.row = row
+        self._counts = counts
+
+    @_once
+    def chips(self) -> int:
+        return self.row.chip_sum()
+
+    @_once
+    def diff(self) -> difftable.DiffRow:
+        return difftable.diff_row(self.row)
+
+    @_once
+    def stable(self) -> stable.StableRow:
+        return stable.stable_row(self.row)
+
+    @_once
+    def counts(self) -> _DistanceCounts:
+        # The chips of the rows so far, this one included, by distance.
+        self._counts.add(self.stable)
+        return self._counts
 
 
 _Verdict = tuple[bool, str]
@@ -500,36 +522,37 @@ def _bottom_triangle_conjecture(n: int) -> _Fold:
     return rep.holds, f"{rep.triangle_rows} triangle rows, longest row {rep.longest_length}"
 
 
-#: Folds in scorecard order, each with the ``_Step`` fields it reads
-#: besides the row.
-_FOLDS: dict[str, tuple[Callable[[int], _Fold], tuple[str, ...]]] = {
-    "row-symmetry": (_row_symmetry, ()),
-    "row-contiguity": (_row_contiguity, ()),
-    "even-diagonal": (_even_diagonal, ()),
-    "chip-parity-accounting": (_chip_parity_accounting, ("chips", "stable")),
-    "monotone-steps": (_monotone_steps, ("diff",)),
-    "pascal-top-rows": (_pascal_top_rows, ()),
-    "first-stable-row": (_first_stable_row, ("stable",)),
-    "length-steps": (_length_steps, ()),
-    "length-parity": (_length_parity, ()),
-    "row-start-pattern": (_row_start_pattern, ()),
-    "diagonal-decay": (_diagonal_decay, ()),
-    "row-bound": (_row_bound, ()),
-    "last-row-pair": (_last_row_pair, ()),
-    "bottom-minimal-rows": (_bottom_minimal_rows, ()),
-    "distance-distribution": (_distance_distribution, ("counts",)),
-    "firing-count-identity": (_firing_count_identity, ("chips", "stable", "counts")),
-    "last-stable-row": (_last_stable_row, ("stable",)),
-    "diff-antisymmetry": (_diff_antisymmetry, ("diff",)),
-    "diff-max-nonincreasing": (_diff_max_nonincreasing, ("diff",)),
-    "diff-unimodality": (_diff_unimodality, ("diff",)),
-    "diff-local-propagation": (_diff_local_propagation, ("diff",)),
-    "diff-telescoping": (_diff_telescoping, ("diff",)),
+#: The maker of each fold, in scorecard order.  A fold reads what it needs
+#: of each ``_Step``, which builds a field on its first read in a row; a
+#: fold that reads ``counts`` reads it on every row.
+_FOLDS: dict[str, Callable[[int], _Fold]] = {
+    "row-symmetry": _row_symmetry,
+    "row-contiguity": _row_contiguity,
+    "even-diagonal": _even_diagonal,
+    "chip-parity-accounting": _chip_parity_accounting,
+    "monotone-steps": _monotone_steps,
+    "pascal-top-rows": _pascal_top_rows,
+    "first-stable-row": _first_stable_row,
+    "length-steps": _length_steps,
+    "length-parity": _length_parity,
+    "row-start-pattern": _row_start_pattern,
+    "diagonal-decay": _diagonal_decay,
+    "row-bound": _row_bound,
+    "last-row-pair": _last_row_pair,
+    "bottom-minimal-rows": _bottom_minimal_rows,
+    "distance-distribution": _distance_distribution,
+    "firing-count-identity": _firing_count_identity,
+    "last-stable-row": _last_stable_row,
+    "diff-antisymmetry": _diff_antisymmetry,
+    "diff-max-nonincreasing": _diff_max_nonincreasing,
+    "diff-unimodality": _diff_unimodality,
+    "diff-local-propagation": _diff_local_propagation,
+    "diff-telescoping": _diff_telescoping,
 }
 
-#: Advisory folds, reported after the oracle cross-checks, with their reads.
-_REPORTS: dict[str, tuple[Callable[[int], _Fold], tuple[str, ...]]] = {
-    "bottom-triangle-conjecture": (_bottom_triangle_conjecture, ()),
+#: Advisory folds, reported after the oracle cross-checks.
+_REPORTS: dict[str, Callable[[int], _Fold]] = {
+    "bottom-triangle-conjecture": _bottom_triangle_conjecture,
 }
 
 #: Every check name, in scorecard order; ``verify --properties`` filters
@@ -550,19 +573,11 @@ def _oracle_runs(n: int, trials: int) -> bool:
     return trials >= 2 and 1 <= n <= ORACLE_EXPONENT_LIMIT
 
 
-def _built(active: Iterable[str], makers: dict) -> tuple[bool, bool, bool, bool]:
-    """Whether the folds named in ``active`` read the row total, the
-    difference row, the stable row and the distance counts of a step, by
-    the reads declared next to their ``makers`` (the oracle cross-checks,
-    which have none there, read only the row)."""
-    reads = {field for name in active if name in makers for field in makers[name][1]}
-    return tuple(field in reads for field in _Step._fields[1:])
-
-
-def _advance(fold: _Fold, step: _Step | None) -> _Verdict | None:
-    """Send ``step`` to ``fold``; its verdict once it has one, else None."""
+def _advance(send: Callable, step: _Step | None) -> _Verdict | None:
+    """Send ``step`` to a fold through its bound ``send``; the fold's
+    verdict once it has one, else None."""
     try:
-        fold.send(step)
+        send(step)
     except StopIteration as done:
         return done.value
     return None
@@ -600,47 +615,38 @@ def run_checks(
     """
     _check_exponent(n)
     makers = {**_FOLDS, **_REPORTS}
-    folds = {name: make(n) for name, (make, _) in makers.items() if _selects(properties, name)}
+    folds = {name: make(n) for name, make in makers.items() if _selects(properties, name)}
     oracle_names = [name for name in _ORACLE_FOLDS if _selects(properties, name)]
     if oracle_names and _oracle_runs(n, oracle_trials):
         report = chipfire.oracle.confluence_check(n, trials=oracle_trials, seed=seed)
         folds.update((name, _ORACLE_FOLDS[name](report)) for name in oracle_names)
     verdicts: dict[str, _Verdict] = {}
-    active: dict[str, _Fold] = {}
+    # The name of each unsettled fold, by its bound send.
+    active: dict[Callable, str] = {}
     for name, fold in folds.items():
-        verdict = _advance(fold, None)
+        verdict = _advance(fold.send, None)
         if verdict is None:
-            active[name] = fold
+            active[fold.send] = name
         else:
             verdicts[name] = verdict
     counts = _DistanceCounts()
-    # The active folds are new, or one of them settled on the last row.
-    settled = True
+    sends = list(active)
 
-    for r in intermediate_configuration(n) if active else ():
-        if settled:
-            with_chips, with_diff, with_stable, with_counts = _built(active, makers)
-            sends = [(name, fold.send) for name, fold in active.items()]
-            settled = False
-        s = stable.stable_row(r) if with_stable else None
-        if with_counts:
-            counts.add(r if s is None else s)
-        step = _Step(
-            r, r.chip_sum() if with_chips else None,
-            difftable.diff_row(r) if with_diff else None, s, counts if with_counts else None,
-        )
-        for name, send in sends:
+    for r in intermediate_configuration(n) if sends else ():
+        step = _Step(r, counts)
+        for send in sends:
             # _advance, inlined: this runs once per fold and row.
             try:
                 send(step)
             except StopIteration as done:
-                verdicts[name] = done.value
-                del active[name]
-                settled = True
-        if not active:
+                verdicts[active.pop(send)] = done.value
+                # The next row goes to the folds left; this one goes on
+                # to the rest of the old list.
+                sends = list(active)
+        if not sends:
             break
-    for name, fold in active.items():
-        verdicts[name] = _advance(fold, None)
+    for send, name in active.items():
+        verdicts[name] = _advance(send, None)
 
     named = (name for name in CHECK_NAMES if name in verdicts)
     return [CheckResult(name, n, *verdicts[name], advisory=name in _REPORTS) for name in named]

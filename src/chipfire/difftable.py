@@ -174,8 +174,6 @@ def _lane_shape(d) -> tuple[bool, int | None]:
     return unimodal, c
 
 
-
-
 class DiffRow(_Record):
     """One row of the difference table, trimmed like its source row.
 

@@ -21,15 +21,16 @@ parity bytes, spread one per lane at a stride of two lanes, are added to
 one int at the row's first distance, and the counts are read off its lanes
 once, at the end.  Rows are staged in 8-bit lanes and moved into 64-bit
 lanes every 255 rows, because ``int.from_bytes`` costs in proportion to the
-bytes it converts.  The ``verify`` pass keeps one such accumulator too.  :func:`distance_distribution` builds the distribution
-from those counts, and :func:`firing_routes` takes the moment from them
-(:func:`moment`, the sum of ``d**2`` times the count at d), so no distance
-is listed chip by chip.  :func:`total_firings` is the one route to T(n):
-it runs both firing counts in one pass (:func:`firing_routes`) and refuses
-a result on which they disagree.  :func:`distribution_from_counts` is the
-one function that makes a :class:`DistanceDistribution` from distance
-counts, so its invariants are checked in one place for the library and for
-the ``distance-distribution`` check alike.
+bytes it converts.  The ``verify`` pass keeps one such accumulator too.
+:func:`distance_distribution` builds the distribution from those counts,
+and :func:`firing_routes` takes the moment from them (:func:`moment`, the
+sum of ``d**2`` times the count at d), so no distance is listed chip by
+chip.  :func:`total_firings` is the one route to T(n): it runs both firing
+counts in one pass (:func:`firing_routes`) and refuses a result on which
+they disagree.  :func:`distribution_from_counts` is the one function that
+makes a :class:`DistanceDistribution` from distance counts, so its
+invariants are checked in one place for the library and for the
+``distance-distribution`` check alike.
 
 Everything here depends only on each row's parity and total
 (:meth:`Row.chip_sum`), so nothing in this module unpacks the row values.

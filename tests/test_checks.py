@@ -742,15 +742,19 @@ class TestSinglePass:
         [
             (["row-bound"], set()),
             (["diff-telescoping"], {"diff"}),
-            (["distance-distribution"], {"counts"}),
+            (["distance-distribution"], {"stable", "counts"}),
             (["chip-parity-accounting"], {"chips", "stable"}),
+            (["firing-count-identity"], {"chips", "stable", "counts"}),
+            (["distance-distribution", "last-stable-row"], {"stable", "counts"}),
+            (["monotone-steps", "row-bound"], {"diff"}),
             (None, {"chips", "diff", "stable", "counts"}),
         ],
     )
     def test_builds_only_what_the_started_folds_read(self, monkeypatch, table, properties, built):
         # Each row's total, difference row, stable row and distance count
-        # are built once per row while a started fold reads them, and not
-        # at all otherwise.
+        # are built once per row when a started fold reads them, whichever
+        # fold reads first, and not at all otherwise.  The distance counts
+        # read the stable row.
         calls = Counter()
 
         def counting(kind, real):
