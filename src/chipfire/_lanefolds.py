@@ -161,8 +161,6 @@ def _rises_and_falls(d) -> tuple[int, int]:
     complement, becomes that lane's byte.
     """
     width = d.source.width
-    if not width:
-        return 0, 0
     _, lane, _, _, second = d._diff_lanes
     size = lane // 8
     raw = second.to_bytes((width + 2) * size, "little")[size - 1 :: size]

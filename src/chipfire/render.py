@@ -5,7 +5,9 @@ can verify them by counting elements (every stable chip is one filled
 circle, every distribution point one circle on the polyline, and so on).
 Table-shaped figures are rotated so rows run horizontally: the row index
 grows to the right and the distance coordinate ``y - x`` spans the
-vertical axis.  Each renderer imports the module it draws from, so a
+vertical axis.  The two table figures are drawn by one dot layer
+(:func:`_dots`), the distribution and the row profiles by one line layer
+(:func:`_lines`).  Each renderer imports the module it draws from, so a
 figure loads only that one.
 """
 
@@ -16,11 +18,10 @@ from pathlib import Path
 
 from .core import _Record, intermediate_configuration
 
-KINDS = ("stable-dots", "distance-polyline", "row-profiles", "diff-signmap")
-
 _FILLED = 'fill="#000000"'
 _HOLLOW = 'fill="none" stroke="#000000" stroke-width="1"'
 _GRAY = 'fill="#999999"'
+_STROKE = 'stroke="#000000" stroke-width="1"'
 
 #: The widest padding a renderer leaves on each side of the figure.  A
 #: figure no wider or taller than twice it would get a negative scale and
@@ -78,55 +79,47 @@ def _polyline(points: list[tuple[float, float]], style: str) -> str:
     return f'<polyline points="{coords}" fill="none" {style}/>'
 
 
-class _TableGeometry:
-    """Maps (row index, distance u = y - x) to pixels, rows horizontal."""
+def _dots(spec: RenderSpec, last_index: int, u_max: int, dots) -> str:
+    """One circle per ``(row index, u, style)``, rows running horizontally."""
+    pad = 12.0
+    sx = (spec.width - 2 * pad) / max(last_index, 1)
+    sy = (spec.height - 2 * pad) / max(2 * u_max, 1)
+    cy = spec.height / 2
+    elements = [_circle(pad + index * sx, cy - u * sy, spec.dot_radius, style)
+                for index, u, style in dots]
+    return _svg_document(spec.width, spec.height, elements)
 
-    def __init__(self, spec: RenderSpec, last_index: int, u_max: int, pad: float = 12.0):
-        self.pad = pad
-        self.sx = (spec.width - 2 * pad) / max(last_index, 1)
-        self.sy = (spec.height - 2 * pad) / max(2 * u_max, 1)
-        self.cy = spec.height / 2
 
-    def point(self, index: int, u: float) -> tuple[float, float]:
-        return self.pad + index * self.sx, self.cy - u * self.sy
+def _lines(spec: RenderSpec, span: int, peak: int, series) -> str:
+    """One polyline per ``(points, style)``, a filled dot on each point."""
+    sx = (spec.width - 2 * _PAD) / max(span, 1)
+    sy = (spec.height - 2 * _PAD) / peak
+    base = spec.height - _PAD
+    elements = []
+    for points, style in series:
+        pixels = [(_PAD + x * sx, base - y * sy) for x, y in points]
+        elements.append(_polyline(pixels, style))
+        elements.extend(_circle(px, py, spec.dot_radius, _FILLED) for px, py in pixels)
+    return _svg_document(spec.width, spec.height, elements)
 
 
 def _render_stable_dots(spec: RenderSpec) -> str:
     from . import stable
 
     rows = list(stable.stable_configuration(spec.n))
-    last_index = rows[-1].index
     u_max = max((r.index - 2 * r.y_min for r in rows if r.width), default=0)
-    geo = _TableGeometry(spec, last_index, u_max)
-    elements = []
-    for row in rows:
-        for x, y in row.unmarked_points():
-            px, py = geo.point(row.index, y - x)
-            elements.append(_circle(px, py, spec.dot_radius, _HOLLOW))
-    for row in rows:
-        for x, y in row.marked_points():
-            px, py = geo.point(row.index, y - x)
-            elements.append(_circle(px, py, spec.dot_radius, _FILLED))
-    return _svg_document(spec.width, spec.height, elements)
+    dots = [(r.index, y - x, _HOLLOW) for r in rows for x, y in r.unmarked_points()]
+    dots += [(r.index, y - x, _FILLED) for r in rows for x, y in r.marked_points()]
+    return _dots(spec, rows[-1].index, u_max, dots)
 
 
 def _render_distance_polyline(spec: RenderSpec) -> str:
     from . import stable
 
     d = stable.distance_distribution(spec.n)
-    pad = _PAD
     m = d.half_width
-    sx = (spec.width - 2 * pad) / max(2 * m, 1)
-    peak = max(d.counts) or 1
-    sy = (spec.height - 2 * pad) / peak
-    base = spec.height - pad
-    points = [
-        (pad + (i + m) * sx, base - d.count(i) * sy)
-        for i in d.offsets()
-    ]
-    elements = [_polyline(points, 'stroke="#000000" stroke-width="1"')]
-    elements.extend(_circle(px, py, spec.dot_radius, _FILLED) for px, py in points)
-    return _svg_document(spec.width, spec.height, elements)
+    points = [(i + m, d.count(i)) for i in d.offsets()]
+    return _lines(spec, 2 * m, max(d.counts) or 1, [(points, _STROKE)])
 
 
 def _profile_rows(n: int) -> list[tuple[str, tuple[int, ...], str]]:
@@ -146,7 +139,7 @@ def _profile_rows(n: int) -> list[tuple[str, tuple[int, ...], str]]:
             bottom_first = row
     rows = [
         ("top-triangle-last", structure.pascal_row(n, n).values,
-         'stroke="#000000" stroke-width="1" stroke-dasharray="6 3"'),
+         _STROKE + ' stroke-dasharray="6 3"'),
         ("longest-first", longest.values, 'stroke="#000000" stroke-width="1.5"'),
     ]
     if bottom_first is not None:
@@ -160,44 +153,29 @@ def _render_row_profiles(spec: RenderSpec) -> str:
     if spec.n < 1:
         raise ValueError("row profiles need n >= 1")
     rows = _profile_rows(spec.n)
-    pad = _PAD
     widest = max(len(values) for _, values, _ in rows)
     peak = max(v for _, values, _ in rows for v in values)
-    sx = (spec.width - 2 * pad) / max(widest - 1, 1)
-    sy = (spec.height - 2 * pad) / peak
-    base = spec.height - pad
-    elements = []
-    for _, values, style in rows:
-        # center each row on the shared axis
-        shift = (widest - len(values)) / 2
-        points = [
-            (pad + (shift + k) * sx, base - v * sy) for k, v in enumerate(values)
-        ]
-        elements.append(_polyline(points, style))
-        elements.extend(_circle(px, py, spec.dot_radius, _FILLED) for px, py in points)
-    return _svg_document(spec.width, spec.height, elements)
+    # center each row on the shared axis
+    series = [
+        ([((widest - len(values)) / 2 + k, v) for k, v in enumerate(values)], style)
+        for _, values, style in rows
+    ]
+    return _lines(spec, widest - 1, peak, series)
 
 
 def _render_diff_signmap(spec: RenderSpec) -> str:
     from . import difftable
 
     sign_rows = difftable.sign_map(spec.n)
-    last_index = max((s.index for s in sign_rows), default=1)
-    u_max = 1
-    for s in sign_rows:
-        if s.signs:
-            # sign k sits between positions y and y + 1: u = 2y + 1 - index
-            u_max = max(u_max, abs(2 * s.y_min + 1 - s.index),
-                        abs(2 * (s.y_min + len(s.signs) - 1) + 1 - s.index))
-    geo = _TableGeometry(spec, last_index, u_max)
     style_of = {"+": _FILLED, "0": _HOLLOW, "-": _GRAY}
-    elements = []
-    for s in sign_rows:
-        for k, symbol in enumerate(s.signs):
-            u = 2 * (s.y_min + k) + 1 - s.index
-            px, py = geo.point(s.index, u)
-            elements.append(_circle(px, py, spec.dot_radius, style_of[symbol]))
-    return _svg_document(spec.width, spec.height, elements)
+    # sign k sits between positions y and y + 1: u = 2y + 1 - index
+    dots = [
+        (s.index, 2 * (s.y_min + k) + 1 - s.index, style_of[symbol])
+        for s in sign_rows
+        for k, symbol in enumerate(s.signs)
+    ]
+    u_max = max([1, *(abs(u) for _, u, _ in dots)])
+    return _dots(spec, max((s.index for s in sign_rows), default=1), u_max, dots)
 
 
 _RENDERERS = {
@@ -206,6 +184,7 @@ _RENDERERS = {
     "row-profiles": _render_row_profiles,
     "diff-signmap": _render_diff_signmap,
 }
+KINDS = tuple(_RENDERERS)
 
 
 def render_svg(spec: RenderSpec) -> str:

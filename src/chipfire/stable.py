@@ -93,15 +93,6 @@ class StableRow(_Record):
         """Points of the span whose arrival count was even."""
         return compress(self._points(), map(not_, self.parity))
 
-    def distances(self) -> Iterator[int]:
-        """Distance ``y - x`` of each chip, increasing.
-
-        Every position of a row has its own distance, so a row never puts
-        two chips at one distance.
-        """
-        first = 2 * self.y_min - self.index
-        return compress(range(first, first + 2 * self.width, 2), self.parity)
-
 
 def stable_row(r: Row) -> StableRow:
     """The chips row ``r`` keeps: its parity bytes."""
@@ -233,8 +224,7 @@ def distance_distribution(n: int) -> DistanceDistribution:
 
 def second_raw_moment(d: DistanceDistribution) -> int:
     """Exact integer ``sum(i**2 * count(i))`` over the distribution."""
-    m = d.half_width
-    return sum((k - m) ** 2 * c for k, c in enumerate(d.counts))
+    return moment(dict(zip(d.offsets(), d.counts)))
 
 
 def firing_routes(rows: Iterable[Row]) -> tuple[int, int]:

@@ -107,6 +107,18 @@ ROW_PROFILES_SVG_SHA256 = {
     14: "34905748769a59137fd4113a96f84b125c79bcdf041b0c7655024c3903f39660",
 }
 
+# sha256 of the `distance-polyline` and `diff-signmap` SVGs at the default
+# size, frozen from the renderers that each kept their own scale code.  n = 0
+# hits both floors: the distribution's peak of 1 and the sign map's u_max of 1.
+FIGURE_SVG_SHA256 = {
+    ("distance-polyline", 0): "f96ac0e91725895525264c599bd48e521c2862fd009735bc6ef83c4284c64618",
+    ("distance-polyline", 4): "b0cfd64bd04b17a0c40ab5150c3e929e93b138d4c0c1edb35eab736982864079",
+    ("distance-polyline", 9): "48eb6371be6dbc935ce8c65190d13d9ff948f5a952ff03247019f46affb814e7",
+    ("diff-signmap", 0): "e2c68749564825e25caf3c6b156af929f409f3993d8aed38d7d1edbfbef00824",
+    ("diff-signmap", 4): "d759e23af8cce9fec20efbedb038aaac6bb49345fe47da57b8009c3b80aa5afb",
+    ("diff-signmap", 9): "d94fdc09f16dcd85f8766d480cd1b2977436b6a59e069954c6a3dd293c16c597",
+}
+
 # sha256 of the stdout of these commands (of the SVG file for `render`),
 # frozen from the code that listed the whole stable configuration before
 # writing it.

@@ -105,6 +105,12 @@ class TestDiffSignmap:
         assert plus + zero + minus == sum(len(s.signs) for s in rows)
 
 
+@pytest.mark.parametrize("kind, n", sorted(golden.FIGURE_SVG_SHA256))
+def test_figure_bytes_are_frozen(kind, n):
+    svg = render_svg(spec(kind, n))
+    assert hashlib.sha256(svg.encode()).hexdigest() == golden.FIGURE_SVG_SHA256[kind, n]
+
+
 class TestSpecAndOutput:
     def test_write_to_file(self, tmp_path):
         out = tmp_path / "fig.svg"
