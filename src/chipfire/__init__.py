@@ -74,7 +74,6 @@ _SOURCES = {
     "SequenceTable": "sequences",
     "SEQUENCES": "sequences",
     "generate": "sequences",
-    "half_nonzero_rows": "sequences",
     "CheckResult": "checks",
     "run_checks": "checks",
     "failures": "checks",

@@ -18,8 +18,8 @@ def _cmd_distance(args) -> int:
     return _emit_result(
         args,
         "offset,count",
-        lambda: (f"{i},{d.count(i)}" for i in d.offsets()),
-        lambda: {"n": d.n, "half_width": d.half_width, "counts": list(d.counts)},
+        (f"{i},{d.count(i)}" for i in d.offsets()),
+        {"n": d.n, "half_width": d.half_width, "counts": list(d.counts)},
     )
 
 
@@ -30,8 +30,8 @@ def _cmd_firings(args) -> int:
     return _emit_result(
         args,
         "n,total_firings",
-        lambda: [f"{args.n},{total}"],
-        lambda: {"n": args.n, "total_firings": total},
+        [f"{args.n},{total}"],
+        {"n": args.n, "total_firings": total},
     )
 
 
@@ -39,18 +39,14 @@ def _cmd_segment(args) -> int:
     from . import structure
 
     seg = structure.segment(args.n)
-
-    def csv_line() -> list[str]:
-        spans = ",".join(f"{part.start},{part.stop}" for _, part in seg.parts())
-        return [f"{seg.n},{spans},{seg.longest_length},{seg.first_longest_row}"]
-
+    spans = ",".join(f"{part.start},{part.stop}" for _, part in seg.parts())
     return _emit_result(
         args,
         "n,top_start,top_stop,midsection_start,midsection_stop,"
         "rectangle_start,rectangle_stop,bottom_start,bottom_stop,"
         "longest_length,first_longest_row",
-        csv_line,
-        lambda: {
+        [f"{seg.n},{spans},{seg.longest_length},{seg.first_longest_row}"],
+        {
             "n": seg.n,
             **{name: [part.start, part.stop] for name, part in seg.parts()},
             "longest_length": seg.longest_length,

@@ -55,7 +55,7 @@ import argparse
 import gc
 import sys
 from importlib import import_module
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import MAX_EXPONENT, ChipfireError
 
@@ -110,21 +110,15 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
             fh.writelines(chunks)
 
 
-def _emit_result(
-    args,
-    header: str,
-    csv_lines: Callable[[], Iterable[str]],
-    payload: Callable[[], dict],
-) -> int:
-    """Write one command's result in the requested format; build only that one."""
+def _emit_result(args, header: str, lines: Iterable[str], payload: dict) -> int:
+    """Write one command's result: its CSV ``lines``, after ``header`` when
+    ``--header`` is given, or its JSON ``payload``."""
     if args.format == "csv":
-        lines = [header] if args.header else []
-        lines.extend(csv_lines())
-        _emit(["\n".join(lines) + "\n"], args.out)
+        _emit(["\n".join([header, *lines] if args.header else lines) + "\n"], args.out)
     else:
         import json  # only JSON output needs it
 
-        _emit([json.dumps(payload(), indent=2) + "\n"], args.out)
+        _emit([json.dumps(payload, indent=2) + "\n"], args.out)
     return EXIT_OK
 
 

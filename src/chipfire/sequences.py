@@ -1,9 +1,10 @@
-"""Integer sequences derived from the tables, with frozen reference values.
+"""Integer sequences derived from the tables.
 
-The reference prefixes are embedded as data so the golden tests run
-offline; the OEIS identifiers are the citation.  ``generate`` always
-recomputes from the library and never reads the reference values, so the
-two sides of every golden comparison stay independent.
+``SEQUENCES`` lists every id that the ``sequences`` command serves, and
+``generate`` is the one route to every term: it always recomputes from the
+library.  The OEIS identifiers are the citation.  The reference prefixes
+the golden tests compare against live in ``tests/golden.py``, apart from
+this module, so the two sides of every golden comparison stay independent.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from .core import MAX_EXPONENT, _Record
 
 
 class SequenceTable(_Record):
-    """One integer sequence: its reference prefix ``known`` from ``offset``
-    on, and ``value_at``, which recomputes the term at an index up to
-    ``max_index``.  Read-only."""
+    """One integer sequence: ``value_at`` recomputes the term at an index
+    from ``offset`` up to ``max_index``, and ``oeis_id`` cites it (empty
+    where no OEIS entry is cited).  Read-only."""
 
-    _fields = ("id", "description", "oeis_id", "offset", "known", "value_at", "max_index")
+    _fields = ("id", "description", "oeis_id", "offset", "value_at", "max_index")
 
     def __init__(
         self,
@@ -27,43 +28,40 @@ class SequenceTable(_Record):
         description: str,
         oeis_id: str,
         offset: int,
-        known: tuple[int, ...],
         value_at: Callable[[int], int],
         max_index: int,
     ) -> None:
         self.__dict__.update(
-            id=id, description=description, oeis_id=oeis_id, offset=offset, known=known,
+            id=id, description=description, oeis_id=oeis_id, offset=offset,
             value_at=value_at, max_index=max_index,
         )
 
 
+def _half_nonzero_rows(n: int) -> int:
+    """Half the nonzero-row count at ``n >= 1``.
+
+    The counts are even for every n >= 1, so the halves are exact; the
+    division is asserted rather than trusted.  Each half comes from that
+    n's freshly computed count, never from a stored halved copy, so a
+    transcription slip in such a copy cannot creep in (halving the n = 13
+    count 570 gives 285).
+    """
+    count = structure.summarize(n).seen
+    if count & 1:
+        raise stable.ParityError(f"nonzero-row count {count} at n={n} is odd")
+    return count >> 1
+
+
+# The order is the order ``sequences --help`` lists the ids in, and the
+# order of argparse's invalid-choice message; ``tests/golden.py`` freezes both.
 SEQUENCES: dict[str, SequenceTable] = {
     t.id: t
     for t in (
-        SequenceTable(
-            id="total-firings",
-            description="total firings to stabilize 2**n chips",
-            oeis_id="A389565",
-            offset=0,
-            known=(0, 1, 5, 15, 52, 163, 458, 1359, 4296, 12890, 38570),
-            value_at=stable.total_firings,
-            max_index=MAX_EXPONENT,
-        ),
-        SequenceTable(
-            id="nonzero-rows",
-            description="number of nonzero rows of the arrival table",
-            oeis_id="A390129",
-            offset=0,
-            known=(1, 2, 4, 6, 10, 16, 24, 38, 60, 92, 144, 226, 362, 570, 906, 1430),
-            value_at=lambda n: structure.summarize(n).seen,
-            max_index=MAX_EXPONENT,
-        ),
         SequenceTable(
             id="longest-row",
             description="length of the longest row of the arrival table",
             oeis_id="A390355",
             offset=0,
-            known=(1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 15, 19, 24, 30, 37, 46, 58, 73),
             value_at=lambda n: structure.summarize(n).longest,
             max_index=MAX_EXPONENT,
         ),
@@ -72,9 +70,32 @@ SEQUENCES: dict[str, SequenceTable] = {
             description="chip total of the minimal row with j+1 entries",
             oeis_id="A007590",
             offset=1,
-            known=(2, 4, 8, 12, 18, 24, 32, 40, 50),
             value_at=structure.minimal_row_sum,
             max_index=10**6,
+        ),
+        SequenceTable(
+            id="nonzero-rows",
+            description="number of nonzero rows of the arrival table",
+            oeis_id="A390129",
+            offset=0,
+            value_at=lambda n: structure.summarize(n).seen,
+            max_index=MAX_EXPONENT,
+        ),
+        SequenceTable(
+            id="total-firings",
+            description="total firings to stabilize 2**n chips",
+            oeis_id="A389565",
+            offset=0,
+            value_at=stable.total_firings,
+            max_index=MAX_EXPONENT,
+        ),
+        SequenceTable(
+            id="half-nonzero-rows",
+            description="half the number of nonzero rows of the arrival table",
+            oeis_id="",
+            offset=1,
+            value_at=_half_nonzero_rows,
+            max_index=MAX_EXPONENT,
         ),
     )
 }
@@ -97,24 +118,3 @@ def generate(seq_id: str, upto: int) -> list[int]:
     if upto > table.max_index:
         raise ValueError(f"{seq_id} is computed up to index {table.max_index}, got upto={upto}")
     return [table.value_at(i) for i in range(table.offset, upto + 1)]
-
-
-def half_nonzero_rows(upto: int) -> list[int]:
-    """Half the nonzero-row counts for n = 1 .. upto.
-
-    The counts are even for every n >= 1, so the halves are exact; the
-    division is asserted rather than trusted.  The halves are always derived
-    from the freshly computed full sequence, never stored on their own, so a
-    transcription slip in a halved copy of the list cannot creep in
-    (halving the n=13 count 570 gives 285).
-    """
-    if upto < 1:
-        raise ValueError(f"half sequence starts at n=1, got upto={upto}")
-    last = SEQUENCES["nonzero-rows"].max_index
-    if upto > last:
-        raise ValueError(f"half-nonzero-rows is computed up to index {last}, got upto={upto}")
-    counts = generate("nonzero-rows", upto)[1:]
-    for n, c in enumerate(counts, start=1):
-        if c & 1:
-            raise stable.ParityError(f"nonzero-row count {c} at n={n} is odd")
-    return [c >> 1 for c in counts]

@@ -14,9 +14,10 @@ import golden
 import peak_rss
 from chipfire import _cli_tables, checks, oracle, stable
 from chipfire._cli_tables import rows_from_csv, rows_to_csv
-from chipfire.cli import main
+from chipfire.cli import build_parser, main
 from chipfire.core import Row, intermediate_configuration
 from chipfire.difftable import diff_row
+from chipfire.sequences import SEQUENCES
 
 
 def run(capsys, *argv):
@@ -327,6 +328,26 @@ class TestSequencesCommand:
         with pytest.raises(SystemExit) as exc:
             main(["sequences", "busy-beavers", "--upto", "3"])
         assert exc.value.code == 2
+
+    def test_choices_are_the_registry(self):
+        (sub,) = build_parser(["sequences"])._subparsers._group_actions
+        (id_action,) = (a for a in sub.choices["sequences"]._actions if a.dest == "id")
+        assert id_action.choices == list(SEQUENCES)
+
+    @pytest.mark.parametrize("seq", SEQUENCES.values(), ids=list(SEQUENCES))
+    def test_first_index_is_one_line(self, capsys, seq):
+        rc, out, err = run(capsys, "sequences", seq.id, "--upto", str(seq.offset))
+        assert (rc, err) == (0, "")
+        assert out == f"{seq.offset},{seq.value_at(seq.offset)}\n"
+
+    @pytest.mark.parametrize("seq", SEQUENCES.values(), ids=list(SEQUENCES))
+    def test_past_the_last_index_is_refused(self, capsys, seq):
+        upto = seq.max_index + 1
+        rc, out, err = run(capsys, "sequences", seq.id, "--upto", str(upto))
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"chipfire: {seq.id} is computed up to index {seq.max_index}, got upto={upto}\n"
+        )
 
 
 class TestVerifyCommand:

@@ -80,7 +80,7 @@ TABLE = [option("--n", *EXPONENT, required="0"), *OUTPUT]
 TABLE_ROWS = [*TABLE, option("--max-rows", *ints(1, 40, ["0", str(sys.maxsize + 1), *BAD_INTS]))]
 #: A figure must be wider and taller than twice its padding, 32 px.
 SIZE = ints(33, 1200, ["-1", *map(str, range(33)), HUGE, "x"])
-SEQUENCE_IDS = [*sorted(sequences.SEQUENCES), "half-nonzero-rows"]
+SEQUENCE_IDS = list(sequences.SEQUENCES)
 
 GRAMMAR = {
     "table": TABLE_ROWS,

@@ -1,5 +1,6 @@
 """The command block under "## Command line" in README.md runs as written,
-and the scorecard table matches the checks and the tests that break them.
+the scorecard table matches the checks and the tests that break them, and
+the "Sequences" bullet names every id of ``SEQUENCES`` and its OEIS id.
 
 Every ``chipfire ...`` line of the block runs in process through
 ``cli.main``, in a temporary directory, and must exit 0.  The figures its
@@ -12,7 +13,7 @@ import shlex
 from pathlib import Path
 
 import test_checks
-from chipfire import checks, cli
+from chipfire import checks, cli, sequences
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -98,3 +99,12 @@ def test_scorecard_table():
             assert keyed[2] == name and name in getattr(test_checks, keyed[1]), fails
         else:
             assert callable(getattr(test_checks.TestRerouteMutations, fails)), fails
+
+
+def test_sequences_bullet_names_the_registry():
+    text = README.read_text(encoding="utf-8")
+    bullet = text.split("\n- **Sequences**", 1)[1].split("\n- ", 1)[0].split("\n\n", 1)[0]
+    bullet = " ".join(bullet.split())
+    for seq in sequences.SEQUENCES.values():
+        assert f"`{seq.id}`" in bullet, seq.id
+        assert seq.oeis_id in bullet, seq.oeis_id

