@@ -34,7 +34,6 @@ _SOURCES = {
     "ParityError": "stable",
     "DegenerateSegmentationError": "structure",
     "Row": "core",
-    "initial_row": "core",
     "next_row": "core",
     "intermediate_configuration": "core",
     "row_bound": "core",

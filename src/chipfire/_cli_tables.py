@@ -48,33 +48,6 @@ def _csv_lines(rows: Iterable[Row | DiffRow], header: bool) -> Iterator[str]:
     yield from _formatted(rows, _csv_format)
 
 
-def rows_to_csv(rows: Iterable[Row | DiffRow], header: bool = False) -> str:
-    """Arrival or difference rows as ``index,y_min,values`` lines.
-
-    Each entry is written with ``%d``: exactly ``str`` of the entry, since
-    rows hold only ints.
-    """
-    return "".join(_csv_lines(rows, header))
-
-
-def rows_from_csv(text: str) -> list[Row]:
-    """Parse ``rows_to_csv`` output (with or without header) back into rows."""
-    out: list[Row] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("index,"):
-            continue
-        index, y_min, values = line.split(",", 2)
-        out.append(
-            Row(
-                index=int(index),
-                y_min=int(y_min),
-                values=tuple(int(v) for v in values.split()),
-            )
-        )
-    return out
-
-
 @lru_cache(maxsize=None)
 def _json_format(width: int) -> str:
     # One row object of json.dumps(..., indent=2) at depth 2, after a comma.

@@ -13,8 +13,10 @@ in real tables it is nonnegative and, prefixed with the implicit zero
 margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps that
-row and its lane context.  It is built one way, through its own
-constructor, which has nothing to validate; :func:`diff_row` calls it with
+row, its lane context and the length of its left half, clamped to its
+lanes (``_half``, which :func:`_lane_shape` and ``left_half`` read).  It is
+built one way, through its own constructor, which has nothing to validate
+and stores its fields one item at a time; :func:`diff_row` calls it with
 the index and ``y_min`` that follow from the arrival row.  The constructor
 builds the context by :func:`_diff_lanes`, the one builder of it, from one
 read of the constants: the first differences of the source row packed in
@@ -155,7 +157,7 @@ def _lane_shape(d) -> tuple[bool, int | None]:
     packed, lane, ones, top, second = d._diff_lanes
     bias = 1 << lane - 2
     width = d.source.width
-    half = d._half()
+    half = d._half
     # The top bits of the first ``half`` lanes: every lane of ``top`` is
     # alike, so dropping its upper lanes shifts the rest into place.
     tops = top >> (width + 1 - half) * lane
@@ -185,9 +187,18 @@ class DiffRow(_Record):
     _fields = ("index", "y_min", "source")
 
     def __init__(self, index: int, y_min: int, source: Row) -> None:
-        self.__dict__.update(
-            index=index, y_min=y_min, source=source, _diff_lanes=_diff_lanes(source)
-        )
+        fields = self.__dict__
+        fields["index"] = index
+        fields["y_min"] = y_min
+        fields["source"] = source
+        fields["_diff_lanes"] = _diff_lanes(source)
+        # ``_half``, the length of the left half: y = y_min + k <= index - y
+        # <=> k <= index // 2 - y_min, clamped to the row's lanes (none for
+        # an empty source row).  Conditionals, not min and max: it is built
+        # for every difference row.
+        half, width = index // 2 - y_min + 1, source.width
+        width += 1 if width else 0
+        fields["_half"] = 0 if half < 0 else width if half > width else half
 
     values = _once(_diff_values)
     _lane_shape = _once(_lane_shape)
@@ -200,17 +211,9 @@ class DiffRow(_Record):
     def is_empty(self) -> bool:
         return self.source.is_empty
 
-    def _half(self) -> int:
-        # y = y_min + k <= index - y  <=>  k <= index // 2 - y_min, clamped to
-        # the row's lanes (none for an empty source row).  Conditionals, not
-        # min and max: ``_lane_shape`` reads it for every difference row.
-        half = self.index // 2 - self.y_min + 1
-        width = self.width
-        return 0 if half < 0 else width if half > width else half
-
     def left_half(self) -> tuple[int, ...]:
         """Entries at positions with ``y <= x`` (the diagonal included)."""
-        return self.values[: self._half()]
+        return self.values[: self._half]
 
 
 def diff_row(prev: Row) -> DiffRow:

@@ -1,7 +1,33 @@
 """Rows and tables no real ``n`` holds, for tests that feed them to the
-checks, the lane folds and the CLI."""
+checks, the lane folds and the CLI, and the row helpers that only tests
+call: the initial row and a CSV round trip of rows."""
 
 from chipfire.core import Row, _lane_bits, _pack, _trusted, _unpack, intermediate_configuration
+
+
+def initial_row(n):
+    """Row 0 of the table for ``2**n`` chips at the origin."""
+    return Row(index=0, y_min=0, values=(1 << n,))
+
+
+def rows_to_csv(rows, header=False):
+    """Arrival or difference rows as the ``index,y_min,values`` lines of
+    ``table`` and ``diff``.  The writer is imported here: importing
+    ``_cli_tables`` imports ``chipfire.cli``, which a test that runs the
+    entry module after importing this one must not find loaded."""
+    from chipfire._cli_tables import _csv_lines
+
+    return "".join(_csv_lines(rows, header))
+
+
+def rows_from_csv(text):
+    """Parse ``rows_to_csv`` output (with or without header) back into rows."""
+    rows = []
+    for line in text.splitlines():
+        if line and not line.startswith("index,"):
+            index, y_min, values = line.split(",", 2)
+            rows.append(Row(index=int(index), y_min=int(y_min), values=tuple(map(int, values.split()))))
+    return rows
 
 
 def forged_row(index, y_min, values, lane=None):
@@ -10,10 +36,7 @@ def forged_row(index, y_min, values, lane=None):
     values = tuple(values)
     if lane is None:
         lane = _lane_bits(max(values, default=0))
-    return _trusted(
-        Row, index=index, y_min=y_min, values=values,
-        packed=_pack(values, lane), lane=lane, width=len(values),
-    )
+    return _trusted(index, y_min, _pack(values, lane), lane, len(values))
 
 
 def forged_context(source, packed):

@@ -12,8 +12,8 @@ import pytest
 import chipfire
 import golden
 import peak_rss
+from forge import rows_from_csv, rows_to_csv
 from chipfire import _cli_tables, checks, oracle, stable
-from chipfire._cli_tables import rows_from_csv, rows_to_csv
 from chipfire.cli import build_parser, main
 from chipfire.core import Row, intermediate_configuration
 from chipfire.difftable import diff_row

@@ -7,19 +7,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
-from forge import forged_row
+from forge import forged_row, initial_row, rows_from_csv, rows_to_csv
 from chipfire import (
     MAX_EXPONENT,
     ChipOverflowError,
     Row,
     RowCapExceededError,
-    initial_row,
     intermediate_configuration,
     next_row,
     row_bound,
 )
 from chipfire import _lanefolds, checks, core, difftable, sequences, stable, structure
-from chipfire._cli_tables import rows_from_csv, rows_to_csv
 from chipfire.core import _lane_bits, _narrowed, _pack, _unpack
 from chipfire.difftable import diff_row
 from chipfire.structure import pascal_row
@@ -110,18 +108,9 @@ class TestRow:
 
 
 class TestInitialRow:
-    @pytest.mark.parametrize("n,expected", [(0, 1), (4, 16), (9, 512)])
+    @pytest.mark.parametrize("n,expected", [(0, 1), (4, 16), (9, 512), (MAX_EXPONENT, 1 << 126)])
     def test_examples(self, n, expected):
-        assert initial_row(n) == Row(index=0, y_min=0, values=(expected,))
-
-    def test_negative_exponent(self):
-        with pytest.raises(ValueError):
-            initial_row(-1)
-
-    def test_overflow(self):
-        assert initial_row(MAX_EXPONENT).values == (1 << MAX_EXPONENT,)
-        with pytest.raises(ChipOverflowError):
-            initial_row(MAX_EXPONENT + 1)
+        assert next(intermediate_configuration(n)) == Row(index=0, y_min=0, values=(expected,))
 
 
 class TestNextRow:
@@ -131,6 +120,10 @@ class TestNextRow:
     def test_shifts_leading_zero(self):
         r = Row(index=4, y_min=0, values=(1, 4, 6, 4, 1))
         assert next_row(r) == Row(index=5, y_min=1, values=(2, 5, 5, 2))
+
+    def test_trims_two_leading_zeros(self):
+        # Both ones halve to zero, so the child's two lowest lanes are empty.
+        assert next_row(Row(4, 0, (1, 1, 4, 1, 1))) == Row(5, 2, (2, 2))
 
     def test_terminal_pair_dies(self):
         r = Row(index=9, y_min=4, values=(1, 1))
@@ -525,11 +518,34 @@ class TestDiffLaneShape:
     entry-by-entry references."""
 
     @staticmethod
-    def assert_match(r):
+    def reference_half(d):
+        """The length of the left half, position by position: the entries
+        with ``y <= x``."""
+        return sum(1 for k in range(d.width) if d.y_min + k <= d.index - d.y_min - k)
+
+    @classmethod
+    def assert_match(cls, r):
         d = diff_row(r)
+        half = cls.reference_half(d)
         assert d._diff_lanes == difftable._diff_lanes(r) == reference_context(r)
-        assert difftable._lane_shape(d) == reference_lane_shape(r.values, d._half())
+        assert d._half == half
+        assert d.left_half() == reference_diffs(r.values)[:half]
+        assert difftable._lane_shape(d) == reference_lane_shape(r.values, half)
         assert _lanefolds._growth_break(d) == reference_growth_break(r)
+
+    @pytest.mark.parametrize(
+        "index,y_min,values,half",
+        [
+            (9, 6, (3, 3), 0),  # difference row 10 at y = 6..8: past the diagonal
+            (12, 9, (1, 2, 1), 0),  # difference row 13 at y = 9..12, farther past
+            (10, 5, (2, 2), 1),  # difference row 11: only y = 5 is on the left
+            (4, 0, (), 0),  # an empty source row
+        ],
+    )
+    def test_match_the_references_on_short_halves(self, index, y_min, values, half):
+        r = forged_row(index, y_min, values)
+        self.assert_match(r)
+        assert diff_row(r)._half == half
 
     def test_match_the_references_on_real_tables(self, table):
         for n in range(19):

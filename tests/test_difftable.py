@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import golden
-from forge import forged_context, forged_row
+from forge import forged_context, forged_row, initial_row
 from chipfire import checks, core, difftable
 from chipfire import (
     DiffRow,
     Row,
     diff_row,
     diff_table,
-    initial_row,
     intermediate_configuration,
     next_row,
     row_max_abs,
@@ -93,11 +92,12 @@ class TestDiffRow:
         assert (d.index, d.values, d.width) == (7, (), 0)
 
     def test_fields(self):
-        # A difference row is its arrival row, where it sits and the lane
-        # context of its differences, built with it; nothing else.
+        # A difference row is its arrival row, where it sits, the lane
+        # context of its differences and the length of its left half (y = 1,
+        # 2, 3 of row 6), built with it; nothing else.
         source = Row(index=5, y_min=1, values=(2, 5, 5, 2))
         fields = {"index": 6, "y_min": 1, "source": source}
-        built = {**fields, "_diff_lanes": difftable._diff_lanes(source)}
+        built = {**fields, "_diff_lanes": difftable._diff_lanes(source), "_half": 3}
         assert vars(diff_row(source)) == built
         assert vars(DiffRow(**fields)) == built
 
