@@ -46,12 +46,10 @@ _SOURCES = {
     "second_raw_moment": "stable",
     "total_firings": "stable",
     "RowProfile": "structure",
-    "LongestRow": "structure",
     "Segmentation": "structure",
     "BottomTriangleReport": "structure",
     "pascal_row": "structure",
     "row_profile": "structure",
-    "longest_row": "structure",
     "minimal_row": "structure",
     "minimal_row_sum": "structure",
     "is_minimal": "structure",

@@ -587,16 +587,20 @@ def _advance(send: Callable, step: _Step | None) -> _Verdict | None:
 # drivers
 
 
-def minimal_descent_check(max_j: int = 64) -> CheckResult:
+#: The largest j whose minimal row of j+1 entries the descent check fires.
+DESCENT_MAX_J = 64
+
+
+def minimal_descent_check() -> CheckResult:
     """Firing a minimal row of j+1 entries yields the minimal row below it."""
-    for j in range(2, max_j + 1):
+    for j in range(2, DESCENT_MAX_J + 1):
         try:
             child = next_row(structure.minimal_row(j))
         except ValueError as exc:
             return CheckResult("minimal-row-descent", None, False, f"descent breaks at j={j}: {exc}")
         if child.values != structure.minimal_row(j - 1).values:
             return CheckResult("minimal-row-descent", None, False, f"descent breaks at j={j}")
-    return CheckResult("minimal-row-descent", None, True, f"verified for j = 2..{max_j}")
+    return CheckResult("minimal-row-descent", None, True, f"verified for j = 2..{DESCENT_MAX_J}")
 
 
 def run_checks(

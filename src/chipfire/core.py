@@ -119,6 +119,12 @@ from typing import Iterator, Sequence
 #: bits, so the widest lane of any table is 256 bits.
 MAX_EXPONENT = 126
 
+#: Last index of the sequences that stream one whole table per term.  The
+#: cost of a table about doubles with each n, and a prefix to this index
+#: already takes minutes, so ``sequences.generate`` refuses a later one
+#: before it computes any term.
+MAX_TABLE_EXPONENT = 30
+
 # memoryview.cast reads native byte order; the lanes are little-endian.
 _NATIVE_LITTLE = sys.byteorder == "little"
 
@@ -294,10 +300,6 @@ class Row(_Record):
         """One byte per entry in increasing y: 1 where the entry is odd, else 0."""
         size = self.lane // 8
         return self.packed.to_bytes(self.width * size, "little")[::size].translate(_LOW_BIT)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.width
 
     def value_at(self, y: int) -> int:
         """Entry at ``(index - y, y)``; zero outside the stored span.

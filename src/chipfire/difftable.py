@@ -14,7 +14,7 @@ margin, weakly rises and then weakly falls.
 
 A :class:`DiffRow` is a function of its arrival row alone and keeps that
 row, its lane context and the length of its left half, clamped to its
-lanes (``_half``, which :func:`_lane_shape` and ``left_half`` read).  It is
+lanes (``_half``, which :func:`_lane_shape` reads).  It is
 built one way, through its own constructor, which has nothing to validate
 and stores its fields one item at a time; :func:`diff_row` calls it with
 the index and ``y_min`` that follow from the arrival row.  The constructor
@@ -181,7 +181,8 @@ class DiffRow(_Record):
 
     ``values[k]`` sits at ``y = y_min + k``, ``x = index - y``.  ``source``
     is arrival row ``index - 1``; on a correct table the values are
-    antisymmetric, entry k equals minus entry ``width - 1 - k``.  Read-only.
+    antisymmetric, entry k equals minus entry ``len(values) - 1 - k``.
+    Read-only.
     """
 
     _fields = ("index", "y_min", "source")
@@ -202,18 +203,6 @@ class DiffRow(_Record):
 
     values = _once(_diff_values)
     _lane_shape = _once(_lane_shape)
-
-    @property
-    def width(self) -> int:
-        return self.source.width + 1 if self.source.width else 0
-
-    @property
-    def is_empty(self) -> bool:
-        return self.source.is_empty
-
-    def left_half(self) -> tuple[int, ...]:
-        """Entries at positions with ``y <= x`` (the diagonal included)."""
-        return self.values[: self._half]
 
 
 def diff_row(prev: Row) -> DiffRow:

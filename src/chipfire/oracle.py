@@ -109,9 +109,6 @@ class OracleState(_Record):
             firings=Counter() if firings is None else firings,
         )
 
-    def total_chips(self) -> int:
-        return sum(self.chips.values())
-
     def nonzero_chips(self) -> dict[Point, int]:
         return {p: v for p, v in self.chips.items() if v}
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import stable, structure
-from .core import MAX_EXPONENT, _Record
+from .core import MAX_TABLE_EXPONENT, _Record
 
 
 class SequenceTable(_Record):
@@ -63,7 +63,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             oeis_id="A390355",
             offset=0,
             value_at=lambda n: structure.summarize(n).longest,
-            max_index=MAX_EXPONENT,
+            max_index=MAX_TABLE_EXPONENT,
         ),
         SequenceTable(
             id="minimal-row-sums",
@@ -79,7 +79,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             oeis_id="A390129",
             offset=0,
             value_at=lambda n: structure.summarize(n).seen,
-            max_index=MAX_EXPONENT,
+            max_index=MAX_TABLE_EXPONENT,
         ),
         SequenceTable(
             id="total-firings",
@@ -87,7 +87,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             oeis_id="A389565",
             offset=0,
             value_at=stable.total_firings,
-            max_index=MAX_EXPONENT,
+            max_index=MAX_TABLE_EXPONENT,
         ),
         SequenceTable(
             id="half-nonzero-rows",
@@ -95,7 +95,7 @@ SEQUENCES: dict[str, SequenceTable] = {
             oeis_id="",
             offset=1,
             value_at=_half_nonzero_rows,
-            max_index=MAX_EXPONENT,
+            max_index=MAX_TABLE_EXPONENT,
         ),
     )
 }

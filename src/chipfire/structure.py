@@ -35,8 +35,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import attrgetter
-from typing import NamedTuple
 
 from .core import ChipfireError, Row, _check_exponent, _pack, _Record, intermediate_configuration
 
@@ -67,29 +65,10 @@ class RowProfile(_Record):
     def __init__(self, n: int, lengths: tuple[int, ...]) -> None:
         self.__dict__.update(n=n, lengths=lengths)
 
-    @property
-    def nonzero_rows(self) -> int:
-        return len(self.lengths)
-
 
 def row_profile(n: int) -> RowProfile:
     """Row widths of the table for ``2**n`` chips, read without unpacking a row."""
     return RowProfile(n=n, lengths=tuple(r.width for r in intermediate_configuration(n)))
-
-
-class LongestRow(NamedTuple):
-    length: int
-    first_index: int
-    values: tuple[int, ...]
-
-
-def longest_row(n: int) -> LongestRow:
-    """Longest row of the table; ties resolve to the smallest row index.
-
-    Widths come off the packed rows; only the returned row is unpacked.
-    """
-    best = max(intermediate_configuration(n), key=attrgetter("width"))
-    return LongestRow(best.width, best.index, best.values)
 
 
 def _minimal_values(j: int) -> tuple[int, ...]:

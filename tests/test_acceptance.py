@@ -18,12 +18,12 @@ from chipfire import (
     firing_routes,
     generate,
     intermediate_configuration,
-    longest_row,
     second_raw_moment,
 )
 from chipfire.checks import failures, minimal_descent_check, run_checks
 from chipfire.cli import main
 from chipfire.oracle import arrivals, confluence_check, simulate
+from chipfire.structure import summarize
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -109,9 +109,11 @@ def test_c05_row_counts():
 def test_c06_longest_rows():
     def run():
         assert generate("longest-row", 17) == list(golden.LONGEST_ROW_LENGTHS)
-        length, first_index, values = longest_row(11)
-        assert (length, first_index) == (19, golden.N11_LONGEST_FIRST_INDEX)
-        assert values == golden.N11_LONGEST and max(values) == 218
+        summary = summarize(11)
+        assert (summary.longest, summary.first_longest) == (19, golden.N11_LONGEST_FIRST_INDEX)
+        row = next(r for r in intermediate_configuration(11) if r.index == summary.first_longest)
+        assert row.width == 19
+        assert row.values == golden.N11_LONGEST and max(row.values) == 218
 
     _, elapsed = _timed(run)
     _report("c06 longest-rows", elapsed < 60.0, f"n=0..17 exact, peak 218 at n=11, {elapsed:.2f}s")
@@ -119,7 +121,7 @@ def test_c06_longest_rows():
 
 def test_c07_proposition_suite():
     def run():
-        assert minimal_descent_check(max_j=64).passed
+        assert minimal_descent_check().passed
         for n in range(1, 15):
             results = run_checks(n)
             failed = failures(results)

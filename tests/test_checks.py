@@ -198,7 +198,14 @@ class TestMinimalDescent:
         assert "j = 2..64" in result.detail
 
     def test_longer_span(self):
-        assert minimal_descent_check(max_j=128).passed
+        # The minimal row of j + 1 entries, entry by entry: odd numbers up
+        # from both ends, capped at j.
+        def minimal(j):
+            return tuple(min(2 * k + 1, 2 * (j - k) + 1, j) for k in range(j + 1))
+
+        for j in range(2, 129):
+            assert structure.minimal_row(j).values == minimal(j)
+            assert core.next_row(structure.minimal_row(j)).values == minimal(j - 1)
 
 
 def _replace(rows, i, values):

@@ -678,9 +678,9 @@ class TestUsageErrors:
         assert not (tmp_path / "f.svg").exists()
 
     def test_half_sequence_past_its_last_index_names_itself(self, capsys):
-        rc, out, err = run(capsys, "sequences", "half-nonzero-rows", "--upto", "127")
+        rc, out, err = run(capsys, "sequences", "half-nonzero-rows", "--upto", "31")
         assert (rc, out) == (2, "")
-        assert err == "chipfire: half-nonzero-rows is computed up to index 126, got upto=127\n"
+        assert err == "chipfire: half-nonzero-rows is computed up to index 30, got upto=31\n"
 
     def test_out_to_unwritable_path_is_io_error(self, capsys, tmp_path):
         rc, _, err = run(

@@ -16,7 +16,8 @@ contract:
 * a usage error writes no ``--out`` file.
 
 Whole-table commands have no size cap yet, so ``--n`` and ``--upto`` stay
-at 6 or below when in range (out of range means past every cap), and
+at 6 or below when in range (out of range means past every cap, or, for
+``--upto``, past the table-derived sequences' last index, 30), and
 ``--trials`` at 3 or below.  The runs are derandomized and bounded.
 """
 
@@ -92,7 +93,8 @@ GRAMMAR = {
     "sequences": [
         Option(st.sampled_from([[s] for s in SEQUENCE_IDS]), [["no-such-sequence"], []],
                [SEQUENCE_IDS[0]]),
-        option("--upto", *ints(-1, 6, ["127", str(10**6 + 1), *BAD_INTS]), required="0"),
+        option("--upto", *ints(-1, 6, ["31", "126", "127", str(10**6 + 1), *BAD_INTS]),
+               required="0"),
         *OUTPUT,
     ],
     "verify": [

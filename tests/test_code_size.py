@@ -2,7 +2,10 @@ import importlib.util
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
+
+import chipfire
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -94,3 +97,32 @@ def test_the_dispatcher_stays_below_its_ceiling():
     ]
     tokens = {path: tokens for path, _, _, tokens in _code_size().sizes(ROOT / "src" / "chipfire")}
     assert sum(tokens[f] for f in files) <= DISPATCHER_TOKENS <= 4000
+
+
+def _names_read(path):
+    """The names that a module reads: its NAME tokens but the one that a
+    ``def`` or ``class`` defines, and its strings whose value is exactly a
+    name (the benchmark's tracer names its targets as strings).  Comments
+    and docstrings read nothing."""
+    names, previous = set(), None
+    with tokenize.open(path) as f:
+        for tok in tokenize.generate_tokens(f.readline):
+            if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                names.add(tok.string)
+            elif tok.type == tokenize.STRING and tok.string[:1] in "'\"":
+                names.add(tok.string[1:-1])
+            if tok.type not in (tokenize.COMMENT, tokenize.NL):
+                previous = tok.string
+    return names
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # A public name that no module of the package, no script and no
+    # benchmark file reads serves only the tests, and leaves the package.
+    paths = [
+        *(p for p in (ROOT / "src" / "chipfire").glob("*.py") if p.name != "__init__.py"),
+        *(ROOT / "scripts").glob("*.py"),
+        *(ROOT / "perfbench").glob("*.py"),
+    ]
+    read = set().union(*map(_names_read, paths))
+    assert [name for name in chipfire.__all__ if name not in read] == []

@@ -80,7 +80,7 @@ def perturbed(values):
 class TestDiffRow:
     def test_root_row(self):
         d = diff_row(Row(index=0, y_min=0, values=(16,)))
-        assert (d.index, d.y_min, d.values, d.width) == (1, 0, (16, -16), 2)
+        assert (d.index, d.y_min, d.values) == (1, 0, (16, -16))
 
     def test_second_row(self):
         d = diff_row(Row(index=1, y_min=0, values=(8, 8)))
@@ -88,8 +88,7 @@ class TestDiffRow:
 
     def test_empty(self):
         d = diff_row(Row(index=6, y_min=0, values=()))
-        assert d.is_empty
-        assert (d.index, d.values, d.width) == (7, (), 0)
+        assert (d.index, d.values, d._half) == (7, (), 0)
 
     def test_fields(self):
         # A difference row is its arrival row, where it sits, the lane
@@ -125,10 +124,19 @@ class TestDiffRow:
         v = tuple(values)
         assert passes_antisymmetry_check(v) == (v == tuple(-x for x in reversed(v)))
 
-    def test_left_half(self):
-        assert antisym([4, 4], index=3).left_half() == (4, 4)
-        assert diff_row(Row(index=1, y_min=0, values=(8, 8))).left_half() == (8, 0)
-        assert diff_row(Row(index=0, y_min=0, values=(16,))).left_half() == (16,)
+    @pytest.mark.parametrize(
+        "d,left",
+        [
+            (antisym([4, 4], index=3), (4, 4)),
+            (diff_row(Row(index=1, y_min=0, values=(8, 8))), (8, 0)),
+            (diff_row(Row(index=0, y_min=0, values=(16,))), (16,)),
+        ],
+    )
+    def test_left_half(self, d, left):
+        # The left half is the entries with y <= x: the diagonal entry of an
+        # odd-length row, none past the middle of an even-length one.
+        assert d._half == len(left)
+        assert d.values[: d._half] == left
 
 
 class TestDiffTable:
@@ -226,7 +234,7 @@ def reference_row_max_abs(d):
 
 def reference_unimodal(d):
     """Walk the margin zero and the left half: weakly up, then weakly down."""
-    seq = (0,) + reference_values(d)[: len(d.left_half())]
+    seq = (0,) + reference_values(d)[: d._half]
     k = 0
     last = len(seq) - 1
     while k < last and seq[k + 1] >= seq[k]:
@@ -360,7 +368,7 @@ class TestUnimodalCheck:
     def test_n11_longest_diff(self):
         d = diff_row(Row(index=golden.N11_LONGEST_FIRST_INDEX, y_min=15, values=golden.N11_LONGEST))
         assert (d.index, d.values) == (49, golden.N11_LONGEST_DIFF)
-        assert d.left_half() == golden.N11_LONGEST_DIFF[:10]
+        assert d._half == 10
         assert unimodal_check(d)
 
     def test_synthetic_failure(self):
@@ -382,7 +390,7 @@ class TestUnimodalCheck:
 
     @given(antisymmetric_rows())
     def test_matches_brute_force(self, d):
-        assert unimodal_check(d) == brute_unimodal((0,) + d.left_half())
+        assert unimodal_check(d) == brute_unimodal((0,) + d.values[: d._half])
 
 
 class TestSignMap:

@@ -6,7 +6,6 @@ from chipfire import (
     Row,
     check_bottom_conjecture,
     is_minimal,
-    longest_row,
     minimal_row,
     minimal_row_sum,
     next_row,
@@ -20,6 +19,7 @@ from chipfire.structure import (
     RowProfile,
     Segmentation,
     WidthSummary,
+    summarize,
 )
 
 
@@ -60,7 +60,7 @@ class TestRowProfile:
     def test_n9_full_profile(self):
         profile = row_profile(9)
         assert profile.lengths == golden.n9_profile()
-        assert profile.nonzero_rows == 92
+        assert len(profile.lengths) == 92
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_unit_steps_and_parity(self, n):
@@ -70,23 +70,26 @@ class TestRowProfile:
 
 
 class TestLongestRow:
-    def test_n8_length(self):
-        assert longest_row(8).length == 10
+    """The longest row and its first index, read off the one width fold that
+    ``segment`` and ``sequences longest-row`` read."""
 
-    def test_n11(self):
-        length, first_index, values = longest_row(11)
-        assert length == 19
-        assert first_index == golden.N11_LONGEST_FIRST_INDEX
+    @pytest.mark.parametrize("n,length", [(8, 10), (17, 73)])
+    def test_length(self, n, length):
+        assert summarize(n).longest == length
+
+    def test_n11(self, table):
+        summary = summarize(11)
+        assert (summary.longest, summary.first_longest) == (19, golden.N11_LONGEST_FIRST_INDEX)
+        values = table(11)[summary.first_longest].values
         assert values == golden.N11_LONGEST
         assert max(values) == 218
 
-    def test_n17_length(self):
-        assert longest_row(17).length == 73
-
-    def test_first_index_is_smallest(self):
-        length, first_index, _ = longest_row(9)
-        lengths = row_profile(9).lengths
-        assert lengths.index(length) == first_index
+    @pytest.mark.parametrize("n", range(12))
+    def test_first_longest_is_the_smallest_index(self, n):
+        lengths = row_profile(n).lengths
+        summary = summarize(n)
+        assert summary.longest == max(lengths)
+        assert summary.first_longest == lengths.index(max(lengths))
 
 
 class TestMinimalRows:
@@ -163,7 +166,7 @@ class TestSegmentation:
     def test_partition_covers_all_rows(self, n):
         seg = segment(n)
         covered = [i for _, part in seg.parts() for i in part]
-        assert covered == list(range(row_profile(n).nonzero_rows))
+        assert covered == list(range(len(row_profile(n).lengths)))
 
     def test_precomputed_profile(self):
         profile = row_profile(9)
