@@ -119,10 +119,12 @@ from typing import Iterator, Sequence
 #: bits, so the widest lane of any table is 256 bits.
 MAX_EXPONENT = 126
 
-#: Last index of the sequences that stream one whole table per term.  The
-#: cost of a table about doubles with each n, and a prefix to this index
-#: already takes minutes, so ``sequences.generate`` refuses a later one
-#: before it computes any term.
+#: Last index of the sequences that stream one whole table per term, and
+#: largest n of the ``distance``, ``firings`` and ``segment`` commands,
+#: which read one whole table.  The cost of a table about doubles with each
+#: n, and a prefix to this index already takes minutes, so
+#: ``sequences.generate`` refuses a later one before it computes any term,
+#: and the commands refuse a later n before they read any row.
 MAX_TABLE_EXPONENT = 30
 
 # memoryview.cast reads native byte order; the lanes are little-endian.
@@ -158,11 +160,10 @@ class RowCapExceededError(ChipfireError, RuntimeError):
 ORACLE_EXPONENT_LIMIT = 10
 
 #: Most random orders one confluence check may run.  Each trial adds one
-#: random run per n to ``verify --n 0..10``, about 17 ms in all on a 2-vCPU
-#: host with Python 3.11, most of it the run at the oracle limit (200
-#: trials took 3.4 s more than 2, against 5.3 s with chips and firing
-#: counts in dicts), so at this cap that command takes just under 2
-#: minutes there (112 s measured).
+#: random run per n to ``verify --n 0..10``, most of it the run at the
+#: oracle limit, so the trials set that command's time: at this cap it took
+#: 169 s, about 26 ms a trial, on one pinned CPU of a 2-CPU Intel Xeon host
+#: with Python 3.11.7.
 MAX_TRIALS = 6_500
 
 

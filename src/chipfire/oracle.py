@@ -1,66 +1,78 @@
 """Brute-force chip-firing simulator with selectable firing orders.
 
-This module plays the game move by move, one firing at a time, under any of
-four orders: uniformly random (seeded), leftmost-first, a FIFO queue, or
-row-by-row.  Stabilization is confluent, so every order must end at the same
-stable configuration with the same per-point firing counts and the same
-number of moves; :func:`confluence_check` verifies that, and
-:func:`arrivals` rebuilds the arrival table from the firing counts for
-comparison with the streaming computation.
+This module plays the game from ``2**n`` chips under any of four orders:
+uniformly random (seeded), leftmost-first, a FIFO queue, or row-by-row.
+Stabilization is confluent, so every order must end at the same stable
+configuration with the same per-point firing counts and the same number of
+moves; :func:`confluence_check` verifies that, and :func:`arrivals` rebuilds
+the arrival table from the firing counts for comparison with the streaming
+computation.
 
-One worklist loop serves every order; an order only decides which listed
-point fires next.  Inside the loop a point is an int, and chips and firing
-counts live in two flat lists of zeros indexed by those ints.  A plain
-:func:`simulate` call allocates its own pair; :func:`confluence_check`
-allocates one pair per check and plays every run on it, and each run
-zeroes the entries it reached before it returns, so the next run starts on
-zeros (a run that raises ends the check, and its lists go with it).  Each
-order has its own encoding, chosen so that its order is plain int order and
-the worklist needs no key function:
+A point is an int, and chips and firing counts live in two flat lists of
+zeros indexed by those ints.  A plain :func:`simulate` call allocates its
+own pair; :func:`confluence_check` allocates one pair per check and plays
+every run on it, and each run zeroes the entries it reached before it
+returns, so the next run starts on zeros (a run that raises ends the check,
+and its lists go with it).  Each order has its own encoding, chosen so that
+its order is plain int order, with the stride ``w = row_bound(n) + 2``:
 
-- row by row, ``(x + y) << _SHIFT | y``, so the right neighbour is
-  ``p + (1 << _SHIFT)`` and the upper one ``p + (1 << _SHIFT) + 1``;
-- leftmost first, ``y << _SHIFT | x``: right ``p + 1``, up
-  ``p + (1 << _SHIFT)``;
-- random and FIFO, ``x << _SHIFT | y``: right ``p + (1 << _SHIFT)``, up
-  ``p + 1``.
+- row by row, ``(x + y) * w + y``, so the right neighbour is ``p + w`` and
+  the upper one ``p + w + 1``;
+- leftmost first, ``y * w + x``: right ``p + 1``, up ``p + w``;
+- random and FIFO, ``x * w + y``: right ``p + w``, up ``p + 1``.
 
-``_SHIFT`` is 9 bits, enough for every coordinate up to the n = 10 oracle
-limit.  The origin is 0 in every encoding, so the loop reaches every point by
-adding the two offsets.  No chip passes the last-row bound ``b =
-row_bound(n)``, so a point reached has ``x + y <= b`` and its int is below
-``(b + 1) << _SHIFT`` in every encoding; that is the length of the two
-lists (70 144 entries at n = 9, 134 656 at the limit).  A point past them
-would be a defect in the bound or an encoding, and ends the run in a
-:class:`~chipfire.core.ChipfireError` naming the grid.  The points that
-fired are listed the first time each fires, and only they, their
-neighbours and the origin are decoded at the end, and zeroed.
+No chip passes the last-row bound ``b = row_bound(n)``, so a point reached
+has ``x + y <= b``, every coordinate is below ``w``, and every int is
+below ``(b + 1) * w`` in every encoding; that is the length of the two
+lists (18 906 entries at n = 9, 69 432 at the n = 10 oracle limit).  The
+origin is 0 in every encoding, so a run reaches every point by adding the
+two offsets.  A point past the lists would be a defect in the bound or an
+encoding, and ends the run in a :class:`~chipfire.core.ChipfireError`
+naming the grid.
 
-The two sorted orders push and pop a heap through
-``functools.partial(heappush, heap)`` and its ``heappop`` twin, so no move
-calls a Python function.  The random order draws inline: with
-``k = size.bit_length()``, ``getrandbits(k)`` is redrawn until it falls
-below the pool's size, which is exactly what ``Random.randrange(size)``
-does, so a seed picks the same points as a ``randrange`` per move would.
-The drawn point is swapped to the end of the pool and popped.  The run
-ends in an :class:`OracleState` keyed by ``(x, y)`` tuples, decoded once
-and built through its own constructor, with read-only fields like every
-record's.
-The confluence check compares two runs' maps with ``dict`` equality, at C
-speed, and falls back on Counter equality, which reads a missing point as
-0, only when that fails.
+Exactly the points holding two chips or more are pending, each once: only
+a point's own firing takes chips from it, so a point becomes pending when a
+chip brings it to two, and stays pending until its own firings take it
+below two.  Each order family plays on its own loop:
 
-The simulator exists for cross-validation at small n, not for scale: every
-firing is one Python-level step.
+- The two heap orders, leftmost-first and row-by-row, fire the least
+  pending int.  That point stays the least while it holds two chips: its
+  neighbours encode larger, and so does every other pending point.  So a
+  move-by-move run would fire it again and again until it holds fewer than
+  two, and the loop fires it ``chips // 2`` times in one step.  No chip
+  reaches it afterwards, since only smaller points send it chips and every
+  later point is larger, so each point fires in one step.
+- The random order draws inline: with ``k`` the bit length of the pool's
+  size, ``getrandbits(k)`` is redrawn until it falls below the size, which
+  is exactly what ``Random.randrange(size)`` does, so a seed picks the same
+  points as a ``randrange`` per move would.  The drawn point is swapped to
+  the end of the pool, and stays there while it is pending.
+- The FIFO order fires the point at the front of its queue and puts it
+  back at the end while it is pending.
+
+The random and FIFO loops fire one move at a time and count each firing
+as it happens, so the confluence check compares firing counts that no
+division produced with the heap orders' ``chips // 2``.  Every loop makes
+the same moves, in the same sequence, as one move-by-move worklist loop
+would; a heap step is that loop's run of moves on one point.  The points
+that fired are listed the first time each fires, and only they, their
+neighbours and the origin are decoded at the end, and zeroed.  The run ends
+in an :class:`OracleState` keyed by ``(x, y)`` tuples, decoded once by
+``divmod(p, w)`` at C speed and built through its own constructor, with
+read-only fields like every record's.  The confluence check compares two
+runs' maps with ``dict`` equality, at C speed, and falls back on Counter
+equality, which reads a missing point as 0, only when that fails.
+
+The simulator exists for cross-validation at small n, not for scale: the
+random and FIFO orders take one Python-level step per firing.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import ChipfireError, _check_exponent, _Record, row_bound
 
@@ -72,10 +84,10 @@ STRATEGIES = ("random", "leftmost-first", "fifo-queue", "row-by-row")
 
 Point = tuple[int, int]
 
-# Bits of one coordinate inside a point int.  No chip passes the last-row
-# bound, so every coordinate reached, plus one, fits.
-_SHIFT = row_bound(ORACLE_EXPONENT_LIMIT).bit_length()
-_LOW = (1 << _SHIFT) - 1
+# The bit length of every size the random order's pool can take: a pending
+# point holds two or more of the 2**n chips, so at most 2**(n - 1) are
+# pending at once.
+_BIT_LENGTHS = tuple(map(int.bit_length, range((1 << ORACLE_EXPONENT_LIMIT - 1) + 1)))
 
 
 class MoveCapExceededError(ChipfireError, RuntimeError):
@@ -116,60 +128,165 @@ class OracleState(_Record):
         return dict(self.firings)
 
 
-def _xy(p: int) -> Point:
-    return p >> _SHIFT, p & _LOW
+def _stride(n: int) -> int:
+    """The stride ``w`` of the point ints of a run for ``n``: every
+    coordinate a run reaches, plus one, is below it."""
+    return row_bound(n) + 2
 
 
-def _yx(p: int) -> Point:
-    return p & _LOW, p >> _SHIFT
+def _offsets(strategy: str, w: int) -> tuple[int, int]:
+    """The offsets from a point int to its right and upper neighbours in
+    ``strategy``'s encoding with stride ``w``."""
+    if strategy == "row-by-row":
+        return w, w + 1
+    if strategy == "leftmost-first":
+        return 1, w
+    return w, 1
 
 
-def _row_y(p: int) -> Point:
-    y = p & _LOW
-    return (p >> _SHIFT) - y, y
-
-
-#: Per order: the point ints' offsets to the right and upper neighbours, and
-#: their decoder.  A point int is the origin, 0, plus x rights and y ups.
-_ENCODINGS: dict[str, tuple[int, int, Callable[[int], Point]]] = {
-    "random": (1 << _SHIFT, 1, _xy),
-    "fifo-queue": (1 << _SHIFT, 1, _xy),
-    # (x + y) << _SHIFT | y: row first, then y.
-    "row-by-row": (1 << _SHIFT, (1 << _SHIFT) + 1, _row_y),
-    # y << _SHIFT | x: y first, then x.
-    "leftmost-first": (1, 1 << _SHIFT, _yx),
-}
-
-
-def _worklist(strategy: str, seed: int | None) -> tuple[
-    list | deque,
-    Callable[[int], None],
-    Callable[[], int],
-    Callable[[int], int] | None,
-    tuple[int, int, Callable[[int], Point]],
-]:
-    """The container that sets ``strategy``'s order, its ``put`` and ``take``,
-    the random order's ``draw``, and the order's point encoding.
-
-    ``draw(k)`` gives ``k`` random bits; the random order swaps the drawn
-    entry to the end of its pool before ``take`` pops it.  The other orders
-    have no ``draw``.
-    """
-    encoding = _ENCODINGS[strategy]
-    if strategy == "fifo-queue":
-        queue: deque[int] = deque()
-        return queue, queue.append, queue.popleft, None, encoding
-    if strategy == "random":
-        pool: list[int] = []
-        return pool, pool.append, pool.pop, random.Random(seed).getrandbits, encoding
-    heap: list[int] = []
-    return heap, partial(heappush, heap), partial(heappop, heap), None, encoding
+def _decode(strategy: str, w: int, points: Iterable[int]) -> list[Point]:
+    """The ``(x, y)`` points of ``strategy``'s point ints with stride ``w``."""
+    pairs = map(w.__rdivmod__, points)
+    if strategy == "row-by-row":
+        return [(s - y, y) for s, y in pairs]
+    if strategy == "leftmost-first":
+        return [(x, y) for y, x in pairs]
+    return list(pairs)
 
 
 def _grid(n: int) -> tuple[list[int], list[int]]:
     """The chips and firing-count lists of a run for ``n``, all zeros."""
-    size = (row_bound(n) + 1) << _SHIFT
+    size = (row_bound(n) + 1) * _stride(n)
     return [0] * size, [0] * size
+
+
+def _play_heap(
+    n: int, chips: list[int], firings: list[int], right: int, up: int, cap: int
+) -> tuple[int, list[int]]:
+    """Fire the least pending point int, ``chips // 2`` times in one step,
+    until none is pending.  The moves made and the points fired, in order."""
+    pop, push = heappop, heappush
+    heap = [0] if chips[0] >= 2 else []
+    fired: list[int] = []
+    record = fired.append
+    moves = 0
+    while heap:
+        p = pop(heap)
+        c = chips[p]
+        k = c >> 1
+        moves += k
+        if moves > cap:
+            raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
+        chips[p] = c & 1
+        firings[p] = k
+        record(p)
+        q = p + right
+        c = chips[q]
+        chips[q] = c + k
+        if c < 2 <= c + k:
+            push(heap, q)
+        q = p + up
+        c = chips[q]
+        chips[q] = c + k
+        if c < 2 <= c + k:
+            push(heap, q)
+    return moves, fired
+
+
+def _play_random(
+    n: int,
+    chips: list[int],
+    firings: list[int],
+    right: int,
+    up: int,
+    cap: int,
+    draw: Callable[[int], int],
+) -> tuple[int, list[int]]:
+    """Fire a point drawn from the pool by ``draw(k)``, ``k`` random bits,
+    one move at a time, until none is pending.  The moves made and the
+    points fired, in the order each first fired."""
+    pool = [0] if chips[0] >= 2 else []
+    size = len(pool)
+    fired: list[int] = []
+    record, append, pop, bits = fired.append, pool.append, pool.pop, _BIT_LENGTHS
+    moves = 0
+    if size:
+        for moves in range(1, cap + 1):
+            # Random.randrange(size), inline: k random bits until they fall
+            # below size.
+            k = bits[size]
+            i = draw(k)
+            while i >= size:
+                i = draw(k)
+            p = pool[i]
+            # Swap p to the end of the pool, where it stays while pending.
+            pool[i] = pool[-1]
+            kept = chips[p] - 2
+            chips[p] = kept
+            if kept >= 2:
+                pool[-1] = p
+            else:
+                pop()
+                size -= 1
+            f = firings[p]
+            if not f:
+                record(p)
+            firings[p] = f + 1
+            q = p + right
+            c = chips[q] + 1
+            chips[q] = c
+            if c == 2:
+                append(q)
+                size += 1
+            q = p + up
+            c = chips[q] + 1
+            chips[q] = c
+            if c == 2:
+                append(q)
+                size += 1
+            if not size:
+                break
+        else:
+            raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
+    return moves, fired
+
+
+def _play_fifo(
+    n: int, chips: list[int], firings: list[int], right: int, up: int, cap: int
+) -> tuple[int, list[int]]:
+    """Fire the point at the front of the queue, one move at a time, until
+    none is pending.  The moves made and the points fired, in the order
+    each first fired."""
+    queue: deque[int] = deque([0] if chips[0] >= 2 else [])
+    fired: list[int] = []
+    record, put, take = fired.append, queue.append, queue.popleft
+    moves = 0
+    if queue:
+        for moves in range(1, cap + 1):
+            p = take()
+            kept = chips[p] - 2
+            chips[p] = kept
+            f = firings[p]
+            if not f:
+                record(p)
+            firings[p] = f + 1
+            if kept >= 2:
+                put(p)
+            q = p + right
+            c = chips[q] + 1
+            chips[q] = c
+            if c == 2:
+                put(q)
+            q = p + up
+            c = chips[q] + 1
+            chips[q] = c
+            if c == 2:
+                put(q)
+            if not queue:
+                break
+        else:
+            raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
+    return moves, fired
 
 
 def simulate(
@@ -201,61 +318,30 @@ def simulate(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     cap = move_cap if move_cap is not None else ((1 << n) * row_bound(n)) // 2 + 1
-    pending, put, take, draw, (right, up, decode) = _worklist(strategy, seed)
+    w = _stride(n)
+    right, up = _offsets(strategy, w)
     chips, firings = _grid(n) if _lists is None else _lists
     chips[0] = 1 << n
-    first_fired: list[int] = []
-    moves = 0
-    # Exactly the points holding two chips or more are pending, each once:
-    # only a point's own firing takes chips from it, so a point is put when
-    # a chip brings it to two, or when it still holds two after firing.
-    if n:
-        put(0)
     try:
-        while pending:
-            if draw:
-                # Random.randrange(size), inline: k random bits until they
-                # fall below size.
-                size = len(pending)
-                k = size.bit_length()
-                i = draw(k)
-                while i >= size:
-                    i = draw(k)
-                pending[i], pending[-1] = pending[-1], pending[i]
-            p = take()
-            if moves >= cap:
-                raise MoveCapExceededError(f"move cap {cap} hit for n={n}")
-            moves += 1
-            kept = chips[p] - 2
-            chips[p] = kept
-            f = firings[p]
-            if not f:
-                first_fired.append(p)
-            firings[p] = f + 1
-            if kept >= 2:
-                put(p)
-            q = p + right
-            c = chips[q] + 1
-            chips[q] = c
-            if c == 2:
-                put(q)
-            q = p + up
-            c = chips[q] + 1
-            chips[q] = c
-            if c == 2:
-                put(q)
+        if strategy == "random":
+            draw = random.Random(seed).getrandbits
+            moves, fired = _play_random(n, chips, firings, right, up, cap, draw)
+        elif strategy == "fifo-queue":
+            moves, fired = _play_fifo(n, chips, firings, right, up, cap)
+        else:
+            moves, fired = _play_heap(n, chips, firings, right, up, cap)
     except IndexError:
         raise ChipfireError(
             f"the {strategy} run for n={n} left its grid of {len(chips)} point ints"
         ) from None
     reached = dict.fromkeys([0])
-    for p in first_fired:
+    for p in fired:
         reached[p] = reached[p + right] = reached[p + up] = None
     state = OracleState(
         n=n,
         moves=moves,
-        chips=Counter(dict(zip(map(decode, reached), map(chips.__getitem__, reached)))),
-        firings=Counter(dict(zip(map(decode, first_fired), map(firings.__getitem__, first_fired)))),
+        chips=Counter(dict(zip(_decode(strategy, w, reached), map(chips.__getitem__, reached)))),
+        firings=Counter(dict(zip(_decode(strategy, w, fired), map(firings.__getitem__, fired)))),
     )
     # Only the points reached hold chips or firings.
     for p in reached:

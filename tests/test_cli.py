@@ -444,11 +444,16 @@ class TestVerifyCommand:
     def test_oracle_off_its_grid_exits_1(self, capsys, monkeypatch):
         # A defect that sends a run past its grid is one chipfire: line and
         # exit 1, not an IndexError traceback.
-        right, up, decode = oracle._ENCODINGS["row-by-row"]
-        monkeypatch.setitem(oracle._ENCODINGS, "row-by-row", (right << 8, up, decode))
+        real = oracle._offsets
+
+        def offsets(strategy, w):
+            right, up = real(strategy, w)
+            return (right << 8 if strategy == "row-by-row" else right), up
+
+        monkeypatch.setattr(oracle, "_offsets", offsets)
         rc, _, err = run(capsys, "verify", "--n", "4", "--properties", "oracle", "--trials", "2")
         assert rc == 1
-        assert err == "chipfire: the row-by-row run for n=4 left its grid of 5632 point ints\n"
+        assert err == "chipfire: the row-by-row run for n=4 left its grid of 132 point ints\n"
 
     def test_trials_past_the_cap_are_refused_at_once(self, capsys):
         trials = str(oracle.MAX_TRIALS + 1)
@@ -681,6 +686,15 @@ class TestUsageErrors:
         rc, out, err = run(capsys, "sequences", "half-nonzero-rows", "--upto", "31")
         assert (rc, out) == (2, "")
         assert err == "chipfire: half-nonzero-rows is computed up to index 30, got upto=31\n"
+
+    @pytest.mark.parametrize("command", ["distance", "firings", "segment"])
+    @pytest.mark.parametrize("n", [31, 126])
+    def test_summary_past_the_table_cap_is_refused_at_once(self, capsys, command, n):
+        start = time.perf_counter()
+        rc, out, err = run(capsys, command, "--n", str(n))
+        assert time.perf_counter() - start < 1
+        assert (rc, out) == (2, "")
+        assert err == f"chipfire: {command} is computed up to n=30, got n={n}\n"
 
     def test_out_to_unwritable_path_is_io_error(self, capsys, tmp_path):
         rc, _, err = run(

@@ -15,10 +15,11 @@ contract:
 * on exit 0, a second run prints the same stdout and ``--out`` bytes;
 * a usage error writes no ``--out`` file.
 
-Whole-table commands have no size cap yet, so ``--n`` and ``--upto`` stay
-at 6 or below when in range (out of range means past every cap, or, for
-``--upto``, past the table-derived sequences' last index, 30), and
-``--trials`` at 3 or below.  The runs are derandomized and bounded.
+Not every whole-table command has a size cap yet, so ``--n`` and
+``--upto`` stay at 6 or below when in range (out of range means past every
+cap, or, for ``--upto`` and the ``--n`` of ``distance``, ``firings`` and
+``segment``, past the whole-table cap, 30), and ``--trials`` at 3 or below.
+The runs are derandomized and bounded.
 """
 
 import contextlib
@@ -78,6 +79,7 @@ OUTPUT = [
     Option(st.sampled_from([[], ["--header"]]), [["--header", "extra"]]),
 ]
 TABLE = [option("--n", *EXPONENT, required="0"), *OUTPUT]
+SUMMARY = [option("--n", *ints(0, 6, ["31", "126", "127", *BAD_INTS]), required="0"), *OUTPUT]
 TABLE_ROWS = [*TABLE, option("--max-rows", *ints(1, 40, ["0", str(sys.maxsize + 1), *BAD_INTS]))]
 #: A figure must be wider and taller than twice its padding, 32 px.
 SIZE = ints(33, 1200, ["-1", *map(str, range(33)), HUGE, "x"])
@@ -86,10 +88,10 @@ SEQUENCE_IDS = list(sequences.SEQUENCES)
 GRAMMAR = {
     "table": TABLE_ROWS,
     "stable": TABLE,
-    "distance": TABLE,
-    "firings": TABLE,
+    "distance": SUMMARY,
+    "firings": SUMMARY,
     "diff": TABLE_ROWS,
-    "segment": TABLE,
+    "segment": SUMMARY,
     "sequences": [
         Option(st.sampled_from([[s] for s in SEQUENCE_IDS]), [["no-such-sequence"], []],
                [SEQUENCE_IDS[0]]),

@@ -17,6 +17,20 @@ def arrival_grid(rows):
     return {(x, y): v for r in rows for x, y, v in r.points()}
 
 
+class Logged(list):
+    """A firing-count list that logs the point int of each write once per
+    firing the write adds: a move-by-move order adds one, and a heap order's
+    step of k firings adds k at once."""
+
+    def __init__(self, counts):
+        super().__init__(counts)
+        self.fired = []
+
+    def __setitem__(self, p, count):
+        self.fired += [p] * (count - self[p])
+        super().__setitem__(p, count)
+
+
 class TestSimulate:
     def test_n0_never_fires(self):
         state = simulate(0, "random", seed=7)
@@ -66,30 +80,24 @@ class TestSimulate:
             simulate(3, "by-feel")
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_firing_order_is_frozen(self, strategy, monkeypatch):
-        fired = []
-        real = oracle._worklist
-
-        def logged(*args):
-            pending, put, take, draw, encoding = real(*args)
-            decode = encoding[2]
-
-            def take_logged():
-                p = take()
-                fired.append(decode(p))
-                return p
-
-            return pending, put, take_logged, draw, encoding
-
-        monkeypatch.setattr(oracle, "_worklist", logged)
-        assert simulate(5, strategy, seed=3).moves == len(fired) == 163
+    def test_firing_order_is_frozen(self, strategy):
+        chips, firings = oracle._grid(5)
+        logged = Logged(firings)
+        state = simulate(5, strategy, seed=3, _lists=(chips, logged))
+        fired = oracle._decode(strategy, oracle._stride(5), logged.fired)
+        assert state.moves == len(fired) == 163
         digest = hashlib.sha256(repr(fired).encode()).hexdigest()
         assert digest == golden.ORACLE_ORDER_N5_SHA256[strategy]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_move_cap(self, strategy):
-        with pytest.raises(MoveCapExceededError):
-            simulate(6, strategy, seed=0, move_cap=10)
+        # A cap of exactly the moves a run makes lets it end; one less stops
+        # it, also where a heap order fires a point many times in one step.
+        state = simulate(6, strategy, seed=0)
+        assert simulate(6, strategy, seed=0, move_cap=state.moves) == state
+        for cap in (0, 10, state.moves - 1):
+            with pytest.raises(MoveCapExceededError, match=f"^move cap {cap} hit for n=6$"):
+                simulate(6, strategy, seed=0, move_cap=cap)
 
 
 class TestManualFiring:
@@ -123,27 +131,29 @@ class TestPointInts:
         # coordinates within it, and its neighbours one more.  Every order
         # reaches a point from the origin, 0, by adding its two offsets.
         bound = row_bound(ORACLE_EXPONENT_LIMIT)
-        assert bound + 1 < 1 << oracle._SHIFT
+        w = oracle._stride(ORACLE_EXPONENT_LIMIT)
+        assert bound + 1 < w
         for strategy in STRATEGIES:
-            right, up, decode = oracle._worklist(strategy, 0)[-1]
+            right, up = oracle._offsets(strategy, w)
             for x in (0, 1, bound // 2, bound):
                 for y in (0, 1, bound // 2, bound):
                     p = x * right + y * up
-                    assert decode(p) == (x, y)
-                    assert decode(p + right) == (x + 1, y)
-                    assert decode(p + up) == (x, y + 1)
+                    assert oracle._decode(strategy, w, [p, p + right, p + up]) == [
+                        (x, y), (x + 1, y), (x, y + 1)
+                    ]
 
     @pytest.mark.parametrize(
         ("strategy", "key"),
         [("row-by-row", lambda x, y: (x + y, y)), ("leftmost-first", lambda x, y: (y, x))],
     )
     def test_heap_order_is_int_order(self, strategy, key):
-        right, up, decode = oracle._worklist(strategy, 0)[-1]
         bound = row_bound(ORACLE_EXPONENT_LIMIT)
+        w = oracle._stride(ORACLE_EXPONENT_LIMIT)
+        right, up = oracle._offsets(strategy, w)
         coords = [0, 1, 2, bound // 3, bound // 2, bound - 1, bound]
         points = [x * right + y * up for x in coords for y in coords if x + y <= bound]
-        by_key = sorted(map(decode, points), key=lambda p: key(*p))
-        assert [decode(p) for p in sorted(points)] == by_key
+        by_key = sorted(oracle._decode(strategy, w, points), key=lambda p: key(*p))
+        assert oracle._decode(strategy, w, sorted(points)) == by_key
 
     def test_draw_is_randrange(self):
         # The steps of the random order's inline draw pick what
@@ -159,42 +169,35 @@ class TestPointInts:
                     i = bits(k)
                 assert i == reference.randrange(size)
 
-    def test_run_reaches_inside_the_bound(self, monkeypatch):
+    def test_run_reaches_inside_the_bound(self):
         # No chip passes the last-row bound b, so every point int a run
         # reaches, a fired point plus its larger offset, lies below
-        # (b + 1) << _SHIFT, the length of the run's two lists.  Every order
-        # ends in the same state at the limit.
+        # (b + 1) * w, the length of the run's two lists.  Every order ends
+        # in the same state at the limit.
+        n = ORACLE_EXPONENT_LIMIT
+        bound, w = row_bound(n), oracle._stride(n)
         top = {}
-        real = oracle._worklist
-
-        def logged(strategy, seed):
-            pending, put, take, draw, encoding = real(strategy, seed)
-            step = max(encoding[:2])
-            top[strategy] = 0
-
-            def take_logged():
-                p = take()
-                top[strategy] = max(top[strategy], p + step)
-                return p
-
-            return pending, put, take_logged, draw, encoding
-
-        monkeypatch.setattr(oracle, "_worklist", logged)
-        bound = row_bound(ORACLE_EXPONENT_LIMIT)
-        states = [simulate(ORACLE_EXPONENT_LIMIT, s, seed=0) for s in STRATEGIES]
-        assert states[0].moves == stable.total_firings(ORACLE_EXPONENT_LIMIT) == 38_570
+        states = []
+        for strategy in STRATEGIES:
+            chips, firings = oracle._grid(n)
+            logged = Logged(firings)
+            states.append(simulate(n, strategy, seed=0, _lists=(chips, logged)))
+            top[strategy] = max(logged.fired) + max(oracle._offsets(strategy, w))
+        assert len(chips) == (bound + 1) * w == 69_432
+        assert len(oracle._grid(9)[0]) == 18_906
+        assert states[0].moves == stable.total_firings(n) == 38_570
         assert all(state == states[0] for state in states[1:])
         assert max(x + y for x, y in states[0].chips) <= bound
-        assert max(top.values()) == top["row-by-row"] < (bound + 1) << oracle._SHIFT
+        assert max(top.values()) == top["row-by-row"] < len(chips)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_a_point_off_the_grid_is_a_chipfire_error(self, strategy, monkeypatch):
         # A right offset as long as the grid stands in for a defect in the
         # bound or an encoding: the first firing's right neighbour is past
         # the lists, and the run refuses instead of raising IndexError.
-        _, up, decode = oracle._ENCODINGS[strategy]
-        grid = (row_bound(4) + 1) << oracle._SHIFT
-        monkeypatch.setitem(oracle._ENCODINGS, strategy, (grid, up, decode))
+        real = oracle._offsets
+        grid = (row_bound(4) + 1) * oracle._stride(4)
+        monkeypatch.setattr(oracle, "_offsets", lambda s, w: (grid, real(s, w)[1]))
         with pytest.raises(ChipfireError, match=f"{strategy} run for n=4 left its grid of {grid} "):
             simulate(4, strategy, seed=0)
 
